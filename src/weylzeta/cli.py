@@ -3,7 +3,7 @@
 Subcommands:
 
 * describe  -- derived invariants of one quotient
-* counts    -- brute-force count tables up to a bound
+* counts    -- census count tables up to a bound
 * zeta      -- all zeta functions, L-polynomial and correction factors
 * verify    -- run the identity battery; exit 0 only if everything holds
 * corpus    -- generate a seeded random corpus and verify every member
@@ -31,9 +31,7 @@ from .identities import verify
 from .quotient import SpecValidationError, build
 from .rootgeom import RootSystem
 from .specfile import ParsedSpec, SpecFileError, load_spec_file, spec_to_json_dict
-from .zeta import OrderInsufficientError, required_order, zeta_bundle
-
-_DEFAULT_ORDER = 48
+from .zeta import OrderInsufficientError, zeta_bundle
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -66,11 +64,10 @@ def _load(path: str) -> tuple:
 
 
 def _resolve_order(args, parsed: ParsedSpec) -> Optional[int]:
+    """--order, else the spec file's order, else None for the library default."""
     if getattr(args, "order", None) is not None:
         return args.order
-    if parsed.order is not None:
-        return parsed.order
-    return _DEFAULT_ORDER
+    return parsed.order
 
 
 def _cmd_describe(args) -> int:
@@ -164,15 +161,14 @@ def _cmd_corpus(args) -> int:
     all_hold = True
     for member in members:
         q = member.build()
-        order = max(required_order(q), _DEFAULT_ORDER)
-        report = verify(q, order)
+        report = verify(q)
         all_hold = all_hold and report.all_hold
         payload["members"].append(
             {
                 "name": member.name,
                 "spec": spec_to_json_dict(member.root_system, member.spec),
                 "N": q.N,
-                "order": order,
+                "order": report.order,
                 "all_hold": report.all_hold,
                 "failures": [r.identity_id for r in report.failures()],
             }
@@ -207,7 +203,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_describe)
 
-    p = sub.add_parser("counts", help="brute-force count tables")
+    p = sub.add_parser("counts", help="census count tables")
     add_common(p)
     p.add_argument("--max-n", type=int, default=12, help="largest length")
     p.set_defaults(func=_cmd_counts)

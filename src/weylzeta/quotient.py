@@ -247,11 +247,13 @@ class QuotientGroup:
         self.N = index // 2
         # structural identities of the presentation
         sq = self.sigma.compose(self.sigma)
-        assert sq == AffineMap.from_translation(vec_scale(k, alpha))
-        assert self.t.compose(self.sigma) == self.sigma.compose(self.t.inverse())
+        if sq != AffineMap.from_translation(vec_scale(k, alpha)):
+            raise AssertionError("sigma squared is not the axis translation k*alpha")
+        if self.t.compose(self.sigma) != self.sigma.compose(self.t.inverse()):
+            raise AssertionError("t*sigma != sigma*t**-1")
         # axis parity: b odd exactly when k/n is odd, and n | k always
-        assert k % n == 0
-        assert (k // n) % 2 == b % 2
+        if k % n != 0 or (k // n) % 2 != b % 2:
+            raise AssertionError("axis parity: k/n is not an integer of the parity of b")
 
     def _finish(self):
         u, v = self.gamma0_basis
@@ -404,11 +406,12 @@ class QuotientGroup:
         """Integer coordinates (c, d) of v in the basis (alpha, beta)."""
         al, be = self.alpha, self.beta
         det = al[0] * be[1] - be[0] * al[1]
-        c = (v[0] * be[1] - be[0] * v[1]) * det
-        d = (al[0] * v[1] - v[0] * al[1]) * det
         # det is +-1 (alpha, beta always form a lattice basis), so
         # multiplying by det is the same as dividing by it
-        assert det in (1, -1)
+        if det not in (1, -1):
+            raise AssertionError(f"alpha, beta do not form a lattice basis (det {det})")
+        c = (v[0] * be[1] - be[0] * v[1]) * det
+        d = (al[0] * v[1] - v[0] * al[1]) * det
         return (c, d)
 
     def wt_plus_size(self, rep: str) -> int:
@@ -526,5 +529,6 @@ def normalize_generators(
         raise ValueError("generators contain an element of order two (torsion)")
     k = p // 2
     t_new = vec_sub(t_vec, vec_scale(k, s))
-    assert mat_vec(m, t_new) == (-t_new[0], -t_new[1])
+    if mat_vec(m, t_new) != (-t_new[0], -t_new[1]):
+        raise AssertionError("normalized translation is not reversed by sigma")
     return (AffineMap.from_translation(t_new), g_sigma)

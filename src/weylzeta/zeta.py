@@ -32,7 +32,7 @@ from .algebra import (
     reconstruct_poly_from_series,
     series_exp,
 )
-from .census import count_closed_walks
+from .census import walk_count_table
 from .quotient import QuotientGroup, SpecValidationError
 from .rootgeom import Vec, mat_vec, vec_add
 
@@ -218,7 +218,7 @@ def l_function(q: QuotientGroup, rep: str, order: int):
     required = 2 * bound + 8
     if order < required:
         raise OrderInsufficientError(order, required)
-    counts = [count_closed_walks(q, rep, n) for n in range(1, order + 1)]
+    counts = walk_count_table(q, rep, order).values
     return l_poly_from_counts(counts, bound), exp_of_count_series(counts, order)
 
 
@@ -322,8 +322,8 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
         zeta[rep] = zeta_walks(q, rep)
         semi[rep] = zeta_semi(q, rep)
         gal[rep] = zeta_galleries(q, rep)
-        ns = [count_closed_walks(q, rep, n) for n in range(1, order + 1)]
-        counts[rep] = tuple(ns)
+        ns = walk_count_table(q, rep, order).values
+        counts[rep] = ns
         p = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))
         lpoly[rep] = p
         eps = q.rs.rep(rep).epsilon

@@ -1,16 +1,25 @@
-"""Brute-force counting oracles."""
+"""Counting oracles: the per-length loops and the closed-form tables."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylzeta.census import (
     count_closed_galleries,
     count_closed_walks,
     count_geodesic_walks,
     count_semi_closings,
+    gallery_count_table,
+    geodesic_count_table,
     lambda_set_size,
+    semi_count_table,
+    walk_count_table,
 )
+from weylzeta.corpus import generate_corpus
+from weylzeta.identities import GALLERY_LOG_DEPTH, SEMI_LOG_DEPTH
 from weylzeta.quotient import KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import RootSystem
+from weylzeta.zeta import required_order
 
 A2 = RootSystem.a2()
 C2 = RootSystem.c2()
@@ -192,3 +201,115 @@ def test_a2_klein_admits_odd_galleries():
     # the glide reflection swaps the two off-axis directions, so odd
     # closed galleries exist on A2 Klein bottles
     assert any(count_closed_galleries(A2_KLEIN, "pi1", n) > 0 for n in (3, 9))
+
+
+# ---------------------------------------------------------------------------
+# closed-form tables against the per-length loops
+# ---------------------------------------------------------------------------
+
+CORPUS = [member.build() for member in generate_corpus(7, 20, 12)]
+
+
+def _order(q):
+    return max(required_order(q), 48)
+
+
+def test_walk_tables_match_loops_on_corpus():
+    for q in CORPUS:
+        order = _order(q)
+        for rep in q.rs.rep_names:
+            ns = range(1, order + 1)
+            assert walk_count_table(q, rep, order).values == tuple(
+                count_closed_walks(q, rep, n) for n in ns
+            ), (q, rep)
+            assert geodesic_count_table(q, rep, order).values == tuple(
+                count_geodesic_walks(q, rep, n) for n in ns
+            ), (q, rep)
+
+
+def test_semi_and_gallery_tables_match_loops_on_corpus():
+    # the depths verify uses on every member, every n <= order when N <= 12
+    for q in CORPUS:
+        order = _order(q)
+        sdepth = min(SEMI_LOG_DEPTH, 2 * order)
+        gdepth = min(GALLERY_LOG_DEPTH, order)
+        if q.N <= 12:
+            sdepth, gdepth = max(sdepth, order), order
+        for rep in q.rs.rep_names:
+            assert semi_count_table(q, rep, sdepth).values == tuple(
+                count_semi_closings(q, rep, j) for j in range(1, sdepth + 1)
+            ), (q, rep)
+            assert gallery_count_table(q, rep, gdepth).values == tuple(
+                count_closed_galleries(q, rep, n) for n in range(1, gdepth + 1)
+            ), (q, rep)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: relabeling the same group leaves every table unchanged
+# ---------------------------------------------------------------------------
+
+# a basis of the coroot lattice of each root system
+COROOT_BASIS = {"A2": ((1, 1), (3, 0)), "C2": ((1, 1), (2, 0))}
+
+KLEIN_SPECS = sorted(
+    {
+        (member.root_system, member.spec)
+        for seed in range(3)
+        for member in generate_corpus(seed, 0, 12)
+    },
+    key=repr,
+)
+
+
+def _all_tables(q):
+    order = _order(q)
+    return {
+        rep: (
+            walk_count_table(q, rep, order).values,
+            geodesic_count_table(q, rep, order).values,
+            semi_count_table(q, rep, 2 * order).values,
+            gallery_count_table(q, rep, order).values,
+        )
+        for rep in q.rs.rep_names
+    }
+
+
+def _coroot_vector(rs_name, c):
+    (b1, b2) = COROOT_BASIS[rs_name]
+    return (c[0] * b1[0] + c[1] * b2[0], c[0] * b1[1] + c[1] * b2[1])
+
+
+@given(
+    st.sampled_from(("A2", "C2")),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(-3, 3),
+    st.sampled_from((1, -1)),
+    st.sampled_from((1, -1)),
+)
+@settings(deadline=None, max_examples=40)
+def test_torus_tables_invariant_under_basis_change(rs_name, c1, c2, k, s1, s2):
+    rs = RootSystem.make(rs_name)
+    v1, v2 = _coroot_vector(rs_name, c1), _coroot_vector(rs_name, c2)
+    det = v1[0] * v2[1] - v2[0] * v1[1]
+    assume(0 < abs(det) <= 60)
+    base = _all_tables(build(rs, TorusSpec(v1, v2)))
+    w1 = (v1[0] + k * v2[0], v1[1] + k * v2[1])
+    assert _all_tables(build(rs, TorusSpec(w1, v2))) == base
+    flipped = TorusSpec((s1 * v1[0], s1 * v1[1]), (s2 * v2[0], s2 * v2[1]))
+    assert _all_tables(build(rs, flipped)) == base
+
+
+@given(st.sampled_from(KLEIN_SPECS))
+@settings(deadline=None, max_examples=20)
+def test_klein_tables_invariant_under_relabeling(item):
+    rs_name, spec = item
+    rs = RootSystem.make(rs_name)
+    base = _all_tables(build(rs, spec))
+    # negating alpha, beta, a and b flips the sign of k; build relabels back
+    (x1, y1), (x2, y2) = spec.alpha, spec.beta
+    relabeled = KleinSpec((-x1, -y1), (-x2, -y2), -spec.a, -spec.b, spec.m)
+    assert _all_tables(build(rs, relabeled)) == base
+    # t and its inverse generate the same group with sigma
+    inverse_t = KleinSpec(spec.alpha, spec.beta, spec.a, spec.b, -spec.m)
+    assert _all_tables(build(rs, inverse_t)) == base

@@ -1,9 +1,14 @@
 """Quotient groups: construction, invariants, canonicalization, transporters."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylzeta
 from weylzeta.quotient import (
     AffineMap,
     KleinSpec,
@@ -331,3 +336,42 @@ def test_glide_conjugacy_representatives():
     assert glide_conjugacy_representative(q, 3, 1) == q.t.compose(q.sigma)
     with pytest.raises(ValueError):
         glide_conjugacy_representative(q, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# checks that must survive python -O
+# ---------------------------------------------------------------------------
+
+_OPTIMIZED_SCRIPT = """
+import sys
+from weylzeta.quotient import KleinSpec, build, normalize_generators
+from weylzeta.rootgeom import RootSystem
+
+print("optimize", sys.flags.optimize)
+rs = RootSystem.c2()
+q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
+print("built", q.N, q.k_gamma, q.alpha_beta_coords(q.sigma.translation))
+t, s = normalize_generators(rs, q.t.compose(q.sigma ** 2), q.sigma)
+print("normalized", t == q.t and s == q.sigma)
+q.beta = (2 * q.beta[0], 2 * q.beta[1])  # no longer a basis with alpha
+try:
+    q.alpha_beta_coords((1, 1))
+except AssertionError as exc:
+    print("rejected", exc)
+"""
+
+
+def test_invariant_checks_survive_optimized_mode():
+    src = str(Path(weylzeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert out[1] == "built 6 6 (2, 1)"
+    assert out[2] == "normalized True"
+    assert out[3].startswith("rejected alpha, beta do not form a lattice basis")

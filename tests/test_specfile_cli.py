@@ -96,6 +96,16 @@ def test_cli_verify_exit_zero(torus_file, capsys):
     assert "all identities hold" in out
 
 
+def test_cli_default_order_covers_larger_quotients(tmp_path, capsys):
+    # N = 18, so the required order 2*18*3 + 8 = 116 exceeds 48
+    path = tmp_path / "a2_torus_n18.spec"
+    path.write_text("root_system = A2\nkind = torus\nv1 = 6,0\nv2 = 0,3\n")
+    assert main(["verify", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 116
+    assert main(["zeta", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 116
+
+
 def test_cli_verify_json_deterministic(klein_file, capsys):
     assert main(["verify", "--input", klein_file, "--format", "json"]) == 0
     first = capsys.readouterr().out
