@@ -5,20 +5,18 @@ The package builds finite quotients of the two rank-2 affine apartments
 walks, half-lattice geodesics and geodesic galleries, computes the
 corresponding zeta functions and L-functions in exact rational
 arithmetic, and verifies the structural identities tying them together
-as exact rational-function equalities.
+as exact equalities of cycle products.
 """
 
 from .algebra import (
+    CycleProduct,
     IntMatrix,
+    NotCycleProduct,
     NotPolynomialWithinBound,
     Poly,
-    RationalFunctionW,
     Series,
+    cycle_product_from_traces,
     det_identity_minus_wT,
-    poly_gcd,
-    ratfunc_equal,
-    ratfunc_negate_variable,
-    ratfunc_substitute,
     reconstruct_poly_from_series,
     series_exp,
     series_log,
@@ -53,7 +51,8 @@ from .zeta import (
     build_semi_system,
     build_walk_system,
     correction_factor,
-    l_function,
+    l_poly_from_counts,
+    l_product_from_counts,
     required_order,
     torus_closed_form,
     zeta_bundle,
@@ -68,15 +67,16 @@ __all__ = [
     "AffineMap",
     "CorpusMember",
     "CountTable",
+    "CycleProduct",
     "HalfVec",
     "IntMatrix",
     "KleinSpec",
+    "NotCycleProduct",
     "NotPolynomialWithinBound",
     "OrderInsufficientError",
     "ParsedSpec",
     "Poly",
     "QuotientGroup",
-    "RationalFunctionW",
     "ReprData",
     "RootSystem",
     "Series",
@@ -96,18 +96,16 @@ __all__ = [
     "count_closed_walks",
     "count_geodesic_walks",
     "count_semi_closings",
+    "cycle_product_from_traces",
     "det_identity_minus_wT",
     "generate_corpus",
     "glide_conjugacy_representative",
-    "l_function",
+    "l_poly_from_counts",
+    "l_product_from_counts",
     "lambda_set_size",
     "load_spec_file",
     "normalize_generators",
     "parse_spec_text",
-    "poly_gcd",
-    "ratfunc_equal",
-    "ratfunc_negate_variable",
-    "ratfunc_substitute",
     "reconstruct_poly_from_series",
     "required_order",
     "series_exp",

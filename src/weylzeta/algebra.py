@@ -4,18 +4,26 @@ Every generating function downstream is naturally a function of u = w**2
 (one unit of geodesic length is one power of u), but half-integer
 u-exponents occur along glide axes, so the whole stack computes in w and
 only reinterprets even-exponent objects as functions of u at the
-reporting layer.  Coefficients are exact rationals throughout; nothing
-in this package touches floating point.
+reporting layer.
+
+Every zeta function, correction factor and L-polynomial is a finite
+cycle product prod (1 - w**e)**k_e, held as a CycleProduct exponent
+dict: identities between them are dict equalities, decided in integer
+arithmetic.  Dense polynomials and truncated series remain for the
+count series, the exp/reciprocal reconstruction of the L-polynomial,
+the det(I - wT) cross-check and the reduced num/den forms printed at
+the edges.  Coefficients are exact rationals throughout; nothing in
+this package touches floating point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
@@ -56,10 +64,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
 
@@ -76,16 +80,8 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def constant_term(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -139,20 +135,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        # Integer fast path: the heavy products in identity checks are
-        # integer polynomials, where raw int convolution beats Fraction.
-        if all(x.denominator == 1 for x in a) and all(x.denominator == 1 for x in b):
-            ai = [x.numerator for x in a]
-            bi = [x.numerator for x in b]
-            if ai.count(0) < bi.count(0):
-                ai, bi = bi, ai
-            out = [0] * (len(ai) + len(bi) - 1)
-            for i, av in enumerate(ai):
-                if av:
-                    for j, bv in enumerate(bi):
-                        if bv:
-                            out[i + j] += av * bv
-            return Poly(out)
         out_f = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, av in enumerate(a):
             if av:
@@ -175,129 +157,8 @@ class Poly:
             e >>= 1
         return result
 
-    # -- variable substitutions ----------------------------------------
-
-    def substitute_power(self, k: int) -> "Poly":
-        """Replace w by w**k."""
-        if k <= 0:
-            raise ValueError("exponent multiplier must be positive")
-        if not self.coeffs:
-            return Poly()
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Poly(out)
-
-    def negate_w(self) -> "Poly":
-        """Replace w by -w."""
-        return Poly([-c if i % 2 else c for i, c in enumerate(self.coeffs)])
-
-    def negate_u(self) -> "Poly":
-        """Replace u by -u on an even-in-w polynomial (w**(2j) -> (-1)**j w**(2j))."""
-        if not self.is_even_in_w():
-            raise ValueError("u-negation requires an even-in-w polynomial")
-        return Poly([-c if i % 4 == 2 else c for i, c in enumerate(self.coeffs)])
-
-    def evaluate(self, x: RatLike) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-def poly_divmod(num: Poly, den: Poly) -> tuple:
-    """Long division over the rationals: num = q*den + r with deg r < deg den."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(num.coeffs)
-    db = den.degree
-    lead_inv = 1 / den.leading_coefficient
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while len(r) - 1 >= db:
-        c = r[-1] * lead_inv
-        k = len(r) - 1 - db
-        if c != 0:
-            q[k] = c
-            for i, dcoef in enumerate(den.coeffs):
-                r[i + k] -= c * dcoef
-        r.pop()
-    return Poly(q), Poly(r)
-
-
-def poly_exact_div(num: Poly, den: Poly) -> Poly:
-    q, r = poly_divmod(num, den)
-    if not r.is_zero:
-        raise ValueError("polynomial division is not exact")
-    return q
-
-
-def _int_content(c: Sequence[int]) -> int:
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-        if g == 1:
-            return 1
-    return g
-
-
-def _int_primitive(c: list) -> list:
-    g = _int_content(c)
-    if g > 1:
-        return [x // g for x in c]
-    return list(c)
-
-
-def _int_prem(a: list, b: list) -> list:
-    """Pseudo-remainder of a by b over the integers (gcd use only)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while r and len(r) - 1 >= db:
-        lead = r[-1]
-        if lead == 0:
-            r.pop()
-            continue
-        k = len(r) - 1 - db
-        if lb != 1:
-            r = [lb * x for x in r]
-        # after scaling, subtract lead * w^k * b: kills the top term
-        for i in range(db + 1):
-            r[i + k] -= lead * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _clear_denominators(p: Poly) -> list:
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    return [int(c * den_lcm) for c in p.coeffs]
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive integer gcd (positive leading coefficient) of two polynomials.
-
-    Computed by a primitive pseudo-remainder sequence after clearing
-    denominators; exact, no floating point, no coefficient explosion for
-    the unit-leading-coefficient polynomials that dominate this package.
-    """
-    if a.is_zero or b.is_zero or a.degree == 0 or b.degree == 0:
-        return Poly.one()
-    x = _int_primitive(_clear_denominators(a))
-    y = _int_primitive(_clear_denominators(b))
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        r = _int_prem(x, y)
-        x, y = y, _int_primitive(r)
-    if x[-1] < 0:
-        x = [-v for v in x]
-    return Poly(x)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +200,6 @@ class Series:
             return self.coeffs[k]
         raise IndexError(f"coefficient w^{k} beyond series order {self.order}")
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1], order)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Series)
@@ -354,28 +210,10 @@ class Series:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
-
-    def _common(self, other: "Series") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "Series") -> "Series":
-        k = self._common(other)
-        return Series(
-            [self.coeffs[i] + other.coeffs[i] for i in range(k + 1)], k
-        )
-
-    def __sub__(self, other: "Series") -> "Series":
-        k = self._common(other)
-        return Series(
-            [self.coeffs[i] - other.coeffs[i] for i in range(k + 1)], k
-        )
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs], self.order)
-        k = self._common(other)
+        k = min(self.order, other.order)
         out = [Fraction(0)] * (k + 1)
         for i, a in enumerate(self.coeffs[: k + 1]):
             if a:
@@ -403,9 +241,6 @@ class Series:
                     s += c * out[n - i]
             out[n] = -s
         return Series(out, k)
-
-    def is_even_in_w(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1::2])
 
     def __repr__(self):
         return f"Series(order={self.order}, {[str(c) for c in self.coeffs]})"
@@ -555,141 +390,195 @@ def reconstruct_poly_from_series(s: Series, degree_bound: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions of w
+# Cycle products
 # ---------------------------------------------------------------------------
 
 
-class RationalFunctionW:
-    """Quotient of polynomials in w, canonicalized.
+class NotCycleProduct(ValueError):
+    """A trace sequence is not the logarithm of a finite cycle product."""
 
-    Canonical form: numerator and denominator share no factor and the
-    denominator has constant term exactly 1, so the value at w = 0 is
-    the numerator's constant term and equality of canonical forms is
-    plain coefficient equality.  Equality testing nevertheless goes
-    through cross-multiplication, which is independent of normalization.
+
+def _divisors(n: int) -> list:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _mobius_table(n: int) -> list:
+    """mu(0..n) by a sieve; mu(0) is 0."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    composite = [False] * (n + 1)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        for j in range(p, n + 1, p):
+            composite[j] = True
+            mu[j] = -mu[j]
+        for j in range(p * p, n + 1, p * p):
+            mu[j] = 0
+    return mu
+
+
+def _expand(factors: dict) -> list:
+    """Integer coefficients of prod (1 - w**d)**x_d, known to be a polynomial.
+
+    The positive powers are multiplied out first, so every later division
+    by 1 - w**d is exact.
+    """
+    c = [1] + [0] * sum(d * x for d, x in factors.items() if x > 0)
+    for d, x in sorted(factors.items()):
+        for _ in range(x):
+            c = c[:d] + [a - b for a, b in zip(c[d:], c)]
+    for d, x in sorted(factors.items()):
+        for _ in range(-x):
+            for i in range(d, len(c)):
+                c[i] += c[i - d]
+    return c
+
+
+class CycleProduct:
+    """The rational function prod_e (1 - w**e)**k_e, stored as {e: k_e}.
+
+    Every zeta function, correction factor and L-polynomial of a flat
+    quotient has this form.  Since 1 - w**e = prod_{m | e} Phi_m(w) and
+    the divisibility matrix (m | e) is unitriangular, distinct exponent
+    dicts are distinct rational functions: equality is dict equality,
+    and products, powers and the substitutions w -> w**m and u -> -u are
+    integer arithmetic on the exponents.  Dense polynomials appear only
+    in num_den.  Instances are immutable.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_k",)
 
-    def __init__(self, num, den=1, *, _coprime: bool = False):
-        num = num if isinstance(num, Poly) else Poly([num])
-        den = den if isinstance(den, Poly) else Poly([den])
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if den.constant_term == 0:
-            raise ValueError("denominator must not vanish at w = 0")
-        if num.is_zero:
-            num, den = Poly.zero(), Poly.one()
-        elif not _coprime:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
-        c = den.constant_term
-        if c != 1:
-            inv = 1 / c
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+    def __init__(self, exponents=()):
+        k = {}
+        for e, x in dict(exponents).items():
+            if e < 1:
+                raise ValueError(f"cycle exponent must be positive, got {e}")
+            if x:
+                k[e] = x
+        self._k = k
 
-    @classmethod
-    def one(cls) -> "RationalFunctionW":
-        return cls(Poly.one(), Poly.one(), _coprime=True)
-
-    @classmethod
-    def reciprocal_of(cls, p: Poly) -> "RationalFunctionW":
-        return cls(Poly.one(), p, _coprime=True)
+    def items(self) -> tuple:
+        """The (e, k_e) pairs with k_e != 0, by increasing e."""
+        return tuple(sorted(self._k.items()))
 
     @property
     def is_one(self) -> bool:
-        return self.num == Poly.one() and self.den == Poly.one()
-
-    def value_at_zero(self) -> Fraction:
-        return self.num.constant_term
+        return not self._k
 
     def is_even_in_w(self) -> bool:
-        return self.num.is_even_in_w() and self.den.is_even_in_w()
+        """True when the function is one of u = w**2: exactly when every e is even."""
+        return all(e % 2 == 0 for e in self._k)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunctionW):
+        if not isinstance(other, CycleProduct):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self._k == other._k
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(frozenset(self._k.items()))
 
-    def __mul__(self, other: "RationalFunctionW") -> "RationalFunctionW":
-        # Cross-cancel first: with both factors canonical, the gcd of the
-        # product splits across the two small cross-gcds.
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = poly_exact_div(self.num, g1) if g1.degree > 0 else self.num
-        d2 = poly_exact_div(other.den, g1) if g1.degree > 0 else other.den
-        n2 = poly_exact_div(other.num, g2) if g2.degree > 0 else other.num
-        d1 = poly_exact_div(self.den, g2) if g2.degree > 0 else self.den
-        return RationalFunctionW(n1 * n2, d1 * d2, _coprime=True)
+    def __mul__(self, other: "CycleProduct") -> "CycleProduct":
+        k = Counter(self._k)
+        k.update(other._k)
+        return CycleProduct(k)
 
-    def inverse(self) -> "RationalFunctionW":
-        if self.num.constant_term == 0:
-            raise ValueError("inverse undefined: numerator vanishes at w = 0")
-        return RationalFunctionW(self.den, self.num, _coprime=True)
+    def __pow__(self, p: int) -> "CycleProduct":
+        return CycleProduct({e: p * x for e, x in self._k.items()})
 
-    def __truediv__(self, other: "RationalFunctionW") -> "RationalFunctionW":
+    def inverse(self) -> "CycleProduct":
+        return self ** -1
+
+    def __truediv__(self, other: "CycleProduct") -> "CycleProduct":
         return self * other.inverse()
 
-    def __pow__(self, e: int) -> "RationalFunctionW":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = RationalFunctionW.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+    def substitute(self, m: int) -> "CycleProduct":
+        """Replace w by w**m (u by u**m on functions of u)."""
+        if m < 1:
+            raise ValueError("exponent multiplier must be positive")
+        return CycleProduct({m * e: x for e, x in self._k.items()})
 
-    def substitute(self, exponent_multiplier: int) -> "RationalFunctionW":
-        """Replace w by w**k (u by u**k on even objects)."""
-        return RationalFunctionW(
-            self.num.substitute_power(exponent_multiplier),
-            self.den.substitute_power(exponent_multiplier),
-            _coprime=True,
+    def negate_u(self) -> "CycleProduct":
+        """Replace u by -u on a function of u.
+
+        1 - u**j is fixed for even j; for odd j it becomes
+        1 + u**j = (1 - u**(2j)) / (1 - u**j).
+        """
+        if not self.is_even_in_w():
+            raise ValueError("u-negation requires a function of u = w**2")
+        k: Counter = Counter()
+        for e, x in self._k.items():
+            if e % 4 == 2:
+                k[2 * e] += x
+                x = -x
+            k[e] += x
+        return CycleProduct(k)
+
+    def _cyclotomic_exponents(self) -> dict:
+        """{m: c_m}, c_m != 0, with the function equal to prod_m Phi_m**c_m.
+
+        c_m is the sum of k_e over the multiples e of m.  Phi_1 is taken
+        as 1 - w, so that every factor has constant term 1.
+        """
+        c: Counter = Counter()
+        for e, x in self._k.items():
+            for m in _divisors(e):
+                c[m] += x
+        return {m: x for m, x in c.items() if x}
+
+    def _part(self, sign: int) -> dict:
+        """{d: x_d} with prod_d (1 - w**d)**x_d = prod_{sign*c_m > 0} Phi_m**|c_m|."""
+        c = self._cyclotomic_exponents()
+        mu = _mobius_table(max(c, default=0))
+        x: Counter = Counter()
+        for m, cm in c.items():
+            if sign * cm > 0:
+                for d in _divisors(m):
+                    x[d] += mu[m // d] * abs(cm)
+        return x
+
+    def degrees(self) -> tuple:
+        """(deg num, deg den) of the reduced form, without expanding it."""
+        return tuple(
+            sum(d * x for d, x in self._part(sign).items()) for sign in (1, -1)
         )
 
-    def negate_w(self) -> "RationalFunctionW":
-        return RationalFunctionW(
-            self.num.negate_w(), self.den.negate_w(), _coprime=True
-        )
+    def num_den(self) -> tuple:
+        """The reduced form (num, den) as integer polynomials.
 
-    def negate_u(self) -> "RationalFunctionW":
-        """Replace u by -u; defined only for even-in-w rational functions."""
-        return RationalFunctionW(
-            self.num.negate_u(), self.den.negate_u(), _coprime=True
-        )
-
-    def series(self, order: int) -> Series:
-        return Series.from_poly(self.num, order) * Series.from_poly(
-            self.den, order
-        ).reciprocal()
+        num and den are coprime and both have constant term 1: num is the
+        product of the Phi_m**c_m with c_m > 0, den of those with c_m < 0.
+        This is the unique lowest-terms form with den(0) = 1.
+        """
+        return tuple(Poly(_expand(self._part(sign))) for sign in (1, -1))
 
     def __repr__(self):
-        return f"RationalFunctionW(num={self.num!r}, den={self.den!r})"
+        return f"CycleProduct({dict(self.items())})"
 
 
-def ratfunc_equal(f: RationalFunctionW, g: RationalFunctionW) -> bool:
-    """Exact equality via cross-multiplied polynomial identity."""
-    return f == g
+def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProduct:
+    """The product P = prod_d (1 - w**(step*d))**a_d over d <= len(traces)
+    with 1/P = exp(sum_n traces[n-1] w**(step*n) / n) through that length.
 
-
-def ratfunc_substitute(
-    f: RationalFunctionW, exponent_multiplier: int
-) -> RationalFunctionW:
-    """Replace w by w**exponent_multiplier."""
-    return f.substitute(exponent_multiplier)
-
-
-def ratfunc_negate_variable(f: RationalFunctionW) -> RationalFunctionW:
-    """Replace w by -w."""
-    return f.negate_w()
+    Since -log(1 - x) = sum_j x**j / j, the traces are N_n = sum_{d | n}
+    d*a_d, and Moebius inversion gives d*a_d = sum_{d' | d} mu(d/d') N_{d'}.
+    Raises NotCycleProduct when some a_d is not an integer.
+    """
+    n = len(traces)
+    mu = _mobius_table(n)
+    s = [0] * (n + 1)
+    for d, t in enumerate(traces, start=1):
+        if t:
+            for j in range(1, n // d + 1):
+                if mu[j]:
+                    s[d * j] += mu[j] * t
+    out = {}
+    for d in range(1, n + 1):
+        a, r = divmod(s[d], d)
+        if r:
+            raise NotCycleProduct(
+                f"exponent of (1 - w^{step * d}) is {s[d]}/{d}, not an integer"
+            )
+        out[step * d] = a
+    return CycleProduct(out)

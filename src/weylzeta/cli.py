@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Optional
 
-from .algebra import RationalFunctionW, Poly
+from .algebra import CycleProduct, Poly
 from .census import (
     gallery_count_table,
     geodesic_count_table,
@@ -42,8 +42,9 @@ def poly_to_json(p: Poly) -> dict:
     return {"coeffs": coeffs, "var": "w"}
 
 
-def ratfunc_to_json(f: RationalFunctionW) -> dict:
-    num, den = f.num.to_int_coeffs(), f.den.to_int_coeffs()
+def ratfunc_to_json(f: CycleProduct) -> dict:
+    """Reduced num/den coefficient lists, in u when f is a function of u."""
+    num, den = (p.to_int_coeffs() for p in f.num_den())
     if f.is_even_in_w():
         return {"num": num[::2], "den": den[::2], "var": "u"}
     return {"num": num, "den": den, "var": "w"}
@@ -129,9 +130,9 @@ def _cmd_zeta(args) -> int:
         payload["l_poly"][rep] = poly_to_json(bundle.l_poly[rep])
         payload["correction"][rep] = ratfunc_to_json(bundle.correction[rep])
         lines.append(f"  {rep}:")
-        lines.append(f"    1/Z      = {bundle.zeta[rep].den.to_int_coeffs()}")
-        lines.append(f"    1/Z_semi = {bundle.zeta_semi[rep].den.to_int_coeffs()}")
-        lines.append(f"    1/Z2     = {bundle.zeta2[rep].den.to_int_coeffs()}")
+        lines.append(f"    1/Z      = {bundle.zeta[rep].num_den()[1].to_int_coeffs()}")
+        lines.append(f"    1/Z_semi = {bundle.zeta_semi[rep].num_den()[1].to_int_coeffs()}")
+        lines.append(f"    1/Z2     = {bundle.zeta2[rep].num_den()[1].to_int_coeffs()}")
         lines.append(f"    P        = {bundle.l_poly[rep].to_int_coeffs()}")
     _emit(payload, args.format, lines)
     return 0

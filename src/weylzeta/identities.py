@@ -1,8 +1,12 @@
 """The identity battery: every relation the package promises, checked exactly.
 
-Each record compares two independently computed objects.  Rational
-function identities are decided by cross-multiplied integer polynomial
-equality, never numerically and never by truncation.  Count-versus-log
+Each record compares two independently computed objects.  Every zeta
+function, correction factor and L-polynomial is a CycleProduct, so a
+rational-function identity is an equality of exponent dicts, decided by
+integer arithmetic: never numerically, never by truncation and without
+dense polynomials.  The L-polynomial enters once, reconstructed densely
+and converted by Moebius inversion of the same counts.  Dense forms are
+built only for the detail of a failed record.  Count-versus-log
 identities compare closed-form census values against divisor sums over
 the cycle structure, which is the exact coefficient of the zeta
 logarithm at that order.
@@ -17,11 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import NotPolynomialWithinBound, Poly, RationalFunctionW
-# count_closed_walks is not called here; it stays bound because
-# bench/selftest.py checks that the tracer wraps it in this module
-from .census import (  # noqa: F401
-    count_closed_walks,
+from .algebra import CycleProduct, NotCycleProduct, NotPolynomialWithinBound, Poly
+from .census import (
     gallery_count_table,
     geodesic_count_table,
     lambda_set_size,
@@ -37,6 +38,7 @@ from .zeta import (
     build_walk_system,
     correction_factor,
     l_poly_from_counts,
+    l_product_from_counts,
     required_order,
     torus_closed_form,
 )
@@ -92,8 +94,9 @@ def _poly_json(p: Poly) -> list:
     return [str(c) if c.denominator != 1 else c.numerator for c in p.coeffs]
 
 
-def _ratfunc_json(f: RationalFunctionW) -> dict:
-    return {"num": _poly_json(f.num), "den": _poly_json(f.den), "var": "w"}
+def _ratfunc_json(f: CycleProduct) -> dict:
+    num, den = f.num_den()
+    return {"num": _poly_json(num), "den": _poly_json(den), "var": "w"}
 
 
 def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
@@ -112,16 +115,27 @@ def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
     return {"first_mismatch_exponent": None}
 
 
-def _ratfunc_compare(lhs: RationalFunctionW, rhs: RationalFunctionW) -> dict:
-    """Cross-multiplied comparison detail; empty when equal."""
-    out = _poly_compare(lhs.num * rhs.den, rhs.num * lhs.den)
-    if out:
-        out = {
-            "lhs": _ratfunc_json(lhs),
-            "rhs": _ratfunc_json(rhs),
-            **out,
-        }
-    return out
+def _cross(lhs: CycleProduct, rhs: CycleProduct) -> tuple:
+    """The dense cross products lhs.num * rhs.den and rhs.num * lhs.den."""
+    (ln, ld), (rn, rd) = lhs.num_den(), rhs.num_den()
+    return ln * rd, rn * ld
+
+
+def _ratfunc_compare(lhs: CycleProduct, rhs: CycleProduct) -> dict:
+    """Empty when equal, else both reduced forms and the first mismatching
+    coefficient of the cross-multiplied identity."""
+    if lhs == rhs:
+        return {}
+    return {
+        "lhs": _ratfunc_json(lhs),
+        "rhs": _ratfunc_json(rhs),
+        **_poly_compare(*_cross(lhs, rhs)),
+    }
+
+
+def _product_poly_compare(lhs: CycleProduct, rhs: CycleProduct) -> dict:
+    """Empty when equal, else the first mismatching cross-multiplied coefficient."""
+    return {} if lhs == rhs else _poly_compare(*_cross(lhs, rhs))
 
 
 def _count_compare(pairs) -> dict:
@@ -137,9 +151,9 @@ def _closed_paths(cycle_lengths, n: int) -> int:
 
 @dataclass
 class _RepData:
-    zeta: RationalFunctionW
-    zeta_semi: RationalFunctionW
-    zeta2: RationalFunctionW
+    zeta: CycleProduct
+    zeta_semi: CycleProduct
+    zeta2: CycleProduct
     walk_cycles: list
     semi_cycles: list
     gallery_cycles: list
@@ -147,9 +161,11 @@ class _RepData:
     counts_geo: tuple
     counts_semi: tuple
     counts_gal: tuple
-    corr: RationalFunctionW
+    corr: CycleProduct
     l_poly: Optional[Poly]
     l_failure: dict
+    l_product: Optional[CycleProduct]
+    l_reason: str
 
 
 def _glide_line_scan(q: QuotientGroup) -> dict:
@@ -199,6 +215,12 @@ def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
         l_failure = {"nonzero_tail_exponent": exc.exponent}
     except AssertionError as exc:
         l_failure = {"reason": str(exc)}
+    l_product, l_reason = None, "l-reconstruction failed"
+    if l_poly is not None:
+        try:
+            l_product = l_product_from_counts(counts_n, l_poly)
+        except NotCycleProduct as exc:
+            l_reason = f"l-polynomial is not a cycle product: {exc}"
     return _RepData(
         zeta=walks.zeta(),
         zeta_semi=semi.zeta(),
@@ -213,6 +235,8 @@ def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
         corr=correction_factor(q, rep),
         l_poly=l_poly,
         l_failure=l_failure,
+        l_product=l_product,
+        l_reason=l_reason,
     )
 
 
@@ -237,67 +261,54 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     records: list = []
     add = records.append
 
-    # walk zeta log versus no-corner census counts
-    for rep in rs.rep_names:
-        d = data[rep]
-        pairs = [
-            (n, d.counts_geo[n - 1], _closed_paths(d.walk_cycles, n))
-            for n in range(1, len(d.counts_geo) + 1)
-        ]
-        detail = _count_compare(pairs)
-        add(
-            VerifyRecord(
-                f"walk-log-counts[{rep}]",
-                "log of the walk zeta matches corner-free closed walk counts",
-                not detail,
-                detail,
-            )
-        )
+    def record(identity_id: str, statement: str, detail: dict) -> None:
+        add(VerifyRecord(identity_id, statement, not detail, detail))
 
-    # half-step zeta log versus semi-rational closing counts
-    for rep in rs.rep_names:
-        d = data[rep]
-        pairs = [
-            (j, d.counts_semi[j - 1], _closed_paths(d.semi_cycles, j))
-            for j in range(1, len(d.counts_semi) + 1)
-        ]
-        detail = _count_compare(pairs)
-        add(
-            VerifyRecord(
-                f"half-step-log-counts[{rep}]",
-                "log of the half-step zeta matches semi-rational closing counts",
-                not detail,
-                detail,
-            )
-        )
+    def l_missing(d: _RepData, identity_id: str, statement: str) -> bool:
+        """Record a failure and return True when P is not available."""
+        if d.l_product is None:
+            add(VerifyRecord(identity_id, statement, False, {"reason": d.l_reason}))
+        return d.l_product is None
 
-    # gallery zeta log versus gallery census counts
-    for rep in rs.rep_names:
-        d = data[rep]
-        pairs = [
-            (n, d.counts_gal[n - 1], _closed_paths(d.gallery_cycles, n))
-            for n in range(1, len(d.counts_gal) + 1)
-        ]
-        detail = _count_compare(pairs)
-        add(
-            VerifyRecord(
-                f"gallery-log-counts[{rep}]",
-                "log of the gallery zeta matches closed gallery counts",
-                not detail,
-                detail,
-            )
-        )
+    # the three zeta logs versus the census counts
+    for key, statement, cycles, counts in (
+        (
+            "walk-log-counts",
+            "log of the walk zeta matches corner-free closed walk counts",
+            "walk_cycles",
+            "counts_geo",
+        ),
+        (
+            "half-step-log-counts",
+            "log of the half-step zeta matches semi-rational closing counts",
+            "semi_cycles",
+            "counts_semi",
+        ),
+        (
+            "gallery-log-counts",
+            "log of the gallery zeta matches closed gallery counts",
+            "gallery_cycles",
+            "counts_gal",
+        ),
+    ):
+        for rep in rs.rep_names:
+            d = data[rep]
+            table, ells = getattr(d, counts), getattr(d, cycles)
+            pairs = [
+                (n, table[n - 1], _closed_paths(ells, n))
+                for n in range(1, len(table) + 1)
+            ]
+            record(f"{key}[{rep}]", statement, _count_compare(pairs))
 
     # L-polynomial reconstruction from the closed-walk trace series
     for rep in rs.rep_names:
         d = data[rep]
-        holds = d.l_poly is not None
         add(
             VerifyRecord(
                 f"l-reconstruction[{rep}]",
                 "exp of the closed-walk count series has a bounded-degree "
                 "integer reciprocal polynomial",
-                holds,
+                d.l_poly is not None,
                 dict(d.l_failure),
             )
         )
@@ -306,28 +317,13 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         # three-way equality: walk zeta = trivial-weight-cleared L = closed form
         for rep in rs.rep_names:
             d = data[rep]
-            if d.l_poly is None:
-                add(
-                    VerifyRecord(
-                        f"torus-three-way[{rep}]",
-                        "walk zeta equals reciprocal L-polynomial and closed form",
-                        False,
-                        {"reason": "l-reconstruction failed"},
-                    )
-                )
-                continue
-            closed = torus_closed_form(q, rep)
-            detail = _ratfunc_compare(d.zeta, RationalFunctionW.reciprocal_of(d.l_poly))
-            if not detail:
-                detail = _ratfunc_compare(d.zeta, closed)
-            add(
-                VerifyRecord(
-                    f"torus-three-way[{rep}]",
-                    "walk zeta equals reciprocal L-polynomial and closed form",
-                    not detail,
-                    detail,
-                )
-            )
+            identity_id = f"torus-three-way[{rep}]"
+            statement = "walk zeta equals reciprocal L-polynomial and closed form"
+            if not l_missing(d, identity_id, statement):
+                detail = _ratfunc_compare(d.zeta, d.l_product.inverse())
+                if not detail:
+                    detail = _ratfunc_compare(d.zeta, torus_closed_form(q, rep))
+                record(identity_id, statement, detail)
 
         # every torus walk closes without a corner
         for rep in rs.rep_names:
@@ -337,55 +333,30 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
                 (n, d.counts_n[n - 1], d.counts_geo[n - 1])
                 for n in range(1, depth + 1)
             ]
-            detail = _count_compare(pairs)
-            add(
-                VerifyRecord(
-                    f"walks-close-without-corners[{rep}]",
-                    "closed walk and geodesic walk counts agree on a torus",
-                    not detail,
-                    detail,
-                )
+            record(
+                f"walks-close-without-corners[{rep}]",
+                "closed walk and geodesic walk counts agree on a torus",
+                _count_compare(pairs),
             )
     else:
         # L versus walk zeta with the glide-axis correction factor
         for rep in rs.rep_names:
             d = data[rep]
-            if d.l_poly is None:
-                add(
-                    VerifyRecord(
-                        f"l-zeta-axis-correction[{rep}]",
-                        "reciprocal L-polynomial equals walk zeta times axis factor",
-                        False,
-                        {"reason": "l-reconstruction failed"},
-                    )
-                )
-                continue
-            lhs = RationalFunctionW.reciprocal_of(d.l_poly)
-            rhs = d.zeta * d.corr
-            detail = _ratfunc_compare(lhs, rhs)
-            add(
-                VerifyRecord(
-                    f"l-zeta-axis-correction[{rep}]",
-                    "reciprocal L-polynomial equals walk zeta times axis factor",
-                    not detail,
-                    detail,
-                )
-            )
+            identity_id = f"l-zeta-axis-correction[{rep}]"
+            statement = "reciprocal L-polynomial equals walk zeta times axis factor"
+            if not l_missing(d, identity_id, statement):
+                detail = _ratfunc_compare(d.l_product.inverse(), d.zeta * d.corr)
+                record(identity_id, statement, detail)
 
         # squared comparison against the independently built double cover
         for rep in rs.rep_names:
-            d = data[rep]
             z0 = build_walk_system(cover, rep).zeta()
             factor = axis_factor(q.k_gamma, q.m_axes * (2 - q.delta(rep)))
-            detail = _ratfunc_compare(d.zeta ** 2, z0 * factor)
-            add(
-                VerifyRecord(
-                    f"double-cover-square[{rep}]",
-                    "squared walk zeta equals the double cover zeta times the "
-                    "rational-axis factor",
-                    not detail,
-                    detail,
-                )
+            record(
+                f"double-cover-square[{rep}]",
+                "squared walk zeta equals the double cover zeta times the "
+                "rational-axis factor",
+                _ratfunc_compare(data[rep].zeta ** 2, z0 * factor),
             )
 
     # half-step zeta against walk zeta
@@ -396,84 +367,51 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         else:
             e = (2 - q.delta(rep)) * (1 - q.m_axes)
             rhs = d.zeta * axis_factor(q.k_gamma, e)
-        detail = _ratfunc_compare(d.zeta_semi, rhs)
-        add(
-            VerifyRecord(
-                f"half-step-vs-walk[{rep}]",
-                "half-step zeta equals walk zeta up to the semi-rational axis factor",
-                not detail,
-                detail,
-            )
+        record(
+            f"half-step-vs-walk[{rep}]",
+            "half-step zeta equals walk zeta up to the semi-rational axis factor",
+            _ratfunc_compare(d.zeta_semi, rhs),
         )
+
+    # the partner's zetas after the length reparametrization (u -> u**2
+    # when the partner's n-value is 1), to the power n; the gallery zeta at -u
+    partner_walks, partner_semi, gallery_neg = {}, {}, {}
+    for rep in rs.rep_names:
+        partner = rs.complement(rep)
+        n_p = rs.rep(partner).n_value
+        m = 2 if n_p == 1 else 1
+        partner_walks[rep] = data[partner].zeta.substitute(m) ** n_p
+        partner_semi[rep] = data[partner].zeta_semi.substitute(m) ** n_p
+        gallery_neg[rep] = data[rep].zeta2.negate_u()
 
     # gallery zeta against the partner's half-step zeta
     for rep in rs.rep_names:
-        d = data[rep]
-        partner = rs.complement(rep)
-        n_p = rs.rep(partner).n_value
-        zs = data[partner].zeta_semi
-        rhs = (zs.substitute(2) if n_p == 1 else zs) ** n_p
-        detail = _ratfunc_compare(d.zeta2, rhs)
-        add(
-            VerifyRecord(
-                f"gallery-vs-half-step[{rep}]",
-                "gallery zeta equals the partner half-step zeta after the "
-                "length reparametrization",
-                not detail,
-                detail,
-            )
+        record(
+            f"gallery-vs-half-step[{rep}]",
+            "gallery zeta equals the partner half-step zeta after the "
+            "length reparametrization",
+            _ratfunc_compare(data[rep].zeta2, partner_semi[rep]),
         )
 
     # the main identity: L from the two walk zetas and the gallery zeta at -u
     for rep in rs.rep_names:
         d = data[rep]
-        partner = rs.complement(rep)
-        n_p = rs.rep(partner).n_value
-        dz_partner = data[partner].zeta.den
-        sub = dz_partner.substitute_power(2) if n_p == 1 else dz_partner
-        if d.l_poly is None:
-            add(
-                VerifyRecord(
-                    f"main-identity[{rep}]",
-                    "trivial-weight-cleared L equals walk zetas over gallery "
-                    "zeta at -u",
-                    False,
-                    {"reason": "l-reconstruction failed"},
-                )
-            )
-            continue
-        lhs = d.zeta.den * (sub ** n_p)
-        rhs = d.l_poly * d.zeta2.den.negate_u()
-        detail = _poly_compare(lhs, rhs)
-        add(
-            VerifyRecord(
-                f"main-identity[{rep}]",
-                "trivial-weight-cleared L equals walk zetas over gallery "
-                "zeta at -u",
-                not detail,
-                detail,
-            )
+        identity_id = f"main-identity[{rep}]"
+        statement = (
+            "trivial-weight-cleared L equals walk zetas over gallery zeta at -u"
         )
+        if not l_missing(d, identity_id, statement):
+            lhs = (d.zeta * partner_walks[rep]).inverse()
+            rhs = d.l_product / gallery_neg[rep]
+            record(identity_id, statement, _product_poly_compare(lhs, rhs))
 
     # quotient of partner walk zeta by gallery zeta at -u is the axis factor
     for rep in rs.rep_names:
-        d = data[rep]
-        partner = rs.complement(rep)
-        n_p = rs.rep(partner).n_value
-        dz_partner = data[partner].zeta.den
-        sub = dz_partner.substitute_power(2) if n_p == 1 else dz_partner
-        g_neg = d.zeta2.den.negate_u()
-        lhs = g_neg * d.corr.den
-        rhs = (sub ** n_p) * d.corr.num
-        detail = _poly_compare(lhs, rhs)
-        add(
-            VerifyRecord(
-                f"gallery-walk-quotient[{rep}]",
-                "partner walk zeta over gallery zeta at -u equals the axis "
-                "correction factor",
-                not detail,
-                detail,
-            )
+        record(
+            f"gallery-walk-quotient[{rep}]",
+            "partner walk zeta over gallery zeta at -u equals the axis "
+            "correction factor",
+            _product_poly_compare(partner_walks[rep] / gallery_neg[rep], data[rep].corr),
         )
 
     if q.kind == "klein":
@@ -485,27 +423,18 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             and q.m_axes == (2 if q.b % 2 == 0 else 0)
             and not (rs.kind == "C2" and q.n_gamma == 1 and q.b % 2 == 1)
         )
-        add(
-            VerifyRecord(
-                "axis-parity",
-                "axis offset parity matches the glide step ratio parity",
-                ok,
-                {}
-                if ok
-                else {"b": q.b, "k": q.k_gamma, "n": q.n_gamma, "m_axes": q.m_axes},
-            )
+        record(
+            "axis-parity",
+            "axis offset parity matches the glide step ratio parity",
+            {} if ok else {"b": q.b, "k": q.k_gamma, "n": q.n_gamma, "m_axes": q.m_axes},
         )
 
         # glide line counts over a window match the predicted cardinality
-        detail = _glide_line_scan(q)
-        add(
-            VerifyRecord(
-                "glide-line-count",
-                "glide-moved lattice points in the fundamental domain number "
-                "k or zero, equally for both glides",
-                not detail,
-                detail,
-            )
+        record(
+            "glide-line-count",
+            "glide-moved lattice points in the fundamental domain number "
+            "k or zero, equally for both glides",
+            _glide_line_scan(q),
         )
 
     # parity of cycle lengths where the type structure forces evenness
@@ -526,13 +455,10 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             if bad:
                 detail = {"which": label, "odd_cycle_length": bad[0]}
                 break
-        add(
-            VerifyRecord(
-                f"parity-evenness[{rep}]",
-                "cycle lengths are even where type alternation forces it",
-                not detail,
-                detail,
-            )
+        record(
+            f"parity-evenness[{rep}]",
+            "cycle lengths are even where type alternation forces it",
+            detail,
         )
 
     return VerificationReport(rs.kind, q.kind, order, tuple(records))

@@ -38,6 +38,15 @@ class SpecValidationError(ValueError):
     """A quotient specification violates one of its invariants."""
 
 
+# Largest index of the translation subgroup Gamma0 that build accepts: the
+# number of vertex classes of a torus, and of the double cover torus of a
+# Klein bottle (2N), which verify builds.  It admits the C2 torus
+# (12,0),(0,24).  The slowest verify measured at this size, the C2 torus
+# (1,1),(144,-144), takes about 25 s on one x86-64 core, and its analogue
+# (1,1),(288,-288) at index 576 about 150 s.
+MAX_CLASSES = 288
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """x -> linear*x + translation with integer linear part and translation."""
@@ -262,6 +271,11 @@ class QuotientGroup:
         if det < 0:
             det = -det
             adj = tuple(tuple(-x for x in row) for row in adj)
+        if det > MAX_CLASSES:
+            raise SpecValidationError(
+                f"translation subgroup index {det} exceeds the supported "
+                f"maximum {MAX_CLASSES}"
+            )
         self._det = det
         self._adj = adj
         u, v = self.gamma0_basis

@@ -12,23 +12,31 @@ Three finite dynamical systems sit over each quotient:
   step is one power of u.
 
 Each step map is a bijection, so every zeta function is the cycle
-product prod (1 - w**(step * length))**-1 and its reciprocal is an
-integer polynomial.  The characteristic-polynomial route through
-det(I - wT) on the explicit permutation matrix is kept as a cross-check
-path; the cycle decomposition is the production path.
+product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
+its reciprocal is an integer polynomial.  The characteristic-polynomial
+route through det(I - wT) on the explicit permutation matrix is kept as
+a cross-check path; the cycle decomposition is the production path.
+
+The L-polynomial P has one path: it is reconstructed densely from the
+closed-walk counts (l_poly_from_counts, which also enforces the order
+bound), then converted to a CycleProduct by Moebius inversion of the
+same counts (l_product_from_counts), checked to expand back to P.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
+    CycleProduct,
     IntMatrix,
+    NotCycleProduct,
     Poly,
-    RationalFunctionW,
     Series,
+    cycle_product_from_traces,
     reconstruct_poly_from_series,
     series_exp,
 )
@@ -92,11 +100,9 @@ class TransferSystem:
     def permutation_matrix(self) -> IntMatrix:
         return IntMatrix.from_permutation(self.successor)
 
-    def zeta(self) -> RationalFunctionW:
-        den = Poly.one()
-        for ell in self.cycle_lengths():
-            den = den * (Poly.one() - Poly.monomial(self.step_in_w * ell))
-        return RationalFunctionW(Poly.one(), den, _coprime=True)
+    def zeta(self) -> CycleProduct:
+        cycles = Counter(self.step_in_w * ell for ell in self.cycle_lengths())
+        return CycleProduct({e: -n for e, n in cycles.items()})
 
 
 def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:
@@ -186,40 +192,20 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
 # ---------------------------------------------------------------------------
 
 
-def zeta_walks(q: QuotientGroup, rep: str) -> RationalFunctionW:
+def zeta_walks(q: QuotientGroup, rep: str) -> CycleProduct:
     """Cycle product over the closed-geodesic-walk permutation, in u = w**2."""
     return build_walk_system(q, rep).zeta()
 
 
-def zeta_semi(q: QuotientGroup, rep: str) -> RationalFunctionW:
+def zeta_semi(q: QuotientGroup, rep: str) -> CycleProduct:
     """Cycle product over half-step dynamics; odd w-powers are the
     half-integer lengths of geodesics inert along a glide axis."""
     return build_semi_system(q, rep).zeta()
 
 
-def zeta_galleries(q: QuotientGroup, rep: str) -> RationalFunctionW:
+def zeta_galleries(q: QuotientGroup, rep: str) -> CycleProduct:
     """Cycle product over the alternating gallery dynamics, in u = w**2."""
     return build_gallery_system(q, rep).zeta()
-
-
-def l_function(q: QuotientGroup, rep: str, order: int):
-    """L-function data from the closed-walk trace series.
-
-    Returns (P, S): S = exp(sum_n N_n u**n / n) truncated at the given
-    u-order and P the polynomial with P * S = 1, of degree at most
-    N * (number of nontrivial weights).  The trivial-weight factor makes
-    the full L-function (1-u)**(-eps*N) / P.
-
-    order must be at least 2 * N * |weights| + 8 so the vanishing of the
-    reciprocal tail is actually witnessed.
-    """
-    wts = q.rs.weights(rep)
-    bound = q.N * len(wts)
-    required = 2 * bound + 8
-    if order < required:
-        raise OrderInsufficientError(order, required)
-    counts = walk_count_table(q, rep, order).values
-    return l_poly_from_counts(counts, bound), exp_of_count_series(counts, order)
 
 
 def exp_of_count_series(counts, order: int) -> Series:
@@ -232,7 +218,16 @@ def exp_of_count_series(counts, order: int) -> Series:
 
 
 def l_poly_from_counts(counts, bound: int) -> Poly:
-    """Reconstruct the L-polynomial from a full-order closed-walk count list."""
+    """Reconstruct the L-polynomial P from the closed-walk counts N_1, N_2, ...
+
+    P is the polynomial with P * exp(sum_n N_n u**n / n) = 1, of degree at
+    most bound = N * (number of nontrivial weights); the full L-function
+    is (1-u)**(-eps*N) / P.  At least 2 * bound + 8 counts are required so
+    the vanishing of the reciprocal tail is actually witnessed.
+    """
+    required = 2 * bound + 8
+    if len(counts) < required:
+        raise OrderInsufficientError(len(counts), required)
     s = exp_of_count_series(counts, len(counts))
     p = reconstruct_poly_from_series(s, 2 * bound)
     if not p.is_integer():
@@ -242,12 +237,24 @@ def l_poly_from_counts(counts, bound: int) -> Poly:
     return p
 
 
-def torus_closed_form(q: QuotientGroup, rep: str) -> RationalFunctionW:
+def l_product_from_counts(counts, p: Poly) -> CycleProduct:
+    """P as a CycleProduct, by Moebius inversion of the counts it came from.
+
+    Raises NotCycleProduct unless every exponent is an integer and the
+    product expands back to exactly the dense P.
+    """
+    prod = cycle_product_from_traces(counts, 2)
+    if prod.degrees() != (p.degree, 0) or prod.num_den() != (p, Poly.one()):
+        raise NotCycleProduct("the product does not expand back to the L-polynomial")
+    return prod
+
+
+def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:
     """prod over weights of (1 - u**deg)**(-N/deg), deg the order of the
     weight in the vertex-class group.  Torus quotients only."""
     if q.kind != "torus":
         raise SpecValidationError("closed form applies to torus quotients only")
-    den = Poly.one()
+    exponents: Counter = Counter()
     for lam in q.rs.weights(rep):
         deg = 1
         step = lam
@@ -258,25 +265,22 @@ def torus_closed_form(q: QuotientGroup, rep: str) -> RationalFunctionW:
                 raise AssertionError("weight order exceeds group order")
         if q.N % deg != 0:
             raise AssertionError("weight order does not divide group order")
-        den = den * (Poly.one() - Poly.monomial(2 * deg)) ** (q.N // deg)
-    return RationalFunctionW(Poly.one(), den, _coprime=True)
+        exponents[2 * deg] -= q.N // deg
+    return CycleProduct(exponents)
 
 
-def axis_factor(w_exponent: int, power: int) -> RationalFunctionW:
-    """((1 + w**e) / (1 - w**e)) ** power, the glide-axis correction block."""
-    if power == 0:
-        return RationalFunctionW.one()
-    num = Poly.one() + Poly.monomial(w_exponent)
-    den = Poly.one() - Poly.monomial(w_exponent)
-    if power < 0:
-        num, den, power = den, num, -power
-    return RationalFunctionW(num ** power, den ** power, _coprime=True)
+def axis_factor(w_exponent: int, power: int) -> CycleProduct:
+    """((1 + w**e) / (1 - w**e)) ** power, the glide-axis correction block.
+
+    1 + w**e = (1 - w**(2e)) / (1 - w**e).
+    """
+    return CycleProduct({2 * w_exponent: power, w_exponent: -2 * power})
 
 
-def correction_factor(q: QuotientGroup, rep: str) -> RationalFunctionW:
+def correction_factor(q: QuotientGroup, rep: str) -> CycleProduct:
     """((1 + u**(k/n)) / (1 - u**(k/n))) ** (n * delta); 1 for a torus."""
     if q.kind == "torus":
-        return RationalFunctionW.one()
+        return CycleProduct()
     k, n = q.k_gamma, q.n_gamma
     if k % n != 0:
         raise AssertionError("k is not divisible by n")
@@ -326,8 +330,7 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
         counts[rep] = ns
         p = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))
         lpoly[rep] = p
-        eps = q.rs.rep(rep).epsilon
-        trivial = (Poly.one() - Poly.monomial(2)) ** (eps * q.N)
-        lfunc[rep] = RationalFunctionW(Poly.one(), trivial * p)
+        trivial = CycleProduct({2: q.rs.rep(rep).epsilon * q.N})
+        lfunc[rep] = (trivial * l_product_from_counts(ns, p)).inverse()
         corr[rep] = correction_factor(q, rep)
     return ZetaBundle(order, zeta, semi, gal, lpoly, lfunc, counts, corr)

@@ -1,4 +1,4 @@
-"""Exact-arithmetic layer: polynomials, series, det(I - wT), rational functions."""
+"""Exact-arithmetic layer: polynomials, series, det(I - wT), cycle products."""
 
 import math
 import random
@@ -9,17 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylzeta.algebra import (
+    CycleProduct,
     IntMatrix,
+    NotCycleProduct,
     NotPolynomialWithinBound,
     Poly,
-    RationalFunctionW,
     Series,
+    cycle_product_from_traces,
     det_identity_minus_wT,
-    poly_exact_div,
-    poly_gcd,
-    ratfunc_equal,
-    ratfunc_negate_variable,
-    ratfunc_substitute,
     reconstruct_poly_from_series,
     series_exp,
     series_log,
@@ -241,91 +238,223 @@ def test_reconstruct_round_trips_random_integer_polys():
         coeffs = [1] + [rng.randint(-4, 4) for _ in range(deg)]
         p = Poly(coeffs)
         order = p.degree + 10
-        series_of_inverse = RationalFunctionW.reciprocal_of(p).series(order)
+        series_of_inverse = Series.from_poly(p, order).reciprocal()
         assert reconstruct_poly_from_series(series_of_inverse, p.degree) == p
 
 
 # ---------------------------------------------------------------------------
-# rational functions
+# cycle products
 # ---------------------------------------------------------------------------
 
 
+def one_minus(e: int) -> Poly:
+    return Poly.one() - Poly.monomial(e)
+
+
+def plain_num_den(f: CycleProduct) -> tuple:
+    """prod (1 - w**e)**k split by the sign of k, with no cancellation."""
+    num, den = Poly.one(), Poly.one()
+    for e, k in f.items():
+        if k > 0:
+            num = num * one_minus(e) ** k
+        else:
+            den = den * one_minus(e) ** -k
+    return num, den
+
+
+def _poly_divmod(a: Poly, b: Poly) -> tuple:
+    """Long division over the rationals (test oracle)."""
+    r = list(a.coeffs)
+    q = [Fraction(0)] * max(len(r) - b.degree, 1)
+    while len(r) - 1 >= b.degree and any(r):
+        c = r[-1] / b.coeffs[-1]
+        k = len(r) - 1 - b.degree
+        q[k] = c
+        for i, bc in enumerate(b.coeffs):
+            r[i + k] -= c * bc
+        r.pop()
+    return Poly(q), Poly(r)
+
+
+def _poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic-free Euclidean gcd over the rationals (test oracle)."""
+    while b.coeffs:
+        a, b = b, _poly_divmod(a, b)[1]
+    return a
+
+
+def reduced(num: Poly, den: Poly) -> tuple:
+    """num/den in lowest terms with den(0) = 1, by the Euclidean algorithm."""
+    g = _poly_gcd(num, den)
+    num, den = _poly_divmod(num, g)[0], _poly_divmod(den, g)[0]
+    c = den.coeffs[0]
+    return num.scale(1 / c), den.scale(1 / c)
+
+
+def product_series(f: CycleProduct, order: int) -> Series:
+    num, den = f.num_den()
+    return Series.from_poly(num, order) * Series.from_poly(den, order).reciprocal()
+
+
+small_products = st.dictionaries(
+    st.integers(1, 8), st.integers(-3, 3), max_size=4
+).map(CycleProduct)
+
+
 def test_ratfunc_cancellation_example():
-    f = RationalFunctionW(Poly([1, 0, -1]), Poly([1, -1]))  # (1-w^2)/(1-w)
-    g = RationalFunctionW(Poly([1, 1]), Poly([1]))  # 1+w
-    assert ratfunc_equal(f, g)
-    assert f.num == Poly([1, 1]) and f.den == Poly.one()
+    f = CycleProduct({2: 1, 1: -1})  # (1-w^2)/(1-w) = 1+w
+    assert f == CycleProduct({1: -1}) * CycleProduct({2: 1})
+    assert f.num_den() == (Poly([1, 1]), Poly.one())
 
 
 def test_ratfunc_substitute_doubles_exponents():
-    f = RationalFunctionW(Poly.one(), Poly([1, 0, -1]))  # 1/(1-w^2)
-    g = ratfunc_substitute(f, 2)
-    assert g.den == Poly([1, 0, 0, 0, -1]) and g.num == Poly.one()
+    f = CycleProduct({2: -1})  # 1/(1-w^2)
+    g = f.substitute(2)
+    assert g == CycleProduct({4: -1})
+    assert g.num_den() == (Poly.one(), Poly([1, 0, 0, 0, -1]))
 
 
 def test_ratfunc_negate_variable_swaps_odd_factors():
-    f = RationalFunctionW(Poly([1, 1]), Poly([1, -1]))  # (1+w)/(1-w)
-    g = ratfunc_negate_variable(f)
-    assert g.num == Poly([1, -1]) and g.den == Poly([1, 1])
+    f = CycleProduct({4: 1, 2: -2})  # (1+u)/(1-u)
+    g = f.negate_u()  # (1-u)/(1+u)
+    assert g == f.inverse()
+    assert g.num_den() == (Poly([1, 0, -1]), Poly([1, 0, 1]))
 
 
 def test_ratfunc_negate_u():
-    f = RationalFunctionW(Poly.one(), Poly([1, 0, -1]))  # 1/(1-u)
+    f = CycleProduct({2: -1})  # 1/(1-u)
     g = f.negate_u()  # 1/(1+u)
-    assert g.den == Poly([1, 0, 1])
+    assert g.num_den()[1] == Poly([1, 0, 1])
+    assert CycleProduct({4: 3}).negate_u() == CycleProduct({4: 3})
     with pytest.raises(ValueError):
-        RationalFunctionW(Poly([1, 1]), Poly.one()).negate_u()
+        CycleProduct({1: 1}).negate_u()
 
 
 def test_ratfunc_canonical_constant_normalization():
-    f = RationalFunctionW(Poly([2, 2]), Poly([2]))
-    assert f.num == Poly([1, 1]) and f.den == Poly.one()
-    assert f.value_at_zero() == 1
+    # Phi_1 is taken as 1 - w, so both sides of every reduced form start at 1
+    for f in (
+        CycleProduct({2: 1, 1: -1}),
+        CycleProduct({1: 3, 6: -2}),
+        CycleProduct({3: -1, 5: 2, 15: 1}),
+    ):
+        num, den = f.num_den()
+        assert num.constant_term == 1 and den.constant_term == 1
 
 
 def test_ratfunc_denominator_must_not_vanish_at_zero():
     with pytest.raises(ValueError):
-        RationalFunctionW(Poly.one(), Poly([0, 1]))
+        CycleProduct({0: 1})  # 1 - w**0 = 0
+    with pytest.raises(ValueError):
+        CycleProduct({-2: 1})
 
 
 def test_ratfunc_series_expansion():
-    f = RationalFunctionW(Poly.one(), Poly([1, -1]))
-    assert f.series(5) == geometric_series(5)
+    assert product_series(CycleProduct({1: -1}), 5) == geometric_series(5)
 
 
 def test_ratfunc_pow_and_div():
-    one_minus = RationalFunctionW(Poly([1, -1]), Poly.one())
-    f = one_minus ** -3
-    assert f.den == (Poly([1, -1]) ** 3) and f.num == Poly.one()
+    f = CycleProduct({1: 1}) ** -3
+    assert f.num_den() == (Poly.one(), Poly([1, -1]) ** 3)
     assert (f / f).is_one
+    assert CycleProduct({3: 2, 1: -1}) ** 0 == CycleProduct()
 
 
 def test_ratfunc_is_even_in_w():
-    assert RationalFunctionW(Poly([1, 0, 5]), Poly([1, 0, 0, 0, 2])).is_even_in_w()
-    assert not RationalFunctionW(Poly([1, 1]), Poly.one()).is_even_in_w()
-
-
-@given(
-    st.lists(st.integers(-6, 6), min_size=0, max_size=6),
-    st.lists(st.integers(-6, 6), min_size=0, max_size=6),
-)
-@settings(deadline=None, max_examples=80)
-def test_poly_gcd_divides_both(a_tail, b_tail):
-    a = Poly([1] + a_tail)
-    b = Poly([1] + b_tail)
-    g = poly_gcd(a, b)
-    assert poly_exact_div(a, g) * g == a
-    assert poly_exact_div(b, g) * g == b
+    assert CycleProduct({2: 1, 4: -1}).is_even_in_w()
+    assert not CycleProduct({1: 1}).is_even_in_w()
+    # (1+w)(1-w) = 1 - w^2: the odd factors cancel in the dict
+    assert (CycleProduct({2: 1, 1: -1}) * CycleProduct({1: 1})).is_even_in_w()
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 3))
 @settings(deadline=None, max_examples=40)
 def test_ratfunc_product_cancels_shared_cyclotomic(i, j, e):
-    shared = (Poly.one() - Poly.monomial(i)) ** e
-    f = RationalFunctionW(shared, Poly.one() - Poly.monomial(j))
-    g = RationalFunctionW(Poly.one(), shared)
+    f = CycleProduct({i: e}) * CycleProduct({j: -1})
+    g = CycleProduct({i: -e})
     prod = f * g
-    assert ratfunc_equal(
-        prod, RationalFunctionW(Poly.one(), Poly.one() - Poly.monomial(j))
-    )
-    assert prod.num == Poly.one()
+    assert prod == CycleProduct({j: -1})
+    assert prod.num_den() == (Poly.one(), one_minus(j))
+
+
+@given(small_products, small_products, st.integers(0, 2))
+@settings(deadline=None, max_examples=150)
+def test_cycle_product_equality_is_cross_multiplied_equality(a, b, mode):
+    # mode 1 compares a with itself rebuilt through a product and quotient
+    if mode == 1:
+        b = a * b / b
+    (an, ad), (bn, bd) = plain_num_den(a), plain_num_den(b)
+    assert (a == b) == (an * bd == bn * ad)
+
+
+@given(small_products)
+@settings(deadline=None, max_examples=150)
+def test_cycle_product_dense_edge_is_reduced_plain_product(f):
+    assert f.num_den() == reduced(*plain_num_den(f))
+    num, den = f.num_den()
+    assert f.degrees() == (num.degree, den.degree)
+    assert f.is_even_in_w() == (num.is_even_in_w() and den.is_even_in_w())
+
+
+@given(small_products, st.integers(1, 3))
+@settings(deadline=None, max_examples=80)
+def test_cycle_product_substitutions_match_dense(f, m):
+    num, den = f.num_den()
+
+    def spread(p: Poly) -> Poly:
+        out = [0] * (p.degree * m + 1)
+        out[::m] = p.coeffs
+        return Poly(out)
+
+    assert f.substitute(m).num_den() == reduced(spread(num), spread(den))
+    g = f.substitute(2)  # a function of u
+
+    def negate_u(p: Poly) -> Poly:
+        return Poly([-c if i % 4 == 2 else c for i, c in enumerate(p.coeffs)])
+
+    gn, gd = g.num_den()
+    assert g.negate_u().num_den() == reduced(negate_u(gn), negate_u(gd))
+
+
+def traces_of(f: CycleProduct, n: int) -> list:
+    """N_j = sum over d | j of d * a_d, for f = prod (1 - w**d)**a_d."""
+    return [sum(d * a for d, a in f.items() if j % d == 0) for j in range(1, n + 1)]
+
+
+@given(small_products)
+@settings(deadline=None, max_examples=80)
+def test_cycle_product_from_traces_round_trips(f):
+    assert cycle_product_from_traces(traces_of(f, 8)) == f
+    assert cycle_product_from_traces(traces_of(f, 8), 2) == f.substitute(2)
+
+
+def test_cycle_product_from_traces_matches_exp_series():
+    # 1/P = exp(sum N_n w^n / n) for P = (1 - w)(1 - w^3)**2 / (1 - w^2)
+    f = CycleProduct({1: 1, 3: 2, 2: -1})
+    traces = traces_of(f, 12)
+    s = series_exp(Series([0] + [Fraction(t, n) for n, t in enumerate(traces, 1)], 12))
+    assert s == product_series(f.inverse(), 12)
+    assert cycle_product_from_traces(traces) == f
+
+
+def test_cycle_product_from_traces_rejects_non_integer_exponent():
+    # N_1 = 1, N_2 = 0 gives 2 * a_2 = -1
+    with pytest.raises(NotCycleProduct):
+        cycle_product_from_traces([1, 0])
+
+
+def test_cycle_product_dense_edge_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+    rng = random.Random(4242)
+    for _ in range(40):
+        f = CycleProduct(
+            {rng.randint(1, 12): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
+        )
+        expr = sympy.Integer(1)
+        for e, k in f.items():
+            expr *= (1 - w**e) ** k
+        num, den = (sympy.Poly(p, w) for p in sympy.fraction(sympy.cancel(expr)))
+        if den.eval(0) < 0:
+            num, den = -num, -den
+        got = tuple(Poly(int(c) for c in reversed(p.all_coeffs())) for p in (num, den))
+        assert f.num_den() == got

@@ -2,7 +2,8 @@
 
 import pytest
 
-from weylzeta.algebra import Poly, RationalFunctionW, ratfunc_equal
+from weylzeta.algebra import CycleProduct, NotCycleProduct, Poly
+from weylzeta.census import walk_count_table
 from weylzeta.identities import (
     VerificationReport,
     _count_compare,
@@ -15,7 +16,8 @@ from weylzeta.rootgeom import RootSystem
 from weylzeta.zeta import (
     OrderInsufficientError,
     axis_factor,
-    l_function,
+    l_poly_from_counts,
+    l_product_from_counts,
     required_order,
     zeta_walks,
 )
@@ -71,10 +73,32 @@ def test_torus_records_present():
 def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
     # the smallest Klein bottle: k = 3, a single positive off-axis weight
     q = REFERENCE[2]
-    p, _ = l_function(q, "pi1", 48)
-    lhs = RationalFunctionW.reciprocal_of(p)
+    counts = walk_count_table(q, "pi1", 48).values
+    p = l_poly_from_counts(counts, q.N * 3)
+    lhs = l_product_from_counts(counts, p).inverse()
     rhs = zeta_walks(q, "pi1") * axis_factor(6, 1)
-    assert ratfunc_equal(lhs, rhs)
+    assert lhs == rhs
+
+
+@pytest.mark.parametrize("q", (REFERENCE[0], REFERENCE[2]), ids=repr)
+def test_failed_l_conversion_fails_dependent_records(q, monkeypatch):
+    import weylzeta.identities as identities_mod
+
+    def refuse(counts, p):
+        raise NotCycleProduct("refused")
+
+    monkeypatch.setattr(identities_mod, "l_product_from_counts", refuse)
+    report = verify(q)
+    failed = {r.identity_id: r.detail for r in report.failures()}
+    dependent = ("torus-three-way", "main-identity") if q.kind == "torus" else (
+        "l-zeta-axis-correction",
+        "main-identity",
+    )
+    assert set(failed) == {f"{i}[{rep}]" for i in dependent for rep in q.rs.rep_names}
+    assert all(
+        d == {"reason": "l-polynomial is not a cycle product: refused"}
+        for d in failed.values()
+    )
 
 
 def test_explicit_order_too_small_raises():
@@ -112,10 +136,11 @@ def test_poly_compare_reports_first_mismatch():
 
 
 def test_ratfunc_compare_reports_forms():
-    f = RationalFunctionW(Poly([1, 1]), Poly.one())
-    g = RationalFunctionW(Poly([1, -1]), Poly.one())
+    f = CycleProduct({2: 1, 1: -1})  # 1 + w
+    g = CycleProduct({1: 1})  # 1 - w
     detail = _ratfunc_compare(f, g)
     assert detail["lhs"]["num"] == [1, 1] and detail["rhs"]["num"] == [1, -1]
+    assert detail["first_mismatch_exponent"] == 1
     assert _ratfunc_compare(f, f) == {}
 
 

@@ -1,11 +1,16 @@
 """Spec file parsing, CLI subcommands, JSON schema, exit codes."""
 
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weylzeta.cli import main
-from weylzeta.quotient import KleinSpec, TorusSpec
+from weylzeta.quotient import MAX_CLASSES, KleinSpec, TorusSpec
 from weylzeta.specfile import SpecFileError, parse_spec_text
 
 A2_TORUS_TEXT = """\
@@ -202,3 +207,125 @@ def test_cli_file_order_used(klein_file, capsys):
     assert main(["verify", "--input", klein_file, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["order"] == 32  # taken from the spec file
+
+
+# ---------------------------------------------------------------------------
+# input size bound
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "root_system = C2\nkind = torus\nv1 = 1000000,0\nv2 = 0,2\n",
+        "root_system = C2\nkind = klein\nalpha = 1,0\nbeta = 1,1\n"
+        "a = 2\nb = 1\nm = 1000000\n",
+    ],
+)
+def test_cli_oversized_quotient_exits_two_at_once(tmp_path, capsys, text):
+    path = tmp_path / "huge.spec"
+    path.write_text(text)
+    for command in ("describe", "verify"):
+        t0 = time.perf_counter()
+        assert main([command, "--input", str(path)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"exceeds the supported maximum {MAX_CLASSES}" in capsys.readouterr().err
+
+
+def test_cli_size_bound_admits_the_largest_supported_torus(tmp_path, capsys):
+    # (12,0),(0,24) is a C2 torus with exactly MAX_CLASSES vertex classes;
+    # (1,1),(145,-145) has two more
+    path = tmp_path / "edge.spec"
+    path.write_text("root_system = C2\nkind = torus\nv1 = 12,0\nv2 = 0,24\n")
+    assert main(["describe", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["invariants"]["N"] == MAX_CLASSES
+    path.write_text("root_system = C2\nkind = torus\nv1 = 1,1\nv2 = 145,-145\n")
+    assert main(["describe", "--input", str(path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzed spec files: describe exits 0, 1 or 2 and never raises
+# ---------------------------------------------------------------------------
+
+KEYS = ("root_system", "kind", "v1", "v2", "alpha", "beta", "a", "b", "m", "order")
+WEIGHTS = ((1, 0), (-1, 1), (0, -1), (-1, 0), (1, -1), (0, 1), (1, 1), (-1, -1))
+small_pair = st.one_of(
+    st.sampled_from(WEIGHTS), st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+)
+any_int = st.one_of(st.integers(-12, 12), st.integers(-(10**9), 10**9))
+values = st.one_of(
+    st.sampled_from(("A2", "C2", "torus", "klein", "", "1,", ",", "0x10", "1e3")),
+    any_int.map(str),
+    st.tuples(any_int, any_int).map(lambda t: f"{t[0]},{t[1]}"),
+    st.text(max_size=12),
+)
+lines = st.one_of(
+    st.text(max_size=24),
+    st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(KEYS), values),
+)
+
+
+def _pair(t):
+    return f"{t[0]},{t[1]}"
+
+
+torus_texts = st.builds(
+    lambda rs, v1, v2: f"root_system = {rs}\nkind = torus\nv1 = {v1}\nv2 = {v2}\n",
+    st.sampled_from(("A2", "C2")),
+    st.tuples(any_int, any_int).map(_pair),
+    st.tuples(any_int, any_int).map(_pair),
+)
+klein_texts = st.builds(
+    lambda rs, alpha, beta, a, b, m: (
+        f"root_system = {rs}\nkind = klein\nalpha = {alpha}\nbeta = {beta}\n"
+        f"a = {a}\nb = {b}\nm = {m}\n"
+    ),
+    st.sampled_from(("A2", "C2")),
+    small_pair.map(_pair),
+    small_pair.map(_pair),
+    any_int,
+    any_int,
+    any_int,
+)
+# coroot-lattice tori, most of them valid: c1 * b1 + c2 * b2 over a basis
+COROOT_BASIS = {"A2": ((1, 1), (3, 0)), "C2": ((1, 1), (2, 0))}
+
+
+def _coroot_torus(rs, c):
+    (b1, b2) = COROOT_BASIS[rs]
+    v1, v2 = (
+        _pair((x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])) for x, y in (c[:2], c[2:])
+    )
+    return f"root_system = {rs}\nkind = torus\nv1 = {v1}\nv2 = {v2}\n"
+
+
+coroot_torus_texts = st.builds(
+    _coroot_torus,
+    st.sampled_from(("A2", "C2")),
+    st.tuples(*[st.integers(-6, 6)] * 4),
+)
+spec_texts = st.one_of(
+    coroot_torus_texts,
+    st.lists(lines, max_size=10).map("\n".join),
+    torus_texts,
+    klein_texts,
+    st.builds(
+        lambda head, tail: head + "\n".join(tail),
+        torus_texts | klein_texts,
+        st.lists(lines, max_size=3),
+    ),
+)
+
+
+@given(spec_texts)
+@settings(
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_describe_never_raises_on_fuzzed_spec_text(capsys, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.spec"
+        path.write_text(text, encoding="utf-8")
+        assert main(["describe", "--input", str(path)]) in (0, 1, 2)
+    capsys.readouterr()
