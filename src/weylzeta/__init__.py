@@ -17,7 +17,6 @@ from .algebra import (
     Series,
     cycle_product_from_traces,
     det_identity_minus_wT,
-    reconstruct_poly_from_series,
     series_exp,
     series_log,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "load_spec_file",
     "normalize_generators",
     "parse_spec_text",
-    "reconstruct_poly_from_series",
     "required_order",
     "series_exp",
     "series_log",

@@ -9,11 +9,12 @@ reporting layer.
 Every zeta function, correction factor and L-polynomial is a finite
 cycle product prod (1 - w**e)**k_e, held as a CycleProduct exponent
 dict: identities between them are dict equalities, decided in integer
-arithmetic.  Dense polynomials and truncated series remain for the
-count series, the exp/reciprocal reconstruction of the L-polynomial,
-the det(I - wT) cross-check and the reduced num/den forms printed at
-the edges.  Coefficients are exact rationals throughout; nothing in
-this package touches floating point.
+arithmetic.  Dense polynomials remain for the L-polynomial, the
+det(I - wT) cross-check and the reduced num/den forms printed at the
+edges.  No production path uses the truncated series (Series,
+series_exp, series_log): they are the reference the tests compare the
+integer paths against.  Coefficients are exact rationals throughout;
+nothing in this package touches floating point.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ RatLike = Union[int, Fraction]
 
 
 class NotPolynomialWithinBound(ValueError):
-    """The reciprocal series has a nonzero coefficient above the bound."""
+    """A reconstructed polynomial has a nonzero coefficient above its degree bound."""
 
     def __init__(self, exponent: int):
         super().__init__(
@@ -359,34 +360,6 @@ def det_identity_minus_wT(T: IntMatrix) -> Poly:
                         new[i + j] += qi * vj
         vec = new
     return Poly(vec)
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction of a bounded-degree polynomial from its reciprocal series
-# ---------------------------------------------------------------------------
-
-
-def reconstruct_poly_from_series(s: Series, degree_bound: int) -> Poly:
-    """Return P of degree <= degree_bound with P*s = 1 to the series order.
-
-    Every coefficient of 1/s strictly above degree_bound must vanish up
-    to s.order, otherwise NotPolynomialWithinBound is raised carrying the
-    first offending exponent.  Requires s.order >= degree_bound + 8 so
-    the vanishing tail is actually witnessed.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    if s.coeffs[0] != 1:
-        raise ValueError("reconstruction requires constant term 1")
-    if s.order < degree_bound + 8:
-        raise ValueError(
-            f"series order {s.order} too small: need at least {degree_bound + 8}"
-        )
-    r = s.reciprocal()
-    for k in range(degree_bound + 1, s.order + 1):
-        if r.coeffs[k] != 0:
-            raise NotPolynomialWithinBound(k)
-    return Poly(r.coeffs[: degree_bound + 1])
 
 
 # ---------------------------------------------------------------------------

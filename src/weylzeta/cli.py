@@ -9,7 +9,8 @@ Subcommands:
 * corpus    -- generate a seeded random corpus and verify every member
 
 Exit codes: 0 success, 1 at least one identity failed, 2 parse or
-validation error (including insufficient series order).
+validation error (including a series order below the required one or
+above MAX_ORDER, and a --max-n outside 1..MAX_ORDER).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .identities import verify
 from .quotient import SpecValidationError, build
 from .rootgeom import RootSystem
 from .specfile import ParsedSpec, SpecFileError, load_spec_file, spec_to_json_dict
-from .zeta import OrderInsufficientError, zeta_bundle
+from .zeta import MAX_ORDER, OrderInsufficientError, zeta_bundle
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -92,8 +93,10 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_counts(args) -> int:
-    q, _ = _load(args.input)
     max_n = args.max_n
+    if not 1 <= max_n <= MAX_ORDER:
+        raise SpecValidationError(f"--max-n must be between 1 and {MAX_ORDER}, got {max_n}")
+    q, _ = _load(args.input)
     payload: dict = {"max_n": max_n, "counts": {}}
     lines = [f"{q.rs.kind} {q.kind}: counts up to n = {max_n} (semi up to {2 * max_n})"]
     for rep in q.rs.rep_names:

@@ -4,9 +4,10 @@ Each record compares two independently computed objects.  Every zeta
 function, correction factor and L-polynomial is a CycleProduct, so a
 rational-function identity is an equality of exponent dicts, decided by
 integer arithmetic: never numerically, never by truncation and without
-dense polynomials.  The L-polynomial enters once, reconstructed densely
-and converted by Moebius inversion of the same counts.  Dense forms are
-built only for the detail of a failed record.  Count-versus-log
+dense polynomials.  The L-polynomial enters once: its integer
+coefficients come from the closed-walk counts by Newton's identities,
+and it is converted by Moebius inversion of the same counts.  Dense
+forms are built only for the detail of a failed record.  Count-versus-log
 identities compare closed-form census values against divisor sums over
 the cycle structure, which is the exact coefficient of the zeta
 logarithm at that order.
@@ -31,7 +32,6 @@ from .census import (
 )
 from .quotient import QuotientGroup, TorusSpec, build
 from .zeta import (
-    OrderInsufficientError,
     axis_factor,
     build_gallery_system,
     build_semi_system,
@@ -39,7 +39,7 @@ from .zeta import (
     correction_factor,
     l_poly_from_counts,
     l_product_from_counts,
-    required_order,
+    resolve_order,
     torus_closed_form,
 )
 
@@ -245,14 +245,10 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
 
     order is the u-order used for L-polynomial reconstructions; when
     omitted it is derived from the degree bounds.  An explicitly passed
-    insufficient order raises OrderInsufficientError naming the bound.
+    insufficient order raises OrderInsufficientError naming the bound,
+    and one above MAX_ORDER raises SpecValidationError (resolve_order).
     """
-    req = required_order(q)
-    if order is None:
-        order = max(req, 48)
-    if order < req:
-        raise OrderInsufficientError(order, req)
-
+    order = resolve_order(q, order)
     rs = q.rs
     data = {rep: _collect(q, rep, order) for rep in rs.rep_names}
     cover = None

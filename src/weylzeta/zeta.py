@@ -17,31 +17,29 @@ its reciprocal is an integer polynomial.  The characteristic-polynomial
 route through det(I - wT) on the explicit permutation matrix is kept as
 a cross-check path; the cycle decomposition is the production path.
 
-The L-polynomial P has one path: it is reconstructed densely from the
-closed-walk counts (l_poly_from_counts, which also enforces the order
-bound), then converted to a CycleProduct by Moebius inversion of the
-same counts (l_product_from_counts), checked to expand back to P.
+The L-polynomial P has one path: its integer coefficients follow from
+the closed-walk counts by Newton's identities in u (l_poly_from_counts),
+then Moebius inversion of the same counts converts it to a CycleProduct
+(l_product_from_counts), checked to expand back to P.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
     CycleProduct,
     IntMatrix,
     NotCycleProduct,
+    NotPolynomialWithinBound,
     Poly,
-    Series,
     cycle_product_from_traces,
-    reconstruct_poly_from_series,
-    series_exp,
 )
 from .census import walk_count_table
-from .quotient import QuotientGroup, SpecValidationError
+from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
 from .rootgeom import Vec, mat_vec, vec_add
 
 
@@ -208,33 +206,37 @@ def zeta_galleries(q: QuotientGroup, rep: str) -> CycleProduct:
     return build_gallery_system(q, rep).zeta()
 
 
-def exp_of_count_series(counts, order: int) -> Series:
-    """exp(sum_n counts[n-1] u**n / n) as a w-series of order 2*order."""
-    coeffs = [Fraction(0)] * (2 * order + 1)
-    for n, c in enumerate(counts, start=1):
-        if c:
-            coeffs[2 * n] = Fraction(c, n)
-    return series_exp(Series(coeffs, 2 * order))
-
-
 def l_poly_from_counts(counts, bound: int) -> Poly:
     """Reconstruct the L-polynomial P from the closed-walk counts N_1, N_2, ...
 
     P is the polynomial with P * exp(sum_n N_n u**n / n) = 1, of degree at
     most bound = N * (number of nontrivial weights); the full L-function
-    is (1-u)**(-eps*N) / P.  At least 2 * bound + 8 counts are required so
-    the vanishing of the reciprocal tail is actually witnessed.
+    is (1-u)**(-eps*N) / P.  Newton's identities n p_n = -sum_{i<=n} N_i
+    p_{n-i} run in integers for every n <= len(counts); the first n with
+    p_n nonzero above the bound raises NotPolynomialWithinBound(2n), the
+    first with p_n not an integer AssertionError.  At least 2 * bound + 8
+    counts are required so the vanishing tail is actually witnessed.
     """
     required = 2 * bound + 8
     if len(counts) < required:
         raise OrderInsufficientError(len(counts), required)
-    s = exp_of_count_series(counts, len(counts))
-    p = reconstruct_poly_from_series(s, 2 * bound)
-    if not p.is_integer():
-        raise AssertionError("L-polynomial has non-integer coefficients")
-    if not p.is_even_in_w():
-        raise AssertionError("L-polynomial has odd powers of w")
-    return p
+    nonzero = [(i, c) for i, c in enumerate(counts, start=1) if c]
+    index = [i for i, _ in nonzero]
+    p = [1] + [0] * bound
+    for n in range(1, len(counts) + 1):
+        # p_j vanishes for bound < j < n, so only N_i with n - bound <= i
+        # <= n contribute
+        s = 0
+        for i, c in nonzero[bisect_left(index, n - bound) : bisect_right(index, n)]:
+            s -= c * p[n - i]
+        if s and n > bound:
+            raise NotPolynomialWithinBound(2 * n)
+        pn, r = divmod(s, n)
+        if r:
+            raise AssertionError("L-polynomial has non-integer coefficients")
+        if n <= bound:
+            p[n] = pn
+    return Poly([x for pj in p for x in (pj, 0)])
 
 
 def l_product_from_counts(counts, p: Poly) -> CycleProduct:
@@ -310,17 +312,34 @@ class ZetaBundle:
         return tuple(self.zeta)
 
 
+# The largest order any supported quotient requires: that of a C2 torus
+# (four nontrivial weights per representation) with MAX_CLASSES classes.
+MAX_ORDER = 2 * 4 * MAX_CLASSES + 8
+
+
 def required_order(q: QuotientGroup) -> int:
     """Smallest u-order at which every reconstruction in the bundle succeeds."""
     return max(2 * q.N * len(q.rs.weights(r)) + 8 for r in q.rs.rep_names)
 
 
-def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
+def resolve_order(q: QuotientGroup, order: Optional[int] = None) -> int:
+    """order, or max(required_order(q), 48) when None, checked before any
+    count table is allocated: SpecValidationError above MAX_ORDER,
+    OrderInsufficientError below required_order(q)."""
+    if order is not None and order > MAX_ORDER:
+        raise SpecValidationError(
+            f"series order {order} exceeds the supported maximum {MAX_ORDER}"
+        )
     req = required_order(q)
     if order is None:
-        order = max(req, 48)
+        return max(req, 48)
     if order < req:
         raise OrderInsufficientError(order, req)
+    return order
+
+
+def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
+    order = resolve_order(q, order)
     zeta, semi, gal, lpoly, lfunc, counts, corr = {}, {}, {}, {}, {}, {}, {}
     for rep in q.rs.rep_names:
         zeta[rep] = zeta_walks(q, rep)

@@ -17,10 +17,10 @@ from weylzeta.algebra import (
     Series,
     cycle_product_from_traces,
     det_identity_minus_wT,
-    reconstruct_poly_from_series,
     series_exp,
     series_log,
 )
+from weylzeta.zeta import OrderInsufficientError, l_poly_from_counts
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -201,34 +201,62 @@ def test_det_against_brute_polynomial_determinant():
 
 
 # ---------------------------------------------------------------------------
-# polynomial reconstruction from a reciprocal series
+# polynomial reconstruction from the count series (Newton's identities)
 # ---------------------------------------------------------------------------
 
 
-def geometric_series(order):
-    return Series([1] * (order + 1), order)
+def spread(p: Poly) -> Poly:
+    """p(u) as a polynomial in w = u**(1/2)."""
+    return Poly([x for c in p.coeffs for x in (c, 0)])
+
+
+def counts_of(p: Poly, order: int) -> list:
+    """N_1..N_order with p * exp(sum_n N_n u**n / n) = 1, from series_log."""
+    logs = series_log(Series.from_poly(p, order))
+    return [-n * logs.coefficient(n) for n in range(1, order + 1)]
 
 
 def test_reconstruct_geometric():
-    assert reconstruct_poly_from_series(geometric_series(12), 1) == Poly([1, -1])
+    # 1/(1 - u) = exp(sum_n u**n / n)
+    assert l_poly_from_counts([1] * 12, 1) == spread(Poly([1, -1]))
 
 
 def test_reconstruct_inverse_cube():
-    s = Series(binomial_inverse_cube_coeffs(24, 3), 24)
+    # (1 - u**3)**(-3) = exp(3 * sum_k u**(3k) / k): N_n = 9 when 3 | n
+    counts = [9 if n % 3 == 0 else 0 for n in range(1, 27)]
     expected = (Poly.one() - Poly.monomial(3)) ** 3
-    assert reconstruct_poly_from_series(s, 9) == expected
+    assert l_poly_from_counts(counts, 9) == spread(expected)
 
 
 def test_reconstruct_rejects_exp():
-    coeffs = [Fraction(1, math.factorial(k)) for k in range(17)]
+    # P = exp(sum_n u**n / n) = 1/(1 - u) has integer coefficients but no
+    # bounded degree: the first one past u**2 sits at w**6
     with pytest.raises(NotPolynomialWithinBound) as exc:
-        reconstruct_poly_from_series(Series(coeffs, 16), 5)
+        l_poly_from_counts([-1] * 16, 2)
     assert exc.value.exponent == 6
 
 
+def test_reconstruct_checks_every_count():
+    # N_n = 1 gives 1 - u; a wrong last count must still be caught
+    with pytest.raises(NotPolynomialWithinBound) as exc:
+        l_poly_from_counts([1] * 29 + [31], 1)
+    assert exc.value.exponent == 60
+
+
+def test_reconstruct_first_failure_wins():
+    # P = exp(-u) = 1 - u + u**2/2 - ...: at n = 2 the coefficient is both
+    # nonzero past a bound of 1 and not an integer; the tail is reported
+    with pytest.raises(NotPolynomialWithinBound) as exc:
+        l_poly_from_counts([1] + [0] * 15, 1)
+    assert exc.value.exponent == 4
+    with pytest.raises(AssertionError, match="non-integer coefficients"):
+        l_poly_from_counts([1] + [0] * 15, 2)
+
+
 def test_reconstruct_requires_slack():
-    with pytest.raises(ValueError):
-        reconstruct_poly_from_series(geometric_series(6), 1)
+    with pytest.raises(OrderInsufficientError) as exc:
+        l_poly_from_counts([1] * 9, 1)
+    assert exc.value.required == 10
 
 
 def test_reconstruct_round_trips_random_integer_polys():
@@ -237,9 +265,22 @@ def test_reconstruct_round_trips_random_integer_polys():
         deg = rng.randint(0, 12)
         coeffs = [1] + [rng.randint(-4, 4) for _ in range(deg)]
         p = Poly(coeffs)
-        order = p.degree + 10
-        series_of_inverse = Series.from_poly(p, order).reciprocal()
-        assert reconstruct_poly_from_series(series_of_inverse, p.degree) == p
+        counts = counts_of(p, 2 * p.degree + 8)
+        assert all(c.denominator == 1 for c in counts)
+        assert l_poly_from_counts([int(c) for c in counts], p.degree) == spread(p)
+
+
+@given(st.dictionaries(st.integers(1, 8), st.integers(0, 3), max_size=4))
+@settings(deadline=None, max_examples=80)
+def test_reconstruct_cycle_products(exponents):
+    # P = prod (1 - u**e)**k_e has N_n = sum_{e | n} e * k_e
+    bound = sum(e * k for e, k in exponents.items())
+    counts = [
+        sum(e * k for e, k in exponents.items() if n % e == 0)
+        for n in range(1, 2 * bound + 9)
+    ]
+    p = CycleProduct({2 * e: k for e, k in exponents.items()})
+    assert l_poly_from_counts(counts, bound) == p.num_den()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +390,7 @@ def test_ratfunc_denominator_must_not_vanish_at_zero():
 
 
 def test_ratfunc_series_expansion():
-    assert product_series(CycleProduct({1: -1}), 5) == geometric_series(5)
+    assert product_series(CycleProduct({1: -1}), 5) == Series([1] * 6, 5)
 
 
 def test_ratfunc_pow_and_div():

@@ -3,7 +3,7 @@
 import pytest
 
 from weylzeta.algebra import CycleProduct, NotCycleProduct, Poly
-from weylzeta.census import walk_count_table
+from weylzeta.census import CountTable, walk_count_table
 from weylzeta.identities import (
     VerificationReport,
     _count_compare,
@@ -99,6 +99,38 @@ def test_failed_l_conversion_fails_dependent_records(q, monkeypatch):
         d == {"reason": "l-polynomial is not a cycle product: refused"}
         for d in failed.values()
     )
+
+
+@pytest.mark.parametrize("q", (REFERENCE[0], REFERENCE[2]), ids=repr)
+@pytest.mark.parametrize("fault", ("tail", "non-integer"))
+def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
+    import weylzeta.identities as identities_mod
+
+    def bound(rep):
+        return q.N * len(q.rs.weights(rep))
+
+    def perturbed(q_, rep, max_n):
+        values = list(walk_count_table(q_, rep, max_n).values)
+        if fault == "tail":
+            values[bound(rep)] += bound(rep) + 1  # p at bound + 1 becomes -1
+        else:
+            values[1] += 1  # 2 * p_2 becomes odd
+        return CountTable(rep, "walks", tuple(values))
+
+    monkeypatch.setattr(identities_mod, "walk_count_table", perturbed)
+    failed = {r.identity_id: r.detail for r in verify(q).failures()}
+    dependent = ("torus-three-way", "main-identity") if q.kind == "torus" else (
+        "l-zeta-axis-correction",
+        "main-identity",
+    )
+    for rep in q.rs.rep_names:
+        assert failed[f"l-reconstruction[{rep}]"] == (
+            {"nonzero_tail_exponent": 2 * (bound(rep) + 1)}
+            if fault == "tail"
+            else {"reason": "L-polynomial has non-integer coefficients"}
+        )
+        for identity in dependent:
+            assert failed[f"{identity}[{rep}]"] == {"reason": "l-reconstruction failed"}
 
 
 def test_explicit_order_too_small_raises():

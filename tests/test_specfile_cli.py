@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from weylzeta.cli import main
 from weylzeta.quotient import MAX_CLASSES, KleinSpec, TorusSpec
 from weylzeta.specfile import SpecFileError, parse_spec_text
+from weylzeta.zeta import MAX_ORDER
 
 A2_TORUS_TEXT = """\
 # coroot lattice torus
@@ -177,6 +178,30 @@ def test_cli_insufficient_order_exit_two(torus_file, capsys):
     assert main(["verify", "--input", torus_file, "--order", "5"]) == 2
     err = capsys.readouterr().err
     assert "raise order to at least" in err
+
+
+@pytest.mark.parametrize("command", ("zeta", "verify"))
+def test_cli_order_above_maximum_exits_two(torus_file, capsys, command):
+    t0 = time.perf_counter()
+    assert main([command, "--input", torus_file, "--order", str(MAX_ORDER + 1)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"exceeds the supported maximum {MAX_ORDER}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_n", ("-3", "0", str(MAX_ORDER + 1)))
+def test_cli_counts_max_n_out_of_range_exits_two(torus_file, capsys, max_n):
+    assert main(["counts", "--input", torus_file, "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--max-n must be between 1 and {MAX_ORDER}" in captured.err
+
+
+def test_cli_counts_max_n_admits_both_ends(torus_file, capsys):
+    for max_n in (1, MAX_ORDER):
+        assert main(["counts", "--input", torus_file, "--max-n", str(max_n), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_n"] == max_n
+        assert len(payload["counts"]["pi1"]["semi"]) == 2 * max_n
 
 
 def test_cli_identity_failure_exit_one(torus_file, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from weylzeta.algebra import (
     Poly,
     Series,
     det_identity_minus_wT,
+    series_exp,
     series_log,
 )
 from weylzeta.census import (
@@ -21,18 +22,20 @@ from weylzeta.census import (
     walk_count_table,
 )
 from weylzeta.corpus import generate_corpus
-from weylzeta.quotient import KleinSpec, TorusSpec, build
+from weylzeta.quotient import KleinSpec, SpecValidationError, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, mat_vec
 from weylzeta.zeta import (
+    MAX_ORDER,
     OrderInsufficientError,
     axis_factor,
     build_gallery_system,
     build_semi_system,
     build_walk_system,
     correction_factor,
-    exp_of_count_series,
     l_poly_from_counts,
     l_product_from_counts,
+    required_order,
+    resolve_order,
     torus_closed_form,
     zeta_bundle,
     zeta_galleries,
@@ -61,6 +64,14 @@ def product_series(z: CycleProduct, order: int) -> Series:
     """The power series of a cycle product, from its dense reduced form."""
     num, den = z.num_den()
     return Series.from_poly(num, order) * Series.from_poly(den, order).reciprocal()
+
+
+def exp_series(counts) -> Series:
+    """exp(sum_n counts[n-1] u**n / n) as a w-series of order 2 * len(counts)."""
+    coeffs = [Fraction(0)] * (2 * len(counts) + 1)
+    for n, c in enumerate(counts, start=1):
+        coeffs[2 * n] = Fraction(c, n)
+    return series_exp(Series(coeffs, 2 * len(counts)))
 
 
 def l_poly(q, rep, order):
@@ -125,9 +136,23 @@ def test_l_polynomials_on_coroot_tori():
 
 def test_l_function_series_is_reciprocal_of_p():
     counts = walk_count_table(A2_TORUS, "pi2", 40).values
-    s = exp_of_count_series(counts, 40)
+    s = exp_series(counts)
     p = l_poly_from_counts(counts, 3 * 3)
     assert s == Series.from_poly(p, s.order).reciprocal()
+
+
+def test_l_poly_matches_the_series_exp_reciprocal_route():
+    # the dense reference: exp of the count series, its reciprocal, and a
+    # zero tail past the degree bound
+    for member in generate_corpus(7, 20, 12):
+        q = member.build()
+        order = resolve_order(q)
+        for rep in q.rs.rep_names:
+            counts = walk_count_table(q, rep, order).values
+            bound = 2 * q.N * len(q.rs.weights(rep))
+            r = exp_series(counts).reciprocal()
+            assert not any(r.coeffs[bound + 1 :])
+            assert l_poly_from_counts(counts, bound // 2) == Poly(r.coeffs[: bound + 1])
 
 
 def test_l_function_order_pre_condition():
@@ -338,6 +363,20 @@ def test_zeta_bundle_order_validation():
         zeta_bundle(C2_TORUS, order=10)
 
 
+def test_order_resolution():
+    assert resolve_order(C2_TORUS) == 48
+    assert resolve_order(C2_TORUS, 24) == 24
+    with pytest.raises(OrderInsufficientError):
+        resolve_order(C2_TORUS, 23)
+    # MAX_ORDER is the order the largest supported C2 torus requires
+    edge = build(C2, TorusSpec((12, 0), (0, 24)))
+    assert required_order(edge) == resolve_order(edge) == MAX_ORDER
+    for q in ALL_QUOTIENTS:
+        assert resolve_order(q, MAX_ORDER) == MAX_ORDER
+        with pytest.raises(SpecValidationError, match="exceeds the supported maximum"):
+            resolve_order(q, MAX_ORDER + 1)
+
+
 # ---------------------------------------------------------------------------
 # metamorphic: the same quotient, presented differently, has the same zeta data
 # ---------------------------------------------------------------------------
@@ -401,3 +440,15 @@ def test_klein_zeta_data_invariant_under_relabeling(item):
     # t and its inverse generate the same group with sigma
     inverse_t = KleinSpec(spec.alpha, spec.beta, spec.a, spec.b, -spec.m)
     assert zeta_bundle(build(rs, inverse_t)) == base
+
+
+@given(st.sampled_from(SMALL_KLEIN_SPECS), st.integers(0, 7))
+@settings(deadline=None, max_examples=15)
+def test_klein_zeta_data_invariant_under_weyl_conjugation(item, g):
+    rs_name, spec = item
+    rs = RootSystem.make(rs_name)
+    w = rs.weyl[g % len(rs.weyl)]
+    conjugate = KleinSpec(
+        mat_vec(w, spec.alpha), mat_vec(w, spec.beta), spec.a, spec.b, spec.m
+    )
+    assert zeta_bundle(build(rs, conjugate)) == zeta_bundle(build(rs, spec))
