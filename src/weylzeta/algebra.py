@@ -395,13 +395,19 @@ def _mobius_table(n: int) -> list:
 def _expand(factors: dict) -> list:
     """Integer coefficients of prod (1 - w**d)**x_d, known to be a polynomial.
 
-    The positive powers are multiplied out first, so every later division
-    by 1 - w**d is exact.
+    Returns [c_0, ..., c_deg] with deg = sum d * x_d and c_deg != 0: the
+    exact coefficient list, [1] for the empty product, never with trailing
+    zeros.  The positive powers are multiplied out first, each factor over
+    the support reached so far, so every later division by 1 - w**d is
+    exact; the divisions then run only up to deg, since no coefficient
+    above deg reaches one below it.
     """
-    c = [1] + [0] * sum(d * x for d, x in factors.items() if x > 0)
+    c = [1]
     for d, x in sorted(factors.items()):
         for _ in range(x):
-            c = c[:d] + [a - b for a, b in zip(c[d:], c)]
+            padded = c + [0] * d
+            c = padded[:d] + [a - b for a, b in zip(padded[d:], c)]
+    del c[1 + sum(d * x for d, x in factors.items()) :]
     for d, x in sorted(factors.items()):
         for _ in range(-x):
             for i in range(d, len(c)):
@@ -516,6 +522,18 @@ class CycleProduct:
         return tuple(
             sum(d * x for d, x in self._part(sign).items()) for sign in (1, -1)
         )
+
+    def expands_to(self, coeffs: list) -> bool:
+        """Whether the function is the polynomial with these integer
+        coefficients (no trailing zeros).
+
+        The reduced numerator and denominator are taken once; the empty
+        denominator and the degree are checked before anything is expanded.
+        """
+        num, den = self._part(1), self._part(-1)
+        if any(den.values()) or sum(d * x for d, x in num.items()) != len(coeffs) - 1:
+            return False
+        return _expand(num) == coeffs
 
     def num_den(self) -> tuple:
         """The reduced form (num, den) as integer polynomials.

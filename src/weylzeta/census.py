@@ -14,12 +14,17 @@ all N |W| pairs per length.
 
 Semi-closings use the same congruences in doubled coordinates modulo
 2 det; galleries move by lam + mu every two steps, so even and odd
-lengths are solved separately.  The literal per-length loops
-(``count_closed_walks`` and friends) stay as the reference they are
-tested against.  Neither path touches the transfer systems: both use
-only membership in Gamma0 (its adjugate and determinant), the glide
-sigma and the vertex and half-lattice representatives, so the census
-remains an independent check of the cycle-decomposition zeta engine.
+lengths are solved separately.  Glide line counts (lambda_set_size)
+decide each beta-row of the fundamental domain by one exact evaluation:
+the glide's linear part fixes alpha, the direction along the row, so a
+glide power moves every point of the row by the same vector.  The
+literal per-length loops (``count_closed_walks`` and friends) stay as
+the reference they are tested against, and the tests hold a
+point-by-point window scan as the reference of lambda_set_size.
+Neither path touches the transfer systems: both use only membership in
+Gamma0 (its adjugate and determinant), the glide sigma and the vertex
+and half-lattice representatives, so the census remains an independent
+check of the cycle-decomposition zeta engine.
 """
 
 from __future__ import annotations
@@ -138,7 +143,15 @@ def lambda_set_size(
     q: QuotientGroup, m_odd: int, v: Vec, glide: str = "sigma"
 ) -> int:
     """Lattice points in the glide fundamental domain moved by v under the
-    m-th glide power, counted by direct enumeration.
+    m-th glide power.
+
+    The points x = p*alpha + qq*beta with 0 <= p < k and |qq| within a
+    window are counted by beta-row.  gm(x) - x - v is affine in x, and the
+    glide's linear part fixes alpha, so it does not depend on p: one exact
+    evaluation at x = qq*beta decides the whole row, which then adds k
+    points, or (k + 1) // 2 on the half-boundary row 2*qq = b, where
+    only 2p < k belongs to the domain.  A linear part that does not fix
+    alpha raises AssertionError.
 
     v must be a coroot-lattice vector with nonzero beta-component in the
     (alpha, beta) basis.  ``glide`` selects sigma or t*sigma together with
@@ -161,19 +174,21 @@ def lambda_set_size(
         raise ValueError("glide must be 'sigma' or 'tsigma'")
     _, b_used = q.alpha_beta_coords(g.translation)
     gm = g ** m_odd
+    if mat_vec(gm.linear, q.alpha) != q.alpha:
+        raise AssertionError("the glide's linear part does not fix alpha")
     k = q.k_gamma
-    alpha, beta = q.alpha, q.beta
     window = abs(b_used) + abs(d) + 4
     count = 0
-    for p in range(k):
-        for qq in range(-window, window + 1):
-            x = vec_add(vec_scale(p, alpha), vec_scale(qq, beta))
-            if gm.apply(x) != vec_add(x, v):
-                continue
-            # fundamental domain: alpha-coordinate in [0, k) with
-            # beta-coordinate below b/2, plus half of the boundary line
-            if 2 * qq < b_used or (2 * qq == b_used and 2 * p < k):
-                count += 1
+    for qq in range(-window, window + 1):
+        x = vec_scale(qq, q.beta)
+        if gm.apply(x) != vec_add(x, v):
+            continue
+        # fundamental domain: alpha-coordinate in [0, k) with
+        # beta-coordinate below b/2, plus half of the boundary line
+        if 2 * qq < b_used:
+            count += k
+        elif 2 * qq == b_used:
+            count += (k + 1) // 2
     return count
 
 

@@ -43,12 +43,14 @@ def poly_to_json(p: Poly) -> dict:
     return {"coeffs": coeffs, "var": "w"}
 
 
-def ratfunc_to_json(f: CycleProduct) -> dict:
-    """Reduced num/den coefficient lists, in u when f is a function of u."""
+def ratfunc_to_json(f: CycleProduct) -> tuple:
+    """(json, den): the reduced num/den coefficient lists, in u when f is a
+    function of u, and den's integer coefficients in w, which the text
+    output prints, from the same expansion."""
     num, den = (p.to_int_coeffs() for p in f.num_den())
     if f.is_even_in_w():
-        return {"num": num[::2], "den": den[::2], "var": "u"}
-    return {"num": num, "den": den, "var": "w"}
+        return {"num": num[::2], "den": den[::2], "var": "u"}, den
+    return {"num": num, "den": den, "var": "w"}, den
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -127,16 +129,18 @@ def _cmd_zeta(args) -> int:
     }
     lines = [f"{q.rs.kind} {q.kind}: zeta data at order {bundle.order}"]
     for rep in bundle.rep_names:
-        payload["zeta"][rep] = ratfunc_to_json(bundle.zeta[rep])
-        payload["zeta_semi"][rep] = ratfunc_to_json(bundle.zeta_semi[rep])
-        payload["zeta2"][rep] = ratfunc_to_json(bundle.zeta2[rep])
+        den = {}
+        for key in ("zeta", "zeta_semi", "zeta2", "correction"):
+            payload[key][rep], den[key] = ratfunc_to_json(getattr(bundle, key)[rep])
         payload["l_poly"][rep] = poly_to_json(bundle.l_poly[rep])
-        payload["correction"][rep] = ratfunc_to_json(bundle.correction[rep])
-        lines.append(f"  {rep}:")
-        lines.append(f"    1/Z      = {bundle.zeta[rep].num_den()[1].to_int_coeffs()}")
-        lines.append(f"    1/Z_semi = {bundle.zeta_semi[rep].num_den()[1].to_int_coeffs()}")
-        lines.append(f"    1/Z2     = {bundle.zeta2[rep].num_den()[1].to_int_coeffs()}")
-        lines.append(f"    P        = {bundle.l_poly[rep].to_int_coeffs()}")
+        if args.format == "text":
+            lines += [
+                f"  {rep}:",
+                f"    1/Z      = {den['zeta']}",
+                f"    1/Z_semi = {den['zeta_semi']}",
+                f"    1/Z2     = {den['zeta2']}",
+                f"    P        = {bundle.l_poly[rep].to_int_coeffs()}",
+            ]
     _emit(payload, args.format, lines)
     return 0
 

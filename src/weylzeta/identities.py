@@ -6,8 +6,11 @@ rational-function identity is an equality of exponent dicts, decided by
 integer arithmetic: never numerically, never by truncation and without
 dense polynomials.  The L-polynomial enters once: its integer
 coefficients come from the closed-walk counts by Newton's identities,
-and it is converted by Moebius inversion of the same counts.  Dense
-forms are built only for the detail of a failed record.  Count-versus-log
+and it is converted by Moebius inversion of the same counts.  P is
+checked against that conversion in integers: the product must have an
+empty reduced denominator and P's degree, and its numerator must expand
+to exactly P's coefficient list.  Dense Fraction polynomials are built
+only for the detail of a failed record.  Count-versus-log
 identities compare closed-form census values against divisor sums over
 the cycle structure, which is the exact coefficient of the zeta
 logarithm at that order.

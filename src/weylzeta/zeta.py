@@ -20,7 +20,7 @@ a cross-check path; the cycle decomposition is the production path.
 The L-polynomial P has one path: its integer coefficients follow from
 the closed-walk counts by Newton's identities in u (l_poly_from_counts),
 then Moebius inversion of the same counts converts it to a CycleProduct
-(l_product_from_counts), checked to expand back to P.
+(l_product_from_counts), checked in integers to expand back to P.
 """
 
 from __future__ import annotations
@@ -243,10 +243,10 @@ def l_product_from_counts(counts, p: Poly) -> CycleProduct:
     """P as a CycleProduct, by Moebius inversion of the counts it came from.
 
     Raises NotCycleProduct unless every exponent is an integer and the
-    product expands back to exactly the dense P.
+    product expands back to exactly the integer coefficients of P.
     """
     prod = cycle_product_from_traces(counts, 2)
-    if prod.degrees() != (p.degree, 0) or prod.num_den() != (p, Poly.one()):
+    if not (p.is_integer() and prod.expands_to(p.to_int_coeffs())):
         raise NotCycleProduct("the product does not expand back to the L-polynomial")
     return prod
 

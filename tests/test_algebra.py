@@ -15,6 +15,7 @@ from weylzeta.algebra import (
     NotPolynomialWithinBound,
     Poly,
     Series,
+    _expand,
     cycle_product_from_traces,
     det_identity_minus_wT,
     series_exp,
@@ -454,6 +455,32 @@ def test_cycle_product_substitutions_match_dense(f, m):
 
     gn, gd = g.num_den()
     assert g.negate_u().num_den() == reduced(negate_u(gn), negate_u(gd))
+
+
+def test_expand_returns_the_exact_coefficient_list():
+    # Phi_6 = (1 - w)(1 - w^6) / ((1 - w^2)(1 - w^3)): the divisions lower
+    # the degree from 7 to 2, and no zero is left above it
+    assert _expand({1: 1, 6: 1, 2: -1, 3: -1}) == [1, -1, 1]
+    assert _expand({}) == [1]
+    assert _expand({3: 2}) == [1, 0, 0, -2, 0, 0, 1]
+
+
+@given(small_products)
+@settings(deadline=None, max_examples=150)
+def test_expand_matches_the_reduced_form(f):
+    for sign, p in zip((1, -1), f.num_den()):
+        c = _expand(f._part(sign))
+        assert c == p.to_int_coeffs() and c[-1] != 0
+
+
+def test_expands_to_checks_denominator_degree_and_coefficients():
+    f = CycleProduct({2: 1, 1: -1})  # 1 + w
+    assert f.expands_to([1, 1])
+    assert not f.expands_to([1, 1, 0])
+    assert not f.expands_to([1, 2])
+    assert not f.expands_to([])
+    assert not CycleProduct({1: -1}).expands_to([1])  # 1 / (1 - w)
+    assert CycleProduct().expands_to([1])
 
 
 def traces_of(f: CycleProduct, n: int) -> list:

@@ -1,5 +1,7 @@
 """Counting oracles: the per-length loops and the closed-form tables."""
 
+from itertools import product
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,9 @@ from weylzeta.census import (
     walk_count_table,
 )
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import GALLERY_LOG_DEPTH, SEMI_LOG_DEPTH
-from weylzeta.quotient import KleinSpec, TorusSpec, build
-from weylzeta.rootgeom import RootSystem
+from weylzeta.identities import GALLERY_LOG_DEPTH, GLIDE_WINDOW, SEMI_LOG_DEPTH
+from weylzeta.quotient import AffineMap, KleinSpec, TorusSpec, build
+from weylzeta.rootgeom import RootSystem, vec_add, vec_scale
 from weylzeta.zeta import required_order
 
 A2 = RootSystem.a2()
@@ -172,6 +174,54 @@ def test_lambda_set_size_window_scan_matches_prediction():
                     expected = k if admissible else 0
                     assert lambda_set_size(q, m, v) == expected
                     assert lambda_set_size(q, m, v, glide="tsigma") == expected
+
+
+def window_scan_lambda_set_size(q, m_odd, v, glide):
+    """Reference: every point of the k x (2W + 1) window, moved by the glide
+    power and tested against x + v one at a time."""
+    g = q.sigma if glide == "sigma" else q.t.compose(q.sigma)
+    _, b_used = q.alpha_beta_coords(g.translation)
+    _, d = q.alpha_beta_coords(v)
+    gm = g ** m_odd
+    k = q.k_gamma
+    window = abs(b_used) + abs(d) + 4
+    count = 0
+    for p in range(k):
+        for qq in range(-window, window + 1):
+            x = vec_add(vec_scale(p, q.alpha), vec_scale(qq, q.beta))
+            if gm.apply(x) != vec_add(x, v):
+                continue
+            if 2 * qq < b_used or (2 * qq == b_used and 2 * p < k):
+                count += 1
+    return count
+
+
+def test_lambda_set_size_matches_window_scan_on_corpus():
+    members = generate_corpus(7, 20, 12)
+    kleins = [m.build() for m in members if isinstance(m.spec, KleinSpec)]
+    assert kleins
+    box = range(-GLIDE_WINDOW, GLIDE_WINDOW + 1)
+    for q in kleins:
+        aa = q.rs.pairing(q.alpha, q.alpha)
+        seen = set()
+        for m, glide, c, d in product((1, 3), ("sigma", "tsigma"), box, box):
+            v = vec_add(vec_scale(c, q.alpha), vec_scale(d, q.beta))
+            if d == 0 or not q.rs.in_coroot_lattice(v):
+                continue
+            got = lambda_set_size(q, m, v, glide)
+            assert got == window_scan_lambda_set_size(q, m, v, glide), (q, m, v, glide)
+            seen.add((d > 0, 2 * q.rs.pairing(v, q.alpha) == q.k_gamma * m * aa))
+        # admissible v (d > 0, right pairing) and inadmissible ones: the
+        # wrong pairing, and d < 0
+        assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_lambda_set_size_rejects_a_linear_part_not_fixing_alpha(monkeypatch):
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    monkeypatch.setattr(q, "sigma", AffineMap(((-1, 0), (0, -1)), q.sigma.translation))
+    for glide in ("sigma", "tsigma"):
+        with pytest.raises(AssertionError, match="does not fix alpha"):
+            lambda_set_size(q, 1, (0, 3), glide)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Golden output: exact stdout bytes of `zeta` and `verify` JSON on the samples.
+"""Golden output: exact stdout bytes of `zeta` and `verify` on the samples.
 
 The expected files under tests/golden/ were written by the CLI itself:
 
     weylzeta zeta   --input samples/<name>.spec --format json
     weylzeta verify --input samples/<name>.spec --format json
+    weylzeta zeta   --input samples/<name>.spec --format text  (<name>.zeta.txt)
 
 Any change of representation inside the package must leave these bytes
-unchanged.
+unchanged.  The two Klein `verify` outputs are also compared from a
+`python -O` subprocess, so the glide-line-count record and the explicit
+checks it relies on are shown to run without asserts.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +33,29 @@ def test_json_output_bytes_match_golden(sample, command, capsys):
     assert main([command, "--input", str(spec), "--format", "json"]) == 0
     expected = (GOLDEN / f"{command}_{sample}.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("sample", SAMPLES)
+def test_zeta_text_output_bytes_match_golden(sample, capsys):
+    spec = ROOT / "samples" / f"{sample}.spec"
+    assert main(["zeta", "--input", str(spec), "--format", "text"]) == 0
+    expected = (GOLDEN / f"{sample}.zeta.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("sample", ("a2_klein", "c2_klein_spin"))
+def test_klein_verify_bytes_match_golden_under_python_O(sample):
+    # the glide-line-count record and its explicit raises must run
+    # unchanged when asserts are stripped
+    spec = ROOT / "samples" / f"{sample}.spec"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["verify", "--input", str(spec), "--format", "json"]
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "weylzeta.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"verify_{sample}.json").read_text()

@@ -178,6 +178,26 @@ def test_l_product_checks_the_dense_polynomial():
         l_product_from_counts(tuple(2**n for n in range(1, 41)), Poly([1, 0, -2]))
 
 
+def test_l_product_expands_back_past_the_degree_check():
+    # P keeps its degree and gains one interior coefficient, so only the
+    # expansion can refuse it.  The Klein rep's numerator has a negative
+    # Moebius exponent, (1 - u**6)**-1 in its reduced form.
+    klein = build(A2, KleinSpec((-1, 0), (0, -1), 0, -3, 2))
+    for q, rep in ((A2_TORUS, "pi1"), (klein, "pi1")):
+        order = resolve_order(q)
+        counts = walk_count_table(q, rep, order).values
+        p = l_poly(q, rep, order)
+        prod = l_product_from_counts(counts, p)
+        if q is klein:
+            assert any(x < 0 for x in prod._part(1).values())
+        changed = list(p.coeffs)
+        changed[2] += 1
+        bad = Poly(changed)
+        assert bad.degree == p.degree
+        with pytest.raises(NotCycleProduct):
+            l_product_from_counts(counts, bad)
+
+
 def regular_representation_l_poly(q, rep):
     """Independent oracle for torus L data: the product over weights of
     det(1 - u * translation permutation) on vertex classes."""
