@@ -15,9 +15,10 @@ all N |W| pairs per length.
 Semi-closings use the same congruences in doubled coordinates modulo
 2 det; galleries move by lam + mu every two steps, so even and odd
 lengths are solved separately.  Glide line counts (lambda_set_size)
-decide each beta-row of the fundamental domain by one exact evaluation:
-the glide's linear part fixes alpha, the direction along the row, so a
-glide power moves every point of the row by the same vector.  The
+are decided by one solve: the glide's linear part fixes alpha, the
+direction along a beta-row of the fundamental domain, so a glide power
+moves every point of a row by the same vector, and only one row can be
+moved by a given v.  The
 literal per-length loops (``count_closed_walks`` and friends) stay as
 the reference they are tested against, and the tests hold a
 point-by-point window scan as the reference of lambda_set_size.
@@ -145,13 +146,16 @@ def lambda_set_size(
     """Lattice points in the glide fundamental domain moved by v under the
     m-th glide power.
 
-    The points x = p*alpha + qq*beta with 0 <= p < k and |qq| within a
-    window are counted by beta-row.  gm(x) - x - v is affine in x, and the
-    glide's linear part fixes alpha, so it does not depend on p: one exact
-    evaluation at x = qq*beta decides the whole row, which then adds k
-    points, or (k + 1) // 2 on the half-boundary row 2*qq = b, where
-    only 2p < k belongs to the domain.  A linear part that does not fix
-    alpha raises AssertionError.
+    The domain holds the points x = p*alpha + qq*beta with 0 <= p < k and
+    2*qq < b (b the beta-coordinate of the glide's translation), plus half
+    of the boundary row 2*qq = b.  The glide's linear part fixes alpha and
+    sends beta to n*alpha - beta, so gm(x) - x does not depend on p and
+    has beta-coordinate b - 2*qq.  One solve therefore decides the count:
+    only the row qq = (b - d) / 2 can be moved by v = c*alpha + d*beta,
+    and only when b - d is even; it lies below the boundary exactly when
+    d > 0, and one exact evaluation at x = qq*beta then decides whether
+    its k points count.  A linear part that does not fix alpha raises
+    AssertionError.
 
     v must be a coroot-lattice vector with nonzero beta-component in the
     (alpha, beta) basis.  ``glide`` selects sigma or t*sigma together with
@@ -176,20 +180,10 @@ def lambda_set_size(
     gm = g ** m_odd
     if mat_vec(gm.linear, q.alpha) != q.alpha:
         raise AssertionError("the glide's linear part does not fix alpha")
-    k = q.k_gamma
-    window = abs(b_used) + abs(d) + 4
-    count = 0
-    for qq in range(-window, window + 1):
-        x = vec_scale(qq, q.beta)
-        if gm.apply(x) != vec_add(x, v):
-            continue
-        # fundamental domain: alpha-coordinate in [0, k) with
-        # beta-coordinate below b/2, plus half of the boundary line
-        if 2 * qq < b_used:
-            count += k
-        elif 2 * qq == b_used:
-            count += (k + 1) // 2
-    return count
+    if d < 0 or (b_used - d) % 2:
+        return 0
+    x = vec_scale((b_used - d) // 2, q.beta)
+    return q.k_gamma if gm.apply(x) == vec_add(x, v) else 0
 
 
 # ---------------------------------------------------------------------------

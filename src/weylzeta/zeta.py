@@ -11,9 +11,19 @@ Three finite dynamical systems sit over each quotient:
   pair); one step moves by the first direction and swaps the pair.  One
   step is one power of u.
 
-Each step map is a bijection, so every zeta function is the cycle
-product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
-its reciprocal is an integer polynomial.  The characteristic-polynomial
+All three are built by one flat-index builder.  The column-reduced
+triangular basis (h11, 0), (c, h22) of Gamma0 (of 2 Gamma0 for the half
+steps, in doubled coordinates) numbers the classes of the plane as
+i + h11 * j, so a step by a fixed vector is a precomputed table: a carry
+between rows and a rotation within one.  A state (class, label) has the
+integer id index * L + label; for a Klein bottle the glide is a
+precomputed permutation of the indices and an orbit is stored as the
+smaller id of its two members.
+
+Each step map is a bijection, checked on construction, so every zeta
+function is the cycle product prod (1 - w**(step * length))**-1, held as
+a CycleProduct, and its reciprocal is an integer polynomial.  The cycle
+lengths are computed once per system.  The characteristic-polynomial
 route through det(I - wT) on the explicit permutation matrix is kept as
 a cross-check path; the cycle decomposition is the production path.
 
@@ -39,7 +49,12 @@ from .algebra import (
     cycle_product_from_traces,
 )
 from .census import walk_count_table
-from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
+from .quotient import (
+    MAX_CLASSES,
+    QuotientGroup,
+    SpecValidationError,
+    _triangular_basis,
+)
 from .rootgeom import Vec, mat_vec, vec_add
 
 
@@ -60,7 +75,11 @@ class OrderInsufficientError(ValueError):
 
 @dataclass(frozen=True)
 class TransferSystem:
-    """A labeled permutation dynamic whose cycles carry a zeta function."""
+    """A labeled permutation dynamic whose cycles carry a zeta function.
+
+    successor[k] is the position in states of the successor of states[k];
+    the cycle lengths are computed once, on construction.
+    """
 
     kind: str  # walks | semi | galleries
     rep: str
@@ -69,120 +88,114 @@ class TransferSystem:
     step_in_w: int
 
     def __post_init__(self):
-        seen = sorted(self.successor)
-        if seen != list(range(len(self.states))):
+        succ = self.successor
+        if sorted(succ) != list(range(len(self.states))):
             raise AssertionError(f"{self.kind} transition is not a bijection")
+        seen = [False] * len(succ)
+        cycles = []
+        for start in range(len(succ)):
+            n, cur = 0, start
+            while not seen[cur]:
+                seen[cur] = True
+                cur = succ[cur]
+                n += 1
+            if n:
+                cycles.append(n)
+        # derived, not a field; a frozen dataclass is set this way
+        object.__setattr__(self, "_cycles", sorted(cycles))
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def cycle_lengths(self) -> list:
-        seen = [False] * len(self.successor)
-        out = []
-        for start in range(len(self.successor)):
-            if seen[start]:
-                continue
-            n, cur = 0, start
-            while not seen[cur]:
-                seen[cur] = True
-                cur = self.successor[cur]
-                n += 1
-            out.append(n)
-        return sorted(out)
+        return list(self._cycles)
 
     def closed_paths(self, n: int) -> int:
         """Number of states returning to themselves after n steps."""
-        return sum(ell for ell in self.cycle_lengths() if n % ell == 0)
+        return sum(ell for ell in self._cycles if n % ell == 0)
 
     def permutation_matrix(self) -> IntMatrix:
         return IntMatrix.from_permutation(self.successor)
 
     def zeta(self) -> CycleProduct:
-        cycles = Counter(self.step_in_w * ell for ell in self.cycle_lengths())
+        cycles = Counter(self.step_in_w * ell for ell in self._cycles)
         return CycleProduct({e: -n for e, n in cycles.items()})
 
 
-def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:
-    """Index permutation of the weight list under the glide's linear part."""
+def _grid(q: QuotientGroup, half: bool = False) -> tuple:
+    """Z^2 / Gamma0 (Z^2 / 2 Gamma0 in doubled coordinates when half) as
+    (points, index, shifted, sigma): the residue box, the position of a
+    point's class in it, index(p + s) for every box point p, and the glide
+    as a permutation of the positions (None for a torus)."""
+    scale = 2 if half else 1
+    h11, c, h22 = (scale * x for x in _triangular_basis(*q.gamma0_basis))
+
+    def index(p: Vec) -> int:
+        r, j = divmod(p[1], h22)
+        return (p[0] - r * c) % h11 + h11 * j
+
+    def shifted(s: Vec) -> list:
+        # row j moves to row j2 with carry r and rotates within it
+        out = []
+        for j in range(h22):
+            r, j2 = divmod(j + s[1], h22)
+            rot, base = (s[0] - r * c) % h11, h11 * j2
+            out += range(base + rot, base + h11)
+            out += range(base, base + rot)
+        return out
+
+    points = q.half_residues() if half else q.residues()
     if q.kind == "torus":
-        return tuple(range(len(wts)))
-    return tuple(wts.index(mat_vec(q.sigma.linear, w)) for w in wts)
+        return points, index, shifted, None
+    image = q._sigma_half if half else q.sigma.apply
+    return points, index, shifted, [index(image(p)) for p in points]
+
+
+def _transfer_system(
+    q: QuotientGroup, kind: str, rep: str, step_in_w: int, labels: tuple, keep=None
+) -> TransferSystem:
+    """The step (p, l) -> (p + l[0], l rotated by one) on grid classes p
+    and labels l (a weight, or a gallery pair that swaps), modulo
+    (p, l) ~ (sigma p, sigma l); a step of one power of w is a half step,
+    on the doubled grid.  keep(l[0]) masks the points paired with l."""
+    points, _, shifted, sigma = _grid(q, half=step_in_w == 1)
+    L = len(labels)
+    at = {label: k for k, label in enumerate(labels)}
+    size = len(points) * L
+    succ = [0] * size  # id -> id of its successor
+    canon = list(range(size))  # id -> smallest id of its orbit
+    kept = [True] * size
+    for k, label in enumerate(labels):
+        nk = at[label[1:] + label[:1]]
+        succ[k::L] = [i * L + nk for i in shifted(label[0])]
+        if sigma is not None:
+            sk = at[tuple(mat_vec(q.sigma.linear, w) for w in label)]
+            canon[k::L] = [min(i * L + k, j * L + sk) for i, j in enumerate(sigma)]
+        if keep is not None:
+            kept[k::L] = keep(label[0])
+    states = [s for s in range(size) if kept[s] and canon[s] == s]
+    number = dict(zip(states, range(len(states))))
+    successor = tuple(number[canon[succ[s]]] for s in states)
+    return TransferSystem(kind, rep, tuple(states), successor, step_in_w)
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    wts = q.rs.weights(rep)
-    perm = _weight_perm(q, wts)
-
-    def canon(x: Vec, i: int):
-        a = (q.reduce(x), i)
-        if q.kind == "torus":
-            return a
-        b = (q.reduce(q.sigma.apply(x)), perm[i])
-        return a if a <= b else b
-
-    states = sorted({canon(x, i) for x in q.residues() for i in range(len(wts))})
-    index = {s: j for j, s in enumerate(states)}
-    succ = tuple(
-        index[canon(vec_add(x, wts[i]), i)] for (x, i) in states
-    )
-    return TransferSystem("walks", rep, states, succ, 2)
+    return _transfer_system(q, "walks", rep, 2, tuple((w,) for w in q.rs.weights(rep)))
 
 
 def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    wts = q.rs.weights(rep)
-    perm = _weight_perm(q, wts)
+    def irrational(lam: Vec) -> list:
+        # the line through x2 / 2 in direction lam misses the vertex lattice
+        rational = ((0, 0), (lam[0] % 2, lam[1] % 2))
+        return [(x % 2, y % 2) not in rational for x, y in q.half_residues()]
 
-    def rational(x2: Vec, lam: Vec) -> bool:
-        e = (x2[0] % 2, x2[1] % 2)
-        return e == (0, 0) or e == (lam[0] % 2, lam[1] % 2)
-
-    def canon(x2: Vec, i: int):
-        a = (q.reduce_half(x2), i)
-        if q.kind == "torus":
-            return a
-        b = (q.reduce_half(q._sigma_half(x2)), perm[i])
-        return a if a <= b else b
-
-    states = sorted(
-        {
-            canon(x2, i)
-            for x2 in q.half_residues()
-            for i in range(len(wts))
-            if not rational(x2, wts[i])
-        }
-    )
-    index = {s: j for j, s in enumerate(states)}
-    succ = tuple(
-        index[canon((x2[0] + wts[i][0], x2[1] + wts[i][1]), i)]
-        for (x2, i) in states
-    )
-    return TransferSystem("semi", rep, states, succ, 1)
+    labels = tuple((lam,) for lam in q.rs.weights(rep))
+    return _transfer_system(q, "semi", rep, 1, labels, irrational)
 
 
 def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    pairs = q.rs.gallery_pairs(rep)
-    wts = sorted({w for p in pairs for w in p})
-    perm = _weight_perm(q, tuple(wts))
-
-    def canon(v: Vec, i: int, j: int):
-        a = (q.reduce(v), i, j)
-        if q.kind == "torus":
-            return a
-        b = (q.reduce(q.sigma.apply(v)), perm[i], perm[j])
-        return a if a <= b else b
-
-    pair_indices = sorted(
-        {(wts.index(lam), wts.index(mu)) for lam, mu in pairs}
-    )
-    states = sorted(
-        {canon(v, i, j) for v in q.residues() for (i, j) in pair_indices}
-    )
-    index = {s: k for k, s in enumerate(states)}
-    succ = tuple(
-        index[canon(vec_add(v, wts[i]), j, i)] for (v, i, j) in states
-    )
-    return TransferSystem("galleries", rep, states, succ, 2)
+    return _transfer_system(q, "galleries", rep, 2, q.rs.gallery_pairs(rep))
 
 
 # ---------------------------------------------------------------------------

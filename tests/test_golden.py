@@ -7,9 +7,10 @@ The expected files under tests/golden/ were written by the CLI itself:
     weylzeta zeta   --input samples/<name>.spec --format text  (<name>.zeta.txt)
 
 Any change of representation inside the package must leave these bytes
-unchanged.  The two Klein `verify` outputs are also compared from a
-`python -O` subprocess, so the glide-line-count record and the explicit
-checks it relies on are shown to run without asserts.
+unchanged.  The `verify` outputs of all four samples are also compared
+from a `python -O` subprocess, so the glide-line-count record, the
+transfer systems and the explicit checks they rely on are shown to run
+without asserts.
 """
 
 import os
@@ -43,19 +44,32 @@ def test_zeta_text_output_bytes_match_golden(sample, capsys):
     assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("sample", ("a2_klein", "c2_klein_spin"))
-def test_klein_verify_bytes_match_golden_under_python_O(sample):
-    # the glide-line-count record and its explicit raises must run
-    # unchanged when asserts are stripped
+def _verify_under_python_O(sample):
     spec = ROOT / "samples" / f"{sample}.spec"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = ["verify", "--input", str(spec), "--format", "json"]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-m", "weylzeta.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("sample", ("a2_klein", "c2_klein_spin"))
+def test_klein_verify_bytes_match_golden_under_python_O(sample):
+    # the glide-line-count record and its explicit raises must run
+    # unchanged when asserts are stripped
+    done = _verify_under_python_O(sample)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"verify_{sample}.json").read_text()
+
+
+@pytest.mark.parametrize("sample", ("a2_torus", "c2_torus"))
+def test_torus_verify_bytes_match_golden_under_python_O(sample):
+    # torus transfer systems, whose orbits are single states, and their
+    # bijection check must run unchanged when asserts are stripped
+    done = _verify_under_python_O(sample)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / f"verify_{sample}.json").read_text()

@@ -1,0 +1,147 @@
+"""The flat-index transfer-system builder: its index map and its
+agreement with the tuple-canonicalizing reference builders."""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import reference
+from weylzeta.algebra import CycleProduct
+from weylzeta.corpus import generate_corpus
+from weylzeta.quotient import (
+    MAX_CLASSES,
+    SpecValidationError,
+    TorusSpec,
+    build,
+)
+from weylzeta.rootgeom import RootSystem, vec_add, vec_scale, vec_sub
+from weylzeta.specfile import load_spec_file
+from weylzeta.zeta import (
+    TransferSystem,
+    _grid,
+    build_gallery_system,
+    build_semi_system,
+    build_walk_system,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ("a2_klein", "a2_torus", "c2_klein_spin", "c2_torus")
+
+BUILDERS = (
+    (build_walk_system, reference.build_walk_system),
+    (build_semi_system, reference.build_semi_system),
+    (build_gallery_system, reference.build_gallery_system),
+)
+
+
+def _reference_quotients():
+    qs = [member.build() for member in generate_corpus(7)]
+    for name in SAMPLES:
+        parsed = load_spec_file(str(ROOT / "samples" / f"{name}.spec"))
+        qs.append(build(RootSystem.make(parsed.root_system), parsed.spec))
+    kleins = [q for q in qs if q.kind == "klein"]
+    return qs + [build(q.rs, TorusSpec(*q.gamma0_basis)) for q in kleins]
+
+
+def test_builders_match_tuple_reference():
+    qs = _reference_quotients()
+    assert any(q.kind == "klein" for q in qs) and any(q.kind == "torus" for q in qs)
+    for q in qs:
+        for rep in q.rs.rep_names:
+            for flat, ref in BUILDERS:
+                got, want = flat(q, rep), ref(q, rep)
+                where = (q, rep, got.kind)
+                assert got.size == want.size, where
+                assert got.cycle_lengths() == want.cycle_lengths(), where
+
+
+def test_transfer_system_rejects_a_non_bijective_successor():
+    with pytest.raises(AssertionError, match="not a bijection"):
+        TransferSystem("walks", "pi1", (0, 1, 2), (1, 1, 0), 2)
+    with pytest.raises(AssertionError, match="not a bijection"):
+        TransferSystem("walks", "pi1", (0, 1), (0, 2), 2)
+
+
+def test_cycle_lengths_are_returned_as_a_copy():
+    system = TransferSystem("walks", "pi1", (0, 1, 2, 3), (1, 0, 2, 3), 2)
+    lengths = system.cycle_lengths()
+    assert lengths == [1, 1, 2]
+    lengths.append(5)
+    assert system.cycle_lengths() == [1, 1, 2]
+    assert system.zeta() == CycleProduct({2: -2, 4: -1})
+    assert system.closed_paths(2) == 4
+
+
+# ---------------------------------------------------------------------------
+# the index map of the grid
+# ---------------------------------------------------------------------------
+
+# a basis of the coroot lattice of each root system
+COROOT_BASIS = {"A2": ((1, 1), (3, 0)), "C2": ((1, 1), (2, 0))}
+
+KLEIN_SPECS = sorted(
+    {
+        (member.root_system, member.spec)
+        for seed in range(3)
+        for member in generate_corpus(seed, 0, 12)
+    },
+    key=repr,
+)
+
+POINTS = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
+
+
+def _check_grid(q, x, half):
+    points, index, shifted, sigma = _grid(q, half)
+    u, v = q.gamma0_basis
+    member = q.in_translation_subgroup
+    if half:
+        u, v = vec_scale(2, u), vec_scale(2, v)
+        member = q._in_translation_subgroup_half
+    assert points == (q.half_residues() if half else q.residues())
+    assert len(points) == (4 if half else 1) * q._det
+    assert all(index(p) == i for i, p in enumerate(points))
+    i = index(x)
+    assert 0 <= i < len(points)
+    assert index(vec_add(x, u)) == i == index(vec_add(x, v))
+    assert index(vec_sub(x, u)) == i == index(vec_sub(x, v))
+    assert member(vec_sub(points[i], x))
+    assert shifted(x) == [index(vec_add(p, x)) for p in points]
+    if q.kind == "torus":
+        assert sigma is None
+        return
+    assert sorted(sigma) == list(range(len(sigma)))
+    assert all(sigma[k] != k and sigma[sigma[k]] == k for k in range(len(sigma)))
+
+
+@given(
+    st.sampled_from(("A2", "C2")),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    POINTS,
+)
+@settings(deadline=None, max_examples=30)
+def test_torus_index_map(rs_name, c1, c2, x):
+    (b1, b2) = COROOT_BASIS[rs_name]
+    v1 = vec_add(vec_scale(c1[0], b1), vec_scale(c1[1], b2))
+    v2 = vec_add(vec_scale(c2[0], b1), vec_scale(c2[1], b2))
+    det = v1[0] * v2[1] - v2[0] * v1[1]
+    assume(0 < abs(det) <= MAX_CLASSES)
+    q = build(RootSystem.make(rs_name), TorusSpec(v1, v2))
+    _check_grid(q, x, False)
+    _check_grid(q, x, True)
+
+
+@given(st.sampled_from(KLEIN_SPECS), st.sampled_from((1, 2, 3, -1, -2)), POINTS)
+@settings(deadline=None, max_examples=30)
+def test_klein_index_map(item, m, x):
+    rs_name, spec = item
+    try:
+        q = build(RootSystem.make(rs_name), replace(spec, m=spec.m * m))
+    except SpecValidationError:
+        assume(False)
+    _check_grid(q, x, False)
+    _check_grid(q, x, True)
