@@ -43,6 +43,7 @@ from .quotient import (
 from .rootgeom import HalfVec, ReprData, RootSystem
 from .specfile import ParsedSpec, SpecFileError, load_spec_file, parse_spec_text
 from .zeta import (
+    LPolynomial,
     OrderInsufficientError,
     TransferSystem,
     ZetaBundle,
@@ -51,7 +52,6 @@ from .zeta import (
     build_walk_system,
     correction_factor,
     l_poly_from_counts,
-    l_product_from_counts,
     required_order,
     torus_closed_form,
     zeta_bundle,
@@ -70,6 +70,7 @@ __all__ = [
     "HalfVec",
     "IntMatrix",
     "KleinSpec",
+    "LPolynomial",
     "NotCycleProduct",
     "NotPolynomialWithinBound",
     "OrderInsufficientError",
@@ -100,7 +101,6 @@ __all__ = [
     "generate_corpus",
     "glide_conjugacy_representative",
     "l_poly_from_counts",
-    "l_product_from_counts",
     "lambda_set_size",
     "load_spec_file",
     "normalize_generators",

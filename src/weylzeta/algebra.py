@@ -9,12 +9,15 @@ reporting layer.
 Every zeta function, correction factor and L-polynomial is a finite
 cycle product prod (1 - w**e)**k_e, held as a CycleProduct exponent
 dict: identities between them are dict equalities, decided in integer
-arithmetic.  Dense polynomials remain for the L-polynomial, the
-det(I - wT) cross-check and the reduced num/den forms printed at the
-edges.  No production path uses the truncated series (Series,
-series_exp, series_log): they are the reference the tests compare the
-integer paths against.  Coefficients are exact rationals throughout;
-nothing in this package touches floating point.
+arithmetic.  One kernel, _expand, multiplies such a product out as a
+power series truncated at a given order; it builds the reduced num/den
+forms printed at the edges and the L-polynomial from its Moebius
+exponents.  Dense polynomials (Poly) remain for those edges and for the
+det(I - wT) cross-check.  No production path uses the truncated series
+(Series, series_exp, series_log): they are the reference the tests
+compare the integer paths against.  Coefficients are exact: a Poly keeps
+integers as int and only non-integers as Fraction; nothing in this
+package touches floating point.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
@@ -42,6 +46,14 @@ def _frac(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _exact(x: RatLike) -> RatLike:
+    """x as an int when it is an integer, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
@@ -50,14 +62,16 @@ def _frac(x: RatLike) -> Fraction:
 class Poly:
     """Dense univariate polynomial in w over the rationals.
 
-    Trailing zero coefficients are stripped; the zero polynomial stores
-    an empty tuple and reports degree -1.  Instances are immutable.
+    Integer coefficients are held as int, the others as Fraction, so equal
+    polynomials have equal coefficient tuples.  Trailing zero coefficients
+    are stripped; the zero polynomial stores an empty tuple and reports
+    degree -1.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        c = [_frac(x) for x in coeffs]
+        c = [_exact(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.coeffs: tuple = tuple(c)
@@ -81,13 +95,13 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+    def constant_term(self) -> RatLike:
+        return self.coeffs[0] if self.coeffs else 0
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> RatLike:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def is_even_in_w(self) -> bool:
         """True when only even powers of w occur (the object is a function of u)."""
@@ -99,7 +113,7 @@ class Poly:
     def to_int_coeffs(self) -> list:
         if not self.is_integer():
             raise ValueError("polynomial has non-integer coefficients")
-        return [c.numerator for c in self.coeffs]
+        return list(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -125,7 +139,6 @@ class Poly:
         return self + (-other)
 
     def scale(self, c: RatLike) -> "Poly":
-        c = _frac(c)
         if c == 0:
             return Poly()
         return Poly([x * c for x in self.coeffs])
@@ -136,7 +149,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out_f = [Fraction(0)] * (len(a) + len(b) - 1)
+        out_f = [0] * (len(a) + len(b) - 1)
         for i, av in enumerate(a):
             if av:
                 for j, bv in enumerate(b):
@@ -392,26 +405,39 @@ def _mobius_table(n: int) -> list:
     return mu
 
 
-def _expand(factors: dict) -> list:
-    """Integer coefficients of prod (1 - w**d)**x_d, known to be a polynomial.
+def _expand(factors: dict, top: int) -> list:
+    """The power series of prod (1 - w**d)**x_d truncated after w**top, as
+    its integer coefficients [c_0, ..., c_top].
 
-    Returns [c_0, ..., c_deg] with deg = sum d * x_d and c_deg != 0: the
-    exact coefficient list, [1] for the empty product, never with trailing
-    zeros.  The positive powers are multiplied out first, each factor over
-    the support reached so far, so every later division by 1 - w**d is
-    exact; the divisions then run only up to deg, since no coefficient
-    above deg reaches one below it.
+    Each factor costs at most top // d passes over the list.  A factor is
+    multiplied through its binomial series, one pass per term after the
+    first below the truncation: min(x_d, top // d) passes for x_d > 0 and
+    top // d for x_d < 0, each over the support reached so far.  The
+    positive powers go first, so that support grows from one term.  The
+    exception is a negative power with |x_d| <= top // d: it is |x_d|
+    divisions by 1 - w**d, each a running sum along the residue classes
+    mod d.
     """
-    c = [1]
-    for d, x in sorted(factors.items()):
-        for _ in range(x):
-            padded = c + [0] * d
-            c = padded[:d] + [a - b for a, b in zip(padded[d:], c)]
-    del c[1 + sum(d * x for d, x in factors.items()) :]
-    for d, x in sorted(factors.items()):
-        for _ in range(-x):
-            for i in range(d, len(c)):
-                c[i] += c[i - d]
+    c = [1] + [0] * top
+    hi = 0  # c[i] == 0 for i > hi
+    for d, x in sorted(factors.items(), key=lambda f: (f[1] < 0, f[0])):
+        terms = top // d
+        if not (x and terms):
+            continue
+        if -terms <= x < 0:
+            for _ in range(-x):
+                for r in range(d):
+                    c[r::d] = accumulate(c[r::d])
+            hi = top
+            continue
+        last = min(x, terms) if x > 0 else terms
+        src, b = c[: hi + 1], 1
+        for k in range(1, last + 1):
+            b = b * (k - 1 - x) // k  # (-1)**k * binomial(x, k), exactly
+            lo = k * d
+            hi_k = min(top, lo + hi)
+            c[lo : hi_k + 1] = [a + b * y for a, y in zip(c[lo : hi_k + 1], src)]
+        hi = min(top, hi + last * d)
     return c
 
 
@@ -506,46 +532,73 @@ class CycleProduct:
                 c[m] += x
         return {m: x for m, x in c.items() if x}
 
-    def _part(self, sign: int) -> dict:
-        """{d: x_d} with prod_d (1 - w**d)**x_d = prod_{sign*c_m > 0} Phi_m**|c_m|."""
+    def _reduced(self) -> tuple:
+        """({d: x_d} of num, {d: x_d} of den), num and den in one pass.
+
+        num = prod_d (1 - w**d)**x_d is the product of the Phi_m**c_m with
+        c_m > 0, den that of the Phi_m**-c_m with c_m < 0, each Phi_m
+        written as prod_{d | m} (1 - w**d)**mu(m / d).
+        """
         c = self._cyclotomic_exponents()
         mu = _mobius_table(max(c, default=0))
-        x: Counter = Counter()
+        parts = (Counter(), Counter())
         for m, cm in c.items():
-            if sign * cm > 0:
-                for d in _divisors(m):
-                    x[d] += mu[m // d] * abs(cm)
-        return x
+            part = parts[cm < 0]
+            for d in _divisors(m):
+                part[d] += mu[m // d] * abs(cm)
+        return parts
 
     def degrees(self) -> tuple:
         """(deg num, deg den) of the reduced form, without expanding it."""
-        return tuple(
-            sum(d * x for d, x in self._part(sign).items()) for sign in (1, -1)
-        )
+        return tuple(sum(d * x for d, x in part.items()) for part in self._reduced())
 
-    def expands_to(self, coeffs: list) -> bool:
-        """Whether the function is the polynomial with these integer
-        coefficients (no trailing zeros).
-
-        The reduced numerator and denominator are taken once; the empty
-        denominator and the degree are checked before anything is expanded.
-        """
-        num, den = self._part(1), self._part(-1)
-        if any(den.values()) or sum(d * x for d, x in num.items()) != len(coeffs) - 1:
-            return False
-        return _expand(num) == coeffs
+    def is_polynomial_within(self, degree: int) -> bool:
+        """Whether the function is a polynomial of degree at most degree:
+        an empty reduced denominator and a numerator no longer than that.
+        Nothing is expanded."""
+        num, den = self.degrees()
+        return den == 0 and num <= degree
 
     def num_den(self) -> tuple:
         """The reduced form (num, den) as integer polynomials.
 
         num and den are coprime and both have constant term 1: num is the
         product of the Phi_m**c_m with c_m > 0, den of those with c_m < 0.
-        This is the unique lowest-terms form with den(0) = 1.
+        This is the unique lowest-terms form with den(0) = 1.  Each is the
+        expansion of its factors truncated at its degree, which is exact.
         """
-        return tuple(Poly(_expand(self._part(sign))) for sign in (1, -1))
+        return tuple(
+            Poly(_expand(part, sum(d * x for d, x in part.items())))
+            for part in self._reduced()
+        )
 
     def __repr__(self):
         return f"CycleProduct({dict(self.items())})"
+
+
+def _moebius_exponents(traces: Sequence[int]) -> tuple:
+    """({d: a_d}, bad) with traces[n-1] = N_n = sum_{d | n} d * a_d.
+
+    Moebius inversion gives d * a_d = sum_{d' | d} mu(d / d') N_d'.  The
+    dict holds the nonzero a_d up to the first d whose a_d is not an
+    integer; bad is that d, or None when every a_d is an integer.
+    """
+    n = len(traces)
+    mu = _mobius_table(n)
+    s = [0] * (n + 1)
+    for d, t in enumerate(traces, start=1):
+        if t:
+            for j in range(1, n // d + 1):
+                if mu[j]:
+                    s[d * j] += mu[j] * t
+    exponents = {}
+    for d in range(1, n + 1):
+        if s[d]:
+            a, r = divmod(s[d], d)
+            if r:
+                return exponents, d
+            exponents[d] = a
+    return exponents, None
 
 
 def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProduct:
@@ -556,20 +609,7 @@ def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProd
     d*a_d, and Moebius inversion gives d*a_d = sum_{d' | d} mu(d/d') N_{d'}.
     Raises NotCycleProduct when some a_d is not an integer.
     """
-    n = len(traces)
-    mu = _mobius_table(n)
-    s = [0] * (n + 1)
-    for d, t in enumerate(traces, start=1):
-        if t:
-            for j in range(1, n // d + 1):
-                if mu[j]:
-                    s[d * j] += mu[j] * t
-    out = {}
-    for d in range(1, n + 1):
-        a, r = divmod(s[d], d)
-        if r:
-            raise NotCycleProduct(
-                f"exponent of (1 - w^{step * d}) is {s[d]}/{d}, not an integer"
-            )
-        out[step * d] = a
-    return CycleProduct(out)
+    exponents, bad = _moebius_exponents(traces)
+    if bad is not None:
+        raise NotCycleProduct(f"exponent of (1 - w^{step * bad}) is not an integer")
+    return CycleProduct({step * d: a for d, a in exponents.items()})

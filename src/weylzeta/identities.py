@@ -4,13 +4,12 @@ Each record compares two independently computed objects.  Every zeta
 function, correction factor and L-polynomial is a CycleProduct, so a
 rational-function identity is an equality of exponent dicts, decided by
 integer arithmetic: never numerically, never by truncation and without
-dense polynomials.  The L-polynomial enters once: its integer
-coefficients come from the closed-walk counts by Newton's identities,
-and it is converted by Moebius inversion of the same counts.  P is
-checked against that conversion in integers: the product must have an
-empty reduced denominator and P's degree, and its numerator must expand
-to exactly P's coefficient list.  Dense Fraction polynomials are built
-only for the detail of a failed record.  Count-versus-log
+dense polynomials.  The L-polynomial enters once: l_poly_from_counts
+takes the Moebius exponents of the closed-walk counts, expands their
+product once for P's integer coefficients and its vanishing tail, and
+hands on the product as P's CycleProduct when a cyclotomic degree check
+shows it is P itself.  Dense polynomials are built only for the detail
+of a failed record.  Count-versus-log
 identities compare closed-form census values against divisor sums over
 the cycle structure, which is the exact coefficient of the zeta
 logarithm at that order.
@@ -41,7 +40,6 @@ from .zeta import (
     build_walk_system,
     correction_factor,
     l_poly_from_counts,
-    l_product_from_counts,
     resolve_order,
     torus_closed_form,
 )
@@ -221,7 +219,7 @@ def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
     l_product, l_reason = None, "l-reconstruction failed"
     if l_poly is not None:
         try:
-            l_product = l_product_from_counts(counts_n, l_poly)
+            l_product = l_poly.cycle_product()
         except NotCycleProduct as exc:
             l_reason = f"l-polynomial is not a cycle product: {exc}"
     return _RepData(

@@ -27,15 +27,15 @@ lengths are computed once per system.  The characteristic-polynomial
 route through det(I - wT) on the explicit permutation matrix is kept as
 a cross-check path; the cycle decomposition is the production path.
 
-The L-polynomial P has one path: its integer coefficients follow from
-the closed-walk counts by Newton's identities in u (l_poly_from_counts),
-then Moebius inversion of the same counts converts it to a CycleProduct
-(l_product_from_counts), checked in integers to expand back to P.
+The L-polynomial P has one path (l_poly_from_counts): one Moebius
+inversion of the closed-walk counts gives P's factorization
+prod (1 - u**d)**a_d, one truncated expansion of it gives P's integer
+coefficients and checks the vanishing tail, and a cyclotomic degree check,
+which expands nothing, decides whether that product is P itself.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -46,7 +46,8 @@ from .algebra import (
     NotCycleProduct,
     NotPolynomialWithinBound,
     Poly,
-    cycle_product_from_traces,
+    _expand,
+    _moebius_exponents,
 )
 from .census import walk_count_table
 from .quotient import (
@@ -219,49 +220,78 @@ def zeta_galleries(q: QuotientGroup, rep: str) -> CycleProduct:
     return build_gallery_system(q, rep).zeta()
 
 
-def l_poly_from_counts(counts, bound: int) -> Poly:
+class LPolynomial(Poly):
+    """The L-polynomial P, a polynomial in w, with its cycle product when
+    the Moebius product of the counts it came from is exactly P."""
+
+    __slots__ = ("_product",)
+
+    def __init__(self, u_coeffs: list, product: Optional[CycleProduct]):
+        w_coeffs = [0] * (2 * len(u_coeffs) - 1)
+        w_coeffs[::2] = u_coeffs
+        super().__init__(w_coeffs)
+        self._product = product
+
+    def cycle_product(self) -> CycleProduct:
+        """P as a CycleProduct; NotCycleProduct when the counts' product is not P."""
+        if self._product is None:
+            raise NotCycleProduct(
+                "the Moebius product of the counts is not a polynomial within the bound"
+            )
+        return self._product
+
+
+def l_poly_from_counts(counts, bound: int) -> LPolynomial:
     """Reconstruct the L-polynomial P from the closed-walk counts N_1, N_2, ...
 
     P is the polynomial with P * exp(sum_n N_n u**n / n) = 1, of degree at
     most bound = N * (number of nontrivial weights); the full L-function
-    is (1-u)**(-eps*N) / P.  Newton's identities n p_n = -sum_{i<=n} N_i
-    p_{n-i} run in integers for every n <= len(counts); the first n with
-    p_n nonzero above the bound raises NotPolynomialWithinBound(2n), the
-    first with p_n not an integer AssertionError.  At least 2 * bound + 8
-    counts are required so the vanishing tail is actually witnessed.
+    is (1-u)**(-eps*N) / P.  At least 2 * bound + 8 counts are required so
+    the vanishing tail is actually witnessed.
+
+    Construction.  Every series 1 + O(u) is a product prod_d (1 - u**d)**a_d,
+    here with d * a_d = sum_{d' | d} mu(d / d') N_d' (Moebius inversion).
+    The exponents are taken up to the first that is not an integer, and
+    their product is expanded once, truncated at the last d taken.  The
+    first n > bound with a nonzero coefficient raises
+    NotPolynomialWithinBound(2n).  Otherwise the first non-integer a_n, if
+    any, raises NotPolynomialWithinBound(2n) when n > bound and
+    AssertionError when n <= bound.
+
+    Why this is the failure of Newton's identities n p_n = -sum_{i<=n} N_i
+    p_{n-i}, which check each n in turn for p_n nonzero past the bound,
+    then for p_n not an integer.  The u**n coefficient of
+    prod (1 - u**d)**a_d is -a_n plus an integer polynomial in a_1, ...,
+    a_{n-1} (the Witt, or necklace, factorization).  So below the first
+    non-integer exponent the expansion's coefficients are Newton's p_n, and
+    at it p_n is not an integer, hence not zero either: the same first n
+    fails, in the same way.
+
+    Why the product is P when the degree check passes.  If the product is
+    a polynomial of degree at most bound, its series through
+    u**len(counts) is itself, so it is the expansion there; the expansion
+    vanishes past the bound, so the product is P.  If it is not such a
+    polynomial, it is not P, which is one.  The check reads the reduced
+    degrees (CycleProduct.is_polynomial_within) and expands nothing.  For
+    N_n = 2**n, P = 1 - 2u, but no exponent vanishes, and cycle_product()
+    raises NotCycleProduct.
     """
     required = 2 * bound + 8
     if len(counts) < required:
         raise OrderInsufficientError(len(counts), required)
-    nonzero = [(i, c) for i, c in enumerate(counts, start=1) if c]
-    index = [i for i, _ in nonzero]
-    p = [1] + [0] * bound
-    for n in range(1, len(counts) + 1):
-        # p_j vanishes for bound < j < n, so only N_i with n - bound <= i
-        # <= n contribute
-        s = 0
-        for i, c in nonzero[bisect_left(index, n - bound) : bisect_right(index, n)]:
-            s -= c * p[n - i]
-        if s and n > bound:
+    exponents, bad = _moebius_exponents(counts)
+    top = len(counts) if bad is None else bad - 1
+    c = _expand(exponents, top)
+    for n in range(bound + 1, top + 1):
+        if c[n]:
             raise NotPolynomialWithinBound(2 * n)
-        pn, r = divmod(s, n)
-        if r:
-            raise AssertionError("L-polynomial has non-integer coefficients")
-        if n <= bound:
-            p[n] = pn
-    return Poly([x for pj in p for x in (pj, 0)])
-
-
-def l_product_from_counts(counts, p: Poly) -> CycleProduct:
-    """P as a CycleProduct, by Moebius inversion of the counts it came from.
-
-    Raises NotCycleProduct unless every exponent is an integer and the
-    product expands back to exactly the integer coefficients of P.
-    """
-    prod = cycle_product_from_traces(counts, 2)
-    if not (p.is_integer() and prod.expands_to(p.to_int_coeffs())):
-        raise NotCycleProduct("the product does not expand back to the L-polynomial")
-    return prod
+    if bad is not None:
+        if bad > bound:
+            raise NotPolynomialWithinBound(2 * bad)
+        raise AssertionError("L-polynomial has non-integer coefficients")
+    product = CycleProduct({2 * d: a for d, a in exponents.items()})
+    exact = product.is_polynomial_within(2 * bound)
+    return LPolynomial(c[: bound + 1], product if exact else None)
 
 
 def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:
@@ -363,6 +393,6 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
         p = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))
         lpoly[rep] = p
         trivial = CycleProduct({2: q.rs.rep(rep).epsilon * q.N})
-        lfunc[rep] = (trivial * l_product_from_counts(ns, p)).inverse()
+        lfunc[rep] = (trivial * p.cycle_product()).inverse()
         corr[rep] = correction_factor(q, rep)
     return ZetaBundle(order, zeta, semi, gal, lpoly, lfunc, counts, corr)

@@ -1,5 +1,9 @@
 """Reference implementations that production no longer uses.
 
+``l_poly_from_counts`` is the L-polynomial by Newton's identities in u,
+one integer recurrence step per count; production builds P from its
+Moebius exponents with one expansion and is tested against it.
+
 The transfer-system builders below canonicalize every state as a tuple:
 the reduced grid point (``reduce`` / ``reduce_half``), the label and, for
 a Klein bottle, the lexicographic minimum over the two sheet images.
@@ -10,9 +14,45 @@ the reference those builders are tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
+from weylzeta.algebra import NotPolynomialWithinBound, Poly
 from weylzeta.quotient import QuotientGroup
 from weylzeta.rootgeom import Vec, mat_vec, vec_add
-from weylzeta.zeta import TransferSystem
+from weylzeta.zeta import OrderInsufficientError, TransferSystem
+
+
+def l_poly_from_counts(counts, bound: int) -> Poly:
+    """Reconstruct the L-polynomial P from the closed-walk counts N_1, N_2, ...
+
+    P is the polynomial with P * exp(sum_n N_n u**n / n) = 1, of degree at
+    most bound = N * (number of nontrivial weights); the full L-function
+    is (1-u)**(-eps*N) / P.  Newton's identities n p_n = -sum_{i<=n} N_i
+    p_{n-i} run in integers for every n <= len(counts); the first n with
+    p_n nonzero above the bound raises NotPolynomialWithinBound(2n), the
+    first with p_n not an integer AssertionError.  At least 2 * bound + 8
+    counts are required so the vanishing tail is actually witnessed.
+    """
+    required = 2 * bound + 8
+    if len(counts) < required:
+        raise OrderInsufficientError(len(counts), required)
+    nonzero = [(i, c) for i, c in enumerate(counts, start=1) if c]
+    index = [i for i, _ in nonzero]
+    p = [1] + [0] * bound
+    for n in range(1, len(counts) + 1):
+        # p_j vanishes for bound < j < n, so only N_i with n - bound <= i
+        # <= n contribute
+        s = 0
+        for i, c in nonzero[bisect_left(index, n - bound) : bisect_right(index, n)]:
+            s -= c * p[n - i]
+        if s and n > bound:
+            raise NotPolynomialWithinBound(2 * n)
+        pn, r = divmod(s, n)
+        if r:
+            raise AssertionError("L-polynomial has non-integer coefficients")
+        if n <= bound:
+            p[n] = pn
+    return Poly([x for pj in p for x in (pj, 0)])
 
 
 def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:

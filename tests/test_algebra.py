@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: polynomials, series, det(I - wT), cycle products."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,8 @@ from weylzeta.algebra import (
     series_exp,
     series_log,
 )
+from weylzeta.cli import poly_to_json
+from weylzeta.identities import _poly_json
 from weylzeta.zeta import OrderInsufficientError, l_poly_from_counts
 
 # ---------------------------------------------------------------------------
@@ -306,7 +309,7 @@ def plain_num_den(f: CycleProduct) -> tuple:
 
 def _poly_divmod(a: Poly, b: Poly) -> tuple:
     """Long division over the rationals (test oracle)."""
-    r = list(a.coeffs)
+    r = [Fraction(c) for c in a.coeffs]
     q = [Fraction(0)] * max(len(r) - b.degree, 1)
     while len(r) - 1 >= b.degree and any(r):
         c = r[-1] / b.coeffs[-1]
@@ -329,7 +332,7 @@ def reduced(num: Poly, den: Poly) -> tuple:
     """num/den in lowest terms with den(0) = 1, by the Euclidean algorithm."""
     g = _poly_gcd(num, den)
     num, den = _poly_divmod(num, g)[0], _poly_divmod(den, g)[0]
-    c = den.coeffs[0]
+    c = Fraction(den.coeffs[0])
     return num.scale(1 / c), den.scale(1 / c)
 
 
@@ -460,27 +463,78 @@ def test_cycle_product_substitutions_match_dense(f, m):
 def test_expand_returns_the_exact_coefficient_list():
     # Phi_6 = (1 - w)(1 - w^6) / ((1 - w^2)(1 - w^3)): the divisions lower
     # the degree from 7 to 2, and no zero is left above it
-    assert _expand({1: 1, 6: 1, 2: -1, 3: -1}) == [1, -1, 1]
-    assert _expand({}) == [1]
-    assert _expand({3: 2}) == [1, 0, 0, -2, 0, 0, 1]
+    assert _expand({1: 1, 6: 1, 2: -1, 3: -1}, 2) == [1, -1, 1]
+    assert _expand({}, 0) == [1]
+    assert _expand({3: 2}, 6) == [1, 0, 0, -2, 0, 0, 1]
 
 
 @given(small_products)
 @settings(deadline=None, max_examples=150)
 def test_expand_matches_the_reduced_form(f):
-    for sign, p in zip((1, -1), f.num_den()):
-        c = _expand(f._part(sign))
+    for part, p in zip(f._reduced(), f.num_den()):
+        c = _expand(part, sum(d * x for d, x in part.items()))
         assert c == p.to_int_coeffs() and c[-1] != 0
 
 
-def test_expands_to_checks_denominator_degree_and_coefficients():
+def series_power(s: Series, e: int) -> Series:
+    """s**e by repeated multiplication, through the reciprocal when e < 0."""
+    base = s if e >= 0 else s.reciprocal()
+    out = Series.one(s.order)
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+@given(
+    st.dictionaries(st.integers(1, 8), st.integers(-14, 14), max_size=4),
+    st.integers(0, 24),
+)
+@settings(deadline=None, max_examples=80)
+def test_truncated_expand_matches_series_products(factors, top):
+    # exponents past top // d take the binomial-series branch
+    expected = Series.one(top)
+    for d, x in factors.items():
+        expected = expected * series_power(Series.from_poly(one_minus(d), top), x)
+    assert _expand(factors, top) == list(expected.coeffs)
+
+
+def test_truncated_expand_handles_huge_exponents():
+    # (1 - w)**(2**80) through w**3, one binomial pass per term
+    x = 2**80
+    assert _expand({1: x}, 3) == [1, -x, x * (x - 1) // 2, -x * (x - 1) * (x - 2) // 6]
+    assert _expand({2: -x}, 4) == [1, 0, x, 0, x * (x + 1) // 2]
+
+
+def test_is_polynomial_within_checks_denominator_and_degree():
     f = CycleProduct({2: 1, 1: -1})  # 1 + w
-    assert f.expands_to([1, 1])
-    assert not f.expands_to([1, 1, 0])
-    assert not f.expands_to([1, 2])
-    assert not f.expands_to([])
-    assert not CycleProduct({1: -1}).expands_to([1])  # 1 / (1 - w)
-    assert CycleProduct().expands_to([1])
+    assert f.is_polynomial_within(1)
+    assert f.is_polynomial_within(5)
+    assert not f.is_polynomial_within(0)
+    assert not CycleProduct({1: -1}).is_polynomial_within(9)  # 1 / (1 - w)
+    assert not CycleProduct({1: 2, 2: -1}).is_polynomial_within(9)  # (1 - w) / (1 + w)
+    assert CycleProduct().is_polynomial_within(0)
+    # Phi_6 = (1 - w)(1 - w^6) / ((1 - w^2)(1 - w^3)), of degree 2
+    phi6 = CycleProduct({1: 1, 6: 1, 2: -1, 3: -1})
+    assert phi6.is_polynomial_within(2) and not phi6.is_polynomial_within(1)
+
+
+def test_poly_int_and_fraction_coefficients_agree():
+    a = Poly([1, Fraction(4, 2), Fraction(1, 3), Fraction(0)])
+    b = Poly([Fraction(1), 2, Fraction(2, 6)])
+    assert a == b and hash(a) == hash(b) and a.coeffs == (1, 2, Fraction(1, 3))
+    assert [type(c) for c in a.coeffs] == [int, int, Fraction]
+    assert Poly([Fraction(6, 3)]) * Poly([Fraction(1, 2)]) == Poly.one()
+    assert type((Poly([Fraction(6, 3)]) * Poly([Fraction(1, 2)])).coeffs[0]) is int
+    assert a.coefficient(7) == 0 and Poly().constant_term == 0
+    # the JSON edges print the same bytes for either coefficient type
+    assert json.dumps(_poly_json(a)) == '[1, 2, "1/3"]'
+    for coeffs in ([1, 0, -3, 0, 2], [Fraction(1), 0, Fraction(-6, 2), 0, Fraction(2)]):
+        assert json.dumps(poly_to_json(Poly(coeffs))) == (
+            '{"coeffs": [1, -3, 2], "var": "u"}'
+        )
+    assert json.dumps(poly_to_json(Poly([1, Fraction(-1)]))) == (
+        '{"coeffs": [1, -1], "var": "w"}'
+    )
 
 
 def traces_of(f: CycleProduct, n: int) -> list:

@@ -14,10 +14,10 @@ from weylzeta.identities import (
 from weylzeta.quotient import KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import RootSystem
 from weylzeta.zeta import (
+    LPolynomial,
     OrderInsufficientError,
     axis_factor,
     l_poly_from_counts,
-    l_product_from_counts,
     required_order,
     zeta_walks,
 )
@@ -75,19 +75,17 @@ def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
     q = REFERENCE[2]
     counts = walk_count_table(q, "pi1", 48).values
     p = l_poly_from_counts(counts, q.N * 3)
-    lhs = l_product_from_counts(counts, p).inverse()
+    lhs = p.cycle_product().inverse()
     rhs = zeta_walks(q, "pi1") * axis_factor(6, 1)
     assert lhs == rhs
 
 
 @pytest.mark.parametrize("q", (REFERENCE[0], REFERENCE[2]), ids=repr)
 def test_failed_l_conversion_fails_dependent_records(q, monkeypatch):
-    import weylzeta.identities as identities_mod
-
-    def refuse(counts, p):
+    def refuse(p):
         raise NotCycleProduct("refused")
 
-    monkeypatch.setattr(identities_mod, "l_product_from_counts", refuse)
+    monkeypatch.setattr(LPolynomial, "cycle_product", refuse)
     report = verify(q)
     failed = {r.identity_id: r.detail for r in report.failures()}
     dependent = ("torus-three-way", "main-identity") if q.kind == "torus" else (

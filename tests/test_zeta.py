@@ -1,14 +1,17 @@
 """Transfer systems, zeta functions, L-polynomials, closed forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from weylzeta.algebra import (
     CycleProduct,
     NotCycleProduct,
+    NotPolynomialWithinBound,
     Poly,
     Series,
     det_identity_minus_wT,
@@ -33,7 +36,6 @@ from weylzeta.zeta import (
     build_walk_system,
     correction_factor,
     l_poly_from_counts,
-    l_product_from_counts,
     required_order,
     resolve_order,
     torus_closed_form,
@@ -128,10 +130,9 @@ def test_l_polynomials_on_coroot_tori():
         (A2_TORUS, "pi1", 6, 3),
         (C2_TORUS, "spin", 4, 4),
     ):
-        counts = walk_count_table(q, rep, 48).values
         p = l_poly(q, rep, 48)
         assert p == (Poly.one() - Poly.monomial(w_exp)) ** e
-        assert l_product_from_counts(counts, p) == CycleProduct({w_exp: e})
+        assert p.cycle_product() == CycleProduct({w_exp: e})
 
 
 def test_l_function_series_is_reciprocal_of_p():
@@ -162,40 +163,79 @@ def test_l_function_order_pre_condition():
 
 
 def test_l_product_checks_the_dense_polynomial():
-    counts = walk_count_table(A2_TORUS, "pi1", 48).values
-    p = l_poly(A2_TORUS, "pi1", 48)
-    # a polynomial that the counts do not produce
+    # counts that no cycle product has: 2 * a_2 = N_2 - N_1 = -1, so P
+    # itself fails at u**2
+    with pytest.raises(AssertionError, match="non-integer coefficients"):
+        l_poly_from_counts((1, 0) + (0,) * 24, 2)
+    # N_n = 2**n belongs to P = 1 - 2u, whose exponents a_d grow like
+    # 2**d / d: P is found, but the degree check refuses the product
+    # without expanding it
+    p = l_poly_from_counts(tuple(2**n for n in range(1, 41)), 1)
+    assert p == Poly([1, 0, -2])
     with pytest.raises(NotCycleProduct):
-        l_product_from_counts(counts, p * Poly([1, 0, 1]))
-    with pytest.raises(NotCycleProduct):
-        l_product_from_counts(counts, Poly([1, 0, 1]))
-    # counts that no cycle product has: 2 * a_2 = N_2 - N_1 = -1
-    with pytest.raises(NotCycleProduct):
-        l_product_from_counts((1, 0) + (0,) * 24, Poly.one())
-    # N_n = 2**n belongs to P = 1 - 2u, whose exponents a_d grow like 2**d / d;
-    # the degree check refuses it without expanding the product
-    with pytest.raises(NotCycleProduct):
-        l_product_from_counts(tuple(2**n for n in range(1, 41)), Poly([1, 0, -2]))
+        p.cycle_product()
 
 
 def test_l_product_expands_back_past_the_degree_check():
-    # P keeps its degree and gains one interior coefficient, so only the
-    # expansion can refuse it.  The Klein rep's numerator has a negative
-    # Moebius exponent, (1 - u**6)**-1 in its reduced form.
+    # The product that comes with P is P: its reduced form is P over 1.
+    # The Klein rep's numerator has a negative Moebius exponent,
+    # (1 - u**6)**-1 in its reduced form, so the degree check passes a
+    # product that is not a plain product of (1 - u**d) factors.
     klein = build(A2, KleinSpec((-1, 0), (0, -1), 0, -3, 2))
     for q, rep in ((A2_TORUS, "pi1"), (klein, "pi1")):
-        order = resolve_order(q)
-        counts = walk_count_table(q, rep, order).values
-        p = l_poly(q, rep, order)
-        prod = l_product_from_counts(counts, p)
+        p = l_poly(q, rep, resolve_order(q))
+        prod = p.cycle_product()
         if q is klein:
-            assert any(x < 0 for x in prod._part(1).values())
-        changed = list(p.coeffs)
-        changed[2] += 1
-        bad = Poly(changed)
-        assert bad.degree == p.degree
-        with pytest.raises(NotCycleProduct):
-            l_product_from_counts(counts, bad)
+            assert any(x < 0 for x in prod._reduced()[0].values())
+        assert prod.num_den() == (p, Poly.one())
+
+
+def l_outcome(fn, counts, bound):
+    """fn's P, or the type of its failure with the exponent of a tail failure."""
+    try:
+        return fn(counts, bound)
+    except (NotPolynomialWithinBound, AssertionError) as exc:
+        return type(exc), getattr(exc, "exponent", None)
+
+
+def perturbations(counts, bound):
+    """counts with one entry N_n changed by -1, +1, +n or +bound+1, at n
+    below, at and past the bound and at the end."""
+    top = len(counts)
+    for n in sorted({1, 2, 3, bound // 2, bound, bound + 1, bound + 2, 2 * bound, top}):
+        if not 1 <= n <= top:
+            continue
+        for delta in (-1, 1, n, bound + 1):
+            changed = list(counts)
+            changed[n - 1] += delta
+            yield changed
+
+
+def test_l_poly_matches_the_newton_recurrence():
+    # the value, or the failure and its exponent, of the Newton recurrence
+    cases = []
+    for member in generate_corpus(7, 20, 12):
+        q = member.build()
+        order = resolve_order(q)
+        for rep in q.rs.rep_names:
+            counts = walk_count_table(q, rep, order).values
+            bound = q.N * len(q.rs.weights(rep))
+            cases.append((counts, bound))
+            cases += [(c, bound) for c in perturbations(counts, bound)]
+    rng = random.Random(11)
+    for _ in range(300):
+        bound = rng.randint(0, 5)
+        cases.append(([rng.randint(-3, 3) for _ in range(2 * bound + 8)], bound))
+    cases += [([2**n for n in range(1, 2 * b + 9)], b) for b in range(6)]
+    outcomes = []
+    for counts, bound in cases:
+        got = l_outcome(l_poly_from_counts, counts, bound)
+        assert got == l_outcome(reference.l_poly_from_counts, counts, bound)
+        outcomes.append(got if isinstance(got, tuple) else None)
+    # every branch is exercised: P, the tail, and a non-integer coefficient
+    assert None in outcomes
+    assert any(o and o[0] is NotPolynomialWithinBound for o in outcomes)
+    assert any(o and o[0] is AssertionError for o in outcomes)
 
 
 def regular_representation_l_poly(q, rep):
