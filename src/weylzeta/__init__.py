@@ -10,22 +10,12 @@ as exact equalities of cycle products.
 
 from .algebra import (
     CycleProduct,
-    IntMatrix,
     NotCycleProduct,
     NotPolynomialWithinBound,
     Poly,
-    Series,
-    cycle_product_from_traces,
-    det_identity_minus_wT,
-    series_exp,
-    series_log,
 )
 from .census import (
     CountTable,
-    count_closed_galleries,
-    count_closed_walks,
-    count_geodesic_walks,
-    count_semi_closings,
     lambda_set_size,
 )
 from .corpus import CorpusMember, generate_corpus
@@ -68,7 +58,6 @@ __all__ = [
     "CountTable",
     "CycleProduct",
     "HalfVec",
-    "IntMatrix",
     "KleinSpec",
     "LPolynomial",
     "NotCycleProduct",
@@ -79,7 +68,6 @@ __all__ = [
     "QuotientGroup",
     "ReprData",
     "RootSystem",
-    "Series",
     "SpecFileError",
     "SpecValidationError",
     "TorusSpec",
@@ -92,12 +80,6 @@ __all__ = [
     "build_semi_system",
     "build_walk_system",
     "correction_factor",
-    "count_closed_galleries",
-    "count_closed_walks",
-    "count_geodesic_walks",
-    "count_semi_closings",
-    "cycle_product_from_traces",
-    "det_identity_minus_wT",
     "generate_corpus",
     "glide_conjugacy_representative",
     "l_poly_from_counts",
@@ -106,8 +88,6 @@ __all__ = [
     "normalize_generators",
     "parse_spec_text",
     "required_order",
-    "series_exp",
-    "series_log",
     "torus_closed_form",
     "verify",
     "zeta_bundle",

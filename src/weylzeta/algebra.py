@@ -12,18 +12,16 @@ dict: identities between them are dict equalities, decided in integer
 arithmetic.  One kernel, _expand, multiplies such a product out as a
 power series truncated at a given order; it builds the reduced num/den
 forms printed at the edges and the L-polynomial from its Moebius
-exponents.  Dense polynomials (Poly) remain for those edges and for the
-det(I - wT) cross-check.  No production path uses the truncated series
-(Series, series_exp, series_log): they are the reference the tests
-compare the integer paths against.  Coefficients are exact: a Poly keeps
-integers as int and only non-integers as Fraction; nothing in this
-package touches floating point.
+exponents.  Dense polynomials (Poly) remain for those edges only.  The
+Fraction power series and det(I - wT) that the tests compare these
+integer paths against live in the tests' reference module.  Coefficients
+are exact: a Poly keeps integers as int and only non-integers as
+Fraction; nothing in this package touches floating point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
@@ -40,10 +38,6 @@ class NotPolynomialWithinBound(ValueError):
             f"not polynomial within bound: nonzero coefficient at w^{exponent}"
         )
         self.exponent = exponent
-
-
-def _frac(x: RatLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _exact(x: RatLike) -> RatLike:
@@ -173,206 +167,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-# ---------------------------------------------------------------------------
-# Truncated power series
-# ---------------------------------------------------------------------------
-
-
-class Series:
-    """Power series in w truncated at a fixed order (inclusive).
-
-    Binary arithmetic truncates to the smaller of the two orders.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Iterable[RatLike], order: int):
-        if order < 0:
-            raise ValueError("series order must be nonnegative")
-        c = [_frac(x) for x in coeffs]
-        if len(c) < order + 1:
-            c.extend([Fraction(0)] * (order + 1 - len(c)))
-        self.order = order
-        self.coeffs: tuple = tuple(c[: order + 1])
-
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls((1,), order)
-
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "Series":
-        return cls(p.coeffs, order)
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k <= self.order:
-            return self.coeffs[k]
-        raise IndexError(f"coefficient w^{k} beyond series order {self.order}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self.coeffs], self.order)
-        k = min(self.order, other.order)
-        out = [Fraction(0)] * (k + 1)
-        for i, a in enumerate(self.coeffs[: k + 1]):
-            if a:
-                for j in range(k + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return Series(out, k)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Series":
-        if self.coeffs[0] != 1:
-            raise ValueError("reciprocal requires constant term 1")
-        k = self.order
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if i >= 1 and c]
-        out = [Fraction(0)] * (k + 1)
-        out[0] = Fraction(1)
-        for n in range(1, k + 1):
-            s = Fraction(0)
-            for i, c in nz:
-                if i > n:
-                    break
-                if out[n - i]:
-                    s += c * out[n - i]
-            out[n] = -s
-        return Series(out, k)
-
-    def __repr__(self):
-        return f"Series(order={self.order}, {[str(c) for c in self.coeffs]})"
-
-
-def series_exp(s: Series) -> Series:
-    """exp of a series with zero constant term, truncated to the same order."""
-    if s.coeffs[0] != 0:
-        raise ValueError("series_exp requires zero constant term")
-    k = s.order
-    # g' = f' g  =>  n g_n = sum_{i<=n} i f_i g_{n-i}
-    weighted = [(i, i * c) for i, c in enumerate(s.coeffs) if i >= 1 and c]
-    g = [Fraction(0)] * (k + 1)
-    g[0] = Fraction(1)
-    for n in range(1, k + 1):
-        acc = Fraction(0)
-        for i, ic in weighted:
-            if i > n:
-                break
-            if g[n - i]:
-                acc += ic * g[n - i]
-        g[n] = acc / n
-    return Series(g, k)
-
-
-def series_log(s: Series) -> Series:
-    """log of a series with constant term 1, truncated to the same order."""
-    if s.coeffs[0] != 1:
-        raise ValueError("series_log requires constant term 1")
-    k = s.order
-    h = [Fraction(0)] * (k + 1)
-    for n in range(1, k + 1):
-        acc = Fraction(0)
-        # sum_{i=1}^{n-1} i h_i s_{n-i}, iterating over nonzero s terms
-        for j in range(1, n):
-            c = s.coeffs[j]
-            if c:
-                i = n - j
-                if h[i]:
-                    acc += i * h[i] * c
-        h[n] = s.coeffs[n] - acc / n
-    return Series(h, k)
-
-
-# ---------------------------------------------------------------------------
-# Integer matrices and det(I - wT)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Square matrix with arbitrary-precision integer entries, row-major."""
-
-    dim: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        if len(self.entries) != self.dim or any(
-            len(row) != self.dim for row in self.entries
-        ):
-            raise ValueError("entries must form a square dim x dim matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(len(rows), tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def from_permutation(cls, successor: Sequence[int]) -> "IntMatrix":
-        """0/1 matrix M with M[j][i] = 1 iff successor[i] = j."""
-        n = len(successor)
-        rows = [[0] * n for _ in range(n)]
-        for i, j in enumerate(successor):
-            rows[j][i] = 1
-        return cls.from_rows(rows)
-
-
-def det_identity_minus_wT(T: IntMatrix) -> Poly:
-    """det(I - w*T) as an integer-coefficient polynomial.
-
-    Division-free Berkowitz recursion on leading principal blocks; the
-    coefficient vector of the characteristic polynomial (from the leading
-    term) is exactly the coefficient list of det(I - wT).  Sparse rows are
-    skipped, so permutation matrices cost O(n^2) rather than O(n^4).
-    """
-    n = T.dim
-    if n == 0:
-        return Poly.one()
-    A = T.entries
-    rows_nz = [tuple((j, v) for j, v in enumerate(row) if v) for row in A]
-    vec = [1, -A[0][0]]
-    for r in range(2, n + 1):
-        m = r - 1
-        d = A[m][m]
-        row_nz = tuple((j, v) for j, v in rows_nz[m] if j < m)
-        q = [1, -d]
-        v = [A[i][m] for i in range(m)]
-        q.append(-sum(val * v[j] for j, val in row_nz))
-        for _ in range(m - 1):
-            nxt = [0] * m
-            for i in range(m):
-                s = 0
-                for j, val in rows_nz[i]:
-                    if j < m:
-                        s += val * v[j]
-                nxt[i] = s
-            v = nxt
-            q.append(-sum(val * v[j] for j, val in row_nz))
-        new = [0] * (r + 1)
-        for i, qi in enumerate(q):
-            if qi:
-                top = r + 1 - i
-                for j, vj in enumerate(vec[:top]):
-                    if vj:
-                        new[i + j] += qi * vj
-        vec = new
-    return Poly(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +393,3 @@ def _moebius_exponents(traces: Sequence[int]) -> tuple:
                 return exponents, d
             exponents[d] = a
     return exponents, None
-
-
-def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProduct:
-    """The product P = prod_d (1 - w**(step*d))**a_d over d <= len(traces)
-    with 1/P = exp(sum_n traces[n-1] w**(step*n) / n) through that length.
-
-    Since -log(1 - x) = sum_j x**j / j, the traces are N_n = sum_{d | n}
-    d*a_d, and Moebius inversion gives d*a_d = sum_{d' | d} mu(d/d') N_{d'}.
-    Raises NotCycleProduct when some a_d is not an integer.
-    """
-    exponents, bad = _moebius_exponents(traces)
-    if bad is not None:
-        raise NotCycleProduct(f"exponent of (1 - w^{step * bad}) is not an integer")
-    return CycleProduct({step * d: a for d, a in exponents.items()})

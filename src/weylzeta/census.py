@@ -18,14 +18,14 @@ lengths are solved separately.  Glide line counts (lambda_set_size)
 are decided by one solve: the glide's linear part fixes alpha, the
 direction along a beta-row of the fundamental domain, so a glide power
 moves every point of a row by the same vector, and only one row can be
-moved by a given v.  The
-literal per-length loops (``count_closed_walks`` and friends) stay as
-the reference they are tested against, and the tests hold a
-point-by-point window scan as the reference of lambda_set_size.
-Neither path touches the transfer systems: both use only membership in
-Gamma0 (its adjugate and determinant), the glide sigma and the vertex
-and half-lattice representatives, so the census remains an independent
-check of the cycle-decomposition zeta engine.
+moved by a given v.  The tests hold the references of these
+tables: literal per-length loops over every pair, and a point-by-point
+window scan for lambda_set_size.
+
+Nothing here touches the transfer systems: the census uses only
+membership in Gamma0 (its adjugate and determinant), the glide sigma and
+the vertex and half-lattice representatives, so it remains an
+independent check of the cycle-decomposition zeta engine.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 from .quotient import QuotientGroup, SpecValidationError
-from .rootgeom import HalfVec, Vec, mat_vec, vec_add, vec_scale, vec_sub
+from .rootgeom import Vec, mat_vec, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -52,92 +52,11 @@ class CountTable:
             raise ValueError("counts must be nonnegative")
 
 
-def count_closed_walks(q: QuotientGroup, rep: str, n: int) -> int:
-    """Closed walks of normalized length n: pairs (vertex class, weight)
-    whose endpoint is carried back by some group element."""
-    if n < 1:
-        raise ValueError("walk length must be positive")
-    total = 0
-    for lam in q.rs.weights(rep):
-        step = vec_scale(n, lam)
-        for x in q.vertex_reps:
-            if q.transporter(x, vec_add(x, step)) is not None:
-                total += 1
-    return total
-
-
-def count_geodesic_walks(q: QuotientGroup, rep: str, n: int) -> int:
-    """Closed geodesic walks: as count_closed_walks, but the carrying
-    element's linear part must fix the direction (no corner at closing)."""
-    if n < 1:
-        raise ValueError("walk length must be positive")
-    total = 0
-    for lam in q.rs.weights(rep):
-        step = vec_scale(n, lam)
-        for x in q.vertex_reps:
-            g = q.transporter(x, vec_add(x, step))
-            if g is not None and mat_vec(g.linear, lam) == lam:
-                total += 1
-    return total
-
-
 def _half_line_is_rational(x2: Vec, lam: Vec) -> bool:
     # the line through x in direction lam meets the vertex lattice exactly
     # when x is congruent to 0 or lam/2 modulo the lattice (lam primitive)
     ex, ey = x2[0] % 2, x2[1] % 2
     return (ex, ey) == (0, 0) or (ex, ey) == (lam[0] % 2, lam[1] % 2)
-
-
-def count_semi_closings(
-    q: QuotientGroup, rep: str, j: int, weights: Optional[Sequence[Vec]] = None
-) -> int:
-    """Half-step closings of non-rational lines through half-lattice points.
-
-    j counts half-steps of size lam/2.  A pair (x, lam) closes when some
-    group element whose linear part fixes lam carries x to x + (j/2) lam.
-    """
-    if j < 1:
-        raise ValueError("half-step count must be positive")
-    wts = tuple(weights) if weights is not None else q.rs.weights(rep)
-    total = 0
-    for lam in wts:
-        for h in q.half_orbit_reps():
-            x2 = (h.x2, h.y2)
-            if _half_line_is_rational(x2, lam):
-                continue
-            y = HalfVec(x2[0] + j * lam[0], x2[1] + j * lam[1])
-            g = q.transporter(HalfVec(*x2), y)
-            if g is not None and mat_vec(g.linear, lam) == lam:
-                total += 1
-    return total
-
-
-def count_closed_galleries(q: QuotientGroup, rep: str, n: int) -> int:
-    """Closed length-n paths of the alternating gallery dynamics.
-
-    A state is a vertex class with an ordered admissible direction pair;
-    one step moves the vertex by the first direction and swaps the pair.
-    Counted by stepping the raw triple in the plane and asking for a
-    group element matching both endpoint and labels.
-    """
-    if n < 1:
-        raise ValueError("gallery length must be positive")
-    pairs = q.rs.gallery_pairs(rep)
-    total = 0
-    for v in q.vertex_reps:
-        for lam, mu in pairs:
-            pos, a, b = v, lam, mu
-            for _ in range(n):
-                pos = vec_add(pos, a)
-                a, b = b, a
-            g = q.transporter(v, pos)
-            if (
-                g is not None
-                and mat_vec(g.linear, lam) == a
-                and mat_vec(g.linear, mu) == b
-            ):
-                total += 1
-    return total
 
 
 def lambda_set_size(
@@ -267,17 +186,23 @@ def _walk_progressions(q: QuotientGroup, rep: str, geodesic: bool) -> Counter:
 
 
 def walk_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
-    """count_closed_walks at n = 1..max_n, in closed form."""
+    """Closed walks of normalized length n = 1..max_n, in closed form: the
+    pairs (vertex class, weight) whose endpoint is carried back by some
+    group element."""
     return CountTable(rep, "walks", _tally(_walk_progressions(q, rep, False), max_n))
 
 
 def geodesic_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
-    """count_geodesic_walks at n = 1..max_n, in closed form."""
+    """Closed geodesic walks of length n = 1..max_n, in closed form: as
+    walk_count_table, but the carrying element's linear part must fix the
+    direction (no corner at closing)."""
     return CountTable(rep, "geodesic", _tally(_walk_progressions(q, rep, True), max_n))
 
 
 def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> CountTable:
-    """count_semi_closings at j = 1..max_j, in closed form."""
+    """Half-step closings of non-rational lines through half-lattice points
+    at j = 1..max_j, in closed form: the pairs (x, lam) that some group
+    element whose linear part fixes lam carries from x to x + (j/2) lam."""
     d2 = 2 * q._det
     points = [(h.x2, h.y2) for h in q.half_orbit_reps()]
     progs: Counter = Counter()
@@ -293,7 +218,10 @@ def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> CountTable:
 
 
 def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
-    """count_closed_galleries at n = 1..max_n, in closed form.
+    """Closed length-n paths of the alternating gallery dynamics at
+    n = 1..max_n, in closed form.  A state is a vertex class with an
+    ordered admissible direction pair; one step moves the vertex by the
+    first direction and swaps the pair.
 
     After 2k steps a gallery has moved by k(lam + mu) with its labels
     back in place; after 2k + 1 steps by k(lam + mu) + lam with its

@@ -337,13 +337,6 @@ class QuotientGroup:
             a[1][0] * v[0] + a[1][1] * v[1]
         ) % d == 0
 
-    def _in_translation_subgroup_half(self, d2: Vec) -> bool:
-        # d2 (doubled) lies in Gamma0 iff adj*d2 = 0 mod 2*det
-        a, dd = self._adj, 2 * self._det
-        return (a[0][0] * d2[0] + a[0][1] * d2[1]) % dd == 0 and (
-            a[1][0] * d2[0] + a[1][1] * d2[1]
-        ) % dd == 0
-
     def _sigma_half(self, h2: Vec) -> Vec:
         s = self.sigma
         img = mat_vec(s.linear, h2)
@@ -376,43 +369,6 @@ class QuotientGroup:
     def half_orbit_reps(self) -> tuple:
         """Canonical representatives of the half-lattice orbits (doubled coords)."""
         return self._half_reps
-
-    # -- transporters -------------------------------------------------------
-
-    def transporter(self, x, y) -> Optional[AffineMap]:
-        """The unique group element sending x to y, or None.
-
-        Uniqueness holds because the group acts freely.  x and y must both
-        be lattice points or both HalfVec.
-        """
-        if isinstance(x, HalfVec) != isinstance(y, HalfVec):
-            raise TypeError("transporter endpoints must live in the same lattice")
-        if isinstance(x, HalfVec):
-            return self._transporter_half(x, y)
-        delta = vec_sub(y, x)
-        if self.in_translation_subgroup(delta):
-            return AffineMap.from_translation(delta)
-        if self.kind == "klein":
-            d = vec_sub(y, self.sigma.apply(x))
-            if self.in_translation_subgroup(d):
-                return AffineMap(
-                    self.sigma.linear, vec_add(self.sigma.translation, d)
-                )
-        return None
-
-    def _transporter_half(self, x: HalfVec, y: HalfVec) -> Optional[AffineMap]:
-        d2 = (y.x2 - x.x2, y.y2 - x.y2)
-        if self._in_translation_subgroup_half(d2):
-            return AffineMap.from_translation((d2[0] // 2, d2[1] // 2))
-        if self.kind == "klein":
-            sx = self._sigma_half((x.x2, x.y2))
-            e2 = (y.x2 - sx[0], y.y2 - sx[1])
-            if self._in_translation_subgroup_half(e2):
-                return AffineMap(
-                    self.sigma.linear,
-                    vec_add(self.sigma.translation, (e2[0] // 2, e2[1] // 2)),
-                )
-        return None
 
     # -- derived constants ---------------------------------------------------
 

@@ -34,18 +34,6 @@ class HalfVec(NamedTuple):
     x2: int
     y2: int
 
-    @classmethod
-    def from_lattice(cls, v: Vec) -> "HalfVec":
-        return cls(2 * v[0], 2 * v[1])
-
-    def is_lattice(self) -> bool:
-        return self.x2 % 2 == 0 and self.y2 % 2 == 0
-
-    def to_lattice(self) -> Vec:
-        if not self.is_lattice():
-            raise ValueError(f"{self} is not a lattice point")
-        return (self.x2 // 2, self.y2 // 2)
-
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])

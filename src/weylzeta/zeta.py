@@ -23,9 +23,9 @@ smaller id of its two members.
 Each step map is a bijection, checked on construction, so every zeta
 function is the cycle product prod (1 - w**(step * length))**-1, held as
 a CycleProduct, and its reciprocal is an integer polynomial.  The cycle
-lengths are computed once per system.  The characteristic-polynomial
-route through det(I - wT) on the explicit permutation matrix is kept as
-a cross-check path; the cycle decomposition is the production path.
+lengths are computed once per system; they are the only route to the
+zeta functions (the tests check them against det(I - wT) of the explicit
+permutation matrix).
 
 The L-polynomial P has one path (l_poly_from_counts): one Moebius
 inversion of the closed-walk counts gives P's factorization
@@ -42,7 +42,6 @@ from typing import Optional
 
 from .algebra import (
     CycleProduct,
-    IntMatrix,
     NotCycleProduct,
     NotPolynomialWithinBound,
     Poly,
@@ -111,13 +110,6 @@ class TransferSystem:
 
     def cycle_lengths(self) -> list:
         return list(self._cycles)
-
-    def closed_paths(self, n: int) -> int:
-        """Number of states returning to themselves after n steps."""
-        return sum(ell for ell in self._cycles if n % ell == 0)
-
-    def permutation_matrix(self) -> IntMatrix:
-        return IntMatrix.from_permutation(self.successor)
 
     def zeta(self) -> CycleProduct:
         cycles = Counter(self.step_in_w * ell for ell in self._cycles)

@@ -1,25 +1,425 @@
-"""Reference implementations that production no longer uses.
+"""Reference implementations that production does not run.
 
-``l_poly_from_counts`` is the L-polynomial by Newton's identities in u,
-one integer recurrence step per count; production builds P from its
-Moebius exponents with one expansion and is tested against it.
+The package proves every identity in integers: cycle products, the
+closed-form census and one Moebius L-path.  The older and more literal
+routes live here, and the tests compare the package against them:
 
-The transfer-system builders below canonicalize every state as a tuple:
-the reduced grid point (``reduce`` / ``reduce_half``), the label and, for
-a Klein bottle, the lexicographic minimum over the two sheet images.
-States are sorted and looked up in a dict.  They are the tuple form of
-the flat-index builders in ``weylzeta.zeta`` and are kept here only as
-the reference those builders are tested against.
+* ``Series``, ``series_exp`` and ``series_log``: power series in w with
+  Fraction coefficients, truncated at a fixed order.
+* ``IntMatrix`` and ``det_identity_minus_wT``: det(I - wT) of an explicit
+  integer matrix by the Berkowitz recursion, the determinant form of a
+  transfer system's zeta function.
+* ``cycle_product_from_traces``: the cycle product whose logarithm has
+  given traces, by Moebius inversion.
+* ``carrying_linear`` and ``transporter``: the group element carrying one
+  point to another, found by membership of y - x (and, for a Klein
+  bottle, of y - sigma x) in the translation subgroup Gamma0.
+* ``count_closed_walks`` and the three other per-length census loops:
+  one scan of every (vertex class, weight) pair per length, asking
+  ``carrying_linear`` whether the pair closes.  They are the reference
+  of the closed-form ``*_count_table`` functions in ``weylzeta.census``
+  and share no code with them beyond Gamma0 membership and the glide.
+* ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
+  one integer recurrence step per count; production builds P from its
+  Moebius exponents with one expansion.
+* The tuple transfer-system builders: every state canonicalized as a
+  tuple, the reduced grid point (``reduce`` / ``reduce_half``), the label
+  and, for a Klein bottle, the lexicographic minimum over the two sheet
+  images, with the states sorted and looked up in a dict.  They are the
+  reference of the flat-index builders in ``weylzeta.zeta``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
-from weylzeta.algebra import NotPolynomialWithinBound, Poly
-from weylzeta.quotient import QuotientGroup
-from weylzeta.rootgeom import Vec, mat_vec, vec_add
+from weylzeta.algebra import (
+    CycleProduct,
+    NotCycleProduct,
+    NotPolynomialWithinBound,
+    Poly,
+    RatLike,
+    _moebius_exponents,
+)
+from weylzeta.quotient import AffineMap, QuotientGroup
+from weylzeta.rootgeom import (
+    IDENTITY,
+    HalfVec,
+    Mat,
+    Vec,
+    mat_vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from weylzeta.zeta import OrderInsufficientError, TransferSystem
+
+
+def _frac(x: RatLike) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+# ---------------------------------------------------------------------------
+# Truncated power series
+# ---------------------------------------------------------------------------
+
+class Series:
+    """Power series in w truncated at a fixed order (inclusive).
+
+    Binary arithmetic truncates to the smaller of the two orders.
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, coeffs: Iterable[RatLike], order: int):
+        if order < 0:
+            raise ValueError("series order must be nonnegative")
+        c = [_frac(x) for x in coeffs]
+        if len(c) < order + 1:
+            c.extend([Fraction(0)] * (order + 1 - len(c)))
+        self.order = order
+        self.coeffs: tuple = tuple(c[: order + 1])
+
+    @classmethod
+    def zero(cls, order: int) -> "Series":
+        return cls((), order)
+
+    @classmethod
+    def one(cls, order: int) -> "Series":
+        return cls((1,), order)
+
+    @classmethod
+    def from_poly(cls, p: Poly, order: int) -> "Series":
+        return cls(p.coeffs, order)
+
+    def coefficient(self, k: int) -> Fraction:
+        if 0 <= k <= self.order:
+            return self.coeffs[k]
+        raise IndexError(f"coefficient w^{k} beyond series order {self.order}")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Series)
+            and self.order == other.order
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Series([c * other for c in self.coeffs], self.order)
+        k = min(self.order, other.order)
+        out = [Fraction(0)] * (k + 1)
+        for i, a in enumerate(self.coeffs[: k + 1]):
+            if a:
+                for j in range(k + 1 - i):
+                    b = other.coeffs[j]
+                    if b:
+                        out[i + j] += a * b
+        return Series(out, k)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "Series":
+        if self.coeffs[0] != 1:
+            raise ValueError("reciprocal requires constant term 1")
+        k = self.order
+        nz = [(i, c) for i, c in enumerate(self.coeffs) if i >= 1 and c]
+        out = [Fraction(0)] * (k + 1)
+        out[0] = Fraction(1)
+        for n in range(1, k + 1):
+            s = Fraction(0)
+            for i, c in nz:
+                if i > n:
+                    break
+                if out[n - i]:
+                    s += c * out[n - i]
+            out[n] = -s
+        return Series(out, k)
+
+    def __repr__(self):
+        return f"Series(order={self.order}, {[str(c) for c in self.coeffs]})"
+
+
+def series_exp(s: Series) -> Series:
+    """exp of a series with zero constant term, truncated to the same order."""
+    if s.coeffs[0] != 0:
+        raise ValueError("series_exp requires zero constant term")
+    k = s.order
+    # g' = f' g  =>  n g_n = sum_{i<=n} i f_i g_{n-i}
+    weighted = [(i, i * c) for i, c in enumerate(s.coeffs) if i >= 1 and c]
+    g = [Fraction(0)] * (k + 1)
+    g[0] = Fraction(1)
+    for n in range(1, k + 1):
+        acc = Fraction(0)
+        for i, ic in weighted:
+            if i > n:
+                break
+            if g[n - i]:
+                acc += ic * g[n - i]
+        g[n] = acc / n
+    return Series(g, k)
+
+
+def series_log(s: Series) -> Series:
+    """log of a series with constant term 1, truncated to the same order."""
+    if s.coeffs[0] != 1:
+        raise ValueError("series_log requires constant term 1")
+    k = s.order
+    h = [Fraction(0)] * (k + 1)
+    for n in range(1, k + 1):
+        acc = Fraction(0)
+        # sum_{i=1}^{n-1} i h_i s_{n-i}, iterating over nonzero s terms
+        for j in range(1, n):
+            c = s.coeffs[j]
+            if c:
+                i = n - j
+                if h[i]:
+                    acc += i * h[i] * c
+        h[n] = s.coeffs[n] - acc / n
+    return Series(h, k)
+
+
+# ---------------------------------------------------------------------------
+# Integer matrices and det(I - wT)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Square matrix with arbitrary-precision integer entries, row-major."""
+
+    dim: int
+    entries: tuple
+
+    def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError("dimension must be nonnegative")
+        if len(self.entries) != self.dim or any(
+            len(row) != self.dim for row in self.entries
+        ):
+            raise ValueError("entries must form a square dim x dim matrix")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        return cls(len(rows), tuple(tuple(int(x) for x in row) for row in rows))
+
+    @classmethod
+    def from_permutation(cls, successor: Sequence[int]) -> "IntMatrix":
+        """0/1 matrix M with M[j][i] = 1 iff successor[i] = j."""
+        n = len(successor)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in enumerate(successor):
+            rows[j][i] = 1
+        return cls.from_rows(rows)
+
+
+def det_identity_minus_wT(T: IntMatrix) -> Poly:
+    """det(I - w*T) as an integer-coefficient polynomial.
+
+    Division-free Berkowitz recursion on leading principal blocks; the
+    coefficient vector of the characteristic polynomial (from the leading
+    term) is exactly the coefficient list of det(I - wT).  Sparse rows are
+    skipped, so permutation matrices cost O(n^2) rather than O(n^4).
+    """
+    n = T.dim
+    if n == 0:
+        return Poly.one()
+    A = T.entries
+    rows_nz = [tuple((j, v) for j, v in enumerate(row) if v) for row in A]
+    vec = [1, -A[0][0]]
+    for r in range(2, n + 1):
+        m = r - 1
+        d = A[m][m]
+        row_nz = tuple((j, v) for j, v in rows_nz[m] if j < m)
+        q = [1, -d]
+        v = [A[i][m] for i in range(m)]
+        q.append(-sum(val * v[j] for j, val in row_nz))
+        for _ in range(m - 1):
+            nxt = [0] * m
+            for i in range(m):
+                s = 0
+                for j, val in rows_nz[i]:
+                    if j < m:
+                        s += val * v[j]
+                nxt[i] = s
+            v = nxt
+            q.append(-sum(val * v[j] for j, val in row_nz))
+        new = [0] * (r + 1)
+        for i, qi in enumerate(q):
+            if qi:
+                top = r + 1 - i
+                for j, vj in enumerate(vec[:top]):
+                    if vj:
+                        new[i + j] += qi * vj
+        vec = new
+    return Poly(vec)
+
+
+# ---------------------------------------------------------------------------
+# Cycle products from traces
+# ---------------------------------------------------------------------------
+
+
+def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProduct:
+    """The product P = prod_d (1 - w**(step*d))**a_d over d <= len(traces)
+    with 1/P = exp(sum_n traces[n-1] w**(step*n) / n) through that length.
+
+    Since -log(1 - x) = sum_j x**j / j, the traces are N_n = sum_{d | n}
+    d*a_d, and Moebius inversion gives d*a_d = sum_{d' | d} mu(d/d') N_{d'}.
+    Raises NotCycleProduct when some a_d is not an integer.
+    """
+    exponents, bad = _moebius_exponents(traces)
+    if bad is not None:
+        raise NotCycleProduct(f"exponent of (1 - w^{step * bad}) is not an integer")
+    return CycleProduct({step * d: a for d, a in exponents.items()})
+
+
+# ---------------------------------------------------------------------------
+# Transporters
+# ---------------------------------------------------------------------------
+
+
+def in_gamma0(q: QuotientGroup, v: Vec, modulus: int) -> bool:
+    """Whether adj * v = 0 (mod modulus): v lies in Gamma0 for modulus
+    det Gamma0, and v / 2 does for modulus 2 det Gamma0 (v in doubled
+    coordinates)."""
+    (a, b), (c, d) = q._adj
+    return (a * v[0] + b * v[1]) % modulus == 0 and (c * v[0] + d * v[1]) % modulus == 0
+
+
+def carrying_linear(q: QuotientGroup, x, y) -> Optional[Mat]:
+    """The linear part of the unique group element sending x to y, or None.
+
+    The element is a translation when y - x lies in Gamma0 and, for a
+    Klein bottle, a glide when y - sigma(x) does.  x and y must both be
+    lattice points or both HalfVec (doubled coordinates).
+    """
+    half = isinstance(x, HalfVec)
+    if half != isinstance(y, HalfVec):
+        raise TypeError("transporter endpoints must live in the same lattice")
+    modulus = 2 * q._det if half else q._det
+    if in_gamma0(q, (y[0] - x[0], y[1] - x[1]), modulus):
+        return IDENTITY
+    if q.kind == "klein":
+        sx = q._sigma_half(x) if half else q.sigma.apply(x)
+        if in_gamma0(q, (y[0] - sx[0], y[1] - sx[1]), modulus):
+            return q.sigma.linear
+    return None
+
+
+def transporter(q: QuotientGroup, x, y) -> Optional[AffineMap]:
+    """The unique group element sending x to y, or None.
+
+    Uniqueness holds because the group acts freely.  Its linear part L
+    comes from carrying_linear and its translation is y - L x, halved on
+    doubled coordinates.
+    """
+    linear = carrying_linear(q, x, y)
+    if linear is None:
+        return None
+    t = vec_sub(y, mat_vec(linear, x))
+    if isinstance(x, HalfVec):
+        t = (t[0] // 2, t[1] // 2)
+    return AffineMap(linear, t)
+
+
+# ---------------------------------------------------------------------------
+# Per-length census loops
+# ---------------------------------------------------------------------------
+
+
+def count_closed_walks(q: QuotientGroup, rep: str, n: int) -> int:
+    """Closed walks of normalized length n: pairs (vertex class, weight)
+    whose endpoint is carried back by some group element."""
+    if n < 1:
+        raise ValueError("walk length must be positive")
+    total = 0
+    for lam in q.rs.weights(rep):
+        step = vec_scale(n, lam)
+        for x in q.vertex_reps:
+            if carrying_linear(q, x, vec_add(x, step)) is not None:
+                total += 1
+    return total
+
+
+def count_geodesic_walks(q: QuotientGroup, rep: str, n: int) -> int:
+    """Closed geodesic walks: as count_closed_walks, but the carrying
+    element's linear part must fix the direction (no corner at closing)."""
+    if n < 1:
+        raise ValueError("walk length must be positive")
+    total = 0
+    for lam in q.rs.weights(rep):
+        step = vec_scale(n, lam)
+        for x in q.vertex_reps:
+            g = carrying_linear(q, x, vec_add(x, step))
+            if g is not None and mat_vec(g, lam) == lam:
+                total += 1
+    return total
+
+
+def _line_is_rational(x2: Vec, lam: Vec) -> bool:
+    """Whether the line through x2 / 2 in direction lam meets the vertex
+    lattice: exactly when x2 / 2 is congruent to 0 or lam / 2 modulo it."""
+    e = (x2[0] % 2, x2[1] % 2)
+    return e == (0, 0) or e == (lam[0] % 2, lam[1] % 2)
+
+
+def count_semi_closings(
+    q: QuotientGroup, rep: str, j: int, weights: Optional[Sequence[Vec]] = None
+) -> int:
+    """Half-step closings of non-rational lines through half-lattice points.
+
+    j counts half-steps of size lam/2.  A pair (x, lam) closes when some
+    group element whose linear part fixes lam carries x to x + (j/2) lam.
+    """
+    if j < 1:
+        raise ValueError("half-step count must be positive")
+    wts = tuple(weights) if weights is not None else q.rs.weights(rep)
+    total = 0
+    for lam in wts:
+        for h in q.half_orbit_reps():
+            if _line_is_rational(h, lam):
+                continue
+            y = HalfVec(h.x2 + j * lam[0], h.y2 + j * lam[1])
+            g = carrying_linear(q, h, y)
+            if g is not None and mat_vec(g, lam) == lam:
+                total += 1
+    return total
+
+
+def count_closed_galleries(q: QuotientGroup, rep: str, n: int) -> int:
+    """Closed length-n paths of the alternating gallery dynamics.
+
+    A state is a vertex class with an ordered admissible direction pair;
+    one step moves the vertex by the first direction and swaps the pair.
+    Counted by stepping the raw triple in the plane and asking for a
+    group element matching both endpoint and labels.
+    """
+    if n < 1:
+        raise ValueError("gallery length must be positive")
+    pairs = q.rs.gallery_pairs(rep)
+    total = 0
+    for v in q.vertex_reps:
+        for lam, mu in pairs:
+            pos, a, b = v, lam, mu
+            for _ in range(n):
+                pos = vec_add(pos, a)
+                a, b = b, a
+            g = carrying_linear(q, v, pos)
+            if g is not None and mat_vec(g, lam) == a and mat_vec(g, mu) == b:
+                total += 1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The L-polynomial by Newton's identities
+# ---------------------------------------------------------------------------
 
 
 def l_poly_from_counts(counts, bound: int) -> Poly:
@@ -55,6 +455,11 @@ def l_poly_from_counts(counts, bound: int) -> Poly:
     return Poly([x for pj in p for x in (pj, 0)])
 
 
+# ---------------------------------------------------------------------------
+# Tuple transfer-system builders
+# ---------------------------------------------------------------------------
+
+
 def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:
     """Index permutation of the weight list under the glide's linear part."""
     if q.kind == "torus":
@@ -85,10 +490,6 @@ def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
     wts = q.rs.weights(rep)
     perm = _weight_perm(q, wts)
 
-    def rational(x2: Vec, lam: Vec) -> bool:
-        e = (x2[0] % 2, x2[1] % 2)
-        return e == (0, 0) or e == (lam[0] % 2, lam[1] % 2)
-
     def canon(x2: Vec, i: int):
         a = (q.reduce_half(x2), i)
         if q.kind == "torus":
@@ -101,7 +502,7 @@ def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
             canon(x2, i)
             for x2 in q.half_residues()
             for i in range(len(wts))
-            if not rational(x2, wts[i])
+            if not _line_is_rational(x2, wts[i])
         }
     )
     index = {s: j for j, s in enumerate(states)}

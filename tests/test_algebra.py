@@ -9,18 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylzeta.algebra import (
-    CycleProduct,
+from reference import (
     IntMatrix,
-    NotCycleProduct,
-    NotPolynomialWithinBound,
-    Poly,
     Series,
-    _expand,
     cycle_product_from_traces,
     det_identity_minus_wT,
     series_exp,
     series_log,
+)
+from weylzeta.algebra import (
+    CycleProduct,
+    NotCycleProduct,
+    NotPolynomialWithinBound,
+    Poly,
+    _expand,
 )
 from weylzeta.cli import poly_to_json
 from weylzeta.identities import _poly_json

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylzeta.census import (
+from reference import (
     count_closed_galleries,
     count_closed_walks,
     count_geodesic_walks,
     count_semi_closings,
+)
+from weylzeta.census import (
     gallery_count_table,
     geodesic_count_table,
     lambda_set_size,

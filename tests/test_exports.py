@@ -1,0 +1,40 @@
+"""The package exports what production runs and none of the test references."""
+
+import importlib
+import pkgutil
+
+import weylzeta
+
+# defined in tests/reference.py, which the tests compare the package against
+REFERENCE_NAMES = (
+    "Series",
+    "series_exp",
+    "series_log",
+    "IntMatrix",
+    "det_identity_minus_wT",
+    "cycle_product_from_traces",
+    "count_closed_walks",
+    "count_geodesic_walks",
+    "count_semi_closings",
+    "count_closed_galleries",
+)
+
+
+def test_exports_resolve_and_exclude_the_references():
+    assert [name for name in weylzeta.__all__ if not hasattr(weylzeta, name)] == []
+    assert len(set(weylzeta.__all__)) == len(weylzeta.__all__)
+    modules = [weylzeta] + [
+        importlib.import_module(f"weylzeta.{info.name}")
+        for info in pkgutil.iter_modules(weylzeta.__path__)
+        if info.name != "__main__"
+    ]
+    leaked = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in REFERENCE_NAMES
+        if hasattr(module, name)
+    ]
+    assert leaked == []
+    assert not hasattr(weylzeta.QuotientGroup, "transporter")
+    assert not hasattr(weylzeta.TransferSystem, "closed_paths")
+    assert not hasattr(weylzeta.TransferSystem, "permutation_matrix")
