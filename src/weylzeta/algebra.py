@@ -183,19 +183,24 @@ def _divisors(n: int) -> list:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def _primes(n: int) -> list:
+    """The primes up to n, by a sieve of slice assignments."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(min(2, n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
 def _mobius_table(n: int) -> list:
-    """mu(0..n) by a sieve; mu(0) is 0."""
+    """mu(0..n), one slice pass per prime p: negate the multiples of p,
+    zero those of p * p; mu(0) is 0."""
     mu = [1] * (n + 1)
     mu[0] = 0
-    composite = [False] * (n + 1)
-    for p in range(2, n + 1):
-        if composite[p]:
-            continue
-        for j in range(p, n + 1, p):
-            composite[j] = True
-            mu[j] = -mu[j]
-        for j in range(p * p, n + 1, p * p):
-            mu[j] = 0
+    for p in _primes(n):
+        mu[p::p] = [-x for x in mu[p::p]]
+        mu[p * p :: p * p] = [0] * len(range(p * p, n + 1, p * p))
     return mu
 
 
@@ -378,13 +383,11 @@ def _moebius_exponents(traces: Sequence[int]) -> tuple:
     integer; bad is that d, or None when every a_d is an integer.
     """
     n = len(traces)
-    mu = _mobius_table(n)
-    s = [0] * (n + 1)
-    for d, t in enumerate(traces, start=1):
-        if t:
-            for j in range(1, n // d + 1):
-                if mu[j]:
-                    s[d * j] += mu[j] * t
+    s = [0, *traces]
+    # dividing by the Dirichlet series of 1 is multiplying by 1 - p**-z
+    # for every prime p: s[j] -= s[j / p] at every multiple j of p
+    for p in _primes(n):
+        s[p::p] = [a - b for a, b in zip(s[p::p], s[1 : n // p + 1])]
     exponents = {}
     for d in range(1, n + 1):
         if s[d]:

@@ -22,10 +22,19 @@ moved by a given v.  The tests hold the references of these
 tables: literal per-length loops over every pair, and a point-by-point
 window scan for lambda_set_size.
 
+Work that depends only on the quotient is done once per quotient and
+kept on it (_once): the glide shifts x - sigma(x) of the vertex
+representatives, and per parity class of the weight the half-lattice
+representatives off the rational lines with their glide shifts.  The
+coefficients of each congruence are solved once per step vector
+(_closings), and glide_line_counter computes a glide power once for a
+whole scan; it is never kept on the quotient, so it always reads the
+current sigma.
+
 Nothing here touches the transfer systems: the census uses only
 membership in Gamma0 (its adjugate and determinant), the glide sigma and
-the vertex and half-lattice representatives, so it remains an
-independent check of the cycle-decomposition zeta engine.
+the vertex and half-lattice representatives, with tables of its own, so
+it remains an independent check of the cycle-decomposition zeta engine.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from math import gcd
 from typing import Optional
 
 from .quotient import QuotientGroup, SpecValidationError
-from .rootgeom import Vec, mat_vec, vec_add, vec_scale, vec_sub
+from .rootgeom import Vec, mat_vec, vec_add, vec_scale
 
 
 @dataclass(frozen=True)
@@ -50,13 +59,6 @@ class CountTable:
     def __post_init__(self):
         if any(v < 0 for v in self.values):
             raise ValueError("counts must be nonnegative")
-
-
-def _half_line_is_rational(x2: Vec, lam: Vec) -> bool:
-    # the line through x in direction lam meets the vertex lattice exactly
-    # when x is congruent to 0 or lam/2 modulo the lattice (lam primitive)
-    ex, ey = x2[0] % 2, x2[1] % 2
-    return (ex, ey) == (0, 0) or (ex, ey) == (lam[0] % 2, lam[1] % 2)
 
 
 def lambda_set_size(
@@ -86,9 +88,19 @@ def lambda_set_size(
         raise ValueError("glide power must be odd")
     if not q.rs.in_coroot_lattice(v):
         raise ValueError(f"{v} is not in the coroot lattice")
-    _, d = q.alpha_beta_coords(v)
-    if d == 0:
+    if q.alpha_beta_coords(v)[1] == 0:
         raise ValueError("v must have nonzero beta-component")
+    return glide_line_counter(q, m_odd, glide)(v)
+
+
+def glide_line_counter(q: QuotientGroup, m_odd: int, glide: str = "sigma"):
+    """lambda_set_size(q, m_odd, ., glide) as a function of v alone.
+
+    The glide, the beta-coordinate of its translation and its m-th power
+    are computed once, here, from q as it is now, so a scan over many v
+    pays for them once.  The caller checks v (and the Klein kind and the
+    odd power) as lambda_set_size does.
+    """
     if glide == "sigma":
         g = q.sigma
     elif glide == "tsigma":
@@ -99,10 +111,15 @@ def lambda_set_size(
     gm = g ** m_odd
     if mat_vec(gm.linear, q.alpha) != q.alpha:
         raise AssertionError("the glide's linear part does not fix alpha")
-    if d < 0 or (b_used - d) % 2:
-        return 0
-    x = vec_scale((b_used - d) // 2, q.beta)
-    return q.k_gamma if gm.apply(x) == vec_add(x, v) else 0
+
+    def count(v: Vec) -> int:
+        _, d = q.alpha_beta_coords(v)
+        if d < 0 or (b_used - d) % 2:
+            return 0
+        x = vec_scale((b_used - d) // 2, q.beta)
+        return q.k_gamma if gm.apply(x) == vec_add(x, v) else 0
+
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -110,41 +127,52 @@ def lambda_set_size(
 # ---------------------------------------------------------------------------
 
 
-def _crt(p: tuple, r: int, m: int) -> Optional[tuple]:
-    """Intersection of n = p[0] (mod p[1]) with n = r (mod m), or None."""
-    r0, m0 = p
-    g = gcd(m0, m)
-    if (r - r0) % g:
-        return None
-    step = m // g
-    t = (r - r0) // g * pow(m0 // g, -1, step) % step
-    lcm = m0 * step
-    return ((r0 + m0 * t) % lcm, lcm)
-
-
-def _closings(q: QuotientGroup, step: Vec, shift: Vec, modulus: int) -> Optional[tuple]:
-    """The n >= 0 with n*step + shift in Gamma0, as (r, m) meaning n = r (mod m).
+def _closings(q: QuotientGroup, step: Vec, modulus: int):
+    """The function shift -> the n >= 0 with n*step + shift in Gamma0, as
+    (r, m) meaning n = r (mod m), or None when no n solves it.
 
     Membership is adj * v = 0 (mod modulus) in both coordinates; modulus
-    is det Gamma0, or 2 det Gamma0 for doubled coordinates.  Returns None
-    when no n solves it.
+    is det Gamma0, or 2 det Gamma0 for doubled coordinates.  Row i of adj
+    asks a_i n = b_i (mod modulus), a_i its product with step and b_i that
+    with -shift; with g_i = gcd(a_i, modulus) it is solvable when g_i
+    divides b_i, by n = (b_i / g_i) * inv_i (mod m_i = modulus / g_i).
+    The g_i, m_i, inv_i and the data that combine the two rows by the
+    Chinese remainder theorem depend on step alone and are computed here,
+    once for every shift.
     """
-    out = (0, 1)
-    for row in q._adj:
-        a = (row[0] * step[0] + row[1] * step[1]) % modulus
-        b = -(row[0] * shift[0] + row[1] * shift[1]) % modulus
+    (p1, p2), (p3, p4) = q._adj
+
+    def row(a: int) -> tuple:
+        a %= modulus
         g = gcd(a, modulus)
-        if b % g:
-            return None
         m = modulus // g
-        out = _crt(out, b // g * pow(a // g, -1, m) % m, m)
-        if out is None:
+        return g, m, pow(a // g, -1, m)
+
+    g1, m1, inv1 = row(p1 * step[0] + p2 * step[1])
+    g2, m2, inv2 = row(p3 * step[0] + p4 * step[1])
+    g = gcd(m1, m2)
+    lift = m2 // g  # n = x1 + m1 t solves row 2 for t = (x2 - x1) / g * inv (mod lift)
+    inv = pow(m1 // g, -1, lift)
+    lcm = m1 * lift
+
+    def solve(shift: Vec) -> Optional[tuple]:
+        b1 = -(p1 * shift[0] + p2 * shift[1]) % modulus
+        b2 = -(p3 * shift[0] + p4 * shift[1]) % modulus
+        if b1 % g1 or b2 % g2:
             return None
-    return out
+        x1 = b1 // g1 * inv1 % m1
+        x2 = b2 // g2 * inv2 % m2
+        if (x2 - x1) % g:
+            return None
+        t = (x2 - x1) // g * inv % lift
+        return ((x1 + m1 * t) % lcm, lcm)
+
+    return solve
 
 
 def _glide_shifts(q: QuotientGroup, points, half: bool = False) -> tuple:
-    """x - sigma(x) for each point x; empty for a torus.
+    """x - sigma(x) for each point x (doubled coordinates when half); empty
+    for a torus.
 
     sigma carries x to y exactly when y - x + (x - sigma(x)) lies in
     Gamma0, so this is the offset of the glide branch's congruence.  The
@@ -152,8 +180,53 @@ def _glide_shifts(q: QuotientGroup, points, half: bool = False) -> tuple:
     """
     if q.kind == "torus":
         return ()
-    image = q._sigma_half if half else q.sigma.apply
-    return tuple(vec_sub(x, image(x)) for x in points)
+    (l11, l12), (l21, l22) = q.sigma.linear
+    t1, t2 = vec_scale(2 if half else 1, q.sigma.translation)
+    return tuple(
+        (x - l11 * x - l12 * y - t1, y - l21 * x - l22 * y - t2) for x, y in points
+    )
+
+
+def _once(q: QuotientGroup, key, make):
+    """The census table key of q: made on first use and kept on q, so that
+    the tables of every rep share it and it lives and dies with q."""
+    tables = q._census_tables
+    if key not in tables:
+        tables[key] = make()
+    return tables[key]
+
+
+def _vertex_shifts(q: QuotientGroup) -> tuple:
+    """The glide shifts of the vertex representatives."""
+    return _once(q, "vertex shifts", lambda: _glide_shifts(q, q.vertex_reps))
+
+
+def _irrational_half(q: QuotientGroup, lam: Vec) -> tuple:
+    """The half-lattice representatives (doubled coordinates) whose line in
+    direction lam misses the vertex lattice, per parity class of lam.
+
+    The line through x in direction lam meets the vertex lattice exactly
+    when x is congruent to 0 or lam/2 modulo the lattice (lam primitive).
+    """
+    parity = (lam[0] % 2, lam[1] % 2)
+    rational = ((0, 0), parity)
+    return _once(
+        q,
+        ("irrational", parity),
+        lambda: tuple(
+            x2 for x2 in q.half_orbit_reps() if (x2[0] % 2, x2[1] % 2) not in rational
+        ),
+    )
+
+
+def _irrational_shifts(q: QuotientGroup, lam: Vec) -> tuple:
+    """The glide shifts of _irrational_half(q, lam)."""
+    parity = (lam[0] % 2, lam[1] % 2)
+    return _once(
+        q,
+        ("irrational shifts", parity),
+        lambda: _glide_shifts(q, _irrational_half(q, lam), half=True),
+    )
 
 
 def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
@@ -172,14 +245,15 @@ def _tally(progressions: Counter, max_n: int) -> tuple:
 
 def _walk_progressions(q: QuotientGroup, rep: str, geodesic: bool) -> Counter:
     d = q._det
-    shifts = _glide_shifts(q, q.vertex_reps)
+    shifts = _vertex_shifts(q)
     progs: Counter = Counter()
     for lam in q.rs.weights(rep):
-        progs[_closings(q, lam, (0, 0), d)] += len(q.vertex_reps)
+        solve = _closings(q, lam, d)
+        progs[solve((0, 0))] += len(q.vertex_reps)
         if geodesic and not _glide_maps(q, lam, lam):
             continue
         for shift in shifts:
-            p = _closings(q, lam, shift, d)
+            p = solve(shift)
             if p is not None:
                 progs[p] += 1
     return progs
@@ -204,14 +278,13 @@ def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> CountTable:
     at j = 1..max_j, in closed form: the pairs (x, lam) that some group
     element whose linear part fixes lam carries from x to x + (j/2) lam."""
     d2 = 2 * q._det
-    points = [(h.x2, h.y2) for h in q.half_orbit_reps()]
     progs: Counter = Counter()
     for lam in q.rs.weights(rep):
-        irrational = [x2 for x2 in points if not _half_line_is_rational(x2, lam)]
-        progs[_closings(q, lam, (0, 0), d2)] += len(irrational)
+        solve = _closings(q, lam, d2)
+        progs[solve((0, 0))] += len(_irrational_half(q, lam))
         if _glide_maps(q, lam, lam):
-            for shift in _glide_shifts(q, irrational, half=True):
-                p = _closings(q, lam, shift, d2)
+            for shift in _irrational_shifts(q, lam):
+                p = solve(shift)
                 if p is not None:
                     progs[p] += 1
     return CountTable(rep, "semi", _tally(progs, max_j))
@@ -230,18 +303,18 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
     lam != mu in every gallery pair, so it closes at even lengths only.
     """
     d = q._det
-    shifts = _glide_shifts(q, q.vertex_reps)
+    shifts = _vertex_shifts(q)
     progs: Counter = Counter()
     for lam, mu in q.rs.gallery_pairs(rep):
-        pair_step = vec_add(lam, mu)
-        r, m = _closings(q, pair_step, (0, 0), d)
+        solve = _closings(q, vec_add(lam, mu), d)
+        r, m = solve((0, 0))
         progs[(2 * r, 2 * m)] += len(q.vertex_reps)
         even = _glide_maps(q, lam, lam) and _glide_maps(q, mu, mu)
         odd = _glide_maps(q, lam, mu) and _glide_maps(q, mu, lam)
         if not (even or odd):
             continue
         for shift in shifts:
-            p = _closings(q, pair_step, shift if even else vec_add(shift, lam), d)
+            p = solve(shift if even else vec_add(shift, lam))
             if p is not None:
                 progs[(2 * p[0] + odd, 2 * p[1])] += 1
     return CountTable(rep, "galleries", _tally(progs, max_n))

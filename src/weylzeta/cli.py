@@ -233,8 +233,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    # one parser per process: building one takes about a millisecond and
+    # leaves reference cycles for the garbage collector
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = make_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (SpecFileError, SpecValidationError, OrderInsufficientError, OSError) as exc:

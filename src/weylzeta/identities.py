@@ -28,7 +28,7 @@ from .algebra import CycleProduct, NotCycleProduct, NotPolynomialWithinBound, Po
 from .census import (
     gallery_count_table,
     geodesic_count_table,
-    lambda_set_size,
+    glide_line_counter,
     semi_count_table,
     walk_count_table,
 )
@@ -174,6 +174,8 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
     rs = q.rs
     aa = rs.pairing(q.alpha, q.alpha)
     for m in (1, 3):
+        count_s = glide_line_counter(q, m)
+        count_t = glide_line_counter(q, m, glide="tsigma")
         for c in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
             for dcoef in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
                 if dcoef == 0:
@@ -188,8 +190,7 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
                     dcoef > 0 and 2 * rs.pairing(v, q.alpha) == q.k_gamma * m * aa
                 )
                 expected = q.k_gamma if admissible else 0
-                got_s = lambda_set_size(q, m, v)
-                got_t = lambda_set_size(q, m, v, glide="tsigma")
+                got_s, got_t = count_s(v), count_t(v)
                 if got_s != expected or got_t != got_s:
                     return {
                         "m": m,

@@ -9,7 +9,12 @@ partner representation, integers a, b with a*alpha + b*beta the glide
 translation, and a multiplier m for the perpendicular translation t.
 
 Everything here is exact integer arithmetic; rationals appear only in
-intermediate coordinate solves.
+intermediate coordinate solves.  The vertex and half-lattice orbit
+representatives are derived in one pass over the doubled residue box: a
+vertex is the half-lattice point with even doubled coordinates.  A
+quotient also carries the per-quotient tables of the transfer systems
+and of the census (_zeta_grids, _census_tables), which each of those
+layers fills on first use, so they live and die with the quotient.
 """
 
 from __future__ import annotations
@@ -287,18 +292,48 @@ class QuotientGroup:
             )
         self._det = det
         self._adj = adj
-        u, v = self.gamma0_basis
         self._residues = _lattice_residues(u, v)
         self._half_residues = _lattice_residues(vec_scale(2, u), vec_scale(2, v))
-        reps = sorted({self.canonical_vertex(p) for p in self._residues})
+        half_reps = self._half_orbit_reps()
+        # vertex x is the half-lattice point 2x, and reduce_half and the glide
+        # commute with doubling: the even half representatives are the
+        # doubled vertex representatives
+        reps = [(x // 2, y // 2) for x, y in half_reps if not (x % 2 or y % 2)]
         if len(reps) != self.N:
             raise SpecValidationError(
                 f"vertex class count {len(reps)} does not match N = {self.N}"
             )
         self.vertex_reps = tuple(reps)
-        self._half_reps = tuple(
-            sorted({self._canonical_half(HalfVec(*p)) for p in self._half_residues})
-        )
+        self._half_reps = tuple(map(HalfVec._make, half_reps))
+        # tables of the transfer-system layer (zeta._grid) and of the
+        # census, each filled and read only by its own layer
+        self._zeta_grids: dict = {}
+        self._census_tables: dict = {}
+
+    def _half_orbit_reps(self) -> list:
+        """The sorted canonical representatives of the half-lattice orbits,
+        as _canonical_half gives them, in one pass over the doubled residue
+        box with reduce_half and the glide inlined."""
+        (a11, a12), (a21, a22) = self._adj
+        d2 = 2 * self._det
+        (u1, u2), (v1, v2) = (vec_scale(2, w) for w in self.gamma0_basis)
+
+        def reduced(points) -> list:
+            out = []
+            for x, y in points:
+                q1 = (a11 * x + a12 * y) // d2
+                q2 = (a21 * x + a22 * y) // d2
+                out.append((x - q1 * u1 - q2 * v1, y - q1 * u2 - q2 * v2))
+            return out
+
+        points = self._half_residues
+        reps = reduced(points)
+        if self.kind == "klein":
+            (l11, l12), (l21, l22) = self.sigma.linear
+            t1, t2 = vec_scale(2, self.sigma.translation)
+            images = [(l11 * x + l12 * y + t1, l21 * x + l22 * y + t2) for x, y in points]
+            reps = map(min, reps, reduced(images))
+        return sorted(set(reps))
 
     # -- lattice reduction ------------------------------------------------
 

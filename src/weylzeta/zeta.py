@@ -11,14 +11,18 @@ Three finite dynamical systems sit over each quotient:
   pair); one step moves by the first direction and swaps the pair.  One
   step is one power of u.
 
-All three are built by one flat-index builder.  The column-reduced
-triangular basis (h11, 0), (c, h22) of Gamma0 (of 2 Gamma0 for the half
-steps, in doubled coordinates) numbers the classes of the plane as
-i + h11 * j, so a step by a fixed vector is a precomputed table: a carry
-between rows and a rotation within one.  A state (class, label) has the
-integer id index * L + label; for a Klein bottle the glide is a
-precomputed permutation of the indices and an orbit is stored as the
-smaller id of its two members.
+All three are built by one flat-index builder on a grid that each
+quotient builds once and shares among its systems (_Grid, kept on the
+quotient).  The column-reduced triangular basis (h11, 0), (c, h22) of
+Gamma0 (of 2 Gamma0 for the half steps, in doubled coordinates) numbers
+the classes of the plane as i + h11 * j, so a step by a fixed vector is
+a table: a carry between rows and a rotation within one, built once per
+vector.  For a Klein bottle the glide is a permutation of the positions
+without fixed points and of order two, so the lower position of each
+pair represents its orbit, and an orbit of states (class, label) is
+stored as its representative r * L + label, r the rank of that position
+among the representatives.  The semi-rationality mask is built once per
+parity class of the weight.
 
 Each step map is a bijection, checked on construction, so every zeta
 function is the cycle product prod (1 - w**(step * length))**-1, held as
@@ -116,60 +120,135 @@ class TransferSystem:
         return CycleProduct({e: -n for e, n in cycles.items()})
 
 
-def _grid(q: QuotientGroup, half: bool = False) -> tuple:
-    """Z^2 / Gamma0 (Z^2 / 2 Gamma0 in doubled coordinates when half) as
-    (points, index, shifted, sigma): the residue box, the position of a
-    point's class in it, index(p + s) for every box point p, and the glide
-    as a permutation of the positions (None for a torus)."""
-    scale = 2 if half else 1
-    h11, c, h22 = (scale * x for x in _triangular_basis(*q.gamma0_basis))
+class _Grid:
+    """Z^2 / Gamma0 of one quotient (Z^2 / 2 Gamma0 in doubled coordinates
+    when half) with the tables that every transfer system on it shares.
 
-    def index(p: Vec) -> int:
-        r, j = divmod(p[1], h22)
-        return (p[0] - r * c) % h11 + h11 * j
+    * points: the residue box; index(p) is the position of p's class in
+      it, and shifted(s) lists index(p + s) for every box point p.
+    * sigma: the glide as a permutation of the positions (None for a
+      torus).  It is a fixed-point-free involution, so the lower position
+      of each pair {i, sigma[i]} represents the orbit; reps lists the
+      representing positions in increasing order.
+    * moves(s): for each of reps, the orbit of p + s as the rank in reps
+      of its representative and whether that representative is the glide
+      image of p + s rather than p + s itself; built once per s.
+    * irrational(lam): for each of reps, whether the line through it in
+      direction lam misses the vertex lattice; built once per parity
+      class of lam.
+    """
 
-    def shifted(s: Vec) -> list:
-        # row j moves to row j2 with carry r and rotates within it
+    def __init__(self, q: QuotientGroup, half: bool):
+        scale = 2 if half else 1
+        self._h11, self._c, self._h22 = (
+            scale * x for x in _triangular_basis(*q.gamma0_basis)
+        )
+        self.points = q.half_residues() if half else q.residues()
+        self._positions = list(range(len(self.points)))
+        self._moves: dict = {}
+        self._irrational: dict = {}
+        if q.kind == "torus":
+            self.sigma = None
+            self.reps = self._positions
+            return
+        (l11, l12), (l21, l22) = q.sigma.linear
+        t1, t2 = (scale * x for x in q.sigma.translation)
+        index = self.index
+        sigma = [
+            index((l11 * x + l12 * y + t1, l21 * x + l22 * y + t2))
+            for x, y in self.points
+        ]
+        if any(j == i or sigma[j] != i for i, j in enumerate(sigma)):
+            raise AssertionError("the glide is not a fixed-point-free involution of the grid")
+        self.sigma = sigma
+        self.reps = [i for i, j in enumerate(sigma) if i < j]
+        rank = dict(zip(self.reps, range(len(self.reps))))
+        self._orbit = [rank[min(i, j)] for i, j in enumerate(sigma)]
+
+    def index(self, p: Vec) -> int:
+        r, j = divmod(p[1], self._h22)
+        return (p[0] - r * self._c) % self._h11 + self._h11 * j
+
+    def shifted(self, s: Vec) -> list:
+        # row j moves to row j2 with carry r and rotates within it; the
+        # slices of positions share its int objects, so a kept table costs
+        # one pointer per entry
+        h11, c, h22, positions = self._h11, self._c, self._h22, self._positions
         out = []
         for j in range(h22):
             r, j2 = divmod(j + s[1], h22)
             rot, base = (s[0] - r * c) % h11, h11 * j2
-            out += range(base + rot, base + h11)
-            out += range(base, base + rot)
+            out += positions[base + rot : base + h11]
+            out += positions[base : base + rot]
         return out
 
-    points = q.half_residues() if half else q.residues()
-    if q.kind == "torus":
-        return points, index, shifted, None
-    image = q._sigma_half if half else q.sigma.apply
-    return points, index, shifted, [index(image(p)) for p in points]
+    def moves(self, s: Vec) -> tuple:
+        """(ranks, flipped) for p + s over reps; flipped is None for a torus."""
+        out = self._moves.get(s)
+        if out is None:
+            targets = self.shifted(s)
+            if self.sigma is None:
+                out = (targets, None)
+            else:
+                sigma, orbit = self.sigma, self._orbit
+                targets = [targets[i] for i in self.reps]
+                out = ([orbit[j] for j in targets], [sigma[j] < j for j in targets])
+            self._moves[s] = out
+        return out
+
+    def irrational(self, lam: Vec) -> list:
+        parity = (lam[0] % 2, lam[1] % 2)
+        out = self._irrational.get(parity)
+        if out is None:
+            rational = ((0, 0), parity)
+            points = self.points
+            out = [(points[i][0] % 2, points[i][1] % 2) not in rational for i in self.reps]
+            self._irrational[parity] = out
+        return out
+
+
+def _grid(q: QuotientGroup, half: bool = False) -> _Grid:
+    """The grid of q (its doubled grid when half), built on first use and
+    kept on q, so that it lives and dies with the quotient."""
+    grid = q._zeta_grids.get(half)
+    if grid is None:
+        grid = q._zeta_grids[half] = _Grid(q, half)
+    return grid
 
 
 def _transfer_system(
-    q: QuotientGroup, kind: str, rep: str, step_in_w: int, labels: tuple, keep=None
+    q: QuotientGroup, kind: str, rep: str, step_in_w: int, labels: tuple, semi: bool = False
 ) -> TransferSystem:
     """The step (p, l) -> (p + l[0], l rotated by one) on grid classes p
     and labels l (a weight, or a gallery pair that swaps), modulo
     (p, l) ~ (sigma p, sigma l); a step of one power of w is a half step,
-    on the doubled grid.  keep(l[0]) masks the points paired with l."""
-    points, _, shifted, sigma = _grid(q, half=step_in_w == 1)
+    on the doubled grid.  A state is the id r * L + l of an orbit's
+    representative, r the rank of its point in grid.reps.  semi keeps
+    only the states whose line misses the vertex lattice."""
+    grid = _grid(q, half=step_in_w == 1)
     L = len(labels)
     at = {label: k for k, label in enumerate(labels)}
-    size = len(points) * L
+    size = len(grid.reps) * L
     succ = [0] * size  # id -> id of its successor
-    canon = list(range(size))  # id -> smallest id of its orbit
-    kept = [True] * size
     for k, label in enumerate(labels):
         nk = at[label[1:] + label[:1]]
-        succ[k::L] = [i * L + nk for i in shifted(label[0])]
-        if sigma is not None:
-            sk = at[tuple(mat_vec(q.sigma.linear, w) for w in label)]
-            canon[k::L] = [min(i * L + k, j * L + sk) for i, j in enumerate(sigma)]
-        if keep is not None:
-            kept[k::L] = keep(label[0])
-    states = [s for s in range(size) if kept[s] and canon[s] == s]
-    number = dict(zip(states, range(len(states))))
-    successor = tuple(number[canon[succ[s]]] for s in states)
+        ranks, flipped = grid.moves(label[0])
+        if flipped is None:
+            succ[k::L] = [r * L + nk for r in ranks]
+            continue
+        # the label of the representative, which is (sigma p, sigma l) when flipped
+        both = (nk, at[tuple(mat_vec(q.sigma.linear, w) for w in labels[nk])])
+        succ[k::L] = [r * L + both[f] for r, f in zip(ranks, flipped)]
+    if not semi:
+        return TransferSystem(kind, rep, tuple(range(size)), tuple(succ), step_in_w)
+    kept = [True] * size
+    for k, label in enumerate(labels):
+        kept[k::L] = grid.irrational(label[0])
+    states = [s for s in range(size) if kept[s]]
+    number = [-1] * size  # a dropped state stays -1, which fails the bijection check
+    for n, s in enumerate(states):
+        number[s] = n
+    successor = tuple([number[succ[s]] for s in states])
     return TransferSystem(kind, rep, tuple(states), successor, step_in_w)
 
 
@@ -178,13 +257,8 @@ def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
 
 
 def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    def irrational(lam: Vec) -> list:
-        # the line through x2 / 2 in direction lam misses the vertex lattice
-        rational = ((0, 0), (lam[0] % 2, lam[1] % 2))
-        return [(x % 2, y % 2) not in rational for x, y in q.half_residues()]
-
     labels = tuple((lam,) for lam in q.rs.weights(rep))
-    return _transfer_system(q, "semi", rep, 1, labels, irrational)
+    return _transfer_system(q, "semi", rep, 1, labels, semi=True)
 
 
 def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:

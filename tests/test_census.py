@@ -1,6 +1,9 @@
 """Counting oracles: the per-length loops and the closed-form tables."""
 
+import ast
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +23,8 @@ from weylzeta.census import (
     walk_count_table,
 )
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import GALLERY_LOG_DEPTH, GLIDE_WINDOW, SEMI_LOG_DEPTH
+import weylzeta.census
+from weylzeta.identities import GALLERY_LOG_DEPTH, GLIDE_WINDOW, SEMI_LOG_DEPTH, verify
 from weylzeta.quotient import AffineMap, KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, vec_add, vec_scale
 from weylzeta.zeta import required_order
@@ -226,6 +230,17 @@ def test_lambda_set_size_rejects_a_linear_part_not_fixing_alpha(monkeypatch):
             lambda_set_size(q, 1, (0, 3), glide)
 
 
+def test_glide_line_counts_read_the_current_sigma(monkeypatch):
+    # a glide power computed for an earlier call must not outlive q.sigma
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    assert verify(q).all_hold
+    assert lambda_set_size(q, 1, (0, 3)) in (0, q.k_gamma)
+    monkeypatch.setattr(q, "sigma", AffineMap(((-1, 0), (0, -1)), q.sigma.translation))
+    for glide in ("sigma", "tsigma"):
+        with pytest.raises(AssertionError, match="does not fix alpha"):
+            lambda_set_size(q, 1, (0, 3), glide)
+
+
 # ---------------------------------------------------------------------------
 # galleries
 # ---------------------------------------------------------------------------
@@ -365,3 +380,36 @@ def test_klein_tables_invariant_under_relabeling(item):
     # t and its inverse generate the same group with sigma
     inverse_t = KleinSpec(spec.alpha, spec.beta, spec.a, spec.b, -spec.m)
     assert _all_tables(build(rs, inverse_t)) == base
+
+
+# ---------------------------------------------------------------------------
+# independence from the transfer systems
+# ---------------------------------------------------------------------------
+
+
+def test_census_reads_nothing_of_the_transfer_systems():
+    tree = ast.parse(Path(weylzeta.census.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    outside = [
+        name
+        for name in imported
+        if name not in (".quotient", ".rootgeom")
+        and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+    names, texts = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            texts.append(node.value)  # a getattr(q, "...") would name it here
+    assert not names & {"_zeta_grids", "_grid", "_Grid", "zeta"}
+    assert not [t for t in texts if "_zeta_grids" in t or "_grid" in t.lower()]

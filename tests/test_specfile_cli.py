@@ -126,6 +126,35 @@ def test_cli_verify_json_deterministic(klein_file, capsys):
     }
 
 
+def test_cli_reuses_one_parser_without_leaking_options(torus_file, klein_file, capsys, monkeypatch):
+    import weylzeta.cli as cli_mod
+
+    built, make_parser = [], cli_mod.make_parser
+
+    def counting_parser():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli_mod, "_PARSER", None)
+    monkeypatch.setattr(cli_mod, "make_parser", counting_parser)
+    text_call = ["zeta", "--input", torus_file]
+    assert main(text_call) == 0
+    first = capsys.readouterr().out
+    # a call with other options and another subcommand in between
+    assert main(["verify", "--input", klein_file, "--order", "40", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 40
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "json"])  # --input is missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(text_call) == 0
+    second = capsys.readouterr().out
+    assert first == second and first.startswith("A2 torus: zeta data at order 48")
+    assert main(text_call) == 0
+    assert capsys.readouterr().out == first
+    assert built == [1]
+
+
 def test_cli_counts_json(torus_file, capsys):
     assert main(["counts", "--input", torus_file, "--max-n", "3", "--format", "json"]) == 0
     out = capsys.readouterr().out

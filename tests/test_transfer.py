@@ -1,6 +1,10 @@
-"""The flat-index transfer-system builder: its index map and its
-agreement with the tuple-canonicalizing reference builders."""
+"""The flat-index transfer-system builder: its index map, its
+per-quotient grid, and its agreement with the tuple-canonicalizing
+reference builders."""
 
+import gc
+import random
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,9 +15,11 @@ from hypothesis import strategies as st
 import reference
 from weylzeta.algebra import CycleProduct
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import _closed_paths
+from weylzeta.identities import _closed_paths, verify
 from weylzeta.quotient import (
     MAX_CLASSES,
+    AffineMap,
+    KleinSpec,
     SpecValidationError,
     TorusSpec,
     build,
@@ -96,7 +102,8 @@ POINTS = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
 
 
 def _check_grid(q, x, half):
-    points, index, shifted, sigma = _grid(q, half)
+    grid = _grid(q, half)
+    points, index, shifted, sigma = grid.points, grid.index, grid.shifted, grid.sigma
     u, v = q.gamma0_basis
     member = q.in_translation_subgroup
     if half:
@@ -146,3 +153,62 @@ def test_klein_index_map(item, m, x):
         assume(False)
     _check_grid(q, x, False)
     _check_grid(q, x, True)
+
+
+# ---------------------------------------------------------------------------
+# the grid is built once per quotient and shared by its systems
+# ---------------------------------------------------------------------------
+
+A2 = RootSystem.a2()
+C2 = RootSystem.c2()
+
+
+def _klein_and_cover(rs, spec):
+    q = build(rs, spec)
+    return q, build(rs, TorusSpec(*q.gamma0_basis))
+
+
+def _systems(q, calls):
+    out = {}
+    for flat, rep in calls:
+        system = flat(q, rep)
+        out[flat.__name__, rep] = (system.size, system.cycle_lengths())
+    return out
+
+
+def test_systems_agree_in_any_build_order():
+    rng = random.Random(9)
+    for q in (*_klein_and_cover(C2, KleinSpec((1, 0), (1, 1), 2, 1, 1)),
+              build(A2, TorusSpec((6, 0), (0, 3)))):
+        calls = [(flat, rep) for flat, _ in BUILDERS for rep in q.rs.rep_names]
+        assert len(calls) == 6
+        fresh = _systems(build(q.rs, q.spec), calls)
+        for _ in range(2):
+            rng.shuffle(calls)
+            assert _systems(q, calls) == fresh, q
+
+
+def test_klein_and_double_cover_hold_distinct_grids():
+    q, cover = _klein_and_cover(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    for half in (False, True):
+        grid = _grid(q, half)
+        assert _grid(q, half) is grid
+        assert _grid(cover, half) is not grid
+        assert grid.sigma is not None and _grid(cover, half).sigma is None
+        assert len(_grid(cover, half).points) == len(grid.points)
+
+
+def test_quotient_tables_die_with_the_quotient():
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    assert verify(q).all_hold
+    tables = [weakref.ref(q), weakref.ref(_grid(q)), weakref.ref(_grid(q, True))]
+    del q
+    gc.collect()
+    assert [ref() for ref in tables] == [None, None, None]
+
+
+def test_a_glide_with_a_fixed_point_raises(monkeypatch):
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    monkeypatch.setattr(q, "sigma", AffineMap.identity())
+    with pytest.raises(AssertionError, match="fixed-point-free involution"):
+        build_walk_system(q, "pi1")
