@@ -12,11 +12,16 @@ dict: identities between them are dict equalities, decided in integer
 arithmetic.  One kernel, _expand, multiplies such a product out as a
 power series truncated at a given order; it builds the reduced num/den
 forms printed at the edges and the L-polynomial from its Moebius
-exponents.  Dense polynomials (Poly) remain for those edges only.  The
-Fraction power series and det(I - wT) that the tests compare these
-integer paths against live in the tests' reference module.  Coefficients
-are exact: a Poly keeps integers as int and only non-integers as
-Fraction; nothing in this package touches floating point.
+exponents.  Those exponents are peeled from the traces in increasing d,
+at a cost that follows the nonzero ones (_moebius_exponents), and the
+reduced forms write each cyclotomic factor Phi_m through the squarefree
+divisors of m, found from its primes by trial division: nothing here
+sieves primes or tabulates the Moebius function.  Dense polynomials
+(Poly) remain for those edges only.  The Fraction power series and
+det(I - wT) that the tests compare these integer paths against live in
+the tests' reference module.  Coefficients are exact: a Poly keeps
+integers as int and only non-integers as Fraction; nothing in this
+package touches floating point.
 """
 
 from __future__ import annotations
@@ -183,25 +188,23 @@ def _divisors(n: int) -> list:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _primes(n: int) -> list:
-    """The primes up to n, by a sieve of slice assignments."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = bytes(min(2, n + 1))
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, is_prime in enumerate(sieve) if is_prime]
+def _mobius_divisors(m: int) -> list:
+    """(s, mu(s)) for the squarefree divisors s of m.
 
-
-def _mobius_table(n: int) -> list:
-    """mu(0..n), one slice pass per prime p: negate the multiples of p,
-    zero those of p * p; mu(0) is 0."""
-    mu = [1] * (n + 1)
-    mu[0] = 0
-    for p in _primes(n):
-        mu[p::p] = [-x for x in mu[p::p]]
-        mu[p * p :: p * p] = [0] * len(range(p * p, n + 1, p * p))
-    return mu
+    The distinct primes of m are found by trial division; each doubles
+    the list, with the sign flipped on the new half.
+    """
+    terms = [(1, 1)]
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            terms += [(s * p, -mu) for s, mu in terms]
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        terms += [(s * m, -mu) for s, mu in terms]
+    return terms
 
 
 def _expand(factors: dict, top: int) -> list:
@@ -336,15 +339,14 @@ class CycleProduct:
 
         num = prod_d (1 - w**d)**x_d is the product of the Phi_m**c_m with
         c_m > 0, den that of the Phi_m**-c_m with c_m < 0, each Phi_m
-        written as prod_{d | m} (1 - w**d)**mu(m / d).
+        written as prod (1 - w**(m / s))**mu(s) over the squarefree
+        divisors s of m, whose signs come from the distinct primes of m.
         """
-        c = self._cyclotomic_exponents()
-        mu = _mobius_table(max(c, default=0))
         parts = (Counter(), Counter())
-        for m, cm in c.items():
+        for m, cm in self._cyclotomic_exponents().items():
             part = parts[cm < 0]
-            for d in _divisors(m):
-                part[d] += mu[m // d] * abs(cm)
+            for s, mu in _mobius_divisors(m):
+                part[m // s] += mu * abs(cm)
         return parts
 
     def degrees(self) -> tuple:
@@ -378,21 +380,23 @@ class CycleProduct:
 def _moebius_exponents(traces: Sequence[int]) -> tuple:
     """({d: a_d}, bad) with traces[n-1] = N_n = sum_{d | n} d * a_d.
 
-    Moebius inversion gives d * a_d = sum_{d' | d} mu(d / d') N_d'.  The
-    dict holds the nonzero a_d up to the first d whose a_d is not an
+    The exponents are peeled off in increasing d: once the terms of every
+    d' < d are subtracted, s[d] is d * a_d, and a nonzero one is
+    subtracted from every proper multiple of d with one slice.  The cost
+    is O(n + sum of n / d over the d with a_d != 0), so sparse counts,
+    such as those of a product over a few cycle lengths, cost one pass.
+    The dict holds the nonzero a_d up to the first d whose a_d is not an
     integer; bad is that d, or None when every a_d is an integer.
     """
     n = len(traces)
     s = [0, *traces]
-    # dividing by the Dirichlet series of 1 is multiplying by 1 - p**-z
-    # for every prime p: s[j] -= s[j / p] at every multiple j of p
-    for p in _primes(n):
-        s[p::p] = [a - b for a, b in zip(s[p::p], s[1 : n // p + 1])]
     exponents = {}
     for d in range(1, n + 1):
-        if s[d]:
-            a, r = divmod(s[d], d)
+        t = s[d]
+        if t:
+            a, r = divmod(t, d)
             if r:
                 return exponents, d
             exponents[d] = a
+            s[2 * d :: d] = [x - t for x in s[2 * d :: d]]
     return exponents, None

@@ -57,7 +57,7 @@ class CountTable:
     values: tuple
 
     def __post_init__(self):
-        if any(v < 0 for v in self.values):
+        if min(self.values, default=0) < 0:
             raise ValueError("counts must be nonnegative")
 
 
@@ -235,11 +235,13 @@ def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
 
 
 def _tally(progressions: Counter, max_n: int) -> tuple:
-    """Counts at n = 1..max_n from multiplicities of progressions (r, m)."""
+    """Counts at n = 1..max_n from multiplicities of progressions (r, m):
+    each adds its count at n = r, r + m, ... (from m when r is 0) with one
+    slice update."""
     values = [0] * max_n
     for (r, m), count in progressions.items():
-        for n in range(r or m, max_n + 1, m):
-            values[n - 1] += count
+        start = (r or m) - 1
+        values[start::m] = [v + count for v in values[start::m]]
     return tuple(values)
 
 

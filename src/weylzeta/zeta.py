@@ -35,7 +35,10 @@ The L-polynomial P has one path (l_poly_from_counts): one Moebius
 inversion of the closed-walk counts gives P's factorization
 prod (1 - u**d)**a_d, one truncated expansion of it gives P's integer
 coefficients and checks the vanishing tail, and a cyclotomic degree check,
-which expands nothing, decides whether that product is P itself.
+which expands nothing, decides whether that product is P itself.  The
+inversion peels the exponents in increasing d and pays only for the
+nonzero ones, the few cycle lengths of the walk system; the degree check
+factors each Phi_m by the primes of m.
 """
 
 from __future__ import annotations
@@ -288,14 +291,22 @@ def zeta_galleries(q: QuotientGroup, rep: str) -> CycleProduct:
 
 class LPolynomial(Poly):
     """The L-polynomial P, a polynomial in w, with its cycle product when
-    the Moebius product of the counts it came from is exactly P."""
+    the Moebius product of the counts it came from is exactly P.
+
+    P's u-coefficients are ints, so the w-coefficients are set directly:
+    they interleave with zeros, with trailing zeros stripped, exactly as
+    Poly would hold them.
+    """
 
     __slots__ = ("_product",)
 
     def __init__(self, u_coeffs: list, product: Optional[CycleProduct]):
-        w_coeffs = [0] * (2 * len(u_coeffs) - 1)
-        w_coeffs[::2] = u_coeffs
-        super().__init__(w_coeffs)
+        u = list(u_coeffs)
+        while u and not u[-1]:
+            u.pop()
+        w_coeffs = [0] * (2 * len(u) - 1)
+        w_coeffs[::2] = u
+        self.coeffs = tuple(w_coeffs)
         self._product = product
 
     def cycle_product(self) -> CycleProduct:
@@ -348,9 +359,9 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
     exponents, bad = _moebius_exponents(counts)
     top = len(counts) if bad is None else bad - 1
     c = _expand(exponents, top)
-    for n in range(bound + 1, top + 1):
-        if c[n]:
-            raise NotPolynomialWithinBound(2 * n)
+    if any(c[bound + 1 :]):
+        n = next(n for n in range(bound + 1, top + 1) if c[n])
+        raise NotPolynomialWithinBound(2 * n)
     if bad is not None:
         if bad > bound:
             raise NotPolynomialWithinBound(2 * bad)

@@ -11,6 +11,11 @@ routes live here, and the tests compare the package against them:
   transfer system's zeta function.
 * ``cycle_product_from_traces``: the cycle product whose logarithm has
   given traces, by Moebius inversion.
+* ``moebius_exponents_by_primes`` and ``reduced_by_mobius_table``: the
+  sieve-based Moebius kernels, one slice pass per prime up to n and a mu
+  table up to the largest cyclotomic index.  They are the reference of
+  the peeling ``_moebius_exponents`` and of ``CycleProduct._reduced``,
+  which factors each Phi_m by the distinct primes of m.
 * ``carrying_linear`` and ``transporter``: the group element carrying one
   point to another, found by membership of y - x (and, for a Klein
   bottle, of y - sigma x) in the translation subgroup Gamma0.
@@ -32,8 +37,10 @@ routes live here, and the tests compare the package against them:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from weylzeta.algebra import (
@@ -42,6 +49,7 @@ from weylzeta.algebra import (
     NotPolynomialWithinBound,
     Poly,
     RatLike,
+    _divisors,
     _moebius_exponents,
 )
 from weylzeta.quotient import AffineMap, QuotientGroup
@@ -278,6 +286,63 @@ def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProd
     if bad is not None:
         raise NotCycleProduct(f"exponent of (1 - w^{step * bad}) is not an integer")
     return CycleProduct({step * d: a for d, a in exponents.items()})
+
+
+# ---------------------------------------------------------------------------
+# Sieve-based Moebius kernels
+# ---------------------------------------------------------------------------
+
+
+def _primes(n: int) -> list:
+    """The primes up to n, by a sieve of slice assignments."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(min(2, n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+def _mobius_table(n: int) -> list:
+    """mu(0..n), one slice pass per prime p: negate the multiples of p,
+    zero those of p * p; mu(0) is 0."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    for p in _primes(n):
+        mu[p::p] = [-x for x in mu[p::p]]
+        mu[p * p :: p * p] = [0] * len(range(p * p, n + 1, p * p))
+    return mu
+
+
+def moebius_exponents_by_primes(traces: Sequence[int]) -> tuple:
+    """({d: a_d}, bad) as ``_moebius_exponents`` returns it, by dividing
+    out the Dirichlet series of 1 prime by prime: multiplying by 1 - p**-z
+    is s[j] -= s[j / p] at every multiple j of p, one slice per prime <= n."""
+    n = len(traces)
+    s = [0, *traces]
+    for p in _primes(n):
+        s[p::p] = [a - b for a, b in zip(s[p::p], s[1 : n // p + 1])]
+    exponents = {}
+    for d in range(1, n + 1):
+        if s[d]:
+            a, r = divmod(s[d], d)
+            if r:
+                return exponents, d
+            exponents[d] = a
+    return exponents, None
+
+
+def reduced_by_mobius_table(f: CycleProduct) -> tuple:
+    """``f._reduced()`` with each Phi_m written as
+    prod_{d | m} (1 - w**d)**mu(m / d), mu read from one table."""
+    c = f._cyclotomic_exponents()
+    mu = _mobius_table(max(c, default=0))
+    parts = (Counter(), Counter())
+    for m, cm in c.items():
+        part = parts[cm < 0]
+        for d in _divisors(m):
+            part[d] += mu[m // d] * abs(cm)
+    return parts
 
 
 # ---------------------------------------------------------------------------

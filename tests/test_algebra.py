@@ -1,8 +1,10 @@
 """Exact-arithmetic layer: polynomials, series, det(I - wT), cycle products."""
 
+import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,11 @@ from hypothesis import strategies as st
 from reference import (
     IntMatrix,
     Series,
+    _mobius_table,
     cycle_product_from_traces,
     det_identity_minus_wT,
+    moebius_exponents_by_primes,
+    reduced_by_mobius_table,
     series_exp,
     series_log,
 )
@@ -22,7 +27,10 @@ from weylzeta.algebra import (
     NotCycleProduct,
     NotPolynomialWithinBound,
     Poly,
+    _divisors,
     _expand,
+    _mobius_divisors,
+    _moebius_exponents,
 )
 from weylzeta.cli import poly_to_json
 from weylzeta.identities import _poly_json
@@ -582,3 +590,105 @@ def test_cycle_product_dense_edge_matches_sympy():
             num, den = -num, -den
         got = tuple(Poly(int(c) for c in reversed(p.all_coeffs())) for p in (num, den))
         assert f.num_den() == got
+
+
+# ---------------------------------------------------------------------------
+# the Moebius kernels against their sieve-based references
+# ---------------------------------------------------------------------------
+
+progressions = st.lists(
+    st.tuples(st.integers(1, 60), st.integers(0, 59), st.integers(-20, 60)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(progressions, st.integers(1, 400))
+@settings(deadline=None, max_examples=150)
+def test_moebius_peel_matches_the_prime_sieve_on_progression_counts(progs, n):
+    # sums of c * m * [m | k], the counts of c cycles of length m, and of
+    # shifted progressions k = r (mod m), the shape of the census count
+    # tables; shifted ones usually stop at a non-integer exponent, which
+    # must be the same first d
+    divisible = [0] * n
+    shifted = [0] * n
+    for m, r, c in progs:
+        for k in range(m, n + 1, m):
+            divisible[k - 1] += c * m
+        for k in range(r % m or m, n + 1, m):
+            shifted[k - 1] += c
+    for traces in (divisible, shifted):
+        assert _moebius_exponents(traces) == moebius_exponents_by_primes(traces)
+    cycles = Counter()
+    for m, _, c in progs:
+        cycles[m] += c if m <= n else 0
+    assert _moebius_exponents(divisible) == (dict(CycleProduct(cycles).items()), None)
+
+
+def test_moebius_peel_matches_the_prime_sieve_on_necklace_counts():
+    # N_n = b**n: every exponent is a positive necklace count
+    for b in (2, 3):
+        traces = [b**n for n in range(1, 401)]
+        exponents, bad = _moebius_exponents(traces)
+        assert (exponents, bad) == moebius_exponents_by_primes(traces)
+        assert bad is None and sorted(exponents) == list(range(1, 401))
+        assert exponents[6] == (b**6 - b**3 - b**2 + b) // 6
+
+
+@given(
+    st.dictionaries(st.integers(1, 400), st.integers(-5, 5), max_size=8).map(
+        CycleProduct
+    ),
+    st.integers(100, 400),
+    st.data(),
+)
+@settings(deadline=None, max_examples=100)
+def test_moebius_peel_stops_at_a_late_planted_non_integer(f, n, data):
+    # integer exponents up to d, then N_d moved by an amount d does not divide
+    traces = traces_of(f, n)
+    d = data.draw(st.integers(n // 2, n))
+    k = data.draw(st.integers(1, d - 1))
+    traces[d - 1] += data.draw(st.sampled_from((k, -k, k + 7 * d)))
+    exponents, bad = _moebius_exponents(traces)
+    assert (exponents, bad) == moebius_exponents_by_primes(traces)
+    assert bad == d and exponents == {e: x for e, x in f.items() if e < d}
+
+
+def test_mobius_divisors_match_the_mobius_table():
+    mu = _mobius_table(5000)
+    for m in range(1, 5001):
+        got = {m // s: sign for s, sign in _mobius_divisors(m)}
+        assert got == {d: mu[m // d] for d in _divisors(m) if mu[m // d]}
+
+
+_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+# squarefree indices up to 5000 with three to five distinct primes
+_MANY_PRIMES = sorted(
+    {
+        math.prod(c)
+        for k in (3, 4, 5)
+        for c in itertools.combinations(_PRIMES[:25], k)
+        if math.prod(c) <= 5000
+    }
+)
+cyclotomic_indices = st.one_of(
+    st.integers(1, 5000),
+    st.builds(pow, st.sampled_from(_PRIMES[:8]), st.integers(1, 12)).filter(
+        lambda e: e <= 5000
+    ),
+    st.sampled_from(_MANY_PRIMES),
+    st.builds(
+        lambda s, q: s * q,
+        st.sampled_from(_MANY_PRIMES[:100]),
+        st.sampled_from((2, 4, 9, 25)),
+    ).filter(lambda e: e <= 5000),
+)
+
+
+@given(st.dictionaries(cyclotomic_indices, st.integers(-3, 3), max_size=5))
+@settings(deadline=None, max_examples=150)
+def test_reduced_matches_the_mobius_table_reference(exponents):
+    f = CycleProduct(exponents)
+    got, want = f._reduced(), reduced_by_mobius_table(f)
+    for g, r in zip(got, want):
+        assert {d: x for d, x in g.items() if x} == {d: x for d, x in r.items() if x}

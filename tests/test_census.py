@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from reference import (
     count_semi_closings,
 )
 from weylzeta.census import (
+    CountTable,
+    _tally,
     gallery_count_table,
     geodesic_count_table,
     lambda_set_size,
@@ -279,6 +282,41 @@ CORPUS = [member.build() for member in generate_corpus(7, 20, 12)]
 
 def _order(q):
     return max(required_order(q), 48)
+
+
+def tally_by_n(progressions: Counter, max_n: int) -> tuple:
+    """Counts at n = 1..max_n: one test of n = r (mod m), n >= max(r, 1)
+    per progression and n."""
+    return tuple(
+        sum(c for (r, m), c in progressions.items() if n >= r and (n - r) % m == 0)
+        for n in range(1, max_n + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "progressions",
+    [
+        {(0, 4): 3},  # r = 0 starts at m
+        {(0, 1): 5, (3, 1): 2},  # m = 1, also shifted
+        {(7, 9): 4, (40, 50): 11, (0, 60): 1},  # first terms above max_n
+        {(2 * r + 1, 2 * m): c for r, m, c in ((0, 1, 2), (1, 3, 5), (4, 5, 1))},
+        {(2 * r, 2 * m): c for r, m, c in ((0, 1, 6), (2, 3, 1), (0, 7, 2))},
+        {(r, m): m - r for m in (1, 2, 3, 5, 12) for r in range(m)},
+    ],
+)
+def test_tally_matches_a_per_n_loop(progressions):
+    # progressions (r, m) with 0 <= r < m, as the census solves them; odd
+    # and even gallery lengths are (2r + 1, 2m) and (2r, 2m)
+    progressions = Counter(progressions)
+    for max_n in (0, 1, 7, 30):
+        assert _tally(progressions, max_n) == tally_by_n(progressions, max_n)
+
+
+def test_count_table_rejects_a_negative_last_count():
+    CountTable("st", "walks", (0, 3, 1))
+    CountTable("st", "walks", ())
+    with pytest.raises(ValueError, match="nonnegative"):
+        CountTable("st", "walks", (0, 3, 1, -1))
 
 
 def test_walk_tables_match_loops_on_corpus():

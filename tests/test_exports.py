@@ -38,3 +38,10 @@ def test_exports_resolve_and_exclude_the_references():
     assert not hasattr(weylzeta.QuotientGroup, "transporter")
     assert not hasattr(weylzeta.TransferSystem, "closed_paths")
     assert not hasattr(weylzeta.TransferSystem, "permutation_matrix")
+
+
+def test_algebra_keeps_no_prime_sieve():
+    # the Moebius exponents are peeled and each Phi_m is factored by the
+    # primes of m; the sieve and the mu table live only in tests/reference.py
+    for name in ("_primes", "_mobius_table"):
+        assert not hasattr(weylzeta.algebra, name)

@@ -1,5 +1,6 @@
 """Transfer systems, zeta functions, L-polynomials, closed forms."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -25,12 +26,14 @@ from weylzeta.algebra import (
     Poly,
 )
 from weylzeta.census import walk_count_table
+from weylzeta.cli import poly_to_json
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import _closed_paths
+from weylzeta.identities import _closed_paths, _poly_json
 from weylzeta.quotient import KleinSpec, SpecValidationError, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, mat_vec
 from weylzeta.zeta import (
     MAX_ORDER,
+    LPolynomial,
     OrderInsufficientError,
     axis_factor,
     build_gallery_system,
@@ -238,6 +241,18 @@ def test_l_poly_matches_the_newton_recurrence():
     assert None in outcomes
     assert any(o and o[0] is NotPolynomialWithinBound for o in outcomes)
     assert any(o and o[0] is AssertionError for o in outcomes)
+
+
+def test_l_polynomial_holds_the_poly_coefficients():
+    # u-coefficients sliced at the bound end in zeros; the w-coefficients
+    # are the ints Poly would hold, with the same hash and JSON bytes
+    p = LPolynomial([1, -3, 0, 2, 0, 0], None)
+    dense = Poly([1, 0, -3, 0, 0, 0, 2])
+    assert p == dense and hash(p) == hash(dense) and p.coeffs == (1, 0, -3, 0, 0, 0, 2)
+    assert [type(c) for c in p.coeffs] == [int] * 7
+    assert json.dumps(poly_to_json(p)) == '{"coeffs": [1, -3, 0, 2], "var": "u"}'
+    assert _poly_json(p) == _poly_json(dense)
+    assert LPolynomial([1, 0, 0], None) == Poly.one()
 
 
 def regular_representation_l_poly(q, rep):
