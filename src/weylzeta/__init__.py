@@ -3,8 +3,8 @@
 The package builds finite quotients of the two rank-2 affine apartments
 (simplicial tori and Klein bottles), counts their closed geodesic
 walks, half-lattice geodesics and geodesic galleries, computes the
-corresponding zeta functions and L-functions in exact rational
-arithmetic, and verifies the structural identities tying them together
+corresponding zeta functions and L-functions, rational functions with
+integer coefficients, in exact integer arithmetic, and verifies the structural identities tying them together
 as exact equalities of cycle products.
 """
 

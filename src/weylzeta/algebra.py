@@ -17,22 +17,19 @@ at a cost that follows the nonzero ones (_moebius_exponents), and the
 reduced forms write each cyclotomic factor Phi_m through the squarefree
 divisors of m, found from its primes by trial division: nothing here
 sieves primes or tabulates the Moebius function.  Dense polynomials
-(Poly) remain for those edges only.  The Fraction power series and
-det(I - wT) that the tests compare these integer paths against live in
-the tests' reference module.  Coefficients are exact: a Poly keeps
-integers as int and only non-integers as Fraction; nothing in this
-package touches floating point.
+(Poly) remain for those edges only, with int coefficients: every one
+the package builds is an expansion of a cycle product.  The rational
+polynomials and power series and det(I - wT) that the tests compare
+these integer paths against live in the tests' reference module.
+Nothing in this package uses rationals or floating point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Sequence, Union
-
-RatLike = Union[int, Fraction]
+from typing import Iterable, Sequence
 
 
 class NotPolynomialWithinBound(ValueError):
@@ -45,59 +42,36 @@ class NotPolynomialWithinBound(ValueError):
         self.exponent = exponent
 
 
-def _exact(x: RatLike) -> RatLike:
-    """x as an int when it is an integer, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
 
 
 class Poly:
-    """Dense univariate polynomial in w over the rationals.
+    """Dense univariate polynomial in w with int coefficients.
 
-    Integer coefficients are held as int, the others as Fraction, so equal
-    polynomials have equal coefficient tuples.  Trailing zero coefficients
-    are stripped; the zero polynomial stores an empty tuple and reports
-    degree -1.  Instances are immutable.
+    The reporting edge and the failure details read its coefficients.
+    Trailing zero coefficients are stripped; the zero polynomial stores
+    an empty tuple and reports degree -1.  A coefficient that is not an
+    int raises TypeError.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
-        c = [_exact(x) for x in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        c = list(coeffs)
+        for x in c:
+            if type(x) is not int:
+                raise TypeError(f"Poly coefficient must be an int, got {x!r}")
         while c and c[-1] == 0:
             c.pop()
         self.coeffs: tuple = tuple(c)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: RatLike = 1) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        return cls([0] * exponent + [coefficient])
-
-    # -- basic queries ------------------------------------------------
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def constant_term(self) -> RatLike:
-        return self.coeffs[0] if self.coeffs else 0
-
-    def coefficient(self, k: int) -> RatLike:
+    def coefficient(self, k: int) -> int:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
@@ -106,72 +80,28 @@ class Poly:
         """True when only even powers of w occur (the object is a function of u)."""
         return all(c == 0 for c in self.coeffs[1::2])
 
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_int_coeffs(self) -> list:
-        if not self.is_integer():
-            raise ValueError("polynomial has non-integer coefficients")
-        return list(self.coeffs)
-
-    # -- arithmetic ---------------------------------------------------
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def scale(self, c: RatLike) -> "Poly":
-        if c == 0:
-            return Poly()
-        return Poly([x * c for x in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out_f = [0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, av in enumerate(a):
             if av:
                 for j, bv in enumerate(b):
                     if bv:
-                        out_f[i + j] += av * bv
-        return Poly(out_f)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+                        out[i + j] += av * bv
+        return Poly(out)
 
     def __repr__(self):
-        return f"Poly({[str(c) for c in self.coeffs]})"
+        return f"Poly({list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .zeta import MAX_ORDER, OrderInsufficientError, zeta_bundle
 
 def poly_to_json(p: Poly) -> dict:
     """Integer coefficient list, halving exponents when only u-powers occur."""
-    coeffs = p.to_int_coeffs()
+    coeffs = list(p.coeffs)
     if p.is_even_in_w():
         return {"coeffs": coeffs[::2], "var": "u"}
     return {"coeffs": coeffs, "var": "w"}
@@ -47,7 +47,7 @@ def ratfunc_to_json(f: CycleProduct) -> tuple:
     """(json, den): the reduced num/den coefficient lists, in u when f is a
     function of u, and den's integer coefficients in w, which the text
     output prints, from the same expansion."""
-    num, den = (p.to_int_coeffs() for p in f.num_den())
+    num, den = (list(p.coeffs) for p in f.num_den())
     if f.is_even_in_w():
         return {"num": num[::2], "den": den[::2], "var": "u"}, den
     return {"num": num, "den": den, "var": "w"}, den
@@ -139,7 +139,7 @@ def _cmd_zeta(args) -> int:
                 f"    1/Z      = {den['zeta']}",
                 f"    1/Z_semi = {den['zeta_semi']}",
                 f"    1/Z2     = {den['zeta2']}",
-                f"    P        = {bundle.l_poly[rep].to_int_coeffs()}",
+                f"    P        = {list(bundle.l_poly[rep].coeffs)}",
             ]
     _emit(payload, args.format, lines)
     return 0

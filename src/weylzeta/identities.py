@@ -21,7 +21,9 @@ loudly, never silently truncated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Optional
 
 from .algebra import CycleProduct, NotCycleProduct, NotPolynomialWithinBound, Poly
@@ -92,7 +94,7 @@ class VerificationReport:
 
 
 def _poly_json(p: Poly) -> list:
-    return [str(c) if c.denominator != 1 else c.numerator for c in p.coeffs]
+    return list(p.coeffs)
 
 
 def _ratfunc_json(f: CycleProduct) -> dict:
@@ -102,18 +104,14 @@ def _ratfunc_json(f: CycleProduct) -> dict:
 
 def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
     """Empty dict when equal, else the first mismatching w-coefficient."""
-    if lhs == rhs:
-        return {}
-    top = max(lhs.degree, rhs.degree)
-    for k in range(top + 1):
-        a, b = lhs.coefficient(k), rhs.coefficient(k)
-        if a != b:
+    for k, (x, y) in enumerate(zip_longest(lhs.coeffs, rhs.coeffs, fillvalue=0)):
+        if x != y:
             return {
                 "first_mismatch_exponent": k,
-                "lhs_coefficient": str(a),
-                "rhs_coefficient": str(b),
+                "lhs_coefficient": str(x),
+                "rhs_coefficient": str(y),
             }
-    return {"first_mismatch_exponent": None}
+    return {}
 
 
 def _cross(lhs: CycleProduct, rhs: CycleProduct) -> tuple:
@@ -146,8 +144,10 @@ def _count_compare(pairs) -> dict:
     return {}
 
 
-def _closed_paths(cycle_lengths, n: int) -> int:
-    return sum(ell for ell in cycle_lengths if n % ell == 0)
+def _closed_paths(cycle_counts: Counter, n: int) -> int:
+    """The closed paths of length n: ell * c_ell over the cycle lengths ell
+    that divide n, c_ell cycles of each."""
+    return sum(ell * c for ell, c in cycle_counts.items() if n % ell == 0)
 
 
 @dataclass
@@ -155,9 +155,9 @@ class _RepData:
     zeta: CycleProduct
     zeta_semi: CycleProduct
     zeta2: CycleProduct
-    walk_cycles: list
-    semi_cycles: list
-    gallery_cycles: list
+    walk_cycles: Counter
+    semi_cycles: Counter
+    gallery_cycles: Counter
     counts_n: tuple
     counts_geo: tuple
     counts_semi: tuple
@@ -227,9 +227,11 @@ def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
         zeta=walks.zeta(),
         zeta_semi=semi.zeta(),
         zeta2=gal.zeta(),
-        walk_cycles=walks.cycle_lengths(),
-        semi_cycles=semi.cycle_lengths(),
-        gallery_cycles=gal.cycle_lengths(),
+        # a Counter keeps its lengths in order of first occurrence, so the
+        # parity check reports the first odd length in cycle order
+        walk_cycles=Counter(walks.cycle_lengths()),
+        semi_cycles=Counter(semi.cycle_lengths()),
+        gallery_cycles=Counter(gal.cycle_lengths()),
         counts_n=counts_n,
         counts_geo=counts_geo,
         counts_semi=counts_semi,

@@ -8,8 +8,8 @@ alpha (the glide axis direction), a best-paired weight beta of the
 partner representation, integers a, b with a*alpha + b*beta the glide
 translation, and a multiplier m for the perpendicular translation t.
 
-Everything here is exact integer arithmetic; rationals appear only in
-intermediate coordinate solves.  The vertex and half-lattice orbit
+Everything here is exact integer arithmetic; the coordinate solves test
+divisibility with divmod.  The vertex and half-lattice orbit
 representatives are derived in one pass over the doubled residue box: a
 vertex is the half-lattice point with even doubled coordinates.  A
 quotient also carries the per-quotient tables of the transfer systems
@@ -20,7 +20,6 @@ layers fills on first use, so they live and die with the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
@@ -234,10 +233,9 @@ class QuotientGroup:
             raise SpecValidationError(
                 f"translation part not in coroot lattice: {trans}"
             )
-        n_val = 2 * rs.pairing(alpha, beta) / rs.pairing(alpha, alpha)
-        if n_val.denominator != 1:
+        n, r = divmod(2 * rs.pairing(alpha, beta), rs.pairing(alpha, alpha))
+        if r:
             raise SpecValidationError("pairing normalization is not integral")
-        n = int(n_val)
         k = 2 * a + n * b
         if k == 0:
             raise SpecValidationError("k = 0: sigma squared is the identity")
@@ -532,11 +530,10 @@ def normalize_generators(
     det = s[0] * t_vec[1] - t_vec[0] * s[1]
     if det == 0:
         raise ValueError("generators do not span the plane")
-    p = Fraction(mt[0] * t_vec[1] - t_vec[0] * mt[1], det)
-    qq = Fraction(s[0] * mt[1] - mt[0] * s[1], det)
-    if p.denominator != 1 or qq.denominator != 1:
+    p, rp = divmod(mt[0] * t_vec[1] - t_vec[0] * mt[1], det)
+    qq, rq = divmod(s[0] * mt[1] - mt[0] * s[1], det)
+    if rp or rq:
         raise ValueError("conjugated translation leaves the generated group")
-    p, qq = int(p), int(qq)
     if qq != -1:
         raise ValueError("generators do not generate a Klein-bottle group")
     if p % 2 != 0:

@@ -11,15 +11,15 @@ Two cases are supported and nothing else:
   vectors as weights; "st" has the four diagonal vectors plus one trivial
   weight.
 
-All coordinates are integers; the pairing is the only place fractions
-can appear (half-lattice points).  Only pairing ratios are ever used, so
-the overall Gram scale is irrelevant.
+All coordinates and pairings are integers, and the ratios taken of
+pairings are exact integer divisions.  Only those ratios are ever used,
+so the overall Gram scale is irrelevant.  Half-lattice points (HalfVec)
+are stored as doubled integer coordinates and are never paired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 Vec = tuple  # (int, int) lattice point in coweight coordinates
@@ -169,16 +169,12 @@ class RootSystem:
 
     # -- bilinear form ---------------------------------------------------
 
-    def pairing(self, x, y) -> Fraction:
-        """Positive definite pairing; accepts lattice points or HalfVec."""
-        xv, xd = (x, 1) if not isinstance(x, HalfVec) else ((x.x2, x.y2), 2)
-        yv, yd = (y, 1) if not isinstance(y, HalfVec) else ((y.x2, y.y2), 2)
+    def pairing(self, x: Vec, y: Vec) -> int:
+        """Positive definite pairing of two lattice points."""
         g = self.gram
-        raw = (
-            xv[0] * (g[0][0] * yv[0] + g[0][1] * yv[1])
-            + xv[1] * (g[1][0] * yv[0] + g[1][1] * yv[1])
+        return x[0] * (g[0][0] * y[0] + g[0][1] * y[1]) + x[1] * (
+            g[1][0] * y[0] + g[1][1] * y[1]
         )
-        return Fraction(raw, xd * yd)
 
     def in_coroot_lattice(self, v: Vec) -> bool:
         if self.kind == "A2":
@@ -197,14 +193,12 @@ class RootSystem:
         dd = self.pairing(d, d)
         cols = []
         for e in ((1, 0), (0, 1)):
-            coef = 2 * self.pairing(e, d) / dd
-            img = (
-                -e[0] + coef * d[0],
-                -e[1] + coef * d[1],
-            )
-            if img[0].denominator != 1 or img[1].denominator != 1:
+            # every weight is primitive, so the image -e + coef * d is
+            # integral exactly when coef is
+            coef, r = divmod(2 * self.pairing(e, d), dd)
+            if r:
                 raise ValueError(f"reflection fixing {d} is not integral")
-            cols.append((int(img[0]), int(img[1])))
+            cols.append((-e[0] + coef * d[0], -e[1] + coef * d[1]))
         m: Mat = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
         if m not in self.weyl:
             raise ValueError(f"reflection fixing {d} does not lie in the Weyl group")

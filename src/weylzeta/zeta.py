@@ -293,20 +293,16 @@ class LPolynomial(Poly):
     """The L-polynomial P, a polynomial in w, with its cycle product when
     the Moebius product of the counts it came from is exactly P.
 
-    P's u-coefficients are ints, so the w-coefficients are set directly:
-    they interleave with zeros, with trailing zeros stripped, exactly as
-    Poly would hold them.
+    It is built from P's int u-coefficients, which interleave with zeros
+    in w; its degree, like every Poly's, is in w.
     """
 
     __slots__ = ("_product",)
 
     def __init__(self, u_coeffs: list, product: Optional[CycleProduct]):
-        u = list(u_coeffs)
-        while u and not u[-1]:
-            u.pop()
-        w_coeffs = [0] * (2 * len(u) - 1)
-        w_coeffs[::2] = u
-        self.coeffs = tuple(w_coeffs)
+        w_coeffs = [0] * (2 * len(u_coeffs))
+        w_coeffs[::2] = u_coeffs
+        super().__init__(w_coeffs)
         self._product = product
 
     def cycle_product(self) -> CycleProduct:

@@ -4,6 +4,10 @@ The package proves every identity in integers: cycle products, the
 closed-form census and one Moebius L-path.  The older and more literal
 routes live here, and the tests compare the package against them:
 
+* ``Poly``: dense polynomials in w over the rationals, with Fraction
+  normalisation, ``one``, ``monomial``, ``+``, ``-``, ``*``, ``**`` and
+  ``scale``.  The package's ``Poly`` is an int-only dense edge; a
+  reference ``Poly`` compares equal to it when the coefficients agree.
 * ``Series``, ``series_exp`` and ``series_log``: power series in w with
   Fraction coefficients, truncated at a fixed order.
 * ``IntMatrix`` and ``det_identity_minus_wT``: det(I - wT) of an explicit
@@ -27,6 +31,9 @@ routes live here, and the tests compare the package against them:
 * ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
   one integer recurrence step per count; production builds P from its
   Moebius exponents with one expansion.
+* ``hecke_determinant``: the q = 1 Hecke polynomial
+  det(sum_j (-u)**j E_j) of the vertex shifts, by Bareiss at integer
+  points and exact interpolation; it equals P on tori and Klein bottles.
 * The tuple transfer-system builders: every state canonicalized as a
   tuple, the reduced grid point (``reduce`` / ``reduce_half``), the label
   and, for a Klein bottle, the lexicographic minimum over the two sheet
@@ -41,17 +48,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Optional, Sequence, Union
 
 from weylzeta.algebra import (
     CycleProduct,
     NotCycleProduct,
     NotPolynomialWithinBound,
-    Poly,
-    RatLike,
     _divisors,
     _moebius_exponents,
 )
+from weylzeta.algebra import Poly as IntPoly
 from weylzeta.quotient import AffineMap, QuotientGroup
 from weylzeta.rootgeom import (
     IDENTITY,
@@ -66,8 +73,121 @@ from weylzeta.rootgeom import (
 from weylzeta.zeta import OrderInsufficientError, TransferSystem
 
 
+RatLike = Union[int, Fraction]
+
+
 def _frac(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _exact(x: RatLike) -> RatLike:
+    """x as an int when it is an integer, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over the rationals
+# ---------------------------------------------------------------------------
+
+
+class Poly:
+    """Dense univariate polynomial in w over the rationals.
+
+    Integer coefficients are held as int, the others as Fraction, so equal
+    polynomials have equal coefficient tuples, and a polynomial equals the
+    package's int-only Poly with the same coefficients.  Trailing zero
+    coefficients are stripped; the zero polynomial stores an empty tuple
+    and reports degree -1.  Instances are immutable.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[RatLike] = ()):
+        c = [_exact(x) for x in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self.coeffs: tuple = tuple(c)
+
+    @classmethod
+    def one(cls) -> "Poly":
+        return cls((1,))
+
+    @classmethod
+    def monomial(cls, exponent: int, coefficient: RatLike = 1) -> "Poly":
+        if exponent < 0:
+            raise ValueError("negative exponent")
+        return cls([0] * exponent + [coefficient])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coefficient(self, k: int) -> RatLike:
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return 0
+
+    def is_even_in_w(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1::2])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (Poly, IntPoly)) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __neg__(self) -> "Poly":
+        return Poly([-c for c in self.coeffs])
+
+    def __add__(self, other) -> "Poly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly(out)
+
+    def __sub__(self, other) -> "Poly":
+        return self + (-Poly(other.coeffs))
+
+    def scale(self, c: RatLike) -> "Poly":
+        return Poly([x * c for x in self.coeffs])
+
+    def __mul__(self, other):
+        """The product with a scalar, or with a Poly of either class."""
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, av in enumerate(a):
+            if av:
+                for j, bv in enumerate(b):
+                    if bv:
+                        out[i + j] += av * bv
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "Poly":
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        result = Poly.one()
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return result
+
+    def __repr__(self):
+        return f"Poly({[str(c) for c in self.coeffs]})"
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +638,94 @@ def l_poly_from_counts(counts, bound: int) -> Poly:
         if n <= bound:
             p[n] = pn
     return Poly([x for pj in p for x in (pj, 0)])
+
+
+# ---------------------------------------------------------------------------
+# The q = 1 Hecke determinant
+# ---------------------------------------------------------------------------
+
+
+def _bareiss_det(rows: list) -> int:
+    """The determinant of a square integer matrix by Bareiss's
+    fraction-free elimination, with a row swap at a zero pivot."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def hecke_determinant(q: QuotientGroup, rep: str) -> Poly:
+    """det_N(sum_j (-u)**j E_j) over the N vertex classes, as a Poly in u.
+
+    E_j is the sum, over the j-element subsets S of the weights of rep,
+    of the shift of a vertex class by the sum of S.  For pi1 this is
+    det(I - A1 u + A2 u**2 - u**3 I).  The determinant has degree at most
+    k N, k the number of weights, so it is taken by Bareiss at the k N + 1
+    points u = 0..k N and interpolated exactly in Newton's forward form.
+
+    It equals P of l_poly_from_counts, whose counts are
+    N_n = sum over weights lam of #{v : v + n lam lies in the orbit of v}.
+    Proof.  Let X0 be the vertex classes of the translation subgroup
+    Gamma0 (X itself for a torus), S_lam the shift by lam on functions on
+    X0, and Sigma the action of the glide of a Klein bottle (the identity
+    for a torus).  The S_lam commute, so sum_j (-u)**j E_j(X0) is
+    prod_lam (I - u S_lam).  Sigma S_lam Sigma**-1 = S_{L lam}, L the
+    glide's linear part, which permutes the weights; so Sigma commutes
+    with the E_j and with B_n = sum_lam S_lam**n, and the functions on X
+    are the Sigma-invariant ones, on which E_j(X0) acts as E_j(X).  Hence
+    log det_X(sum_j (-u)**j E_j) = -sum_n u**n / n tr(B_n Pi), with
+    Pi = (I + Sigma) / 2 the projection onto them.  For a torus Pi = I,
+    and tr B_n counts the pairs (v, lam) with v + n lam = v in X: N_n.
+    For a Klein bottle, the fixed classes of S_lam**n and of
+    S_lam**n Sigma together number the w in X0 with w + n lam in the
+    Gamma-orbit of w: those of S_lam**n are carried back by a
+    translation, and w -> sigma w takes those of S_lam**n Sigma to the
+    ones carried back by a glide.  Over all lam, each class of X
+    has two lifts w and sigma w, which count equally because L permutes
+    the weights; so tr(B_n Pi) = N_n here too, and the determinant is
+    exp(-sum_n N_n u**n / n) = P.
+    """
+    index = {v: i for i, v in enumerate(q.vertex_reps)}
+    wts = q.rs.weights(rep)
+    n, k = len(index), len(wts)
+    # shifts[j][row][col]: the j-subsets of the weights carrying class col to row
+    shifts = [[[0] * n for _ in range(n)] for _ in range(k + 1)]
+    for j in range(k + 1):
+        for subset in combinations(wts, j):
+            s = (sum(w[0] for w in subset), sum(w[1] for w in subset))
+            for v, col in index.items():
+                shifts[j][index[q.canonical_vertex(vec_add(v, s))]][col] += 1
+    top = k * n
+    values = [
+        _bareiss_det(
+            [
+                [sum((-u) ** j * shifts[j][r][c] for j in range(k + 1)) for c in range(n)]
+                for r in range(n)
+            ]
+        )
+        for u in range(top + 1)
+    ]
+    # P(u) = sum_i (Delta**i P)(0) binomial(u, i), by Horner from the top:
+    # binomial(u, i + 1) = binomial(u, i) (u - i) / (i + 1)
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    p = Poly()
+    for i in reversed(range(top + 1)):
+        p = p * Poly([Fraction(-i, i + 1), Fraction(1, i + 1)]) + Poly([diffs[i]])
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from reference import (
     IntMatrix,
+    Poly,
     Series,
     _mobius_table,
     cycle_product_from_traces,
@@ -22,11 +23,11 @@ from reference import (
     series_exp,
     series_log,
 )
+from weylzeta import algebra
 from weylzeta.algebra import (
     CycleProduct,
     NotCycleProduct,
     NotPolynomialWithinBound,
-    Poly,
     _divisors,
     _expand,
     _mobius_divisors,
@@ -393,7 +394,7 @@ def test_ratfunc_canonical_constant_normalization():
         CycleProduct({3: -1, 5: 2, 15: 1}),
     ):
         num, den = f.num_den()
-        assert num.constant_term == 1 and den.constant_term == 1
+        assert num.coefficient(0) == 1 and den.coefficient(0) == 1
 
 
 def test_ratfunc_denominator_must_not_vanish_at_zero():
@@ -483,7 +484,7 @@ def test_expand_returns_the_exact_coefficient_list():
 def test_expand_matches_the_reduced_form(f):
     for part, p in zip(f._reduced(), f.num_den()):
         c = _expand(part, sum(d * x for d, x in part.items()))
-        assert c == p.to_int_coeffs() and c[-1] != 0
+        assert c == list(p.coeffs) and c[-1] != 0
 
 
 def series_power(s: Series, e: int) -> Series:
@@ -535,14 +536,25 @@ def test_poly_int_and_fraction_coefficients_agree():
     assert [type(c) for c in a.coeffs] == [int, int, Fraction]
     assert Poly([Fraction(6, 3)]) * Poly([Fraction(1, 2)]) == Poly.one()
     assert type((Poly([Fraction(6, 3)]) * Poly([Fraction(1, 2)])).coeffs[0]) is int
-    assert a.coefficient(7) == 0 and Poly().constant_term == 0
-    # the JSON edges print the same bytes for either coefficient type
-    assert json.dumps(_poly_json(a)) == '[1, 2, "1/3"]'
-    for coeffs in ([1, 0, -3, 0, 2], [Fraction(1), 0, Fraction(-6, 2), 0, Fraction(2)]):
-        assert json.dumps(poly_to_json(Poly(coeffs))) == (
-            '{"coeffs": [1, -3, 2], "var": "u"}'
-        )
-    assert json.dumps(poly_to_json(Poly([1, Fraction(-1)]))) == (
+    assert a.coefficient(7) == 0
+    # an integral reference Poly equals the package's int Poly, both ways
+    c = Poly([Fraction(1), 0, Fraction(-6, 2)])
+    d = algebra.Poly([1, 0, -3])
+    assert c == d and d == c and hash(c) == hash(d) and d != a
+
+
+def test_package_poly_is_int_only():
+    p = algebra.Poly([1, 0, -3, 0, 2, 0, 0])
+    assert p.coeffs == (1, 0, -3, 0, 2) and p.degree == 4
+    assert p.coefficient(7) == 0 and algebra.Poly().degree == -1
+    assert p * algebra.Poly([1, 1]) == algebra.Poly([1, 1, -3, -3, 2, 2])
+    for bad in (Fraction(1), 1.0, "1"):
+        with pytest.raises(TypeError, match="must be an int"):
+            algebra.Poly([1, bad])
+    # the JSON edges print int coefficient lists
+    assert json.dumps(_poly_json(p)) == "[1, 0, -3, 0, 2]"
+    assert json.dumps(poly_to_json(p)) == '{"coeffs": [1, -3, 2], "var": "u"}'
+    assert json.dumps(poly_to_json(algebra.Poly([1, -1]))) == (
         '{"coeffs": [1, -1], "var": "w"}'
     )
 

@@ -1,7 +1,11 @@
 """The package exports what production runs and none of the test references."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import weylzeta
 
@@ -45,3 +49,20 @@ def test_algebra_keeps_no_prime_sieve():
     # primes of m; the sieve and the mu table live only in tests/reference.py
     for name in ("_primes", "_mobius_table"):
         assert not hasattr(weylzeta.algebra, name)
+
+
+def test_the_cli_imports_no_rationals():
+    # a fresh interpreter: pytest and hypothesis import fractions themselves
+    src = str(Path(weylzeta.__file__).resolve().parents[1])
+    script = (
+        "import sys, weylzeta.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -328,6 +328,11 @@ def test_normalize_generators_rejections():
         normalize_generators(A2, q.sigma, q.sigma)
     with pytest.raises(ValueError, match="coroot"):
         normalize_generators(A2, AffineMap.from_translation((1, 0)), q.sigma)
+    # m t = p s + qq t with s = sigma**2: qq = -1, but p = -5/3
+    with pytest.raises(ValueError, match="conjugated translation leaves the generated group"):
+        normalize_generators(
+            C2, AffineMap.from_translation((-5, -5)), c2_spin_klein().sigma
+        )
 
 
 def test_glide_conjugacy_representatives():
