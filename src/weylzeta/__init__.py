@@ -45,9 +45,6 @@ from .zeta import (
     required_order,
     torus_closed_form,
     zeta_bundle,
-    zeta_galleries,
-    zeta_semi,
-    zeta_walks,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +88,4 @@ __all__ = [
     "torus_closed_form",
     "verify",
     "zeta_bundle",
-    "zeta_galleries",
-    "zeta_semi",
-    "zeta_walks",
 ]

@@ -163,6 +163,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    for flag, n in (("--tori", args.tori), ("--kleins", args.kleins)):
+        if n < 0:
+            raise SpecValidationError(f"{flag} must be at least 0, got {n}")
     members = generate_corpus(args.seed, args.tori, args.kleins)
     payload: dict = {"seed": args.seed, "members": []}
     lines = [f"corpus seed {args.seed}: {len(members)} members"]

@@ -10,9 +10,9 @@ product once for P's integer coefficients and its vanishing tail, and
 hands on the product as P's CycleProduct when a cyclotomic degree check
 shows it is P itself.  Dense polynomials are built only for the detail
 of a failed record.  Count-versus-log
-identities compare closed-form census values against divisor sums over
-the cycle structure, which is the exact coefficient of the zeta
-logarithm at that order.
+identities compare closed-form census values against the zeta
+logarithm's exact coefficient at that order, a divisor sum over the
+cycle lengths read off the zeta's exponents.
 
 The verification order is derived from the degree bounds of the
 L-polynomial reconstructions and failures to meet it are reported
@@ -21,7 +21,6 @@ loudly, never silently truncated.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Optional
@@ -93,13 +92,9 @@ class VerificationReport:
         }
 
 
-def _poly_json(p: Poly) -> list:
-    return list(p.coeffs)
-
-
 def _ratfunc_json(f: CycleProduct) -> dict:
     num, den = f.num_den()
-    return {"num": _poly_json(num), "den": _poly_json(den), "var": "w"}
+    return {"num": list(num.coeffs), "den": list(den.coeffs), "var": "w"}
 
 
 def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
@@ -144,10 +139,17 @@ def _count_compare(pairs) -> dict:
     return {}
 
 
-def _closed_paths(cycle_counts: Counter, n: int) -> int:
-    """The closed paths of length n: ell * c_ell over the cycle lengths ell
-    that divide n, c_ell cycles of each."""
-    return sum(ell * c for ell, c in cycle_counts.items() if n % ell == 0)
+def _cycles(z: CycleProduct, step_in_w: int) -> list:
+    """The (ell, c_ell) pairs of a transfer system's zeta
+    z = prod (1 - w**(step_in_w * ell))**-c_ell, by increasing ell."""
+    return [(e // step_in_w, -k) for e, k in z.items()]
+
+
+def _closed_paths(cycles: list, n: int) -> int:
+    """The closed paths of n steps, ell * c_ell over the (ell, c_ell) in
+    cycles with ell dividing n: for cycles = _cycles(z, step_in_w), n times
+    the coefficient of w**(step_in_w * n) in log z."""
+    return sum(ell * c for ell, c in cycles if n % ell == 0)
 
 
 @dataclass
@@ -155,9 +157,6 @@ class _RepData:
     zeta: CycleProduct
     zeta_semi: CycleProduct
     zeta2: CycleProduct
-    walk_cycles: Counter
-    semi_cycles: Counter
-    gallery_cycles: Counter
     counts_n: tuple
     counts_geo: tuple
     counts_semi: tuple
@@ -203,9 +202,6 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
 
 
 def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
-    walks = build_walk_system(q, rep)
-    semi = build_semi_system(q, rep)
-    gal = build_gallery_system(q, rep)
     counts_n = walk_count_table(q, rep, order).values
     counts_geo = geodesic_count_table(q, rep, min(WALK_LOG_DEPTH, order)).values
     counts_semi = semi_count_table(q, rep, min(SEMI_LOG_DEPTH, 2 * order)).values
@@ -224,14 +220,9 @@ def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
         except NotCycleProduct as exc:
             l_reason = f"l-polynomial is not a cycle product: {exc}"
     return _RepData(
-        zeta=walks.zeta(),
-        zeta_semi=semi.zeta(),
-        zeta2=gal.zeta(),
-        # a Counter keeps its lengths in order of first occurrence, so the
-        # parity check reports the first odd length in cycle order
-        walk_cycles=Counter(walks.cycle_lengths()),
-        semi_cycles=Counter(semi.cycle_lengths()),
-        gallery_cycles=Counter(gal.cycle_lengths()),
+        zeta=build_walk_system(q, rep).zeta(),
+        zeta_semi=build_semi_system(q, rep).zeta(),
+        zeta2=build_gallery_system(q, rep).zeta(),
         counts_n=counts_n,
         counts_geo=counts_geo,
         counts_semi=counts_semi,
@@ -271,31 +262,34 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         return d.l_product is None
 
     # the three zeta logs versus the census counts
-    for key, statement, cycles, counts in (
+    for key, statement, zeta, step_in_w, counts in (
         (
             "walk-log-counts",
             "log of the walk zeta matches corner-free closed walk counts",
-            "walk_cycles",
+            "zeta",
+            2,
             "counts_geo",
         ),
         (
             "half-step-log-counts",
             "log of the half-step zeta matches semi-rational closing counts",
-            "semi_cycles",
+            "zeta_semi",
+            1,
             "counts_semi",
         ),
         (
             "gallery-log-counts",
             "log of the gallery zeta matches closed gallery counts",
-            "gallery_cycles",
+            "zeta2",
+            2,
             "counts_gal",
         ),
     ):
         for rep in rs.rep_names:
             d = data[rep]
-            table, ells = getattr(d, counts), getattr(d, cycles)
+            table, cycles = getattr(d, counts), _cycles(getattr(d, zeta), step_in_w)
             pairs = [
-                (n, table[n - 1], _closed_paths(ells, n))
+                (n, table[n - 1], _closed_paths(cycles, n))
                 for n in range(1, len(table) + 1)
             ]
             record(f"{key}[{rep}]", statement, _count_compare(pairs))
@@ -442,16 +436,17 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         d = data[rep]
         checks = []
         if rs.kind == "C2" and rep == "spin":
-            checks.append(("spin walks", d.walk_cycles, 2))
+            checks.append(("spin walks", d.zeta))
         # gallery labels only return after an even number of steps, except
         # on A2 Klein bottles where the glide swaps the off-axis directions
         if q.kind == "torus" or (rs.kind == "C2" and rep == q.type_rep):
-            checks.append(("galleries", d.gallery_cycles, 2))
+            checks.append(("galleries", d.zeta2))
         if not checks:
             continue
         detail = {}
-        for label, cycles, mod in checks:
-            bad = [ell for ell in cycles if ell % mod != 0]
+        for label, z in checks:
+            # both systems step by u = w**2
+            bad = [ell for ell, _ in _cycles(z, 2) if ell % 2 != 0]
             if bad:
                 detail = {"which": label, "odd_cycle_length": bad[0]}
                 break

@@ -45,10 +45,9 @@ class SpecValidationError(ValueError):
 # Largest index of the translation subgroup Gamma0 that build accepts: the
 # number of vertex classes of a torus, and of the double cover torus of a
 # Klein bottle (2N), which verify builds.  It admits the C2 torus
-# (12,0),(0,24).  The slowest verify measured at this size, the C2 torus
-# (1,1),(144,-144), takes about 0.45 s on one x86-64 core, most of it in
-# the L-polynomial recurrence; index-288 box tori and Klein bottles take
-# 0.03-0.1 s.
+# (12,0),(0,24).  At this size a verify takes 0.01-0.04 s on one x86-64
+# core, the diagonal C2 torus (1,1),(144,-144) and the box (12,0),(0,24)
+# alike, so the bound is well below what the exact path affords.
 MAX_CLASSES = 288
 
 

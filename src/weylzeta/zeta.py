@@ -27,8 +27,8 @@ parity class of the weight.
 Each step map is a bijection, checked on construction, so every zeta
 function is the cycle product prod (1 - w**(step * length))**-1, held as
 a CycleProduct, and its reciprocal is an integer polynomial.  The cycle
-lengths are computed once per system; they are the only route to the
-zeta functions (the tests check them against det(I - wT) of the explicit
+walk runs once per system, on construction, and records only that
+product (the tests check it against det(I - wT) of the explicit
 permutation matrix).
 
 The L-polynomial P has one path (l_poly_from_counts): one Moebius
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .algebra import (
@@ -62,7 +63,7 @@ from .quotient import (
     SpecValidationError,
     _triangular_basis,
 )
-from .rootgeom import Vec, mat_vec, vec_add
+from .rootgeom import Vec, mat_vec
 
 
 class OrderInsufficientError(ValueError):
@@ -84,22 +85,22 @@ class OrderInsufficientError(ValueError):
 class TransferSystem:
     """A labeled permutation dynamic whose cycles carry a zeta function.
 
-    successor[k] is the position in states of the successor of states[k];
-    the cycle lengths are computed once, on construction.
+    successor[k] is the state that follows state k; the cycle walk runs
+    once, on construction, and records the zeta function
+    prod (1 - w**(step_in_w * length))**-1 over the cycles.
     """
 
     kind: str  # walks | semi | galleries
     rep: str
-    states: tuple
     successor: tuple
     step_in_w: int
 
     def __post_init__(self):
         succ = self.successor
-        if sorted(succ) != list(range(len(self.states))):
+        if sorted(succ) != list(range(len(succ))):
             raise AssertionError(f"{self.kind} transition is not a bijection")
         seen = [False] * len(succ)
-        cycles = []
+        exponents: Counter = Counter()
         for start in range(len(succ)):
             n, cur = 0, start
             while not seen[cur]:
@@ -107,20 +108,16 @@ class TransferSystem:
                 cur = succ[cur]
                 n += 1
             if n:
-                cycles.append(n)
+                exponents[self.step_in_w * n] -= 1
         # derived, not a field; a frozen dataclass is set this way
-        object.__setattr__(self, "_cycles", sorted(cycles))
+        object.__setattr__(self, "_zeta", CycleProduct(exponents))
 
     @property
     def size(self) -> int:
-        return len(self.states)
-
-    def cycle_lengths(self) -> list:
-        return list(self._cycles)
+        return len(self.successor)
 
     def zeta(self) -> CycleProduct:
-        cycles = Counter(self.step_in_w * ell for ell in self._cycles)
-        return CycleProduct({e: -n for e, n in cycles.items()})
+        return self._zeta
 
 
 class _Grid:
@@ -243,7 +240,7 @@ def _transfer_system(
         both = (nk, at[tuple(mat_vec(q.sigma.linear, w) for w in labels[nk])])
         succ[k::L] = [r * L + both[f] for r, f in zip(ranks, flipped)]
     if not semi:
-        return TransferSystem(kind, rep, tuple(range(size)), tuple(succ), step_in_w)
+        return TransferSystem(kind, rep, tuple(succ), step_in_w)
     kept = [True] * size
     for k, label in enumerate(labels):
         kept[k::L] = grid.irrational(label[0])
@@ -252,7 +249,7 @@ def _transfer_system(
     for n, s in enumerate(states):
         number[s] = n
     successor = tuple([number[succ[s]] for s in states])
-    return TransferSystem(kind, rep, tuple(states), successor, step_in_w)
+    return TransferSystem(kind, rep, successor, step_in_w)
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
@@ -271,22 +268,6 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
 # ---------------------------------------------------------------------------
 # zeta functions
 # ---------------------------------------------------------------------------
-
-
-def zeta_walks(q: QuotientGroup, rep: str) -> CycleProduct:
-    """Cycle product over the closed-geodesic-walk permutation, in u = w**2."""
-    return build_walk_system(q, rep).zeta()
-
-
-def zeta_semi(q: QuotientGroup, rep: str) -> CycleProduct:
-    """Cycle product over half-step dynamics; odd w-powers are the
-    half-integer lengths of geodesics inert along a glide axis."""
-    return build_semi_system(q, rep).zeta()
-
-
-def zeta_galleries(q: QuotientGroup, rep: str) -> CycleProduct:
-    """Cycle product over the alternating gallery dynamics, in u = w**2."""
-    return build_gallery_system(q, rep).zeta()
 
 
 class LPolynomial(Poly):
@@ -372,17 +353,12 @@ def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:
     weight in the vertex-class group.  Torus quotients only."""
     if q.kind != "torus":
         raise SpecValidationError("closed form applies to torus quotients only")
+    (a11, a12), (a21, a22) = q._adj
+    d = q._det
     exponents: Counter = Counter()
-    for lam in q.rs.weights(rep):
-        deg = 1
-        step = lam
-        while not q.in_translation_subgroup(step):
-            deg += 1
-            step = vec_add(step, lam)
-            if deg > q.N:
-                raise AssertionError("weight order exceeds group order")
-        if q.N % deg != 0:
-            raise AssertionError("weight order does not divide group order")
+    for x, y in q.rs.weights(rep):
+        # n * lam is in Gamma0 exactly when d divides n * adj(lam)
+        deg = d // gcd(a11 * x + a12 * y, a21 * x + a22 * y, d)
         exponents[2 * deg] -= q.N // deg
     return CycleProduct(exponents)
 
@@ -458,9 +434,9 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
     order = resolve_order(q, order)
     zeta, semi, gal, lpoly, lfunc, counts, corr = {}, {}, {}, {}, {}, {}, {}
     for rep in q.rs.rep_names:
-        zeta[rep] = zeta_walks(q, rep)
-        semi[rep] = zeta_semi(q, rep)
-        gal[rep] = zeta_galleries(q, rep)
+        zeta[rep] = build_walk_system(q, rep).zeta()
+        semi[rep] = build_semi_system(q, rep).zeta()
+        gal[rep] = build_gallery_system(q, rep).zeta()
         ns = walk_count_table(q, rep, order).values
         counts[rep] = ns
         p = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))

@@ -756,7 +756,7 @@ def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
     succ = tuple(
         index[canon(vec_add(x, wts[i]), i)] for (x, i) in states
     )
-    return TransferSystem("walks", rep, states, succ, 2)
+    return TransferSystem("walks", rep, succ, 2)
 
 
 def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
@@ -783,7 +783,7 @@ def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
         index[canon((x2[0] + wts[i][0], x2[1] + wts[i][1]), i)]
         for (x2, i) in states
     )
-    return TransferSystem("semi", rep, states, succ, 1)
+    return TransferSystem("semi", rep, succ, 1)
 
 
 def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
@@ -808,4 +808,4 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
     succ = tuple(
         index[canon(vec_add(v, wts[i]), j, i)] for (v, i, j) in states
     )
-    return TransferSystem("galleries", rep, states, succ, 2)
+    return TransferSystem("galleries", rep, succ, 2)

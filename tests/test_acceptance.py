@@ -21,9 +21,6 @@ from weylzeta.zeta import (
     build_walk_system,
     required_order,
     zeta_bundle,
-    zeta_galleries,
-    zeta_semi,
-    zeta_walks,
 )
 
 SEED = 20250808
@@ -65,16 +62,16 @@ def test_criterion_1_regression_values():
     a2 = build(A2, TorusSpec((2, -1), (-1, 2)))
     c2 = build(C2, TorusSpec((1, 1), (1, -1)))
     # A2 coroot torus
-    assert zeta_walks(a2, "pi1") == inverse_power(6, 3)
-    assert zeta_walks(a2, "pi2") == inverse_power(6, 3)
-    assert zeta_galleries(a2, "pi1") == inverse_power(12, 3)
+    assert build_walk_system(a2, "pi1").zeta() == inverse_power(6, 3)
+    assert build_walk_system(a2, "pi2").zeta() == inverse_power(6, 3)
+    assert build_gallery_system(a2, "pi1").zeta() == inverse_power(12, 3)
     # C2 coroot torus
-    assert zeta_walks(c2, "spin") == inverse_power(4, 4)
-    assert zeta_walks(c2, "st") == inverse_power(2, 8)
+    assert build_walk_system(c2, "spin").zeta() == inverse_power(4, 4)
+    assert build_walk_system(c2, "st").zeta() == inverse_power(2, 8)
     bundle = zeta_bundle(c2)
     assert bundle.l_func["st"] == inverse_power(2, 10)
-    assert zeta_galleries(c2, "spin") == inverse_power(4, 8)
-    assert zeta_galleries(c2, "st") == inverse_power(4, 8)
+    assert build_gallery_system(c2, "spin").zeta() == inverse_power(4, 8)
+    assert build_gallery_system(c2, "st").zeta() == inverse_power(4, 8)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"regression suite took {elapsed:.2f}s"
     print(f"\nACCEPTANCE 1: PASS regression values ({elapsed:.2f}s)")
@@ -130,7 +127,7 @@ def test_criterion_4_cover_consistency():
             assert _record(report, f"half-step-vs-walk[{rep}]").holds
         cover = build(q.rs, TorusSpec(*q.gamma0_basis))
         for rep in q.rs.rep_names:
-            assert zeta_semi(cover, rep) == zeta_walks(cover, rep)
+            assert build_semi_system(cover, rep).zeta() == build_walk_system(cover, rep).zeta()
     elapsed = time.perf_counter() - t0
     print(f"\nACCEPTANCE 4: PASS cover consistency ({elapsed:.2f}s)")
 

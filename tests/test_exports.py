@@ -1,5 +1,6 @@
 """The package exports what production runs and none of the test references."""
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -49,6 +50,16 @@ def test_algebra_keeps_no_prime_sieve():
     # primes of m; the sieve and the mu table live only in tests/reference.py
     for name in ("_primes", "_mobius_table"):
         assert not hasattr(weylzeta.algebra, name)
+
+
+def test_transfer_systems_keep_one_record_of_their_cycles():
+    # the zeta is the only record of a system's cycles, read through
+    # build_*_system(q, rep).zeta() and CycleProduct.items()
+    for name in ("zeta_walks", "zeta_semi", "zeta_galleries"):
+        assert not hasattr(weylzeta, name)
+    assert not hasattr(weylzeta.TransferSystem, "cycle_lengths")
+    assert "states" not in [f.name for f in dataclasses.fields(weylzeta.TransferSystem)]
+    assert not hasattr(weylzeta.identities, "_poly_json")
 
 
 def test_the_cli_imports_no_rationals():

@@ -1,5 +1,8 @@
 """The exact identity battery."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from weylzeta.algebra import CycleProduct, NotCycleProduct, Poly
@@ -13,13 +16,14 @@ from weylzeta.identities import (
 )
 from weylzeta.quotient import KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import RootSystem
+from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
     LPolynomial,
     OrderInsufficientError,
     axis_factor,
+    build_walk_system,
     l_poly_from_counts,
     required_order,
-    zeta_walks,
 )
 
 A2 = RootSystem.a2()
@@ -76,7 +80,7 @@ def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
     counts = walk_count_table(q, "pi1", 48).values
     p = l_poly_from_counts(counts, q.N * 3)
     lhs = p.cycle_product().inverse()
-    rhs = zeta_walks(q, "pi1") * axis_factor(6, 1)
+    rhs = build_walk_system(q, "pi1").zeta() * axis_factor(6, 1)
     assert lhs == rhs
 
 
@@ -129,6 +133,31 @@ def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
         )
         for identity in dependent:
             assert failed[f"{identity}[{rep}]"] == {"reason": "l-reconstruction failed"}
+
+
+def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
+    # the C2 torus sample with a spin walk system of the right size (8)
+    # made of one 3-cycle and five fixed points
+    import weylzeta.identities as identities_mod
+
+    spec = Path(__file__).resolve().parent.parent / "samples" / "c2_torus.spec"
+    parsed = load_spec_file(str(spec))
+    q = build(RootSystem.make(parsed.root_system), parsed.spec)
+    real = identities_mod.build_walk_system
+
+    def planted(q_, rep):
+        system = real(q_, rep)
+        if rep != "spin":
+            return system
+        successor = (1, 2, 0) + tuple(range(3, system.size))
+        return replace(system, successor=successor)
+
+    monkeypatch.setattr(identities_mod, "build_walk_system", planted)
+    failed = {r.identity_id: r.detail for r in verify(q).failures()}
+    # the smallest odd length, not the first found in cycle order
+    assert failed["parity-evenness[spin]"] == {"which": "spin walks", "odd_cycle_length": 1}
+    # the census has no closed geodesic walk of one step; the planted log has five
+    assert failed["walk-log-counts[spin]"] == {"first_mismatch_n": 1, "lhs": 0, "rhs": 5}
 
 
 def test_explicit_order_too_small_raises():

@@ -225,6 +225,16 @@ def test_cli_counts_max_n_out_of_range_exits_two(torus_file, capsys, max_n):
     assert f"--max-n must be between 1 and {MAX_ORDER}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "sizes", (("--tori", "-3"), ("--kleins", "-2"), ("--tori", "-3", "--kleins", "-2"))
+)
+def test_cli_corpus_negative_size_exits_two(capsys, sizes):
+    assert main(["corpus", "--seed", "1", *sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {sizes[0]} must be at least 0, got {sizes[1]}" in captured.err
+
+
 def test_cli_counts_max_n_admits_both_ends(torus_file, capsys):
     for max_n in (1, MAX_ORDER):
         assert main(["counts", "--input", torus_file, "--max-n", str(max_n), "--format", "json"]) == 0

@@ -31,9 +31,9 @@ from weylzeta.algebra import (
 from weylzeta.census import walk_count_table
 from weylzeta.cli import poly_to_json
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import _closed_paths, _poly_json
+from weylzeta.identities import _closed_paths, _cycles
 from weylzeta.quotient import KleinSpec, SpecValidationError, TorusSpec, build
-from weylzeta.rootgeom import RootSystem, mat_vec
+from weylzeta.rootgeom import RootSystem, mat_vec, vec_scale
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
     MAX_ORDER,
@@ -49,9 +49,6 @@ from weylzeta.zeta import (
     resolve_order,
     torus_closed_form,
     zeta_bundle,
-    zeta_galleries,
-    zeta_semi,
-    zeta_walks,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,34 +95,34 @@ def l_poly(q, rep, order):
 
 
 def test_walk_zetas_on_coroot_tori():
-    assert zeta_walks(A2_TORUS, "pi1") == inverse_power(6, 3)
-    assert zeta_walks(A2_TORUS, "pi2") == inverse_power(6, 3)
-    assert zeta_walks(C2_TORUS, "spin") == inverse_power(4, 4)
-    assert zeta_walks(C2_TORUS, "st") == inverse_power(2, 8)
+    assert build_walk_system(A2_TORUS, "pi1").zeta() == inverse_power(6, 3)
+    assert build_walk_system(A2_TORUS, "pi2").zeta() == inverse_power(6, 3)
+    assert build_walk_system(C2_TORUS, "spin").zeta() == inverse_power(4, 4)
+    assert build_walk_system(C2_TORUS, "st").zeta() == inverse_power(2, 8)
 
 
 def test_gallery_zetas_on_coroot_tori():
-    assert zeta_galleries(A2_TORUS, "pi1") == inverse_power(12, 3)
-    assert zeta_galleries(A2_TORUS, "pi2") == inverse_power(12, 3)
-    assert zeta_galleries(C2_TORUS, "spin") == inverse_power(4, 8)
-    assert zeta_galleries(C2_TORUS, "st") == inverse_power(4, 8)
+    assert build_gallery_system(A2_TORUS, "pi1").zeta() == inverse_power(12, 3)
+    assert build_gallery_system(A2_TORUS, "pi2").zeta() == inverse_power(12, 3)
+    assert build_gallery_system(C2_TORUS, "spin").zeta() == inverse_power(4, 8)
+    assert build_gallery_system(C2_TORUS, "st").zeta() == inverse_power(4, 8)
 
 
 def test_semi_zetas_equal_walk_zetas_on_tori():
     for q in (A2_TORUS, C2_TORUS):
         for rep in q.rs.rep_names:
-            assert zeta_semi(q, rep) == zeta_walks(q, rep)
+            assert build_semi_system(q, rep).zeta() == build_walk_system(q, rep).zeta()
 
 
 def test_semi_cycles_even_on_tori():
     for q, rep in ((C2_TORUS, "spin"), (A2_TORUS, "pi2")):
         sys = build_semi_system(q, rep)
-        assert all(ell % 2 == 0 for ell in sys.cycle_lengths())
+        assert all(ell % 2 == 0 for ell, _ in _cycles(sys.zeta(), sys.step_in_w))
 
 
 def test_a2_klein_semi_to_walk_ratio():
     # inert axis geodesics contribute the odd-w factor (1+w^3)/(1-w^3)
-    ratio = zeta_semi(A2_KLEIN, "pi1") / zeta_walks(A2_KLEIN, "pi1")
+    ratio = build_semi_system(A2_KLEIN, "pi1").zeta() / build_walk_system(A2_KLEIN, "pi1").zeta()
     assert ratio == axis_factor(3, 1)
 
 
@@ -256,7 +253,7 @@ def test_l_polynomial_holds_the_poly_coefficients():
     assert p == dense and hash(p) == hash(dense) and p.coeffs == (1, 0, -3, 0, 0, 0, 2)
     assert [type(c) for c in p.coeffs] == [int] * 7
     assert json.dumps(poly_to_json(p)) == '{"coeffs": [1, -3, 0, 2], "var": "u"}'
-    assert _poly_json(p) == _poly_json(dense)
+    assert list(p.coeffs) == list(dense.coeffs)
     assert LPolynomial([1, 0, 0], None) == algebra.Poly([1])
 
 
@@ -327,6 +324,26 @@ def test_torus_closed_form_examples():
     assert torus_closed_form(C2_TORUS, "st") == inverse_power(2, 8)
 
 
+def test_torus_closed_form_orders_match_a_stepped_order():
+    # each weight's order by brute force: the least n with n * lam in Gamma0
+    quotients = [m.build() for m in generate_corpus(7)]
+    for name in ("a2_torus", "c2_torus"):
+        parsed = load_spec_file(str(ROOT / "samples" / f"{name}.spec"))
+        quotients.append(build(RootSystem.make(parsed.root_system), parsed.spec))
+    tori = [q for q in quotients if q.kind == "torus"]
+    assert len(tori) >= 20
+    for q in tori:
+        for rep in q.rs.rep_names:
+            exponents = Counter()
+            for lam in q.rs.weights(rep):
+                n = 1
+                while not reference.in_gamma0(q, vec_scale(n, lam), q._det):
+                    n += 1
+                assert q.N % n == 0
+                exponents[2 * n] -= q.N // n
+            assert torus_closed_form(q, rep) == CycleProduct(exponents), (q, rep)
+
+
 def test_torus_closed_form_rejects_klein():
     with pytest.raises(Exception):
         torus_closed_form(A2_KLEIN, "pi1")
@@ -357,7 +374,7 @@ def test_transfer_maps_are_bijections_and_sized():
 def test_walk_log_matches_geodesic_counts():
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
-            z = zeta_walks(q, rep)
+            z = build_walk_system(q, rep).zeta()
             logz = series_log(product_series(z, 32))
             for n in range(1, 17):
                 expected = Fraction(count_geodesic_walks(q, rep, n), n)
@@ -368,7 +385,7 @@ def test_walk_log_matches_geodesic_counts():
 def test_semi_log_matches_semi_counts():
     for q in (A2_TORUS, A2_KLEIN, C2_SPIN_KLEIN):
         for rep in q.rs.rep_names:
-            z = zeta_semi(q, rep)
+            z = build_semi_system(q, rep).zeta()
             logz = series_log(product_series(z, 24))
             for j in range(1, 25):
                 assert logz.coefficient(j) == Fraction(
@@ -379,7 +396,7 @@ def test_semi_log_matches_semi_counts():
 def test_gallery_log_matches_gallery_counts():
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
-            z = zeta_galleries(q, rep)
+            z = build_gallery_system(q, rep).zeta()
             logz = series_log(product_series(z, 24))
             for n in range(1, 13):
                 assert logz.coefficient(2 * n) == Fraction(
@@ -392,13 +409,13 @@ def test_closed_paths_equal_census():
         for rep in q.rs.rep_names:
             walks = build_walk_system(q, rep)
             for n in range(1, 13):
-                assert _closed_paths(Counter(walks.cycle_lengths()), n) == count_geodesic_walks(q, rep, n)
+                assert _closed_paths(_cycles(walks.zeta(), 2), n) == count_geodesic_walks(q, rep, n)
             gal = build_gallery_system(q, rep)
             for n in range(1, 9):
-                assert _closed_paths(Counter(gal.cycle_lengths()), n) == count_closed_galleries(q, rep, n)
+                assert _closed_paths(_cycles(gal.zeta(), 2), n) == count_closed_galleries(q, rep, n)
             semi = build_semi_system(q, rep)
             for j in range(1, 13):
-                assert _closed_paths(Counter(semi.cycle_lengths()), j) == count_semi_closings(q, rep, j)
+                assert _closed_paths(_cycles(semi.zeta(), 1), j) == count_semi_closings(q, rep, j)
 
 
 def test_cycle_zeta_agrees_with_determinant_path():
@@ -419,20 +436,20 @@ def test_cycle_zeta_agrees_with_determinant_path():
 
 def test_spin_walk_zeta_is_even_in_u():
     for q in (C2_TORUS, C2_SPIN_KLEIN, C2_ST_KLEIN):
-        den = zeta_walks(q, "spin").num_den()[1]
+        den = build_walk_system(q, "spin").zeta().num_den()[1]
         assert all(i % 4 == 0 for i, c in enumerate(den.coeffs) if c != 0)
 
 
 def test_type_rep_gallery_zeta_is_even_in_u():
     for q in (C2_SPIN_KLEIN, C2_ST_KLEIN):
-        den = zeta_galleries(q, q.type_rep).num_den()[1]
+        den = build_gallery_system(q, q.type_rep).zeta().num_den()[1]
         assert all(i % 4 == 0 for i, c in enumerate(den.coeffs) if c != 0)
 
 
 def test_reciprocal_zetas_are_integer_with_unit_constant():
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
-            for z in (zeta_walks(q, rep), zeta_semi(q, rep), zeta_galleries(q, rep)):
+            for z in (build_walk_system(q, rep).zeta(), build_semi_system(q, rep).zeta(), build_gallery_system(q, rep).zeta()):
                 num, den = z.num_den()
                 assert num == Poly.one()
                 assert den.coefficient(0) == 1
