@@ -11,17 +11,18 @@ cycle product prod (1 - w**e)**k_e, held as a CycleProduct exponent
 dict: identities between them are dict equalities, decided in integer
 arithmetic.  One kernel, _expand, multiplies such a product out as a
 power series truncated at a given order; it builds the reduced num/den
-forms printed at the edges and the L-polynomial from its Moebius
-exponents.  Those exponents are peeled from the traces in increasing d,
-at a cost that follows the nonzero ones (_moebius_exponents), and the
-reduced forms write each cyclotomic factor Phi_m through the squarefree
-divisors of m, found from its primes by trial division: nothing here
-sieves primes or tabulates the Moebius function.  Dense polynomials
-(Poly) remain for those edges only, with int coefficients: every one
-the package builds is an expansion of a cycle product.  The rational
-polynomials and power series and det(I - wT) that the tests compare
-these integer paths against live in the tests' reference module.
-Nothing in this package uses rationals or floating point.
+forms and P's coefficients where they are printed, and finds the
+failing order of counts whose Moebius product is not P.  The Moebius
+exponents are peeled from the traces in increasing d, at a cost that
+follows the nonzero ones (_moebius_exponents), and the reduced forms
+write each cyclotomic factor Phi_m through the squarefree divisors of
+m, found from its primes by trial division: nothing here sieves primes
+or tabulates the Moebius function.  Dense polynomials (Poly) remain for
+those edges only, with int coefficients: every one the package builds
+is an expansion of a cycle product.  The rational polynomials and power
+series and det(I - wT) that the tests compare these integer paths
+against live in the tests' reference module.  Nothing in this package
+uses rationals or floating point.
 """
 
 from __future__ import annotations

@@ -5,14 +5,13 @@ function, correction factor and L-polynomial is a CycleProduct, so a
 rational-function identity is an equality of exponent dicts, decided by
 integer arithmetic: never numerically, never by truncation and without
 dense polynomials.  The L-polynomial enters once: l_poly_from_counts
-takes the Moebius exponents of the closed-walk counts, expands their
-product once for P's integer coefficients and its vanishing tail, and
-hands on the product as P's CycleProduct when a cyclotomic degree check
-shows it is P itself.  Dense polynomials are built only for the detail
-of a failed record.  Count-versus-log
-identities compare closed-form census values against the zeta
-logarithm's exact coefficient at that order, a divisor sum over the
-cycle lengths read off the zeta's exponents.
+hands on the Moebius product of the closed-walk counts as P's
+CycleProduct when a cyclotomic degree check shows it is P itself, and
+expands it only to find the failing order when it is not.  So a
+successful run expands no polynomial: dense ones are built only for the
+detail of a failed record.  Count-versus-log identities compare
+closed-form census values against the zeta logarithm's exact
+coefficients, one table per system built from its cycle lengths.
 
 The verification order is derived from the degree bounds of the
 L-polynomial reconstructions and failures to meet it are reported
@@ -145,11 +144,15 @@ def _cycles(z: CycleProduct, step_in_w: int) -> list:
     return [(e // step_in_w, -k) for e, k in z.items()]
 
 
-def _closed_paths(cycles: list, n: int) -> int:
-    """The closed paths of n steps, ell * c_ell over the (ell, c_ell) in
-    cycles with ell dividing n: for cycles = _cycles(z, step_in_w), n times
-    the coefficient of w**(step_in_w * n) in log z."""
-    return sum(ell * c for ell, c in cycles if n % ell == 0)
+def _closed_path_table(z: CycleProduct, step_in_w: int, max_n: int) -> list:
+    """Closed paths of n = 1..max_n steps of the system with zeta z: the sum
+    of ell * c_ell over the (ell, c_ell) of _cycles(z, step_in_w) with ell
+    | n, n times the coefficient of w**(step_in_w * n) in log z.  Each ell
+    adds its term at ell, 2 ell, ... with one slice update."""
+    table = [0] * max_n
+    for ell, c in _cycles(z, step_in_w):
+        table[ell - 1 :: ell] = [t + ell * c for t in table[ell - 1 :: ell]]
+    return table
 
 
 @dataclass
@@ -287,11 +290,9 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     ):
         for rep in rs.rep_names:
             d = data[rep]
-            table, cycles = getattr(d, counts), _cycles(getattr(d, zeta), step_in_w)
-            pairs = [
-                (n, table[n - 1], _closed_paths(cycles, n))
-                for n in range(1, len(table) + 1)
-            ]
+            table = getattr(d, counts)
+            paths = _closed_path_table(getattr(d, zeta), step_in_w, len(table))
+            pairs = zip(range(1, len(table) + 1), table, paths)
             record(f"{key}[{rep}]", statement, _count_compare(pairs))
 
     # L-polynomial reconstruction from the closed-walk trace series

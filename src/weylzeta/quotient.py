@@ -9,12 +9,17 @@ partner representation, integers a, b with a*alpha + b*beta the glide
 translation, and a multiplier m for the perpendicular translation t.
 
 Everything here is exact integer arithmetic; the coordinate solves test
-divisibility with divmod.  The vertex and half-lattice orbit
-representatives are derived in one pass over the doubled residue box: a
-vertex is the half-lattice point with even doubled coordinates.  A
-quotient also carries the per-quotient tables of the transfer systems
-and of the census (_zeta_grids, _census_tables), which each of those
-layers fills on first use, so they live and die with the quotient.
+divisibility with divmod.  Canonical representatives are points of the
+residue box [0, h11) x [0, h22) of the triangular basis (h11, 0), (c, h22)
+of Gamma0 (of its double, in doubled coordinates): reduce takes a point
+there by index arithmetic.  For a torus the vertex and half-lattice
+orbit representatives are the two boxes themselves; for a Klein bottle
+one pass over the doubled box keeps each point that lies below the box
+point of its glide image, and a vertex is such a point with even
+doubled coordinates.  A quotient also carries the per-quotient tables
+of the transfer systems and of the census (_zeta_grids, _census_tables),
+which each of those layers fills on first use, so they live and die
+with the quotient.
 """
 
 from __future__ import annotations
@@ -152,17 +157,6 @@ def _triangular_basis(u: Vec, v: Vec) -> tuple:
     return h11, c2[0], h22
 
 
-def _lattice_residues(u: Vec, v: Vec) -> list:
-    """One representative per class of Z^2 modulo the lattice spanned by u, v.
-
-    Walks the box of the triangular basis; the representative count equals
-    |det(u, v)| exactly, and (x, y) has index
-    (x - (y // h22) * c) % h11 + h11 * (y % h22) in the list.
-    """
-    h11, _, h22 = _triangular_basis(u, v)
-    return [(i, j) for j in range(h22) for i in range(h11)]
-
-
 def _primitive(v: Vec) -> Vec:
     g = gcd(v[0], v[1])
     if g == 0:
@@ -289,79 +283,60 @@ class QuotientGroup:
             )
         self._det = det
         self._adj = adj
-        self._residues = _lattice_residues(u, v)
-        self._half_residues = _lattice_residues(vec_scale(2, u), vec_scale(2, v))
-        half_reps = self._half_orbit_reps()
-        # vertex x is the half-lattice point 2x, and reduce_half and the glide
-        # commute with doubling: the even half representatives are the
-        # doubled vertex representatives
-        reps = [(x // 2, y // 2) for x, y in half_reps if not (x % 2 or y % 2)]
+        h11, c, h22 = self._triangle = _triangular_basis(u, v)
+        self._residues = [(i, j) for j in range(h22) for i in range(h11)]
+        self._half_residues = [(i, j) for j in range(2 * h22) for i in range(2 * h11)]
+        if self.kind == "torus":
+            reps, half_reps = self._residues, self._half_residues
+        else:
+            # a point of the doubled box below the box point of its glide
+            # image represents its orbit; reduce_half and the glide inlined
+            (l11, l12), (l21, l22) = self.sigma.linear
+            t1, t2 = vec_scale(2, self.sigma.translation)
+            half_reps = []
+            for p in self._half_residues:
+                x, y = p
+                r, j = divmod(l21 * x + l22 * y + t2, 2 * h22)
+                if p < ((l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11), j):
+                    half_reps.append(p)
+            # vertex x is the half-lattice point 2x, and the box and the glide
+            # commute with doubling: the even half representatives are the
+            # doubled vertex representatives
+            reps = [(x // 2, y // 2) for x, y in half_reps if not (x % 2 or y % 2)]
         if len(reps) != self.N:
             raise SpecValidationError(
                 f"vertex class count {len(reps)} does not match N = {self.N}"
             )
         self.vertex_reps = tuple(reps)
-        self._half_reps = tuple(map(HalfVec._make, half_reps))
+        self._half_reps = tuple(half_reps)
         # tables of the transfer-system layer (zeta._grid) and of the
         # census, each filled and read only by its own layer
         self._zeta_grids: dict = {}
         self._census_tables: dict = {}
 
-    def _half_orbit_reps(self) -> list:
-        """The sorted canonical representatives of the half-lattice orbits,
-        as _canonical_half gives them, in one pass over the doubled residue
-        box with reduce_half and the glide inlined."""
-        (a11, a12), (a21, a22) = self._adj
-        d2 = 2 * self._det
-        (u1, u2), (v1, v2) = (vec_scale(2, w) for w in self.gamma0_basis)
-
-        def reduced(points) -> list:
-            out = []
-            for x, y in points:
-                q1 = (a11 * x + a12 * y) // d2
-                q2 = (a21 * x + a22 * y) // d2
-                out.append((x - q1 * u1 - q2 * v1, y - q1 * u2 - q2 * v2))
-            return out
-
-        points = self._half_residues
-        reps = reduced(points)
-        if self.kind == "klein":
-            (l11, l12), (l21, l22) = self.sigma.linear
-            t1, t2 = vec_scale(2, self.sigma.translation)
-            images = [(l11 * x + l12 * y + t1, l21 * x + l22 * y + t2) for x, y in points]
-            reps = map(min, reps, reduced(images))
-        return sorted(set(reps))
-
     # -- lattice reduction ------------------------------------------------
 
     def residues(self) -> list:
-        """One lattice representative per class modulo the translation subgroup."""
+        """The residue box [0, h11) x [0, h22) of the triangular basis of
+        Gamma0, row by row: the class of (i, j) at position i + h11 * j."""
         return self._residues
 
     def half_residues(self) -> list:
-        """Doubled coordinates of one representative per class of (1/2)L mod Gamma0."""
+        """The residue box of 2 Gamma0: (1/2)L mod Gamma0 in doubled coordinates."""
         return self._half_residues
 
     def reduce(self, x: Vec) -> Vec:
-        """Representative of x modulo the translation subgroup."""
-        a, d = self._adj, self._det
-        c1 = a[0][0] * x[0] + a[0][1] * x[1]
-        c2 = a[1][0] * x[0] + a[1][1] * x[1]
-        q1, q2 = c1 // d, c2 // d
-        u, v = self.gamma0_basis
-        return (x[0] - q1 * u[0] - q2 * v[0], x[1] - q1 * u[1] - q2 * v[1])
+        """The residue box point of x's class modulo the translation subgroup:
+        x - r (c, h22) - s (h11, 0) for the r and s that put it in the box."""
+        h11, c, h22 = self._triangle
+        r, j = divmod(x[1], h22)
+        return ((x[0] - r * c) % h11, j)
 
     def reduce_half(self, h2: Vec) -> Vec:
         """Same as reduce, on doubled coordinates modulo the doubled subgroup."""
-        a, d2 = self._adj, 2 * self._det
-        c1 = a[0][0] * h2[0] + a[0][1] * h2[1]
-        c2 = a[1][0] * h2[0] + a[1][1] * h2[1]
-        q1, q2 = c1 // d2, c2 // d2
-        u, v = self.gamma0_basis
-        return (
-            h2[0] - 2 * (q1 * u[0] + q2 * v[0]),
-            h2[1] - 2 * (q1 * u[1] + q2 * v[1]),
-        )
+        h11, c, h22 = self._triangle
+        r, j = divmod(h2[1], 2 * h22)
+        return ((h2[0] - 2 * r * c) % (2 * h11), j)
 
     def in_translation_subgroup(self, v: Vec) -> bool:
         a, d = self._adj, self._det
@@ -379,9 +354,9 @@ class QuotientGroup:
     def canonical_vertex(self, x):
         """Canonical representative of the full-group orbit of x.
 
-        Reduces modulo the translation subgroup, then (Klein case) takes
-        the lexicographic minimum over the two sheet images.  Idempotent
-        and constant on orbits; accepts lattice points or HalfVec.
+        Reduces into the residue box, then (Klein case) takes the
+        lexicographic minimum over the two sheet images.  Idempotent and
+        constant on orbits; accepts lattice points or HalfVec.
         """
         if isinstance(x, HalfVec):
             return self._canonical_half(x)
@@ -399,7 +374,8 @@ class QuotientGroup:
         return HalfVec(*(r if r <= r2 else r2))
 
     def half_orbit_reps(self) -> tuple:
-        """Canonical representatives of the half-lattice orbits (doubled coords)."""
+        """Canonical representatives of the half-lattice orbits, as int pairs
+        of doubled coordinates in box order; a torus has the whole box."""
         return self._half_reps
 
     # -- derived constants ---------------------------------------------------

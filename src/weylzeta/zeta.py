@@ -13,38 +13,40 @@ Three finite dynamical systems sit over each quotient:
 
 All three are built by one flat-index builder on a grid that each
 quotient builds once and shares among its systems (_Grid, kept on the
-quotient).  The column-reduced triangular basis (h11, 0), (c, h22) of
-Gamma0 (of 2 Gamma0 for the half steps, in doubled coordinates) numbers
-the classes of the plane as i + h11 * j, so a step by a fixed vector is
-a table: a carry between rows and a rotation within one, built once per
-vector.  For a Klein bottle the glide is a permutation of the positions
-without fixed points and of order two, so the lower position of each
-pair represents its orbit, and an orbit of states (class, label) is
-stored as its representative r * L + label, r the rank of that position
-among the representatives.  The semi-rationality mask is built once per
-parity class of the weight.
+quotient).  The quotient's triangular basis (h11, 0), (c, h22) of Gamma0
+(of 2 Gamma0 for the half steps, in doubled coordinates) numbers the
+classes of the plane as i + h11 * j, (i, j) their residue box point,
+so a step by a fixed vector is a table: a carry between rows and a
+rotation within one, built once per vector.  For a Klein bottle the
+glide is a permutation of the positions without fixed points and of
+order two, so the lower position of each pair represents its orbit, and
+an orbit of states (class, label) is stored as its representative
+r * L + label, r the rank of that position among the representatives.
+The semi-rationality mask is built once per parity class of the weight.
 
-Each step map is a bijection, checked on construction, so every zeta
-function is the cycle product prod (1 - w**(step * length))**-1, held as
-a CycleProduct, and its reciprocal is an integer polynomial.  The cycle
-walk runs once per system, on construction, and records only that
-product (the tests check it against det(I - wT) of the explicit
-permutation matrix).
+Each step map is a bijection, so every zeta function is the cycle
+product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
+its reciprocal is an integer polynomial.  The cycle walk runs once per
+system, on construction: it checks the bijection (a range check, and
+every walk ends at its own start) and records only that product (the
+tests check it against det(I - wT) of the explicit permutation matrix).
 
 The L-polynomial P has one path (l_poly_from_counts): one Moebius
 inversion of the closed-walk counts gives P's factorization
-prod (1 - u**d)**a_d, one truncated expansion of it gives P's integer
-coefficients and checks the vanishing tail, and a cyclotomic degree check,
-which expands nothing, decides whether that product is P itself.  The
-inversion peels the exponents in increasing d and pays only for the
-nonzero ones, the few cycle lengths of the walk system; the degree check
-factors each Phi_m by the primes of m.
+prod (1 - u**d)**a_d, and a cyclotomic degree check, which expands
+nothing, decides whether that product is P itself.  A truncated
+expansion runs only for P's coefficients where they are printed, and
+to find the failing order when the check fails.  The inversion peels
+the exponents in increasing d and pays only for the nonzero ones, the
+few cycle lengths of the walk system; the degree check factors each
+Phi_m by the primes of m.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Optional
 
@@ -57,12 +59,7 @@ from .algebra import (
     _moebius_exponents,
 )
 from .census import walk_count_table
-from .quotient import (
-    MAX_CLASSES,
-    QuotientGroup,
-    SpecValidationError,
-    _triangular_basis,
-)
+from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
 from .rootgeom import Vec, mat_vec
 
 
@@ -96,19 +93,24 @@ class TransferSystem:
     step_in_w: int
 
     def __post_init__(self):
+        # a map into the states whose walk from each unseen state returns to
+        # its start is a union of disjoint cycles, that is, a bijection
         succ = self.successor
-        if sorted(succ) != list(range(len(succ))):
+        if succ and (min(succ) < 0 or max(succ) >= len(succ)):
             raise AssertionError(f"{self.kind} transition is not a bijection")
         seen = [False] * len(succ)
         exponents: Counter = Counter()
         for start in range(len(succ)):
+            if seen[start]:
+                continue
             n, cur = 0, start
             while not seen[cur]:
                 seen[cur] = True
                 cur = succ[cur]
                 n += 1
-            if n:
-                exponents[self.step_in_w * n] -= 1
+            if cur != start:
+                raise AssertionError(f"{self.kind} transition is not a bijection")
+            exponents[self.step_in_w * n] -= 1
         # derived, not a field; a frozen dataclass is set this way
         object.__setattr__(self, "_zeta", CycleProduct(exponents))
 
@@ -140,9 +142,7 @@ class _Grid:
 
     def __init__(self, q: QuotientGroup, half: bool):
         scale = 2 if half else 1
-        self._h11, self._c, self._h22 = (
-            scale * x for x in _triangular_basis(*q.gamma0_basis)
-        )
+        self._h11, self._c, self._h22 = (scale * x for x in q._triangle)
         self.points = q.half_residues() if half else q.residues()
         self._positions = list(range(len(self.points)))
         self._moves: dict = {}
@@ -244,11 +244,10 @@ def _transfer_system(
     kept = [True] * size
     for k, label in enumerate(labels):
         kept[k::L] = grid.irrational(label[0])
-    states = [s for s in range(size) if kept[s]]
     number = [-1] * size  # a dropped state stays -1, which fails the bijection check
-    for n, s in enumerate(states):
+    for n, s in enumerate(compress(range(size), kept)):
         number[s] = n
-    successor = tuple([number[succ[s]] for s in states])
+    successor = tuple(map(number.__getitem__, compress(succ, kept)))
     return TransferSystem(kind, rep, successor, step_in_w)
 
 
@@ -275,16 +274,36 @@ class LPolynomial(Poly):
     the Moebius product of the counts it came from is exactly P.
 
     It is built from P's int u-coefficients, which interleave with zeros
-    in w; its degree, like every Poly's, is in w.
+    in w, or (u_coeffs None) from its product alone, whose reduced form
+    gives the degree (in w, like every Poly's) and whose expansion, made
+    on first read, gives the coefficients.
     """
 
-    __slots__ = ("_product",)
+    __slots__ = ("_product", "_coeffs")
 
-    def __init__(self, u_coeffs: list, product: Optional[CycleProduct]):
+    def __init__(self, u_coeffs: Optional[list], product: Optional[CycleProduct]):
+        self._product = product
+        self._coeffs = None if u_coeffs is None else self._in_w(u_coeffs)
+
+    @staticmethod
+    def _in_w(u_coeffs: list) -> tuple:
         w_coeffs = [0] * (2 * len(u_coeffs))
         w_coeffs[::2] = u_coeffs
-        super().__init__(w_coeffs)
-        self._product = product
+        return Poly(w_coeffs).coeffs
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            # the product is P, so its series truncated at P's degree is P
+            factors = {e // 2: x for e, x in self._product.items()}
+            self._coeffs = self._in_w(_expand(factors, self.degree // 2))
+        return self._coeffs
+
+    @property
+    def degree(self) -> int:
+        if self._coeffs is None:
+            return self._product.degrees()[0]
+        return len(self._coeffs) - 1
 
     def cycle_product(self) -> CycleProduct:
         """P as a CycleProduct; NotCycleProduct when the counts' product is not P."""
@@ -305,8 +324,11 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
 
     Construction.  Every series 1 + O(u) is a product prod_d (1 - u**d)**a_d,
     here with d * a_d = sum_{d' | d} mu(d / d') N_d' (Moebius inversion).
-    The exponents are taken up to the first that is not an integer, and
-    their product is expanded once, truncated at the last d taken.  The
+    The exponents are taken up to the first that is not an integer.  If
+    every one is, and a cyclotomic degree check that expands nothing
+    (CycleProduct.is_polynomial_within) finds the product a polynomial of
+    degree at most bound, the product is P, returned unexpanded.
+    Otherwise it is expanded once, truncated at the last d taken.  The
     first n > bound with a nonzero coefficient raises
     NotPolynomialWithinBound(2n).  Otherwise the first non-integer a_n, if
     any, raises NotPolynomialWithinBound(2n) when n > bound and
@@ -321,19 +343,21 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
     at it p_n is not an integer, hence not zero either: the same first n
     fails, in the same way.
 
-    Why the product is P when the degree check passes.  If the product is
-    a polynomial of degree at most bound, its series through
-    u**len(counts) is itself, so it is the expansion there; the expansion
-    vanishes past the bound, so the product is P.  If it is not such a
-    polynomial, it is not P, which is one.  The check reads the reduced
-    degrees (CycleProduct.is_polynomial_within) and expands nothing.  For
-    N_n = 2**n, P = 1 - 2u, but no exponent vanishes, and cycle_product()
-    raises NotCycleProduct.
+    Why the degree check may run first.  If the product is a polynomial
+    of degree at most bound, its series through u**len(counts) is itself,
+    so it is the expansion there: it vanishes past the bound, no n fails,
+    and the product is P.  Otherwise it is not P, which is one, and the
+    expansion decides as above.  For N_n = 2**n, P = 1 - 2u, but no
+    exponent vanishes, and cycle_product() raises NotCycleProduct.
     """
     required = 2 * bound + 8
     if len(counts) < required:
         raise OrderInsufficientError(len(counts), required)
     exponents, bad = _moebius_exponents(counts)
+    if bad is None:
+        product = CycleProduct({2 * d: a for d, a in exponents.items()})
+        if product.is_polynomial_within(2 * bound):
+            return LPolynomial(None, product)
     top = len(counts) if bad is None else bad - 1
     c = _expand(exponents, top)
     if any(c[bound + 1 :]):
@@ -343,9 +367,7 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
         if bad > bound:
             raise NotPolynomialWithinBound(2 * bad)
         raise AssertionError("L-polynomial has non-integer coefficients")
-    product = CycleProduct({2 * d: a for d, a in exponents.items()})
-    exact = product.is_polynomial_within(2 * bound)
-    return LPolynomial(c[: bound + 1], product if exact else None)
+    return LPolynomial(c[: bound + 1], None)
 
 
 def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:

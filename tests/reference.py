@@ -568,7 +568,7 @@ def count_semi_closings(
     wts = tuple(weights) if weights is not None else q.rs.weights(rep)
     total = 0
     for lam in wts:
-        for h in q.half_orbit_reps():
+        for h in map(HalfVec._make, q.half_orbit_reps()):
             if _line_is_rational(h, lam):
                 continue
             y = HalfVec(h.x2 + j * lam[0], h.y2 + j * lam[1])

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import weylzeta.algebra as algebra_mod
+import weylzeta.zeta as zeta_mod
 from weylzeta.algebra import CycleProduct, NotCycleProduct, Poly
 from weylzeta.census import CountTable, walk_count_table
+from weylzeta.corpus import generate_corpus
 from weylzeta.identities import (
     VerificationReport,
     _count_compare,
@@ -158,6 +161,26 @@ def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
     assert failed["parity-evenness[spin]"] == {"which": "spin walks", "odd_cycle_length": 1}
     # the census has no closed geodesic walk of one step; the planted log has five
     assert failed["walk-log-counts[spin]"] == {"first_mismatch_n": 1, "lhs": 0, "rhs": 5}
+
+
+def test_a_successful_verify_expands_nothing(monkeypatch):
+    # P's coefficients and the reduced forms are expanded only where they
+    # are printed: a verify whose identities all hold expands no polynomial
+    def refuse(factors, top):
+        raise RuntimeError("a successful verify expanded a polynomial")
+
+    monkeypatch.setattr(algebra_mod, "_expand", refuse)
+    monkeypatch.setattr(zeta_mod, "_expand", refuse)
+    root = Path(__file__).resolve().parent.parent / "samples"
+    quotients = []
+    for name in ("a2_klein", "a2_torus", "c2_klein_spin", "c2_torus"):
+        parsed = load_spec_file(str(root / f"{name}.spec"))
+        quotients.append(build(RootSystem.make(parsed.root_system), parsed.spec))
+    quotients += [q for q in (m.build() for m in generate_corpus(7)) if q.N <= 12]
+    assert {q.kind for q in quotients} == {"torus", "klein"}
+    for q in quotients:
+        report = verify(q)
+        assert report.all_hold, (q, [r.identity_id for r in report.failures()])
 
 
 def test_explicit_order_too_small_raises():

@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference
 import weylzeta
 from weylzeta.quotient import (
+    MAX_CLASSES,
     AffineMap,
     KleinSpec,
     SpecValidationError,
@@ -19,7 +22,8 @@ from weylzeta.quotient import (
     glide_conjugacy_representative,
     normalize_generators,
 )
-from weylzeta.rootgeom import HalfVec, RootSystem
+from weylzeta.rootgeom import HalfVec, RootSystem, vec_add, vec_scale
+from weylzeta.zeta import _grid
 
 A2 = RootSystem.a2()
 C2 = RootSystem.c2()
@@ -156,6 +160,63 @@ def test_canonical_vertex_half():
     assert isinstance(c, HalfVec)
     sh = q.sigma.apply_half(h)
     assert q.canonical_vertex(sh) == c
+
+
+# a basis of the coroot lattice of each root system
+COROOT_BASIS = {"A2": ((1, 1), (3, 0)), "C2": ((1, 1), (2, 0))}
+
+
+def _combine(c: tuple, u: tuple, v: tuple) -> tuple:
+    return vec_add(vec_scale(c[0], u), vec_scale(c[1], v))
+
+
+@given(
+    st.sampled_from(("A2", "C2")),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.booleans(),
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+)
+@settings(deadline=None, max_examples=40)
+def test_torus_representatives_do_not_depend_on_the_basis(
+    rs_name, c1, c2, k, l, swap, x
+):
+    rs = RootSystem.make(rs_name)
+    b1, b2 = COROOT_BASIS[rs_name]
+    v1, v2 = _combine(c1, b1, b2), _combine(c2, b1, b2)
+    det = v1[0] * v2[1] - v2[0] * v1[1]
+    assume(0 < abs(det) <= MAX_CLASSES)
+    # (1 + k l, k), (l, 1) has determinant 1; the swap makes it -1
+    w1, w2 = _combine((1 + k * l, k), v1, v2), _combine((l, 1), v1, v2)
+    if swap:
+        w1, w2 = w2, w1
+    q, other = build(rs, TorusSpec(v1, v2)), build(rs, TorusSpec(w1, w2))
+    assert other.residues() == q.residues()
+    assert other.half_residues() == q.half_residues()
+    assert other.vertex_reps == q.vertex_reps == tuple(q.residues())
+    assert other.half_orbit_reps() == q.half_orbit_reps() == tuple(q.half_residues())
+    # the canonical vertex is the box point at the grid's position of x
+    h = HalfVec(*x)
+    for g in (q, other):
+        assert g.canonical_vertex(x) == g.residues()[_grid(g).index(x)]
+        assert g.canonical_vertex(h) == g.half_residues()[_grid(g, half=True).index(x)]
+    assert other.canonical_vertex(x) == q.canonical_vertex(x)
+    assert other.canonical_vertex(h) == q.canonical_vertex(h)
+
+
+def test_klein_representatives_are_the_orbit_minima():
+    # each glide orbit of the box is a pair, represented by its lower point
+    for q in (a2_klein(), c2_spin_klein(), c2_st_klein()):
+        box = set(q.residues())
+        pairs = {frozenset((p, q.reduce(q.sigma.apply(p)))) for p in box}
+        assert all(len(pair) == 2 for pair in pairs) and len(pairs) == q.N
+        assert set(q.vertex_reps) == {min(pair) for pair in pairs}
+        half = set(q.half_residues())
+        pairs = {frozenset((p, q.reduce_half(q._sigma_half(p)))) for p in half}
+        assert set(q.half_orbit_reps()) == {min(pair) for pair in pairs}
+        assert all(type(p) is tuple for p in q.half_orbit_reps())
 
 
 # ---------------------------------------------------------------------------

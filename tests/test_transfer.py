@@ -6,6 +6,7 @@ import gc
 import random
 import weakref
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import reference
 from weylzeta.algebra import CycleProduct
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import _closed_paths, _cycles, verify
+from weylzeta.identities import _closed_path_table, _cycles, verify
 from weylzeta.quotient import (
     MAX_CLASSES,
     AffineMap,
@@ -67,10 +68,28 @@ def test_builders_match_tuple_reference():
 
 
 def test_transfer_system_rejects_a_non_bijective_successor():
-    with pytest.raises(AssertionError, match="not a bijection"):
-        TransferSystem("walks", "pi1", (1, 1, 0), 2)
-    with pytest.raises(AssertionError, match="not a bijection"):
-        TransferSystem("walks", "pi1", (0, 2), 2)
+    for successor in (
+        (1, 1, 0),  # 0 and 1 both go to 1; 2 has no predecessor
+        (0, 2),  # out of range
+        (0, -1, 1),  # -1: the number of a dropped semi state
+        (1, 2, 1),  # rho-shaped: the walk from 0 closes at 1, not at 0
+        (0, 2, 3, 2),  # a fixed point, then a tail into a 2-cycle
+        (2, 0, 0),  # a walk that runs into an earlier cycle
+    ):
+        with pytest.raises(AssertionError, match="not a bijection"):
+            TransferSystem("walks", "pi1", successor, 2)
+
+
+def test_transfer_system_accepts_exactly_the_bijections_of_four_states():
+    # the range and closure checks pass exactly the bijections
+    for successor in product(range(4), repeat=4):
+        bijective = sorted(successor) == [0, 1, 2, 3]
+        try:
+            TransferSystem("walks", "pi1", successor, 2)
+        except AssertionError:
+            assert not bijective, successor
+        else:
+            assert bijective, successor
 
 
 def test_cycles_are_read_off_the_zeta():
@@ -79,7 +98,8 @@ def test_cycles_are_read_off_the_zeta():
     assert system.zeta() == CycleProduct({2: -2, 4: -1})
     cycles = _cycles(system.zeta(), system.step_in_w)
     assert cycles == [(1, 2), (2, 1)]
-    assert _closed_paths(cycles, 2) == 4
+    # n = 1, 2, 3, 4: the two fixed points, and the 2-cycle at even n
+    assert _closed_path_table(system.zeta(), system.step_in_w, 4) == [2, 4, 2, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from weylzeta.algebra import (
 from weylzeta.census import walk_count_table
 from weylzeta.cli import poly_to_json
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import _closed_paths, _cycles
+from weylzeta.identities import _closed_path_table, _cycles
 from weylzeta.quotient import KleinSpec, SpecValidationError, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, mat_vec, vec_scale
 from weylzeta.specfile import load_spec_file
@@ -181,6 +181,21 @@ def test_l_product_checks_the_dense_polynomial():
     assert p == Poly([1, 0, -2])
     with pytest.raises(NotCycleProduct):
         p.cycle_product()
+
+
+def test_l_polynomial_degree_is_read_off_its_product():
+    # a P found by the degree check is expanded on first read of its
+    # coefficients; its degree before that is the one they give
+    for q in ALL_QUOTIENTS:
+        for rep in q.rs.rep_names:
+            p = l_poly(q, rep, resolve_order(q))
+            degree = p.degree
+            assert p._coeffs is None
+            assert p.degree == degree == len(p.coeffs) - 1 > 0
+            assert [type(c) for c in p.coeffs] == [int] * (degree + 1)
+    # a P whose product is not P holds its coefficients from the start
+    p = l_poly_from_counts(tuple(2**n for n in range(1, 41)), 1)
+    assert p.degree == len(p.coeffs) - 1 == 2
 
 
 def test_l_product_expands_back_past_the_degree_check():
@@ -407,15 +422,12 @@ def test_gallery_log_matches_gallery_counts():
 def test_closed_paths_equal_census():
     for q in (A2_KLEIN, C2_ST_KLEIN):
         for rep in q.rs.rep_names:
-            walks = build_walk_system(q, rep)
-            for n in range(1, 13):
-                assert _closed_paths(_cycles(walks.zeta(), 2), n) == count_geodesic_walks(q, rep, n)
-            gal = build_gallery_system(q, rep)
-            for n in range(1, 9):
-                assert _closed_paths(_cycles(gal.zeta(), 2), n) == count_closed_galleries(q, rep, n)
-            semi = build_semi_system(q, rep)
-            for j in range(1, 13):
-                assert _closed_paths(_cycles(semi.zeta(), 1), j) == count_semi_closings(q, rep, j)
+            walks = _closed_path_table(build_walk_system(q, rep).zeta(), 2, 12)
+            assert walks == [count_geodesic_walks(q, rep, n) for n in range(1, 13)]
+            gal = _closed_path_table(build_gallery_system(q, rep).zeta(), 2, 8)
+            assert gal == [count_closed_galleries(q, rep, n) for n in range(1, 9)]
+            semi = _closed_path_table(build_semi_system(q, rep).zeta(), 1, 12)
+            assert semi == [count_semi_closings(q, rep, j) for j in range(1, 13)]
 
 
 def test_cycle_zeta_agrees_with_determinant_path():
