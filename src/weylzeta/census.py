@@ -207,21 +207,20 @@ def _irrational_half(q: QuotientGroup, lam: Vec) -> tuple:
 
     The line through x in direction lam meets the vertex lattice exactly
     when x is congruent to 0 or lam/2 modulo the lattice (lam primitive).
+    half_orbit_reps() lists them by parity class, so these are two slices.
     """
-    parity = (lam[0] % 2, lam[1] % 2)
-    rational = ((0, 0), parity)
+    parity = (lam[0] & 1) + 2 * (lam[1] & 1)
+    reps, starts = q.half_orbit_reps(), q._half_blocks
     return _once(
         q,
         ("irrational", parity),
-        lambda: tuple(
-            x2 for x2 in q.half_orbit_reps() if (x2[0] % 2, x2[1] % 2) not in rational
-        ),
+        lambda: sum((reps[starts[b] : starts[b + 1]] for b in (1, 2, 3) if b != parity), ()),
     )
 
 
 def _irrational_shifts(q: QuotientGroup, lam: Vec) -> tuple:
     """The glide shifts of _irrational_half(q, lam)."""
-    parity = (lam[0] % 2, lam[1] % 2)
+    parity = (lam[0] & 1) + 2 * (lam[1] & 1)
     return _once(
         q,
         ("irrational shifts", parity),

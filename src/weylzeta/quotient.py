@@ -12,19 +12,21 @@ Everything here is exact integer arithmetic; the coordinate solves test
 divisibility with divmod.  Canonical representatives are points of the
 residue box [0, h11) x [0, h22) of the triangular basis (h11, 0), (c, h22)
 of Gamma0 (of its double, in doubled coordinates): reduce takes a point
-there by index arithmetic.  For a torus the vertex and half-lattice
-orbit representatives are the two boxes themselves; for a Klein bottle
-one pass over the doubled box keeps each point that lies below the box
-point of its glide image, and a vertex is such a point with even
-doubled coordinates.  A quotient also carries the per-quotient tables
-of the transfer systems and of the census (_zeta_grids, _census_tables),
-which each of those layers fills on first use, so they live and die
-with the quotient.
+there by index arithmetic, and the doubled box is listed as four parity
+cosets of the box.  For a torus the vertex and half-lattice orbit
+representatives are the two boxes themselves; for a Klein bottle one
+pass over the doubled box keeps each point that lies below the box point
+of its glide image, records that image's position (_glide), and a vertex
+is such a point of parity 0.  A quotient also carries the per-quotient
+tables of the transfer systems and of the census (_zeta_grid,
+_census_tables), which each of those layers fills on first use, so they
+live and die with the quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from typing import Optional, Union
 
@@ -284,25 +286,38 @@ class QuotientGroup:
         self._det = det
         self._adj = adj
         h11, c, h22 = self._triangle = _triangular_basis(u, v)
+        n = h11 * h22
         self._residues = [(i, j) for j in range(h22) for i in range(h11)]
-        self._half_residues = [(i, j) for j in range(2 * h22) for i in range(2 * h11)]
+        cosets = [product(range(b >> 1, 2 * h22, 2), range(b & 1, 2 * h11, 2)) for b in range(4)]
+        self._half_residues = [(x, y) for coset in cosets for y, x in coset]
+        self._glide = None
         if self.kind == "torus":
             reps, half_reps = self._residues, self._half_residues
+            blocks = range(0, 5 * n, n)
         else:
             # a point of the doubled box below the box point of its glide
-            # image represents its orbit; reduce_half and the glide inlined
+            # image represents its orbit; reduce_half and the glide inlined,
+            # and the image's position, col[i] + row[j], kept for zeta._Grid
             (l11, l12), (l21, l22) = self.sigma.linear
             t1, t2 = vec_scale(2, self.sigma.translation)
-            half_reps = []
-            for p in self._half_residues:
-                x, y = p
-                r, j = divmod(l21 * x + l22 * y + t2, 2 * h22)
-                if p < ((l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11), j):
-                    half_reps.append(p)
+            col = [(i & 1) * n + (i >> 1) for i in range(2 * h11)]
+            row = [(j & 1) * 2 * n + h11 * (j >> 1) for j in range(2 * h22)]
+            half_reps, blocks, glide = [], [0], []
+            for b in range(0, 4 * n, n):
+                for p in self._half_residues[b : b + n]:
+                    x, y = p
+                    r, j = divmod(l21 * x + l22 * y + t2, 2 * h22)
+                    i = (l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11)
+                    glide.append(col[i] + row[j])
+                    if p < (i, j):
+                        half_reps.append(p)
+                blocks.append(len(half_reps))
+            self._glide = glide
             # vertex x is the half-lattice point 2x, and the box and the glide
-            # commute with doubling: the even half representatives are the
-            # doubled vertex representatives
-            reps = [(x // 2, y // 2) for x, y in half_reps if not (x % 2 or y % 2)]
+            # commute with doubling: the parity-0 half representatives are
+            # the doubled vertex representatives
+            reps = [(x >> 1, y >> 1) for x, y in half_reps[: blocks[1]]]
+        self._half_blocks = tuple(blocks)
         if len(reps) != self.N:
             raise SpecValidationError(
                 f"vertex class count {len(reps)} does not match N = {self.N}"
@@ -311,7 +326,7 @@ class QuotientGroup:
         self._half_reps = tuple(half_reps)
         # tables of the transfer-system layer (zeta._grid) and of the
         # census, each filled and read only by its own layer
-        self._zeta_grids: dict = {}
+        self._zeta_grid = None
         self._census_tables: dict = {}
 
     # -- lattice reduction ------------------------------------------------
@@ -322,7 +337,9 @@ class QuotientGroup:
         return self._residues
 
     def half_residues(self) -> list:
-        """The residue box of 2 Gamma0: (1/2)L mod Gamma0 in doubled coordinates."""
+        """The residue box of 2 Gamma0, (1/2)L mod Gamma0 in doubled
+        coordinates, as four parity cosets: mu_b + 2 residues()[x] at
+        position b * len(residues()) + x, mu_b = (b & 1, b >> 1)."""
         return self._half_residues
 
     def reduce(self, x: Vec) -> Vec:
@@ -375,7 +392,8 @@ class QuotientGroup:
 
     def half_orbit_reps(self) -> tuple:
         """Canonical representatives of the half-lattice orbits, as int pairs
-        of doubled coordinates in box order; a torus has the whole box."""
+        of doubled coordinates in half_residues() order, parity class by
+        parity class (_half_blocks); a torus has the whole box."""
         return self._half_reps
 
     # -- derived constants ---------------------------------------------------

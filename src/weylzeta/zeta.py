@@ -14,15 +14,15 @@ Three finite dynamical systems sit over each quotient:
 All three are built by one flat-index builder on a grid that each
 quotient builds once and shares among its systems (_Grid, kept on the
 quotient).  The quotient's triangular basis (h11, 0), (c, h22) of Gamma0
-(of 2 Gamma0 for the half steps, in doubled coordinates) numbers the
-classes of the plane as i + h11 * j, (i, j) their residue box point,
-so a step by a fixed vector is a table: a carry between rows and a
-rotation within one, built once per vector.  For a Klein bottle the
-glide is a permutation of the positions without fixed points and of
-order two, so the lower position of each pair represents its orbit, and
-an orbit of states (class, label) is stored as its representative
-r * L + label, r the rank of that position among the representatives.
-The semi-rationality mask is built once per parity class of the weight.
+numbers the vertex classes as i + h11 * j, (i, j) their residue box
+point, so a step by a fixed vector is a table: a carry between rows and
+a rotation within one, built once per vector.  In doubled coordinates a
+half-lattice point is mu + 2x, mu in {0, 1}**2 and x a vertex class, so
+the half-lattice classes are four blocks of vertex classes, and a step
+by lam takes block mu to block nu, mu + lam = nu + 2 delta, by the table
+of delta.  For a Klein bottle the glide, a permutation of the positions
+without fixed points and of order two, comes from the quotient, and the
+lower position of each pair represents its orbit.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
@@ -46,8 +46,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd
+from operator import eq, gt, lt
 from typing import Optional
 
 from .algebra import (
@@ -123,132 +124,115 @@ class TransferSystem:
 
 
 class _Grid:
-    """Z^2 / Gamma0 of one quotient (Z^2 / 2 Gamma0 in doubled coordinates
-    when half) with the tables that every transfer system on it shares.
+    """The vertex classes of one quotient and the half-lattice classes, as
+    four blocks of them, with the tables its transfer systems share.
 
-    * points: the residue box; index(p) is the position of p's class in
-      it, and shifted(s) lists index(p + s) for every box point p.
-    * sigma: the glide as a permutation of the positions (None for a
-      torus).  It is a fixed-point-free involution, so the lower position
-      of each pair {i, sigma[i]} represents the orbit; reps lists the
-      representing positions in increasing order.
-    * moves(s): for each of reps, the orbit of p + s as the rank in reps
-      of its representative and whether that representative is the glide
-      image of p + s rather than p + s itself; built once per s.
-    * irrational(lam): for each of reps, whether the line through it in
-      direction lam misses the vertex lattice; built once per parity
-      class of lam.
+    * mu_b + 2x (doubled coordinates), mu_b = (b & 1, b >> 1) and x the
+      position of a residue box point, is at position b * n + x, the
+      order of q.half_residues(); block 0 holds the vertex classes.
+    * shifted(s) lists the position of p + s for every box point p.
+    * sigma: the glide as a permutation of the 4n positions (None for a
+      torus), mapping block b onto block image[b]; reps[b] lists the x
+      in block b below their glide image, one per orbit.
     """
 
-    def __init__(self, q: QuotientGroup, half: bool):
-        scale = 2 if half else 1
-        self._h11, self._c, self._h22 = (scale * x for x in q._triangle)
-        self.points = q.half_residues() if half else q.residues()
-        self._positions = list(range(len(self.points)))
-        self._moves: dict = {}
-        self._irrational: dict = {}
-        if q.kind == "torus":
-            self.sigma = None
-            self.reps = self._positions
+    def __init__(self, q: QuotientGroup):
+        self._h11, self._c, self._h22 = q._triangle
+        n = self.n = self._h11 * self._h22
+        self._positions = list(range(n))
+        self._shifted, self._moves = {}, {}
+        sigma = self.sigma = q._glide
+        if sigma is None:
+            self.reps = [self._positions] * 4
             return
-        (l11, l12), (l21, l22) = q.sigma.linear
-        t1, t2 = (scale * x for x in q.sigma.translation)
-        index = self.index
-        sigma = [
-            index((l11 * x + l12 * y + t1, l21 * x + l22 * y + t2))
-            for x, y in self.points
-        ]
-        if any(j == i or sigma[j] != i for i, j in enumerate(sigma)):
+        every, blocks = range(4 * n), range(0, 4 * n, n)
+        if any(map(eq, sigma, every)) or list(map(sigma.__getitem__, sigma)) != list(every):
             raise AssertionError("the glide is not a fixed-point-free involution of the grid")
-        self.sigma = sigma
-        self.reps = [i for i, j in enumerate(sigma) if i < j]
-        rank = dict(zip(self.reps, range(len(self.reps))))
-        self._orbit = [rank[min(i, j)] for i, j in enumerate(sigma)]
-
-    def index(self, p: Vec) -> int:
-        r, j = divmod(p[1], self._h22)
-        return (p[0] - r * self._c) % self._h11 + self._h11 * j
+        lower, upper = list(map(lt, every, sigma)), list(map(gt, every, sigma))
+        rank = []  # of each representative among those of its block
+        for b in blocks:
+            rank += accumulate(lower[b : b + n - 1], initial=0)
+        rank = [rank[s if s < p else p] for p, s in enumerate(sigma)]  # of the orbit's
+        self.reps = [list(compress(self._positions, lower[b : b + n])) for b in blocks]
+        self.image = [sigma[b] // n for b in blocks]
+        self._orbit = [(rank[b : b + n], upper[b : b + n]) for b in blocks]
 
     def shifted(self, s: Vec) -> list:
-        # row j moves to row j2 with carry r and rotates within it; the
-        # slices of positions share its int objects, so a kept table costs
-        # one pointer per entry
-        h11, c, h22, positions = self._h11, self._c, self._h22, self._positions
-        out = []
-        for j in range(h22):
-            r, j2 = divmod(j + s[1], h22)
-            rot, base = (s[0] - r * c) % h11, h11 * j2
-            out += positions[base + rot : base + h11]
-            out += positions[base : base + rot]
+        out = self._shifted.get(s)
+        if out is None:
+            # row j moves to row j2 with carry r and rotates within it; the
+            # slices of positions share its int objects, so a kept table
+            # costs one pointer per entry
+            h11, c, h22, positions = self._h11, self._c, self._h22, self._positions
+            out = self._shifted[s] = []
+            for j in range(h22):
+                r, j2 = divmod(j + s[1], h22)
+                rot, base = (s[0] - r * c) % h11, h11 * j2
+                out += positions[base + rot : base + h11]
+                out += positions[base : base + rot]
         return out
 
-    def moves(self, s: Vec) -> tuple:
-        """(ranks, flipped) for p + s over reps; flipped is None for a torus."""
-        out = self._moves.get(s)
+    def moves(self, b: int, lam: Vec, scale: int) -> tuple:
+        """(block, ranks, flipped): mu_b + 2x + scale * lam = mu_block + 2y
+        for x in reps[b], and the orbit of y as the rank in reps[block or
+        its image] of its representative and whether that is the glide
+        image of y (flipped None for a torus); built once per argument."""
+        out = self._moves.get((b, lam, scale))
         if out is None:
-            targets = self.shifted(s)
+            x, y = (b & 1) + scale * lam[0], (b >> 1) + scale * lam[1]
+            targets = self.shifted((x >> 1, y >> 1))
+            block = (x & 1) + 2 * (y & 1)
             if self.sigma is None:
-                out = (targets, None)
+                out = (block, targets, None)
             else:
-                sigma, orbit = self.sigma, self._orbit
-                targets = [targets[i] for i in self.reps]
-                out = ([orbit[j] for j in targets], [sigma[j] < j for j in targets])
-            self._moves[s] = out
-        return out
-
-    def irrational(self, lam: Vec) -> list:
-        parity = (lam[0] % 2, lam[1] % 2)
-        out = self._irrational.get(parity)
-        if out is None:
-            rational = ((0, 0), parity)
-            points = self.points
-            out = [(points[i][0] % 2, points[i][1] % 2) not in rational for i in self.reps]
-            self._irrational[parity] = out
+                targets = list(map(targets.__getitem__, self.reps[b]))
+                rank, upper = self._orbit[block]
+                flipped = list(map(upper.__getitem__, targets))
+                out = (block, list(map(rank.__getitem__, targets)), flipped)
+            self._moves[b, lam, scale] = out
         return out
 
 
-def _grid(q: QuotientGroup, half: bool = False) -> _Grid:
-    """The grid of q (its doubled grid when half), built on first use and
-    kept on q, so that it lives and dies with the quotient."""
-    grid = q._zeta_grids.get(half)
-    if grid is None:
-        grid = q._zeta_grids[half] = _Grid(q, half)
-    return grid
+def _grid(q: QuotientGroup) -> _Grid:
+    """The grid of q, made on first use and kept on q, so that it dies with q."""
+    if q._zeta_grid is None:
+        q._zeta_grid = _Grid(q)
+    return q._zeta_grid
 
 
 def _transfer_system(
-    q: QuotientGroup, kind: str, rep: str, step_in_w: int, labels: tuple, semi: bool = False
+    q: QuotientGroup, kind: str, rep: str, step_in_w: int, labels: tuple
 ) -> TransferSystem:
     """The step (p, l) -> (p + l[0], l rotated by one) on grid classes p
     and labels l (a weight, or a gallery pair that swaps), modulo
-    (p, l) ~ (sigma p, sigma l); a step of one power of w is a half step,
-    on the doubled grid.  A state is the id r * L + l of an orbit's
-    representative, r the rank of its point in grid.reps.  semi keeps
-    only the states whose line misses the vertex lattice."""
-    grid = _grid(q, half=step_in_w == 1)
-    L = len(labels)
+    (p, l) ~ (sigma p, sigma l).  A step of w**2 moves a vertex (block 0)
+    by 2 l[0] in doubled coordinates, a step of w a half-lattice point by
+    l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which it
+    swaps.  The states are numbered label by label and block by block,
+    each block's in the order of grid.reps."""
+    grid = _grid(q)
     at = {label: k for k, label in enumerate(labels)}
-    size = len(grid.reps) * L
-    succ = [0] * size  # id -> id of its successor
+    # first[4 * k + b]: the id of the first state of label k in block b, and
+    # below -size off the kept blocks, so a state sent there is no bijection
+    first, segments, size = [-4 * grid.n * len(labels)] * (4 * len(labels)), [], 0
     for k, label in enumerate(labels):
+        x, y = label[0]
+        for b in (0,) if step_in_w == 2 else {1, 2, 3} - {(x & 1) + 2 * (y & 1)}:
+            first[4 * k + b], size = size, size + len(grid.reps[b])
+            segments.append((label, b))
+    succ = []
+    for label, b in segments:
         nk = at[label[1:] + label[:1]]
-        ranks, flipped = grid.moves(label[0])
+        block, ranks, flipped = grid.moves(b, label[0], step_in_w)
+        to = first[4 * nk + block]
         if flipped is None:
-            succ[k::L] = [r * L + nk for r in ranks]
+            succ += [to + r for r in ranks]
             continue
         # the label of the representative, which is (sigma p, sigma l) when flipped
-        both = (nk, at[tuple(mat_vec(q.sigma.linear, w) for w in labels[nk])])
-        succ[k::L] = [r * L + both[f] for r, f in zip(ranks, flipped)]
-    if not semi:
-        return TransferSystem(kind, rep, tuple(succ), step_in_w)
-    kept = [True] * size
-    for k, label in enumerate(labels):
-        kept[k::L] = grid.irrational(label[0])
-    number = [-1] * size  # a dropped state stays -1, which fails the bijection check
-    for n, s in enumerate(compress(range(size), kept)):
-        number[s] = n
-    successor = tuple(map(number.__getitem__, compress(succ, kept)))
-    return TransferSystem(kind, rep, successor, step_in_w)
+        mk = at[tuple(mat_vec(q.sigma.linear, w) for w in labels[nk])]
+        both = (to, first[4 * mk + grid.image[block]])
+        succ += [both[f] + r for r, f in zip(ranks, flipped)]
+    return TransferSystem(kind, rep, tuple(succ), step_in_w)
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
@@ -256,8 +240,7 @@ def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
 
 
 def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    labels = tuple((lam,) for lam in q.rs.weights(rep))
-    return _transfer_system(q, "semi", rep, 1, labels, semi=True)
+    return _transfer_system(q, "semi", rep, 1, tuple((w,) for w in q.rs.weights(rep)))
 
 
 def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:

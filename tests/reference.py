@@ -28,6 +28,8 @@ routes live here, and the tests compare the package against them:
   ``carrying_linear`` whether the pair closes.  They are the reference
   of the closed-form ``*_count_table`` functions in ``weylzeta.census``
   and share no code with them beyond Gamma0 membership and the glide.
+  ``irrational_half`` filters the half-lattice representatives off the
+  rational lines point by point, the reference of the census's slices.
 * ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
   one integer recurrence step per count; production builds P from its
   Moebius exponents with one expansion.
@@ -553,6 +555,13 @@ def _line_is_rational(x2: Vec, lam: Vec) -> bool:
     lattice: exactly when x2 / 2 is congruent to 0 or lam / 2 modulo it."""
     e = (x2[0] % 2, x2[1] % 2)
     return e == (0, 0) or e == (lam[0] % 2, lam[1] % 2)
+
+
+def irrational_half(q: QuotientGroup, lam: Vec) -> tuple:
+    """The half-lattice representatives whose line in direction lam misses
+    the vertex lattice, by one rationality test per representative: the
+    reference of the census's parity-class slices."""
+    return tuple(x2 for x2 in q.half_orbit_reps() if not _line_is_rational(x2, lam))
 
 
 def count_semi_closings(

@@ -15,9 +15,11 @@ from reference import (
     count_closed_walks,
     count_geodesic_walks,
     count_semi_closings,
+    irrational_half,
 )
 from weylzeta.census import (
     CountTable,
+    _irrational_half,
     _tally,
     gallery_count_table,
     geodesic_count_table,
@@ -30,6 +32,7 @@ import weylzeta.census
 from weylzeta.identities import GALLERY_LOG_DEPTH, GLIDE_WINDOW, SEMI_LOG_DEPTH, verify
 from weylzeta.quotient import AffineMap, KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, vec_add, vec_scale
+from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import required_order
 
 A2 = RootSystem.a2()
@@ -133,6 +136,19 @@ def test_semi_counts_invariant_under_weight_negation():
             assert count_semi_closings(q, rep, j) == count_semi_closings(
                 q, rep, j, weights=negated
             )
+
+
+def test_irrational_half_points_match_the_per_point_filter():
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    qs = [member.build() for member in generate_corpus(7)]
+    for spec in sorted(samples.glob("*.spec")):
+        parsed = load_spec_file(str(spec))
+        qs.append(build(RootSystem.make(parsed.root_system), parsed.spec))
+    assert any(q.kind == "klein" for q in qs) and any(q.kind == "torus" for q in qs)
+    for q in qs:
+        for rep in q.rs.rep_names:
+            for lam in q.rs.weights(rep):
+                assert _irrational_half(q, lam) == irrational_half(q, lam), (q, lam)
 
 
 def test_semi_inert_axis_cycle_on_a2_klein():
@@ -449,5 +465,5 @@ def test_census_reads_nothing_of_the_transfer_systems():
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             texts.append(node.value)  # a getattr(q, "...") would name it here
-    assert not names & {"_zeta_grids", "_grid", "_Grid", "zeta"}
-    assert not [t for t in texts if "_zeta_grids" in t or "_grid" in t.lower()]
+    assert not names & {"_zeta_grid", "_glide", "_grid", "_Grid", "zeta"}
+    assert not [t for t in texts if "_grid" in t.lower() or t == "_glide"]

@@ -23,7 +23,6 @@ from weylzeta.quotient import (
     normalize_generators,
 )
 from weylzeta.rootgeom import HalfVec, RootSystem, vec_add, vec_scale
-from weylzeta.zeta import _grid
 
 A2 = RootSystem.a2()
 C2 = RootSystem.c2()
@@ -197,11 +196,12 @@ def test_torus_representatives_do_not_depend_on_the_basis(
     assert other.half_residues() == q.half_residues()
     assert other.vertex_reps == q.vertex_reps == tuple(q.residues())
     assert other.half_orbit_reps() == q.half_orbit_reps() == tuple(q.half_residues())
-    # the canonical vertex is the box point at the grid's position of x
+    # the canonical vertex is the reduced box point of x
     h = HalfVec(*x)
     for g in (q, other):
-        assert g.canonical_vertex(x) == g.residues()[_grid(g).index(x)]
-        assert g.canonical_vertex(h) == g.half_residues()[_grid(g, half=True).index(x)]
+        assert g.canonical_vertex(x) == g.reduce(x) in g.residues()
+        assert g.canonical_vertex(h) == HalfVec(*g.reduce_half(x))
+        assert g.reduce_half(x) in g.half_residues()
     assert other.canonical_vertex(x) == q.canonical_vertex(x)
     assert other.canonical_vertex(h) == q.canonical_vertex(h)
 

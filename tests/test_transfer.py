@@ -1,5 +1,6 @@
-"""The flat-index transfer-system builder: its index map, its
-per-quotient grid, and its agreement with the tuple-canonicalizing
+"""The flat-index transfer-system builder: its per-quotient grid (vertex
+positions, the half-lattice classes as four parity cosets of them, block
+shifts and the glide), and its agreement with the tuple-canonicalizing
 reference builders."""
 
 import gc
@@ -19,7 +20,6 @@ from weylzeta.corpus import generate_corpus
 from weylzeta.identities import _closed_path_table, _cycles, verify
 from weylzeta.quotient import (
     MAX_CLASSES,
-    AffineMap,
     KleinSpec,
     SpecValidationError,
     TorusSpec,
@@ -29,7 +29,9 @@ from weylzeta.rootgeom import RootSystem, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
     TransferSystem,
+    _Grid,
     _grid,
+    _transfer_system,
     build_gallery_system,
     build_semi_system,
     build_walk_system,
@@ -50,13 +52,19 @@ def _reference_quotients():
     for name in SAMPLES:
         parsed = load_spec_file(str(ROOT / "samples" / f"{name}.spec"))
         qs.append(build(RootSystem.make(parsed.root_system), parsed.spec))
+    # the largest Klein bottle of the benchmark ladder (C2 spin, b even,
+    # N = 96), and a torus whose box is one row, so that every step
+    # between rows carries
+    qs.append(build(RootSystem.c2(), KleinSpec((1, 0), (1, 1), -4, -4, 6)))
+    qs.append(build(RootSystem.c2(), TorusSpec((1, 1), (5, -5))))
     kleins = [q for q in qs if q.kind == "klein"]
     return qs + [build(q.rs, TorusSpec(*q.gamma0_basis)) for q in kleins]
 
 
 def test_builders_match_tuple_reference():
     qs = _reference_quotients()
-    assert any(q.kind == "klein" for q in qs) and any(q.kind == "torus" for q in qs)
+    assert any(q.kind == "klein" and q.N == 96 for q in qs)
+    assert any(q.kind == "torus" and q._triangle[2] == 1 for q in qs)
     for q in qs:
         for rep in q.rs.rep_names:
             for flat, ref in BUILDERS:
@@ -65,13 +73,39 @@ def test_builders_match_tuple_reference():
                 assert got.size == want.size, where
                 # with a fixed step, equal zetas are equal multisets of cycle lengths
                 assert got.zeta() == want.zeta(), where
+            if q.kind == "torus":
+                # the semi system keeps two of the four parity blocks per weight
+                assert build_semi_system(q, rep).size == 2 * q.N * len(q.rs.weights(rep))
+
+
+def test_a_step_off_the_kept_blocks_is_not_a_bijection(monkeypatch):
+    moves = _Grid.moves
+
+    def into(block):
+        def patched(grid, b, lam, scale):
+            _, ranks, flipped = moves(grid, b, lam, scale)
+            return (block, ranks, flipped)
+
+        return patched
+
+    for q in (build(A2, TorusSpec((6, 0), (0, 3))), build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))):
+        with monkeypatch.context() as patch:
+            # every half step lands in the rational block 0
+            patch.setattr(_Grid, "moves", into(0))
+            with pytest.raises(AssertionError, match="not a bijection"):
+                build_semi_system(q, "pi1")
+            # one label on one block: sent to block 1, its states would
+            # permute themselves if they were not given negative ids
+            patch.setattr(_Grid, "moves", into(1))
+            with pytest.raises(AssertionError, match="not a bijection"):
+                _transfer_system(q, "walks", "pi1", 2, (((1, 0),),))
 
 
 def test_transfer_system_rejects_a_non_bijective_successor():
     for successor in (
         (1, 1, 0),  # 0 and 1 both go to 1; 2 has no predecessor
         (0, 2),  # out of range
-        (0, -1, 1),  # -1: the number of a dropped semi state
+        (0, -1, 1),  # a negative id, as of a state sent off the kept semi blocks
         (1, 2, 1),  # rho-shaped: the walk from 0 closes at 1, not at 0
         (0, 2, 3, 2),  # a fixed point, then a tail into a 2-cycle
         (2, 0, 0),  # a walk that runs into an earlier cycle
@@ -103,7 +137,7 @@ def test_cycles_are_read_off_the_zeta():
 
 
 # ---------------------------------------------------------------------------
-# the index map of the grid
+# the grid: positions, block shifts and the glide
 # ---------------------------------------------------------------------------
 
 # a basis of the coroot lattice of each root system
@@ -121,28 +155,54 @@ KLEIN_SPECS = sorted(
 POINTS = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
 
 
-def _check_grid(q, x, half):
-    grid = _grid(q, half)
-    points, index, shifted, sigma = grid.points, grid.index, grid.shifted, grid.sigma
+def _check_grid(q, x):
+    # a vertex class sits at the position of its box point, and the
+    # half-lattice class of mu_b + 2 p (doubled coordinates) at b * n + that
+    grid, n = _grid(q), q._det
+    box, half = q.residues(), q.half_residues()
+    assert grid.n == n == len(box)
+    assert half == [((b & 1) + 2 * i, (b >> 1) + 2 * j) for b in range(4) for i, j in box]
+    where = {p: k for k, p in enumerate(box)}
+    half_where = {p: k for k, p in enumerate(half)}
+    assert len(where) == n and len(half_where) == 4 * n
+
+    def pos(p):
+        return where[q.reduce(p)]
+
+    def half_pos(p2):
+        return half_where[q.reduce_half(p2)]
+
     u, v = q.gamma0_basis
-    member = q.in_translation_subgroup
-    if half:
-        u, v = vec_scale(2, u), vec_scale(2, v)
-        member = lambda d2: reference.in_gamma0(q, d2, 2 * q._det)
-    assert points == (q.half_residues() if half else q.residues())
-    assert len(points) == (4 if half else 1) * q._det
-    assert all(index(p) == i for i, p in enumerate(points))
-    i = index(x)
-    assert 0 <= i < len(points)
-    assert index(vec_add(x, u)) == i == index(vec_add(x, v))
-    assert index(vec_sub(x, u)) == i == index(vec_sub(x, v))
-    assert member(vec_sub(points[i], x))
-    assert shifted(x) == [index(vec_add(p, x)) for p in points]
+    i = pos(x)
+    assert pos(vec_add(x, u)) == i == pos(vec_add(x, v))
+    assert pos(vec_sub(x, u)) == i == pos(vec_sub(x, v))
+    assert q.in_translation_subgroup(vec_sub(box[i], x))
+    assert grid.shifted(x) == [pos(vec_add(p, x)) for p in box]
+    u2, v2 = vec_scale(2, u), vec_scale(2, v)
+    i = half_pos(x)
+    assert half_pos(vec_add(x, u2)) == i == half_pos(vec_sub(x, v2))
+    assert reference.in_gamma0(q, vec_sub(half[i], x), 2 * q._det)
+    # the half step by x of the representatives of each block: block shifts
+    # of the vertex grid, and each orbit's representative by rank
+    for b in range(4):
+        block, ranks, flipped = grid.moves(b, x, 1)
+        targets = [half_pos(vec_add(half[b * n + r], x)) for r in grid.reps[b]]
+        assert {t // n for t in targets} <= {block}
+        if q.kind == "torus":
+            assert flipped is None and [block * n + r for r in ranks] == targets
+            continue
+        assert len(ranks) == len(flipped) == len(targets)
+        for t, r, f in zip(targets, ranks, flipped):
+            rep = grid.sigma[t] if f else t
+            assert rep < grid.sigma[rep] and grid.reps[rep // n][r] == rep % n
     if q.kind == "torus":
-        assert sigma is None
+        assert grid.sigma is None
         return
-    assert sorted(sigma) == list(range(len(sigma)))
-    assert all(sigma[k] != k and sigma[sigma[k]] == k for k in range(len(sigma)))
+    sigma = grid.sigma
+    assert sigma == [half_pos(q._sigma_half(p)) for p in half]
+    assert sorted(sigma) == list(range(4 * n))
+    assert all(sigma[k] != k and sigma[sigma[k]] == k for k in range(4 * n))
+    assert sum(map(len, grid.reps)) == 2 * n
 
 
 @given(
@@ -159,8 +219,7 @@ def test_torus_index_map(rs_name, c1, c2, x):
     det = v1[0] * v2[1] - v2[0] * v1[1]
     assume(0 < abs(det) <= MAX_CLASSES)
     q = build(RootSystem.make(rs_name), TorusSpec(v1, v2))
-    _check_grid(q, x, False)
-    _check_grid(q, x, True)
+    _check_grid(q, x)
 
 
 @given(st.sampled_from(KLEIN_SPECS), st.sampled_from((1, 2, 3, -1, -2)), POINTS)
@@ -171,8 +230,7 @@ def test_klein_index_map(item, m, x):
         q = build(RootSystem.make(rs_name), replace(spec, m=spec.m * m))
     except SpecValidationError:
         assume(False)
-    _check_grid(q, x, False)
-    _check_grid(q, x, True)
+    _check_grid(q, x)
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +268,39 @@ def test_systems_agree_in_any_build_order():
 
 def test_klein_and_double_cover_hold_distinct_grids():
     q, cover = _klein_and_cover(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    for half in (False, True):
-        grid = _grid(q, half)
-        assert _grid(q, half) is grid
-        assert _grid(cover, half) is not grid
-        assert grid.sigma is not None and _grid(cover, half).sigma is None
-        assert len(_grid(cover, half).points) == len(grid.points)
+    grid = _grid(q)
+    assert _grid(q) is grid
+    assert _grid(cover) is not grid
+    assert grid.sigma is not None and _grid(cover).sigma is None
+    assert _grid(cover).n == grid.n
+    assert sum(map(len, grid.reps)) == 2 * grid.n
+    assert sum(map(len, _grid(cover).reps)) == 4 * grid.n
 
 
 def test_quotient_tables_die_with_the_quotient():
     q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
     assert verify(q).all_hold
-    tables = [weakref.ref(q), weakref.ref(_grid(q)), weakref.ref(_grid(q, True))]
+    tables = [weakref.ref(q), weakref.ref(_grid(q))]
     del q
     gc.collect()
-    assert [ref() for ref in tables] == [None, None, None]
+    assert [ref() for ref in tables] == [None, None]
 
 
 def test_a_glide_with_a_fixed_point_raises(monkeypatch):
     q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    monkeypatch.setattr(q, "sigma", AffineMap.identity())
+    # an involution that fixes position 0 and its former partner
+    glide = list(q._glide)
+    partner = glide[0]
+    glide[0], glide[partner] = 0, partner
+    monkeypatch.setattr(q, "_glide", glide)
+    with pytest.raises(AssertionError, match="fixed-point-free involution"):
+        build_walk_system(q, "pi1")
+
+
+def test_a_glide_that_is_not_an_involution_raises(monkeypatch):
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    size = len(q._glide)
+    # one cycle through every position: no fixed point, and of order 4n
+    monkeypatch.setattr(q, "_glide", [(p + 1) % size for p in range(size)])
     with pytest.raises(AssertionError, match="fixed-point-free involution"):
         build_walk_system(q, "pi1")
