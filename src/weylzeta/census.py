@@ -6,11 +6,21 @@ lies in the group orbit of x, i.e. when n*lam or x + n*lam - sigma(x)
 lies in the translation subgroup Gamma0.  Membership in Gamma0 is
 adj * v = 0 (mod det Gamma0), so each branch is a pair of linear
 congruences in n and its solutions form one arithmetic progression
-n = r (mod m).  The ``*_count_table`` functions solve that congruence
-once per (vertex class, weight) and per group branch, group the pairs by
-progression and add each group's multiplicity at r, r + m, ...; a full
-table costs O(N |W| + #progressions * max_n / m) instead of one scan of
-all N |W| pairs per length.
+n = r (mod m).  The ``*_count_table`` functions group the pairs by
+progression and add each group's multiplicity at r, r + m, ... (_tally).
+
+The progressions are found once per congruence class, not once per pair:
+* the translation branch does not depend on x: n*lam lies in Gamma0
+  exactly when m | n, m = det // gcd(adj * lam, det), one gcd per weight
+  (_period);
+* the glide branch reads x only through the class of its glide shift
+  x - sigma(x) modulo Gamma0, so the shifts are grouped by class once
+  per quotient, and each class is solved once per step (_closings, a
+  Chinese-remainder solver built once per step) and counted with its
+  multiplicity.
+A table therefore costs O(#classes) per step plus one slice update per
+progression, where #classes is at most N and usually a handful; a torus
+has no glide branch and builds no solver.
 
 Semi-closings use the same congruences in doubled coordinates modulo
 2 det; galleries move by lam + mu every two steps, so even and odd
@@ -23,13 +33,14 @@ tables: literal per-length loops over every pair, and a point-by-point
 window scan for lambda_set_size.
 
 Work that depends only on the quotient is done once per quotient and
-kept on it (_once): the glide shifts x - sigma(x) of the vertex
-representatives, and per parity class of the weight the half-lattice
-representatives off the rational lines with their glide shifts.  The
-coefficients of each congruence are solved once per step vector
-(_closings), and glide_line_counter computes a glide power once for a
-whole scan; it is never kept on the quotient, so it always reads the
-current sigma.
+kept on it (_once): the glide shift classes of the vertex
+representatives, per parity class of the weight those of the
+half-lattice representatives off the rational lines, and per rep the
+progressions of the walk and geodesic tables, which one pass fills
+together.  A torus reads only the sizes of the half-lattice blocks, not
+the points.  glide_line_counter computes a glide power once for a whole
+scan; it is never kept on the quotient, so it always reads the current
+sigma.
 
 Nothing here touches the transfer systems: the census uses only
 membership in Gamma0 (its adjugate and determinant), the glide sigma and
@@ -127,6 +138,19 @@ def glide_line_counter(q: QuotientGroup, m_odd: int, glide: str = "sigma"):
 # ---------------------------------------------------------------------------
 
 
+def _period(q: QuotientGroup, step: Vec, modulus: int) -> int:
+    """The m with n*step in Gamma0 exactly when m divides n: the
+    translation branch of every table, the progression (0, m).
+
+    n*step lies in Gamma0 when modulus divides n*a_1 and n*a_2, (a_1, a_2)
+    = adj * step, that is when modulus // gcd(a_1, a_2, modulus) divides n.
+    modulus is det Gamma0, or 2 det Gamma0 in doubled coordinates (2 Gamma0).
+    """
+    (p1, p2), (p3, p4) = q._adj
+    a1, a2 = p1 * step[0] + p2 * step[1], p3 * step[0] + p4 * step[1]
+    return modulus // gcd(a1, a2, modulus)
+
+
 def _closings(q: QuotientGroup, step: Vec, modulus: int):
     """The function shift -> the n >= 0 with n*step + shift in Gamma0, as
     (r, m) meaning n = r (mod m), or None when no n solves it.
@@ -138,7 +162,9 @@ def _closings(q: QuotientGroup, step: Vec, modulus: int):
     divides b_i, by n = (b_i / g_i) * inv_i (mod m_i = modulus / g_i).
     The g_i, m_i, inv_i and the data that combine the two rows by the
     Chinese remainder theorem depend on step alone and are computed here,
-    once for every shift.
+    once for every shift.  The shift is read only through adj * shift mod
+    modulus, so the answer depends only on its class modulo Gamma0 (2
+    Gamma0 in doubled coordinates).
     """
     (p1, p2), (p3, p4) = q._adj
 
@@ -170,21 +196,38 @@ def _closings(q: QuotientGroup, step: Vec, modulus: int):
     return solve
 
 
+def _glide_branch(
+    q: QuotientGroup, step: Vec, modulus: int, classes: tuple, offset: Vec = (0, 0)
+) -> Counter:
+    """The progressions of the glide branch: for each (shift class,
+    multiplicity) the solution of n*step + shift + offset in Gamma0, with
+    its multiplicity.  One solve per class; no solver for no classes."""
+    progs: Counter = Counter()
+    if classes:
+        solve = _closings(q, step, modulus)
+        for shift, count in classes:
+            p = solve(vec_add(shift, offset))
+            if p is not None:
+                progs[p] += count
+    return progs
+
+
 def _glide_shifts(q: QuotientGroup, points, half: bool = False) -> tuple:
-    """x - sigma(x) for each point x (doubled coordinates when half); empty
-    for a torus.
+    """x - sigma(x) for each point x (doubled coordinates when half), by
+    class modulo Gamma0 (2 Gamma0 when half), as (class, multiplicity)
+    pairs; empty for a torus.
 
     sigma carries x to y exactly when y - x + (x - sigma(x)) lies in
-    Gamma0, so this is the offset of the glide branch's congruence.  The
-    translation branch has offset 0 and so does not depend on x.
+    Gamma0, so this is the offset of the glide branch's congruence, and
+    that congruence reads it only through its class.  The translation
+    branch has offset 0 and so does not depend on x.
     """
     if q.kind == "torus":
         return ()
     (l11, l12), (l21, l22) = q.sigma.linear
     t1, t2 = vec_scale(2 if half else 1, q.sigma.translation)
-    return tuple(
-        (x - l11 * x - l12 * y - t1, y - l21 * x - l22 * y - t2) for x, y in points
-    )
+    shifts = ((x - l11 * x - l12 * y - t1, y - l21 * x - l22 * y - t2) for x, y in points)
+    return tuple(Counter(map(q.reduce_half if half else q.reduce, shifts)).items())
 
 
 def _once(q: QuotientGroup, key, make):
@@ -197,33 +240,42 @@ def _once(q: QuotientGroup, key, make):
 
 
 def _vertex_shifts(q: QuotientGroup) -> tuple:
-    """The glide shifts of the vertex representatives."""
+    """The glide shift classes of the vertex representatives."""
     return _once(q, "vertex shifts", lambda: _glide_shifts(q, q.vertex_reps))
+
+
+def _off_rational_blocks(lam: Vec) -> tuple:
+    """The parity classes b of the half-lattice points mu_b + 2x whose line
+    in direction lam misses the vertex lattice.
+
+    That line meets the vertex lattice exactly when the point is congruent
+    to 0 or lam/2 modulo the lattice (lam primitive), that is when mu_b is
+    0 or lam mod 2.
+    """
+    parity = (lam[0] & 1) + 2 * (lam[1] & 1)
+    return tuple(b for b in (1, 2, 3) if b != parity)
 
 
 def _irrational_half(q: QuotientGroup, lam: Vec) -> tuple:
     """The half-lattice representatives (doubled coordinates) whose line in
-    direction lam misses the vertex lattice, per parity class of lam.
-
-    The line through x in direction lam meets the vertex lattice exactly
-    when x is congruent to 0 or lam/2 modulo the lattice (lam primitive).
-    half_orbit_reps() lists them by parity class, so these are two slices.
-    """
-    parity = (lam[0] & 1) + 2 * (lam[1] & 1)
+    direction lam misses the vertex lattice: half_orbit_reps() lists them
+    by parity class, so these are two slices."""
     reps, starts = q.half_orbit_reps(), q._half_blocks
-    return _once(
-        q,
-        ("irrational", parity),
-        lambda: sum((reps[starts[b] : starts[b + 1]] for b in (1, 2, 3) if b != parity), ()),
-    )
+    return sum((reps[starts[b] : starts[b + 1]] for b in _off_rational_blocks(lam)), ())
+
+
+def _irrational_count(q: QuotientGroup, lam: Vec) -> int:
+    """len(_irrational_half(q, lam)), from the block sizes alone."""
+    starts = q._half_blocks
+    return sum(starts[b + 1] - starts[b] for b in _off_rational_blocks(lam))
 
 
 def _irrational_shifts(q: QuotientGroup, lam: Vec) -> tuple:
-    """The glide shifts of _irrational_half(q, lam)."""
-    parity = (lam[0] & 1) + 2 * (lam[1] & 1)
+    """The glide shift classes of _irrational_half(q, lam), per parity
+    class of lam."""
     return _once(
         q,
-        ("irrational shifts", parity),
+        ("irrational shifts", _off_rational_blocks(lam)),
         lambda: _glide_shifts(q, _irrational_half(q, lam), half=True),
     )
 
@@ -244,34 +296,42 @@ def _tally(progressions: Counter, max_n: int) -> tuple:
     return tuple(values)
 
 
-def _walk_progressions(q: QuotientGroup, rep: str, geodesic: bool) -> Counter:
-    d = q._det
-    shifts = _vertex_shifts(q)
-    progs: Counter = Counter()
-    for lam in q.rs.weights(rep):
-        solve = _closings(q, lam, d)
-        progs[solve((0, 0))] += len(q.vertex_reps)
-        if geodesic and not _glide_maps(q, lam, lam):
-            continue
-        for shift in shifts:
-            p = solve(shift)
-            if p is not None:
-                progs[p] += 1
-    return progs
+def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
+    """(walks, geodesics): the progressions of the closing lengths of the
+    pairs (vertex class, weight) of rep, in one pass kept on q.  A closing
+    is geodesic when the carrying element's linear part fixes the weight:
+    always for a translation, for the glide only when it fixes lam."""
+
+    def make() -> tuple:
+        d, n = q._det, len(q.vertex_reps)
+        shifts = _vertex_shifts(q)
+        walks: Counter = Counter()
+        geodesics: Counter = Counter()
+        for lam in q.rs.weights(rep):
+            p = (0, _period(q, lam, d))
+            walks[p] += n
+            geodesics[p] += n
+            glides = _glide_branch(q, lam, d, shifts)
+            walks.update(glides)
+            if _glide_maps(q, lam, lam):
+                geodesics.update(glides)
+        return walks, geodesics
+
+    return _once(q, ("walks", rep), make)
 
 
 def walk_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
     """Closed walks of normalized length n = 1..max_n, in closed form: the
     pairs (vertex class, weight) whose endpoint is carried back by some
     group element."""
-    return CountTable(rep, "walks", _tally(_walk_progressions(q, rep, False), max_n))
+    return CountTable(rep, "walks", _tally(_walk_progressions(q, rep)[0], max_n))
 
 
 def geodesic_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
     """Closed geodesic walks of length n = 1..max_n, in closed form: as
     walk_count_table, but the carrying element's linear part must fix the
     direction (no corner at closing)."""
-    return CountTable(rep, "geodesic", _tally(_walk_progressions(q, rep, True), max_n))
+    return CountTable(rep, "geodesic", _tally(_walk_progressions(q, rep)[1], max_n))
 
 
 def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> CountTable:
@@ -281,13 +341,9 @@ def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> CountTable:
     d2 = 2 * q._det
     progs: Counter = Counter()
     for lam in q.rs.weights(rep):
-        solve = _closings(q, lam, d2)
-        progs[solve((0, 0))] += len(_irrational_half(q, lam))
+        progs[(0, _period(q, lam, d2))] += _irrational_count(q, lam)
         if _glide_maps(q, lam, lam):
-            for shift in _irrational_shifts(q, lam):
-                p = solve(shift)
-                if p is not None:
-                    progs[p] += 1
+            progs.update(_glide_branch(q, lam, d2, _irrational_shifts(q, lam)))
     return CountTable(rep, "semi", _tally(progs, max_j))
 
 
@@ -302,20 +358,20 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
     labels swapped.  Each parity gives one progression in k, which is
     mapped to n = 2k or n = 2k + 1.  A translation keeps the labels, and
     lam != mu in every gallery pair, so it closes at even lengths only.
+    The odd branch's offset shift + lam has a class that depends only on
+    the class of shift.
     """
-    d = q._det
+    d, n = q._det, len(q.vertex_reps)
     shifts = _vertex_shifts(q)
     progs: Counter = Counter()
     for lam, mu in q.rs.gallery_pairs(rep):
-        solve = _closings(q, vec_add(lam, mu), d)
-        r, m = solve((0, 0))
-        progs[(2 * r, 2 * m)] += len(q.vertex_reps)
+        step = vec_add(lam, mu)
+        progs[(0, 2 * _period(q, step, d))] += n
         even = _glide_maps(q, lam, lam) and _glide_maps(q, mu, mu)
         odd = _glide_maps(q, lam, mu) and _glide_maps(q, mu, lam)
         if not (even or odd):
             continue
-        for shift in shifts:
-            p = solve(shift if even else vec_add(shift, lam))
-            if p is not None:
-                progs[(2 * p[0] + odd, 2 * p[1])] += 1
+        glides = _glide_branch(q, step, d, shifts, (0, 0) if even else lam)
+        for (r, m), count in glides.items():
+            progs[(2 * r + odd, 2 * m)] += count
     return CountTable(rep, "galleries", _tally(progs, max_n))

@@ -14,7 +14,8 @@ residue box [0, h11) x [0, h22) of the triangular basis (h11, 0), (c, h22)
 of Gamma0 (of its double, in doubled coordinates): reduce takes a point
 there by index arithmetic, and the doubled box is listed as four parity
 cosets of the box.  For a torus the vertex and half-lattice orbit
-representatives are the two boxes themselves; for a Klein bottle one
+representatives are the two boxes themselves, the doubled one made on
+first read; for a Klein bottle one
 pass over the doubled box keeps each point that lies below the box point
 of its glide image, records that image's position (_glide), and a vertex
 is such a point of parity 0.  A quotient also carries the per-quotient
@@ -288,11 +289,12 @@ class QuotientGroup:
         h11, c, h22 = self._triangle = _triangular_basis(u, v)
         n = h11 * h22
         self._residues = [(i, j) for j in range(h22) for i in range(h11)]
-        cosets = [product(range(b >> 1, 2 * h22, 2), range(b & 1, 2 * h11, 2)) for b in range(4)]
-        self._half_residues = [(x, y) for coset in cosets for y, x in coset]
+        # the doubled box, and a torus's half representatives (the box
+        # itself), are made on first read: see half_residues
+        self._half_residues = self._half_reps = None
         self._glide = None
         if self.kind == "torus":
-            reps, half_reps = self._residues, self._half_residues
+            reps = self._residues
             blocks = range(0, 5 * n, n)
         else:
             # a point of the doubled box below the box point of its glide
@@ -302,9 +304,9 @@ class QuotientGroup:
             t1, t2 = vec_scale(2, self.sigma.translation)
             col = [(i & 1) * n + (i >> 1) for i in range(2 * h11)]
             row = [(j & 1) * 2 * n + h11 * (j >> 1) for j in range(2 * h22)]
-            half_reps, blocks, glide = [], [0], []
+            half, half_reps, blocks, glide = self.half_residues(), [], [0], []
             for b in range(0, 4 * n, n):
-                for p in self._half_residues[b : b + n]:
+                for p in half[b : b + n]:
                     x, y = p
                     r, j = divmod(l21 * x + l22 * y + t2, 2 * h22)
                     i = (l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11)
@@ -317,13 +319,13 @@ class QuotientGroup:
             # commute with doubling: the parity-0 half representatives are
             # the doubled vertex representatives
             reps = [(x >> 1, y >> 1) for x, y in half_reps[: blocks[1]]]
+            self._half_reps = tuple(half_reps)
         self._half_blocks = tuple(blocks)
         if len(reps) != self.N:
             raise SpecValidationError(
                 f"vertex class count {len(reps)} does not match N = {self.N}"
             )
         self.vertex_reps = tuple(reps)
-        self._half_reps = tuple(half_reps)
         # tables of the transfer-system layer (zeta._grid) and of the
         # census, each filled and read only by its own layer
         self._zeta_grid = None
@@ -339,7 +341,16 @@ class QuotientGroup:
     def half_residues(self) -> list:
         """The residue box of 2 Gamma0, (1/2)L mod Gamma0 in doubled
         coordinates, as four parity cosets: mu_b + 2 residues()[x] at
-        position b * len(residues()) + x, mu_b = (b & 1, b >> 1)."""
+        position b * len(residues()) + x, mu_b = (b & 1, b >> 1).  Made on
+        first read, so a torus whose half-lattice points are never read
+        never builds it."""
+        if self._half_residues is None:
+            h11, _, h22 = self._triangle
+            cosets = [
+                product(range(b >> 1, 2 * h22, 2), range(b & 1, 2 * h11, 2))
+                for b in range(4)
+            ]
+            self._half_residues = [(x, y) for coset in cosets for y, x in coset]
         return self._half_residues
 
     def reduce(self, x: Vec) -> Vec:
@@ -393,7 +404,10 @@ class QuotientGroup:
     def half_orbit_reps(self) -> tuple:
         """Canonical representatives of the half-lattice orbits, as int pairs
         of doubled coordinates in half_residues() order, parity class by
-        parity class (_half_blocks); a torus has the whole box."""
+        parity class (_half_blocks); a torus has the whole box, made on
+        first read."""
+        if self._half_reps is None:
+            self._half_reps = tuple(self.half_residues())
         return self._half_reps
 
     # -- derived constants ---------------------------------------------------

@@ -220,6 +220,10 @@ def _transfer_system(
         for b in (0,) if step_in_w == 2 else {1, 2, 3} - {(x & 1) + 2 * (y & 1)}:
             first[4 * k + b], size = size, size + len(grid.reps[b])
             segments.append((label, b))
+    if grid.sigma is not None:
+        # flip[k]: the label of (sigma p, sigma l) for labels[k]
+        sigma = q.sigma.linear
+        flip = [at[tuple(mat_vec(sigma, w) for w in label)] for label in labels]
     succ = []
     for label, b in segments:
         nk = at[label[1:] + label[:1]]
@@ -228,9 +232,8 @@ def _transfer_system(
         if flipped is None:
             succ += [to + r for r in ranks]
             continue
-        # the label of the representative, which is (sigma p, sigma l) when flipped
-        mk = at[tuple(mat_vec(q.sigma.linear, w) for w in labels[nk])]
-        both = (to, first[4 * mk + grid.image[block]])
+        # the representative is (sigma p, sigma l) when flipped
+        both = (to, first[4 * flip[nk] + grid.image[block]])
         succ += [both[f] + r for r, f in zip(ranks, flipped)]
     return TransferSystem(kind, rep, tuple(succ), step_in_w)
 

@@ -19,8 +19,13 @@ from reference import (
 )
 from weylzeta.census import (
     CountTable,
+    _closings,
+    _irrational_count,
     _irrational_half,
+    _irrational_shifts,
+    _period,
     _tally,
+    _vertex_shifts,
     gallery_count_table,
     geodesic_count_table,
     lambda_set_size,
@@ -29,9 +34,10 @@ from weylzeta.census import (
 )
 from weylzeta.corpus import generate_corpus
 import weylzeta.census
+import weylzeta.identities
 from weylzeta.identities import GALLERY_LOG_DEPTH, GLIDE_WINDOW, SEMI_LOG_DEPTH, verify
 from weylzeta.quotient import AffineMap, KleinSpec, TorusSpec, build
-from weylzeta.rootgeom import RootSystem, vec_add, vec_scale
+from weylzeta.rootgeom import RootSystem, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import required_order
 
@@ -138,14 +144,19 @@ def test_semi_counts_invariant_under_weight_negation():
             )
 
 
-def test_irrational_half_points_match_the_per_point_filter():
+def _corpus_and_samples():
+    """The quotients of generate_corpus(7) and of the four sample specs."""
     samples = Path(__file__).resolve().parent.parent / "samples"
     qs = [member.build() for member in generate_corpus(7)]
     for spec in sorted(samples.glob("*.spec")):
         parsed = load_spec_file(str(spec))
         qs.append(build(RootSystem.make(parsed.root_system), parsed.spec))
     assert any(q.kind == "klein" for q in qs) and any(q.kind == "torus" for q in qs)
-    for q in qs:
+    return qs
+
+
+def test_irrational_half_points_match_the_per_point_filter():
+    for q in _corpus_and_samples():
         for rep in q.rs.rep_names:
             for lam in q.rs.weights(rep):
                 assert _irrational_half(q, lam) == irrational_half(q, lam), (q, lam)
@@ -363,6 +374,133 @@ def test_semi_and_gallery_tables_match_loops_on_corpus():
             assert gallery_count_table(q, rep, gdepth).values == tuple(
                 count_closed_galleries(q, rep, n) for n in range(1, gdepth + 1)
             ), (q, rep)
+
+
+# ---------------------------------------------------------------------------
+# the census by congruence class
+# ---------------------------------------------------------------------------
+
+
+def test_period_is_the_translation_branch_of_the_solver():
+    # n * step in Gamma0 (2 Gamma0 in doubled coordinates) exactly when
+    # _period divides n, for walk, semi and gallery steps
+    for q in _corpus_and_samples():
+        for rep in q.rs.rep_names:
+            steps = list(q.rs.weights(rep))
+            steps += [vec_add(lam, mu) for lam, mu in q.rs.gallery_pairs(rep)]
+            for step in steps:
+                for modulus in (q._det, 2 * q._det):
+                    assert (0, _period(q, step, modulus)) == _closings(q, step, modulus)(
+                        (0, 0)
+                    ), (q, step, modulus)
+
+
+def _raw_shifts(q, points, half):
+    """x - sigma(x) for each point, by the glide's apply (doubled when half)."""
+    image = q._sigma_half if half else q.sigma.apply
+    return [vec_sub(x, image(x)) for x in points]
+
+
+def test_shift_classes_count_every_point_once():
+    for q in _corpus_and_samples():
+        vertex = _vertex_shifts(q)
+        if q.kind == "torus":
+            assert vertex == ()
+        else:
+            raw = _raw_shifts(q, q.vertex_reps, False)
+            assert Counter(dict(vertex)) == Counter(map(q.reduce, raw))
+            assert sum(count for _, count in vertex) == q.N
+        for rep in q.rs.rep_names:
+            for lam in q.rs.weights(rep):
+                points = _irrational_half(q, lam)
+                assert _irrational_count(q, lam) == len(points), (q, lam)
+                half = _irrational_shifts(q, lam)
+                if q.kind == "torus":
+                    assert half == ()
+                    continue
+                raw = _raw_shifts(q, points, True)
+                assert Counter(dict(half)) == Counter(map(q.reduce_half, raw))
+                assert sum(count for _, count in half) == len(points), (q, lam)
+
+
+def test_the_solver_reads_a_shift_only_through_its_class():
+    for q in _corpus_and_samples():
+        if q.kind == "torus":
+            continue
+        for rep in q.rs.rep_names:
+            for lam in q.rs.weights(rep):
+                solve = _closings(q, lam, q._det)
+                for shift in _raw_shifts(q, q.vertex_reps, False):
+                    assert solve(shift) == solve(q.reduce(shift))
+                    odd = vec_add(shift, lam)
+                    assert solve(odd) == solve(vec_add(q.reduce(shift), lam))
+                solve = _closings(q, lam, 2 * q._det)
+                for shift in _raw_shifts(q, _irrational_half(q, lam), True):
+                    assert solve(shift) == solve(q.reduce_half(shift))
+
+
+# ---------------------------------------------------------------------------
+# cost guards: structural, no timing
+# ---------------------------------------------------------------------------
+
+
+def test_a_torus_verify_builds_no_solver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a torus census built a congruence solver")
+
+    monkeypatch.setattr(weylzeta.census, "_closings", refuse)
+    for rs, v1, v2 in (
+        (A2, (6, 0), (0, 3)),
+        (A2, (12, 0), (0, 6)),
+        (C2, (3, 3), (3, -3)),
+        (C2, (6, 0), (0, 12)),
+    ):
+        q = build(rs, TorusSpec(v1, v2))
+        assert verify(q).all_hold
+        # the census read only the half-lattice block sizes
+        assert q._half_residues is None and q._half_reps is None
+
+
+def test_a_klein_verify_solves_once_per_shift_class(monkeypatch):
+    # the N = 96 C2 spin Klein rung of the ladder benchmark
+    q = build(C2, KleinSpec((1, 0), (1, 1), -4, -4, 6))
+    assert q.N == 96
+    calls = Counter()
+
+    def counting(q_, step, modulus):
+        calls["solvers"] += 1
+        solve = _closings(q_, step, modulus)
+
+        def counted(shift):
+            calls["solves"] += 1
+            return solve(shift)
+
+        return counted
+
+    monkeypatch.setattr(weylzeta.census, "_closings", counting)
+    assert verify(q).all_hold
+    lams = [lam for rep in q.rs.rep_names for lam in q.rs.weights(rep)]
+    classes = max(len(_vertex_shifts(q)), *(len(_irrational_shifts(q, lam)) for lam in lams))
+    assert calls["solvers"] > 0
+    # one solve per class and glide-branch step; a solve per point would be
+    # N per step (2N for the half-lattice points)
+    assert calls["solves"] <= classes * calls["solvers"] < q.N * calls["solvers"]
+
+
+def test_a_klein_verify_leaves_its_cover_box_unbuilt(monkeypatch):
+    covers = []
+
+    def recording(rs, spec):
+        covers.append(build(rs, spec))
+        return covers[-1]
+
+    monkeypatch.setattr(weylzeta.identities, "build", recording)
+    for q in (A2_KLEIN, C2_SPIN_KLEIN, C2_ST_KLEIN):
+        assert verify(q).all_hold
+    assert len(covers) == 3
+    for cover in covers:
+        assert cover.kind == "torus"
+        assert cover._half_residues is None and cover._half_reps is None
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,20 @@ def test_torus_representatives_do_not_depend_on_the_basis(
     assert other.canonical_vertex(h) == q.canonical_vertex(h)
 
 
+def test_a_torus_makes_its_doubled_box_on_first_read():
+    for rs, v1, v2 in ((A2, (2, -1), (-1, 2)), (C2, (3, 3), (3, -3)), (C2, (6, 0), (0, 4))):
+        q = build(rs, TorusSpec(v1, v2))
+        assert q._half_residues is None and q._half_reps is None
+        # mu_b + 2 residues()[x] at position b * n + x, mu_b = (b & 1, b >> 1)
+        cosets = [
+            (2 * i + (b & 1), 2 * j + (b >> 1)) for b in range(4) for i, j in q.residues()
+        ]
+        assert q.half_residues() == cosets
+        assert q.half_orbit_reps() == tuple(cosets)
+        assert q.half_residues() is q.half_residues()
+        assert q._half_blocks == tuple(range(0, 5 * q.N, q.N))
+
+
 def test_klein_representatives_are_the_orbit_minima():
     # each glide orbit of the box is a pair, represented by its lower point
     for q in (a2_klein(), c2_spin_klein(), c2_st_klein()):
