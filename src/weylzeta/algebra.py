@@ -27,7 +27,6 @@ uses rationals or floating point.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Sequence
@@ -218,8 +217,9 @@ class CycleProduct:
         return hash(frozenset(self._k.items()))
 
     def __mul__(self, other: "CycleProduct") -> "CycleProduct":
-        k = Counter(self._k)
-        k.update(other._k)
+        k = dict(self._k)
+        for e, x in other._k.items():
+            k[e] = k.get(e, 0) + x
         return CycleProduct(k)
 
     def __pow__(self, p: int) -> "CycleProduct":
@@ -245,12 +245,12 @@ class CycleProduct:
         """
         if not self.is_even_in_w():
             raise ValueError("u-negation requires a function of u = w**2")
-        k: Counter = Counter()
+        k: dict = {}
         for e, x in self._k.items():
             if e % 4 == 2:
-                k[2 * e] += x
+                k[2 * e] = k.get(2 * e, 0) + x
                 x = -x
-            k[e] += x
+            k[e] = k.get(e, 0) + x
         return CycleProduct(k)
 
     def _cyclotomic_exponents(self) -> dict:
@@ -259,10 +259,10 @@ class CycleProduct:
         c_m is the sum of k_e over the multiples e of m.  Phi_1 is taken
         as 1 - w, so that every factor has constant term 1.
         """
-        c: Counter = Counter()
+        c: dict = {}
         for e, x in self._k.items():
             for m in _divisors(e):
-                c[m] += x
+                c[m] = c.get(m, 0) + x
         return {m: x for m, x in c.items() if x}
 
     def _reduced(self) -> tuple:
@@ -273,11 +273,11 @@ class CycleProduct:
         written as prod (1 - w**(m / s))**mu(s) over the squarefree
         divisors s of m, whose signs come from the distinct primes of m.
         """
-        parts = (Counter(), Counter())
+        parts: tuple = ({}, {})
         for m, cm in self._cyclotomic_exponents().items():
-            part = parts[cm < 0]
+            part, x = parts[cm < 0], abs(cm)
             for s, mu in _mobius_divisors(m):
-                part[m // s] += mu * abs(cm)
+                part[m // s] = part.get(m // s, 0) + mu * x
         return parts
 
     def degrees(self) -> tuple:

@@ -39,8 +39,8 @@ half-lattice representatives off the rational lines, and per rep the
 progressions of the walk and geodesic tables, which one pass fills
 together.  A torus reads only the sizes of the half-lattice blocks, not
 the points.  glide_line_counter computes a glide power once for a whole
-scan; it is never kept on the quotient, so it always reads the current
-sigma.
+scan, and the vector of each beta-row once, on its first read (GlideLines);
+it is never kept on the quotient, so it always reads the current sigma.
 
 Nothing here touches the transfer systems: the census uses only
 membership in Gamma0 (its adjugate and determinant), the glide sigma and
@@ -56,7 +56,7 @@ from math import gcd
 from typing import Optional
 
 from .quotient import QuotientGroup, SpecValidationError
-from .rootgeom import Vec, mat_vec, vec_add, vec_scale
+from .rootgeom import Vec, mat_vec, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,14 @@ def lambda_set_size(
     return glide_line_counter(q, m_odd, glide)(v)
 
 
-def glide_line_counter(q: QuotientGroup, m_odd: int, glide: str = "sigma"):
+def glide_line_counter(q: QuotientGroup, m_odd: int, glide: str = "sigma") -> "GlideLines":
     """lambda_set_size(q, m_odd, ., glide) as a function of v alone.
 
     The glide, the beta-coordinate of its translation and its m-th power
-    are computed once, here, from q as it is now, so a scan over many v
-    pays for them once.  The caller checks v (and the Klein kind and the
-    odd power) as lambda_set_size does.
+    are computed once, here, from q as it is now, and each beta-row's
+    vector once, on its first read, so a scan over many v pays for them
+    once.  The caller checks v (and the Klein kind and the odd power) as
+    lambda_set_size does.
     """
     if glide == "sigma":
         g = q.sigma
@@ -118,19 +119,39 @@ def glide_line_counter(q: QuotientGroup, m_odd: int, glide: str = "sigma"):
         g = q.t.compose(q.sigma)
     else:
         raise ValueError("glide must be 'sigma' or 'tsigma'")
-    _, b_used = q.alpha_beta_coords(g.translation)
     gm = g ** m_odd
     if mat_vec(gm.linear, q.alpha) != q.alpha:
         raise AssertionError("the glide's linear part does not fix alpha")
+    return GlideLines(q, gm, q.alpha_beta_coords(g.translation)[1])
 
-    def count(v: Vec) -> int:
+
+class GlideLines:
+    """The glide line counts of one glide power gm: a call with v gives
+    lambda_set_size, and row(d) the vector gm(x) - x by which gm moves
+    the beta-row of the fundamental domain that only v = c*alpha + d*beta
+    can match.  count(v) is k exactly when v is row(d), d its
+    beta-coordinate, so every other v of that beta-row counts 0."""
+
+    def __init__(self, q: QuotientGroup, gm, b_used: int):
+        self._q, self._gm, self._b = q, gm, b_used
+        self._rows: dict = {}
+
+    def row(self, d: int) -> Optional[Vec]:
+        """gm(x) - x for x = ((b - d) / 2) beta, or None when no row can
+        be moved by a vector of beta-coordinate d: d < 0, or b - d odd."""
+        b = self._b
+        if d < 0 or (b - d) % 2:
+            return None
+        out = self._rows.get(d)
+        if out is None:
+            x = vec_scale((b - d) // 2, self._q.beta)
+            out = self._rows[d] = vec_sub(self._gm.apply(x), x)
+        return out
+
+    def __call__(self, v: Vec) -> int:
+        q = self._q
         _, d = q.alpha_beta_coords(v)
-        if d < 0 or (b_used - d) % 2:
-            return 0
-        x = vec_scale((b_used - d) // 2, q.beta)
-        return q.k_gamma if gm.apply(x) == vec_add(x, v) else 0
-
-    return count
+        return q.k_gamma if self.row(d) == (v[0], v[1]) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -172,35 +172,47 @@ class _RepData:
 
 
 def _glide_line_scan(q: QuotientGroup) -> dict:
-    """First mismatch between glide line counts and the predicted value."""
-    rs = q.rs
-    aa = rs.pairing(q.alpha, q.alpha)
+    """First mismatch between glide line counts and the predicted value
+    over the window v = c*alpha + d*beta, |c|, |d| <= GLIDE_WINDOW, d != 0,
+    v in the coroot lattice, in the order m, c, d; empty when none.
+
+    A count is k exactly when v is the vector of its beta-row (row(d),
+    never for d < 0) and 0 otherwise.  The prediction is k only at the one
+    c, if any, with 2 (c alpha + d beta, alpha) = k m (alpha, alpha) and
+    d > 0, and 0 otherwise.  So off the rows d > 0 both are 0, and on one
+    such row only three vectors can mismatch: the two glides' row
+    vectors and the predicted one.  Only those are evaluated, each row
+    vector computed once per glide power.
+    """
+    rs, alpha, beta = q.rs, q.alpha, q.beta
+    aa, ab = rs.pairing(alpha, alpha), rs.pairing(alpha, beta)
     for m in (1, 3):
         count_s = glide_line_counter(q, m)
         count_t = glide_line_counter(q, m, glide="tsigma")
-        for c in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
-            for dcoef in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
-                if dcoef == 0:
-                    continue
-                v = (
-                    c * q.alpha[0] + dcoef * q.beta[0],
-                    c * q.alpha[1] + dcoef * q.beta[1],
-                )
-                if not rs.in_coroot_lattice(v):
-                    continue
-                admissible = (
-                    dcoef > 0 and 2 * rs.pairing(v, q.alpha) == q.k_gamma * m * aa
-                )
-                expected = q.k_gamma if admissible else 0
-                got_s, got_t = count_s(v), count_t(v)
-                if got_s != expected or got_t != got_s:
-                    return {
-                        "m": m,
-                        "v": list(v),
-                        "expected": expected,
-                        "sigma_count": got_s,
-                        "tsigma_count": got_t,
-                    }
+        target = q.k_gamma * m * aa
+        candidates = set()
+        for d in range(1, GLIDE_WINDOW + 1):
+            for count in (count_s, count_t):
+                row = count.row(d)
+                if row is not None:
+                    candidates.add((q.alpha_beta_coords(row)[0], d))
+            c, r = divmod(target - 2 * d * ab, 2 * aa)
+            if not r:
+                candidates.add((c, d))
+        for c, d in sorted(candidates):
+            v = (c * alpha[0] + d * beta[0], c * alpha[1] + d * beta[1])
+            if abs(c) > GLIDE_WINDOW or not rs.in_coroot_lattice(v):
+                continue
+            expected = q.k_gamma if 2 * rs.pairing(v, alpha) == target else 0
+            got_s, got_t = count_s(v), count_t(v)
+            if got_s != expected or got_t != got_s:
+                return {
+                    "m": m,
+                    "v": list(v),
+                    "expected": expected,
+                    "sigma_count": got_s,
+                    "tsigma_count": got_t,
+                }
     return {}
 
 

@@ -15,6 +15,14 @@ All coordinates and pairings are integers, and the ratios taken of
 pairings are exact integer divisions.  Only those ratios are ever used,
 so the overall Gram scale is irrelevant.  Half-lattice points (HalfVec)
 are stored as doubled integer coordinates and are never paired.
+
+The tables that depend on the root system alone are made on first use
+and kept on it, so every quotient of the process shares them: the
+gallery pairs of each representation, and per representation and
+transfer-system kind the LabelTable (the labels of the states, each
+label's successor, the parity blocks its states occupy, and the label
+permutation of each Weyl reflection, made on its first use).
+Nothing in them depends on a quotient.
 """
 
 from __future__ import annotations
@@ -68,6 +76,46 @@ def vec_scale(k: int, v: Vec) -> Vec:
     return (k * v[0], k * v[1])
 
 
+class LabelTable:
+    """The labels of one transfer-system kind of one representation.
+
+    A walks or semi state is labeled by a weight (as a 1-tuple), a
+    galleries state by an ordered gallery pair; one step moves by the
+    label's first entry and rotates the label by one, to labels[nexts[k]].
+    segments lists the (label index, parity block) pairs that hold
+    states, in the order the states are numbered: block 0 (the vertex
+    classes) for walks and galleries, and for semi the two blocks of
+    half-lattice points whose line in the weight's direction misses the
+    vertex lattice.  flip(m) is the label permutation of a Weyl
+    reflection m, made on its first use and kept.
+    """
+
+    __slots__ = ("labels", "nexts", "segments", "_at", "_flips")
+
+    def __init__(self, labels: tuple, kind: str):
+        at = {label: k for k, label in enumerate(labels)}
+        self.labels = labels
+        self.nexts = tuple(at[label[1:] + label[:1]] for label in labels)
+        if kind == "semi":
+            parities = [(x & 1) + 2 * (y & 1) for ((x, y),) in labels]
+            kept = [[b for b in (1, 2, 3) if b != p] for p in parities]
+        else:
+            kept = [(0,)] * len(labels)
+        self.segments = tuple((k, b) for k, blocks in enumerate(kept) for b in blocks)
+        self._at, self._flips = at, {}
+
+    def flip(self, m: Mat) -> tuple:
+        """flip[k]: the index of the label m * labels[k], entry by entry."""
+        out = self._flips.get(m)
+        if out is None:
+            out = self._flips[m] = self._derive_flip(m)
+        return out
+
+    def _derive_flip(self, m: Mat) -> tuple:
+        at = self._at
+        return tuple(at[tuple(mat_vec(m, w) for w in label)] for label in self.labels)
+
+
 @dataclass(frozen=True)
 class ReprData:
     """One distinguished representation: its nontrivial weights and constants.
@@ -108,6 +156,8 @@ class RootSystem:
         self.kind = kind
         self.reps = {r.name: r for r in reps}
         self.weyl: tuple = self._generate_weyl(gens)
+        self._pairs: dict = {}  # rep -> gallery_pairs(rep)
+        self._labels: dict = {}  # (rep, kind) -> label_table(rep, kind)
 
     @staticmethod
     def _generate_weyl(gens) -> tuple:
@@ -207,24 +257,39 @@ class RootSystem:
     # -- gallery successor structure --------------------------------------
 
     def gallery_pairs(self, name: str) -> tuple:
-        """Ordered pairs of consecutive central-edge directions of galleries.
+        """Ordered pairs of consecutive central-edge directions of galleries,
+        made on first use and kept.
 
         A geodesic gallery strictly alternates the two directions of an
         admissible pair: any two weights for A2 (no weight has its
         negative in the same representation), perpendicular weights for
         C2 (the antipode would backtrack).
         """
-        wts = self.weights(name)
-        if self.kind == "A2":
-            return tuple(
-                (lam, mu) for lam in wts for mu in wts if lam != mu
-            )
-        return tuple(
-            (lam, mu)
-            for lam in wts
-            for mu in wts
-            if self.pairing(lam, mu) == 0
-        )
+        out = self._pairs.get(name)
+        if out is None:
+            wts = self.weights(name)
+            if self.kind == "A2":
+                out = tuple((lam, mu) for lam in wts for mu in wts if lam != mu)
+            else:
+                out = tuple(
+                    (lam, mu) for lam in wts for mu in wts if self.pairing(lam, mu) == 0
+                )
+            self._pairs[name] = out
+        return out
+
+    def label_table(self, name: str, kind: str) -> LabelTable:
+        """The LabelTable of the transfer system kind (walks, semi or
+        galleries) of the named representation, made on first use and kept."""
+        out = self._labels.get((name, kind))
+        if out is None:
+            if kind == "galleries":
+                labels = self.gallery_pairs(name)
+            elif kind in ("walks", "semi"):
+                labels = tuple((w,) for w in self.weights(name))
+            else:
+                raise ValueError(f"unknown transfer system kind: {kind!r}")
+            out = self._labels[name, kind] = LabelTable(labels, kind)
+        return out
 
     def __repr__(self):
         return f"RootSystem({self.kind})"

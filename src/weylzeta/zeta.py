@@ -22,7 +22,11 @@ the half-lattice classes are four blocks of vertex classes, and a step
 by lam takes block mu to block nu, mu + lam = nu + 2 delta, by the table
 of delta.  For a Klein bottle the glide, a permutation of the positions
 without fixed points and of order two, comes from the quotient, and the
-lower position of each pair represents its orbit.
+lower position of each pair represents its orbit.  What depends only on
+the labels (each label's successor, the blocks its states occupy and
+the glide's permutation of the labels) is read from the root system's
+LabelTable of the rep and kind, made on first use and kept on the root
+system, so a build pays only for its state ids.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
@@ -44,7 +48,6 @@ Phi_m by the primes of m.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
@@ -61,7 +64,7 @@ from .algebra import (
 )
 from .census import walk_count_table
 from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
-from .rootgeom import Vec, mat_vec
+from .rootgeom import LabelTable, Vec
 
 
 class OrderInsufficientError(ValueError):
@@ -100,7 +103,7 @@ class TransferSystem:
         if succ and (min(succ) < 0 or max(succ) >= len(succ)):
             raise AssertionError(f"{self.kind} transition is not a bijection")
         seen = [False] * len(succ)
-        exponents: Counter = Counter()
+        lengths: dict = {}  # cycle length -> number of cycles
         for start in range(len(succ)):
             if seen[start]:
                 continue
@@ -111,9 +114,11 @@ class TransferSystem:
                 n += 1
             if cur != start:
                 raise AssertionError(f"{self.kind} transition is not a bijection")
-            exponents[self.step_in_w * n] -= 1
+            lengths[n] = lengths.get(n, 0) + 1
+        step = self.step_in_w
+        zeta = CycleProduct({step * n: -c for n, c in lengths.items()})
         # derived, not a field; a frozen dataclass is set this way
-        object.__setattr__(self, "_zeta", CycleProduct(exponents))
+        object.__setattr__(self, "_zeta", zeta)
 
     @property
     def size(self) -> int:
@@ -201,33 +206,33 @@ def _grid(q: QuotientGroup) -> _Grid:
 
 
 def _transfer_system(
-    q: QuotientGroup, kind: str, rep: str, step_in_w: int, labels: tuple
+    q: QuotientGroup, kind: str, rep: str, step_in_w: int, table: LabelTable
 ) -> TransferSystem:
     """The step (p, l) -> (p + l[0], l rotated by one) on grid classes p
-    and labels l (a weight, or a gallery pair that swaps), modulo
-    (p, l) ~ (sigma p, sigma l).  A step of w**2 moves a vertex (block 0)
-    by 2 l[0] in doubled coordinates, a step of w a half-lattice point by
-    l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which it
-    swaps.  The states are numbered label by label and block by block,
-    each block's in the order of grid.reps."""
+    and the labels l of table (a weight, or a gallery pair that swaps),
+    modulo (p, l) ~ (sigma p, sigma l).  A step of w**2 moves a vertex
+    (block 0) by 2 l[0] in doubled coordinates, a step of w a half-lattice
+    point by l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which
+    it swaps.  The states are numbered label by label and block by block
+    (table.segments), each block's in the order of grid.reps.  Everything
+    about the labels (successors, blocks and the glide's permutation of
+    them) is read from table, which the root system keeps; only the state
+    ids depend on q."""
     grid = _grid(q)
-    at = {label: k for k, label in enumerate(labels)}
+    n_labels = len(table.labels)
     # first[4 * k + b]: the id of the first state of label k in block b, and
     # below -size off the kept blocks, so a state sent there is no bijection
-    first, segments, size = [-4 * grid.n * len(labels)] * (4 * len(labels)), [], 0
-    for k, label in enumerate(labels):
-        x, y = label[0]
-        for b in (0,) if step_in_w == 2 else {1, 2, 3} - {(x & 1) + 2 * (y & 1)}:
-            first[4 * k + b], size = size, size + len(grid.reps[b])
-            segments.append((label, b))
+    first, size = [-4 * grid.n * n_labels] * (4 * n_labels), 0
+    for k, b in table.segments:
+        first[4 * k + b], size = size, size + len(grid.reps[b])
     if grid.sigma is not None:
         # flip[k]: the label of (sigma p, sigma l) for labels[k]
-        sigma = q.sigma.linear
-        flip = [at[tuple(mat_vec(sigma, w) for w in label)] for label in labels]
+        flip = table.flip(q.sigma.linear)
+    labels, nexts = table.labels, table.nexts
     succ = []
-    for label, b in segments:
-        nk = at[label[1:] + label[:1]]
-        block, ranks, flipped = grid.moves(b, label[0], step_in_w)
+    for k, b in table.segments:
+        nk = nexts[k]
+        block, ranks, flipped = grid.moves(b, labels[k][0], step_in_w)
         to = first[4 * nk + block]
         if flipped is None:
             succ += [to + r for r in ranks]
@@ -239,15 +244,15 @@ def _transfer_system(
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    return _transfer_system(q, "walks", rep, 2, tuple((w,) for w in q.rs.weights(rep)))
+    return _transfer_system(q, "walks", rep, 2, q.rs.label_table(rep, "walks"))
 
 
 def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    return _transfer_system(q, "semi", rep, 1, tuple((w,) for w in q.rs.weights(rep)))
+    return _transfer_system(q, "semi", rep, 1, q.rs.label_table(rep, "semi"))
 
 
 def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    return _transfer_system(q, "galleries", rep, 2, q.rs.gallery_pairs(rep))
+    return _transfer_system(q, "galleries", rep, 2, q.rs.label_table(rep, "galleries"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +368,11 @@ def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:
         raise SpecValidationError("closed form applies to torus quotients only")
     (a11, a12), (a21, a22) = q._adj
     d = q._det
-    exponents: Counter = Counter()
+    exponents: dict = {}
     for x, y in q.rs.weights(rep):
         # n * lam is in Gamma0 exactly when d divides n * adj(lam)
         deg = d // gcd(a11 * x + a12 * y, a21 * x + a22 * y, d)
-        exponents[2 * deg] -= q.N // deg
+        exponents[2 * deg] = exponents.get(2 * deg, 0) - q.N // deg
     return CycleProduct(exponents)
 
 

@@ -41,6 +41,14 @@ routes live here, and the tests compare the package against them:
   and, for a Klein bottle, the lexicographic minimum over the two sheet
   images, with the states sorted and looked up in a dict.  They are the
   reference of the flat-index builders in ``weylzeta.zeta``.
+* ``gallery_pairs`` and ``label_layout``: the gallery pairs and the label
+  layout of a transfer system (successor labels, kept parity blocks and
+  the glide's label permutation), derived afresh on every call.  They are
+  the reference of the tables each ``RootSystem`` keeps.
+* ``glide_line_scan``: the first glide line count mismatch, found by
+  calling the counter at every vector of the window.  It is the reference
+  of ``identities._glide_line_scan``, which evaluates only the vectors of
+  each beta-row that can mismatch.
 """
 
 from __future__ import annotations
@@ -61,11 +69,14 @@ from weylzeta.algebra import (
     _moebius_exponents,
 )
 from weylzeta.algebra import Poly as IntPoly
+from weylzeta.census import glide_line_counter
+from weylzeta.identities import GLIDE_WINDOW
 from weylzeta.quotient import AffineMap, QuotientGroup
 from weylzeta.rootgeom import (
     IDENTITY,
     HalfVec,
     Mat,
+    RootSystem,
     Vec,
     mat_vec,
     vec_add,
@@ -818,3 +829,79 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
         index[canon(vec_add(v, wts[i]), j, i)] for (v, i, j) in states
     )
     return TransferSystem("galleries", rep, succ, 2)
+
+
+# ---------------------------------------------------------------------------
+# Root-system label tables, derived on every call
+# ---------------------------------------------------------------------------
+
+
+def gallery_pairs(rs: RootSystem, rep: str) -> tuple:
+    """The admissible ordered direction pairs of rep: any two distinct
+    weights for A2, perpendicular ones for C2."""
+    wts = rs.weights(rep)
+    if rs.kind == "A2":
+        return tuple((lam, mu) for lam in wts for mu in wts if lam != mu)
+    return tuple((lam, mu) for lam in wts for mu in wts if rs.pairing(lam, mu) == 0)
+
+
+def label_layout(rs: RootSystem, rep: str, kind: str, reflection: Mat) -> tuple:
+    """(labels, successor label indices, the (label index, kept parity
+    block) pairs in state order, label permutation of reflection) of the
+    transfer system kind of rep."""
+    if kind == "galleries":
+        labels = gallery_pairs(rs, rep)
+    else:
+        labels = tuple((w,) for w in rs.weights(rep))
+    at = {label: k for k, label in enumerate(labels)}
+    nexts = tuple(at[label[1:] + label[:1]] for label in labels)
+    segments = []
+    for k, label in enumerate(labels):
+        x, y = label[0]
+        if kind == "semi":
+            blocks = sorted({1, 2, 3} - {(x & 1) + 2 * (y & 1)})
+        else:
+            blocks = [0]
+        segments += [(k, b) for b in blocks]
+    flip = tuple(at[tuple(mat_vec(reflection, w) for w in label)] for label in labels)
+    return labels, nexts, tuple(segments), flip
+
+
+# ---------------------------------------------------------------------------
+# The glide line scan over the whole window
+# ---------------------------------------------------------------------------
+
+
+def glide_line_scan(q: QuotientGroup) -> dict:
+    """First mismatch between glide line counts and the predicted value,
+    by calling both glides' counters at every coroot-lattice vector
+    v = c*alpha + d*beta of the window, d != 0, in the order m, c, d."""
+    rs = q.rs
+    aa = rs.pairing(q.alpha, q.alpha)
+    for m in (1, 3):
+        count_s = glide_line_counter(q, m)
+        count_t = glide_line_counter(q, m, glide="tsigma")
+        for c in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
+            for dcoef in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
+                if dcoef == 0:
+                    continue
+                v = (
+                    c * q.alpha[0] + dcoef * q.beta[0],
+                    c * q.alpha[1] + dcoef * q.beta[1],
+                )
+                if not rs.in_coroot_lattice(v):
+                    continue
+                admissible = (
+                    dcoef > 0 and 2 * rs.pairing(v, q.alpha) == q.k_gamma * m * aa
+                )
+                expected = q.k_gamma if admissible else 0
+                got_s, got_t = count_s(v), count_t(v)
+                if got_s != expected or got_t != got_s:
+                    return {
+                        "m": m,
+                        "v": list(v),
+                        "expected": expected,
+                        "sigma_count": got_s,
+                        "tsigma_count": got_t,
+                    }
+    return {}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import (
     count_closed_galleries,
     count_closed_walks,
@@ -35,9 +36,15 @@ from weylzeta.census import (
 from weylzeta.corpus import generate_corpus
 import weylzeta.census
 import weylzeta.identities
-from weylzeta.identities import GALLERY_LOG_DEPTH, GLIDE_WINDOW, SEMI_LOG_DEPTH, verify
+from weylzeta.identities import (
+    GALLERY_LOG_DEPTH,
+    GLIDE_WINDOW,
+    SEMI_LOG_DEPTH,
+    _glide_line_scan,
+    verify,
+)
 from weylzeta.quotient import AffineMap, KleinSpec, TorusSpec, build
-from weylzeta.rootgeom import RootSystem, vec_add, vec_scale, vec_sub
+from weylzeta.rootgeom import RootSystem, mat_vec, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import required_order
 
@@ -271,6 +278,40 @@ def test_glide_line_counts_read_the_current_sigma(monkeypatch):
             lambda_set_size(q, 1, (0, 3), glide)
 
 
+def test_glide_line_scan_matches_the_window_reference(monkeypatch):
+    # every Klein bottle of the corpus and the samples, with its own glide,
+    # 19 glides whose translation is moved by i alpha + j beta, and 8
+    # translations t so moved, which change t sigma alone
+    reports = Counter()
+    for q in _corpus_and_samples():
+        if q.kind != "klein":
+            continue
+        sigma, t = q.sigma, q.t
+        moved = []
+        for i, j in product(range(-2, 3), range(-2, 2)):
+            shift = vec_add(vec_scale(i, q.alpha), vec_scale(j, q.beta))
+            moved.append(("sigma", AffineMap(sigma.linear, vec_add(sigma.translation, shift))))
+            if (i, j) != (0, 0) and abs(i) < 2 and j > -2:
+                moved.append(("t", AffineMap.from_translation(vec_add(t.translation, shift))))
+        for name, g in moved:
+            with monkeypatch.context() as patch:
+                patch.setattr(q, name, g)
+                got = _glide_line_scan(q)
+                assert got == reference.glide_line_scan(q), (q, name, g)
+            if not got:
+                reports["none"] += 1
+            elif got["sigma_count"] == got["tsigma_count"]:
+                reports["both glides"] += 1
+            else:
+                reports["t sigma alone"] += 1
+            if g == sigma:
+                assert got == {}, q
+    # the empty report, and mismatches of both glides and of t sigma alone
+    assert reports["none"] > 20 and reports["both glides"] > 100
+    assert reports["t sigma alone"] > 100
+    assert sum(reports.values()) > 400
+
+
 # ---------------------------------------------------------------------------
 # galleries
 # ---------------------------------------------------------------------------
@@ -487,6 +528,54 @@ def test_a_klein_verify_solves_once_per_shift_class(monkeypatch):
     assert calls["solves"] <= classes * calls["solvers"] < q.N * calls["solvers"]
 
 
+def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
+    # the N = 96 C2 spin Klein rung of the ladder benchmark
+    q = build(C2, KleinSpec((1, 0), (1, 1), -4, -4, 6))
+    counters, evaluated, powers, applied = Counter(), {}, Counter(), Counter()
+    make, power, apply = weylzeta.census.glide_line_counter, AffineMap.__pow__, AffineMap.apply
+
+    def recording(q_, m, glide="sigma"):
+        counters[m, glide] += 1
+        count = make(q_, m, glide)
+
+        class Recorded:
+            row = count.row
+
+            def __call__(self, v):
+                evaluated.setdefault((m, q.alpha_beta_coords(v)[1]), set()).add(v)
+                return count(v)
+
+        return Recorded()
+
+    def counting_power(g, n):
+        powers[n] += 1
+        return power(g, n)
+
+    def counting_apply(g, v):
+        applied["calls"] += 1
+        return apply(g, v)
+
+    # the beta-rows d > 0 of the window that a glide power can move
+    rows = sum(
+        make(q, m, g).row(d) is not None
+        for m in (1, 3)
+        for g in ("sigma", "tsigma")
+        for d in range(1, GLIDE_WINDOW + 1)
+    )
+    monkeypatch.setattr(weylzeta.identities, "glide_line_counter", recording)
+    monkeypatch.setattr(AffineMap, "__pow__", counting_power)
+    monkeypatch.setattr(AffineMap, "apply", counting_apply)
+    assert _glide_line_scan(q) == {}
+    # one glide power per (power, glide) and one row vector per (power,
+    # glide, row); at most three vectors evaluated per (power, d > 0),
+    # where the full-window scan evaluated every vector of the window
+    assert counters == {(m, g): 1 for m in (1, 3) for g in ("sigma", "tsigma")}
+    assert powers == {1: 2, 3: 2}
+    assert 0 < applied["calls"] == rows <= 4 * GLIDE_WINDOW
+    assert evaluated and all(d > 0 and len(vs) <= 3 for (_, d), vs in evaluated.items())
+    assert sum(map(len, evaluated.values())) <= 3 * 2 * GLIDE_WINDOW == 24
+
+
 def test_a_klein_verify_leaves_its_cover_box_unbuilt(monkeypatch):
     covers = []
 
@@ -559,12 +648,13 @@ def test_torus_tables_invariant_under_basis_change(rs_name, c1, c2, k, s1, s2):
     assert _all_tables(build(rs, flipped)) == base
 
 
-@given(st.sampled_from(KLEIN_SPECS))
+@given(st.sampled_from(KLEIN_SPECS), st.integers(0, 7))
 @settings(deadline=None, max_examples=20)
-def test_klein_tables_invariant_under_relabeling(item):
+def test_klein_tables_invariant_under_relabeling(item, g):
     rs_name, spec = item
     rs = RootSystem.make(rs_name)
-    base = _all_tables(build(rs, spec))
+    q = build(rs, spec)
+    base = _all_tables(q)
     # negating alpha, beta, a and b flips the sign of k; build relabels back
     (x1, y1), (x2, y2) = spec.alpha, spec.beta
     relabeled = KleinSpec((-x1, -y1), (-x2, -y2), -spec.a, -spec.b, spec.m)
@@ -572,6 +662,14 @@ def test_klein_tables_invariant_under_relabeling(item):
     # t and its inverse generate the same group with sigma
     inverse_t = KleinSpec(spec.alpha, spec.beta, spec.a, spec.b, -spec.m)
     assert _all_tables(build(rs, inverse_t)) == base
+    # a Weyl element applied to alpha and beta conjugates the whole group;
+    # the verify report, whose glide scan reads sigma, does not change
+    w = rs.weyl[g % len(rs.weyl)]
+    conjugate = build(
+        rs, KleinSpec(mat_vec(w, spec.alpha), mat_vec(w, spec.beta), spec.a, spec.b, spec.m)
+    )
+    assert _all_tables(conjugate) == base
+    assert verify(conjugate).to_json_dict() == verify(q).to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -603,5 +701,7 @@ def test_census_reads_nothing_of_the_transfer_systems():
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             texts.append(node.value)  # a getattr(q, "...") would name it here
+    # of the root system's tables the census reads only gallery_pairs
     assert not names & {"_zeta_grid", "_glide", "_grid", "_Grid", "zeta"}
+    assert not names & {"label_table", "LabelTable", "_labels", "_pairs", "flip"}
     assert not [t for t in texts if "_grid" in t.lower() or t == "_glide"]

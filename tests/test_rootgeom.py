@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import reference
 from weylzeta.rootgeom import (
     IDENTITY,
     RootSystem,
@@ -261,3 +262,36 @@ def test_gallery_pairs_never_backtrack():
     for rs, rep in ((A2, "pi1"), (A2, "pi2"), (C2, "spin"), (C2, "st")):
         for lam, mu in rs.gallery_pairs(rep):
             assert mu != (-lam[0], -lam[1])
+
+
+# ---------------------------------------------------------------------------
+# the tables each root system keeps
+# ---------------------------------------------------------------------------
+
+
+def test_label_tables_match_the_per_call_derivation():
+    for rs in (A2, C2):
+        reflections = [m for m in rs.weyl if mat_det(m) == -1]
+        assert len(reflections) == (3 if rs.kind == "A2" else 4)
+        for rep in rs.rep_names:
+            assert rs.gallery_pairs(rep) == reference.gallery_pairs(rs, rep)
+            for kind in ("walks", "semi", "galleries"):
+                table = rs.label_table(rep, kind)
+                for m in reflections:
+                    got = (table.labels, table.nexts, table.segments, table.flip(m))
+                    assert got == reference.label_layout(rs, rep, kind, m), (rs, rep, kind, m)
+
+
+def test_root_system_tables_are_made_once():
+    for rs in (A2, C2):
+        for rep in rs.rep_names:
+            assert rs.gallery_pairs(rep) is rs.gallery_pairs(rep)
+            for kind in ("walks", "semi", "galleries"):
+                table = rs.label_table(rep, kind)
+                assert rs.label_table(rep, kind) is table
+                m = rs.reflection_fixing(rs.weights(rep)[0])
+                assert table.flip(m) is table.flip(m)
+    with pytest.raises(ValueError, match="unknown transfer system kind"):
+        A2.label_table("pi1", "walk")
+    with pytest.raises(ValueError, match="not defined"):
+        A2.label_table("spin", "walks")

@@ -5,6 +5,7 @@ reference builders."""
 
 import gc
 import random
+from collections import Counter
 import weakref
 from dataclasses import replace
 from itertools import product
@@ -25,7 +26,7 @@ from weylzeta.quotient import (
     TorusSpec,
     build,
 )
-from weylzeta.rootgeom import RootSystem, vec_add, vec_scale, vec_sub
+from weylzeta.rootgeom import LabelTable, RootSystem, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
     TransferSystem,
@@ -98,7 +99,8 @@ def test_a_step_off_the_kept_blocks_is_not_a_bijection(monkeypatch):
             # permute themselves if they were not given negative ids
             patch.setattr(_Grid, "moves", into(1))
             with pytest.raises(AssertionError, match="not a bijection"):
-                _transfer_system(q, "walks", "pi1", 2, (((1, 0),),))
+                one_label = LabelTable((((1, 0),),), "walks")
+                _transfer_system(q, "walks", "pi1", 2, one_label)
 
 
 def test_transfer_system_rejects_a_non_bijective_successor():
@@ -284,6 +286,34 @@ def test_quotient_tables_die_with_the_quotient():
     del q
     gc.collect()
     assert [ref() for ref in tables] == [None, None]
+
+
+def test_label_tables_are_derived_once_per_root_system(monkeypatch):
+    # a fresh root system, so that no earlier test has made its tables
+    rs = RootSystem("A2")
+    made, flips = Counter(), Counter()
+    init, derive = LabelTable.__init__, LabelTable._derive_flip
+
+    def counting_init(table, labels, kind):
+        made[labels, kind] += 1
+        init(table, labels, kind)
+
+    def counting_derive(table, m):
+        flips[id(table), m] += 1
+        return derive(table, m)
+
+    monkeypatch.setattr(LabelTable, "__init__", counting_init)
+    monkeypatch.setattr(LabelTable, "_derive_flip", counting_derive)
+    kleins = [build(rs, KleinSpec((1, 0), (0, 1), 1, 1, m)) for m in (1, 2)]
+    assert kleins[0].sigma.linear == kleins[1].sigma.linear
+    assert kleins[0].N != kleins[1].N
+    for q in kleins:
+        for flat, _ in BUILDERS:
+            for rep in rs.rep_names:
+                flat(q, rep)
+    # one layout per (rep, kind) and one flip per layout and reflection
+    assert len(made) == 6 and set(made.values()) == {1}
+    assert len(flips) == 6 and set(flips.values()) == {1}
 
 
 def test_a_glide_with_a_fixed_point_raises(monkeypatch):
