@@ -30,7 +30,7 @@ from .quotient import (
     glide_conjugacy_representative,
     normalize_generators,
 )
-from .rootgeom import HalfVec, ReprData, RootSystem
+from .rootgeom import ReprData, RootSystem
 from .specfile import ParsedSpec, SpecFileError, load_spec_file, parse_spec_text
 from .zeta import (
     LPolynomial,
@@ -54,7 +54,6 @@ __all__ = [
     "CorpusMember",
     "CountTable",
     "CycleProduct",
-    "HalfVec",
     "KleinSpec",
     "LPolynomial",
     "NotCycleProduct",

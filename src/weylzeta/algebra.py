@@ -200,10 +200,6 @@ class CycleProduct:
         """The (e, k_e) pairs with k_e != 0, by increasing e."""
         return tuple(sorted(self._k.items()))
 
-    @property
-    def is_one(self) -> bool:
-        return not self._k
-
     def is_even_in_w(self) -> bool:
         """True when the function is one of u = w**2: exactly when every e is even."""
         return all(e % 2 == 0 for e in self._k)

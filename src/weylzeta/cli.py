@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 at least one identity failed, 2 parse or
 validation error (including a series order below the required one or
-above MAX_ORDER, and a --max-n outside 1..MAX_ORDER).
+above MAX_ORDER, a --max-n outside 1..MAX_ORDER, and a corpus --tori or
+--kleins outside 0..MAX_MEMBERS).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .census import (
     semi_count_table,
     walk_count_table,
 )
-from .corpus import generate_corpus
+from .corpus import MAX_MEMBERS, generate_corpus
 from .identities import verify
 from .quotient import SpecValidationError, build
 from .rootgeom import RootSystem
@@ -166,6 +167,8 @@ def _cmd_corpus(args) -> int:
     for flag, n in (("--tori", args.tori), ("--kleins", args.kleins)):
         if n < 0:
             raise SpecValidationError(f"{flag} must be at least 0, got {n}")
+        if n > MAX_MEMBERS:
+            raise SpecValidationError(f"{flag} must be at most {MAX_MEMBERS}, got {n}")
     members = generate_corpus(args.seed, args.tori, args.kleins)
     payload: dict = {"seed": args.seed, "members": []}
     lines = [f"corpus seed {args.seed}: {len(members)} members"]

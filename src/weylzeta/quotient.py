@@ -9,16 +9,19 @@ partner representation, integers a, b with a*alpha + b*beta the glide
 translation, and a multiplier m for the perpendicular translation t.
 
 Everything here is exact integer arithmetic; the coordinate solves test
-divisibility with divmod.  Canonical representatives are points of the
+divisibility with divmod.  Every class is named by a point of the
 residue box [0, h11) x [0, h22) of the triangular basis (h11, 0), (c, h22)
 of Gamma0 (of its double, in doubled coordinates): reduce takes a point
 there by index arithmetic, and the doubled box is listed as four parity
-cosets of the box.  For a torus the vertex and half-lattice orbit
-representatives are the two boxes themselves, the doubled one made on
-first read; for a Klein bottle one
-pass over the doubled box keeps each point that lies below the box point
-of its glide image, records that image's position (_glide), and a vertex
-is such a point of parity 0.  A quotient also carries the per-quotient
+cosets of the box.  This module alone decides which point represents an
+orbit.  For a torus the vertex and half-lattice orbit representatives
+are the two boxes themselves, the doubled one made on first read.  For
+a Klein bottle one pass over the doubled box records the position of
+each point's glide image (_glide); the glide pairs the positions, and
+the lower position of each pair represents its orbit (_lower).  The
+half-lattice representatives are those points, the vertex
+representatives the ones of parity 0, halved, and the transfer systems'
+grid reads the same flags.  A quotient also carries the per-quotient
 tables of the transfer systems and of the census (_zeta_grid,
 _census_tables), which each of those layers fills on first use, so they
 live and die with the quotient.
@@ -27,12 +30,12 @@ live and die with the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, compress, count, product
 from math import gcd
+from operator import lt
 from typing import Optional, Union
 
 from .rootgeom import (
-    HalfVec,
     IDENTITY,
     Mat,
     RootSystem,
@@ -78,18 +81,8 @@ class AffineMap:
     def is_translation(self) -> bool:
         return self.linear == IDENTITY
 
-    @property
-    def is_identity(self) -> bool:
-        return self.is_translation and self.translation == (0, 0)
-
     def apply(self, v: Vec) -> Vec:
         return vec_add(mat_vec(self.linear, v), self.translation)
-
-    def apply_half(self, h: HalfVec) -> HalfVec:
-        img = mat_vec(self.linear, (h.x2, h.y2))
-        return HalfVec(
-            img[0] + 2 * self.translation[0], img[1] + 2 * self.translation[1]
-        )
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -292,34 +285,33 @@ class QuotientGroup:
         # the doubled box, and a torus's half representatives (the box
         # itself), are made on first read: see half_residues
         self._half_residues = self._half_reps = None
-        self._glide = None
+        self._glide = self._lower = None
         if self.kind == "torus":
             reps = self._residues
             blocks = range(0, 5 * n, n)
         else:
-            # a point of the doubled box below the box point of its glide
-            # image represents its orbit; reduce_half and the glide inlined,
-            # and the image's position, col[i] + row[j], kept for zeta._Grid
+            # the position, col[i] + row[j], of each point's glide image;
+            # reduce_half and the glide inlined
             (l11, l12), (l21, l22) = self.sigma.linear
             t1, t2 = vec_scale(2, self.sigma.translation)
             col = [(i & 1) * n + (i >> 1) for i in range(2 * h11)]
             row = [(j & 1) * 2 * n + h11 * (j >> 1) for j in range(2 * h22)]
-            half, half_reps, blocks, glide = self.half_residues(), [], [0], []
-            for b in range(0, 4 * n, n):
-                for p in half[b : b + n]:
-                    x, y = p
-                    r, j = divmod(l21 * x + l22 * y + t2, 2 * h22)
-                    i = (l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11)
-                    glide.append(col[i] + row[j])
-                    if p < (i, j):
-                        half_reps.append(p)
-                blocks.append(len(half_reps))
-            self._glide = glide
+            half, glide = self.half_residues(), []
+            for x, y in half:
+                r, j = divmod(l21 * x + l22 * y + t2, 2 * h22)
+                i = (l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11)
+                glide.append(col[i] + row[j])
+            # the glide pairs the positions, and the lower position of each
+            # pair represents its orbit, here and in zeta._Grid
+            lower = list(map(lt, count(), glide))
+            self._glide, self._lower = glide, lower
+            self._half_reps = tuple(compress(half, lower))
+            sizes = (sum(lower[b : b + n]) for b in range(0, 4 * n, n))
+            blocks = tuple(accumulate(sizes, initial=0))
             # vertex x is the half-lattice point 2x, and the box and the glide
             # commute with doubling: the parity-0 half representatives are
             # the doubled vertex representatives
-            reps = [(x >> 1, y >> 1) for x, y in half_reps[: blocks[1]]]
-            self._half_reps = tuple(half_reps)
+            reps = [(x >> 1, y >> 1) for x, y in self._half_reps[: blocks[1]]]
         self._half_blocks = tuple(blocks)
         if len(reps) != self.N:
             raise SpecValidationError(
@@ -366,46 +358,14 @@ class QuotientGroup:
         r, j = divmod(h2[1], 2 * h22)
         return ((h2[0] - 2 * r * c) % (2 * h11), j)
 
-    def in_translation_subgroup(self, v: Vec) -> bool:
-        a, d = self._adj, self._det
-        return (a[0][0] * v[0] + a[0][1] * v[1]) % d == 0 and (
-            a[1][0] * v[0] + a[1][1] * v[1]
-        ) % d == 0
-
-    def _sigma_half(self, h2: Vec) -> Vec:
-        s = self.sigma
-        img = mat_vec(s.linear, h2)
-        return (img[0] + 2 * s.translation[0], img[1] + 2 * s.translation[1])
-
-    # -- canonical representatives ----------------------------------------
-
-    def canonical_vertex(self, x):
-        """Canonical representative of the full-group orbit of x.
-
-        Reduces into the residue box, then (Klein case) takes the
-        lexicographic minimum over the two sheet images.  Idempotent and
-        constant on orbits; accepts lattice points or HalfVec.
-        """
-        if isinstance(x, HalfVec):
-            return self._canonical_half(x)
-        r = self.reduce(x)
-        if self.kind == "torus":
-            return r
-        r2 = self.reduce(self.sigma.apply(x))
-        return r if r <= r2 else r2
-
-    def _canonical_half(self, h: HalfVec) -> HalfVec:
-        r = self.reduce_half((h.x2, h.y2))
-        if self.kind == "torus":
-            return HalfVec(*r)
-        r2 = self.reduce_half(self._sigma_half((h.x2, h.y2)))
-        return HalfVec(*(r if r <= r2 else r2))
+    # -- orbit representatives ---------------------------------------------
 
     def half_orbit_reps(self) -> tuple:
-        """Canonical representatives of the half-lattice orbits, as int pairs
-        of doubled coordinates in half_residues() order, parity class by
-        parity class (_half_blocks); a torus has the whole box, made on
-        first read."""
+        """The representatives of the half-lattice orbits, as int pairs of
+        doubled coordinates in half_residues() order, parity class by parity
+        class (_half_blocks).  A Klein bottle keeps the point at the lower
+        position of each glide pair, so the ones of parity 0, halved, are
+        vertex_reps; a torus has the whole box, made on first read."""
         if self._half_reps is None:
             self._half_reps = tuple(self.half_residues())
         return self._half_reps

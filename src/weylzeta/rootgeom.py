@@ -13,8 +13,8 @@ Two cases are supported and nothing else:
 
 All coordinates and pairings are integers, and the ratios taken of
 pairings are exact integer divisions.  Only those ratios are ever used,
-so the overall Gram scale is irrelevant.  Half-lattice points (HalfVec)
-are stored as doubled integer coordinates and are never paired.
+so the overall Gram scale is irrelevant.  The quotients hold half-lattice
+points as int pairs of doubled coordinates; they are never paired.
 
 The tables that depend on the root system alone are made on first use
 and kept on it, so every quotient of the process shares them: the
@@ -28,19 +28,11 @@ Nothing in them depends on a quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 Vec = tuple  # (int, int) lattice point in coweight coordinates
 Mat = tuple  # ((int, int), (int, int)) row-major 2x2 integer matrix
 
 IDENTITY: Mat = ((1, 0), (0, 1))
-
-
-class HalfVec(NamedTuple):
-    """Point of the half lattice, stored as doubled integer coordinates."""
-
-    x2: int
-    y2: int
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -180,14 +172,6 @@ class RootSystem:
             cls._CACHE[kind] = cls(kind)
         return cls._CACHE[kind]
 
-    @classmethod
-    def a2(cls) -> "RootSystem":
-        return cls.make("A2")
-
-    @classmethod
-    def c2(cls) -> "RootSystem":
-        return cls.make("C2")
-
     # -- representations ------------------------------------------------
 
     @property
@@ -230,9 +214,6 @@ class RootSystem:
         if self.kind == "A2":
             return (v[0] - v[1]) % 3 == 0
         return (v[0] + v[1]) % 2 == 0
-
-    def coroot_index(self) -> int:
-        return 3 if self.kind == "A2" else 2
 
     # -- reflections -----------------------------------------------------
 

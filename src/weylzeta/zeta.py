@@ -21,8 +21,9 @@ half-lattice point is mu + 2x, mu in {0, 1}**2 and x a vertex class, so
 the half-lattice classes are four blocks of vertex classes, and a step
 by lam takes block mu to block nu, mu + lam = nu + 2 delta, by the table
 of delta.  For a Klein bottle the glide, a permutation of the positions
-without fixed points and of order two, comes from the quotient, and the
-lower position of each pair represents its orbit.  What depends only on
+without fixed points and of order two, and the representative of each
+of its pairs come from the quotient: the grid checks the one and numbers
+the states by the other, and chooses nothing itself.  What depends only on
 the labels (each label's successor, the blocks its states occupy and
 the glide's permutation of the labels) is read from the root system's
 LabelTable of the rep and kind, made on first use and kept on the root
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
-from operator import eq, gt, lt
+from operator import eq, not_
 from typing import Optional
 
 from .algebra import (
@@ -138,7 +139,8 @@ class _Grid:
     * shifted(s) lists the position of p + s for every box point p.
     * sigma: the glide as a permutation of the 4n positions (None for a
       torus), mapping block b onto block image[b]; reps[b] lists the x
-      in block b below their glide image, one per orbit.
+      of block b that the quotient keeps as representatives (q._lower),
+      one per orbit.
     """
 
     def __init__(self, q: QuotientGroup):
@@ -153,11 +155,13 @@ class _Grid:
         every, blocks = range(4 * n), range(0, 4 * n, n)
         if any(map(eq, sigma, every)) or list(map(sigma.__getitem__, sigma)) != list(every):
             raise AssertionError("the glide is not a fixed-point-free involution of the grid")
-        lower, upper = list(map(lt, every, sigma)), list(map(gt, every, sigma))
+        lower = q._lower  # the quotient's representatives, one per glide pair
+        upper = list(map(not_, lower))
         rank = []  # of each representative among those of its block
         for b in blocks:
             rank += accumulate(lower[b : b + n - 1], initial=0)
-        rank = [rank[s if s < p else p] for p, s in enumerate(sigma)]  # of the orbit's
+        # of the orbit's representative: p, or its image when p is upper
+        rank = [rank[s] if up else rank[p] for p, s, up in zip(every, sigma, upper)]
         self.reps = [list(compress(self._positions, lower[b : b + n])) for b in blocks]
         self.image = [sigma[b] // n for b in blocks]
         self._orbit = [(rank[b : b + n], upper[b : b + n]) for b in blocks]

@@ -20,6 +20,11 @@ routes live here, and the tests compare the package against them:
   table up to the largest cyclotomic index.  They are the reference of
   the peeling ``_moebius_exponents`` and of ``CycleProduct._reduced``,
   which factors each Phi_m by the distinct primes of m.
+* ``HalfVec``, ``sigma_half`` and ``canonical_vertex``: half-lattice
+  points as doubled coordinates, the glide on them, and a canonical form
+  of each orbit (the lexicographically lower of the box points of x and
+  of sigma x), which names an orbit whichever point the quotient keeps
+  as its representative.
 * ``carrying_linear`` and ``transporter``: the group element carrying one
   point to another, found by membership of y - x (and, for a Klein
   bottle, of y - sigma x) in the translation subgroup Gamma0.
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from weylzeta.algebra import (
     CycleProduct,
@@ -74,7 +79,6 @@ from weylzeta.identities import GLIDE_WINDOW
 from weylzeta.quotient import AffineMap, QuotientGroup
 from weylzeta.rootgeom import (
     IDENTITY,
-    HalfVec,
     Mat,
     RootSystem,
     Vec,
@@ -479,6 +483,45 @@ def reduced_by_mobius_table(f: CycleProduct) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Half-lattice points and canonical forms of orbits
+# ---------------------------------------------------------------------------
+
+
+class HalfVec(NamedTuple):
+    """Point of the half lattice, stored as doubled integer coordinates."""
+
+    x2: int
+    y2: int
+
+
+def sigma_half(q: QuotientGroup, h2: Vec) -> Vec:
+    """The glide sigma of q on doubled coordinates: L h2 + 2 t."""
+    s = q.sigma
+    img = mat_vec(s.linear, h2)
+    return (img[0] + 2 * s.translation[0], img[1] + 2 * s.translation[1])
+
+
+def canonical_vertex(q: QuotientGroup, x):
+    """A canonical form of the orbit of x under the whole group.
+
+    The residue box point of x's class and, for a Klein bottle, the
+    lexicographically lower of it and the box point of sigma x.  Idempotent
+    and constant on orbits; takes a lattice point or a HalfVec and returns
+    the same kind.  It does not depend on which point of the orbit the
+    quotient keeps as its representative.
+    """
+    if isinstance(x, HalfVec):
+        r = q.reduce_half(x)
+        if q.kind == "klein":
+            r = min(r, q.reduce_half(sigma_half(q, x)))
+        return HalfVec(*r)
+    r = q.reduce(x)
+    if q.kind == "klein":
+        r = min(r, q.reduce(q.sigma.apply(x)))
+    return r
+
+
+# ---------------------------------------------------------------------------
 # Transporters
 # ---------------------------------------------------------------------------
 
@@ -505,7 +548,7 @@ def carrying_linear(q: QuotientGroup, x, y) -> Optional[Mat]:
     if in_gamma0(q, (y[0] - x[0], y[1] - x[1]), modulus):
         return IDENTITY
     if q.kind == "klein":
-        sx = q._sigma_half(x) if half else q.sigma.apply(x)
+        sx = sigma_half(q, x) if half else q.sigma.apply(x)
         if in_gamma0(q, (y[0] - sx[0], y[1] - sx[1]), modulus):
             return q.sigma.linear
     return None
@@ -716,16 +759,19 @@ def hecke_determinant(q: QuotientGroup, rep: str) -> Poly:
     the weights; so tr(B_n Pi) = N_n here too, and the determinant is
     exp(-sum_n N_n u**n / n) = P.
     """
-    index = {v: i for i, v in enumerate(q.vertex_reps)}
+    # rows are found by the canonical form of each class, so the lookup does
+    # not depend on which point of a class the quotient keeps
+    reps = q.vertex_reps
+    index = {canonical_vertex(q, v): i for i, v in enumerate(reps)}
     wts = q.rs.weights(rep)
-    n, k = len(index), len(wts)
+    n, k = len(reps), len(wts)
     # shifts[j][row][col]: the j-subsets of the weights carrying class col to row
     shifts = [[[0] * n for _ in range(n)] for _ in range(k + 1)]
     for j in range(k + 1):
         for subset in combinations(wts, j):
             s = (sum(w[0] for w in subset), sum(w[1] for w in subset))
-            for v, col in index.items():
-                shifts[j][index[q.canonical_vertex(vec_add(v, s))]][col] += 1
+            for col, v in enumerate(reps):
+                shifts[j][index[canonical_vertex(q, vec_add(v, s))]][col] += 1
     top = k * n
     values = [
         _bareiss_det(
@@ -787,7 +833,7 @@ def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
         a = (q.reduce_half(x2), i)
         if q.kind == "torus":
             return a
-        b = (q.reduce_half(q._sigma_half(x2)), perm[i])
+        b = (q.reduce_half(sigma_half(q, x2)), perm[i])
         return a if a <= b else b
 
     states = sorted(

@@ -25,8 +25,8 @@ from weylzeta.zeta import (
 
 SEED = 20250808
 
-A2 = RootSystem.a2()
-C2 = RootSystem.c2()
+A2 = RootSystem.make("A2")
+C2 = RootSystem.make("C2")
 
 _MEMBERS = generate_corpus(SEED, tori_per_system=20, kleins_min=12)
 _RESULTS: dict = {}

@@ -48,8 +48,8 @@ from weylzeta.rootgeom import RootSystem, mat_vec, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import required_order
 
-A2 = RootSystem.a2()
-C2 = RootSystem.c2()
+A2 = RootSystem.make("A2")
+C2 = RootSystem.make("C2")
 
 A2_TORUS = build(A2, TorusSpec((2, -1), (-1, 2)))
 C2_TORUS = build(C2, TorusSpec((1, 1), (1, -1)))
@@ -438,8 +438,9 @@ def test_period_is_the_translation_branch_of_the_solver():
 
 def _raw_shifts(q, points, half):
     """x - sigma(x) for each point, by the glide's apply (doubled when half)."""
-    image = q._sigma_half if half else q.sigma.apply
-    return [vec_sub(x, image(x)) for x in points]
+    if half:
+        return [vec_sub(x, reference.sigma_half(q, x)) for x in points]
+    return [vec_sub(x, q.sigma.apply(x)) for x in points]
 
 
 def test_shift_classes_count_every_point_once():
@@ -702,6 +703,6 @@ def test_census_reads_nothing_of_the_transfer_systems():
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             texts.append(node.value)  # a getattr(q, "...") would name it here
     # of the root system's tables the census reads only gallery_pairs
-    assert not names & {"_zeta_grid", "_glide", "_grid", "_Grid", "zeta"}
+    assert not names & {"_zeta_grid", "_glide", "_lower", "_grid", "_Grid", "zeta"}
     assert not names & {"label_table", "LabelTable", "_labels", "_pairs", "flip"}
-    assert not [t for t in texts if "_grid" in t.lower() or t == "_glide"]
+    assert not [t for t in texts if "_grid" in t.lower() or t in ("_glide", "_lower")]

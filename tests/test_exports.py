@@ -45,6 +45,20 @@ def test_exports_resolve_and_exclude_the_references():
     assert not hasattr(weylzeta.TransferSystem, "permutation_matrix")
 
 
+def test_the_half_lattice_api_and_the_aliases_are_gone():
+    # canonical forms of orbits and half-lattice points live in
+    # tests/reference.py; the quotient alone picks each orbit's representative
+    assert "HalfVec" not in weylzeta.__all__
+    assert not hasattr(weylzeta, "HalfVec") and not hasattr(weylzeta.rootgeom, "HalfVec")
+    for name in ("in_translation_subgroup", "_sigma_half", "canonical_vertex", "_canonical_half"):
+        assert not hasattr(weylzeta.QuotientGroup, name)
+    for name in ("apply_half", "is_identity"):
+        assert not hasattr(weylzeta.AffineMap, name)
+    for name in ("coroot_index", "a2", "c2"):
+        assert not hasattr(weylzeta.RootSystem, name)
+    assert not hasattr(weylzeta.CycleProduct, "is_one")
+
+
 def test_algebra_keeps_no_prime_sieve():
     # the Moebius exponents are peeled and each Phi_m is factored by the
     # primes of m; the sieve and the mu table live only in tests/reference.py

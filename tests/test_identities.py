@@ -29,8 +29,8 @@ from weylzeta.zeta import (
     required_order,
 )
 
-A2 = RootSystem.a2()
-C2 = RootSystem.c2()
+A2 = RootSystem.make("A2")
+C2 = RootSystem.make("C2")
 
 REFERENCE = (
     build(A2, TorusSpec((2, -1), (-1, 2))),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference
 import weylzeta
+from reference import HalfVec, canonical_vertex, sigma_half
 from weylzeta.quotient import (
     MAX_CLASSES,
     AffineMap,
@@ -22,10 +23,10 @@ from weylzeta.quotient import (
     glide_conjugacy_representative,
     normalize_generators,
 )
-from weylzeta.rootgeom import HalfVec, RootSystem, vec_add, vec_scale
+from weylzeta.rootgeom import RootSystem, vec_add, vec_scale
 
-A2 = RootSystem.a2()
-C2 = RootSystem.c2()
+A2 = RootSystem.make("A2")
+C2 = RootSystem.make("C2")
 
 
 def a2_klein():
@@ -122,27 +123,29 @@ def test_canonical_vertex_idempotent_and_orbit_constant():
     for q in (a2_klein(), c2_spin_klein(), a2_coroot_torus()):
         for _ in range(100):
             x = (rng.randint(-30, 30), rng.randint(-30, 30))
-            c = q.canonical_vertex(x)
-            assert q.canonical_vertex(c) == c
+            c = canonical_vertex(q, x)
+            assert canonical_vertex(q, c) == c
             u, v = q.gamma0_basis
-            assert q.canonical_vertex((x[0] + u[0], x[1] + u[1])) == c
-            assert q.canonical_vertex((x[0] + v[0], x[1] + v[1])) == c
+            assert canonical_vertex(q, (x[0] + u[0], x[1] + u[1])) == c
+            assert canonical_vertex(q, (x[0] + v[0], x[1] + v[1])) == c
             if q.kind == "klein":
-                assert q.canonical_vertex(q.sigma.apply(x)) == c
+                assert canonical_vertex(q, q.sigma.apply(x)) == c
 
 
 def test_canonical_vertex_sheet_fusion_example():
     q = a2_klein()
     assert q.sigma.apply((0, 0)) == (1, 1)
-    assert q.canonical_vertex((1, 1)) == q.canonical_vertex((0, 0))
+    assert canonical_vertex(q, (1, 1)) == canonical_vertex(q, (0, 0))
 
 
 def test_vertex_classes_in_window():
     for q in (a2_klein(), c2_spin_klein(), c2_st_klein(), a2_coroot_torus()):
         classes = {
-            q.canonical_vertex((x, y)) for x in range(-10, 10) for y in range(-10, 10)
+            canonical_vertex(q, (x, y)) for x in range(-10, 10) for y in range(-10, 10)
         }
         assert len(classes) == q.N
+        # the quotient's representatives name each class once
+        assert {canonical_vertex(q, v) for v in q.vertex_reps} == classes
 
 
 def test_klein_index_is_twice_n():
@@ -154,11 +157,11 @@ def test_klein_index_is_twice_n():
 def test_canonical_vertex_half():
     q = a2_klein()
     h = HalfVec(7, -3)
-    c = q.canonical_vertex(h)
-    assert q.canonical_vertex(c) == c
+    c = canonical_vertex(q, h)
+    assert canonical_vertex(q, c) == c
     assert isinstance(c, HalfVec)
-    sh = q.sigma.apply_half(h)
-    assert q.canonical_vertex(sh) == c
+    sh = HalfVec(*sigma_half(q, h))
+    assert canonical_vertex(q, sh) == c
 
 
 # a basis of the coroot lattice of each root system
@@ -199,11 +202,11 @@ def test_torus_representatives_do_not_depend_on_the_basis(
     # the canonical vertex is the reduced box point of x
     h = HalfVec(*x)
     for g in (q, other):
-        assert g.canonical_vertex(x) == g.reduce(x) in g.residues()
-        assert g.canonical_vertex(h) == HalfVec(*g.reduce_half(x))
+        assert canonical_vertex(g, x) == g.reduce(x) in g.residues()
+        assert canonical_vertex(g, h) == HalfVec(*g.reduce_half(x))
         assert g.reduce_half(x) in g.half_residues()
-    assert other.canonical_vertex(x) == q.canonical_vertex(x)
-    assert other.canonical_vertex(h) == q.canonical_vertex(h)
+    assert canonical_vertex(other, x) == canonical_vertex(q, x)
+    assert canonical_vertex(other, h) == canonical_vertex(q, h)
 
 
 def test_a_torus_makes_its_doubled_box_on_first_read():
@@ -220,17 +223,26 @@ def test_a_torus_makes_its_doubled_box_on_first_read():
         assert q._half_blocks == tuple(range(0, 5 * q.N, q.N))
 
 
-def test_klein_representatives_are_the_orbit_minima():
-    # each glide orbit of the box is a pair, represented by its lower point
+def test_klein_representatives_are_the_lower_positions():
+    # the glide pairs the positions of residues() and of half_residues(),
+    # and the point at the lower position of each pair represents its
+    # orbit, in the order of those lists
     for q in (a2_klein(), c2_spin_klein(), c2_st_klein()):
-        box = set(q.residues())
-        pairs = {frozenset((p, q.reduce(q.sigma.apply(p)))) for p in box}
-        assert all(len(pair) == 2 for pair in pairs) and len(pairs) == q.N
-        assert set(q.vertex_reps) == {min(pair) for pair in pairs}
-        half = set(q.half_residues())
-        pairs = {frozenset((p, q.reduce_half(q._sigma_half(p)))) for p in half}
-        assert set(q.half_orbit_reps()) == {min(pair) for pair in pairs}
-        assert all(type(p) is tuple for p in q.half_orbit_reps())
+        box, half = q.residues(), q.half_residues()
+        at = {p: k for k, p in enumerate(box)}
+        image = [at[q.reduce(q.sigma.apply(p))] for p in box]
+        assert all(image[image[k]] == k != image[k] for k in range(len(box)))
+        assert q.vertex_reps == tuple(p for k, p in enumerate(box) if k < image[k])
+        assert len(q.vertex_reps) == q.N
+        at = {p: k for k, p in enumerate(half)}
+        image = [at[q.reduce_half(sigma_half(q, p))] for p in half]
+        assert all(image[image[k]] == k != image[k] for k in range(len(half)))
+        reps = tuple(p for k, p in enumerate(half) if k < image[k])
+        assert q.half_orbit_reps() == reps
+        assert all(type(p) is tuple for p in reps)
+        # the parity classes are blocks of len(box) positions
+        lower = [k < image[k] for k in range(len(half))]
+        assert q._half_blocks == tuple(sum(lower[: b * len(box)]) for b in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +277,7 @@ def test_transporter_consistency_random():
             x = (rng.randint(-15, 15), rng.randint(-15, 15))
             y = (rng.randint(-15, 15), rng.randint(-15, 15))
             g = reference.transporter(q, x, y)
-            same = q.canonical_vertex(x) == q.canonical_vertex(y)
+            same = canonical_vertex(q, x) == canonical_vertex(q, y)
             assert (g is not None) == same
             if g is not None:
                 assert g.apply(x) == y
@@ -278,7 +290,7 @@ def test_group_acts_freely():
         while checked < 200:
             i, j = rng.randint(-3, 3), rng.randint(-3, 3)
             g = (q.t ** i).compose(q.sigma ** j)
-            if g.is_identity:
+            if g == AffineMap.identity():
                 continue
             x = (rng.randint(-20, 20), rng.randint(-20, 20))
             assert g.apply(x) != x
@@ -291,7 +303,7 @@ def test_transporter_half_lattice():
     u = q.gamma0_basis[0]
     y = HalfVec(x.x2 + 2 * u[0], x.y2 + 2 * u[1])
     assert reference.transporter(q, x, y) == AffineMap.from_translation(u)
-    sx = q.sigma.apply_half(x)
+    sx = HalfVec(*sigma_half(q, x))
     assert reference.transporter(q, x, sx) == q.sigma
     with pytest.raises(TypeError):
         reference.transporter(q, x, (0, 0))
@@ -429,7 +441,7 @@ from weylzeta.quotient import KleinSpec, build, normalize_generators
 from weylzeta.rootgeom import RootSystem
 
 print("optimize", sys.flags.optimize)
-rs = RootSystem.c2()
+rs = RootSystem.make("C2")
 q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
 print("built", q.N, q.k_gamma, q.alpha_beta_coords(q.sigma.translation))
 t, s = normalize_generators(rs, q.t.compose(q.sigma ** 2), q.sigma)

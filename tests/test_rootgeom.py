@@ -14,8 +14,8 @@ from weylzeta.rootgeom import (
     mat_vec,
 )
 
-A2 = RootSystem.a2()
-C2 = RootSystem.c2()
+A2 = RootSystem.make("A2")
+C2 = RootSystem.make("C2")
 
 
 def weyl_orbit(rs, seed):
@@ -170,14 +170,14 @@ def test_coroot_membership_a2_against_span():
 
 
 def test_coroot_index_by_residue_count():
-    # membership is n-periodic in each coordinate, so the index is the
-    # fraction of an n x n residue grid lying in the sublattice
-    for rs in (A2, C2):
-        n = rs.coroot_index()
+    # membership is n-periodic in each coordinate, n the index of the coroot
+    # lattice, so the index is the fraction of an n x n residue grid lying
+    # in the sublattice
+    for rs, n in ((A2, 3), (C2, 2)):
         count = sum(
             1 for x in range(n) for y in range(n) if rs.in_coroot_lattice((x, y))
         )
-        assert n * n == count * rs.coroot_index()
+        assert n * n == count * n
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weylzeta.cli import main
+from weylzeta.corpus import MAX_MEMBERS
 from weylzeta.quotient import MAX_CLASSES, KleinSpec, TorusSpec
 from weylzeta.specfile import SpecFileError, parse_spec_text
 from weylzeta.zeta import MAX_ORDER
@@ -233,6 +234,29 @@ def test_cli_corpus_negative_size_exits_two(capsys, sizes):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {sizes[0]} must be at least 0, got {sizes[1]}" in captured.err
+
+
+@pytest.mark.parametrize("flag", ("--tori", "--kleins"))
+def test_cli_corpus_size_above_the_bound_exits_two_at_once(capsys, monkeypatch, flag):
+    import weylzeta.cli as cli_mod
+
+    drawn = []
+
+    def fake_generate(seed, tori, kleins):
+        drawn.append((tori, kleins))
+        return []
+
+    # a size far above the bound is refused before any member is drawn
+    monkeypatch.setattr(cli_mod, "generate_corpus", fake_generate)
+    start = time.perf_counter()
+    assert main(["corpus", flag, str(10**12)]) == 2
+    assert time.perf_counter() - start < 1 and drawn == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be at most {MAX_MEMBERS}, got {10**12}" in captured.err
+    # the bound itself is admitted
+    assert main(["corpus", flag, str(MAX_MEMBERS), "--format", "json"]) == 0
+    assert len(drawn) == 1 and MAX_MEMBERS in drawn[0]
 
 
 def test_cli_counts_max_n_admits_both_ends(torus_file, capsys):

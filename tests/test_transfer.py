@@ -56,8 +56,8 @@ def _reference_quotients():
     # the largest Klein bottle of the benchmark ladder (C2 spin, b even,
     # N = 96), and a torus whose box is one row, so that every step
     # between rows carries
-    qs.append(build(RootSystem.c2(), KleinSpec((1, 0), (1, 1), -4, -4, 6)))
-    qs.append(build(RootSystem.c2(), TorusSpec((1, 1), (5, -5))))
+    qs.append(build(RootSystem.make("C2"), KleinSpec((1, 0), (1, 1), -4, -4, 6)))
+    qs.append(build(RootSystem.make("C2"), TorusSpec((1, 1), (5, -5))))
     kleins = [q for q in qs if q.kind == "klein"]
     return qs + [build(q.rs, TorusSpec(*q.gamma0_basis)) for q in kleins]
 
@@ -178,7 +178,7 @@ def _check_grid(q, x):
     i = pos(x)
     assert pos(vec_add(x, u)) == i == pos(vec_add(x, v))
     assert pos(vec_sub(x, u)) == i == pos(vec_sub(x, v))
-    assert q.in_translation_subgroup(vec_sub(box[i], x))
+    assert reference.in_gamma0(q, vec_sub(box[i], x), q._det)
     assert grid.shifted(x) == [pos(vec_add(p, x)) for p in box]
     u2, v2 = vec_scale(2, u), vec_scale(2, v)
     i = half_pos(x)
@@ -201,7 +201,7 @@ def _check_grid(q, x):
         assert grid.sigma is None
         return
     sigma = grid.sigma
-    assert sigma == [half_pos(q._sigma_half(p)) for p in half]
+    assert sigma == [half_pos(reference.sigma_half(q, p)) for p in half]
     assert sorted(sigma) == list(range(4 * n))
     assert all(sigma[k] != k and sigma[sigma[k]] == k for k in range(4 * n))
     assert sum(map(len, grid.reps)) == 2 * n
@@ -235,12 +235,27 @@ def test_klein_index_map(item, m, x):
     _check_grid(q, x)
 
 
+def test_the_grid_reads_the_quotient_representatives():
+    # the quotient alone picks each glide orbit's representative, and the
+    # grid numbers the states of each block by those, in their order
+    kleins = [q for q in _reference_quotients() if q.kind == "klein"]
+    assert len(kleins) == 15 + 2 + 1
+    for q in kleins:
+        grid, n = _grid(q), q._det
+        box, half = q.residues(), q.half_residues()
+        got = tuple(half[b * n + x] for b in range(4) for x in grid.reps[b])
+        assert got == q.half_orbit_reps(), q
+        assert tuple(box[x] for x in grid.reps[0]) == q.vertex_reps, q
+        sizes = [len(reps) for reps in grid.reps]
+        assert q._half_blocks == tuple(sum(sizes[:b]) for b in range(5)), q
+
+
 # ---------------------------------------------------------------------------
 # the grid is built once per quotient and shared by its systems
 # ---------------------------------------------------------------------------
 
-A2 = RootSystem.a2()
-C2 = RootSystem.c2()
+A2 = RootSystem.make("A2")
+C2 = RootSystem.make("C2")
 
 
 def _klein_and_cover(rs, spec):
