@@ -2,34 +2,32 @@
 
 Every generating function downstream is naturally a function of u = w**2
 (one unit of geodesic length is one power of u), but half-integer
-u-exponents occur along glide axes, so the whole stack computes in w and
-only reinterprets even-exponent objects as functions of u at the
-reporting layer.
+u-exponents occur along glide axes, so the whole stack computes in w; a
+function of u is reduced and expanded in u, at the reporting layer.
 
 Every zeta function, correction factor and L-polynomial is a finite
 cycle product prod (1 - w**e)**k_e, held as a CycleProduct exponent
 dict: identities between them are dict equalities, decided in integer
 arithmetic.  One kernel, _expand, multiplies such a product out as a
 power series truncated at a given order; it builds the reduced num/den
-forms and P's coefficients where they are printed, and finds the
-failing order of counts whose Moebius product is not P.  The Moebius
+forms and P's coefficients where they are printed.  The Moebius
 exponents are peeled from the traces in increasing d, at a cost that
-follows the nonzero ones (_moebius_exponents), and the reduced forms
-write each cyclotomic factor Phi_m through the squarefree divisors of
-m, found from its primes by trial division: nothing here sieves primes
-or tabulates the Moebius function.  Dense polynomials (Poly) remain for
-those edges only, with int coefficients: every one the package builds
-is an expansion of a cycle product.  The rational polynomials and power
-series and det(I - wT) that the tests compare these integer paths
-against live in the tests' reference module.  Nothing in this package
-uses rationals or floating point.
+follows the nonzero ones (_moebius_exponents).  A product whose k_e
+have one sign is its own reduced form; other reduced forms write each
+Phi_m through the squarefree divisors of m, found from its primes by
+trial division: nothing here sieves primes or tabulates mu.  Dense
+polynomials (Poly) remain for those edges only, with int coefficients:
+every one the package builds is an expansion of a cycle product.  The
+rational polynomials and power series and det(I - wT) that the tests
+compare these integer paths against live in the tests' reference
+module.  Nothing in this package uses rationals or floating point.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class NotPolynomialWithinBound(ValueError):
@@ -75,10 +73,6 @@ class Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def is_even_in_w(self) -> bool:
-        """True when only even powers of w occur (the object is a function of u)."""
-        return all(c == 0 for c in self.coeffs[1::2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -137,6 +131,43 @@ def _mobius_divisors(m: int) -> list:
     return terms
 
 
+def _cyclotomic_exponents(k: dict) -> dict:
+    """{m: c_m}, c_m != 0, with prod (1 - x**e)**k_e = prod_m Phi_m(x)**c_m:
+    c_m sums the k_e over the multiples e of m (Phi_1 is taken as 1 - x)."""
+    c: dict = {}
+    for e, x in k.items():
+        for m in _divisors(e):
+            c[m] = c.get(m, 0) + x
+    return {m: x for m, x in c.items() if x}
+
+
+def _lowest_terms(k: dict) -> tuple:
+    """({d: x_d} of num, {d: x_d} of den), x_d != 0, for prod (1 - x**e)**k_e.
+
+    num is the product of the Phi_m**c_m with c_m > 0, den that of the
+    Phi_m**-c_m with c_m < 0, each Phi_m written as
+    prod (1 - x**(m / s))**mu(s) over the squarefree divisors s of m.
+    When the k_e have one sign, so do the c_m, and these sums give k back.
+    """
+    if min(k.values(), default=1) > 0:
+        return k, {}
+    if max(k.values()) < 0:
+        return {}, {e: -x for e, x in k.items()}
+    parts: tuple = ({}, {})
+    for m, cm in _cyclotomic_exponents(k).items():
+        part, x = parts[cm < 0], abs(cm)
+        for s, mu in _mobius_divisors(m):
+            part[m // s] = part.get(m // s, 0) + mu * x
+    return tuple({d: x for d, x in part.items() if x} for part in parts)
+
+
+def spread(coeffs: Sequence[int], v: int) -> list:
+    """The coefficients of c(w**v) from those c_0, c_1, ... of c(x)."""
+    out = [0] * (v * len(coeffs) - v + 1)
+    out[::v] = coeffs
+    return out
+
+
 def _expand(factors: dict, top: int) -> list:
     """The power series of prod (1 - w**d)**x_d truncated after w**top, as
     its integer coefficients [c_0, ..., c_top].
@@ -181,11 +212,12 @@ class CycleProduct:
     the divisibility matrix (m | e) is unitriangular, distinct exponent
     dicts are distinct rational functions: equality is dict equality,
     and products, powers and the substitutions w -> w**m and u -> -u are
-    integer arithmetic on the exponents.  Dense polynomials appear only
-    in num_den.  Instances are immutable.
+    integer arithmetic on the exponents.  The reduced form is made on
+    first use and kept.  Dense coefficients appear only in expanded and
+    num_den.  Instances are immutable.
     """
 
-    __slots__ = ("_k",)
+    __slots__ = ("_k", "_form")
 
     def __init__(self, exponents=()):
         k = {}
@@ -249,36 +281,26 @@ class CycleProduct:
             k[e] = k.get(e, 0) + x
         return CycleProduct(k)
 
-    def _cyclotomic_exponents(self) -> dict:
-        """{m: c_m}, c_m != 0, with the function equal to prod_m Phi_m**c_m.
-
-        c_m is the sum of k_e over the multiples e of m.  Phi_1 is taken
-        as 1 - w, so that every factor has constant term 1.
-        """
-        c: dict = {}
-        for e, x in self._k.items():
-            for m in _divisors(e):
-                c[m] = c.get(m, 0) + x
-        return {m: x for m, x in c.items() if x}
+    def _reduced_form(self) -> tuple:
+        """(v, num, den): the reduced num and den as factor dicts in
+        x = w**v, v = 2 for a function of u and 1 otherwise; made on
+        first use and kept, so the dicts must not be changed."""
+        try:
+            return self._form
+        except AttributeError:  # first use: the slot is still empty
+            v = 2 if self.is_even_in_w() else 1
+            self._form = (v, *_lowest_terms({e // v: x for e, x in self._k.items()}))
+            return self._form
 
     def _reduced(self) -> tuple:
-        """({d: x_d} of num, {d: x_d} of den), num and den in one pass.
-
-        num = prod_d (1 - w**d)**x_d is the product of the Phi_m**c_m with
-        c_m > 0, den that of the Phi_m**-c_m with c_m < 0, each Phi_m
-        written as prod (1 - w**(m / s))**mu(s) over the squarefree
-        divisors s of m, whose signs come from the distinct primes of m.
-        """
-        parts: tuple = ({}, {})
-        for m, cm in self._cyclotomic_exponents().items():
-            part, x = parts[cm < 0], abs(cm)
-            for s, mu in _mobius_divisors(m):
-                part[m // s] = part.get(m // s, 0) + mu * x
-        return parts
+        """({d: x_d} of num, {d: x_d} of den) in w."""
+        v, num, den = self._reduced_form()
+        return tuple({v * d: x for d, x in part.items()} for part in (num, den))
 
     def degrees(self) -> tuple:
-        """(deg num, deg den) of the reduced form, without expanding it."""
-        return tuple(sum(d * x for d, x in part.items()) for part in self._reduced())
+        """(deg num, deg den) of the reduced form in w, without expanding it."""
+        v, num, den = self._reduced_form()
+        return tuple(v * sum(d * x for d, x in part.items()) for part in (num, den))
 
     def is_polynomial_within(self, degree: int) -> bool:
         """Whether the function is a polynomial of degree at most degree:
@@ -287,18 +309,33 @@ class CycleProduct:
         num, den = self.degrees()
         return den == 0 and num <= degree
 
+    def expanded(self, memo: Optional[dict] = None) -> tuple:
+        """(v, num, den): the reduced num and den as coefficient lists in
+        w**v, as in _reduced_form, each expanded exactly to its degree.
+        memo maps the frozenset of a factor dict's items to its list, so
+        equal polynomials share one; the lists must not be changed."""
+        v, *parts = self._reduced_form()
+        memo = {} if memo is None else memo
+        out = [v]
+        for part in parts:
+            key = frozenset(part.items())
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = _expand(part, sum(d * x for d, x in part.items()))
+            out.append(c)
+        return tuple(out)
+
     def num_den(self) -> tuple:
-        """The reduced form (num, den) as integer polynomials.
+        """The reduced form (num, den) as integer polynomials in w.
 
         num and den are coprime and both have constant term 1: num is the
         product of the Phi_m**c_m with c_m > 0, den of those with c_m < 0.
-        This is the unique lowest-terms form with den(0) = 1.  Each is the
-        expansion of its factors truncated at its degree, which is exact.
+        This is the unique lowest-terms form with den(0) = 1.  A function
+        of u is reduced in u: num(w**2) and den(w**2) have a common root
+        only if num and den have one.
         """
-        return tuple(
-            Poly(_expand(part, sum(d * x for d, x in part.items())))
-            for part in self._reduced()
-        )
+        v, num, den = self.expanded()
+        return Poly(spread(num, v)), Poly(spread(den, v))
 
     def __repr__(self):
         return f"CycleProduct({dict(self.items())})"

@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Optional
 
-from .algebra import CycleProduct, Poly
+from .algebra import CycleProduct, spread
 from .census import (
     gallery_count_table,
     geodesic_count_table,
@@ -33,25 +33,27 @@ from .identities import verify
 from .quotient import SpecValidationError, build
 from .rootgeom import RootSystem
 from .specfile import ParsedSpec, SpecFileError, load_spec_file, spec_to_json_dict
-from .zeta import MAX_ORDER, OrderInsufficientError, zeta_bundle
+from .zeta import MAX_ORDER, LPolynomial, OrderInsufficientError, zeta_bundle
 
 
-def poly_to_json(p: Poly) -> dict:
-    """Integer coefficient list, halving exponents when only u-powers occur."""
-    coeffs = list(p.coeffs)
-    if p.is_even_in_w():
-        return {"coeffs": coeffs[::2], "var": "u"}
-    return {"coeffs": coeffs, "var": "w"}
+def poly_to_json(p: LPolynomial, memo: Optional[dict] = None) -> dict:
+    """P's u-coefficient list, its expansion shared through memo as in
+    ratfunc_to_json."""
+    return {"coeffs": p.u_coeffs(memo), "var": "u"}
 
 
-def ratfunc_to_json(f: CycleProduct) -> tuple:
-    """(json, den): the reduced num/den coefficient lists, in u when f is a
-    function of u, and den's integer coefficients in w, which the text
-    output prints, from the same expansion."""
-    num, den = (list(p.coeffs) for p in f.num_den())
-    if f.is_even_in_w():
-        return {"num": num[::2], "den": den[::2], "var": "u"}, den
-    return {"num": num, "den": den, "var": "w"}, den
+def ratfunc_to_json(f: CycleProduct, memo: Optional[dict] = None) -> dict:
+    """The reduced num/den coefficient lists, in u when f is a function of
+    u.  memo holds the expansions of one call, keyed by reduced factor
+    dict (CycleProduct.expanded), so each distinct polynomial is expanded
+    once."""
+    v, num, den = f.expanded(memo)
+    return {"num": num, "den": den, "var": "u" if v == 2 else "w"}
+
+
+def _den_in_w(entry: dict) -> list:
+    """den's w-coefficients, which the text output prints."""
+    return spread(entry["den"], 2 if entry["var"] == "u" else 1)
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -129,18 +131,18 @@ def _cmd_zeta(args) -> int:
         "correction": {},
     }
     lines = [f"{q.rs.kind} {q.kind}: zeta data at order {bundle.order}"]
+    memo: dict = {}  # the expansions of this call, by reduced factor dict
     for rep in bundle.rep_names:
-        den = {}
         for key in ("zeta", "zeta_semi", "zeta2", "correction"):
-            payload[key][rep], den[key] = ratfunc_to_json(getattr(bundle, key)[rep])
-        payload["l_poly"][rep] = poly_to_json(bundle.l_poly[rep])
+            payload[key][rep] = ratfunc_to_json(getattr(bundle, key)[rep], memo)
+        payload["l_poly"][rep] = poly_to_json(bundle.l_poly[rep], memo)
         if args.format == "text":
             lines += [
                 f"  {rep}:",
-                f"    1/Z      = {den['zeta']}",
-                f"    1/Z_semi = {den['zeta_semi']}",
-                f"    1/Z2     = {den['zeta2']}",
-                f"    P        = {list(bundle.l_poly[rep].coeffs)}",
+                f"    1/Z      = {_den_in_w(payload['zeta'][rep])}",
+                f"    1/Z_semi = {_den_in_w(payload['zeta_semi'][rep])}",
+                f"    1/Z2     = {_den_in_w(payload['zeta2'][rep])}",
+                f"    P        = {spread(payload['l_poly'][rep]['coeffs'], 2)}",
             ]
     _emit(payload, args.format, lines)
     return 0

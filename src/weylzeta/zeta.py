@@ -40,11 +40,13 @@ The L-polynomial P has one path (l_poly_from_counts): one Moebius
 inversion of the closed-walk counts gives P's factorization
 prod (1 - u**d)**a_d, and a cyclotomic degree check, which expands
 nothing, decides whether that product is P itself.  A truncated
-expansion runs only for P's coefficients where they are printed, and
-to find the failing order when the check fails.  The inversion peels
-the exponents in increasing d and pays only for the nonzero ones, the
-few cycle lengths of the walk system; the degree check factors each
-Phi_m by the primes of m.
+expansion of its reduced numerator in u runs only for P's coefficients
+where they are printed; when the check fails, Newton's identities over
+the nonzero coefficients find P or the failing order.  The inversion
+peels the exponents in increasing d and pays only for the nonzero
+ones, the few cycle lengths of the walk system; the degree check reads
+a same-sign product's degree off its exponents and factors each Phi_m
+by the primes of m otherwise.
 """
 
 from __future__ import annotations
@@ -53,15 +55,15 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
 from operator import eq, not_
-from typing import Optional
+from typing import Optional, Sequence
 
 from .algebra import (
     CycleProduct,
     NotCycleProduct,
     NotPolynomialWithinBound,
     Poly,
-    _expand,
     _moebius_exponents,
+    spread,
 )
 from .census import walk_count_table
 from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
@@ -265,40 +267,39 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
 
 
 class LPolynomial(Poly):
-    """The L-polynomial P, a polynomial in w, with its cycle product when
-    the Moebius product of the counts it came from is exactly P.
+    """The L-polynomial P, a Poly in w held by its u-coefficients, with
+    its cycle product when the Moebius product of the counts it came
+    from is exactly P.
 
-    It is built from P's int u-coefficients, which interleave with zeros
-    in w, or (u_coeffs None) from its product alone, whose reduced form
-    gives the degree (in w, like every Poly's) and whose expansion, made
-    on first read, gives the coefficients.
+    It is built from P's int u-coefficients or (u_coeffs None) from its
+    product alone, whose reduced form gives the degree (in w, like every
+    Poly's) and whose reduced numerator, expanded in u on first read,
+    gives the coefficients.
     """
 
-    __slots__ = ("_product", "_coeffs")
+    __slots__ = ("_product", "_u")
 
     def __init__(self, u_coeffs: Optional[list], product: Optional[CycleProduct]):
         self._product = product
-        self._coeffs = None if u_coeffs is None else self._in_w(u_coeffs)
+        self._u = None if u_coeffs is None else Poly(u_coeffs).coeffs
 
-    @staticmethod
-    def _in_w(u_coeffs: list) -> tuple:
-        w_coeffs = [0] * (2 * len(u_coeffs))
-        w_coeffs[::2] = u_coeffs
-        return Poly(w_coeffs).coeffs
+    def u_coeffs(self, memo: Optional[dict] = None) -> Sequence[int]:
+        """P's coefficients in u; an expansion is looked up in memo as
+        CycleProduct.expanded does."""
+        if self._u is None:
+            # the product is P: its reduced form is P over 1
+            self._u = self._product.expanded(memo)[1]
+        return self._u
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            # the product is P, so its series truncated at P's degree is P
-            factors = {e // 2: x for e, x in self._product.items()}
-            self._coeffs = self._in_w(_expand(factors, self.degree // 2))
-        return self._coeffs
+        return tuple(spread(self.u_coeffs(), 2))
 
     @property
     def degree(self) -> int:
-        if self._coeffs is None:
+        if self._u is None:
             return self._product.degrees()[0]
-        return len(self._coeffs) - 1
+        return max(2 * len(self._u) - 2, -1)
 
     def cycle_product(self) -> CycleProduct:
         """P as a CycleProduct; NotCycleProduct when the counts' product is not P."""
@@ -323,27 +324,22 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
     every one is, and a cyclotomic degree check that expands nothing
     (CycleProduct.is_polynomial_within) finds the product a polynomial of
     degree at most bound, the product is P, returned unexpanded.
-    Otherwise it is expanded once, truncated at the last d taken.  The
-    first n > bound with a nonzero coefficient raises
-    NotPolynomialWithinBound(2n).  Otherwise the first non-integer a_n, if
-    any, raises NotPolynomialWithinBound(2n) when n > bound and
-    AssertionError when n <= bound.
+    Otherwise Newton's identities n p_n = -sum_{i<=n} N_i p_{n-i} run in
+    integers, summed over the nonzero p_j found so far, and stop at the
+    first n that fails: p_n nonzero with n > bound raises
+    NotPolynomialWithinBound(2n), p_n not an integer with n <= bound
+    AssertionError.  If none fails, P is p_0, ..., p_bound.
 
-    Why this is the failure of Newton's identities n p_n = -sum_{i<=n} N_i
-    p_{n-i}, which check each n in turn for p_n nonzero past the bound,
-    then for p_n not an integer.  The u**n coefficient of
+    Why the degree check may run first.  The u**n coefficient of
     prod (1 - u**d)**a_d is -a_n plus an integer polynomial in a_1, ...,
     a_{n-1} (the Witt, or necklace, factorization).  So below the first
     non-integer exponent the expansion's coefficients are Newton's p_n, and
-    at it p_n is not an integer, hence not zero either: the same first n
-    fails, in the same way.
-
-    Why the degree check may run first.  If the product is a polynomial
-    of degree at most bound, its series through u**len(counts) is itself,
-    so it is the expansion there: it vanishes past the bound, no n fails,
-    and the product is P.  Otherwise it is not P, which is one, and the
-    expansion decides as above.  For N_n = 2**n, P = 1 - 2u, but no
-    exponent vanishes, and cycle_product() raises NotCycleProduct.
+    at it p_n is not an integer, hence not zero either.  If the product is
+    a polynomial of degree at most bound, its series through
+    u**len(counts) is itself, so every p_n is an integer and vanishes
+    past the bound: no n fails, and the product is P.  For N_n = 2**n,
+    P = 1 - 2u, but no exponent vanishes, the check fails, Newton's
+    identities return P, and cycle_product() raises NotCycleProduct.
     """
     required = 2 * bound + 8
     if len(counts) < required:
@@ -353,16 +349,18 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
         product = CycleProduct({2 * d: a for d, a in exponents.items()})
         if product.is_polynomial_within(2 * bound):
             return LPolynomial(None, product)
-    top = len(counts) if bad is None else bad - 1
-    c = _expand(exponents, top)
-    if any(c[bound + 1 :]):
-        n = next(n for n in range(bound + 1, top + 1) if c[n])
-        raise NotPolynomialWithinBound(2 * n)
-    if bad is not None:
-        if bad > bound:
-            raise NotPolynomialWithinBound(2 * bad)
-        raise AssertionError("L-polynomial has non-integer coefficients")
-    return LPolynomial(c[: bound + 1], None)
+    p, support = [1] + [0] * bound, [0]  # support: the j with p_j != 0
+    for n in range(1, len(counts) + 1):
+        s = -sum(p[j] * counts[n - j - 1] for j in support)
+        if s and n > bound:
+            raise NotPolynomialWithinBound(2 * n)
+        pn, r = divmod(s, n)
+        if r:
+            raise AssertionError("L-polynomial has non-integer coefficients")
+        if pn:
+            p[n] = pn
+            support.append(n)
+    return LPolynomial(p, None)
 
 
 def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:

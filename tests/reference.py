@@ -36,8 +36,16 @@ routes live here, and the tests compare the package against them:
   ``irrational_half`` filters the half-lattice representatives off the
   rational lines point by point, the reference of the census's slices.
 * ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
-  one integer recurrence step per count; production builds P from its
-  Moebius exponents with one expansion.
+  one integer recurrence step per count, over a window of the counts;
+  production builds P from its Moebius exponents, and runs Newton's
+  identities over the nonzero p_j only when their product is not P.
+  ``l_poly_by_expansion`` expands that product in full instead, which
+  fails at the same first order.
+* ``ratfunc_to_json``, ``poly_to_json`` and ``zeta_output``: the
+  ``zeta`` report built in w, every reduced form by the mu table and
+  expanded on its own, then halved to u where only even powers occur.
+  Production reduces a same-sign product without the table, expands a
+  function of u in u, and each distinct polynomial once per call.
 * ``hecke_determinant``: the q = 1 Hecke polynomial
   det(sum_j (-u)**j E_j) of the vertex shifts, by Bareiss at integer
   points and exact interpolation; it equals P on tori and Klein bottles.
@@ -58,6 +66,7 @@ routes live here, and the tests compare the package against them:
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -71,7 +80,9 @@ from weylzeta.algebra import (
     NotCycleProduct,
     NotPolynomialWithinBound,
     _divisors,
+    _expand,
     _moebius_exponents,
+    spread,
 )
 from weylzeta.algebra import Poly as IntPoly
 from weylzeta.census import glide_line_counter
@@ -470,9 +481,13 @@ def moebius_exponents_by_primes(traces: Sequence[int]) -> tuple:
 
 
 def reduced_by_mobius_table(f: CycleProduct) -> tuple:
-    """``f._reduced()`` with each Phi_m written as
-    prod_{d | m} (1 - w**d)**mu(m / d), mu read from one table."""
-    c = f._cyclotomic_exponents()
+    """``f._reduced()`` in w, with each Phi_m written as
+    prod_{d | m} (1 - w**d)**mu(m / d), mu read from one table, and c_m
+    the sum of k_e over the multiples e of m, for every sign of the k_e."""
+    c = Counter()
+    for e, k in f.items():
+        for m in _divisors(e):
+            c[m] += k
     mu = _mobius_table(max(c, default=0))
     parts = (Counter(), Counter())
     for m, cm in c.items():
@@ -701,6 +716,94 @@ def l_poly_from_counts(counts, bound: int) -> Poly:
         if n <= bound:
             p[n] = pn
     return Poly([x for pj in p for x in (pj, 0)])
+
+
+def l_poly_by_expansion(counts, bound: int) -> IntPoly:
+    """P, or the failure of ``l_poly_from_counts``, by expanding the
+    Moebius product of the counts.
+
+    The product of the integer exponents below the first non-integer one
+    is expanded to that order, every factor in full: the first n > bound
+    with a nonzero coefficient raises NotPolynomialWithinBound(2n), then
+    a non-integer exponent raises NotPolynomialWithinBound(2n) past the
+    bound and AssertionError at or below it.  Otherwise P is the
+    expansion through u**bound.
+    """
+    required = 2 * bound + 8
+    if len(counts) < required:
+        raise OrderInsufficientError(len(counts), required)
+    exponents, bad = _moebius_exponents(counts)
+    top = len(counts) if bad is None else bad - 1
+    c = _expand(exponents, top)
+    for n in range(bound + 1, top + 1):
+        if c[n]:
+            raise NotPolynomialWithinBound(2 * n)
+    if bad is not None:
+        if bad > bound:
+            raise NotPolynomialWithinBound(2 * bad)
+        raise AssertionError("L-polynomial has non-integer coefficients")
+    return IntPoly(spread(c[: bound + 1], 2))
+
+
+# ---------------------------------------------------------------------------
+# The zeta report in w
+# ---------------------------------------------------------------------------
+
+
+def w_expansions(f: CycleProduct) -> tuple:
+    """The reduced num and den of f as w-coefficient lists: the parts of
+    ``reduced_by_mobius_table`` expanded in w, whatever their signs."""
+    return tuple(
+        _expand(part, sum(d * x for d, x in part.items()))
+        for part in reduced_by_mobius_table(f)
+    )
+
+
+def ratfunc_to_json(f: CycleProduct) -> tuple:
+    """(json, den in w) of a zeta function or correction factor, as the
+    ``zeta`` command printed them when every reduced form was expanded in
+    w and halved to u where only even powers occur."""
+    num, den = w_expansions(f)
+    if not any(num[1::2]) and not any(den[1::2]):
+        return {"num": num[::2], "den": den[::2], "var": "u"}, den
+    return {"num": num, "den": den, "var": "w"}, den
+
+
+def poly_to_json(p) -> tuple:
+    """(json, w-coefficients) of the L-polynomial: its cycle product's
+    reduced numerator expanded in w (the denominator is 1), or its own
+    coefficients when the counts' product is not P."""
+    try:
+        num, den = w_expansions(p.cycle_product())
+        assert den == [1]
+    except NotCycleProduct:
+        num = list(p.coeffs)
+    if any(num[1::2]):
+        return {"coeffs": num, "var": "w"}, num
+    return {"coeffs": num[::2], "var": "u"}, num
+
+
+def zeta_output(q: QuotientGroup, bundle, fmt: str) -> str:
+    """The stdout of ``zeta --format fmt`` for the bundle of q, built from
+    the w-path reports above."""
+    keys = ("zeta", "zeta_semi", "zeta2", "correction")
+    payload: dict = {"order": bundle.order, "l_poly": {}, **{key: {} for key in keys}}
+    lines = [f"{q.rs.kind} {q.kind}: zeta data at order {bundle.order}"]
+    for rep in bundle.rep_names:
+        den = {}
+        for key in keys:
+            payload[key][rep], den[key] = ratfunc_to_json(getattr(bundle, key)[rep])
+        payload["l_poly"][rep], p = poly_to_json(bundle.l_poly[rep])
+        lines += [
+            f"  {rep}:",
+            f"    1/Z      = {den['zeta']}",
+            f"    1/Z_semi = {den['zeta_semi']}",
+            f"    1/Z2     = {den['zeta2']}",
+            f"    P        = {p}",
+        ]
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from weylzeta.algebra import (
     _moebius_exponents,
 )
 from weylzeta.cli import poly_to_json
-from weylzeta.zeta import OrderInsufficientError, l_poly_from_counts
+from weylzeta.zeta import LPolynomial, OrderInsufficientError, l_poly_from_counts
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -447,7 +447,7 @@ def test_cycle_product_dense_edge_is_reduced_plain_product(f):
     assert f.num_den() == reduced(*plain_num_den(f))
     num, den = f.num_den()
     assert f.degrees() == (num.degree, den.degree)
-    assert f.is_even_in_w() == (num.is_even_in_w() and den.is_even_in_w())
+    assert f.is_even_in_w() == (not any(num.coeffs[1::2]) and not any(den.coeffs[1::2]))
 
 
 @given(small_products, st.integers(1, 3))
@@ -552,9 +552,8 @@ def test_package_poly_is_int_only():
             algebra.Poly([1, bad])
     # the JSON edges print int coefficient lists
     assert json.dumps(list(p.coeffs)) == "[1, 0, -3, 0, 2]"
-    assert json.dumps(poly_to_json(p)) == '{"coeffs": [1, -3, 2], "var": "u"}'
-    assert json.dumps(poly_to_json(algebra.Poly([1, -1]))) == (
-        '{"coeffs": [1, -1], "var": "w"}'
+    assert json.dumps(poly_to_json(LPolynomial([1, -3, 2, 0], None))) == (
+        '{"coeffs": [1, -3, 2], "var": "u"}'
     )
 
 
@@ -703,3 +702,22 @@ def test_reduced_matches_the_mobius_table_reference(exponents):
     got, want = f._reduced(), reduced_by_mobius_table(f)
     for g, r in zip(got, want):
         assert {d: x for d, x in g.items() if x} == {d: x for d, x in r.items() if x}
+
+
+@given(
+    st.dictionaries(cyclotomic_indices, st.integers(1, 3), max_size=5),
+    st.sampled_from((1, -1)),
+)
+@settings(deadline=None, max_examples=150)
+def test_same_sign_reduced_form_is_the_product_itself(exponents, sign):
+    # nothing splits between num and den: the mu-table reduction gives the
+    # exponent dict back, and the degrees are sum e * |k_e|
+    f = CycleProduct({e: sign * x for e, x in exponents.items()})
+    want = tuple(
+        {d: x for d, x in part.items() if x} for part in reduced_by_mobius_table(f)
+    )
+    k = dict(f.items())
+    assert want == ((k, {}) if sign > 0 else ({}, {e: -x for e, x in k.items()}))
+    assert f._reduced() == want
+    degree = sum(e * x for e, x in exponents.items())
+    assert f.degrees() == ((degree, 0) if sign > 0 else (0, degree))

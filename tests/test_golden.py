@@ -7,10 +7,10 @@ The expected files under tests/golden/ were written by the CLI itself:
     weylzeta zeta   --input samples/<name>.spec --format text  (<name>.zeta.txt)
 
 Any change of representation inside the package must leave these bytes
-unchanged.  The `verify` outputs of all four samples are also compared
-from a `python -O` subprocess, so the glide-line-count record, the
-transfer systems and the explicit checks they rely on are shown to run
-without asserts.
+unchanged.  The `verify` and `zeta --format json` outputs of all four
+samples are also compared from a `python -O` subprocess, so the
+glide-line-count record, the transfer systems, the reduced forms and the
+explicit checks they rely on are shown to run without asserts.
 """
 
 import os
@@ -44,10 +44,10 @@ def test_zeta_text_output_bytes_match_golden(sample, capsys):
     assert capsys.readouterr().out == expected
 
 
-def _verify_under_python_O(sample):
+def _run_under_python_O(sample, command):
     spec = ROOT / "samples" / f"{sample}.spec"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = ["verify", "--input", str(spec), "--format", "json"]
+    argv = [command, "--input", str(spec), "--format", "json"]
     return subprocess.run(
         [sys.executable, "-O", "-m", "weylzeta.cli", *argv],
         capture_output=True,
@@ -61,7 +61,7 @@ def _verify_under_python_O(sample):
 def test_klein_verify_bytes_match_golden_under_python_O(sample):
     # the glide-line-count record and its explicit raises must run
     # unchanged when asserts are stripped
-    done = _verify_under_python_O(sample)
+    done = _run_under_python_O(sample, "verify")
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / f"verify_{sample}.json").read_text()
 
@@ -70,6 +70,15 @@ def test_klein_verify_bytes_match_golden_under_python_O(sample):
 def test_torus_verify_bytes_match_golden_under_python_O(sample):
     # torus transfer systems, whose orbits are single states, and their
     # bijection check must run unchanged when asserts are stripped
-    done = _verify_under_python_O(sample)
+    done = _run_under_python_O(sample, "verify")
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / f"verify_{sample}.json").read_text()
+
+
+@pytest.mark.parametrize("sample", SAMPLES)
+def test_zeta_bytes_match_golden_under_python_O(sample):
+    # the same-sign reduction, the expansions in u and the shared memo
+    # must run unchanged when asserts are stripped
+    done = _run_under_python_O(sample, "zeta")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"zeta_{sample}.json").read_text()

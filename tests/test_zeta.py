@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -190,7 +191,7 @@ def test_l_polynomial_degree_is_read_off_its_product():
         for rep in q.rs.rep_names:
             p = l_poly(q, rep, resolve_order(q))
             degree = p.degree
-            assert p._coeffs is None
+            assert p._u is None
             assert p.degree == degree == len(p.coeffs) - 1 > 0
             assert [type(c) for c in p.coeffs] == [int] * (degree + 1)
     # a P whose product is not P holds its coefficients from the start
@@ -258,6 +259,55 @@ def test_l_poly_matches_the_newton_recurrence():
     assert None in outcomes
     assert any(o and o[0] is NotPolynomialWithinBound for o in outcomes)
     assert any(o and o[0] is AssertionError for o in outcomes)
+
+
+def counts_of(p: list, length: int) -> list:
+    """N_1, ..., N_length with P * exp(sum_n N_n u**n / n) = 1 for P = p,
+    by Newton's identities solved for N_n."""
+    p = p + [0] * (length + 1 - len(p))
+    counts = []
+    for n in range(1, length + 1):
+        counts.append(-n * p[n] - sum(counts[i - 1] * p[n - i] for i in range(1, n)))
+    return counts
+
+
+def test_l_poly_fallback_matches_the_expansion_oracle():
+    # random P, some finite cycle products (the degree check returns them)
+    # and most not (Newton's identities do), with one count perturbed in
+    # half the cases; the value or the failure is that of the full
+    # expansion of the Moebius product
+    rng = random.Random(29)
+    outcomes = []
+    for _ in range(1500):
+        bound = rng.randint(0, 6)
+        length = 2 * bound + 8 + rng.randint(0, 6)
+        if rng.random() < 0.3:
+            factors = {d: rng.randint(-1, 2) for d in rng.sample(range(1, 5), 2)}
+            p = algebra._expand(factors, length)
+        else:
+            p = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, bound + 1))]
+        counts = counts_of(p, length)
+        if rng.random() < 0.5:
+            counts[rng.randrange(length)] += rng.choice((-1, 1, 2, bound + 1))
+        got = l_outcome(l_poly_from_counts, counts, bound)
+        assert got == l_outcome(reference.l_poly_by_expansion, counts, bound), (counts, bound)
+        outcomes.append(got[0] if isinstance(got, tuple) else got._product is not None)
+    kinds = Counter(outcomes)
+    # P with and without its product, a tail failure and a non-integer p_n
+    assert all(kinds[k] > 50 for k in (True, False, NotPolynomialWithinBound, AssertionError))
+
+
+def test_l_poly_of_dense_counts_is_quick():
+    # N_n = 2**n: every Moebius exponent is nonzero, the product is not
+    # P = 1 - 2u, and Newton's identities find P over two nonzero p_j
+    counts = [2**n for n in range(1, 2313)]
+    start = time.perf_counter()
+    p = l_poly_from_counts(counts, 1152)
+    assert time.perf_counter() - start < 1.0
+    assert list(p.u_coeffs()) == [1, -2] and p.degree == 2
+    assert p == reference.l_poly_from_counts(counts, 1152)
+    with pytest.raises(NotCycleProduct):
+        p.cycle_product()
 
 
 def test_l_polynomial_holds_the_poly_coefficients():
