@@ -8,12 +8,7 @@ integer coefficients, in exact integer arithmetic, and verifies the structural i
 as exact equalities of cycle products.
 """
 
-from .algebra import (
-    CycleProduct,
-    NotCycleProduct,
-    NotPolynomialWithinBound,
-    Poly,
-)
+from .algebra import CycleProduct, NotCycleProduct, NotPolynomialWithinBound
 from .census import (
     CountTable,
     lambda_set_size,
@@ -60,7 +55,6 @@ __all__ = [
     "NotPolynomialWithinBound",
     "OrderInsufficientError",
     "ParsedSpec",
-    "Poly",
     "QuotientGroup",
     "ReprData",
     "RootSystem",

@@ -9,17 +9,18 @@ Every zeta function, correction factor and L-polynomial is a finite
 cycle product prod (1 - w**e)**k_e, held as a CycleProduct exponent
 dict: identities between them are dict equalities, decided in integer
 arithmetic.  One kernel, _expand, multiplies such a product out as a
-power series truncated at a given order; it builds the reduced num/den
-forms and P's coefficients where they are printed.  The Moebius
-exponents are peeled from the traces in increasing d, at a cost that
-follows the nonzero ones (_moebius_exponents).  A product whose k_e
-have one sign is its own reduced form; other reduced forms write each
-Phi_m through the squarefree divisors of m, found from its primes by
-trial division: nothing here sieves primes or tabulates mu.  Dense
-polynomials (Poly) remain for those edges only, with int coefficients:
-every one the package builds is an expansion of a cycle product.  The
-rational polynomials and power series and det(I - wT) that the tests
-compare these integer paths against live in the tests' reference
+power series truncated at a given order.  CycleProduct.expanded gives
+the reduced num and den as int coefficient lists through it, in u for a
+function of u, and spread carries a list to w.  Those lists are the only
+dense polynomials in the package: it has no polynomial class, and a
+product of two polynomials is the expansion of their merged factor
+dicts.  The Moebius exponents are peeled from the traces in increasing
+d, at a cost that follows the nonzero ones (_moebius_exponents).  A
+product whose k_e have one sign is its own reduced form; other reduced
+forms write each Phi_m through the squarefree divisors of m, found from
+its primes by trial division: nothing here sieves primes or tabulates
+mu.  The rational polynomials and power series and det(I - wT) that the
+tests compare these integer paths against live in the tests' reference
 module.  Nothing in this package uses rationals or floating point.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class NotPolynomialWithinBound(ValueError):
@@ -38,64 +39,6 @@ class NotPolynomialWithinBound(ValueError):
             f"not polynomial within bound: nonzero coefficient at w^{exponent}"
         )
         self.exponent = exponent
-
-
-# ---------------------------------------------------------------------------
-# Polynomials
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Dense univariate polynomial in w with int coefficients.
-
-    The reporting edge and the failure details read its coefficients.
-    Trailing zero coefficients are stripped; the zero polynomial stores
-    an empty tuple and reports degree -1.  A coefficient that is not an
-    int raises TypeError.  Instances are immutable.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        c = list(coeffs)
-        for x in c:
-            if type(x) is not int:
-                raise TypeError(f"Poly coefficient must be an int, got {x!r}")
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs: tuple = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av:
-                for j, bv in enumerate(b):
-                    if bv:
-                        out[i + j] += av * bv
-        return Poly(out)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +156,8 @@ class CycleProduct:
     dicts are distinct rational functions: equality is dict equality,
     and products, powers and the substitutions w -> w**m and u -> -u are
     integer arithmetic on the exponents.  The reduced form is made on
-    first use and kept.  Dense coefficients appear only in expanded and
-    num_den.  Instances are immutable.
+    first use and kept.  Dense coefficients appear only in expanded.
+    Instances are immutable.
     """
 
     __slots__ = ("_k", "_form")
@@ -292,11 +235,6 @@ class CycleProduct:
             self._form = (v, *_lowest_terms({e // v: x for e, x in self._k.items()}))
             return self._form
 
-    def _reduced(self) -> tuple:
-        """({d: x_d} of num, {d: x_d} of den) in w."""
-        v, num, den = self._reduced_form()
-        return tuple({v * d: x for d, x in part.items()} for part in (num, den))
-
     def degrees(self) -> tuple:
         """(deg num, deg den) of the reduced form in w, without expanding it."""
         v, num, den = self._reduced_form()
@@ -311,9 +249,13 @@ class CycleProduct:
 
     def expanded(self, memo: Optional[dict] = None) -> tuple:
         """(v, num, den): the reduced num and den as coefficient lists in
-        w**v, as in _reduced_form, each expanded exactly to its degree.
-        memo maps the frozenset of a factor dict's items to its list, so
-        equal polynomials share one; the lists must not be changed."""
+        x = w**v, as in _reduced_form, each expanded exactly to its degree.
+        num and den are coprime with constant term 1 (num the product of
+        the Phi_m**c_m with c_m > 0, den of the others), and a function of
+        u is reduced in u, so spread(num, v) over spread(den, v) is the
+        reduced form in w.  memo maps the frozenset of a factor dict's items
+        to its list, so equal polynomials share one; the lists must not be
+        changed."""
         v, *parts = self._reduced_form()
         memo = {} if memo is None else memo
         out = [v]
@@ -324,18 +266,6 @@ class CycleProduct:
                 c = memo[key] = _expand(part, sum(d * x for d, x in part.items()))
             out.append(c)
         return tuple(out)
-
-    def num_den(self) -> tuple:
-        """The reduced form (num, den) as integer polynomials in w.
-
-        num and den are coprime and both have constant term 1: num is the
-        product of the Phi_m**c_m with c_m > 0, den of those with c_m < 0.
-        This is the unique lowest-terms form with den(0) = 1.  A function
-        of u is reduced in u: num(w**2) and den(w**2) have a common root
-        only if num and den have one.
-        """
-        v, num, den = self.expanded()
-        return Poly(spread(num, v)), Poly(spread(den, v))
 
     def __repr__(self):
         return f"CycleProduct({dict(self.items())})"

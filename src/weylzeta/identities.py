@@ -8,10 +8,11 @@ dense polynomials.  The L-polynomial enters once: l_poly_from_counts
 hands on the Moebius product of the closed-walk counts as P's
 CycleProduct when a cyclotomic degree check shows it is P itself, and
 expands it only to find the failing order when it is not.  So a
-successful run expands no polynomial: dense ones are built only for the
-detail of a failed record.  Count-versus-log identities compare
-closed-form census values against the zeta logarithm's exact
-coefficients, one table per system built from its cycle lengths.
+successful run expands no polynomial: coefficient lists are expanded
+only for the detail of a failed record, each cross product there as
+one merged factor dict.  Count-versus-log identities compare closed-form
+census values against the zeta logarithm's exact coefficients, one
+table per system built from its cycle lengths.
 
 The verification order is derived from the degree bounds of the
 L-polynomial reconstructions and failures to meet it are reported
@@ -24,7 +25,13 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Optional
 
-from .algebra import CycleProduct, NotCycleProduct, NotPolynomialWithinBound, Poly
+from .algebra import (
+    CycleProduct,
+    NotCycleProduct,
+    NotPolynomialWithinBound,
+    _expand,
+    spread,
+)
 from .census import (
     gallery_count_table,
     geodesic_count_table,
@@ -34,6 +41,7 @@ from .census import (
 )
 from .quotient import QuotientGroup, TorusSpec, build
 from .zeta import (
+    LPolynomial,
     axis_factor,
     build_gallery_system,
     build_semi_system,
@@ -92,13 +100,13 @@ class VerificationReport:
 
 
 def _ratfunc_json(f: CycleProduct) -> dict:
-    num, den = f.num_den()
-    return {"num": list(num.coeffs), "den": list(den.coeffs), "var": "w"}
+    v, num, den = f.expanded()
+    return {"num": spread(num, v), "den": spread(den, v), "var": "w"}
 
 
-def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
+def _poly_compare(lhs: list, rhs: list) -> dict:
     """Empty dict when equal, else the first mismatching w-coefficient."""
-    for k, (x, y) in enumerate(zip_longest(lhs.coeffs, rhs.coeffs, fillvalue=0)):
+    for k, (x, y) in enumerate(zip_longest(lhs, rhs, fillvalue=0)):
         if x != y:
             return {
                 "first_mismatch_exponent": k,
@@ -109,9 +117,17 @@ def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
 
 
 def _cross(lhs: CycleProduct, rhs: CycleProduct) -> tuple:
-    """The dense cross products lhs.num * rhs.den and rhs.num * lhs.den."""
-    (ln, ld), (rn, rd) = lhs.num_den(), rhs.num_den()
-    return ln * rd, rn * ld
+    """lhs.num * rhs.den and rhs.num * lhs.den of the reduced forms, as
+    w-coefficient lists: each product is one expansion of its factors'
+    merged factor dicts in w, to the sum of their degrees."""
+    (lv, ln, ld), (rv, rn, rd) = lhs._reduced_form(), rhs._reduced_form()
+    out = []
+    for a, num, b, den in ((lv, ln, rv, rd), (rv, rn, lv, ld)):
+        merged = {a * d: x for d, x in num.items()}
+        for d, x in den.items():
+            merged[b * d] = merged.get(b * d, 0) + x
+        out.append(_expand(merged, sum(e * x for e, x in merged.items())))
+    return tuple(out)
 
 
 def _ratfunc_compare(lhs: CycleProduct, rhs: CycleProduct) -> dict:
@@ -165,7 +181,7 @@ class _RepData:
     counts_semi: tuple
     counts_gal: tuple
     corr: CycleProduct
-    l_poly: Optional[Poly]
+    l_poly: Optional[LPolynomial]
     l_failure: dict
     l_product: Optional[CycleProduct]
     l_reason: str

@@ -21,6 +21,8 @@ from typing import Optional
 
 from .quotient import GroupSpec, KleinSpec, TorusSpec
 
+MAX_SPEC_BYTES = 1 << 16  # longer files and non-UTF-8 bytes are refused unparsed
+
 _COMMON_KEYS = {"root_system", "kind", "order"}
 _KIND_KEYS = {"torus": {"v1", "v2"}, "klein": {"alpha", "beta", "a", "b", "m"}}
 
@@ -118,8 +120,15 @@ def parse_spec_text(text: str) -> ParsedSpec:
 
 
 def load_spec_file(path: str) -> ParsedSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_spec_text(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_SPEC_BYTES + 1)
+    if len(data) > MAX_SPEC_BYTES:
+        raise SpecFileError(None, f"spec file is larger than {MAX_SPEC_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(None, f"spec file is not UTF-8: bad byte at offset {exc.start}")
+    return parse_spec_text(text)
 
 
 def spec_to_json_dict(root_system: str, spec: GroupSpec) -> dict:

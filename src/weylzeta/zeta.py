@@ -61,9 +61,7 @@ from .algebra import (
     CycleProduct,
     NotCycleProduct,
     NotPolynomialWithinBound,
-    Poly,
     _moebius_exponents,
-    spread,
 )
 from .census import walk_count_table
 from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
@@ -266,22 +264,19 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
 # ---------------------------------------------------------------------------
 
 
-class LPolynomial(Poly):
-    """The L-polynomial P, a Poly in w held by its u-coefficients, with
-    its cycle product when the Moebius product of the counts it came
-    from is exactly P.
-
-    It is built from P's int u-coefficients or (u_coeffs None) from its
-    product alone, whose reduced form gives the degree (in w, like every
-    Poly's) and whose reduced numerator, expanded in u on first read,
-    gives the coefficients.
+class LPolynomial:
+    """The L-polynomial P, held by its int u-coefficients (two are equal
+    when those are), with its cycle product when the Moebius product of
+    the counts it came from is exactly P.  It is built from P's
+    u-coefficients, without trailing zeros, or (u_coeffs None) from that
+    product alone, whose reduced numerator is expanded in u on first read.
     """
 
     __slots__ = ("_product", "_u")
 
-    def __init__(self, u_coeffs: Optional[list], product: Optional[CycleProduct]):
+    def __init__(self, u_coeffs: Optional[Sequence[int]], product: Optional[CycleProduct]):
         self._product = product
-        self._u = None if u_coeffs is None else Poly(u_coeffs).coeffs
+        self._u = u_coeffs
 
     def u_coeffs(self, memo: Optional[dict] = None) -> Sequence[int]:
         """P's coefficients in u; an expansion is looked up in memo as
@@ -292,14 +287,18 @@ class LPolynomial(Poly):
         return self._u
 
     @property
-    def coeffs(self) -> tuple:
-        return tuple(spread(self.u_coeffs(), 2))
-
-    @property
     def degree(self) -> int:
+        """P's degree in w, read off the product while P is unexpanded."""
         if self._u is None:
             return self._product.degrees()[0]
-        return max(2 * len(self._u) - 2, -1)
+        return 2 * len(self._u) - 2
+
+    def __eq__(self, other) -> bool:
+        key = tuple(self.u_coeffs())
+        return isinstance(other, LPolynomial) and key == tuple(other.u_coeffs())
+
+    def __hash__(self):
+        return hash(tuple(self.u_coeffs()))
 
     def cycle_product(self) -> CycleProduct:
         """P as a CycleProduct; NotCycleProduct when the counts' product is not P."""
@@ -328,7 +327,8 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
     integers, summed over the nonzero p_j found so far, and stop at the
     first n that fails: p_n nonzero with n > bound raises
     NotPolynomialWithinBound(2n), p_n not an integer with n <= bound
-    AssertionError.  If none fails, P is p_0, ..., p_bound.
+    AssertionError.  If none fails, P is p_0, ..., p_bound, cut after its
+    last nonzero coefficient.
 
     Why the degree check may run first.  The u**n coefficient of
     prod (1 - u**d)**a_d is -a_n plus an integer polynomial in a_1, ...,
@@ -360,7 +360,7 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
         if pn:
             p[n] = pn
             support.append(n)
-    return LPolynomial(p, None)
+    return LPolynomial(p[: support[-1] + 1], None)
 
 
 def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:

@@ -6,8 +6,13 @@ routes live here, and the tests compare the package against them:
 
 * ``Poly``: dense polynomials in w over the rationals, with Fraction
   normalisation, ``one``, ``monomial``, ``+``, ``-``, ``*``, ``**`` and
-  ``scale``.  The package's ``Poly`` is an int-only dense edge; a
-  reference ``Poly`` compares equal to it when the coefficients agree.
+  ``scale``.  It is the tests' only dense polynomial class: the package
+  keeps coefficient lists (``CycleProduct.expanded``), and ``num_den``,
+  ``reduced_in_w`` and ``l_poly_in_w`` view its reduced forms and
+  L-polynomials in w, as Polys or factor dicts.
+* ``ratfunc_compare`` and ``product_poly_compare``: the failure details
+  of ``weylzeta.identities`` by dense cross multiplication of the
+  ``num_den`` forms, the reference of its merged-factor-dict expansions.
 * ``Series``, ``series_exp`` and ``series_log``: power series in w with
   Fraction coefficients, truncated at a fixed order.
 * ``IntMatrix`` and ``det_identity_minus_wT``: det(I - wT) of an explicit
@@ -18,7 +23,7 @@ routes live here, and the tests compare the package against them:
 * ``moebius_exponents_by_primes`` and ``reduced_by_mobius_table``: the
   sieve-based Moebius kernels, one slice pass per prime up to n and a mu
   table up to the largest cyclotomic index.  They are the reference of
-  the peeling ``_moebius_exponents`` and of ``CycleProduct._reduced``,
+  the peeling ``_moebius_exponents`` and of ``CycleProduct._reduced_form``,
   which factors each Phi_m by the distinct primes of m.
 * ``HalfVec``, ``sigma_half`` and ``canonical_vertex``: half-lattice
   points as doubled coordinates, the glide on them, and a canonical form
@@ -72,7 +77,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from weylzeta.algebra import (
@@ -84,7 +89,6 @@ from weylzeta.algebra import (
     _moebius_exponents,
     spread,
 )
-from weylzeta.algebra import Poly as IntPoly
 from weylzeta.census import glide_line_counter
 from weylzeta.identities import GLIDE_WINDOW
 from weylzeta.quotient import AffineMap, QuotientGroup
@@ -125,8 +129,7 @@ class Poly:
     """Dense univariate polynomial in w over the rationals.
 
     Integer coefficients are held as int, the others as Fraction, so equal
-    polynomials have equal coefficient tuples, and a polynomial equals the
-    package's int-only Poly with the same coefficients.  Trailing zero
+    polynomials have equal coefficient tuples.  Trailing zero
     coefficients are stripped; the zero polynomial stores an empty tuple
     and reports degree -1.  Instances are immutable.
     """
@@ -162,7 +165,7 @@ class Poly:
         return all(c == 0 for c in self.coeffs[1::2])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, (Poly, IntPoly)) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -186,7 +189,7 @@ class Poly:
         return Poly([x * c for x in self.coeffs])
 
     def __mul__(self, other):
-        """The product with a scalar, or with a Poly of either class."""
+        """The product with a scalar or a Poly."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         a, b = self.coeffs, other.coeffs
@@ -481,7 +484,7 @@ def moebius_exponents_by_primes(traces: Sequence[int]) -> tuple:
 
 
 def reduced_by_mobius_table(f: CycleProduct) -> tuple:
-    """``f._reduced()`` in w, with each Phi_m written as
+    """``reduced_in_w(f)``, with each Phi_m written as
     prod_{d | m} (1 - w**d)**mu(m / d), mu read from one table, and c_m
     the sum of k_e over the multiples e of m, for every sign of the k_e."""
     c = Counter()
@@ -718,7 +721,7 @@ def l_poly_from_counts(counts, bound: int) -> Poly:
     return Poly([x for pj in p for x in (pj, 0)])
 
 
-def l_poly_by_expansion(counts, bound: int) -> IntPoly:
+def l_poly_by_expansion(counts, bound: int) -> Poly:
     """P, or the failure of ``l_poly_from_counts``, by expanding the
     Moebius product of the counts.
 
@@ -742,7 +745,72 @@ def l_poly_by_expansion(counts, bound: int) -> IntPoly:
         if bad > bound:
             raise NotPolynomialWithinBound(2 * bad)
         raise AssertionError("L-polynomial has non-integer coefficients")
-    return IntPoly(spread(c[: bound + 1], 2))
+    return Poly(spread(c[: bound + 1], 2))
+
+
+# ---------------------------------------------------------------------------
+# The package's reduced forms in w, and the failure details they give
+# ---------------------------------------------------------------------------
+
+
+def num_den(f: CycleProduct) -> tuple:
+    """The reduced form (num, den) of f as Polys in w: the lists of the
+    package's ``f.expanded()``, spread to w when f is a function of u."""
+    v, num, den = f.expanded()
+    return Poly(spread(num, v)), Poly(spread(den, v))
+
+
+def reduced_in_w(f: CycleProduct) -> tuple:
+    """({d: x_d} of num, {d: x_d} of den): the factor dicts of
+    ``f._reduced_form()``, taken from w**v to w."""
+    v, num, den = f._reduced_form()
+    return tuple({v * d: x for d, x in part.items()} for part in (num, den))
+
+
+def l_poly_in_w(p) -> Poly:
+    """The L-polynomial p (a ``weylzeta.zeta.LPolynomial``) as a Poly in w."""
+    return Poly(spread(p.u_coeffs(), 2))
+
+
+def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
+    for k, (x, y) in enumerate(zip_longest(lhs.coeffs, rhs.coeffs, fillvalue=0)):
+        if x != y:
+            return {
+                "first_mismatch_exponent": k,
+                "lhs_coefficient": str(x),
+                "rhs_coefficient": str(y),
+            }
+    return {}
+
+
+def _cross(lhs: CycleProduct, rhs: CycleProduct) -> tuple:
+    """lhs.num * rhs.den and rhs.num * lhs.den by dense multiplication."""
+    (ln, ld), (rn, rd) = num_den(lhs), num_den(rhs)
+    return ln * rd, rn * ld
+
+
+def _ratfunc_json(f: CycleProduct) -> dict:
+    num, den = num_den(f)
+    return {"num": list(num.coeffs), "den": list(den.coeffs), "var": "w"}
+
+
+def ratfunc_compare(lhs: CycleProduct, rhs: CycleProduct) -> dict:
+    """The detail of a failed rational-function record: both reduced
+    forms in w and the first mismatching coefficient of the cross
+    products; empty when lhs == rhs."""
+    if lhs == rhs:
+        return {}
+    return {
+        "lhs": _ratfunc_json(lhs),
+        "rhs": _ratfunc_json(rhs),
+        **_poly_compare(*_cross(lhs, rhs)),
+    }
+
+
+def product_poly_compare(lhs: CycleProduct, rhs: CycleProduct) -> dict:
+    """The detail of a failed product record: the first mismatching
+    coefficient of the cross products; empty when lhs == rhs."""
+    return {} if lhs == rhs else _poly_compare(*_cross(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +845,7 @@ def poly_to_json(p) -> tuple:
         num, den = w_expansions(p.cycle_product())
         assert den == [1]
     except NotCycleProduct:
-        num = list(p.coeffs)
+        num = spread(p.u_coeffs(), 2)
     if any(num[1::2]):
         return {"coeffs": num, "var": "w"}, num
     return {"coeffs": num[::2], "var": "u"}, num

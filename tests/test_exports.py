@@ -76,6 +76,18 @@ def test_transfer_systems_keep_one_record_of_their_cycles():
     assert not hasattr(weylzeta.identities, "_poly_json")
 
 
+def test_the_package_keeps_no_dense_polynomial_class():
+    # every coefficient list comes from CycleProduct.expanded; the rational
+    # Poly of tests/reference.py is the tests' only dense class
+    assert "Poly" not in weylzeta.__all__
+    assert not hasattr(weylzeta, "Poly") and not hasattr(weylzeta.algebra, "Poly")
+    for name in ("num_den", "_reduced"):
+        assert not hasattr(weylzeta.CycleProduct, name)
+    assert weylzeta.LPolynomial.__mro__ == (weylzeta.LPolynomial, object)
+    for name in ("coeffs", "coefficient"):
+        assert not hasattr(weylzeta.LPolynomial, name)
+
+
 def test_the_cli_imports_no_rationals():
     # a fresh interpreter: pytest and hypothesis import fractions themselves
     src = str(Path(weylzeta.__file__).resolve().parents[1])

@@ -4,15 +4,20 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import weylzeta.algebra as algebra_mod
-from weylzeta.algebra import CycleProduct, NotCycleProduct, Poly
+import weylzeta.identities as identities_mod
+from weylzeta.algebra import CycleProduct, NotCycleProduct
 from weylzeta.census import CountTable, walk_count_table
 from weylzeta.corpus import generate_corpus
 from weylzeta.identities import (
     VerificationReport,
     _count_compare,
     _poly_compare,
+    _product_poly_compare,
     _ratfunc_compare,
     verify,
 )
@@ -108,8 +113,6 @@ def test_failed_l_conversion_fails_dependent_records(q, monkeypatch):
 @pytest.mark.parametrize("q", (REFERENCE[0], REFERENCE[2]), ids=repr)
 @pytest.mark.parametrize("fault", ("tail", "non-integer"))
 def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
-    import weylzeta.identities as identities_mod
-
     def bound(rep):
         return q.N * len(q.rs.weights(rep))
 
@@ -140,8 +143,6 @@ def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
 def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
     # the C2 torus sample with a spin walk system of the right size (8)
     # made of one 3-cycle and five fixed points
-    import weylzeta.identities as identities_mod
-
     spec = Path(__file__).resolve().parent.parent / "samples" / "c2_torus.spec"
     parsed = load_spec_file(str(spec))
     q = build(RootSystem.make(parsed.root_system), parsed.spec)
@@ -169,6 +170,7 @@ def test_a_successful_verify_expands_nothing(monkeypatch):
         raise RuntimeError("a successful verify expanded a polynomial")
 
     monkeypatch.setattr(algebra_mod, "_expand", refuse)
+    monkeypatch.setattr(identities_mod, "_expand", refuse)
     root = Path(__file__).resolve().parent.parent / "samples"
     quotients = []
     for name in ("a2_klein", "a2_torus", "c2_klein_spin", "c2_torus"):
@@ -207,8 +209,8 @@ def test_report_json_shape():
 
 
 def test_poly_compare_reports_first_mismatch():
-    a = Poly([1, 2, 3])
-    b = Poly([1, 2, 4])
+    a = [1, 2, 3]
+    b = [1, 2, 4]
     detail = _poly_compare(a, b)
     assert detail["first_mismatch_exponent"] == 2
     assert detail["lhs_coefficient"] == "3" and detail["rhs_coefficient"] == "4"
@@ -228,3 +230,64 @@ def test_count_compare_reports_first_mismatch():
     detail = _count_compare([(1, 0, 0), (2, 5, 7)])
     assert detail == {"first_mismatch_n": 2, "lhs": 5, "rhs": 7}
     assert _count_compare([(1, 3, 3)]) == {}
+
+
+# ---------------------------------------------------------------------------
+# failure details against the dense cross multiplication of the reference
+# ---------------------------------------------------------------------------
+
+
+def assert_details_match(lhs: CycleProduct, rhs: CycleProduct) -> None:
+    assert _ratfunc_compare(lhs, rhs) == reference.ratfunc_compare(lhs, rhs)
+    assert _product_poly_compare(lhs, rhs) == reference.product_poly_compare(lhs, rhs)
+
+
+exponent_dicts = st.dictionaries(st.integers(1, 10), st.integers(-3, 3), max_size=5)
+# mixed-sign products, functions of w and (every exponent doubled) of u
+mixed_products = st.one_of(
+    exponent_dicts,
+    exponent_dicts.map(lambda k: {2 * e: x for e, x in k.items()}),
+).map(CycleProduct)
+
+
+@given(mixed_products, mixed_products)
+@settings(deadline=None, max_examples=300)
+def test_failure_details_match_the_dense_reference(lhs, rhs):
+    for a, b in ((lhs, rhs), (rhs, lhs), (lhs * rhs, lhs)):
+        assert_details_match(a, b)
+
+
+def perturbed_pairs(z: CycleProduct) -> list:
+    """(z, z * (1 - w**e)**s) and the swapped pair, for a few e and s = +-1."""
+    pairs = []
+    for e in (1, 2, 3):
+        for s in (1, -1):
+            other = z * CycleProduct({e: s})
+            pairs += [(z, other), (other, z)]
+    return pairs
+
+
+def test_failure_details_match_on_the_corpus_walk_zetas():
+    # a walk zeta is a function of u; odd e make its partner one of w
+    for member in generate_corpus(7):
+        q = member.build()
+        for rep in q.rs.rep_names:
+            for lhs, rhs in perturbed_pairs(build_walk_system(q, rep).zeta()):
+                assert_details_match(lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "q",
+    (
+        build(C2, TorusSpec((12, 0), (0, 24))),
+        build(C2, TorusSpec((1, 1), (144, -144))),
+        build(A2, TorusSpec((1, 1), (96, -192))),
+    ),
+    ids=repr,
+)
+def test_failure_details_match_on_index_288_tori(q):
+    assert q.N == 288
+    for rep in q.rs.rep_names:
+        z = build_walk_system(q, rep).zeta()
+        for lhs, rhs in perturbed_pairs(z):
+            assert_details_match(lhs, rhs)

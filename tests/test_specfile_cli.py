@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from weylzeta.cli import main
 from weylzeta.corpus import MAX_MEMBERS
 from weylzeta.quotient import MAX_CLASSES, KleinSpec, TorusSpec
-from weylzeta.specfile import SpecFileError, parse_spec_text
+from weylzeta.specfile import MAX_SPEC_BYTES, SpecFileError, parse_spec_text
 from weylzeta.zeta import MAX_ORDER
 
 A2_TORUS_TEXT = """\
@@ -204,6 +204,37 @@ def test_cli_missing_file_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+TORUS_TEXT = "root_system = A2\nkind = torus\nv1 = 2,-1\nv2 = -1,2\n"
+
+
+@pytest.mark.parametrize("command", ("describe", "verify", "zeta"))
+@pytest.mark.parametrize(
+    "data, fragment",
+    (
+        (b"\xff", "not UTF-8"),
+        (TORUS_TEXT.encode() + b"# \xff\n", "not UTF-8"),
+        (b"#" * MAX_SPEC_BYTES + b"\n", "larger than 65536 bytes"),
+    ),
+    ids=("0xff", "0xff-in-comment", "64KiB+1-comment"),
+)
+def test_cli_unreadable_spec_file_exits_two(tmp_path, capsys, command, data, fragment):
+    path = tmp_path / "bad.spec"
+    path.write_bytes(data)
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert fragment in captured.err
+
+
+def test_cli_spec_file_of_exactly_the_byte_bound_loads(tmp_path, capsys):
+    path = tmp_path / "full.spec"
+    padding = "#" * (MAX_SPEC_BYTES - len(TORUS_TEXT) - 1) + "\n"
+    path.write_text(TORUS_TEXT + padding, encoding="utf-8")
+    assert path.stat().st_size == MAX_SPEC_BYTES
+    assert main(["describe", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("A2 torus: N = 3")
+
+
 def test_cli_insufficient_order_exit_two(torus_file, capsys):
     assert main(["verify", "--input", torus_file, "--order", "5"]) == 2
     err = capsys.readouterr().err
@@ -332,7 +363,7 @@ def test_cli_size_bound_admits_the_largest_supported_torus(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# fuzzed spec files: describe exits 0, 1 or 2 and never raises
+# fuzzed spec files: describe exits 0 or 2 and never raises
 # ---------------------------------------------------------------------------
 
 KEYS = ("root_system", "kind", "v1", "v2", "alpha", "beta", "a", "b", "m", "order")
@@ -405,15 +436,16 @@ spec_texts = st.one_of(
 )
 
 
-@given(spec_texts)
+@given(st.one_of(spec_texts.map(str.encode), st.binary(max_size=64)))
 @settings(
     deadline=None,
     max_examples=200,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_describe_never_raises_on_fuzzed_spec_text(capsys, text):
+def test_describe_never_raises_on_fuzzed_spec_text(capsys, data):
+    # describe checks no identity, so it never exits 1
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.spec"
-        path.write_text(text, encoding="utf-8")
-        assert main(["describe", "--input", str(path)]) in (0, 1, 2)
+        path.write_bytes(data)
+        assert main(["describe", "--input", str(path)]) in (0, 2)
     capsys.readouterr()
