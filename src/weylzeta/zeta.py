@@ -11,30 +11,42 @@ Three finite dynamical systems sit over each quotient:
   pair); one step moves by the first direction and swaps the pair.  One
   step is one power of u.
 
-All three are built by one flat-index builder on a grid that each
-quotient builds once and shares among its systems (_Grid, kept on the
-quotient).  The quotient's triangular basis (h11, 0), (c, h22) of Gamma0
-numbers the vertex classes as i + h11 * j, (i, j) their residue box
-point, so a step by a fixed vector is a table: a carry between rows and
-a rotation within one, built once per vector.  In doubled coordinates a
-half-lattice point is mu + 2x, mu in {0, 1}**2 and x a vertex class, so
-the half-lattice classes are four blocks of vertex classes, and a step
-by lam takes block mu to block nu, mu + lam = nu + 2 delta, by the table
-of delta.  For a Klein bottle the glide, a permutation of the positions
-without fixed points and of order two, and the representative of each
-of its pairs come from the quotient: the grid checks the one and numbers
-the states by the other, and chooses nothing itself.  What depends only on
-the labels (each label's successor, the blocks its states occupy and
-the glide's permutation of the labels) is read from the root system's
-LabelTable of the rep and kind, made on first use and kept on the root
-system, so a build pays only for its state ids.
+All three are built on a grid that each quotient builds once and shares
+among its systems (_Grid, kept on the quotient).  The quotient's
+triangular basis (h11, 0), (c, h22) of Gamma0 numbers the vertex classes
+as i + h11 * j, (i, j) their residue box point, so a step by a fixed
+vector is a table: a carry between rows and a rotation within one, built
+once per vector.  In doubled coordinates a half-lattice point is
+mu + 2x, mu in {0, 1}**2 and x a vertex class, so the half-lattice
+classes are four blocks of vertex classes, and a step by lam takes block
+mu to block nu, mu + lam = nu + 2 delta, by the table of delta.
+
+So a step never splits a segment, the states of one label in one block:
+it maps the whole segment onto one segment by one table.  A system is
+therefore a permutation of its few segments, and the tables around each
+of its cycles compose, a list index per position, to the first-return
+map of the cycle's first segment; only that map is walked, and its
+cycles of length m are the system's cycles of length L * m on a segment
+cycle of length L.  No state gets an id.  For a Klein bottle the glide,
+a permutation of the positions without fixed points and of order two,
+comes from the quotient with the representative of each of its pairs;
+the grid checks that it maps each block onto one block and reads its
+block maps.  The glide pairs the segments: a pair of distinct segments
+holds the orbits of the earlier one's positions, and a segment the glide
+maps onto itself the ranks of the quotient's representatives of its
+pairs.  What depends only on the labels (each label's successor, the
+blocks its states occupy and the glide's permutation of the labels) is
+read from the root system's LabelTable of the rep and kind, made on
+first use and kept on the root system.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
-its reciprocal is an integer polynomial.  The cycle walk runs once per
-system, on construction: it checks the bijection (a range check, and
-every walk ends at its own start) and records only that product (the
-tests check it against det(I - wT) of the explicit permutation matrix).
+its reciprocal is an integer polynomial.  The cycles are counted once
+per system, when it is built, and the build checks the bijection: the
+segment permutation is one, and every walk of a first-return map ends
+at its own start.  The system keeps only that product and its size; the
+tests check it against the explicit successor walk and det(I - wT) of
+its permutation matrix (tests/reference.py).
 
 The L-polynomial P has one path (l_poly_from_counts): one Moebius
 inversion of the closed-walk counts gives P's factorization
@@ -54,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
-from operator import eq, not_
+from operator import eq
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -85,48 +97,19 @@ class OrderInsufficientError(ValueError):
 
 @dataclass(frozen=True)
 class TransferSystem:
-    """A labeled permutation dynamic whose cycles carry a zeta function.
-
-    successor[k] is the state that follows state k; the cycle walk runs
-    once, on construction, and records the zeta function
-    prod (1 - w**(step_in_w * length))**-1 over the cycles.
+    """The cycle record of a labeled permutation dynamic: its kind and
+    representation, its number of states, the power of w of one step,
+    and zeta() = prod (1 - w**(step_in_w * length))**-1 over its cycles.
     """
 
     kind: str  # walks | semi | galleries
     rep: str
-    successor: tuple
     step_in_w: int
-
-    def __post_init__(self):
-        # a map into the states whose walk from each unseen state returns to
-        # its start is a union of disjoint cycles, that is, a bijection
-        succ = self.successor
-        if succ and (min(succ) < 0 or max(succ) >= len(succ)):
-            raise AssertionError(f"{self.kind} transition is not a bijection")
-        seen = [False] * len(succ)
-        lengths: dict = {}  # cycle length -> number of cycles
-        for start in range(len(succ)):
-            if seen[start]:
-                continue
-            n, cur = 0, start
-            while not seen[cur]:
-                seen[cur] = True
-                cur = succ[cur]
-                n += 1
-            if cur != start:
-                raise AssertionError(f"{self.kind} transition is not a bijection")
-            lengths[n] = lengths.get(n, 0) + 1
-        step = self.step_in_w
-        zeta = CycleProduct({step * n: -c for n, c in lengths.items()})
-        # derived, not a field; a frozen dataclass is set this way
-        object.__setattr__(self, "_zeta", zeta)
-
-    @property
-    def size(self) -> int:
-        return len(self.successor)
+    size: int
+    product: CycleProduct
 
     def zeta(self) -> CycleProduct:
-        return self._zeta
+        return self.product
 
 
 class _Grid:
@@ -136,35 +119,35 @@ class _Grid:
     * mu_b + 2x (doubled coordinates), mu_b = (b & 1, b >> 1) and x the
       position of a residue box point, is at position b * n + x, the
       order of q.half_residues(); block 0 holds the vertex classes.
-    * shifted(s) lists the position of p + s for every box point p.
+    * shifted(s) lists the position of p + s for every box point p, and
+      step(b, lam, scale) is the block and the shifted table that
+      mu_b + 2x + scale * lam lands in.
     * sigma: the glide as a permutation of the 4n positions (None for a
-      torus), mapping block b onto block image[b]; reps[b] lists the x
-      of block b that the quotient keeps as representatives (q._lower),
-      one per orbit.
+      torus).  It maps block b onto block image[b], position b * n + x to
+      image[b] * n + sig[b][x]; orbit_ranks(b) numbers the glide pairs of
+      a block that it maps onto itself.
     """
 
     def __init__(self, q: QuotientGroup):
         self._h11, self._c, self._h22 = q._triangle
         n = self.n = self._h11 * self._h22
         self._positions = list(range(n))
-        self._shifted, self._moves = {}, {}
+        self._shifted, self._ranks = {}, {}
         sigma = self.sigma = q._glide
         if sigma is None:
-            self.reps = [self._positions] * 4
             return
-        every, blocks = range(4 * n), range(0, 4 * n, n)
+        every = range(4 * n)
         if any(map(eq, sigma, every)) or list(map(sigma.__getitem__, sigma)) != list(every):
             raise AssertionError("the glide is not a fixed-point-free involution of the grid")
-        lower = q._lower  # the quotient's representatives, one per glide pair
-        upper = list(map(not_, lower))
-        rank = []  # of each representative among those of its block
-        for b in blocks:
-            rank += accumulate(lower[b : b + n - 1], initial=0)
-        # of the orbit's representative: p, or its image when p is upper
-        rank = [rank[s] if up else rank[p] for p, s, up in zip(every, sigma, upper)]
-        self.reps = [list(compress(self._positions, lower[b : b + n])) for b in blocks]
-        self.image = [sigma[b] // n for b in blocks]
-        self._orbit = [(rank[b : b + n], upper[b : b + n]) for b in blocks]
+        self._lower = q._lower  # the quotient's representatives, one per glide pair
+        self.image, self.sig = [], []
+        for start in range(0, 4 * n, n):
+            image = sigma[start] // n
+            sig = [p - image * n for p in sigma[start : start + n]]
+            if min(sig) < 0 or max(sig) >= n:
+                raise AssertionError("the glide does not map each block onto one block")
+            self.image.append(image)
+            self.sig.append(sig)
 
     def shifted(self, s: Vec) -> list:
         out = self._shifted.get(s)
@@ -181,24 +164,23 @@ class _Grid:
                 out += positions[base : base + rot]
         return out
 
-    def moves(self, b: int, lam: Vec, scale: int) -> tuple:
-        """(block, ranks, flipped): mu_b + 2x + scale * lam = mu_block + 2y
-        for x in reps[b], and the orbit of y as the rank in reps[block or
-        its image] of its representative and whether that is the glide
-        image of y (flipped None for a torus); built once per argument."""
-        out = self._moves.get((b, lam, scale))
+    def step(self, b: int, lam: Vec, scale: int) -> tuple:
+        """(block, table): mu_b + 2x + scale * lam = mu_block + 2 table[x]."""
+        x, y = (b & 1) + scale * lam[0], (b >> 1) + scale * lam[1]
+        return (x & 1) + 2 * (y & 1), self.shifted((x >> 1, y >> 1))
+
+    def orbit_ranks(self, b: int) -> tuple:
+        """(lows, rank) of a block b that the glide maps onto itself: lows
+        lists the x of the block whose position the quotient keeps as the
+        representative of its glide pair (q._lower), and rank[x] is the
+        index in lows of the representative of x's pair; made on first use."""
+        out = self._ranks.get(b)
         if out is None:
-            x, y = (b & 1) + scale * lam[0], (b >> 1) + scale * lam[1]
-            targets = self.shifted((x >> 1, y >> 1))
-            block = (x & 1) + 2 * (y & 1)
-            if self.sigma is None:
-                out = (block, targets, None)
-            else:
-                targets = list(map(targets.__getitem__, self.reps[b]))
-                rank, upper = self._orbit[block]
-                flipped = list(map(upper.__getitem__, targets))
-                out = (block, list(map(rank.__getitem__, targets)), flipped)
-            self._moves[b, lam, scale] = out
+            n, sig = self.n, self.sig[b]
+            lower = self._lower[b * n : b * n + n]
+            rank = list(accumulate(lower[: n - 1], initial=0))
+            rank = [rank[x] if low else rank[s] for x, s, low in zip(self._positions, sig, lower)]
+            out = self._ranks[b] = (list(compress(self._positions, lower)), rank)
         return out
 
 
@@ -209,6 +191,34 @@ def _grid(q: QuotientGroup) -> _Grid:
     return q._zeta_grid
 
 
+def _compose(tables: list) -> list:
+    """The map x -> tables[-1][... tables[0][x]], tables[0] itself when it
+    is the only one."""
+    out = tables[0]
+    for t in tables[1:]:
+        out = list(map(t.__getitem__, out))
+    return out
+
+
+def _count_cycles(perm: list, steps: int, lengths: dict, kind: str) -> None:
+    """Add the cycles of perm, a map of range(len(perm)) into itself, to
+    lengths (cycle length -> number of cycles), each of length m as one of
+    steps * m.  A map whose walk from each unseen point returns to its
+    start is a union of disjoint cycles, that is, a bijection."""
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        m, cur = 0, start
+        while not seen[cur]:
+            seen[cur] = True
+            cur = perm[cur]
+            m += 1
+        if cur != start:
+            raise AssertionError(f"{kind} transition is not a bijection")
+        lengths[steps * m] = lengths.get(steps * m, 0) + 1
+
+
 def _transfer_system(
     q: QuotientGroup, kind: str, rep: str, step_in_w: int, table: LabelTable
 ) -> TransferSystem:
@@ -217,34 +227,57 @@ def _transfer_system(
     modulo (p, l) ~ (sigma p, sigma l).  A step of w**2 moves a vertex
     (block 0) by 2 l[0] in doubled coordinates, a step of w a half-lattice
     point by l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which
-    it swaps.  The states are numbered label by label and block by block
-    (table.segments), each block's in the order of grid.reps.  Everything
-    about the labels (successors, blocks and the glide's permutation of
-    them) is read from table, which the root system keeps; only the state
-    ids depend on q."""
+    it swaps.  Each (label, block) pair of table.segments steps as a
+    whole onto one segment by one shifted table, and only the composed
+    tables around each cycle of segments are walked (see the module
+    docstring).  For a Klein bottle the glide pairs segment (k, b) with
+    (flip[k], image[b]); a state orbit is named by its point in the earlier
+    of the two, and a segment the glide maps onto itself by the rank of
+    its pair.  Everything about the labels is read from table, which the
+    root system keeps; only the tables depend on q."""
     grid = _grid(q)
-    n_labels = len(table.labels)
-    # first[4 * k + b]: the id of the first state of label k in block b, and
-    # below -size off the kept blocks, so a state sent there is no bijection
-    first, size = [-4 * grid.n * n_labels] * (4 * n_labels), 0
-    for k, b in table.segments:
-        first[4 * k + b], size = size, size + len(grid.reps[b])
-    if grid.sigma is not None:
-        # flip[k]: the label of (sigma p, sigma l) for labels[k]
+    segments, labels, nexts = table.segments, table.labels, table.nexts
+    at = {s: i for i, s in enumerate(segments)}
+    to, tables = [], []  # the segment each one steps onto, by which table
+    for k, b in segments:
+        block, shifted = grid.step(b, labels[k][0], step_in_w)
+        to.append(at.get((nexts[k], block), -1))
+        tables.append(shifted)
+    if -1 in to or len(set(to)) < len(to):
+        raise AssertionError(f"{kind} transition is not a bijection")
+    if grid.sigma is None:
+        mirror = range(len(segments))
+    else:
+        # the segment of (sigma p, sigma l); flip[k] is the label of sigma l
         flip = table.flip(q.sigma.linear)
-    labels, nexts = table.labels, table.nexts
-    succ = []
-    for k, b in table.segments:
-        nk = nexts[k]
-        block, ranks, flipped = grid.moves(b, labels[k][0], step_in_w)
-        to = first[4 * nk + block]
-        if flipped is None:
-            succ += [to + r for r in ranks]
+        mirror = [at.get((flip[k], grid.image[b]), -1) for k, b in segments]
+        if -1 in mirror:
+            raise AssertionError(f"the glide sends a kept {kind} segment off the kept ones")
+    lengths: dict = {}  # cycle length -> number of cycles
+    size, seen = 0, [False] * len(segments)
+    for first, (_, b) in enumerate(segments):
+        if seen[first] or mirror[first] < first:
             continue
-        # the representative is (sigma p, sigma l) when flipped
-        both = (to, first[4 * flip[nk] + grid.image[block]])
-        succ += [both[f] + r for r, f in zip(ranks, flipped)]
-    return TransferSystem(kind, rep, tuple(succ), step_in_w)
+        steps, cycle, i = 0, [], first
+        while not seen[i]:
+            seen[i] = True
+            steps += 1
+            cycle.append(tables[i])
+            i = to[i]
+            if mirror[i] < i:
+                # onto the later segment of a glide pair: named by the earlier
+                cycle.append(grid.sig[segments[i][1]])
+                i = mirror[i]
+        if i != first:
+            raise AssertionError(f"{kind} transition is not a bijection")
+        perm = _compose(cycle)
+        if mirror[first] == first and grid.sigma is not None:
+            lows, rank = grid.orbit_ranks(b)
+            perm = list(map(rank.__getitem__, map(perm.__getitem__, lows)))
+        size += steps * len(perm)
+        _count_cycles(perm, steps, lengths, kind)
+    zeta = CycleProduct({step_in_w * m: -c for m, c in lengths.items()})
+    return TransferSystem(kind, rep, step_in_w, size, zeta)
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:

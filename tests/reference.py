@@ -54,11 +54,16 @@ routes live here, and the tests compare the package against them:
 * ``hecke_determinant``: the q = 1 Hecke polynomial
   det(sum_j (-u)**j E_j) of the vertex shifts, by Bareiss at integer
   points and exact interpolation; it equals P on tori and Klein bottles.
+* ``PermutationSystem``: a transfer system held by its explicit
+  successor list, whose cycle walk checks that the list is a bijection
+  and counts the cycles of every state.  The package never lists the
+  states: it walks the first-return map of each cycle of segments.
 * The tuple transfer-system builders: every state canonicalized as a
   tuple, the reduced grid point (``reduce`` / ``reduce_half``), the label
   and, for a Klein bottle, the lexicographic minimum over the two sheet
-  images, with the states sorted and looked up in a dict.  They are the
-  reference of the flat-index builders in ``weylzeta.zeta``.
+  images, with the states sorted and looked up in a dict, returned as a
+  ``PermutationSystem``.  They are the reference of the segment-cycle
+  builders in ``weylzeta.zeta``.
 * ``gallery_pairs`` and ``label_layout``: the gallery pairs and the label
   layout of a transfer system (successor labels, kept parity blocks and
   the glide's label permutation), derived afresh on every call.  They are
@@ -102,7 +107,7 @@ from weylzeta.rootgeom import (
     vec_scale,
     vec_sub,
 )
-from weylzeta.zeta import OrderInsufficientError, TransferSystem
+from weylzeta.zeta import OrderInsufficientError
 
 
 RatLike = Union[int, Fraction]
@@ -970,6 +975,48 @@ def hecke_determinant(q: QuotientGroup, rep: str) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PermutationSystem:
+    """A labeled permutation dynamic held by its successor list:
+    successor[k] is the state that follows state k.  The cycle walk runs
+    once, on construction, and records the zeta function
+    prod (1 - w**(step_in_w * length))**-1 over the cycles."""
+
+    kind: str  # walks | semi | galleries
+    rep: str
+    successor: tuple
+    step_in_w: int
+
+    def __post_init__(self):
+        # a map into the states whose walk from each unseen state returns to
+        # its start is a union of disjoint cycles, that is, a bijection
+        succ = self.successor
+        if succ and (min(succ) < 0 or max(succ) >= len(succ)):
+            raise AssertionError(f"{self.kind} transition is not a bijection")
+        seen = [False] * len(succ)
+        lengths = Counter()
+        for start in range(len(succ)):
+            if seen[start]:
+                continue
+            n, cur = 0, start
+            while not seen[cur]:
+                seen[cur] = True
+                cur = succ[cur]
+                n += 1
+            if cur != start:
+                raise AssertionError(f"{self.kind} transition is not a bijection")
+            lengths[n] += 1
+        zeta = CycleProduct({self.step_in_w * n: -c for n, c in lengths.items()})
+        object.__setattr__(self, "_zeta", zeta)
+
+    @property
+    def size(self) -> int:
+        return len(self.successor)
+
+    def zeta(self) -> CycleProduct:
+        return self._zeta
+
+
 def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:
     """Index permutation of the weight list under the glide's linear part."""
     if q.kind == "torus":
@@ -977,7 +1024,7 @@ def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:
     return tuple(wts.index(mat_vec(q.sigma.linear, w)) for w in wts)
 
 
-def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
+def build_walk_system(q: QuotientGroup, rep: str) -> PermutationSystem:
     wts = q.rs.weights(rep)
     perm = _weight_perm(q, wts)
 
@@ -993,10 +1040,10 @@ def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
     succ = tuple(
         index[canon(vec_add(x, wts[i]), i)] for (x, i) in states
     )
-    return TransferSystem("walks", rep, succ, 2)
+    return PermutationSystem("walks", rep, succ, 2)
 
 
-def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
+def build_semi_system(q: QuotientGroup, rep: str) -> PermutationSystem:
     wts = q.rs.weights(rep)
     perm = _weight_perm(q, wts)
 
@@ -1020,10 +1067,10 @@ def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
         index[canon((x2[0] + wts[i][0], x2[1] + wts[i][1]), i)]
         for (x2, i) in states
     )
-    return TransferSystem("semi", rep, succ, 1)
+    return PermutationSystem("semi", rep, succ, 1)
 
 
-def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
+def build_gallery_system(q: QuotientGroup, rep: str) -> PermutationSystem:
     pairs = q.rs.gallery_pairs(rep)
     wts = sorted({w for p in pairs for w in p})
     perm = _weight_perm(q, tuple(wts))
@@ -1045,7 +1092,7 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
     succ = tuple(
         index[canon(vec_add(v, wts[i]), j, i)] for (v, i, j) in states
     )
-    return TransferSystem("galleries", rep, succ, 2)
+    return PermutationSystem("galleries", rep, succ, 2)
 
 
 # ---------------------------------------------------------------------------

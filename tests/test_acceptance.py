@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import reference
 from reference import num_den
 from weylzeta.algebra import CycleProduct
 from weylzeta.corpus import generate_corpus
@@ -159,21 +160,25 @@ def test_criterion_6_main_identity():
 
 def test_criterion_7_structural_invariants():
     t0 = time.perf_counter()
-    reference = (
+    shapes = (
         build(A2, TorusSpec((2, -1), (-1, 2))),
         build(C2, TorusSpec((1, 1), (1, -1))),
         build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1)),
         build(C2, KleinSpec((1, 0), (1, 1), 2, 1, 1)),
         build(C2, KleinSpec((1, 1), (1, 0), 1, 2, 1)),
     )
-    for q in reference:
+    for q in shapes:
         for rep in q.rs.rep_names:
-            for sys in (
-                build_walk_system(q, rep),
-                build_semi_system(q, rep),
-                build_gallery_system(q, rep),
+            for sys, explicit in (
+                (build_walk_system(q, rep), reference.build_walk_system(q, rep)),
+                (build_semi_system(q, rep), reference.build_semi_system(q, rep)),
+                (build_gallery_system(q, rep), reference.build_gallery_system(q, rep)),
             ):
-                assert sorted(sys.successor) == list(range(sys.size))
+                # the explicit successors are a permutation, and the package's
+                # cycle record is theirs
+                assert sorted(explicit.successor) == list(range(explicit.size))
+                assert sys.size == explicit.size
+                assert sys.zeta() == explicit.zeta()
         bundle = zeta_bundle(q)
         for rep in q.rs.rep_names:
             for z in (bundle.zeta[rep], bundle.zeta2[rep], bundle.zeta_semi[rep]):

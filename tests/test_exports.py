@@ -76,6 +76,21 @@ def test_transfer_systems_keep_one_record_of_their_cycles():
     assert not hasattr(weylzeta.identities, "_poly_json")
 
 
+def test_transfer_systems_list_no_states():
+    # a system keeps its size and its cycle product; the explicit successor
+    # walk is the tests' oracle (tests/reference.py), and the grid keeps no
+    # per-state lists
+    fields = [f.name for f in dataclasses.fields(weylzeta.TransferSystem)]
+    assert fields == ["kind", "rep", "step_in_w", "size", "product"]
+    rs = weylzeta.RootSystem.make("A2")
+    q = weylzeta.build(rs, weylzeta.KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    weylzeta.build_walk_system(q, "pi1")
+    grid = weylzeta.zeta._grid(q)
+    for name in ("moves", "reps", "_orbit", "_moves"):
+        assert not hasattr(grid, name)
+    assert not hasattr(weylzeta, "PermutationSystem")
+
+
 def test_the_package_keeps_no_dense_polynomial_class():
     # every coefficient list comes from CycleProduct.expanded; the rational
     # Poly of tests/reference.py is the tests' only dense class

@@ -153,7 +153,9 @@ def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
         if rep != "spin":
             return system
         successor = (1, 2, 0) + tuple(range(3, system.size))
-        return replace(system, successor=successor)
+        planted = reference.PermutationSystem("walks", rep, successor, 2).zeta()
+        assert system.size == 8 and planted == CycleProduct({2: -5, 6: -1})
+        return replace(system, product=planted)
 
     monkeypatch.setattr(identities_mod, "build_walk_system", planted)
     failed = {r.identity_id: r.detail for r in verify(q).failures()}

@@ -1,21 +1,26 @@
-"""The flat-index transfer-system builder: its per-quotient grid (vertex
-positions, the half-lattice classes as four parity cosets of them, block
-shifts and the glide), and its agreement with the tuple-canonicalizing
-reference builders."""
+"""The segment-cycle transfer-system builder: its per-quotient grid
+(vertex positions, the half-lattice classes as four parity cosets of
+them, block shifts, the glide's block maps and orbit ranks), its checks,
+its cost, and its agreement with the tuple-canonicalizing reference
+builders and their explicit successor walk."""
 
 import gc
+import os
 import random
-from collections import Counter
+import subprocess
+import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+import weylzeta.zeta as zeta_mod
 from weylzeta.algebra import CycleProduct
 from weylzeta.corpus import generate_corpus
 from weylzeta.identities import _closed_path_table, _cycles, verify
@@ -26,7 +31,7 @@ from weylzeta.quotient import (
     TorusSpec,
     build,
 )
-from weylzeta.rootgeom import LabelTable, RootSystem, vec_add, vec_scale, vec_sub
+from weylzeta.rootgeom import LabelTable, RootSystem, mat_vec, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
     TransferSystem,
@@ -80,40 +85,39 @@ def test_builders_match_tuple_reference():
 
 
 def test_a_step_off_the_kept_blocks_is_not_a_bijection(monkeypatch):
-    moves = _Grid.moves
+    step = _Grid.step
 
     def into(block):
         def patched(grid, b, lam, scale):
-            _, ranks, flipped = moves(grid, b, lam, scale)
-            return (block, ranks, flipped)
+            return block, step(grid, b, lam, scale)[1]
 
         return patched
 
     for q in (build(A2, TorusSpec((6, 0), (0, 3))), build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))):
         with monkeypatch.context() as patch:
             # every half step lands in the rational block 0
-            patch.setattr(_Grid, "moves", into(0))
+            patch.setattr(_Grid, "step", into(0))
             with pytest.raises(AssertionError, match="not a bijection"):
                 build_semi_system(q, "pi1")
-            # one label on one block: sent to block 1, its states would
-            # permute themselves if they were not given negative ids
-            patch.setattr(_Grid, "moves", into(1))
+            # one label on one block, sent to block 1: off its only segment
+            patch.setattr(_Grid, "step", into(1))
             with pytest.raises(AssertionError, match="not a bijection"):
                 one_label = LabelTable((((1, 0),),), "walks")
                 _transfer_system(q, "walks", "pi1", 2, one_label)
 
 
 def test_transfer_system_rejects_a_non_bijective_successor():
+    # the explicit walk of tests/reference.py, the oracle of the builders
     for successor in (
         (1, 1, 0),  # 0 and 1 both go to 1; 2 has no predecessor
         (0, 2),  # out of range
-        (0, -1, 1),  # a negative id, as of a state sent off the kept semi blocks
+        (0, -1, 1),  # a negative id
         (1, 2, 1),  # rho-shaped: the walk from 0 closes at 1, not at 0
         (0, 2, 3, 2),  # a fixed point, then a tail into a 2-cycle
         (2, 0, 0),  # a walk that runs into an earlier cycle
     ):
         with pytest.raises(AssertionError, match="not a bijection"):
-            TransferSystem("walks", "pi1", successor, 2)
+            reference.PermutationSystem("walks", "pi1", successor, 2)
 
 
 def test_transfer_system_accepts_exactly_the_bijections_of_four_states():
@@ -121,7 +125,7 @@ def test_transfer_system_accepts_exactly_the_bijections_of_four_states():
     for successor in product(range(4), repeat=4):
         bijective = sorted(successor) == [0, 1, 2, 3]
         try:
-            TransferSystem("walks", "pi1", successor, 2)
+            reference.PermutationSystem("walks", "pi1", successor, 2)
         except AssertionError:
             assert not bijective, successor
         else:
@@ -129,13 +133,15 @@ def test_transfer_system_accepts_exactly_the_bijections_of_four_states():
 
 
 def test_cycles_are_read_off_the_zeta():
-    system = TransferSystem("walks", "pi1", (1, 0, 2, 3), 2)
+    system = reference.PermutationSystem("walks", "pi1", (1, 0, 2, 3), 2)
     assert system.size == 4
     assert system.zeta() == CycleProduct({2: -2, 4: -1})
     cycles = _cycles(system.zeta(), system.step_in_w)
     assert cycles == [(1, 2), (2, 1)]
     # n = 1, 2, 3, 4: the two fixed points, and the 2-cycle at even n
     assert _closed_path_table(system.zeta(), system.step_in_w, 4) == [2, 4, 2, 4]
+    # the package's record of the same cycles
+    assert TransferSystem("walks", "pi1", 2, 4, system.zeta()).zeta() == system.zeta()
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +190,29 @@ def _check_grid(q, x):
     i = half_pos(x)
     assert half_pos(vec_add(x, u2)) == i == half_pos(vec_sub(x, v2))
     assert reference.in_gamma0(q, vec_sub(half[i], x), 2 * q._det)
-    # the half step by x of the representatives of each block: block shifts
-    # of the vertex grid, and each orbit's representative by rank
+    # the half step by x of every point of each block is one block shift
+    # of the vertex grid, and a step by 2x moves a vertex by x
     for b in range(4):
-        block, ranks, flipped = grid.moves(b, x, 1)
-        targets = [half_pos(vec_add(half[b * n + r], x)) for r in grid.reps[b]]
-        assert {t // n for t in targets} <= {block}
-        if q.kind == "torus":
-            assert flipped is None and [block * n + r for r in ranks] == targets
-            continue
-        assert len(ranks) == len(flipped) == len(targets)
-        for t, r, f in zip(targets, ranks, flipped):
-            rep = grid.sigma[t] if f else t
-            assert rep < grid.sigma[rep] and grid.reps[rep // n][r] == rep % n
+        block, table = grid.step(b, x, 1)
+        assert [block * n + t for t in table] == [half_pos(vec_add(p, x)) for p in half[b * n : b * n + n]]
+    assert grid.step(0, x, 2) == (0, grid.shifted(x))
     if q.kind == "torus":
         assert grid.sigma is None
         return
     sigma = grid.sigma
     assert sigma == [half_pos(reference.sigma_half(q, p)) for p in half]
-    assert sorted(sigma) == list(range(4 * n))
     assert all(sigma[k] != k and sigma[sigma[k]] == k for k in range(4 * n))
-    assert sum(map(len, grid.reps)) == 2 * n
+    # the glide maps each block onto one block by its block map, and numbers
+    # the pairs of a block it fixes by their lower positions
+    for b in range(4):
+        image, sig = grid.image[b], grid.sig[b]
+        assert [image * n + s for s in sig] == sigma[b * n : b * n + n]
+        assert sorted(sig) == list(range(n))
+        if image != b:
+            continue
+        lows, rank = grid.orbit_ranks(b)
+        assert lows == sorted({min(y, sig[y]) for y in range(n)})
+        assert len(lows) == n // 2 and all(lows[rank[y]] == min(y, sig[y]) for y in range(n))
 
 
 @given(
@@ -235,19 +243,37 @@ def test_klein_index_map(item, m, x):
     _check_grid(q, x)
 
 
+def _orbit_blocks(grid):
+    """The positions of each block that name glide orbits: the ranked ones
+    of a block the glide fixes, and every one of the earlier block of a
+    pair the glide swaps."""
+    out = []
+    for b in range(4):
+        if grid.image[b] == b:
+            out.append(grid.orbit_ranks(b)[0])
+        else:
+            out.append(list(range(grid.n)) if b < grid.image[b] else [])
+    return out
+
+
 def test_the_grid_reads_the_quotient_representatives():
     # the quotient alone picks each glide orbit's representative, and the
-    # grid numbers the states of each block by those, in their order
+    # grid ranks the pairs of each block the glide fixes by those, in order
     kleins = [q for q in _reference_quotients() if q.kind == "klein"]
     assert len(kleins) == 15 + 2 + 1
+    swapped = 0
     for q in kleins:
         grid, n = _grid(q), q._det
         box, half = q.residues(), q.half_residues()
-        got = tuple(half[b * n + x] for b in range(4) for x in grid.reps[b])
+        blocks = _orbit_blocks(grid)
+        got = tuple(half[b * n + x] for b in range(4) for x in blocks[b])
         assert got == q.half_orbit_reps(), q
-        assert tuple(box[x] for x in grid.reps[0]) == q.vertex_reps, q
-        sizes = [len(reps) for reps in grid.reps]
+        assert grid.image[0] == 0
+        assert tuple(box[x] for x in grid.orbit_ranks(0)[0]) == q.vertex_reps, q
+        sizes = [len(xs) for xs in blocks]
         assert q._half_blocks == tuple(sum(sizes[:b]) for b in range(5)), q
+        swapped += grid.image != [0, 1, 2, 3]
+    assert swapped
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +316,8 @@ def test_klein_and_double_cover_hold_distinct_grids():
     assert _grid(cover) is not grid
     assert grid.sigma is not None and _grid(cover).sigma is None
     assert _grid(cover).n == grid.n
-    assert sum(map(len, grid.reps)) == 2 * grid.n
-    assert sum(map(len, _grid(cover).reps)) == 4 * grid.n
+    assert sum(map(len, _orbit_blocks(grid))) == 2 * grid.n
+    assert len(cover.half_orbit_reps()) == 4 * grid.n
 
 
 def test_quotient_tables_die_with_the_quotient():
@@ -349,3 +375,286 @@ def test_a_glide_that_is_not_an_involution_raises(monkeypatch):
     monkeypatch.setattr(q, "_glide", [(p + 1) % size for p in range(size)])
     with pytest.raises(AssertionError, match="fixed-point-free involution"):
         build_walk_system(q, "pi1")
+
+
+# ---------------------------------------------------------------------------
+# the engine's own checks, in process and under python -O
+# ---------------------------------------------------------------------------
+
+# Each case breaks one thing the segment-cycle builder relies on, on a
+# fresh quotient whose grid it patches; the runner at the end runs only
+# in a subprocess.
+_ENGINE_FAULTS = """
+import sys
+
+from weylzeta.quotient import KleinSpec, TorusSpec, build
+from weylzeta.rootgeom import LabelTable, RootSystem
+from weylzeta.zeta import _Grid, _grid, _transfer_system, build_semi_system, build_walk_system
+
+A2 = RootSystem.make("A2")
+
+
+def torus():
+    q = build(A2, TorusSpec((6, 0), (0, 3)))
+    return q, _grid(q)
+
+
+# pi1 walks have one segment the glide fixes; the glide swaps blocks 2, 3
+KLEIN = KleinSpec((1, 0), (0, 1), 1, 1, 1)
+
+
+def klein():
+    q = build(A2, KLEIN)
+    return q, _grid(q)
+
+
+def a_step_off_the_kept_segments():
+    # of the two segments of one weight (blocks 2 and 3), the first steps
+    # into the rational block 0 and the second into the first: a walk of
+    # the segments alone would close
+    q, grid = torus()
+
+    def step(b, lam, scale):
+        return 2 * (b == 3), _Grid.step(grid, b, lam, scale)[1]
+
+    grid.step = step
+    _transfer_system(q, "semi", "pi1", 1, LabelTable((((1, 0),),), "semi"))
+
+
+def two_segments_stepping_into_one():
+    # both segments of the one weight (blocks 2 and 3) step into block 3
+    q, grid = torus()
+    grid.step = lambda b, lam, scale: (3, _Grid.step(grid, b, lam, scale)[1])
+    _transfer_system(q, "semi", "pi1", 1, LabelTable((((1, 0),),), "semi"))
+
+
+def a_shift_table_with_a_repeated_entry():
+    q, grid = torus()
+
+    def step(b, lam, scale):
+        block, table = _Grid.step(grid, b, lam, scale)
+        return block, [table[1]] + table[1:]
+
+    grid.step = step
+    build_walk_system(q, "pi1")
+
+
+def a_glide_off_the_kept_segments():
+    # the glide sends every block to block 0, which holds no half step
+    q, grid = klein()
+    grid.image = [0, 0, 0, 0]
+    build_semi_system(q, "pi1")
+
+
+def a_ranked_map_that_is_not_a_bijection():
+    # every glide pair of the fixed block ranked as the first
+    q, grid = klein()
+    lows, rank = grid.orbit_ranks(0)
+    grid.orbit_ranks = lambda b: (lows, [0] * len(rank))
+    build_walk_system(q, "pi1")
+
+
+def a_glide_that_splits_a_block():
+    # pair two points of block 2 with each other, and their images in
+    # block 3 with each other: still an involution without fixed points,
+    # but block 2 now goes onto two blocks
+    q = build(A2, KLEIN)
+    glide, n = list(q._glide), q._det
+    p, r = 2 * n, 2 * n + 1
+    sp, sr = glide[p], glide[r]
+    glide[p], glide[r], glide[sp], glide[sr] = r, p, sr, sp
+    q._glide = glide
+    build_walk_system(q, "pi1")
+
+
+CASES = (
+    a_step_off_the_kept_segments,
+    two_segments_stepping_into_one,
+    a_shift_table_with_a_repeated_entry,
+    a_glide_off_the_kept_segments,
+    a_ranked_map_that_is_not_a_bijection,
+    a_glide_that_splits_a_block,
+)
+
+if __name__ == "__main__":
+    print("optimize", sys.flags.optimize)
+    for case in CASES:
+        try:
+            case()
+        except AssertionError as exc:
+            print(case.__name__, "rejected:", exc)
+        else:
+            print(case.__name__, "accepted")
+"""
+
+ENGINE_FAULT_MESSAGES = {
+    "a_step_off_the_kept_segments": "semi transition is not a bijection",
+    "two_segments_stepping_into_one": "semi transition is not a bijection",
+    "a_shift_table_with_a_repeated_entry": "walks transition is not a bijection",
+    "a_glide_off_the_kept_segments": "the glide sends a kept semi segment off the kept ones",
+    "a_ranked_map_that_is_not_a_bijection": "walks transition is not a bijection",
+    "a_glide_that_splits_a_block": "the glide does not map each block onto one block",
+}
+
+
+def test_the_engine_rejects_each_broken_invariant_in_process():
+    scope = {"__name__": "engine_faults"}
+    exec(compile(_ENGINE_FAULTS, "engine_faults", "exec"), scope)
+    assert [case.__name__ for case in scope["CASES"]] == list(ENGINE_FAULT_MESSAGES)
+    for case in scope["CASES"]:
+        with pytest.raises(AssertionError) as exc:
+            case()
+        assert str(exc.value) == ENGINE_FAULT_MESSAGES[case.__name__]
+
+
+def test_the_engine_rejects_each_broken_invariant_under_python_o():
+    src = str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _ENGINE_FAULTS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert out[1:] == [f"{name} rejected: {msg}" for name, msg in ENGINE_FAULT_MESSAGES.items()]
+
+
+# ---------------------------------------------------------------------------
+# cost: each segment cycle is composed once and only its first-return map
+# is walked
+# ---------------------------------------------------------------------------
+
+COST_QUOTIENTS = (
+    (C2, TorusSpec((12, 0), (0, 24))),
+    (A2, TorusSpec((12, 0), (0, 12))),
+    (C2, KleinSpec((1, 0), (1, 1), -4, -4, 6)),
+)
+
+
+def _orbit_segments(q, table):
+    """The segments of table, with each pair the glide swaps counted once."""
+    if q.kind == "torus":
+        return len(table.segments)
+    grid, flip = _grid(q), table.flip(q.sigma.linear)
+    return len({frozenset({(k, b), (flip[k], grid.image[b])}) for k, b in table.segments})
+
+
+def test_the_walk_visits_only_first_return_maps(monkeypatch):
+    compose, count = zeta_mod._compose, zeta_mod._count_cycles
+    step = _Grid.step
+    tally = Counter()
+
+    def counting_step(grid, b, lam, scale):
+        tally["steps"] += 1
+        return step(grid, b, lam, scale)
+
+    def counting_compose(tables):
+        glide_maps = getattr(_grid(q), "sig", ())
+        tally["tables"] += sum(not any(t is g for g in glide_maps) for t in tables)
+        return compose(tables)
+
+    def counting_cycles(perm, steps, lengths, kind):
+        tally["visited"] += len(perm)
+        return count(perm, steps, lengths, kind)
+
+    monkeypatch.setattr(_Grid, "step", counting_step)
+    monkeypatch.setattr(zeta_mod, "_compose", counting_compose)
+    monkeypatch.setattr(zeta_mod, "_count_cycles", counting_cycles)
+    for rs, spec in COST_QUOTIENTS:
+        q = build(rs, spec)
+        assert q.N in (288, 144, 96)
+        for rep in rs.rep_names:
+            for flat, _ in BUILDERS:
+                tally.clear()
+                system = flat(q, rep)
+                table = rs.label_table(rep, system.kind)
+                where = (spec, rep, system.kind)
+                # one step lookup per segment, and one table per orbit of
+                # segments in a composition
+                assert tally["steps"] == len(table.segments), where
+                assert tally["tables"] == _orbit_segments(q, table), where
+                if system.kind == "walks":
+                    assert tally["visited"] == system.size, where
+                elif q.kind == "torus":
+                    assert 2 * tally["visited"] == system.size, where
+                else:
+                    assert tally["visited"] <= system.size, where
+
+
+# ---------------------------------------------------------------------------
+# agreement with the explicit walk on conjugated and scaled Klein bottles
+# ---------------------------------------------------------------------------
+
+
+def _klein_variant(item, g, m):
+    """The quotient of a corpus Klein spec conjugated by the g-th Weyl
+    element and with t raised to the m-th power, or None when it is out of
+    bounds or above N = 60."""
+    rs_name, spec = item
+    rs = RootSystem.make(rs_name)
+    w = rs.weyl[g % len(rs.weyl)]
+    conjugate = KleinSpec(mat_vec(w, spec.alpha), mat_vec(w, spec.beta), spec.a, spec.b, spec.m * m)
+    try:
+        q = build(rs, conjugate)
+    except SpecValidationError:
+        return None
+    return q if q.N <= 60 else None
+
+
+def _segment_cases(q):
+    """Which of free segments, glide-fixed segments and steps onto the
+    later segment of a glide pair q's systems meet, from the reference
+    label layouts."""
+    grid, cases = _grid(q), set()
+    for rep in q.rs.rep_names:
+        for kind, scale in (("walks", 2), ("semi", 1), ("galleries", 2)):
+            labels, nexts, segments, flip = reference.label_layout(q.rs, rep, kind, q.sigma.linear)
+            order = {s: i for i, s in enumerate(segments)}
+
+            def mirror(s):
+                return (flip[s[0]], grid.image[s[1]])
+
+            for k, b in segments:
+                if mirror((k, b)) == (k, b):
+                    cases.add("fixed")
+                    continue
+                cases.add("free")
+                target = (nexts[k], grid.step(b, labels[k][0], scale)[0])
+                if order[(k, b)] < order[mirror((k, b))] and order[target] > order[mirror(target)]:
+                    cases.add("mirror")
+    return cases
+
+
+# (corpus Klein spec index, Weyl element, power of t)
+AGREEMENT_EXAMPLES = ((7, 0, -2), (30, 3, 2), (42, 7, 1), (25, 7, -1))
+
+
+def _with_agreement_examples(test):
+    for index, g, m in AGREEMENT_EXAMPLES:
+        test = example(KLEIN_SPECS[index], g, m)(test)
+    return test
+
+
+@_with_agreement_examples
+@given(st.sampled_from(KLEIN_SPECS), st.integers(0, 7), st.sampled_from((1, 2, 3, -1, -2)))
+@settings(deadline=None, max_examples=10)
+def test_klein_systems_match_the_explicit_walk_under_conjugation_and_scaling(item, g, m):
+    q = _klein_variant(item, g, m)
+    assume(q is not None)
+    for rep in q.rs.rep_names:
+        for flat, ref in BUILDERS:
+            got, want = flat(q, rep), ref(q, rep)
+            assert (got.size, got.zeta()) == (want.size, want.zeta()), (q.spec, rep, got.kind)
+
+
+def test_the_agreement_examples_meet_every_segment_case():
+    # each explicit example, of both root systems, walks free cycles,
+    # glide-fixed cycles and steps onto the later segment of a glide pair
+    kinds = set()
+    for index, g, m in AGREEMENT_EXAMPLES:
+        q = _klein_variant(KLEIN_SPECS[index], g, m)
+        assert q is not None and q.kind == "klein"
+        assert _segment_cases(q) == {"free", "fixed", "mirror"}, q.spec
+        kinds.add(q.rs.kind)
+    assert kinds == {"A2", "C2"}

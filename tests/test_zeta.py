@@ -494,16 +494,20 @@ def test_closed_paths_equal_census():
 
 
 def test_cycle_zeta_agrees_with_determinant_path():
-    # retained cross-check: det(I - wT) on the explicit permutation matrix,
-    # then w -> w**step, reproduces the dense reduced cycle product
+    # retained cross-check: det(I - wT) on the explicit permutation matrix
+    # of the reference builders' successors, then w -> w**step, reproduces
+    # the dense reduced cycle product of the package's systems
     for q in (A2_TORUS, A2_KLEIN, C2_SPIN_KLEIN):
         for rep in q.rs.rep_names:
-            for sys in (
-                build_walk_system(q, rep),
-                build_semi_system(q, rep),
-                build_gallery_system(q, rep),
+            for build_system, build_reference in (
+                (build_walk_system, reference.build_walk_system),
+                (build_semi_system, reference.build_semi_system),
+                (build_gallery_system, reference.build_gallery_system),
             ):
-                det = det_identity_minus_wT(IntMatrix.from_permutation(sys.successor))
+                sys, explicit = build_system(q, rep), build_reference(q, rep)
+                assert (sys.kind, sys.step_in_w) == (explicit.kind, explicit.step_in_w)
+                assert sys.size == explicit.size
+                det = det_identity_minus_wT(IntMatrix.from_permutation(explicit.successor))
                 spread = [0] * (det.degree * sys.step_in_w + 1)
                 spread[:: sys.step_in_w] = det.coeffs
                 assert num_den(sys.zeta()) == (Poly.one(), Poly(spread))
