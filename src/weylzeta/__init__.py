@@ -22,8 +22,6 @@ from .quotient import (
     SpecValidationError,
     TorusSpec,
     build,
-    glide_conjugacy_representative,
-    normalize_generators,
 )
 from .rootgeom import ReprData, RootSystem
 from .specfile import ParsedSpec, SpecFileError, load_spec_file, parse_spec_text
@@ -71,11 +69,9 @@ __all__ = [
     "build_walk_system",
     "correction_factor",
     "generate_corpus",
-    "glide_conjugacy_representative",
     "l_poly_from_counts",
     "lambda_set_size",
     "load_spec_file",
-    "normalize_generators",
     "parse_spec_text",
     "required_order",
     "torus_closed_form",

@@ -77,10 +77,6 @@ class AffineMap:
     def from_translation(cls, v: Vec) -> "AffineMap":
         return cls(IDENTITY, (v[0], v[1]))
 
-    @property
-    def is_translation(self) -> bool:
-        return self.linear == IDENTITY
-
     def apply(self, v: Vec) -> Vec:
         return vec_add(mat_vec(self.linear, v), self.translation)
 
@@ -452,61 +448,3 @@ def build(rs: RootSystem, spec: GroupSpec) -> QuotientGroup:
     """Validate a group specification and derive every invariant."""
     return QuotientGroup(rs, spec)
 
-
-def glide_conjugacy_representative(
-    q: QuotientGroup, n: int, m_odd: int
-) -> AffineMap:
-    """Conjugacy-class representative of t**n sigma**m: sigma**m for even n,
-    (t sigma)**m for odd n."""
-    if q.kind != "klein":
-        raise SpecValidationError("glide reflections exist only in Klein groups")
-    if m_odd % 2 == 0:
-        raise ValueError("m must be odd: even powers of a glide are translations")
-    base = q.sigma if n % 2 == 0 else q.t.compose(q.sigma)
-    return base ** m_odd
-
-
-def normalize_generators(
-    rs: RootSystem, g_t: AffineMap, g_sigma: AffineMap
-) -> tuple:
-    """Bring Klein-bottle generators to the normal form t*sigma = sigma*t**-1.
-
-    The returned translation is perpendicular to the glide axis; sigma is
-    returned unchanged.  Inputs that commute, contain torsion, or leave
-    the coroot lattice are rejected.
-    """
-    if not g_t.is_translation or g_t.translation == (0, 0):
-        raise ValueError("t is not a nonzero translation")
-    if not rs.in_coroot_lattice(g_t.translation):
-        raise ValueError("translation part not in coroot lattice")
-    m = g_sigma.linear
-    if m not in rs.weyl or mat_det(m) != -1 or m[0][0] + m[1][1] != 0:
-        raise ValueError("sigma's linear part is not a Weyl reflection")
-    if not rs.in_coroot_lattice(g_sigma.translation):
-        raise ValueError("translation part not in coroot lattice")
-    s = vec_add(mat_vec(m, g_sigma.translation), g_sigma.translation)
-    if s == (0, 0):
-        raise ValueError("sigma has order two (torsion)")
-    axis = _primitive(s)
-    if rs.rep_of_weight(axis) is None and rs.rep_of_weight((-axis[0], -axis[1])) is None:
-        raise ValueError("glide axis is not a weight direction")
-    t_vec = g_t.translation
-    mt = mat_vec(m, t_vec)
-    if mt == t_vec:
-        raise ValueError("generators commute")
-    det = s[0] * t_vec[1] - t_vec[0] * s[1]
-    if det == 0:
-        raise ValueError("generators do not span the plane")
-    p, rp = divmod(mt[0] * t_vec[1] - t_vec[0] * mt[1], det)
-    qq, rq = divmod(s[0] * mt[1] - mt[0] * s[1], det)
-    if rp or rq:
-        raise ValueError("conjugated translation leaves the generated group")
-    if qq != -1:
-        raise ValueError("generators do not generate a Klein-bottle group")
-    if p % 2 != 0:
-        raise ValueError("generators contain an element of order two (torsion)")
-    k = p // 2
-    t_new = vec_sub(t_vec, vec_scale(k, s))
-    if mat_vec(m, t_new) != (-t_new[0], -t_new[1]):
-        raise AssertionError("normalized translation is not reversed by sigma")
-    return (AffineMap.from_translation(t_new), g_sigma)

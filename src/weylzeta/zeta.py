@@ -436,7 +436,10 @@ def correction_factor(q: QuotientGroup, rep: str) -> CycleProduct:
 
 @dataclass(frozen=True)
 class ZetaBundle:
-    """Everything the reporting layer serializes for one quotient."""
+    """One quotient's zeta data at one order, by representation: the cycle
+    products zeta, zeta_semi, zeta2 and correction and the L-polynomials
+    l_poly, which the `zeta` command prints, and the L-function l_func and
+    the closed-walk counts walk_counts it is built from, which it does not."""
 
     order: int
     zeta: dict

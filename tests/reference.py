@@ -33,6 +33,10 @@ routes live here, and the tests compare the package against them:
 * ``carrying_linear`` and ``transporter``: the group element carrying one
   point to another, found by membership of y - x (and, for a Klein
   bottle, of y - sigma x) in the translation subgroup Gamma0.
+* ``normalize_generators``: Klein-bottle generators (t, sigma) brought
+  to the normal form t*sigma = sigma*t**-1 by solving for the
+  perpendicular translation, independently of the package, which builds
+  that form directly from (alpha, beta, a, b, m).
 * ``count_closed_walks`` and the three other per-length census loops:
   one scan of every (vertex class, weight) pair per length, asking
   ``carrying_linear`` whether the pair closes.  They are the reference
@@ -96,12 +100,13 @@ from weylzeta.algebra import (
 )
 from weylzeta.census import glide_line_counter
 from weylzeta.identities import GLIDE_WINDOW
-from weylzeta.quotient import AffineMap, QuotientGroup
+from weylzeta.quotient import AffineMap, QuotientGroup, _primitive
 from weylzeta.rootgeom import (
     IDENTITY,
     Mat,
     RootSystem,
     Vec,
+    mat_det,
     mat_vec,
     vec_add,
     vec_scale,
@@ -591,6 +596,54 @@ def transporter(q: QuotientGroup, x, y) -> Optional[AffineMap]:
     if isinstance(x, HalfVec):
         t = (t[0] // 2, t[1] // 2)
     return AffineMap(linear, t)
+
+
+# ---------------------------------------------------------------------------
+# Klein generator normalization
+# ---------------------------------------------------------------------------
+
+
+def normalize_generators(rs: RootSystem, g_t: AffineMap, g_sigma: AffineMap) -> tuple:
+    """Bring Klein-bottle generators to the normal form t*sigma = sigma*t**-1.
+
+    The returned translation is perpendicular to the glide axis; sigma is
+    returned unchanged.  Inputs that commute, contain torsion, or leave
+    the coroot lattice are rejected.
+    """
+    if g_t.linear != IDENTITY or g_t.translation == (0, 0):
+        raise ValueError("t is not a nonzero translation")
+    if not rs.in_coroot_lattice(g_t.translation):
+        raise ValueError("translation part not in coroot lattice")
+    m = g_sigma.linear
+    if m not in rs.weyl or mat_det(m) != -1 or m[0][0] + m[1][1] != 0:
+        raise ValueError("sigma's linear part is not a Weyl reflection")
+    if not rs.in_coroot_lattice(g_sigma.translation):
+        raise ValueError("translation part not in coroot lattice")
+    s = vec_add(mat_vec(m, g_sigma.translation), g_sigma.translation)
+    if s == (0, 0):
+        raise ValueError("sigma has order two (torsion)")
+    axis = _primitive(s)
+    if rs.rep_of_weight(axis) is None and rs.rep_of_weight((-axis[0], -axis[1])) is None:
+        raise ValueError("glide axis is not a weight direction")
+    t_vec = g_t.translation
+    mt = mat_vec(m, t_vec)
+    if mt == t_vec:
+        raise ValueError("generators commute")
+    det = s[0] * t_vec[1] - t_vec[0] * s[1]
+    if det == 0:
+        raise ValueError("generators do not span the plane")
+    p, rp = divmod(mt[0] * t_vec[1] - t_vec[0] * mt[1], det)
+    qq, rq = divmod(s[0] * mt[1] - mt[0] * s[1], det)
+    if rp or rq:
+        raise ValueError("conjugated translation leaves the generated group")
+    if qq != -1:
+        raise ValueError("generators do not generate a Klein-bottle group")
+    if p % 2 != 0:
+        raise ValueError("generators contain an element of order two (torsion)")
+    t_new = vec_sub(t_vec, vec_scale(p // 2, s))
+    if mat_vec(m, t_new) != (-t_new[0], -t_new[1]):
+        raise AssertionError("normalized translation is not reversed by sigma")
+    return (AffineMap.from_translation(t_new), g_sigma)
 
 
 # ---------------------------------------------------------------------------

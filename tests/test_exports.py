@@ -1,5 +1,6 @@
 """The package exports what production runs and none of the test references."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -22,7 +23,16 @@ REFERENCE_NAMES = (
     "count_geodesic_walks",
     "count_semi_closings",
     "count_closed_galleries",
+    "normalize_generators",
 )
+
+# functions and methods that no package module calls, each kept for a reason
+UNCALLED_ALLOWED = {
+    # the checked entry that the tests call and bench/tracer.py wraps
+    "census.lambda_set_size",
+    # the residue box the README documents
+    "QuotientGroup.residues",
+}
 
 
 def test_exports_resolve_and_exclude_the_references():
@@ -101,6 +111,43 @@ def test_the_package_keeps_no_dense_polynomial_class():
     assert weylzeta.LPolynomial.__mro__ == (weylzeta.LPolynomial, object)
     for name in ("coeffs", "coefficient"):
         assert not hasattr(weylzeta.LPolynomial, name)
+
+
+def test_every_function_has_a_caller_in_the_package():
+    # a function or method that only __init__ (or only the tests) names is a
+    # second route that production never runs; it belongs in tests/reference.py
+    package = Path(weylzeta.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for stem, tree in trees.items()
+        if stem != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, functions):
+                defined[f"{stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, functions) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        defined[f"{node.name}.{item.name}"] = item.name
+    uncalled = {key for key, name in defined.items() if name not in referenced}
+    assert uncalled == UNCALLED_ALLOWED
+
+
+def test_the_klein_generator_api_is_gone():
+    # the package builds (t, sigma) in normal form from the spec, and
+    # normalize_generators is pinned with the references above; the glide
+    # powers are formed by census.glide_line_counter
+    for module in (weylzeta, weylzeta.quotient):
+        assert not hasattr(module, "glide_conjugacy_representative")
+    assert not hasattr(weylzeta.AffineMap, "is_translation")
 
 
 def test_the_cli_imports_no_rationals():

@@ -1,4 +1,5 @@
-"""Quotient groups: construction, invariants, canonicalization, transporters."""
+"""Quotient groups: construction, invariants, canonicalization, transporters,
+and the Klein generators against the normalization oracle of the references."""
 
 import os
 import random
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference
 import weylzeta
-from reference import HalfVec, canonical_vertex, sigma_half
+from reference import HalfVec, canonical_vertex, normalize_generators, sigma_half
 from weylzeta.quotient import (
     MAX_CLASSES,
     AffineMap,
@@ -20,8 +21,6 @@ from weylzeta.quotient import (
     SpecValidationError,
     TorusSpec,
     build,
-    glide_conjugacy_representative,
-    normalize_generators,
 )
 from weylzeta.rootgeom import RootSystem, vec_add, vec_scale
 
@@ -362,7 +361,7 @@ def test_invariants_report_shape():
 
 
 # ---------------------------------------------------------------------------
-# generator normalization and conjugacy representatives
+# the Klein generators against the normalization oracle
 # ---------------------------------------------------------------------------
 
 
@@ -390,15 +389,18 @@ def test_normalize_generators_two_step_reduction():
 
 
 def test_normalize_generators_round_trip_on_all_references():
-    for rs, q in (
-        (A2, a2_klein()),
-        (C2, c2_spin_klein()),
-        (C2, c2_st_klein()),
-    ):
+    # the oracle solves for the perpendicular translation on its own; the
+    # package builds (t, sigma) in normal form from the spec
+    kleins = [a2_klein(), c2_spin_klein(), c2_st_klein()]
+    for member in weylzeta.generate_corpus(7):
+        if isinstance(member.spec, KleinSpec):
+            kleins.append(member.build())
+    assert len(kleins) > 3
+    for q in kleins:
         for j in (-2, -1, 1, 2, 3):
             messy = q.t.compose(q.sigma ** (2 * j))
-            t, s = normalize_generators(rs, messy, q.sigma)
-            assert t == q.t and s == q.sigma
+            t, s = normalize_generators(q.rs, messy, q.sigma)
+            assert t == q.t and s == q.sigma, (q, j)
 
 
 def test_normalize_generators_rejections():
@@ -422,30 +424,25 @@ def test_normalize_generators_rejections():
         )
 
 
-def test_glide_conjugacy_representatives():
-    q = a2_klein()
-    assert glide_conjugacy_representative(q, 0, 1) == q.sigma
-    assert glide_conjugacy_representative(q, 2, 3) == q.sigma ** 3
-    assert glide_conjugacy_representative(q, 3, 1) == q.t.compose(q.sigma)
-    with pytest.raises(ValueError):
-        glide_conjugacy_representative(q, 1, 2)
-
-
 # ---------------------------------------------------------------------------
 # checks that must survive python -O
 # ---------------------------------------------------------------------------
 
 _OPTIMIZED_SCRIPT = """
 import sys
-from weylzeta.quotient import KleinSpec, build, normalize_generators
+from weylzeta.census import lambda_set_size
+from weylzeta.quotient import AffineMap, KleinSpec, build
 from weylzeta.rootgeom import RootSystem
 
 print("optimize", sys.flags.optimize)
 rs = RootSystem.make("C2")
 q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
 print("built", q.N, q.k_gamma, q.alpha_beta_coords(q.sigma.translation))
-t, s = normalize_generators(rs, q.t.compose(q.sigma ** 2), q.sigma)
-print("normalized", t == q.t and s == q.sigma)
+q.sigma = AffineMap(((-1, 0), (0, -1)), q.sigma.translation)  # fixes no axis
+try:
+    lambda_set_size(q, 1, (0, 2))
+except AssertionError as exc:
+    print("glide rejected", exc)
 q.beta = (2 * q.beta[0], 2 * q.beta[1])  # no longer a basis with alpha
 try:
     q.alpha_beta_coords((1, 1))
@@ -466,5 +463,5 @@ def test_invariant_checks_survive_optimized_mode():
     ).stdout.splitlines()
     assert out[0] == "optimize 1"
     assert out[1] == "built 6 6 (2, 1)"
-    assert out[2] == "normalized True"
+    assert out[2] == "glide rejected the glide's linear part does not fix alpha"
     assert out[3].startswith("rejected alpha, beta do not form a lattice basis")
