@@ -9,10 +9,7 @@ as exact equalities of cycle products.
 """
 
 from .algebra import CycleProduct, NotCycleProduct, NotPolynomialWithinBound
-from .census import (
-    CountTable,
-    lambda_set_size,
-)
+from .census import lambda_set_size
 from .corpus import CorpusMember, generate_corpus
 from .identities import VerificationReport, VerifyRecord, verify
 from .quotient import (
@@ -45,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap",
     "CorpusMember",
-    "CountTable",
     "CycleProduct",
     "KleinSpec",
     "LPolynomial",

@@ -51,25 +51,11 @@ it remains an independent check of the cycle-decomposition zeta engine.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
 from .quotient import QuotientGroup, SpecValidationError
 from .rootgeom import Vec, mat_vec, vec_add, vec_scale, vec_sub
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts indexed by length (walks, galleries) or half-step count (semi)."""
-
-    rep: str
-    kind: str
-    values: tuple
-
-    def __post_init__(self):
-        if min(self.values, default=0) < 0:
-            raise ValueError("counts must be nonnegative")
 
 
 def lambda_set_size(
@@ -309,11 +295,13 @@ def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
 def _tally(progressions: Counter, max_n: int) -> tuple:
     """Counts at n = 1..max_n from multiplicities of progressions (r, m):
     each adds its count at n = r, r + m, ... (from m when r is 0) with one
-    slice update."""
+    slice update.  A negative count raises ValueError."""
     values = [0] * max_n
     for (r, m), count in progressions.items():
         start = (r or m) - 1
         values[start::m] = [v + count for v in values[start::m]]
+    if min(values, default=0) < 0:
+        raise ValueError("counts must be nonnegative")
     return tuple(values)
 
 
@@ -341,21 +329,21 @@ def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
     return _once(q, ("walks", rep), make)
 
 
-def walk_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
+def walk_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
     """Closed walks of normalized length n = 1..max_n, in closed form: the
     pairs (vertex class, weight) whose endpoint is carried back by some
     group element."""
-    return CountTable(rep, "walks", _tally(_walk_progressions(q, rep)[0], max_n))
+    return _tally(_walk_progressions(q, rep)[0], max_n)
 
 
-def geodesic_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
+def geodesic_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
     """Closed geodesic walks of length n = 1..max_n, in closed form: as
     walk_count_table, but the carrying element's linear part must fix the
     direction (no corner at closing)."""
-    return CountTable(rep, "geodesic", _tally(_walk_progressions(q, rep)[1], max_n))
+    return _tally(_walk_progressions(q, rep)[1], max_n)
 
 
-def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> CountTable:
+def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> tuple:
     """Half-step closings of non-rational lines through half-lattice points
     at j = 1..max_j, in closed form: the pairs (x, lam) that some group
     element whose linear part fixes lam carries from x to x + (j/2) lam."""
@@ -365,10 +353,10 @@ def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> CountTable:
         progs[(0, _period(q, lam, d2))] += _irrational_count(q, lam)
         if _glide_maps(q, lam, lam):
             progs.update(_glide_branch(q, lam, d2, _irrational_shifts(q, lam)))
-    return CountTable(rep, "semi", _tally(progs, max_j))
+    return _tally(progs, max_j)
 
 
-def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
+def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
     """Closed length-n paths of the alternating gallery dynamics at
     n = 1..max_n, in closed form.  A state is a vertex class with an
     ordered admissible direction pair; one step moves the vertex by the
@@ -395,4 +383,4 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> CountTable:
         glides = _glide_branch(q, step, d, shifts, (0, 0) if even else lam)
         for (r, m), count in glides.items():
             progs[(2 * r + odd, 2 * m)] += count
-    return CountTable(rep, "galleries", _tally(progs, max_n))
+    return _tally(progs, max_n)

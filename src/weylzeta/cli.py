@@ -106,10 +106,10 @@ def _cmd_counts(args) -> int:
     lines = [f"{q.rs.kind} {q.kind}: counts up to n = {max_n} (semi up to {2 * max_n})"]
     for rep in q.rs.rep_names:
         tables = {
-            "N": list(walk_count_table(q, rep, max_n).values),
-            "N_tilde": list(geodesic_count_table(q, rep, max_n).values),
-            "semi": list(semi_count_table(q, rep, 2 * max_n).values),
-            "gallery": list(gallery_count_table(q, rep, max_n).values),
+            "N": list(walk_count_table(q, rep, max_n)),
+            "N_tilde": list(geodesic_count_table(q, rep, max_n)),
+            "semi": list(semi_count_table(q, rep, 2 * max_n)),
+            "gallery": list(gallery_count_table(q, rep, max_n)),
         }
         payload["counts"][rep] = tables
         lines.append(f"  {rep}:")

@@ -10,7 +10,7 @@ filtered to at most 60 vertex classes.  Klein draws are stratified over
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quotient import GroupSpec, KleinSpec, QuotientGroup, SpecValidationError, TorusSpec, build
 from .rootgeom import RootSystem
@@ -36,8 +36,7 @@ KLEIN_CELLS = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusMember:
+class CorpusMember(NamedTuple):
     name: str
     root_system: str
     spec: GroupSpec

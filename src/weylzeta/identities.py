@@ -21,9 +21,8 @@ loudly, never silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     CycleProduct,
@@ -59,16 +58,14 @@ CORNER_DEPTH = 12
 GLIDE_WINDOW = 4
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(NamedTuple):
     identity_id: str
     statement: str
     holds: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     root_system: str
     kind: str
     order: int
@@ -171,8 +168,7 @@ def _closed_path_table(z: CycleProduct, step_in_w: int, max_n: int) -> list:
     return table
 
 
-@dataclass
-class _RepData:
+class _RepData(NamedTuple):
     zeta: CycleProduct
     zeta_semi: CycleProduct
     zeta2: CycleProduct
@@ -233,10 +229,10 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
 
 
 def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
-    counts_n = walk_count_table(q, rep, order).values
-    counts_geo = geodesic_count_table(q, rep, min(WALK_LOG_DEPTH, order)).values
-    counts_semi = semi_count_table(q, rep, min(SEMI_LOG_DEPTH, 2 * order)).values
-    counts_gal = gallery_count_table(q, rep, min(GALLERY_LOG_DEPTH, order)).values
+    counts_n = walk_count_table(q, rep, order)
+    counts_geo = geodesic_count_table(q, rep, min(WALK_LOG_DEPTH, order))
+    counts_semi = semi_count_table(q, rep, min(SEMI_LOG_DEPTH, 2 * order))
+    counts_gal = gallery_count_table(q, rep, min(GALLERY_LOG_DEPTH, order))
     l_poly, l_failure = None, {}
     try:
         l_poly = l_poly_from_counts(counts_n, q.N * len(q.rs.weights(rep)))

@@ -29,11 +29,10 @@ live and die with the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, product
 from math import gcd
 from operator import lt
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .rootgeom import (
     IDENTITY,
@@ -62,8 +61,7 @@ class SpecValidationError(ValueError):
 MAX_CLASSES = 288
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """x -> linear*x + translation with integer linear part and translation."""
 
     linear: Mat
@@ -112,14 +110,12 @@ class AffineMap:
         return out
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class TorusSpec(NamedTuple):
     v1: Vec
     v2: Vec
 
 
-@dataclass(frozen=True)
-class KleinSpec:
+class KleinSpec(NamedTuple):
     alpha: Vec
     beta: Vec
     a: int

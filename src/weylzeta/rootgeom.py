@@ -27,7 +27,7 @@ Nothing in them depends on a quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Vec = tuple  # (int, int) lattice point in coweight coordinates
 Mat = tuple  # ((int, int), (int, int)) row-major 2x2 integer matrix
@@ -108,8 +108,7 @@ class LabelTable:
         return tuple(at[tuple(mat_vec(m, w) for w in label)] for label in self.labels)
 
 
-@dataclass(frozen=True)
-class ReprData:
+class ReprData(NamedTuple):
     """One distinguished representation: its nontrivial weights and constants.
 
     epsilon is the multiplicity of the trivial weight; n_value is the

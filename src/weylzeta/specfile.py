@@ -16,8 +16,7 @@ carry the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .quotient import GroupSpec, KleinSpec, TorusSpec
 
@@ -36,8 +35,7 @@ class SpecFileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class ParsedSpec:
+class ParsedSpec(NamedTuple):
     root_system: str
     spec: GroupSpec
     order: Optional[int]

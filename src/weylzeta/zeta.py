@@ -63,11 +63,10 @@ by the primes of m otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
 from operator import eq
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     CycleProduct,
@@ -95,8 +94,7 @@ class OrderInsufficientError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransferSystem:
+class TransferSystem(NamedTuple):
     """The cycle record of a labeled permutation dynamic: its kind and
     representation, its number of states, the power of w of one step,
     and zeta() = prod (1 - w**(step_in_w * length))**-1 over its cycles.
@@ -434,8 +432,7 @@ def correction_factor(q: QuotientGroup, rep: str) -> CycleProduct:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaBundle:
+class ZetaBundle(NamedTuple):
     """One quotient's zeta data at one order, by representation: the cycle
     products zeta, zeta_semi, zeta2 and correction and the L-polynomials
     l_poly, which the `zeta` command prints, and the L-function l_func and
@@ -488,7 +485,7 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
         zeta[rep] = build_walk_system(q, rep).zeta()
         semi[rep] = build_semi_system(q, rep).zeta()
         gal[rep] = build_gallery_system(q, rep).zeta()
-        ns = walk_count_table(q, rep, order).values
+        ns = walk_count_table(q, rep, order)
         counts[rep] = ns
         p = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))
         lpoly[rep] = p

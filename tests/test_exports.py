@@ -1,13 +1,14 @@
 """The package exports what production runs and none of the test references."""
 
 import ast
-import dataclasses
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import weylzeta
 
@@ -82,7 +83,7 @@ def test_transfer_systems_keep_one_record_of_their_cycles():
     for name in ("zeta_walks", "zeta_semi", "zeta_galleries"):
         assert not hasattr(weylzeta, name)
     assert not hasattr(weylzeta.TransferSystem, "cycle_lengths")
-    assert "states" not in [f.name for f in dataclasses.fields(weylzeta.TransferSystem)]
+    assert "states" not in weylzeta.TransferSystem._fields
     assert not hasattr(weylzeta.identities, "_poly_json")
 
 
@@ -90,8 +91,7 @@ def test_transfer_systems_list_no_states():
     # a system keeps its size and its cycle product; the explicit successor
     # walk is the tests' oracle (tests/reference.py), and the grid keeps no
     # per-state lists
-    fields = [f.name for f in dataclasses.fields(weylzeta.TransferSystem)]
-    assert fields == ["kind", "rep", "step_in_w", "size", "product"]
+    assert weylzeta.TransferSystem._fields == ("kind", "rep", "step_in_w", "size", "product")
     rs = weylzeta.RootSystem.make("A2")
     q = weylzeta.build(rs, weylzeta.KleinSpec((1, 0), (0, 1), 1, 1, 1))
     weylzeta.build_walk_system(q, "pi1")
@@ -150,12 +150,37 @@ def test_the_klein_generator_api_is_gone():
     assert not hasattr(weylzeta.AffineMap, "is_translation")
 
 
+def test_records_are_immutable_values():
+    rs = weylzeta.RootSystem.make("A2")
+    spec = weylzeta.KleinSpec((1, 0), (0, 1), 1, 1, 1)
+    q = weylzeta.build(rs, spec)
+    record, bundle = weylzeta.verify(q).records[0], weylzeta.zeta_bundle(q)
+    for value, name in ((spec, "m"), (q.sigma, "linear"), (record, "holds"), (bundle, "order")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    again = weylzeta.KleinSpec((1, 0), (0, 1), 1, 1, 1)
+    assert again == spec and hash(again) == hash(spec) and again is not spec
+    assert repr(weylzeta.TorusSpec((1, 0), (0, 1))) == "TorusSpec(v1=(1, 0), v2=(0, 1))"
+
+
+def test_count_tables_are_plain_tuples():
+    # every caller read CountTable.values and nothing read its rep or kind
+    assert "CountTable" not in weylzeta.__all__
+    for module in (weylzeta, weylzeta.census):
+        assert not hasattr(module, "CountTable")
+    rs = weylzeta.RootSystem.make("C2")
+    q = weylzeta.build(rs, weylzeta.TorusSpec((1, 1), (1, -1)))
+    assert type(weylzeta.census.walk_count_table(q, "st", 4)) is tuple
+
+
 def test_the_cli_imports_no_rationals():
-    # a fresh interpreter: pytest and hypothesis import fractions themselves
+    # a fresh interpreter: pytest and hypothesis import these themselves.
+    # The records are named tuples, so dataclasses and the inspect it
+    # pulls in stay off the start-up path.
     src = str(Path(weylzeta.__file__).resolve().parents[1])
     script = (
         "import sys, weylzeta.cli; "
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -237,7 +236,7 @@ def test_torus_index_map(rs_name, c1, c2, x):
 def test_klein_index_map(item, m, x):
     rs_name, spec = item
     try:
-        q = build(RootSystem.make(rs_name), replace(spec, m=spec.m * m))
+        q = build(RootSystem.make(rs_name), spec._replace(m=spec.m * m))
     except SpecValidationError:
         assume(False)
     _check_grid(q, x)
