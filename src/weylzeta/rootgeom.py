@@ -20,9 +20,12 @@ The tables that depend on the root system alone are made on first use
 and kept on it, so every quotient of the process shares them: the
 gallery pairs of each representation, and per representation and
 transfer-system kind the LabelTable (the labels of the states, each
-label's successor, the parity blocks its states occupy, and the label
-permutation of each Weyl reflection, made on its first use).
-Nothing in them depends on a quotient.
+label's successor, the parity blocks its states occupy, and, each made
+on its first use, the label permutation of each Weyl reflection and the
+SegmentPlan of each glide).  Nothing in them depends on a quotient: a
+table keeps one plan for every torus and one per (linear part, block
+images) of the Klein bottles' glides it has met, and dies with its root
+system.
 """
 
 from __future__ import annotations
@@ -68,24 +71,50 @@ def vec_scale(k: int, v: Vec) -> Vec:
     return (k * v[0], k * v[1])
 
 
+class SegmentPlan:
+    """The part of a LabelTable's transfer systems that does not depend on
+    the quotient, for one glide.
+
+    cycles has one entry per cycle of the segment permutation pi, walked
+    from its first segment; on a Klein bottle the walk stays on the
+    earlier segment of each glide pair.  An entry is (b, fixed, length,
+    ops): the block of the first segment, whether the glide maps that
+    segment onto itself, the number L of steps around the cycle, and the
+    first-return map as ops, pairs (shift, block) applied in order: the
+    translation of the residue box by shift, the summed vector of a run
+    of steps, then, unless block is None, the glide's block map of block,
+    which carries a step onto the later segment of a pair back to the
+    earlier one.  A torus cycle is one translation.  A plan can be weakly
+    referenced, so that it can be seen to die with its table.
+    """
+
+    __slots__ = ("cycles", "__weakref__")
+
+    def __init__(self, cycles: tuple):
+        self.cycles = cycles
+
+
 class LabelTable:
     """The labels of one transfer-system kind of one representation.
 
     A walks or semi state is labeled by a weight (as a 1-tuple), a
-    galleries state by an ordered gallery pair; one step moves by the
-    label's first entry and rotates the label by one, to labels[nexts[k]].
-    segments lists the (label index, parity block) pairs that hold
-    states, in the order the states are numbered: block 0 (the vertex
-    classes) for walks and galleries, and for semi the two blocks of
-    half-lattice points whose line in the weight's direction misses the
-    vertex lattice.  flip(m) is the label permutation of a Weyl
-    reflection m, made on its first use and kept.
+    galleries state by an ordered gallery pair; one step moves by scale
+    times the label's first entry in doubled coordinates (scale 2 for
+    walks and galleries, 1 for semi) and rotates the label by one, to
+    labels[nexts[k]].  segments lists the (label index, parity block)
+    pairs that hold states, in the order the states are numbered: block
+    0 (the vertex classes) for walks and galleries, and for semi the two
+    blocks of half-lattice points whose line in the weight's direction
+    misses the vertex lattice.  flip(m) is the label permutation of a
+    Weyl reflection m, and plan(glide) the SegmentPlan of a glide, each
+    made on its first use and kept.
     """
 
-    __slots__ = ("labels", "nexts", "segments", "_at", "_flips")
+    __slots__ = ("kind", "scale", "labels", "nexts", "segments", "_at", "_flips", "_plans")
 
     def __init__(self, labels: tuple, kind: str):
         at = {label: k for k, label in enumerate(labels)}
+        self.kind, self.scale = kind, 1 if kind == "semi" else 2
         self.labels = labels
         self.nexts = tuple(at[label[1:] + label[:1]] for label in labels)
         if kind == "semi":
@@ -94,7 +123,7 @@ class LabelTable:
         else:
             kept = [(0,)] * len(labels)
         self.segments = tuple((k, b) for k, blocks in enumerate(kept) for b in blocks)
-        self._at, self._flips = at, {}
+        self._at, self._flips, self._plans = at, {}, {}
 
     def flip(self, m: Mat) -> tuple:
         """flip[k]: the index of the label m * labels[k], entry by entry."""
@@ -106,6 +135,68 @@ class LabelTable:
     def _derive_flip(self, m: Mat) -> tuple:
         at = self._at
         return tuple(at[tuple(mat_vec(m, w) for w in label)] for label in self.labels)
+
+    def _step(self, k: int, b: int) -> tuple:
+        """(block, shift): a step of label k takes mu_b + 2x (doubled
+        coordinates, mu_b = (b & 1, b >> 1)) to mu_block + 2 (x + shift)."""
+        lam = self.labels[k][0]
+        x, y = (b & 1) + self.scale * lam[0], (b >> 1) + self.scale * lam[1]
+        return (x & 1) + 2 * (y & 1), (x >> 1, y >> 1)
+
+    def plan(self, glide) -> SegmentPlan:
+        """The SegmentPlan of a torus (glide None) or of a Klein bottle whose
+        glide has linear part linear and maps block b onto block image[b]
+        (glide (linear, image))."""
+        out = self._plans.get(glide)
+        if out is None:
+            out = self._plans[glide] = self._derive_plan(glide)
+        return out
+
+    def _derive_plan(self, glide) -> SegmentPlan:
+        """Each segment steps as a whole onto one segment: pi is a
+        permutation of the segments, or the transition is not a bijection.
+        The glide pairs segment (k, b) with (flip[k], image[b]), which must
+        be a segment too; a cycle is walked from the earlier segment of its
+        pair, and a step onto the later one of a pair continues from the
+        earlier."""
+        segments, kind = self.segments, self.kind
+        at = {s: i for i, s in enumerate(segments)}
+        to, shifts = [], []  # the segment each one steps onto, by which shift
+        for k, b in segments:
+            block, shift = self._step(k, b)
+            to.append(at.get((self.nexts[k], block), -1))
+            shifts.append(shift)
+        if -1 in to or len(set(to)) < len(to):
+            raise AssertionError(f"{kind} transition is not a bijection")
+        if glide is None:
+            mirror = range(len(segments))
+        else:
+            linear, image = glide
+            flip = self.flip(linear)  # flip[k] is the label of sigma l
+            mirror = [at.get((flip[k], image[b]), -1) for k, b in segments]
+            if -1 in mirror:
+                raise AssertionError(f"the glide sends a kept {kind} segment off the kept ones")
+        cycles, seen = [], [False] * len(segments)
+        for first, (_, b) in enumerate(segments):
+            if seen[first] or mirror[first] < first:
+                continue
+            steps, ops, run, i = 0, [], None, first
+            while not seen[i]:
+                seen[i] = True
+                steps += 1
+                run = shifts[i] if run is None else vec_add(run, shifts[i])
+                i = to[i]
+                if mirror[i] < i:
+                    # onto the later segment of a glide pair: named by the earlier
+                    ops.append((run, segments[i][1]))
+                    run, i = None, mirror[i]
+            if i != first:
+                raise AssertionError(f"{kind} transition is not a bijection")
+            if run is not None:
+                ops.append((run, None))
+            fixed = glide is not None and mirror[first] == first
+            cycles.append((b, fixed, steps, tuple(ops)))
+        return SegmentPlan(tuple(cycles))
 
 
 class ReprData(NamedTuple):

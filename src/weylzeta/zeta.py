@@ -34,19 +34,26 @@ the grid checks that it maps each block onto one block and reads its
 block maps.  The glide pairs the segments: a pair of distinct segments
 holds the orbits of the earlier one's positions, and a segment the glide
 maps onto itself the ranks of the quotient's representatives of its
-pairs.  What depends only on the labels (each label's successor, the
-blocks its states occupy and the glide's permutation of the labels) is
-read from the root system's LabelTable of the rep and kind, made on
-first use and kept on the root system.
+pairs.
+
+Only the tables depend on q.  The segment permutation, its cycles and
+the ops of each cycle's first-return map form the SegmentPlan of the
+LabelTable of the rep and kind, made on first use per glide (None for a
+torus, else the glide's linear part and block images) and kept on the
+table, which the root system keeps.  Tables compose as their vectors
+add, so each run of steps between two glide block maps is one table, of
+the run's summed vector, and a torus cycle is one table: a build looks
+up a table per run, composes it with the glide's block maps, and walks.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
 its reciprocal is an integer polynomial.  The cycles are counted once
-per system, when it is built, and the build checks the bijection: the
-segment permutation is one, and every walk of a first-return map ends
-at its own start.  The system keeps only that product and its size; the
-tests check it against the explicit successor walk and det(I - wT) of
-its permutation matrix (tests/reference.py).
+per system, when it is built, and the bijection is checked: the plan
+checks that the segment permutation is one and that the glide maps the
+kept segments onto kept segments, and the build that every walk of a
+first-return map ends at its own start.  The system keeps only that
+product and its size; the tests check it against the explicit successor
+walk and det(I - wT) of its permutation matrix (tests/reference.py).
 
 The L-polynomial P has one path (l_poly_from_counts): one Moebius
 inversion of the closed-walk counts gives P's factorization
@@ -117,9 +124,9 @@ class _Grid:
     * mu_b + 2x (doubled coordinates), mu_b = (b & 1, b >> 1) and x the
       position of a residue box point, is at position b * n + x, the
       order of q.half_residues(); block 0 holds the vertex classes.
-    * shifted(s) lists the position of p + s for every box point p, and
-      step(b, lam, scale) is the block and the shifted table that
-      mu_b + 2x + scale * lam lands in.
+    * shifted(s) lists the position of p + s for every box point p: the
+      table by which the positions of a block move when mu_b + 2x moves
+      to mu_block + 2(x + s) (LabelTable._step).
     * sigma: the glide as a permutation of the 4n positions (None for a
       torus).  It maps block b onto block image[b], position b * n + x to
       image[b] * n + sig[b][x]; orbit_ranks(b) numbers the glide pairs of
@@ -161,11 +168,6 @@ class _Grid:
                 out += positions[base + rot : base + h11]
                 out += positions[base : base + rot]
         return out
-
-    def step(self, b: int, lam: Vec, scale: int) -> tuple:
-        """(block, table): mu_b + 2x + scale * lam = mu_block + 2 table[x]."""
-        x, y = (b & 1) + scale * lam[0], (b >> 1) + scale * lam[1]
-        return (x & 1) + 2 * (y & 1), self.shifted((x >> 1, y >> 1))
 
     def orbit_ranks(self, b: int) -> tuple:
         """(lows, rank) of a block b that the glide maps onto itself: lows
@@ -217,77 +219,47 @@ def _count_cycles(perm: list, steps: int, lengths: dict, kind: str) -> None:
         lengths[steps * m] = lengths.get(steps * m, 0) + 1
 
 
-def _transfer_system(
-    q: QuotientGroup, kind: str, rep: str, step_in_w: int, table: LabelTable
-) -> TransferSystem:
+def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferSystem:
     """The step (p, l) -> (p + l[0], l rotated by one) on grid classes p
     and the labels l of table (a weight, or a gallery pair that swaps),
     modulo (p, l) ~ (sigma p, sigma l).  A step of w**2 moves a vertex
     (block 0) by 2 l[0] in doubled coordinates, a step of w a half-lattice
     point by l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which
-    it swaps.  Each (label, block) pair of table.segments steps as a
-    whole onto one segment by one shifted table, and only the composed
-    tables around each cycle of segments are walked (see the module
-    docstring).  For a Klein bottle the glide pairs segment (k, b) with
-    (flip[k], image[b]); a state orbit is named by its point in the earlier
-    of the two, and a segment the glide maps onto itself by the rank of
-    its pair.  Everything about the labels is read from table, which the
-    root system keeps; only the tables depend on q."""
+    it swaps.  The segment permutation, its cycles and the ops of each
+    cycle's first-return map come from table.plan of q's glide, which the
+    table keeps (see the module docstring); only the tables the ops name,
+    the glide's block maps and the ranks of the glide-fixed segments
+    depend on q, and only the first-return maps are walked."""
     grid = _grid(q)
-    segments, labels, nexts = table.segments, table.labels, table.nexts
-    at = {s: i for i, s in enumerate(segments)}
-    to, tables = [], []  # the segment each one steps onto, by which table
-    for k, b in segments:
-        block, shifted = grid.step(b, labels[k][0], step_in_w)
-        to.append(at.get((nexts[k], block), -1))
-        tables.append(shifted)
-    if -1 in to or len(set(to)) < len(to):
-        raise AssertionError(f"{kind} transition is not a bijection")
-    if grid.sigma is None:
-        mirror = range(len(segments))
-    else:
-        # the segment of (sigma p, sigma l); flip[k] is the label of sigma l
-        flip = table.flip(q.sigma.linear)
-        mirror = [at.get((flip[k], grid.image[b]), -1) for k, b in segments]
-        if -1 in mirror:
-            raise AssertionError(f"the glide sends a kept {kind} segment off the kept ones")
+    glide = None if grid.sigma is None else (q.sigma.linear, tuple(grid.image))
     lengths: dict = {}  # cycle length -> number of cycles
-    size, seen = 0, [False] * len(segments)
-    for first, (_, b) in enumerate(segments):
-        if seen[first] or mirror[first] < first:
-            continue
-        steps, cycle, i = 0, [], first
-        while not seen[i]:
-            seen[i] = True
-            steps += 1
-            cycle.append(tables[i])
-            i = to[i]
-            if mirror[i] < i:
-                # onto the later segment of a glide pair: named by the earlier
-                cycle.append(grid.sig[segments[i][1]])
-                i = mirror[i]
-        if i != first:
-            raise AssertionError(f"{kind} transition is not a bijection")
-        perm = _compose(cycle)
-        if mirror[first] == first and grid.sigma is not None:
+    size = 0
+    for b, fixed, steps, ops in table.plan(glide).cycles:
+        tables = []
+        for shift, block in ops:
+            tables.append(grid.shifted(shift))
+            if block is not None:
+                tables.append(grid.sig[block])
+        perm = _compose(tables)
+        if fixed:
             lows, rank = grid.orbit_ranks(b)
             perm = list(map(rank.__getitem__, map(perm.__getitem__, lows)))
         size += steps * len(perm)
-        _count_cycles(perm, steps, lengths, kind)
-    zeta = CycleProduct({step_in_w * m: -c for m, c in lengths.items()})
-    return TransferSystem(kind, rep, step_in_w, size, zeta)
+        _count_cycles(perm, steps, lengths, table.kind)
+    zeta = CycleProduct({table.scale * m: -c for m, c in lengths.items()})
+    return TransferSystem(table.kind, rep, table.scale, size, zeta)
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    return _transfer_system(q, "walks", rep, 2, q.rs.label_table(rep, "walks"))
+    return _transfer_system(q, rep, q.rs.label_table(rep, "walks"))
 
 
 def build_semi_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    return _transfer_system(q, "semi", rep, 1, q.rs.label_table(rep, "semi"))
+    return _transfer_system(q, rep, q.rs.label_table(rep, "semi"))
 
 
 def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
-    return _transfer_system(q, "galleries", rep, 2, q.rs.label_table(rep, "galleries"))
+    return _transfer_system(q, rep, q.rs.label_table(rep, "galleries"))
 
 
 # ---------------------------------------------------------------------------

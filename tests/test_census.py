@@ -706,4 +706,5 @@ def test_census_reads_nothing_of_the_transfer_systems():
     # of the root system's tables the census reads only gallery_pairs
     assert not names & {"_zeta_grid", "_glide", "_lower", "_grid", "_Grid", "zeta"}
     assert not names & {"label_table", "LabelTable", "_labels", "_pairs", "flip"}
+    assert not names & {"plan", "_plans", "SegmentPlan", "_step"}
     assert not [t for t in texts if "_grid" in t.lower() or t in ("_glide", "_lower")]

@@ -7,14 +7,18 @@ The expected files under tests/golden/ were written by the CLI itself:
     weylzeta zeta     --input samples/<name>.spec --format text  (<name>.zeta.txt)
     weylzeta describe --input samples/<name>.spec --format json|text
     weylzeta counts   --input samples/<name>.spec --max-n 12 --format json|text
+    weylzeta corpus   --seed 7 --format json|text  (corpus_seed7.json|.txt)
 
 (JSON as <command>_<name>.json, text as <name>.<command>.txt.)  Any
 change of representation inside the package must leave these bytes
-unchanged.  The `verify` and `zeta --format json` outputs and every
-`describe` and `counts` output of all four samples are also compared
-from a `python -O` subprocess, so the glide-line-count record, the
-transfer systems, the reduced forms, the census and the explicit checks
-they rely on are shown to run without asserts.
+unchanged.  The `verify` and `zeta --format json` outputs, every
+`describe` and `counts` output of all four samples and both corpus
+outputs are also compared from a `python -O` subprocess, so the
+glide-line-count record, the transfer systems, the reduced forms, the
+census and the explicit checks they rely on are shown to run without
+asserts.  The corpus builds 55 quotients of both kinds in one process,
+so it also covers what the root systems keep from one quotient to the
+next.
 """
 
 import os
@@ -63,10 +67,21 @@ def test_describe_and_counts_bytes_match_golden(sample, command, fmt, capsys):
     assert capsys.readouterr().out == _golden(sample, command, fmt)
 
 
+CORPUS_ARGV = ["corpus", "--seed", "7", "--format"]
+CORPUS_GOLDEN = {"json": "corpus_seed7.json", "text": "corpus_seed7.txt"}
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_corpus_seed7_bytes_match_golden(fmt, capsys):
+    assert main([*CORPUS_ARGV, fmt]) == 0
+    assert capsys.readouterr().out == (GOLDEN / CORPUS_GOLDEN[fmt]).read_text()
+
+
 def _run_under_python_O(sample, command, fmt="json"):
+    argv = [*CORPUS_ARGV, fmt] if command == "corpus" else _argv(sample, command, fmt)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, "-O", "-m", "weylzeta.cli", *_argv(sample, command, fmt)],
+        [sys.executable, "-O", "-m", "weylzeta.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -110,3 +125,12 @@ def test_describe_and_counts_bytes_match_golden_under_python_O(sample, command, 
     done = _run_under_python_O(sample, command, fmt)
     assert done.returncode == 0, done.stderr
     assert done.stdout == _golden(sample, command, fmt)
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_corpus_seed7_bytes_match_golden_under_python_O(fmt):
+    # the transfer-system plans the root systems keep across the corpus,
+    # and their checks, must run unchanged when asserts are stripped
+    done = _run_under_python_O(None, "corpus", fmt)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / CORPUS_GOLDEN[fmt]).read_text()

@@ -1,9 +1,11 @@
 """The segment-cycle transfer-system builder: its per-quotient grid
 (vertex positions, the half-lattice classes as four parity cosets of
-them, block shifts, the glide's block maps and orbit ranks), its checks,
-its cost, and its agreement with the tuple-canonicalizing reference
-builders and their explicit successor walk."""
+them, block shifts, the glide's block maps and orbit ranks), the segment
+plans the label tables keep, its checks, its cost, and its agreement
+with the tuple-canonicalizing reference builders and their explicit
+successor walk."""
 
+import ast
 import gc
 import os
 import random
@@ -30,11 +32,21 @@ from weylzeta.quotient import (
     TorusSpec,
     build,
 )
-from weylzeta.rootgeom import LabelTable, RootSystem, mat_vec, vec_add, vec_scale, vec_sub
+from weylzeta.rootgeom import (
+    IDENTITY,
+    LabelTable,
+    RootSystem,
+    mat_det,
+    mat_vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
     TransferSystem,
     _Grid,
+    _compose,
     _grid,
     _transfer_system,
     build_gallery_system,
@@ -83,26 +95,25 @@ def test_builders_match_tuple_reference():
                 assert build_semi_system(q, rep).size == 2 * q.N * len(q.rs.weights(rep))
 
 
-def test_a_step_off_the_kept_blocks_is_not_a_bijection(monkeypatch):
-    step = _Grid.step
+def _stepping_into(block, labels, kind):
+    """A fresh LabelTable whose every step lands in block, each by its own shift."""
 
-    def into(block):
-        def patched(grid, b, lam, scale):
-            return block, step(grid, b, lam, scale)[1]
+    class Into(LabelTable):
+        def _step(self, k, b):
+            return block, LabelTable._step(self, k, b)[1]
 
-        return patched
+    return Into(labels, kind)
 
+
+def test_a_step_off_the_kept_blocks_is_not_a_bijection():
+    semi = A2.label_table("pi1", "semi").labels
     for q in (build(A2, TorusSpec((6, 0), (0, 3))), build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))):
-        with monkeypatch.context() as patch:
-            # every half step lands in the rational block 0
-            patch.setattr(_Grid, "step", into(0))
-            with pytest.raises(AssertionError, match="not a bijection"):
-                build_semi_system(q, "pi1")
-            # one label on one block, sent to block 1: off its only segment
-            patch.setattr(_Grid, "step", into(1))
-            with pytest.raises(AssertionError, match="not a bijection"):
-                one_label = LabelTable((((1, 0),),), "walks")
-                _transfer_system(q, "walks", "pi1", 2, one_label)
+        # every half step lands in the rational block 0
+        with pytest.raises(AssertionError, match="not a bijection"):
+            _transfer_system(q, "pi1", _stepping_into(0, semi, "semi"))
+        # one label on one block, sent to block 1: off its only segment
+        with pytest.raises(AssertionError, match="not a bijection"):
+            _transfer_system(q, "pi1", _stepping_into(1, (((1, 0),),), "walks"))
 
 
 def test_transfer_system_rejects_a_non_bijective_successor():
@@ -192,9 +203,12 @@ def _check_grid(q, x):
     # the half step by x of every point of each block is one block shift
     # of the vertex grid, and a step by 2x moves a vertex by x
     for b in range(4):
-        block, table = grid.step(b, x, 1)
+        block, shift = LabelTable(((x,),), "semi")._step(0, b)
+        table = grid.shifted(shift)
         assert [block * n + t for t in table] == [half_pos(vec_add(p, x)) for p in half[b * n : b * n + n]]
-    assert grid.step(0, x, 2) == (0, grid.shifted(x))
+    assert LabelTable(((x,),), "walks")._step(0, 0) == (0, x)
+    # a run of steps is one shift by their sum
+    assert _compose([grid.shifted(x), grid.shifted((1, 2))]) == grid.shifted(vec_add(x, (1, 2)))
     if q.kind == "torus":
         assert grid.sigma is None
         return
@@ -296,6 +310,19 @@ def _systems(q, calls):
     return out
 
 
+def _corpus_systems(members):
+    """Every system of each member, built in the given member order on fresh
+    root systems, so that each quotient meets the plans its predecessors
+    left on the label tables."""
+    fresh = {"A2": RootSystem("A2"), "C2": RootSystem("C2")}
+    out = {}
+    for member in members:
+        q = build(fresh[member.root_system], member.spec)
+        calls = [(flat, rep) for flat, _ in BUILDERS for rep in q.rs.rep_names]
+        out[member.name] = _systems(q, calls)
+    return out
+
+
 def test_systems_agree_in_any_build_order():
     rng = random.Random(9)
     for q in (*_klein_and_cover(C2, KleinSpec((1, 0), (1, 1), 2, 1, 1)),
@@ -306,6 +333,21 @@ def test_systems_agree_in_any_build_order():
         for _ in range(2):
             rng.shuffle(calls)
             assert _systems(q, calls) == fresh, q
+    # across quotients: the corpus forward and reversed, and the explicit
+    # walk on its Klein bottles
+    members = generate_corpus(7)
+    forward = _corpus_systems(members)
+    assert _corpus_systems(members[::-1]) == forward
+    kleins = [member for member in members if isinstance(member.spec, KleinSpec)]
+    assert len(kleins) == 15
+    for member in kleins:
+        q = member.build()
+        want = {}
+        for flat, ref in BUILDERS:
+            for rep in q.rs.rep_names:
+                system = ref(q, rep)
+                want[flat.__name__, rep] = (system.size, system.zeta())
+        assert forward[member.name] == want, member.name
 
 
 def test_klein_and_double_cover_hold_distinct_grids():
@@ -342,18 +384,69 @@ def test_label_tables_are_derived_once_per_root_system(monkeypatch):
         flips[id(table), m] += 1
         return derive(table, m)
 
+    def counting_plan(table, glide):
+        plans[id(table), glide] += 1
+        return plan(table, glide)
+
+    plans, plan = Counter(), LabelTable._derive_plan
     monkeypatch.setattr(LabelTable, "__init__", counting_init)
     monkeypatch.setattr(LabelTable, "_derive_flip", counting_derive)
+    monkeypatch.setattr(LabelTable, "_derive_plan", counting_plan)
     kleins = [build(rs, KleinSpec((1, 0), (0, 1), 1, 1, m)) for m in (1, 2)]
     assert kleins[0].sigma.linear == kleins[1].sigma.linear
     assert kleins[0].N != kleins[1].N
-    for q in kleins:
+    qs = kleins + [build(rs, TorusSpec(*q.gamma0_basis)) for q in kleins]
+    for q in qs + qs[::-1]:
         for flat, _ in BUILDERS:
             for rep in rs.rep_names:
                 flat(q, rep)
     # one layout per (rep, kind) and one flip per layout and reflection
     assert len(made) == 6 and set(made.values()) == {1}
     assert len(flips) == 6 and set(flips.values()) == {1}
+    # one plan per layout and glide: the torus's and the Klein bottles' one
+    glides = {None} | {(q.sigma.linear, tuple(_grid(q).image)) for q in kleins}
+    assert len(glides) == 2
+    assert len(plans) == 6 * 2 and set(plans.values()) == {1}
+    assert {glide for _, glide in plans} == glides
+
+
+def _ladder_kleins():
+    """The 36 Klein specs of the benchmark ladder, read from bench/workloads.py
+    without running it."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "KLEIN_RUNGS":
+            rungs = ast.literal_eval(node.value)
+    return [(rs, KleinSpec(*spec)) for _, rs, _, _, specs in rungs for spec in specs]
+
+
+def test_a_label_table_keeps_at_most_one_plan_per_glide_reflection():
+    # the glide key carries the block images of the glide as well as its
+    # linear part, but the images follow from the reflection: a table keeps
+    # the torus plan and at most one per reflection, and the corpus and the
+    # ladder meet every reflection
+    fresh = {"A2": RootSystem("A2"), "C2": RootSystem("C2")}
+    specs = [(m.root_system, m.spec) for m in generate_corpus(7)] + _ladder_kleins()
+    assert len(specs) == 55 + 36
+    for rs_name, spec in specs:
+        assert verify(build(fresh[rs_name], spec)).all_hold
+    for rs in fresh.values():
+        reflections = sum(mat_det(m) == -1 for m in rs.weyl)
+        assert len(rs._labels) == 6
+        held = [len(table._plans) for table in rs._labels.values()]
+        assert max(held) == 1 + reflections, (rs, held)
+
+
+def test_a_plan_dies_with_its_table():
+    rs = RootSystem("C2")
+    q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
+    for flat, _ in BUILDERS:
+        flat(q, "spin")
+    plans = [weakref.ref(plan) for table in rs._labels.values() for plan in table._plans.values()]
+    assert len(plans) == 3
+    del rs, q
+    gc.collect()
+    assert [ref() for ref in plans] == [None] * 3
 
 
 def test_a_glide_with_a_fixed_point_raises(monkeypatch):
@@ -380,15 +473,16 @@ def test_a_glide_that_is_not_an_involution_raises(monkeypatch):
 # the engine's own checks, in process and under python -O
 # ---------------------------------------------------------------------------
 
-# Each case breaks one thing the segment-cycle builder relies on, on a
-# fresh quotient whose grid it patches; the runner at the end runs only
-# in a subprocess.
+# Each case breaks one thing the segment-cycle builder relies on: the
+# step arithmetic of a fresh label table, whose segment plan checks it,
+# or the grid of a fresh quotient; the runner at the end runs only in a
+# subprocess.
 _ENGINE_FAULTS = """
 import sys
 
 from weylzeta.quotient import KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import LabelTable, RootSystem
-from weylzeta.zeta import _Grid, _grid, _transfer_system, build_semi_system, build_walk_system
+from weylzeta.zeta import _grid, _transfer_system, build_semi_system, build_walk_system
 
 A2 = RootSystem.make("A2")
 
@@ -407,34 +501,39 @@ def klein():
     return q, _grid(q)
 
 
+def one_weight_stepping_into(into):
+    # a fresh table of the one weight (1, 0), whose semi segments are
+    # blocks 2 and 3, with a step from block b landing in block into(b)
+    class Stepping(LabelTable):
+        def _step(self, k, b):
+            return into(b), LabelTable._step(self, k, b)[1]
+
+    return Stepping((((1, 0),),), "semi")
+
+
 def a_step_off_the_kept_segments():
     # of the two segments of one weight (blocks 2 and 3), the first steps
     # into the rational block 0 and the second into the first: a walk of
     # the segments alone would close
-    q, grid = torus()
-
-    def step(b, lam, scale):
-        return 2 * (b == 3), _Grid.step(grid, b, lam, scale)[1]
-
-    grid.step = step
-    _transfer_system(q, "semi", "pi1", 1, LabelTable((((1, 0),),), "semi"))
+    q, _ = torus()
+    _transfer_system(q, "pi1", one_weight_stepping_into(lambda b: 2 * (b == 3)))
 
 
 def two_segments_stepping_into_one():
     # both segments of the one weight (blocks 2 and 3) step into block 3
-    q, grid = torus()
-    grid.step = lambda b, lam, scale: (3, _Grid.step(grid, b, lam, scale)[1])
-    _transfer_system(q, "semi", "pi1", 1, LabelTable((((1, 0),),), "semi"))
+    q, _ = torus()
+    _transfer_system(q, "pi1", one_weight_stepping_into(lambda b: 3))
 
 
 def a_shift_table_with_a_repeated_entry():
     q, grid = torus()
+    shifted = grid.shifted
 
-    def step(b, lam, scale):
-        block, table = _Grid.step(grid, b, lam, scale)
-        return block, [table[1]] + table[1:]
+    def repeated(s):
+        table = shifted(s)
+        return [table[1]] + table[1:]
 
-    grid.step = step
+    grid.shifted = repeated
     build_walk_system(q, "pi1")
 
 
@@ -531,54 +630,98 @@ COST_QUOTIENTS = (
 )
 
 
-def _orbit_segments(q, table):
-    """The segments of table, with each pair the glide swaps counted once."""
+def _block_after(b, lam, scale):
+    """The parity block of mu_b + scale * lam, in doubled coordinates."""
+    x, y = (b & 1) + scale * lam[0], (b >> 1) + scale * lam[1]
+    return (x & 1) + 2 * (y & 1)
+
+
+def _reference_segments(q, rep, kind, scale):
+    """(to, mirror) over the segments of the reference label layout: the
+    index of the segment each one steps onto, and of its glide image
+    (itself on a torus)."""
+    linear = IDENTITY if q.kind == "torus" else q.sigma.linear
+    labels, nexts, segments, flip = reference.label_layout(q.rs, rep, kind, linear)
+    at = {s: i for i, s in enumerate(segments)}
+    to = [at[nexts[k], _block_after(b, labels[k][0], scale)] for k, b in segments]
     if q.kind == "torus":
-        return len(table.segments)
-    grid, flip = _grid(q), table.flip(q.sigma.linear)
-    return len({frozenset({(k, b), (flip[k], grid.image[b])}) for k, b in table.segments})
+        return to, list(range(len(segments)))
+    image = _grid(q).image
+    return to, [at[flip[k], image[b]] for k, b in segments]
+
+
+def _cycle_count(perm):
+    seen, count = set(), 0
+    for start in range(len(perm)):
+        count += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return count
 
 
 def test_the_walk_visits_only_first_return_maps(monkeypatch):
     compose, count = zeta_mod._compose, zeta_mod._count_cycles
-    step = _Grid.step
-    tally = Counter()
+    derive, shifted = LabelTable._derive_plan, _Grid.shifted
+    tally, composed = Counter(), []
 
-    def counting_step(grid, b, lam, scale):
-        tally["steps"] += 1
-        return step(grid, b, lam, scale)
+    def counting_derive(table, glide):
+        tally["plans"] += 1
+        return derive(table, glide)
 
-    def counting_compose(tables):
-        glide_maps = getattr(_grid(q), "sig", ())
-        tally["tables"] += sum(not any(t is g for g in glide_maps) for t in tables)
+    def counting_shifted(grid, s):
+        tally["shifted"] += 1
+        return shifted(grid, s)
+
+    def recording_compose(tables):
+        composed.append(tables)
         return compose(tables)
 
     def counting_cycles(perm, steps, lengths, kind):
         tally["visited"] += len(perm)
         return count(perm, steps, lengths, kind)
 
-    monkeypatch.setattr(_Grid, "step", counting_step)
-    monkeypatch.setattr(zeta_mod, "_compose", counting_compose)
+    monkeypatch.setattr(LabelTable, "_derive_plan", counting_derive)
+    monkeypatch.setattr(_Grid, "shifted", counting_shifted)
+    monkeypatch.setattr(zeta_mod, "_compose", recording_compose)
     monkeypatch.setattr(zeta_mod, "_count_cycles", counting_cycles)
+    seen = Counter()
     for rs, spec in COST_QUOTIENTS:
         q = build(rs, spec)
         assert q.N in (288, 144, 96)
+        glide_maps = getattr(_grid(q), "sig", ())
         for rep in rs.rep_names:
             for flat, _ in BUILDERS:
+                flat(q, rep)
                 tally.clear()
+                composed.clear()
                 system = flat(q, rep)
-                table = rs.label_table(rep, system.kind)
                 where = (spec, rep, system.kind)
-                # one step lookup per segment, and one table per orbit of
-                # segments in a composition
-                assert tally["steps"] == len(table.segments), where
-                assert tally["tables"] == _orbit_segments(q, table), where
+                # a second build of the same table and glide derives no plan
+                assert tally["plans"] == 0, where
+                # each composition takes one shifted table per run of steps,
+                # then the glide's block map where the run ends on the later
+                # segment of a glide pair; a torus cycle is one table
+                glided = [[any(t is g for g in glide_maps) for t in tables] for tables in composed]
+                for flags in glided:
+                    assert not flags[0] and all(map(bool.__ne__, flags, flags[1:])), where
+                assert tally["shifted"] == sum(flags.count(False) for flags in glided), where
+                to, mirror = _reference_segments(q, rep, system.kind, system.step_in_w)
+                walked = [i for i, j in enumerate(mirror) if i <= j]
+                crossings = sum(mirror[to[i]] < to[i] for i in walked)
+                assert sum(map(sum, glided)) == crossings, where
+                seen["crossed"] += crossings > 0
+                seen["summed"] += tally["shifted"] < len(walked)
+                if q.kind == "torus":
+                    assert glided == [[False]] * _cycle_count(to), where
                 if system.kind == "walks":
                     assert tally["visited"] == system.size, where
                 elif q.kind == "torus":
                     assert 2 * tally["visited"] == system.size, where
                 else:
                     assert tally["visited"] <= system.size, where
+    # the Klein bottle crosses to later segments, and runs of steps are summed
+    assert seen["crossed"] and seen["summed"]
 
 
 # ---------------------------------------------------------------------------
@@ -605,22 +748,16 @@ def _segment_cases(q):
     """Which of free segments, glide-fixed segments and steps onto the
     later segment of a glide pair q's systems meet, from the reference
     label layouts."""
-    grid, cases = _grid(q), set()
+    cases = set()
     for rep in q.rs.rep_names:
         for kind, scale in (("walks", 2), ("semi", 1), ("galleries", 2)):
-            labels, nexts, segments, flip = reference.label_layout(q.rs, rep, kind, q.sigma.linear)
-            order = {s: i for i, s in enumerate(segments)}
-
-            def mirror(s):
-                return (flip[s[0]], grid.image[s[1]])
-
-            for k, b in segments:
-                if mirror((k, b)) == (k, b):
+            to, mirror = _reference_segments(q, rep, kind, scale)
+            for i, j in enumerate(mirror):
+                if j == i:
                     cases.add("fixed")
                     continue
                 cases.add("free")
-                target = (nexts[k], grid.step(b, labels[k][0], scale)[0])
-                if order[(k, b)] < order[mirror((k, b))] and order[target] > order[mirror(target)]:
+                if i < j and mirror[to[i]] < to[i]:
                     cases.add("mirror")
     return cases
 
