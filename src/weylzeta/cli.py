@@ -8,7 +8,8 @@ Subcommands:
 * verify    -- run the identity battery; exit 0 only if everything holds
 * corpus    -- generate a seeded random corpus and verify every member
 
-Exit codes: 0 success, 1 at least one identity failed, 2 parse or
+Exit codes: 0 success, 1 at least one identity failed (verify, corpus)
+or no L-polynomial was found (zeta, which then prints nothing), 2 parse or
 validation error (including a series order below the required one or
 above MAX_ORDER, a --max-n outside 1..MAX_ORDER, and a corpus --tori or
 --kleins outside 0..MAX_MEMBERS).
@@ -122,6 +123,11 @@ def _cmd_counts(args) -> int:
 def _cmd_zeta(args) -> int:
     q, parsed = _load(args.input)
     bundle = zeta_bundle(q, _resolve_order(args, parsed))
+    failed = [(rep, d) for rep, d in bundle.l_failure.items() if d]
+    for rep, detail in failed:
+        print(f"error: l-reconstruction[{rep}] failed: {detail}", file=sys.stderr)
+    if failed:
+        return 1
     payload: dict = {
         "order": bundle.order,
         "zeta": {},

@@ -1,5 +1,12 @@
 """The identity battery: every relation the package promises, checked exactly.
 
+The zetas of walks, half-steps and galleries, the closed-walk counts,
+P and the correction factors come from zeta_bundle, the one producer of
+a quotient's zeta data, which the `zeta` command prints too.  verify
+adds only its own work: the census tables the zeta logs are compared
+with, P's cycle product, the double cover of a Klein bottle, and the
+records.
+
 Each record compares two independently computed objects.  Every zeta
 function, correction factor and L-polynomial is a CycleProduct, so a
 rational-function identity is an equality of exponent dicts, decided by
@@ -24,32 +31,15 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import NamedTuple, Optional
 
-from .algebra import (
-    CycleProduct,
-    NotCycleProduct,
-    NotPolynomialWithinBound,
-    _expand,
-    spread,
-)
+from .algebra import CycleProduct, NotCycleProduct, _expand, spread
 from .census import (
     gallery_count_table,
     geodesic_count_table,
     glide_line_counter,
     semi_count_table,
-    walk_count_table,
 )
 from .quotient import QuotientGroup, TorusSpec, build
-from .zeta import (
-    LPolynomial,
-    axis_factor,
-    build_gallery_system,
-    build_semi_system,
-    build_walk_system,
-    correction_factor,
-    l_poly_from_counts,
-    resolve_order,
-    torus_closed_form,
-)
+from .zeta import axis_factor, build_walk_system, torus_closed_form, zeta_bundle
 
 WALK_LOG_DEPTH = 24
 SEMI_LOG_DEPTH = 24
@@ -168,21 +158,6 @@ def _closed_path_table(z: CycleProduct, step_in_w: int, max_n: int) -> list:
     return table
 
 
-class _RepData(NamedTuple):
-    zeta: CycleProduct
-    zeta_semi: CycleProduct
-    zeta2: CycleProduct
-    counts_n: tuple
-    counts_geo: tuple
-    counts_semi: tuple
-    counts_gal: tuple
-    corr: CycleProduct
-    l_poly: Optional[LPolynomial]
-    l_failure: dict
-    l_product: Optional[CycleProduct]
-    l_reason: str
-
-
 def _glide_line_scan(q: QuotientGroup) -> dict:
     """First mismatch between glide line counts and the predicted value
     over the window v = c*alpha + d*beta, |c|, |d| <= GLIDE_WINDOW, d != 0,
@@ -228,40 +203,6 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
     return {}
 
 
-def _collect(q: QuotientGroup, rep: str, order: int) -> _RepData:
-    counts_n = walk_count_table(q, rep, order)
-    counts_geo = geodesic_count_table(q, rep, min(WALK_LOG_DEPTH, order))
-    counts_semi = semi_count_table(q, rep, min(SEMI_LOG_DEPTH, 2 * order))
-    counts_gal = gallery_count_table(q, rep, min(GALLERY_LOG_DEPTH, order))
-    l_poly, l_failure = None, {}
-    try:
-        l_poly = l_poly_from_counts(counts_n, q.N * len(q.rs.weights(rep)))
-    except NotPolynomialWithinBound as exc:
-        l_failure = {"nonzero_tail_exponent": exc.exponent}
-    except AssertionError as exc:
-        l_failure = {"reason": str(exc)}
-    l_product, l_reason = None, "l-reconstruction failed"
-    if l_poly is not None:
-        try:
-            l_product = l_poly.cycle_product()
-        except NotCycleProduct as exc:
-            l_reason = f"l-polynomial is not a cycle product: {exc}"
-    return _RepData(
-        zeta=build_walk_system(q, rep).zeta(),
-        zeta_semi=build_semi_system(q, rep).zeta(),
-        zeta2=build_gallery_system(q, rep).zeta(),
-        counts_n=counts_n,
-        counts_geo=counts_geo,
-        counts_semi=counts_semi,
-        counts_gal=counts_gal,
-        corr=correction_factor(q, rep),
-        l_poly=l_poly,
-        l_failure=l_failure,
-        l_product=l_product,
-        l_reason=l_reason,
-    )
-
-
 def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     """Run the full battery of exact identities for one quotient.
 
@@ -270,9 +211,20 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     insufficient order raises OrderInsufficientError naming the bound,
     and one above MAX_ORDER raises SpecValidationError (resolve_order).
     """
-    order = resolve_order(q, order)
-    rs = q.rs
-    data = {rep: _collect(q, rep, order) for rep in rs.rep_names}
+    bundle = zeta_bundle(q, order)
+    order, rs = bundle.order, q.rs
+    walks, corr = bundle.zeta, bundle.correction
+    geo, semi, gal, l_product, l_reason = {}, {}, {}, {}, {}
+    for rep in rs.rep_names:
+        geo[rep] = geodesic_count_table(q, rep, min(WALK_LOG_DEPTH, order))
+        semi[rep] = semi_count_table(q, rep, min(SEMI_LOG_DEPTH, 2 * order))
+        gal[rep] = gallery_count_table(q, rep, min(GALLERY_LOG_DEPTH, order))
+        l_product[rep], l_reason[rep] = None, "l-reconstruction failed"
+        if bundle.l_poly[rep] is not None:
+            try:
+                l_product[rep] = bundle.l_poly[rep].cycle_product()
+            except NotCycleProduct as exc:
+                l_reason[rep] = f"l-polynomial is not a cycle product: {exc}"
     cover = None
     if q.kind == "klein":
         cover = build(rs, TorusSpec(*q.gamma0_basis))
@@ -282,76 +234,70 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     def record(identity_id: str, statement: str, detail: dict) -> None:
         add(VerifyRecord(identity_id, statement, not detail, detail))
 
-    def l_missing(d: _RepData, identity_id: str, statement: str) -> bool:
+    def l_missing(rep: str, identity_id: str, statement: str) -> bool:
         """Record a failure and return True when P is not available."""
-        if d.l_product is None:
-            add(VerifyRecord(identity_id, statement, False, {"reason": d.l_reason}))
-        return d.l_product is None
+        if l_product[rep] is None:
+            add(VerifyRecord(identity_id, statement, False, {"reason": l_reason[rep]}))
+        return l_product[rep] is None
 
     # the three zeta logs versus the census counts
-    for key, statement, zeta, step_in_w, counts in (
+    for key, statement, zetas, step_in_w, tables in (
         (
             "walk-log-counts",
             "log of the walk zeta matches corner-free closed walk counts",
-            "zeta",
+            walks,
             2,
-            "counts_geo",
+            geo,
         ),
         (
             "half-step-log-counts",
             "log of the half-step zeta matches semi-rational closing counts",
-            "zeta_semi",
+            bundle.zeta_semi,
             1,
-            "counts_semi",
+            semi,
         ),
         (
             "gallery-log-counts",
             "log of the gallery zeta matches closed gallery counts",
-            "zeta2",
+            bundle.zeta2,
             2,
-            "counts_gal",
+            gal,
         ),
     ):
         for rep in rs.rep_names:
-            d = data[rep]
-            table = getattr(d, counts)
-            paths = _closed_path_table(getattr(d, zeta), step_in_w, len(table))
+            table = tables[rep]
+            paths = _closed_path_table(zetas[rep], step_in_w, len(table))
             pairs = zip(range(1, len(table) + 1), table, paths)
             record(f"{key}[{rep}]", statement, _count_compare(pairs))
 
     # L-polynomial reconstruction from the closed-walk trace series
     for rep in rs.rep_names:
-        d = data[rep]
         add(
             VerifyRecord(
                 f"l-reconstruction[{rep}]",
                 "exp of the closed-walk count series has a bounded-degree "
                 "integer reciprocal polynomial",
-                d.l_poly is not None,
-                dict(d.l_failure),
+                bundle.l_poly[rep] is not None,
+                dict(bundle.l_failure[rep]),
             )
         )
 
     if q.kind == "torus":
         # three-way equality: walk zeta = trivial-weight-cleared L = closed form
         for rep in rs.rep_names:
-            d = data[rep]
             identity_id = f"torus-three-way[{rep}]"
             statement = "walk zeta equals reciprocal L-polynomial and closed form"
-            if not l_missing(d, identity_id, statement):
-                detail = _ratfunc_compare(d.zeta, d.l_product.inverse())
+            if not l_missing(rep, identity_id, statement):
+                detail = _ratfunc_compare(walks[rep], l_product[rep].inverse())
                 if not detail:
-                    detail = _ratfunc_compare(d.zeta, torus_closed_form(q, rep))
+                    detail = _ratfunc_compare(walks[rep], torus_closed_form(q, rep))
                 record(identity_id, statement, detail)
 
         # every torus walk closes without a corner
         for rep in rs.rep_names:
-            d = data[rep]
-            depth = min(CORNER_DEPTH, len(d.counts_geo))
-            pairs = [
-                (n, d.counts_n[n - 1], d.counts_geo[n - 1])
-                for n in range(1, depth + 1)
-            ]
+            counts, counts_geo = bundle.walk_counts[rep], geo[rep]
+            depth = min(CORNER_DEPTH, len(counts_geo))
+            pairs = [(n, counts[n - 1], counts_geo[n - 1]) for n in range(1, depth + 1)]
             record(
                 f"walks-close-without-corners[{rep}]",
                 "closed walk and geodesic walk counts agree on a torus",
@@ -360,11 +306,10 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     else:
         # L versus walk zeta with the glide-axis correction factor
         for rep in rs.rep_names:
-            d = data[rep]
             identity_id = f"l-zeta-axis-correction[{rep}]"
             statement = "reciprocal L-polynomial equals walk zeta times axis factor"
-            if not l_missing(d, identity_id, statement):
-                detail = _ratfunc_compare(d.l_product.inverse(), d.zeta * d.corr)
+            if not l_missing(rep, identity_id, statement):
+                detail = _ratfunc_compare(l_product[rep].inverse(), walks[rep] * corr[rep])
                 record(identity_id, statement, detail)
 
         # squared comparison against the independently built double cover
@@ -375,21 +320,20 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
                 f"double-cover-square[{rep}]",
                 "squared walk zeta equals the double cover zeta times the "
                 "rational-axis factor",
-                _ratfunc_compare(data[rep].zeta ** 2, z0 * factor),
+                _ratfunc_compare(walks[rep] ** 2, z0 * factor),
             )
 
     # half-step zeta against walk zeta
     for rep in rs.rep_names:
-        d = data[rep]
         if q.kind == "torus":
-            rhs = d.zeta
+            rhs = walks[rep]
         else:
             e = (2 - q.delta(rep)) * (1 - q.m_axes)
-            rhs = d.zeta * axis_factor(q.k_gamma, e)
+            rhs = walks[rep] * axis_factor(q.k_gamma, e)
         record(
             f"half-step-vs-walk[{rep}]",
             "half-step zeta equals walk zeta up to the semi-rational axis factor",
-            _ratfunc_compare(d.zeta_semi, rhs),
+            _ratfunc_compare(bundle.zeta_semi[rep], rhs),
         )
 
     # the partner's zetas after the length reparametrization (u -> u**2
@@ -399,9 +343,9 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         partner = rs.complement(rep)
         n_p = rs.rep(partner).n_value
         m = 2 if n_p == 1 else 1
-        partner_walks[rep] = data[partner].zeta.substitute(m) ** n_p
-        partner_semi[rep] = data[partner].zeta_semi.substitute(m) ** n_p
-        gallery_neg[rep] = data[rep].zeta2.negate_u()
+        partner_walks[rep] = walks[partner].substitute(m) ** n_p
+        partner_semi[rep] = bundle.zeta_semi[partner].substitute(m) ** n_p
+        gallery_neg[rep] = bundle.zeta2[rep].negate_u()
 
     # gallery zeta against the partner's half-step zeta
     for rep in rs.rep_names:
@@ -409,19 +353,18 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             f"gallery-vs-half-step[{rep}]",
             "gallery zeta equals the partner half-step zeta after the "
             "length reparametrization",
-            _ratfunc_compare(data[rep].zeta2, partner_semi[rep]),
+            _ratfunc_compare(bundle.zeta2[rep], partner_semi[rep]),
         )
 
     # the main identity: L from the two walk zetas and the gallery zeta at -u
     for rep in rs.rep_names:
-        d = data[rep]
         identity_id = f"main-identity[{rep}]"
         statement = (
             "trivial-weight-cleared L equals walk zetas over gallery zeta at -u"
         )
-        if not l_missing(d, identity_id, statement):
-            lhs = (d.zeta * partner_walks[rep]).inverse()
-            rhs = d.l_product / gallery_neg[rep]
+        if not l_missing(rep, identity_id, statement):
+            lhs = (walks[rep] * partner_walks[rep]).inverse()
+            rhs = l_product[rep] / gallery_neg[rep]
             record(identity_id, statement, _product_poly_compare(lhs, rhs))
 
     # quotient of partner walk zeta by gallery zeta at -u is the axis factor
@@ -430,7 +373,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             f"gallery-walk-quotient[{rep}]",
             "partner walk zeta over gallery zeta at -u equals the axis "
             "correction factor",
-            _product_poly_compare(partner_walks[rep] / gallery_neg[rep], data[rep].corr),
+            _product_poly_compare(partner_walks[rep] / gallery_neg[rep], corr[rep]),
         )
 
     if q.kind == "klein":
@@ -458,14 +401,13 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
 
     # parity of cycle lengths where the type structure forces evenness
     for rep in rs.rep_names:
-        d = data[rep]
         checks = []
         if rs.kind == "C2" and rep == "spin":
-            checks.append(("spin walks", d.zeta))
+            checks.append(("spin walks", walks[rep]))
         # gallery labels only return after an even number of steps, except
         # on A2 Klein bottles where the glide swaps the off-axis directions
         if q.kind == "torus" or (rs.kind == "C2" and rep == q.type_rep):
-            checks.append(("galleries", d.zeta2))
+            checks.append(("galleries", bundle.zeta2[rep]))
         if not checks:
             continue
         detail = {}

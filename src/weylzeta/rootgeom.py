@@ -20,12 +20,11 @@ The tables that depend on the root system alone are made on first use
 and kept on it, so every quotient of the process shares them: the
 gallery pairs of each representation, and per representation and
 transfer-system kind the LabelTable (the labels of the states, each
-label's successor, the parity blocks its states occupy, and, each made
-on its first use, the label permutation of each Weyl reflection and the
-SegmentPlan of each glide).  Nothing in them depends on a quotient: a
-table keeps one plan for every torus and one per (linear part, block
-images) of the Klein bottles' glides it has met, and dies with its root
-system.
+label's successor, the parity blocks its states occupy, and, made on
+its first use, the SegmentPlan of each glide).  Nothing in them depends
+on a quotient: a table keeps one plan for every torus and one per
+linear part of the Klein bottles' glides it has met, and dies with its
+root system.
 """
 
 from __future__ import annotations
@@ -71,6 +70,15 @@ def vec_scale(k: int, v: Vec) -> Vec:
     return (k * v[0], k * v[1])
 
 
+def block_images(m: Mat) -> tuple:
+    """image[b], the parity block of m * mu_b, mu_b = (b & 1, b >> 1): the
+    block onto which a glide of linear part m maps block b of the
+    half-lattice points, its translation being even in doubled
+    coordinates."""
+    images = (mat_vec(m, (b & 1, b >> 1)) for b in range(4))
+    return tuple((x & 1) + 2 * (y & 1) for x, y in images)
+
+
 class SegmentPlan:
     """The part of a LabelTable's transfer systems that does not depend on
     the quotient, for one glide.
@@ -105,12 +113,11 @@ class LabelTable:
     pairs that hold states, in the order the states are numbered: block
     0 (the vertex classes) for walks and galleries, and for semi the two
     blocks of half-lattice points whose line in the weight's direction
-    misses the vertex lattice.  flip(m) is the label permutation of a
-    Weyl reflection m, and plan(glide) the SegmentPlan of a glide, each
-    made on its first use and kept.
+    misses the vertex lattice.  plan(linear) is the SegmentPlan of a
+    glide of linear part linear, made on its first use and kept.
     """
 
-    __slots__ = ("kind", "scale", "labels", "nexts", "segments", "_at", "_flips", "_plans")
+    __slots__ = ("kind", "scale", "labels", "nexts", "segments", "_at", "_plans")
 
     def __init__(self, labels: tuple, kind: str):
         at = {label: k for k, label in enumerate(labels)}
@@ -123,18 +130,7 @@ class LabelTable:
         else:
             kept = [(0,)] * len(labels)
         self.segments = tuple((k, b) for k, blocks in enumerate(kept) for b in blocks)
-        self._at, self._flips, self._plans = at, {}, {}
-
-    def flip(self, m: Mat) -> tuple:
-        """flip[k]: the index of the label m * labels[k], entry by entry."""
-        out = self._flips.get(m)
-        if out is None:
-            out = self._flips[m] = self._derive_flip(m)
-        return out
-
-    def _derive_flip(self, m: Mat) -> tuple:
-        at = self._at
-        return tuple(at[tuple(mat_vec(m, w) for w in label)] for label in self.labels)
+        self._at, self._plans = at, {}
 
     def _step(self, k: int, b: int) -> tuple:
         """(block, shift): a step of label k takes mu_b + 2x (doubled
@@ -143,22 +139,22 @@ class LabelTable:
         x, y = (b & 1) + self.scale * lam[0], (b >> 1) + self.scale * lam[1]
         return (x & 1) + 2 * (y & 1), (x >> 1, y >> 1)
 
-    def plan(self, glide) -> SegmentPlan:
-        """The SegmentPlan of a torus (glide None) or of a Klein bottle whose
-        glide has linear part linear and maps block b onto block image[b]
-        (glide (linear, image))."""
-        out = self._plans.get(glide)
+    def plan(self, linear) -> SegmentPlan:
+        """The SegmentPlan of a torus (linear None) or of a Klein bottle
+        whose glide has linear part linear."""
+        out = self._plans.get(linear)
         if out is None:
-            out = self._plans[glide] = self._derive_plan(glide)
+            out = self._plans[linear] = self._derive_plan(linear)
         return out
 
-    def _derive_plan(self, glide) -> SegmentPlan:
+    def _derive_plan(self, linear) -> SegmentPlan:
         """Each segment steps as a whole onto one segment: pi is a
         permutation of the segments, or the transition is not a bijection.
-        The glide pairs segment (k, b) with (flip[k], image[b]), which must
-        be a segment too; a cycle is walked from the earlier segment of its
-        pair, and a step onto the later one of a pair continues from the
-        earlier."""
+        The glide pairs segment (k, b) with (flip[k], image[b]), flip[k] the
+        index of the label linear * labels[k] and image = block_images(linear),
+        which must be a segment too; a cycle is walked from the earlier
+        segment of its pair, and a step onto the later one of a pair
+        continues from the earlier."""
         segments, kind = self.segments, self.kind
         at = {s: i for i, s in enumerate(segments)}
         to, shifts = [], []  # the segment each one steps onto, by which shift
@@ -168,11 +164,11 @@ class LabelTable:
             shifts.append(shift)
         if -1 in to or len(set(to)) < len(to):
             raise AssertionError(f"{kind} transition is not a bijection")
-        if glide is None:
+        if linear is None:
             mirror = range(len(segments))
         else:
-            linear, image = glide
-            flip = self.flip(linear)  # flip[k] is the label of sigma l
+            image, label_at = block_images(linear), self._at
+            flip = [label_at[tuple(mat_vec(linear, w) for w in label)] for label in self.labels]
             mirror = [at.get((flip[k], image[b]), -1) for k, b in segments]
             if -1 in mirror:
                 raise AssertionError(f"the glide sends a kept {kind} segment off the kept ones")
@@ -194,7 +190,7 @@ class LabelTable:
                 raise AssertionError(f"{kind} transition is not a bijection")
             if run is not None:
                 ops.append((run, None))
-            fixed = glide is not None and mirror[first] == first
+            fixed = linear is not None and mirror[first] == first
             cycles.append((b, fixed, steps, tuple(ops)))
         return SegmentPlan(tuple(cycles))
 

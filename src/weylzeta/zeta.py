@@ -30,20 +30,21 @@ cycles of length m are the system's cycles of length L * m on a segment
 cycle of length L.  No state gets an id.  For a Klein bottle the glide,
 a permutation of the positions without fixed points and of order two,
 comes from the quotient with the representative of each of its pairs;
-the grid checks that it maps each block onto one block and reads its
-block maps.  The glide pairs the segments: a pair of distinct segments
-holds the orbits of the earlier one's positions, and a segment the glide
-maps onto itself the ranks of the quotient's representatives of its
-pairs.
+the grid checks that it maps each block onto one block, the one its
+linear part gives (block_images: its translation is even in doubled
+coordinates), and reads its block maps.  The glide pairs the segments:
+a pair of distinct segments holds the orbits of the earlier one's
+positions, and a segment the glide maps onto itself the ranks of the
+quotient's representatives of its pairs.
 
 Only the tables depend on q.  The segment permutation, its cycles and
 the ops of each cycle's first-return map form the SegmentPlan of the
 LabelTable of the rep and kind, made on first use per glide (None for a
-torus, else the glide's linear part and block images) and kept on the
-table, which the root system keeps.  Tables compose as their vectors
-add, so each run of steps between two glide block maps is one table, of
-the run's summed vector, and a torus cycle is one table: a build looks
-up a table per run, composes it with the glide's block maps, and walks.
+torus, else the glide's linear part) and kept on the table, which the
+root system keeps.  Tables compose as their vectors add, so each run of
+steps between two glide block maps is one table, of the run's summed
+vector, and a torus cycle is one table: a build looks up a table per
+run, composes it with the glide's block maps, and walks.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
@@ -66,6 +67,11 @@ peels the exponents in increasing d and pays only for the nonzero
 ones, the few cycle lengths of the walk system; the degree check reads
 a same-sign product's degree off its exponents and factors each Phi_m
 by the primes of m otherwise.
+
+zeta_bundle is the one producer of a quotient's zeta data at one
+order: the `zeta` command prints its ZetaBundle and identities.verify
+compares it.  A P that is not found is not raised: the bundle records
+the failure's detail in l_failure and holds None for P.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ from .algebra import (
 )
 from .census import walk_count_table
 from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
-from .rootgeom import LabelTable, Vec
+from .rootgeom import LabelTable, Vec, block_images
 
 
 class OrderInsufficientError(ValueError):
@@ -126,7 +132,8 @@ class _Grid:
       order of q.half_residues(); block 0 holds the vertex classes.
     * shifted(s) lists the position of p + s for every box point p: the
       table by which the positions of a block move when mu_b + 2x moves
-      to mu_block + 2(x + s) (LabelTable._step).
+      to mu_block + 2(x + s) (LabelTable._step).  It is kept by the box
+      point of s, so that vectors equal modulo Gamma0 share one table.
     * sigma: the glide as a permutation of the 4n positions (None for a
       torus).  It maps block b onto block image[b], position b * n + x to
       image[b] * n + sig[b][x]; orbit_ranks(b) numbers the glide pairs of
@@ -153,18 +160,23 @@ class _Grid:
                 raise AssertionError("the glide does not map each block onto one block")
             self.image.append(image)
             self.sig.append(sig)
+        if self.image != list(block_images(q.sigma.linear)):
+            raise AssertionError("the glide's block images disagree with its linear part")
 
     def shifted(self, s: Vec) -> list:
-        out = self._shifted.get(s)
+        h11, c, h22 = self._h11, self._c, self._h22
+        r, j = divmod(s[1], h22)
+        box = ((s[0] - r * c) % h11, j)
+        out = self._shifted.get(box)
         if out is None:
-            # row j moves to row j2 with carry r and rotates within it; the
-            # slices of positions share its int objects, so a kept table
-            # costs one pointer per entry
-            h11, c, h22, positions = self._h11, self._c, self._h22, self._positions
-            out = self._shifted[s] = []
-            for j in range(h22):
-                r, j2 = divmod(j + s[1], h22)
-                rot, base = (s[0] - r * c) % h11, h11 * j2
+            # each row moves to row j2 with carry r and rotates within it;
+            # the slices of positions share its int objects, so a kept
+            # table costs one pointer per entry
+            i, positions = box[0], self._positions
+            out = self._shifted[box] = []
+            for row in range(h22):
+                r, j2 = divmod(row + j, h22)
+                rot, base = (i - r * c) % h11, h11 * j2
                 out += positions[base + rot : base + h11]
                 out += positions[base : base + rot]
         return out
@@ -231,10 +243,10 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
     the glide's block maps and the ranks of the glide-fixed segments
     depend on q, and only the first-return maps are walked."""
     grid = _grid(q)
-    glide = None if grid.sigma is None else (q.sigma.linear, tuple(grid.image))
+    linear = None if grid.sigma is None else q.sigma.linear
     lengths: dict = {}  # cycle length -> number of cycles
     size = 0
-    for b, fixed, steps, ops in table.plan(glide).cycles:
+    for b, fixed, steps, ops in table.plan(linear).cycles:
         tables = []
         for shift, block in ops:
             tables.append(grid.shifted(shift))
@@ -407,15 +419,18 @@ def correction_factor(q: QuotientGroup, rep: str) -> CycleProduct:
 class ZetaBundle(NamedTuple):
     """One quotient's zeta data at one order, by representation: the cycle
     products zeta, zeta_semi, zeta2 and correction and the L-polynomials
-    l_poly, which the `zeta` command prints, and the L-function l_func and
-    the closed-walk counts walk_counts it is built from, which it does not."""
+    l_poly, which the `zeta` command prints, and the closed-walk counts
+    walk_counts that P is reconstructed from.  l_failure[rep] is {} when P
+    was found; otherwise l_poly[rep] is None and l_failure[rep] holds why:
+    {"nonzero_tail_exponent": e} when P has no degree within the bound,
+    {"reason": message} when a coefficient is not an integer."""
 
     order: int
     zeta: dict
     zeta_semi: dict
     zeta2: dict
     l_poly: dict
-    l_func: dict
+    l_failure: dict
     walk_counts: dict
     correction: dict
 
@@ -451,17 +466,21 @@ def resolve_order(q: QuotientGroup, order: Optional[int] = None) -> int:
 
 
 def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
+    """The zeta data of q at order (resolve_order), the one producer of it:
+    the `zeta` command prints it and verify compares it."""
     order = resolve_order(q, order)
-    zeta, semi, gal, lpoly, lfunc, counts, corr = {}, {}, {}, {}, {}, {}, {}
+    zeta, semi, gal, lpoly, failure, counts, corr = {}, {}, {}, {}, {}, {}, {}
     for rep in q.rs.rep_names:
         zeta[rep] = build_walk_system(q, rep).zeta()
         semi[rep] = build_semi_system(q, rep).zeta()
         gal[rep] = build_gallery_system(q, rep).zeta()
-        ns = walk_count_table(q, rep, order)
-        counts[rep] = ns
-        p = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))
-        lpoly[rep] = p
-        trivial = CycleProduct({2: q.rs.rep(rep).epsilon * q.N})
-        lfunc[rep] = (trivial * p.cycle_product()).inverse()
+        ns = counts[rep] = walk_count_table(q, rep, order)
+        lpoly[rep], failure[rep] = None, {}
+        try:
+            lpoly[rep] = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))
+        except NotPolynomialWithinBound as exc:
+            failure[rep] = {"nonzero_tail_exponent": exc.exponent}
+        except AssertionError as exc:
+            failure[rep] = {"reason": str(exc)}
         corr[rep] = correction_factor(q, rep)
-    return ZetaBundle(order, zeta, semi, gal, lpoly, lfunc, counts, corr)
+    return ZetaBundle(order, zeta, semi, gal, lpoly, failure, counts, corr)

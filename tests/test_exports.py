@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,40 @@ def test_every_function_has_a_caller_in_the_package():
                         defined[f"{node.name}.{item.name}"] = item.name
     uncalled = {key for key, name in defined.items() if name not in referenced}
     assert uncalled == UNCALLED_ALLOWED
+
+
+def test_zeta_bundle_is_the_one_producer_of_zeta_data():
+    # verify reads the bundle that the zeta command prints; nothing else
+    # builds a quotient's systems, counts, P or correction factors
+    assert weylzeta.ZetaBundle._fields == (
+        "order",
+        "zeta",
+        "zeta_semi",
+        "zeta2",
+        "l_poly",
+        "l_failure",
+        "walk_counts",
+        "correction",
+    )
+    for name in ("_collect", "_RepData"):
+        assert not hasattr(weylzeta.identities, name)
+    package = Path(weylzeta.__file__).resolve().parent
+    calls = Counter()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)] += 1
+    producers = {
+        "l_poly_from_counts": 1,
+        "resolve_order": 1,
+        "correction_factor": 1,
+        "build_semi_system": 1,
+        "build_gallery_system": 1,
+        # the bundle's and the Klein bottle's double cover in verify
+        "build_walk_system": 2,
+    }
+    assert {name: calls[name] for name in producers} == producers
 
 
 def test_the_klein_generator_api_is_gone():

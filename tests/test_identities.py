@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import reference
 import weylzeta.algebra as algebra_mod
 import weylzeta.identities as identities_mod
+import weylzeta.zeta as zeta_mod
 from weylzeta.algebra import CycleProduct, NotCycleProduct
 from weylzeta.census import walk_count_table
 from weylzeta.corpus import generate_corpus
@@ -123,7 +124,8 @@ def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
             values[1] += 1  # 2 * p_2 becomes odd
         return tuple(values)
 
-    monkeypatch.setattr(identities_mod, "walk_count_table", perturbed)
+    # the bundle that verify reads counts the walks
+    monkeypatch.setattr(zeta_mod, "walk_count_table", perturbed)
     failed = {r.identity_id: r.detail for r in verify(q).failures()}
     dependent = ("torus-three-way", "main-identity") if q.kind == "torus" else (
         "l-zeta-axis-correction",
@@ -145,7 +147,7 @@ def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
     spec = Path(__file__).resolve().parent.parent / "samples" / "c2_torus.spec"
     parsed = load_spec_file(str(spec))
     q = build(RootSystem.make(parsed.root_system), parsed.spec)
-    real = identities_mod.build_walk_system
+    real = zeta_mod.build_walk_system
 
     def planted(q_, rep):
         system = real(q_, rep)
@@ -156,7 +158,8 @@ def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
         assert system.size == 8 and planted == CycleProduct({2: -5, 6: -1})
         return system._replace(product=planted)
 
-    monkeypatch.setattr(identities_mod, "build_walk_system", planted)
+    # the bundle that verify reads builds the walk system
+    monkeypatch.setattr(zeta_mod, "build_walk_system", planted)
     failed = {r.identity_id: r.detail for r in verify(q).failures()}
     # the smallest odd length, not the first found in cycle order
     assert failed["parity-evenness[spin]"] == {"which": "spin walks", "odd_cycle_length": 1}

@@ -269,6 +269,11 @@ def test_gallery_pairs_never_backtrack():
 # ---------------------------------------------------------------------------
 
 
+def _parity(v):
+    """The parity block of a point in doubled coordinates."""
+    return (v[0] & 1) + 2 * (v[1] & 1)
+
+
 def test_label_tables_match_the_per_call_derivation():
     for rs in (A2, C2):
         reflections = [m for m in rs.weyl if mat_det(m) == -1]
@@ -278,8 +283,17 @@ def test_label_tables_match_the_per_call_derivation():
             for kind in ("walks", "semi", "galleries"):
                 table = rs.label_table(rep, kind)
                 for m in reflections:
-                    got = (table.labels, table.nexts, table.segments, table.flip(m))
-                    assert got == reference.label_layout(rs, rep, kind, m), (rs, rep, kind, m)
+                    labels, nexts, segments, flip = reference.label_layout(rs, rep, kind, m)
+                    where = (rs, rep, kind, m)
+                    assert (table.labels, table.nexts, table.segments) == (labels, nexts, segments), where
+                    # a glide of linear part m pairs segment (k, b) with (flip[k], the
+                    # parity block of m mu_b); its plan walks each pair once, from its
+                    # earlier segment, and each segment the glide fixes
+                    at = {s: i for i, s in enumerate(segments)}
+                    mirror = [at[flip[k], _parity(mat_vec(m, (b & 1, b >> 1)))] for k, b in segments]
+                    cycles = table.plan(m).cycles
+                    assert sum(c[2] for c in cycles) == sum(i <= j for i, j in enumerate(mirror)), where
+                    assert sum(c[2] for c in cycles if c[1]) == sum(i == j for i, j in enumerate(mirror)), where
 
 
 def test_root_system_tables_are_made_once():
@@ -290,7 +304,7 @@ def test_root_system_tables_are_made_once():
                 table = rs.label_table(rep, kind)
                 assert rs.label_table(rep, kind) is table
                 m = rs.reflection_fixing(rs.weights(rep)[0])
-                assert table.flip(m) is table.flip(m)
+                assert table.plan(m) is table.plan(m)
     with pytest.raises(ValueError, match="unknown transfer system kind"):
         A2.label_table("pi1", "walk")
     with pytest.raises(ValueError, match="not defined"):

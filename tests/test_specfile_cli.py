@@ -1,6 +1,9 @@
 """Spec file parsing, CLI subcommands, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -311,6 +314,81 @@ def test_cli_identity_failure_exit_one(torus_file, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "verify", fake_verify)
     assert main(["verify", "--input", torus_file]) == 1
     assert "identity failures" in capsys.readouterr().out
+
+
+# The zeta command on planted walk counts: the tail case has no P within
+# the bound, the non-integer case a P with a fractional coefficient, and
+# N_n = 2**n has P = 1 - 2u, which is not the Moebius product of the counts.
+_PLANTED_ZETA = """
+import sys
+
+import weylzeta.zeta as zeta_mod
+from weylzeta.cli import main
+
+real = zeta_mod.walk_count_table
+
+
+def planted(fault):
+    def counts(q, rep, max_n):
+        if fault == "powers_of_two":
+            return tuple(2**n for n in range(1, max_n + 1))
+        values = list(real(q, rep, max_n))
+        bound = q.N * len(q.rs.weights(rep))
+        if fault == "tail":
+            values[bound] += bound + 1  # p at bound + 1 becomes -1
+        else:
+            values[1] += 1  # 2 * p_2 becomes odd
+        return tuple(values)
+
+    return counts
+
+
+if __name__ == "__main__":
+    zeta_mod.walk_count_table = planted(sys.argv[1])
+    sys.exit(main(["zeta", "--input", sys.argv[2], "--format", "json"]))
+"""
+
+# the A2 torus: N = 3, three weights per representation, bound 9
+PLANTED_ZETA_ERRORS = {
+    "tail": "{'nonzero_tail_exponent': 20}",
+    "non_integer": "{'reason': 'L-polynomial has non-integer coefficients'}",
+}
+
+
+def _check_planted_zeta(fault, code, out, err):
+    assert "Traceback" not in err
+    if fault in PLANTED_ZETA_ERRORS:
+        assert code == 1 and out == ""
+        detail = PLANTED_ZETA_ERRORS[fault]
+        assert err == "".join(f"error: l-reconstruction[{rep}] failed: {detail}\n" for rep in ("pi1", "pi2"))
+    else:
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert out.count('"coeffs":[1,-2]') == 2
+        assert payload["l_poly"] == {rep: {"coeffs": [1, -2], "var": "u"} for rep in ("pi1", "pi2")}
+
+
+@pytest.mark.parametrize("fault", ("tail", "non_integer", "powers_of_two"))
+def test_cli_zeta_on_planted_walk_counts(torus_file, capsys, monkeypatch, fault):
+    import weylzeta.zeta as zeta_mod
+
+    scope = {"__name__": "planted_zeta"}
+    exec(compile(_PLANTED_ZETA, "planted_zeta", "exec"), scope)
+    monkeypatch.setattr(zeta_mod, "walk_count_table", scope["planted"](fault))
+    code = main(["zeta", "--input", torus_file, "--format", "json"])
+    _check_planted_zeta(fault, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("fault", ("tail", "non_integer", "powers_of_two"))
+def test_cli_zeta_on_planted_walk_counts_under_python_o(torus_file, fault):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _PLANTED_ZETA, fault, torus_file],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    _check_planted_zeta(fault, done.returncode, done.stdout, done.stderr)
 
 
 def test_cli_corpus_small(capsys):

@@ -373,24 +373,18 @@ def test_quotient_tables_die_with_the_quotient():
 def test_label_tables_are_derived_once_per_root_system(monkeypatch):
     # a fresh root system, so that no earlier test has made its tables
     rs = RootSystem("A2")
-    made, flips = Counter(), Counter()
-    init, derive = LabelTable.__init__, LabelTable._derive_flip
+    made, plans = Counter(), Counter()
+    init, plan = LabelTable.__init__, LabelTable._derive_plan
 
     def counting_init(table, labels, kind):
         made[labels, kind] += 1
         init(table, labels, kind)
 
-    def counting_derive(table, m):
-        flips[id(table), m] += 1
-        return derive(table, m)
+    def counting_plan(table, linear):
+        plans[id(table), linear] += 1
+        return plan(table, linear)
 
-    def counting_plan(table, glide):
-        plans[id(table), glide] += 1
-        return plan(table, glide)
-
-    plans, plan = Counter(), LabelTable._derive_plan
     monkeypatch.setattr(LabelTable, "__init__", counting_init)
-    monkeypatch.setattr(LabelTable, "_derive_flip", counting_derive)
     monkeypatch.setattr(LabelTable, "_derive_plan", counting_plan)
     kleins = [build(rs, KleinSpec((1, 0), (0, 1), 1, 1, m)) for m in (1, 2)]
     assert kleins[0].sigma.linear == kleins[1].sigma.linear
@@ -400,11 +394,11 @@ def test_label_tables_are_derived_once_per_root_system(monkeypatch):
         for flat, _ in BUILDERS:
             for rep in rs.rep_names:
                 flat(q, rep)
-    # one layout per (rep, kind) and one flip per layout and reflection
+    # one layout per (rep, kind)
     assert len(made) == 6 and set(made.values()) == {1}
-    assert len(flips) == 6 and set(flips.values()) == {1}
-    # one plan per layout and glide: the torus's and the Klein bottles' one
-    glides = {None} | {(q.sigma.linear, tuple(_grid(q).image)) for q in kleins}
+    # one plan per layout and glide linear part: the torus's and the Klein
+    # bottles' one, each deriving its label flip once
+    glides = {None} | {q.sigma.linear for q in kleins}
     assert len(glides) == 2
     assert len(plans) == 6 * 2 and set(plans.values()) == {1}
     assert {glide for _, glide in plans} == glides
@@ -421,8 +415,7 @@ def _ladder_kleins():
 
 
 def test_a_label_table_keeps_at_most_one_plan_per_glide_reflection():
-    # the glide key carries the block images of the glide as well as its
-    # linear part, but the images follow from the reflection: a table keeps
+    # the glide key is the glide's linear part, a reflection: a table keeps
     # the torus plan and at most one per reflection, and the corpus and the
     # ladder meet every reflection
     fresh = {"A2": RootSystem("A2"), "C2": RootSystem("C2")}
@@ -435,6 +428,19 @@ def test_a_label_table_keeps_at_most_one_plan_per_glide_reflection():
         assert len(rs._labels) == 6
         held = [len(table._plans) for table in rs._labels.values()]
         assert max(held) == 1 + reflections, (rs, held)
+
+
+def test_a_grid_keeps_no_two_equal_shift_tables():
+    # a table is kept by the box point of its vector, so vectors equal
+    # modulo Gamma0 share one table
+    quotients = [member.build() for member in generate_corpus(7)]
+    kept = 0
+    for q in quotients:
+        assert verify(q).all_hold
+        tables = [tuple(table) for table in _grid(q)._shifted.values()]
+        assert len(set(tables)) == len(tables), q
+        kept += len(tables)
+    assert kept > len(quotients)
 
 
 def test_a_plan_dies_with_its_table():
@@ -482,7 +488,7 @@ import sys
 
 from weylzeta.quotient import KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import LabelTable, RootSystem
-from weylzeta.zeta import _grid, _transfer_system, build_semi_system, build_walk_system
+from weylzeta.zeta import _grid, _transfer_system, build_walk_system
 
 A2 = RootSystem.make("A2")
 
@@ -538,10 +544,18 @@ def a_shift_table_with_a_repeated_entry():
 
 
 def a_glide_off_the_kept_segments():
-    # the glide sends every block to block 0, which holds no half step
-    q, grid = klein()
-    grid.image = [0, 0, 0, 0]
-    build_semi_system(q, "pi1")
+    # a fresh pi1 semi table that keeps, for the weight (-1, 1), the blocks
+    # 0 and 3 on its line in place of blocks 1 and 2: still a permutation of
+    # its segments, but the glide swaps (-1, 1) with (0, -1) and fixes block
+    # 0, where (0, -1) keeps nothing
+    class OnTheLine(LabelTable):
+        def __init__(self, labels, kind):
+            super().__init__(labels, kind)
+            self.segments = ((0, 2), (0, 3), (1, 0), (1, 3), (2, 1), (2, 3))
+
+    q, _ = klein()
+    assert q.sigma.linear == ((1, 1), (0, -1))
+    _transfer_system(q, "pi1", OnTheLine(tuple((w,) for w in A2.weights("pi1")), "semi"))
 
 
 def a_ranked_map_that_is_not_a_bijection():
@@ -565,6 +579,13 @@ def a_glide_that_splits_a_block():
     build_walk_system(q, "pi1")
 
 
+def a_glide_whose_blocks_disagree_with_its_linear_part():
+    # the glide swaps blocks 2 and 3; the identity as its linear part fixes them
+    q = build(A2, KLEIN)
+    q.sigma = q.sigma._replace(linear=((1, 0), (0, 1)))
+    build_walk_system(q, "pi1")
+
+
 CASES = (
     a_step_off_the_kept_segments,
     two_segments_stepping_into_one,
@@ -572,6 +593,7 @@ CASES = (
     a_glide_off_the_kept_segments,
     a_ranked_map_that_is_not_a_bijection,
     a_glide_that_splits_a_block,
+    a_glide_whose_blocks_disagree_with_its_linear_part,
 )
 
 if __name__ == "__main__":
@@ -592,6 +614,9 @@ ENGINE_FAULT_MESSAGES = {
     "a_glide_off_the_kept_segments": "the glide sends a kept semi segment off the kept ones",
     "a_ranked_map_that_is_not_a_bijection": "walks transition is not a bijection",
     "a_glide_that_splits_a_block": "the glide does not map each block onto one block",
+    "a_glide_whose_blocks_disagree_with_its_linear_part": (
+        "the glide's block images disagree with its linear part"
+    ),
 }
 
 
@@ -665,9 +690,9 @@ def test_the_walk_visits_only_first_return_maps(monkeypatch):
     derive, shifted = LabelTable._derive_plan, _Grid.shifted
     tally, composed = Counter(), []
 
-    def counting_derive(table, glide):
+    def counting_derive(table, linear):
         tally["plans"] += 1
-        return derive(table, glide)
+        return derive(table, linear)
 
     def counting_shifted(grid, s):
         tally["shifted"] += 1

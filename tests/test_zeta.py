@@ -539,13 +539,20 @@ def test_reciprocal_zetas_are_integer_with_unit_constant():
 # ---------------------------------------------------------------------------
 
 
+def l_function(b, q, rep):
+    """L = (1 - u)**(-eps * N) / P of the bundle b of q."""
+    trivial = CycleProduct({2: q.rs.rep(rep).epsilon * q.N})
+    return (trivial * b.l_poly[rep].cycle_product()).inverse()
+
+
 def test_zeta_bundle_contents():
     b = zeta_bundle(A2_TORUS)
     assert set(b.zeta) == {"pi1", "pi2"}
     assert b.zeta["pi1"] == inverse_power(6, 3)
     assert l_poly_in_w(b.l_poly["pi1"]) == (Poly.one() - Poly.monomial(6)) ** 3
+    assert b.l_failure == {"pi1": {}, "pi2": {}}
     # eps = 0 for both A2 representations: L = 1/P
-    assert b.l_func["pi1"] == inverse_power(6, 3)
+    assert l_function(b, A2_TORUS, "pi1") == inverse_power(6, 3)
     assert b.correction["pi1"] == CycleProduct()
     assert b.walk_counts["pi1"][2] == 9  # n = 3
 
@@ -553,7 +560,7 @@ def test_zeta_bundle_contents():
 def test_zeta_bundle_l_func_includes_trivial_weight_factor():
     b = zeta_bundle(C2_TORUS)
     # eps(st) = 1, N = 2: L(st) = (1-u)^{-2} / P = (1-u)^{-10}
-    assert b.l_func["st"] == inverse_power(2, 10)
+    assert l_function(b, C2_TORUS, "st") == inverse_power(2, 10)
 
 
 def test_zeta_bundle_order_validation():
