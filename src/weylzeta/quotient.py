@@ -16,22 +16,25 @@ there by index arithmetic, and the doubled box is listed as four parity
 cosets of the box.  This module alone decides which point represents an
 orbit.  For a torus the vertex and half-lattice orbit representatives
 are the two boxes themselves, the doubled one made on first read.  For
-a Klein bottle one pass over the doubled box records the position of
-each point's glide image (_glide); the glide pairs the positions, and
-the lower position of each pair represents its orbit (_lower).  The
-half-lattice representatives are those points, the vertex
-representatives the ones of parity 0, halved, and the transfer systems'
-grid reads the same flags.  A quotient also carries the per-quotient
-tables of the transfer systems and of the census (_zeta_grid,
-_census_tables), which each of those layers fills on first use, so they
-live and die with the quotient.
+a Klein bottle one pass over the doubled box finds the position of each
+point's glide image, checks that the glide is a fixed-point-free
+involution of the positions, and keeps the point at the lower position
+of each pair as its orbit's representative; the positions are not kept.
+The half-lattice representatives are those points, the vertex
+representatives the ones of parity 0, halved.  The transfer systems
+read none of them, only the triangular basis; _triangular_basis takes
+any number of generators, so it also gives them the lattice
+(L - I) Z^2 + Gamma0 that counts the fixed points of a glide.  A
+quotient also carries the census's per-quotient tables
+(_census_tables), which the census fills on first use, so they live and
+die with the quotient.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress, count, product
 from math import gcd
-from operator import lt
+from operator import eq, lt
 from typing import NamedTuple, Optional, Union
 
 from .rootgeom import (
@@ -126,23 +129,23 @@ class KleinSpec(NamedTuple):
 GroupSpec = Union[TorusSpec, KleinSpec]
 
 
-def _triangular_basis(u: Vec, v: Vec) -> tuple:
+def _triangular_basis(*gens: Vec) -> tuple:
     """(h11, c, h22) with (h11, 0), (c, h22) a basis of the lattice spanned
-    by u, v and h11, h22 > 0, by column reduction."""
-    c1, c2 = u, v
-    while c2[1] != 0:
-        q = c1[1] // c2[1]
-        c1 = (c1[0] - q * c2[0], c1[1] - q * c2[1])
-        c1, c2 = c2, c1
-    c1, c2 = c2, c1  # c1 now has zero y-component
-    if c1[0] < 0:
-        c1 = (-c1[0], 0)
-    if c2[1] < 0:
-        c2 = (-c2[0], -c2[1])
-    h11, h22 = c1[0], c2[1]
+    by gens and h11, h22 > 0: a Euclid step on the y-components per
+    generator keeps one vector of their gcd, and the vectors it zeroes
+    span the x-axis part."""
+    top, h11 = (0, 0), 0
+    for low in gens:
+        while low[1] != 0:
+            q = top[1] // low[1]
+            top, low = low, (top[0] - q * low[0], top[1] - q * low[1])
+        h11 = gcd(h11, low[0])
+    if top[1] < 0:
+        top = (-top[0], -top[1])
+    h22 = top[1]
     if h11 <= 0 or h22 <= 0:
         raise SpecValidationError("translation vectors are linearly dependent")
-    return h11, c2[0], h22
+    return h11, top[0], h22
 
 
 def _primitive(v: Vec) -> Vec:
@@ -277,7 +280,6 @@ class QuotientGroup:
         # the doubled box, and a torus's half representatives (the box
         # itself), are made on first read: see half_residues
         self._half_residues = self._half_reps = None
-        self._glide = self._lower = None
         if self.kind == "torus":
             reps = self._residues
             blocks = range(0, 5 * n, n)
@@ -294,9 +296,11 @@ class QuotientGroup:
                 i = (l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11)
                 glide.append(col[i] + row[j])
             # the glide pairs the positions, and the lower position of each
-            # pair represents its orbit, here and in zeta._Grid
+            # pair represents its orbit
+            every = range(4 * n)
+            if any(map(eq, glide, every)) or list(map(glide.__getitem__, glide)) != list(every):
+                raise AssertionError("the glide is not a fixed-point-free involution of the grid")
             lower = list(map(lt, count(), glide))
-            self._glide, self._lower = glide, lower
             self._half_reps = tuple(compress(half, lower))
             sizes = (sum(lower[b : b + n]) for b in range(0, 4 * n, n))
             blocks = tuple(accumulate(sizes, initial=0))
@@ -310,9 +314,7 @@ class QuotientGroup:
                 f"vertex class count {len(reps)} does not match N = {self.N}"
             )
         self.vertex_reps = tuple(reps)
-        # tables of the transfer-system layer (zeta._grid) and of the
-        # census, each filled and read only by its own layer
-        self._zeta_grid = None
+        # the census's tables, filled and read only by the census
         self._census_tables: dict = {}
 
     # -- lattice reduction ------------------------------------------------

@@ -11,50 +11,61 @@ Three finite dynamical systems sit over each quotient:
   pair); one step moves by the first direction and swaps the pair.  One
   step is one power of u.
 
-All three are built on a grid that each quotient builds once and shares
-among its systems (_Grid, kept on the quotient).  The quotient's
-triangular basis (h11, 0), (c, h22) of Gamma0 numbers the vertex classes
-as i + h11 * j, (i, j) their residue box point, so a step by a fixed
-vector is a table: a carry between rows and a rotation within one, built
-once per vector.  In doubled coordinates a half-lattice point is
-mu + 2x, mu in {0, 1}**2 and x a vertex class, so the half-lattice
+In doubled coordinates a half-lattice point is mu + 2x, mu in {0, 1}**2
+and x a vertex class, a point of Z**2 / Gamma0, so the half-lattice
 classes are four blocks of vertex classes, and a step by lam takes block
-mu to block nu, mu + lam = nu + 2 delta, by the table of delta.
+mu to block nu, mu + lam = nu + 2 delta, and translates it by delta.  So
+a step never splits a segment, the states of one label in one block: it
+maps the whole segment onto one segment by one translation.  A system is
+therefore a permutation of its few segments, and the steps around each
+of its cycles compose to the first-return map of the cycle's first
+segment, whose cycles of length m are the system's cycles of length
+L * m on a segment cycle of length L.  For a Klein bottle the glide
+takes mu_b + 2x to L mu_b + 2 (L x + t), so it maps block b onto the
+block of L mu_b by x -> L x + t + (L mu_b - mu_image[b]) / 2 (its block
+map).  It pairs the segments: a pair of distinct segments holds one
+orbit per point of the earlier one, a step onto the later one is
+followed by the glide's block map, and a segment the glide maps onto
+itself holds the n / 2 glide pairs of its n points.
 
-So a step never splits a segment, the states of one label in one block:
-it maps the whole segment onto one segment by one table.  A system is
-therefore a permutation of its few segments, and the tables around each
-of its cycles compose, a list index per position, to the first-return
-map of the cycle's first segment; only that map is walked, and its
-cycles of length m are the system's cycles of length L * m on a segment
-cycle of length L.  No state gets an id.  For a Klein bottle the glide,
-a permutation of the positions without fixed points and of order two,
-comes from the quotient with the representative of each of its pairs;
-the grid checks that it maps each block onto one block, the one its
-linear part gives (block_images: its translation is even in doubled
-coordinates), and reads its block maps.  The glide pairs the segments:
-a pair of distinct segments holds the orbits of the earlier one's
-positions, and a segment the glide maps onto itself the ranks of the
-quotient's representatives of its pairs.
+None of this depends on q but the first-return maps.  The segment
+permutation, its cycles and the ops of each cycle's first-return map
+form the SegmentPlan of the LabelTable of the rep and kind, made on
+first use per glide (None for a torus, else the glide's linear part) and
+kept on the table, which the root system keeps.  Translations compose as
+their vectors add, so each run of steps between two glide block maps is
+one op, of the run's summed vector, and a torus cycle is one
+translation.
 
-Only the tables depend on q.  The segment permutation, its cycles and
-the ops of each cycle's first-return map form the SegmentPlan of the
-LabelTable of the rep and kind, made on first use per glide (None for a
-torus, else the glide's linear part) and kept on the table, which the
-root system keeps.  Tables compose as their vectors add, so each run of
-steps between two glide block maps is one table, of the run's summed
-vector, and a torus cycle is one table: a build looks up a table per
-run, composes it with the glide's block maps, and walks.
+A first-return map is read by its affine part.  A build composes each
+cycle's ops as an AffineMap f of Z**2 / Gamma0 and counts its cycles by
+one order (_order) and at most one fixed-point count (_fixed_points),
+both read off the triangular basis (h11, 0), (c, h22) of Gamma0:
+
+* a translation of order m has n / m cycles, each of length m;
+* f x = L x + v squares to the translation by w = L v + v, of order m;
+  every cycle has length 2m, except that for m odd the fixed points of
+  f**m lie on cycles of length m;
+* on a glide-fixed segment f is a translation, of order m, that commutes
+  with the block map g; a glide pair closes after m / 2 returns when m
+  is even and g f**(m/2) fixes its points, and after m otherwise.
+
+x -> L x + u has det(Lambda) fixed points when u lies in Lambda =
+(L - I) Z**2 + Gamma0, and none otherwise.  So no table is made, no
+point is visited, and the engine never reads the adjugate of Gamma0's
+basis, by which the census and torus_closed_form encode it.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
 its reciprocal is an integer polynomial.  The cycles are counted once
 per system, when it is built, and the bijection is checked: the plan
 checks that the segment permutation is one and that the glide maps the
-kept segments onto kept segments, and the build that every walk of a
-first-return map ends at its own start.  The system keeps only that
-product and its size; the tests check it against the explicit successor
-walk and det(I - wT) of its permutation matrix (tests/reference.py).
+kept segments onto kept segments, and the build that the glide's linear
+part is a reflection, that a glide-fixed segment returns by a
+translation, and that every number of cycles is an integer.  The system
+keeps only that product and its size; the tests check it against the
+explicit successor walk and det(I - wT) of its permutation matrix
+(tests/reference.py).
 
 The L-polynomial P has one path (l_poly_from_counts): one Moebius
 inversion of the closed-walk counts gives P's factorization
@@ -76,9 +87,7 @@ the failure's detail in l_failure and holds None for P.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
 from math import gcd
-from operator import eq
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
@@ -88,8 +97,14 @@ from .algebra import (
     _moebius_exponents,
 )
 from .census import walk_count_table
-from .quotient import MAX_CLASSES, QuotientGroup, SpecValidationError
-from .rootgeom import LabelTable, Vec, block_images
+from .quotient import (
+    MAX_CLASSES,
+    AffineMap,
+    QuotientGroup,
+    SpecValidationError,
+    _triangular_basis,
+)
+from .rootgeom import IDENTITY, LabelTable, Vec, mat_det, mat_mul, mat_vec, vec_add, vec_scale
 
 
 class OrderInsufficientError(ValueError):
@@ -123,143 +138,92 @@ class TransferSystem(NamedTuple):
         return self.product
 
 
-class _Grid:
-    """The vertex classes of one quotient and the half-lattice classes, as
-    four blocks of them, with the tables its transfer systems share.
-
-    * mu_b + 2x (doubled coordinates), mu_b = (b & 1, b >> 1) and x the
-      position of a residue box point, is at position b * n + x, the
-      order of q.half_residues(); block 0 holds the vertex classes.
-    * shifted(s) lists the position of p + s for every box point p: the
-      table by which the positions of a block move when mu_b + 2x moves
-      to mu_block + 2(x + s) (LabelTable._step).  It is kept by the box
-      point of s, so that vectors equal modulo Gamma0 share one table.
-    * sigma: the glide as a permutation of the 4n positions (None for a
-      torus).  It maps block b onto block image[b], position b * n + x to
-      image[b] * n + sig[b][x]; orbit_ranks(b) numbers the glide pairs of
-      a block that it maps onto itself.
-    """
-
-    def __init__(self, q: QuotientGroup):
-        self._h11, self._c, self._h22 = q._triangle
-        n = self.n = self._h11 * self._h22
-        self._positions = list(range(n))
-        self._shifted, self._ranks = {}, {}
-        sigma = self.sigma = q._glide
-        if sigma is None:
-            return
-        every = range(4 * n)
-        if any(map(eq, sigma, every)) or list(map(sigma.__getitem__, sigma)) != list(every):
-            raise AssertionError("the glide is not a fixed-point-free involution of the grid")
-        self._lower = q._lower  # the quotient's representatives, one per glide pair
-        self.image, self.sig = [], []
-        for start in range(0, 4 * n, n):
-            image = sigma[start] // n
-            sig = [p - image * n for p in sigma[start : start + n]]
-            if min(sig) < 0 or max(sig) >= n:
-                raise AssertionError("the glide does not map each block onto one block")
-            self.image.append(image)
-            self.sig.append(sig)
-        if self.image != list(block_images(q.sigma.linear)):
-            raise AssertionError("the glide's block images disagree with its linear part")
-
-    def shifted(self, s: Vec) -> list:
-        h11, c, h22 = self._h11, self._c, self._h22
-        r, j = divmod(s[1], h22)
-        box = ((s[0] - r * c) % h11, j)
-        out = self._shifted.get(box)
-        if out is None:
-            # each row moves to row j2 with carry r and rotates within it;
-            # the slices of positions share its int objects, so a kept
-            # table costs one pointer per entry
-            i, positions = box[0], self._positions
-            out = self._shifted[box] = []
-            for row in range(h22):
-                r, j2 = divmod(row + j, h22)
-                rot, base = (i - r * c) % h11, h11 * j2
-                out += positions[base + rot : base + h11]
-                out += positions[base : base + rot]
-        return out
-
-    def orbit_ranks(self, b: int) -> tuple:
-        """(lows, rank) of a block b that the glide maps onto itself: lows
-        lists the x of the block whose position the quotient keeps as the
-        representative of its glide pair (q._lower), and rank[x] is the
-        index in lows of the representative of x's pair; made on first use."""
-        out = self._ranks.get(b)
-        if out is None:
-            n, sig = self.n, self.sig[b]
-            lower = self._lower[b * n : b * n + n]
-            rank = list(accumulate(lower[: n - 1], initial=0))
-            rank = [rank[x] if low else rank[s] for x, s, low in zip(self._positions, sig, lower)]
-            out = self._ranks[b] = (list(compress(self._positions, lower)), rank)
-        return out
+def _order(tri: tuple, v: Vec) -> int:
+    """The order of v in Z^2 modulo the lattice of triangular basis
+    tri = (h11, c, h22): k1 * v meets the second coordinate, k1 = h22 /
+    gcd(h22, v[1]), and then the first wants a multiple of k1 * v less the
+    k1 * v[1] / h22 rows of (c, h22)."""
+    h11, c, h22 = tri
+    k1 = h22 // gcd(h22, v[1])
+    return k1 * h11 // gcd(h11, k1 * v[0] - k1 * v[1] // h22 * c)
 
 
-def _grid(q: QuotientGroup) -> _Grid:
-    """The grid of q, made on first use and kept on q, so that it dies with q."""
-    if q._zeta_grid is None:
-        q._zeta_grid = _Grid(q)
-    return q._zeta_grid
-
-
-def _compose(tables: list) -> list:
-    """The map x -> tables[-1][... tables[0][x]], tables[0] itself when it
-    is the only one."""
-    out = tables[0]
-    for t in tables[1:]:
-        out = list(map(t.__getitem__, out))
-    return out
-
-
-def _count_cycles(perm: list, steps: int, lengths: dict, kind: str) -> None:
-    """Add the cycles of perm, a map of range(len(perm)) into itself, to
-    lengths (cycle length -> number of cycles), each of length m as one of
-    steps * m.  A map whose walk from each unseen point returns to its
-    start is a union of disjoint cycles, that is, a bijection."""
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        m, cur = 0, start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            m += 1
-        if cur != start:
-            raise AssertionError(f"{kind} transition is not a bijection")
-        lengths[steps * m] = lengths.get(steps * m, 0) + 1
+def _fixed_points(mirror: tuple, u: Vec) -> int:
+    """The number of fixed points of x -> L x + u on Z^2 / Gamma0, mirror
+    the triangular basis of (L - I) Z^2 + Gamma0: a coset of the kernel of
+    L - I, of det(mirror) points, when u lies in that lattice, else none."""
+    h11, c, h22 = mirror
+    r, j = divmod(u[1], h22)
+    return 0 if j or (u[0] - r * c) % h11 else h11 * h22
 
 
 def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferSystem:
-    """The step (p, l) -> (p + l[0], l rotated by one) on grid classes p
-    and the labels l of table (a weight, or a gallery pair that swaps),
-    modulo (p, l) ~ (sigma p, sigma l).  A step of w**2 moves a vertex
-    (block 0) by 2 l[0] in doubled coordinates, a step of w a half-lattice
-    point by l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which
-    it swaps.  The segment permutation, its cycles and the ops of each
-    cycle's first-return map come from table.plan of q's glide, which the
-    table keeps (see the module docstring); only the tables the ops name,
-    the glide's block maps and the ranks of the glide-fixed segments
-    depend on q, and only the first-return maps are walked."""
-    grid = _grid(q)
-    linear = None if grid.sigma is None else q.sigma.linear
-    lengths: dict = {}  # cycle length -> number of cycles
+    """The step (p, l) -> (p + l[0], l rotated by one) on the classes p and
+    the labels l of table (a weight, or a gallery pair that swaps), modulo
+    (p, l) ~ (sigma p, sigma l).  A step of w**2 moves a vertex (block 0)
+    by 2 l[0] in doubled coordinates, a step of w a half-lattice point by
+    l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which it swaps.
+    The segment cycles and the ops of each one's first-return map come
+    from table.plan of q's glide; each first-return map is composed as an
+    affine map of Z^2 / Gamma0, and its cycles are read off its affine
+    part (see the module docstring)."""
+    tri, kind = q._triangle, table.kind
+    n = tri[0] * tri[2]
+    linear, glides = None, ()
+    if q.kind == "klein":
+        linear, (t1, t2) = q.sigma
+        if mat_det(linear) != -1 or mat_mul(linear, linear) != IDENTITY:
+            raise AssertionError("the glide's linear part is not a reflection")
+        # sigma takes mu_b + 2x to L mu_b + 2 (L x + t): block b's map
+        # adds the carry of L mu_b past its parity block
+        lifts = (mat_vec(linear, (b & 1, b >> 1)) for b in range(4))
+        glides = [AffineMap(linear, (t1 + (x >> 1), t2 + (y >> 1))) for x, y in lifts]
+        (l11, l12), (l21, l22) = linear
+        h11, c, h22 = tri
+        mirror = _triangular_basis((l11 - 1, l21), (l12, l22 - 1), (h11, 0), (c, h22))
+    lengths: dict = {}  # cycle length in steps -> number of cycles
+
+    def add(length: int, points: int, per_cycle: int) -> None:
+        cycles, r = divmod(points, per_cycle)
+        if r:
+            raise AssertionError(f"{kind} transition is not a bijection")
+        if cycles:
+            lengths[length] = lengths.get(length, 0) + cycles
+
     size = 0
     for b, fixed, steps, ops in table.plan(linear).cycles:
-        tables = []
+        f = AffineMap.identity()
         for shift, block in ops:
-            tables.append(grid.shifted(shift))
+            f = AffineMap(f.linear, vec_add(f.translation, shift))
             if block is not None:
-                tables.append(grid.sig[block])
-        perm = _compose(tables)
-        if fixed:
-            lows, rank = grid.orbit_ranks(b)
-            perm = list(map(rank.__getitem__, map(perm.__getitem__, lows)))
-        size += steps * len(perm)
-        _count_cycles(perm, steps, lengths, table.kind)
+                f = glides[block].compose(f)
+        v = f.translation
+        if f.linear != IDENTITY:
+            if fixed:
+                raise AssertionError(f"a glide-fixed {kind} segment does not return by a translation")
+            # f x = L x + v: f**2 is the translation by w = L v + v, fixed
+            # by L, and f**m x = L x + (m - 1) / 2 w + v for m = ord(w)
+            # odd; every point not fixed by f**m has a cycle of 2m
+            w = vec_add(mat_vec(f.linear, v), v)
+            m = _order(tri, w)
+            short = _fixed_points(mirror, vec_add(vec_scale(m // 2, w), v)) if m % 2 else 0
+            add(steps * m, short, m)
+            add(2 * steps * m, n - short, 2 * m)
+        elif not fixed:
+            # a translation: every cycle has its order
+            m = _order(tri, v)
+            add(steps * m, n, m)
+        else:
+            # the n / 2 glide pairs {x, g x}, g the block map of b, which
+            # f commutes with: a pair closes after m steps, or after m / 2
+            # when f**(m/2) x = g x, at the fixed points of g f**(m/2)
+            m = _order(tri, v)
+            short = 0 if m % 2 else _fixed_points(mirror, glides[b].apply(vec_scale(m // 2, v)))
+            add(steps * (m // 2), short, m)
+            add(steps * m, n - short, 2 * m)
+        size += steps * (n // 2 if fixed else n)
     zeta = CycleProduct({table.scale * m: -c for m, c in lengths.items()})
-    return TransferSystem(table.kind, rep, table.scale, size, zeta)
+    return TransferSystem(kind, rep, table.scale, size, zeta)
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> TransferSystem:

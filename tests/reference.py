@@ -61,9 +61,10 @@ routes live here, and the tests compare the package against them:
 * ``PermutationSystem``: a transfer system held by its explicit
   successor list, whose cycle walk checks that the list is a bijection
   and counts the cycles of every state.  The package never lists the
-  states: it walks the first-return map of each cycle of segments.
+  states or walks: it reads the first-return map of each cycle of
+  segments by its affine part.
 * The tuple transfer-system builders: every state canonicalized as a
-  tuple, the reduced grid point (``reduce`` / ``reduce_half``), the label
+  tuple, the reduced box point (``reduce`` / ``reduce_half``), the label
   and, for a Klein bottle, the lexicographic minimum over the two sheet
   images, with the states sorted and looked up in a dict, returned as a
   ``PermutationSystem``.  They are the reference of the segment-cycle

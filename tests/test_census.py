@@ -707,4 +707,6 @@ def test_census_reads_nothing_of_the_transfer_systems():
     assert not names & {"_zeta_grid", "_glide", "_lower", "_grid", "_Grid", "zeta"}
     assert not names & {"label_table", "LabelTable", "_labels", "_pairs", "flip"}
     assert not names & {"plan", "_plans", "SegmentPlan", "_step"}
+    # nor the engine's triangular-basis arithmetic
+    assert not names & {"_transfer_system", "_order", "_fixed_points", "_triangular_basis"}
     assert not [t for t in texts if "_grid" in t.lower() or t in ("_glide", "_lower")]

@@ -90,16 +90,27 @@ def test_transfer_systems_keep_one_record_of_their_cycles():
 
 def test_transfer_systems_list_no_states():
     # a system keeps its size and its cycle product; the explicit successor
-    # walk is the tests' oracle (tests/reference.py), and the grid keeps no
-    # per-state lists
+    # walk is the tests' oracle (tests/reference.py), and a build leaves no
+    # table on the quotient
     assert weylzeta.TransferSystem._fields == ("kind", "rep", "step_in_w", "size", "product")
     rs = weylzeta.RootSystem.make("A2")
     q = weylzeta.build(rs, weylzeta.KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    kept = set(vars(q))
     weylzeta.build_walk_system(q, "pi1")
-    grid = weylzeta.zeta._grid(q)
-    for name in ("moves", "reps", "_orbit", "_moves"):
-        assert not hasattr(grid, name)
+    assert set(vars(q)) == kept
     assert not hasattr(weylzeta, "PermutationSystem")
+
+
+def test_the_table_engine_is_gone():
+    # each first-return map is read by its affine part: no per-quotient
+    # grid, shift tables, composed maps or walk
+    for name in ("_Grid", "_grid", "_compose", "_count_cycles"):
+        assert not hasattr(weylzeta.zeta, name)
+    rs = weylzeta.RootSystem.make("A2")
+    q = weylzeta.build(rs, weylzeta.KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    weylzeta.zeta_bundle(q)
+    for name in ("_zeta_grid", "_glide", "_lower"):
+        assert not hasattr(q, name)
 
 
 def test_the_package_keeps_no_dense_polynomial_class():

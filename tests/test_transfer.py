@@ -1,9 +1,9 @@
-"""The segment-cycle transfer-system builder: its per-quotient grid
-(vertex positions, the half-lattice classes as four parity cosets of
-them, block shifts, the glide's block maps and orbit ranks), the segment
-plans the label tables keep, its checks, its cost, and its agreement
-with the tuple-canonicalizing reference builders and their explicit
-successor walk."""
+"""The segment-cycle transfer-system builder: the segment plans the label
+tables keep, each first-return map composed as an affine map of
+Z^2 / Gamma0 and read by its order and fixed-point counts (and the
+residue-box index maps those rest on), its checks, its cost, and its
+agreement with the tuple-canonicalizing reference builders and their
+explicit successor walk."""
 
 import ast
 import gc
@@ -14,6 +14,7 @@ import sys
 import weakref
 from collections import Counter
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -27,15 +28,19 @@ from weylzeta.corpus import generate_corpus
 from weylzeta.identities import _closed_path_table, _cycles, verify
 from weylzeta.quotient import (
     MAX_CLASSES,
+    AffineMap,
     KleinSpec,
+    QuotientGroup,
     SpecValidationError,
     TorusSpec,
+    _triangular_basis,
     build,
 )
 from weylzeta.rootgeom import (
     IDENTITY,
     LabelTable,
     RootSystem,
+    block_images,
     mat_det,
     mat_vec,
     vec_add,
@@ -45,9 +50,8 @@ from weylzeta.rootgeom import (
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
     TransferSystem,
-    _Grid,
-    _compose,
-    _grid,
+    _fixed_points,
+    _order,
     _transfer_system,
     build_gallery_system,
     build_semi_system,
@@ -62,6 +66,10 @@ BUILDERS = (
     (build_semi_system, reference.build_semi_system),
     (build_gallery_system, reference.build_gallery_system),
 )
+
+
+A2 = RootSystem.make("A2")
+C2 = RootSystem.make("C2")
 
 
 def _reference_quotients():
@@ -155,7 +163,7 @@ def test_cycles_are_read_off_the_zeta():
 
 
 # ---------------------------------------------------------------------------
-# the grid: positions, block shifts and the glide
+# the residue box, the glide's block maps, orders and fixed points
 # ---------------------------------------------------------------------------
 
 # a basis of the coroot lattice of each root system
@@ -173,12 +181,35 @@ KLEIN_SPECS = sorted(
 POINTS = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
 
 
-def _check_grid(q, x):
+def _brute_order(q, v):
+    """The least k > 0 with k v in Gamma0, by the quotient's adjugate."""
+    k = 1
+    while not reference.in_gamma0(q, vec_scale(k, v), q._det):
+        k += 1
+    return k
+
+
+def _block_map(q, b):
+    """The glide's map of block b, x -> L x + t + (L mu_b - mu_image[b]) / 2,
+    mu_b = (b & 1, b >> 1) and image = block_images(L)."""
+    linear, t = q.sigma
+    image = block_images(linear)[b]
+    x, y = vec_sub(mat_vec(linear, (b & 1, b >> 1)), (image & 1, image >> 1))
+    return AffineMap(linear, vec_add(t, (x // 2, y // 2)))
+
+
+def _mirror(q):
+    """The triangular basis of (L - I) Z^2 + Gamma0, L the glide's linear part."""
+    (l11, l12), (l21, l22) = q.sigma.linear
+    return _triangular_basis((l11 - 1, l21), (l12, l22 - 1), *q.gamma0_basis)
+
+
+def _check_index_map(q, x):
     # a vertex class sits at the position of its box point, and the
     # half-lattice class of mu_b + 2 p (doubled coordinates) at b * n + that
-    grid, n = _grid(q), q._det
+    n = q._det
     box, half = q.residues(), q.half_residues()
-    assert grid.n == n == len(box)
+    assert n == len(box) == q._triangle[0] * q._triangle[2]
     assert half == [((b & 1) + 2 * i, (b >> 1) + 2 * j) for b in range(4) for i, j in box]
     where = {p: k for k, p in enumerate(box)}
     half_where = {p: k for k, p in enumerate(half)}
@@ -194,38 +225,29 @@ def _check_grid(q, x):
     i = pos(x)
     assert pos(vec_add(x, u)) == i == pos(vec_add(x, v))
     assert pos(vec_sub(x, u)) == i == pos(vec_sub(x, v))
-    assert reference.in_gamma0(q, vec_sub(box[i], x), q._det)
-    assert grid.shifted(x) == [pos(vec_add(p, x)) for p in box]
+    assert reference.in_gamma0(q, vec_sub(box[i], x), n)
     u2, v2 = vec_scale(2, u), vec_scale(2, v)
     i = half_pos(x)
     assert half_pos(vec_add(x, u2)) == i == half_pos(vec_sub(x, v2))
-    assert reference.in_gamma0(q, vec_sub(half[i], x), 2 * q._det)
-    # the half step by x of every point of each block is one block shift
-    # of the vertex grid, and a step by 2x moves a vertex by x
+    assert reference.in_gamma0(q, vec_sub(half[i], x), 2 * n)
+    # the order of x, read off the triangular basis alone
+    assert _order(q._triangle, x) == _brute_order(q, x)
+    # the half step by x of every point of each block is one translation of
+    # the residue box, and a step by 2x moves a vertex by x
     for b in range(4):
         block, shift = LabelTable(((x,),), "semi")._step(0, b)
-        table = grid.shifted(shift)
-        assert [block * n + t for t in table] == [half_pos(vec_add(p, x)) for p in half[b * n : b * n + n]]
+        moved = [block * n + pos(vec_add(p, shift)) for p in box]
+        assert moved == [half_pos(vec_add(p, x)) for p in half[b * n : b * n + n]]
     assert LabelTable(((x,),), "walks")._step(0, 0) == (0, x)
-    # a run of steps is one shift by their sum
-    assert _compose([grid.shifted(x), grid.shifted((1, 2))]) == grid.shifted(vec_add(x, (1, 2)))
     if q.kind == "torus":
-        assert grid.sigma is None
         return
-    sigma = grid.sigma
-    assert sigma == [half_pos(reference.sigma_half(q, p)) for p in half]
+    # the glide is a fixed-point-free involution of the positions that maps
+    # each block b onto block image[b] by its block map
+    sigma = [half_pos(reference.sigma_half(q, p)) for p in half]
     assert all(sigma[k] != k and sigma[sigma[k]] == k for k in range(4 * n))
-    # the glide maps each block onto one block by its block map, and numbers
-    # the pairs of a block it fixes by their lower positions
-    for b in range(4):
-        image, sig = grid.image[b], grid.sig[b]
-        assert [image * n + s for s in sig] == sigma[b * n : b * n + n]
-        assert sorted(sig) == list(range(n))
-        if image != b:
-            continue
-        lows, rank = grid.orbit_ranks(b)
-        assert lows == sorted({min(y, sig[y]) for y in range(n)})
-        assert len(lows) == n // 2 and all(lows[rank[y]] == min(y, sig[y]) for y in range(n))
+    for b, image in enumerate(block_images(q.sigma.linear)):
+        g = _block_map(q, b)
+        assert [image * n + pos(g.apply(p)) for p in box] == sigma[b * n : b * n + n]
 
 
 @given(
@@ -242,7 +264,7 @@ def test_torus_index_map(rs_name, c1, c2, x):
     det = v1[0] * v2[1] - v2[0] * v1[1]
     assume(0 < abs(det) <= MAX_CLASSES)
     q = build(RootSystem.make(rs_name), TorusSpec(v1, v2))
-    _check_grid(q, x)
+    _check_index_map(q, x)
 
 
 @given(st.sampled_from(KLEIN_SPECS), st.sampled_from((1, 2, 3, -1, -2)), POINTS)
@@ -253,48 +275,87 @@ def test_klein_index_map(item, m, x):
         q = build(RootSystem.make(rs_name), spec._replace(m=spec.m * m))
     except SpecValidationError:
         assume(False)
-    _check_grid(q, x)
+    _check_index_map(q, x)
 
 
-def _orbit_blocks(grid):
-    """The positions of each block that name glide orbits: the ranked ones
-    of a block the glide fixes, and every one of the earlier block of a
-    pair the glide swaps."""
-    out = []
-    for b in range(4):
-        if grid.image[b] == b:
-            out.append(grid.orbit_ranks(b)[0])
-        else:
-            out.append(list(range(grid.n)) if b < grid.image[b] else [])
-    return out
+def test_orders_match_the_least_multiple_in_gamma0():
+    # every box point of every quotient of the corpus and its double covers
+    cyclic = Counter()
+    for q in _reference_quotients():
+        orders = [_order(q._triangle, v) for v in q.residues()]
+        assert orders == [_brute_order(q, v) for v in q.residues()], q
+        assert _order(q._triangle, q.gamma0_basis[1]) == orders[0] == 1
+        cyclic[max(orders) == q._det] += 1
+    # both cyclic and non-cyclic groups Z^2 / Gamma0
+    assert cyclic[True] and cyclic[False]
 
 
-def test_the_grid_reads_the_quotient_representatives():
-    # the quotient alone picks each glide orbit's representative, and the
-    # grid ranks the pairs of each block the glide fixes by those, in order
-    kleins = [q for q in _reference_quotients() if q.kind == "klein"]
-    assert len(kleins) == 15 + 2 + 1
-    swapped = 0
+def test_fixed_points_match_a_count_over_the_residue_box():
+    # x -> L x + u for every box point u, on every Klein bottle of the corpus
+    kleins = [member.build() for member in generate_corpus(7) if isinstance(member.spec, KleinSpec)]
+    assert len(kleins) == 15
+    counts = Counter()
     for q in kleins:
-        grid, n = _grid(q), q._det
-        box, half = q.residues(), q.half_residues()
-        blocks = _orbit_blocks(grid)
-        got = tuple(half[b * n + x] for b in range(4) for x in blocks[b])
-        assert got == q.half_orbit_reps(), q
-        assert grid.image[0] == 0
-        assert tuple(box[x] for x in grid.orbit_ranks(0)[0]) == q.vertex_reps, q
-        sizes = [len(xs) for xs in blocks]
-        assert q._half_blocks == tuple(sum(sizes[:b]) for b in range(5)), q
-        swapped += grid.image != [0, 1, 2, 3]
-    assert swapped
+        box, mirror, linear = q.residues(), _mirror(q), q.sigma.linear
+        for u in box:
+            got = _fixed_points(mirror, u)
+            want = sum(q.reduce(AffineMap(linear, u).apply(x)) == x for x in box)
+            assert got == want, (q, u)
+            # the count depends on u modulo Gamma0 alone
+            assert _fixed_points(mirror, vec_sub(u, q.gamma0_basis[0])) == got, (q, u)
+            counts[got > 0] += 1
+    assert counts[True] and counts[False]
+
+
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=2, max_size=4))
+@settings(deadline=None, max_examples=200)
+def test_a_triangular_basis_spans_the_lattice_of_its_generators(gens):
+    # the index of the span is the gcd of the 2 x 2 minors of the generators
+    index = 0
+    for g, h in product(gens, repeat=2):
+        index = gcd(index, g[0] * h[1] - g[1] * h[0])
+    if index == 0:
+        with pytest.raises(SpecValidationError, match="linearly dependent"):
+            _triangular_basis(*gens)
+        return
+    h11, c, h22 = _triangular_basis(*gens)
+    assert h11 > 0 and h22 > 0
+    # every generator lies in the lattice of the basis, of the same index
+    for x, y in gens:
+        r, j = divmod(y, h22)
+        assert j == 0 and (x - r * c) % h11 == 0, (x, y)
+    assert h11 * h22 == index
+
+
+def _with_glide_translation(monkeypatch, t):
+    """Make each Klein bottle built below carry the glide translation t."""
+    init = QuotientGroup._init_klein
+
+    def init_klein(q, spec):
+        init(q, spec)
+        q.sigma = q.sigma._replace(translation=t)
+
+    monkeypatch.setattr(QuotientGroup, "_init_klein", init_klein)
+
+
+def test_a_glide_with_a_fixed_point_raises(monkeypatch):
+    # the glide's linear part alone fixes the origin, position 0
+    _with_glide_translation(monkeypatch, (0, 0))
+    with pytest.raises(AssertionError, match="fixed-point-free involution"):
+        build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+
+
+def test_a_glide_that_is_not_an_involution_raises(monkeypatch):
+    # L t + t = (2, 0) is not in Gamma0, so the square of the glide moves
+    # every position, and no position is fixed
+    _with_glide_translation(monkeypatch, (1, 0))
+    with pytest.raises(AssertionError, match="fixed-point-free involution"):
+        build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
-# the grid is built once per quotient and shared by its systems
+# systems agree in any build order; what is kept, and where
 # ---------------------------------------------------------------------------
-
-A2 = RootSystem.make("A2")
-C2 = RootSystem.make("C2")
 
 
 def _klein_and_cover(rs, spec):
@@ -350,24 +411,14 @@ def test_systems_agree_in_any_build_order():
         assert forward[member.name] == want, member.name
 
 
-def test_klein_and_double_cover_hold_distinct_grids():
-    q, cover = _klein_and_cover(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    grid = _grid(q)
-    assert _grid(q) is grid
-    assert _grid(cover) is not grid
-    assert grid.sigma is not None and _grid(cover).sigma is None
-    assert _grid(cover).n == grid.n
-    assert sum(map(len, _orbit_blocks(grid))) == 2 * grid.n
-    assert len(cover.half_orbit_reps()) == 4 * grid.n
-
-
 def test_quotient_tables_die_with_the_quotient():
+    # no cache outside the quotient holds it once its systems are built
     q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
     assert verify(q).all_hold
-    tables = [weakref.ref(q), weakref.ref(_grid(q))]
+    tables = [weakref.ref(q)]
     del q
     gc.collect()
-    assert [ref() for ref in tables] == [None, None]
+    assert [ref() for ref in tables] == [None]
 
 
 def test_label_tables_are_derived_once_per_root_system(monkeypatch):
@@ -430,19 +481,6 @@ def test_a_label_table_keeps_at_most_one_plan_per_glide_reflection():
         assert max(held) == 1 + reflections, (rs, held)
 
 
-def test_a_grid_keeps_no_two_equal_shift_tables():
-    # a table is kept by the box point of its vector, so vectors equal
-    # modulo Gamma0 share one table
-    quotients = [member.build() for member in generate_corpus(7)]
-    kept = 0
-    for q in quotients:
-        assert verify(q).all_hold
-        tables = [tuple(table) for table in _grid(q)._shifted.values()]
-        assert len(set(tables)) == len(tables), q
-        kept += len(tables)
-    assert kept > len(quotients)
-
-
 def test_a_plan_dies_with_its_table():
     rs = RootSystem("C2")
     q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
@@ -455,47 +493,27 @@ def test_a_plan_dies_with_its_table():
     assert [ref() for ref in plans] == [None] * 3
 
 
-def test_a_glide_with_a_fixed_point_raises(monkeypatch):
-    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    # an involution that fixes position 0 and its former partner
-    glide = list(q._glide)
-    partner = glide[0]
-    glide[0], glide[partner] = 0, partner
-    monkeypatch.setattr(q, "_glide", glide)
-    with pytest.raises(AssertionError, match="fixed-point-free involution"):
-        build_walk_system(q, "pi1")
-
-
-def test_a_glide_that_is_not_an_involution_raises(monkeypatch):
-    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    size = len(q._glide)
-    # one cycle through every position: no fixed point, and of order 4n
-    monkeypatch.setattr(q, "_glide", [(p + 1) % size for p in range(size)])
-    with pytest.raises(AssertionError, match="fixed-point-free involution"):
-        build_walk_system(q, "pi1")
-
-
 # ---------------------------------------------------------------------------
 # the engine's own checks, in process and under python -O
 # ---------------------------------------------------------------------------
 
 # Each case breaks one thing the segment-cycle builder relies on: the
-# step arithmetic of a fresh label table, whose segment plan checks it,
-# or the grid of a fresh quotient; the runner at the end runs only in a
+# step arithmetic or the plan of a fresh label table, or the glide or the
+# residue box of a fresh quotient; the runner at the end runs only in a
 # subprocess.
 _ENGINE_FAULTS = """
 import sys
 
 from weylzeta.quotient import KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import LabelTable, RootSystem
-from weylzeta.zeta import _grid, _transfer_system, build_walk_system
+from weylzeta.zeta import _transfer_system, build_walk_system
 
 A2 = RootSystem.make("A2")
+PI1 = tuple((w,) for w in A2.weights("pi1"))
 
 
 def torus():
-    q = build(A2, TorusSpec((6, 0), (0, 3)))
-    return q, _grid(q)
+    return build(A2, TorusSpec((6, 0), (0, 3)))
 
 
 # pi1 walks have one segment the glide fixes; the glide swaps blocks 2, 3
@@ -503,8 +521,7 @@ KLEIN = KleinSpec((1, 0), (0, 1), 1, 1, 1)
 
 
 def klein():
-    q = build(A2, KLEIN)
-    return q, _grid(q)
+    return build(A2, KLEIN)
 
 
 def one_weight_stepping_into(into):
@@ -521,26 +538,12 @@ def a_step_off_the_kept_segments():
     # of the two segments of one weight (blocks 2 and 3), the first steps
     # into the rational block 0 and the second into the first: a walk of
     # the segments alone would close
-    q, _ = torus()
-    _transfer_system(q, "pi1", one_weight_stepping_into(lambda b: 2 * (b == 3)))
+    _transfer_system(torus(), "pi1", one_weight_stepping_into(lambda b: 2 * (b == 3)))
 
 
 def two_segments_stepping_into_one():
     # both segments of the one weight (blocks 2 and 3) step into block 3
-    q, _ = torus()
-    _transfer_system(q, "pi1", one_weight_stepping_into(lambda b: 3))
-
-
-def a_shift_table_with_a_repeated_entry():
-    q, grid = torus()
-    shifted = grid.shifted
-
-    def repeated(s):
-        table = shifted(s)
-        return [table[1]] + table[1:]
-
-    grid.shifted = repeated
-    build_walk_system(q, "pi1")
+    _transfer_system(torus(), "pi1", one_weight_stepping_into(lambda b: 3))
 
 
 def a_glide_off_the_kept_segments():
@@ -553,47 +556,50 @@ def a_glide_off_the_kept_segments():
             super().__init__(labels, kind)
             self.segments = ((0, 2), (0, 3), (1, 0), (1, 3), (2, 1), (2, 3))
 
-    q, _ = klein()
+    q = klein()
     assert q.sigma.linear == ((1, 1), (0, -1))
-    _transfer_system(q, "pi1", OnTheLine(tuple((w,) for w in A2.weights("pi1")), "semi"))
-
-
-def a_ranked_map_that_is_not_a_bijection():
-    # every glide pair of the fixed block ranked as the first
-    q, grid = klein()
-    lows, rank = grid.orbit_ranks(0)
-    grid.orbit_ranks = lambda b: (lows, [0] * len(rank))
-    build_walk_system(q, "pi1")
-
-
-def a_glide_that_splits_a_block():
-    # pair two points of block 2 with each other, and their images in
-    # block 3 with each other: still an involution without fixed points,
-    # but block 2 now goes onto two blocks
-    q = build(A2, KLEIN)
-    glide, n = list(q._glide), q._det
-    p, r = 2 * n, 2 * n + 1
-    sp, sr = glide[p], glide[r]
-    glide[p], glide[r], glide[sp], glide[sr] = r, p, sr, sp
-    q._glide = glide
-    build_walk_system(q, "pi1")
+    _transfer_system(q, "pi1", OnTheLine(PI1, "semi"))
 
 
 def a_glide_whose_blocks_disagree_with_its_linear_part():
     # the glide swaps blocks 2 and 3; the identity as its linear part fixes them
-    q = build(A2, KLEIN)
+    q = klein()
     q.sigma = q.sigma._replace(linear=((1, 0), (0, 1)))
+    build_walk_system(q, "pi1")
+
+
+def a_glide_fixed_segment_returning_through_the_glide():
+    # a fresh pi1 walks table whose glide-fixed segment (block 0) returns
+    # through the glide's map of block 0, which the glide maps onto itself
+    class Glided(LabelTable):
+        def _derive_plan(self, linear):
+            plan = LabelTable._derive_plan(self, linear)
+            plan.cycles = tuple(
+                (b, fixed, steps, ops + (((0, 0), b),) if fixed else ops)
+                for b, fixed, steps, ops in plan.cycles
+            )
+            return plan
+
+    _transfer_system(klein(), "pi1", Glided(PI1, "walks"))
+
+
+def a_residue_box_the_glide_does_not_preserve():
+    # the box of (6, 0), (0, 1) in place of (3, 0), (-1, 2): of the same
+    # size, but the glide's linear part takes (0, 1) to (1, -1), off it, so
+    # the glide-fixed segment's glide pairs do not fill whole cycles
+    q = klein()
+    assert q._triangle == (3, -1, 2)
+    q._triangle = (6, 0, 1)
     build_walk_system(q, "pi1")
 
 
 CASES = (
     a_step_off_the_kept_segments,
     two_segments_stepping_into_one,
-    a_shift_table_with_a_repeated_entry,
     a_glide_off_the_kept_segments,
-    a_ranked_map_that_is_not_a_bijection,
-    a_glide_that_splits_a_block,
     a_glide_whose_blocks_disagree_with_its_linear_part,
+    a_glide_fixed_segment_returning_through_the_glide,
+    a_residue_box_the_glide_does_not_preserve,
 )
 
 if __name__ == "__main__":
@@ -610,13 +616,14 @@ if __name__ == "__main__":
 ENGINE_FAULT_MESSAGES = {
     "a_step_off_the_kept_segments": "semi transition is not a bijection",
     "two_segments_stepping_into_one": "semi transition is not a bijection",
-    "a_shift_table_with_a_repeated_entry": "walks transition is not a bijection",
     "a_glide_off_the_kept_segments": "the glide sends a kept semi segment off the kept ones",
-    "a_ranked_map_that_is_not_a_bijection": "walks transition is not a bijection",
-    "a_glide_that_splits_a_block": "the glide does not map each block onto one block",
     "a_glide_whose_blocks_disagree_with_its_linear_part": (
-        "the glide's block images disagree with its linear part"
+        "the glide's linear part is not a reflection"
     ),
+    "a_glide_fixed_segment_returning_through_the_glide": (
+        "a glide-fixed walks segment does not return by a translation"
+    ),
+    "a_residue_box_the_glide_does_not_preserve": "walks transition is not a bijection",
 }
 
 
@@ -644,8 +651,7 @@ def test_the_engine_rejects_each_broken_invariant_under_python_o():
 
 
 # ---------------------------------------------------------------------------
-# cost: each segment cycle is composed once and only its first-return map
-# is walked
+# cost: one order per segment cycle, and at most one fixed-point count
 # ---------------------------------------------------------------------------
 
 COST_QUOTIENTS = (
@@ -655,98 +661,84 @@ COST_QUOTIENTS = (
 )
 
 
-def _block_after(b, lam, scale):
-    """The parity block of mu_b + scale * lam, in doubled coordinates."""
-    x, y = (b & 1) + scale * lam[0], (b >> 1) + scale * lam[1]
-    return (x & 1) + 2 * (y & 1)
-
-
-def _reference_segments(q, rep, kind, scale):
-    """(to, mirror) over the segments of the reference label layout: the
-    index of the segment each one steps onto, and of its glide image
-    (itself on a torus)."""
-    linear = IDENTITY if q.kind == "torus" else q.sigma.linear
-    labels, nexts, segments, flip = reference.label_layout(q.rs, rep, kind, linear)
-    at = {s: i for i, s in enumerate(segments)}
-    to = [at[nexts[k], _block_after(b, labels[k][0], scale)] for k, b in segments]
-    if q.kind == "torus":
-        return to, list(range(len(segments)))
-    image = _grid(q).image
-    return to, [at[flip[k], image[b]] for k, b in segments]
-
-
-def _cycle_count(perm):
-    seen, count = set(), 0
-    for start in range(len(perm)):
-        count += start not in seen
-        while start not in seen:
-            seen.add(start)
-            start = perm[start]
-    return count
-
-
-def test_the_walk_visits_only_first_return_maps(monkeypatch):
-    compose, count = zeta_mod._compose, zeta_mod._count_cycles
-    derive, shifted = LabelTable._derive_plan, _Grid.shifted
-    tally, composed = Counter(), []
+def test_each_build_takes_one_order_per_plan_cycle(monkeypatch):
+    derive = LabelTable._derive_plan
+    order, fixed_points = zeta_mod._order, zeta_mod._fixed_points
+    tally = Counter()
 
     def counting_derive(table, linear):
         tally["plans"] += 1
         return derive(table, linear)
 
-    def counting_shifted(grid, s):
-        tally["shifted"] += 1
-        return shifted(grid, s)
+    def counting_order(tri, v):
+        tally["orders"] += 1
+        return order(tri, v)
 
-    def recording_compose(tables):
-        composed.append(tables)
-        return compose(tables)
-
-    def counting_cycles(perm, steps, lengths, kind):
-        tally["visited"] += len(perm)
-        return count(perm, steps, lengths, kind)
+    def counting_fixed_points(mirror, u):
+        tally["fixed points"] += 1
+        return fixed_points(mirror, u)
 
     monkeypatch.setattr(LabelTable, "_derive_plan", counting_derive)
-    monkeypatch.setattr(_Grid, "shifted", counting_shifted)
-    monkeypatch.setattr(zeta_mod, "_compose", recording_compose)
-    monkeypatch.setattr(zeta_mod, "_count_cycles", counting_cycles)
-    seen = Counter()
-    for rs, spec in COST_QUOTIENTS:
-        q = build(rs, spec)
-        assert q.N in (288, 144, 96)
-        glide_maps = getattr(_grid(q), "sig", ())
-        for rep in rs.rep_names:
+    monkeypatch.setattr(zeta_mod, "_order", counting_order)
+    monkeypatch.setattr(zeta_mod, "_fixed_points", counting_fixed_points)
+    quotients = [build(rs, spec) for rs, spec in COST_QUOTIENTS]
+    assert [q.N for q in quotients] == [288, 144, 96]
+    quotients += [member.build() for member in generate_corpus(7)]
+    counted = 0
+    for q in quotients:
+        linear = None if q.kind == "torus" else q.sigma.linear
+        for rep in q.rs.rep_names:
             for flat, _ in BUILDERS:
                 flat(q, rep)
                 tally.clear()
-                composed.clear()
                 system = flat(q, rep)
-                where = (spec, rep, system.kind)
+                where = (q.spec, rep, system.kind)
+                cycles = q.rs.label_table(rep, system.kind).plan(linear).cycles
                 # a second build of the same table and glide derives no plan
                 assert tally["plans"] == 0, where
-                # each composition takes one shifted table per run of steps,
-                # then the glide's block map where the run ends on the later
-                # segment of a glide pair; a torus cycle is one table
-                glided = [[any(t is g for g in glide_maps) for t in tables] for tables in composed]
-                for flags in glided:
-                    assert not flags[0] and all(map(bool.__ne__, flags, flags[1:])), where
-                assert tally["shifted"] == sum(flags.count(False) for flags in glided), where
-                to, mirror = _reference_segments(q, rep, system.kind, system.step_in_w)
-                walked = [i for i, j in enumerate(mirror) if i <= j]
-                crossings = sum(mirror[to[i]] < to[i] for i in walked)
-                assert sum(map(sum, glided)) == crossings, where
-                seen["crossed"] += crossings > 0
-                seen["summed"] += tally["shifted"] < len(walked)
+                assert tally["orders"] == len(cycles), where
+                assert tally["fixed points"] <= len(cycles), where
                 if q.kind == "torus":
-                    assert glided == [[False]] * _cycle_count(to), where
-                if system.kind == "walks":
-                    assert tally["visited"] == system.size, where
-                elif q.kind == "torus":
-                    assert 2 * tally["visited"] == system.size, where
-                else:
-                    assert tally["visited"] <= system.size, where
-    # the Klein bottle crosses to later segments, and runs of steps are summed
-    assert seen["crossed"] and seen["summed"]
+                    assert tally["fixed points"] == 0, where
+                counted += tally["fixed points"] > 0
+    assert counted
+
+
+# ---------------------------------------------------------------------------
+# the engine reads Gamma0 through its triangular basis alone
+# ---------------------------------------------------------------------------
+
+ENGINE = (
+    "_order",
+    "_fixed_points",
+    "_transfer_system",
+    "build_walk_system",
+    "build_semi_system",
+    "build_gallery_system",
+)
+
+
+def _names_in(name):
+    """The names and attributes that the function name of zeta.py reads."""
+    tree = ast.parse(Path(zeta_mod.__file__).read_text())
+    (function,) = [node for node in tree.body if getattr(node, "name", None) == name]
+    nodes = list(ast.walk(function))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    return names | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
+def test_the_engine_reads_gamma0_only_through_its_triangular_basis():
+    # the census and torus_closed_form read Gamma0 by its adjugate and
+    # determinant, so the closed-form leg of torus-three-way and the census
+    # stay a second encoding of Gamma0; the engine reads no box either
+    forbidden = {
+        "_adj", "_det", "_glide", "_lower",
+        "residues", "half_residues", "vertex_reps", "half_orbit_reps",
+    }
+    for name in ENGINE:
+        assert not _names_in(name) & forbidden, name
+    assert "_triangle" in _names_in("_transfer_system")
+    assert {"_adj", "_det"} <= _names_in("torus_closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +761,23 @@ def _klein_variant(item, g, m):
     return q if q.N <= 60 else None
 
 
+def _block_after(b, lam, scale):
+    """The parity block of mu_b + scale * lam, in doubled coordinates."""
+    x, y = (b & 1) + scale * lam[0], (b >> 1) + scale * lam[1]
+    return (x & 1) + 2 * (y & 1)
+
+
+def _reference_segments(q, rep, kind, scale):
+    """(to, mirror) over the segments of the reference label layout: the
+    index of the segment each one steps onto, and of its glide image."""
+    linear = q.sigma.linear
+    labels, nexts, segments, flip = reference.label_layout(q.rs, rep, kind, linear)
+    at = {s: i for i, s in enumerate(segments)}
+    to = [at[nexts[k], _block_after(b, labels[k][0], scale)] for k, b in segments]
+    image = block_images(linear)
+    return to, [at[flip[k], image[b]] for k, b in segments]
+
+
 def _segment_cases(q):
     """Which of free segments, glide-fixed segments and steps onto the
     later segment of a glide pair q's systems meet, from the reference
@@ -784,6 +793,48 @@ def _segment_cases(q):
                 cases.add("free")
                 if i < j and mirror[to[i]] < to[i]:
                     cases.add("mirror")
+    return cases
+
+
+AFFINE_CASES = {
+    "free translation",
+    "free reflection, m odd",
+    "free reflection, m even",
+    "fixed translation, m odd",
+    "fixed translation, m even, short pairs",
+    "fixed translation, m even, no short pairs",
+}
+
+
+def _affine_cases(q):
+    """The case of each first-return map of q's systems: whether its
+    segment is glide-fixed, whether it is a translation or x -> L x + v, the
+    parity of the order m of it or of its square, and whether some point of
+    a fixed segment meets its glide partner after m / 2 returns, all read
+    by brute force over the residue box."""
+    linear = None if q.kind == "torus" else q.sigma.linear
+    box, cases = q.residues(), Counter()
+    for rep in q.rs.rep_names:
+        for kind in ("walks", "semi", "galleries"):
+            for b, fixed, _, ops in q.rs.label_table(rep, kind).plan(linear).cycles:
+                f = AffineMap.identity()
+                for shift, block in ops:
+                    f = AffineMap.from_translation(shift).compose(f)
+                    if block is not None:
+                        f = _block_map(q, block).compose(f)
+                if f.linear != IDENTITY:
+                    m = _brute_order(q, f.compose(f).translation)
+                    cases[f"free reflection, m {('even', 'odd')[m % 2]}"] += 1
+                    continue
+                m = _brute_order(q, f.translation)
+                if not fixed:
+                    cases["free translation"] += 1
+                elif m % 2:
+                    cases["fixed translation, m odd"] += 1
+                else:
+                    half, g = f ** (m // 2), _block_map(q, b)
+                    short = any(q.reduce(half.apply(x)) == q.reduce(g.apply(x)) for x in box)
+                    cases[f"fixed translation, m even, {'short' if short else 'no short'} pairs"] += 1
     return cases
 
 
@@ -819,3 +870,9 @@ def test_the_agreement_examples_meet_every_segment_case():
         assert _segment_cases(q) == {"free", "fixed", "mirror"}, q.spec
         kinds.add(q.rs.kind)
     assert kinds == {"A2", "C2"}
+    # corpus seed 7, whose systems the explicit walk checks, meets each
+    # case of the affine first-return maps
+    cases = Counter()
+    for member in generate_corpus(7):
+        cases.update(_affine_cases(member.build()))
+    assert set(cases) == AFFINE_CASES
