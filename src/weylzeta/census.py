@@ -9,43 +9,61 @@ congruences in n and its solutions form one arithmetic progression
 n = r (mod m).  The ``*_count_table`` functions group the pairs by
 progression and add each group's multiplicity at r, r + m, ... (_tally).
 
+Every table is summed over the whole box Z^2 / Gamma0 (the doubled box
+for semi-closings), and each progression's multiplicity is then divided,
+by divmod, by |G / Gamma0| = det // N (_per_orbit); a remainder raises.
+Why this is exact.  The glide sigma x = L x + t squares into Gamma0 and
+has no fixed point (the quotient checks both), so it pairs the box
+points, each pair an orbit.  (x, lam) and (sigma x, L lam) close at the
+same n, because sigma(x + n*lam) = sigma x + n*L lam and G sigma x = G x;
+branch by branch, n*L lam lies in Gamma0 when n*lam does, and
+L (x + n*lam - sigma x) = sigma x + n*L lam - sigma(sigma x).  L permutes
+each rep's weights, its gallery pairs (fixing or swapping a pair as it
+does its image) and its off-rational blocks, and keeps every period.  So
+(x, lam) -> (sigma x, L lam) pairs the box's pairs without fixed point
+and keeps each one's progression, while orbit representatives count one
+of each: every box multiplicity is exactly twice the orbit multiplicity.
+
 The progressions are found once per congruence class, not once per pair:
 * the translation branch does not depend on x: n*lam lies in Gamma0
   exactly when m | n, m = det // gcd(adj * lam, det), one gcd per weight
   (_period);
 * the glide branch reads x only through the class of its glide shift
-  x - sigma(x) modulo Gamma0, so the shifts are grouped by class once
-  per quotient, and each class is solved once per step (_closings, a
-  Chinese-remainder solver built once per step) and counted with its
-  multiplicity.
-A table therefore costs O(#classes) per step plus one slice update per
-progression, where #classes is at most N and usually a handful; a torus
-has no glide branch and builds no solver.
+  x - sigma(x) = (I - L) x - t modulo Gamma0.  I - L has rank 1 with
+  image Z w, w = beta - L beta, so over the box the shift runs over
+  -t + j w for 0 <= j < ord(w), det // ord(w) times each (_glide_shifts).
+  Each class is solved once per step (_closings, a Chinese-remainder
+  solver built once per step) and counted with its multiplicity.
+A table therefore costs O(ord(w)) per step plus one slice update per
+progression.  ord(w) divides det and can be close to N (12288 classes
+for 36864 orbits on the A2 Klein bottle of m = 12288); a torus has no
+glide branch and builds no solver.
 
 Semi-closings use the same congruences in doubled coordinates modulo
-2 det; galleries move by lam + mu every two steps, so even and odd
-lengths are solved separately.  Glide line counts (lambda_set_size)
-are decided by one solve: the glide's linear part fixes alpha, the
-direction along a beta-row of the fundamental domain, so a glide power
-moves every point of a row by the same vector, and only one row can be
-moved by a given v.  The tests hold the references of these
-tables: literal per-length loops over every pair, and a point-by-point
-window scan for lambda_set_size.
+2 det; on the off-rational parity block of mu the shift runs over
+(I - L) mu - 2t + 2 j w.  Galleries move by lam + mu every two steps, so
+even and odd lengths are solved separately.  Glide line counts
+(lambda_set_size) are decided by one solve: the glide's linear part
+fixes alpha, the direction along a beta-row of the fundamental domain,
+so a glide power moves every point of a row by the same vector, and only
+one row can be moved by a given v.  The tests hold the references of
+these tables: literal per-length loops over every pair, and a
+point-by-point window scan for lambda_set_size.
 
 Work that depends only on the quotient is done once per quotient and
-kept on it (_once): the glide shift classes of the vertex
-representatives, per parity class of the weight those of the
-half-lattice representatives off the rational lines, and per rep the
-progressions of the walk and geodesic tables, which one pass fills
-together.  A torus reads only the sizes of the half-lattice blocks, not
-the points.  glide_line_counter computes a glide power once for a whole
-scan, and the vector of each beta-row once, on its first read (GlideLines);
-it is never kept on the quotient, so it always reads the current sigma.
+kept on it (_once): the glide shift classes of the vertex classes, per
+parity class of the weight those of the half-lattice classes off the
+rational lines, and per rep the progressions of the walk and geodesic
+tables, which one pass fills together.  glide_line_counter computes a
+glide power once for a whole scan, and the vector of each beta-row once,
+on its first read (GlideLines); it is never kept on the quotient, so it
+always reads the current sigma.
 
 Nothing here touches the transfer systems: the census uses only
-membership in Gamma0 (its adjugate and determinant), the glide sigma and
-the vertex and half-lattice representatives, with tables of its own, so
-it remains an independent check of the cycle-decomposition zeta engine.
+membership in Gamma0 (its adjugate and determinant, and reduce and
+reduce_half to name a class), the glide sigma and beta, with tables of
+its own, so it remains an independent check of the cycle-decomposition
+zeta engine.  No point of the box is listed.
 """
 
 from __future__ import annotations
@@ -219,22 +237,30 @@ def _glide_branch(
     return progs
 
 
-def _glide_shifts(q: QuotientGroup, points, half: bool = False) -> tuple:
-    """x - sigma(x) for each point x (doubled coordinates when half), by
-    class modulo Gamma0 (2 Gamma0 when half), as (class, multiplicity)
-    pairs; empty for a torus.
+def _glide_shifts(q: QuotientGroup, mu: Optional[Vec] = None) -> tuple:
+    """x - sigma(x) over the whole box of vertex classes x, or (doubled
+    coordinates) over the half-lattice classes mu + 2x of the parity block
+    of mu, by class modulo Gamma0 (2 Gamma0 when doubled), as (class,
+    multiplicity) pairs; empty for a torus.
 
     sigma carries x to y exactly when y - x + (x - sigma(x)) lies in
     Gamma0, so this is the offset of the glide branch's congruence, and
-    that congruence reads it only through its class.  The translation
-    branch has offset 0 and so does not depend on x.
+    that congruence reads it only through its class.  (I - L) Z^2 = Z w
+    because L fixes alpha and (alpha, beta) is a basis, and x -> (I - L) x
+    maps Z^2 / Gamma0 onto the ord(w) multiples of w, det // ord(w) points
+    onto each: so the classes are -t + j w, or (I - L) mu - 2t + 2 j w.
     """
     if q.kind == "torus":
         return ()
-    (l11, l12), (l21, l22) = q.sigma.linear
-    t1, t2 = vec_scale(2 if half else 1, q.sigma.translation)
-    shifts = ((x - l11 * x - l12 * y - t1, y - l21 * x - l22 * y - t2) for x, y in points)
-    return tuple(Counter(map(q.reduce_half if half else q.reduce, shifts)).items())
+    linear, t = q.sigma
+    w = vec_sub(q.beta, mat_vec(linear, q.beta))
+    period, reduce = _period(q, w, q._det), q.reduce
+    start = vec_scale(-1, t)
+    if mu is not None:
+        start = vec_add(vec_sub(mu, mat_vec(linear, mu)), vec_scale(2, start))
+        w, reduce = vec_scale(2, w), q.reduce_half
+    count = q._det // period
+    return tuple((reduce(vec_add(start, vec_scale(j, w))), count) for j in range(period))
 
 
 def _once(q: QuotientGroup, key, make):
@@ -247,8 +273,8 @@ def _once(q: QuotientGroup, key, make):
 
 
 def _vertex_shifts(q: QuotientGroup) -> tuple:
-    """The glide shift classes of the vertex representatives."""
-    return _once(q, "vertex shifts", lambda: _glide_shifts(q, q.vertex_reps))
+    """The glide shift classes of the vertex classes."""
+    return _once(q, "vertex shifts", lambda: _glide_shifts(q))
 
 
 def _off_rational_blocks(lam: Vec) -> tuple:
@@ -263,33 +289,33 @@ def _off_rational_blocks(lam: Vec) -> tuple:
     return tuple(b for b in (1, 2, 3) if b != parity)
 
 
-def _irrational_half(q: QuotientGroup, lam: Vec) -> tuple:
-    """The half-lattice representatives (doubled coordinates) whose line in
-    direction lam misses the vertex lattice: half_orbit_reps() lists them
-    by parity class, so these are two slices."""
-    reps, starts = q.half_orbit_reps(), q._half_blocks
-    return sum((reps[starts[b] : starts[b + 1]] for b in _off_rational_blocks(lam)), ())
-
-
-def _irrational_count(q: QuotientGroup, lam: Vec) -> int:
-    """len(_irrational_half(q, lam)), from the block sizes alone."""
-    starts = q._half_blocks
-    return sum(starts[b + 1] - starts[b] for b in _off_rational_blocks(lam))
-
-
 def _irrational_shifts(q: QuotientGroup, lam: Vec) -> tuple:
-    """The glide shift classes of _irrational_half(q, lam), per parity
-    class of lam."""
+    """The glide shift classes of the half-lattice classes whose line in
+    direction lam misses the vertex lattice, per parity class of lam."""
+    blocks = _off_rational_blocks(lam)
     return _once(
         q,
-        ("irrational shifts", _off_rational_blocks(lam)),
-        lambda: _glide_shifts(q, _irrational_half(q, lam), half=True),
+        ("irrational shifts", blocks),
+        lambda: sum((_glide_shifts(q, (b & 1, b >> 1)) for b in blocks), ()),
     )
 
 
 def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
     """Whether the glide's linear part sends lam to target (never for a torus)."""
     return q.kind == "klein" and mat_vec(q.sigma.linear, lam) == target
+
+
+def _per_orbit(q: QuotientGroup, progressions: Counter) -> Counter:
+    """Multiplicities summed over the whole box, divided by |G / Gamma0| =
+    det // N to count orbits (see the module docstring).  A remainder
+    raises AssertionError."""
+    index = q._det // q.N
+    out: Counter = Counter()
+    for p, count in progressions.items():
+        out[p], r = divmod(count, index)
+        if r:
+            raise AssertionError(f"progression {p} has {count} box pairs, not a multiple of {index}")
+    return out
 
 
 def _tally(progressions: Counter, max_n: int) -> tuple:
@@ -312,19 +338,18 @@ def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
     always for a translation, for the glide only when it fixes lam."""
 
     def make() -> tuple:
-        d, n = q._det, len(q.vertex_reps)
-        shifts = _vertex_shifts(q)
+        d, shifts = q._det, _vertex_shifts(q)
         walks: Counter = Counter()
         geodesics: Counter = Counter()
         for lam in q.rs.weights(rep):
             p = (0, _period(q, lam, d))
-            walks[p] += n
-            geodesics[p] += n
+            walks[p] += d
+            geodesics[p] += d
             glides = _glide_branch(q, lam, d, shifts)
             walks.update(glides)
             if _glide_maps(q, lam, lam):
                 geodesics.update(glides)
-        return walks, geodesics
+        return _per_orbit(q, walks), _per_orbit(q, geodesics)
 
     return _once(q, ("walks", rep), make)
 
@@ -347,13 +372,13 @@ def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> tuple:
     """Half-step closings of non-rational lines through half-lattice points
     at j = 1..max_j, in closed form: the pairs (x, lam) that some group
     element whose linear part fixes lam carries from x to x + (j/2) lam."""
-    d2 = 2 * q._det
+    d = q._det
     progs: Counter = Counter()
     for lam in q.rs.weights(rep):
-        progs[(0, _period(q, lam, d2))] += _irrational_count(q, lam)
+        progs[(0, _period(q, lam, 2 * d))] += len(_off_rational_blocks(lam)) * d
         if _glide_maps(q, lam, lam):
-            progs.update(_glide_branch(q, lam, d2, _irrational_shifts(q, lam)))
-    return _tally(progs, max_j)
+            progs.update(_glide_branch(q, lam, 2 * d, _irrational_shifts(q, lam)))
+    return _tally(_per_orbit(q, progs), max_j)
 
 
 def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
@@ -370,12 +395,11 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
     The odd branch's offset shift + lam has a class that depends only on
     the class of shift.
     """
-    d, n = q._det, len(q.vertex_reps)
-    shifts = _vertex_shifts(q)
+    d, shifts = q._det, _vertex_shifts(q)
     progs: Counter = Counter()
     for lam, mu in q.rs.gallery_pairs(rep):
         step = vec_add(lam, mu)
-        progs[(0, 2 * _period(q, step, d))] += n
+        progs[(0, 2 * _period(q, step, d))] += d
         even = _glide_maps(q, lam, lam) and _glide_maps(q, mu, mu)
         odd = _glide_maps(q, lam, mu) and _glide_maps(q, mu, lam)
         if not (even or odd):
@@ -383,4 +407,4 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
         glides = _glide_branch(q, step, d, shifts, (0, 0) if even else lam)
         for (r, m), count in glides.items():
             progs[(2 * r + odd, 2 * m)] += count
-    return _tally(progs, max_n)
+    return _tally(_per_orbit(q, progs), max_n)

@@ -12,29 +12,28 @@ Everything here is exact integer arithmetic; the coordinate solves test
 divisibility with divmod.  Every class is named by a point of the
 residue box [0, h11) x [0, h22) of the triangular basis (h11, 0), (c, h22)
 of Gamma0 (of its double, in doubled coordinates): reduce takes a point
-there by index arithmetic, and the doubled box is listed as four parity
-cosets of the box.  This module alone decides which point represents an
-orbit.  For a torus the vertex and half-lattice orbit representatives
-are the two boxes themselves, the doubled one made on first read.  For
-a Klein bottle one pass over the doubled box finds the position of each
-point's glide image, checks that the glide is a fixed-point-free
-involution of the positions, and keeps the point at the lower position
-of each pair as its orbit's representative; the positions are not kept.
-The half-lattice representatives are those points, the vertex
-representatives the ones of parity 0, halved.  The transfer systems
-read none of them, only the triangular basis; _triangular_basis takes
-any number of generators, so it also gives them the lattice
-(L - I) Z^2 + Gamma0 that counts the fixed points of a glide.  A
-quotient also carries the census's per-quotient tables
+there by index arithmetic.  No point of the box is listed: a quotient is
+Gamma0 and, for a Klein bottle, its glide, and both the transfer systems
+and the census count over the whole box by arithmetic.
+
+A build checks, by arithmetic too, that the glide sigma x = L x + t is a
+fixed-point-free involution of the half-lattice classes, and so of the
+vertex classes, the half-lattice points of parity block 0.  L**2 = I and
+L t + t in Gamma0 make it an involution.  It takes mu_b + 2x (doubled
+coordinates, mu_b = (b & 1, b >> 1)) to L mu_b + 2 (L x + t), so it fixes
+a point of block b exactly when it maps the block onto itself and
+t + (L mu_b - mu_b) / 2 lies in Lambda = (L - I) Z**2 + Gamma0.
+_triangular_basis takes any number of generators, so it also gives
+Lambda (_mirror), and _in_lattice tests membership on a triangular basis;
+the transfer systems count the fixed points of a glide with the same
+two.  A quotient also carries the census's per-quotient tables
 (_census_tables), which the census fills on first use, so they live and
 die with the quotient.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, count, product
 from math import gcd
-from operator import eq, lt
 from typing import NamedTuple, Optional, Union
 
 from .rootgeom import (
@@ -42,6 +41,7 @@ from .rootgeom import (
     Mat,
     RootSystem,
     Vec,
+    block_images,
     mat_det,
     mat_mul,
     mat_vec,
@@ -146,6 +146,21 @@ def _triangular_basis(*gens: Vec) -> tuple:
     if h11 <= 0 or h22 <= 0:
         raise SpecValidationError("translation vectors are linearly dependent")
     return h11, top[0], h22
+
+
+def _in_lattice(tri: tuple, v: Vec) -> bool:
+    """Whether v lies in the lattice of triangular basis tri = (h11, c, h22)."""
+    h11, c, h22 = tri
+    r, j = divmod(v[1], h22)
+    return not j and (v[0] - r * c) % h11 == 0
+
+
+def _mirror(tri: tuple, linear) -> tuple:
+    """The triangular basis of Lambda = (L - I) Z^2 + Gamma0, tri that of
+    Gamma0 and L = linear."""
+    (l11, l12), (l21, l22) = linear
+    h11, c, h22 = tri
+    return _triangular_basis((l11 - 1, l21), (l12, l22 - 1), (h11, 0), (c, h22))
 
 
 def _primitive(v: Vec) -> Vec:
@@ -274,70 +289,29 @@ class QuotientGroup:
             )
         self._det = det
         self._adj = adj
-        h11, c, h22 = self._triangle = _triangular_basis(u, v)
-        n = h11 * h22
-        self._residues = [(i, j) for j in range(h22) for i in range(h11)]
-        # the doubled box, and a torus's half representatives (the box
-        # itself), are made on first read: see half_residues
-        self._half_residues = self._half_reps = None
-        if self.kind == "torus":
-            reps = self._residues
-            blocks = range(0, 5 * n, n)
-        else:
-            # the position, col[i] + row[j], of each point's glide image;
-            # reduce_half and the glide inlined
-            (l11, l12), (l21, l22) = self.sigma.linear
-            t1, t2 = vec_scale(2, self.sigma.translation)
-            col = [(i & 1) * n + (i >> 1) for i in range(2 * h11)]
-            row = [(j & 1) * 2 * n + h11 * (j >> 1) for j in range(2 * h22)]
-            half, glide = self.half_residues(), []
-            for x, y in half:
-                r, j = divmod(l21 * x + l22 * y + t2, 2 * h22)
-                i = (l11 * x + l12 * y + t1 - 2 * r * c) % (2 * h11)
-                glide.append(col[i] + row[j])
-            # the glide pairs the positions, and the lower position of each
-            # pair represents its orbit
-            every = range(4 * n)
-            if any(map(eq, glide, every)) or list(map(glide.__getitem__, glide)) != list(every):
-                raise AssertionError("the glide is not a fixed-point-free involution of the grid")
-            lower = list(map(lt, count(), glide))
-            self._half_reps = tuple(compress(half, lower))
-            sizes = (sum(lower[b : b + n]) for b in range(0, 4 * n, n))
-            blocks = tuple(accumulate(sizes, initial=0))
-            # vertex x is the half-lattice point 2x, and the box and the glide
-            # commute with doubling: the parity-0 half representatives are
-            # the doubled vertex representatives
-            reps = [(x >> 1, y >> 1) for x, y in self._half_reps[: blocks[1]]]
-        self._half_blocks = tuple(blocks)
-        if len(reps) != self.N:
-            raise SpecValidationError(
-                f"vertex class count {len(reps)} does not match N = {self.N}"
-            )
-        self.vertex_reps = tuple(reps)
+        self._triangle = _triangular_basis(u, v)
+        if self.kind == "klein":
+            self._check_glide()
         # the census's tables, filled and read only by the census
         self._census_tables: dict = {}
 
+    def _check_glide(self):
+        """AssertionError unless the glide is a fixed-point-free involution
+        of the half-lattice classes (see the module docstring)."""
+        linear, t = self.sigma
+        free = mat_mul(linear, linear) == IDENTITY and _in_lattice(
+            self._triangle, vec_add(mat_vec(linear, t), t)
+        )
+        mirror = _mirror(self._triangle, linear)
+        for b, image in enumerate(block_images(linear)):
+            mu = (b & 1, b >> 1)
+            x, y = vec_sub(mat_vec(linear, mu), mu)
+            if image == b and _in_lattice(mirror, (t[0] + x // 2, t[1] + y // 2)):
+                free = False
+        if not free:
+            raise AssertionError("the glide is not a fixed-point-free involution of the classes")
+
     # -- lattice reduction ------------------------------------------------
-
-    def residues(self) -> list:
-        """The residue box [0, h11) x [0, h22) of the triangular basis of
-        Gamma0, row by row: the class of (i, j) at position i + h11 * j."""
-        return self._residues
-
-    def half_residues(self) -> list:
-        """The residue box of 2 Gamma0, (1/2)L mod Gamma0 in doubled
-        coordinates, as four parity cosets: mu_b + 2 residues()[x] at
-        position b * len(residues()) + x, mu_b = (b & 1, b >> 1).  Made on
-        first read, so a torus whose half-lattice points are never read
-        never builds it."""
-        if self._half_residues is None:
-            h11, _, h22 = self._triangle
-            cosets = [
-                product(range(b >> 1, 2 * h22, 2), range(b & 1, 2 * h11, 2))
-                for b in range(4)
-            ]
-            self._half_residues = [(x, y) for coset in cosets for y, x in coset]
-        return self._half_residues
 
     def reduce(self, x: Vec) -> Vec:
         """The residue box point of x's class modulo the translation subgroup:
@@ -351,18 +325,6 @@ class QuotientGroup:
         h11, c, h22 = self._triangle
         r, j = divmod(h2[1], 2 * h22)
         return ((h2[0] - 2 * r * c) % (2 * h11), j)
-
-    # -- orbit representatives ---------------------------------------------
-
-    def half_orbit_reps(self) -> tuple:
-        """The representatives of the half-lattice orbits, as int pairs of
-        doubled coordinates in half_residues() order, parity class by parity
-        class (_half_blocks).  A Klein bottle keeps the point at the lower
-        position of each glide pair, so the ones of parity 0, halved, are
-        vertex_reps; a torus has the whole box, made on first read."""
-        if self._half_reps is None:
-            self._half_reps = tuple(self.half_residues())
-        return self._half_reps
 
     # -- derived constants ---------------------------------------------------
 
@@ -406,7 +368,7 @@ class QuotientGroup:
             "kind": self.kind,
             "N": self.N,
             "gamma0_basis": [list(self.gamma0_basis[0]), list(self.gamma0_basis[1])],
-            "vertex_count": len(self.vertex_reps),
+            "vertex_count": self.N,
             "reps": {},
         }
         if self.kind == "klein":

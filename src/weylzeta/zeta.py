@@ -102,7 +102,8 @@ from .quotient import (
     AffineMap,
     QuotientGroup,
     SpecValidationError,
-    _triangular_basis,
+    _in_lattice,
+    _mirror,
 )
 from .rootgeom import IDENTITY, LabelTable, Vec, mat_det, mat_mul, mat_vec, vec_add, vec_scale
 
@@ -152,9 +153,7 @@ def _fixed_points(mirror: tuple, u: Vec) -> int:
     """The number of fixed points of x -> L x + u on Z^2 / Gamma0, mirror
     the triangular basis of (L - I) Z^2 + Gamma0: a coset of the kernel of
     L - I, of det(mirror) points, when u lies in that lattice, else none."""
-    h11, c, h22 = mirror
-    r, j = divmod(u[1], h22)
-    return 0 if j or (u[0] - r * c) % h11 else h11 * h22
+    return mirror[0] * mirror[2] if _in_lattice(mirror, u) else 0
 
 
 def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferSystem:
@@ -178,9 +177,7 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
         # adds the carry of L mu_b past its parity block
         lifts = (mat_vec(linear, (b & 1, b >> 1)) for b in range(4))
         glides = [AffineMap(linear, (t1 + (x >> 1), t2 + (y >> 1))) for x, y in lifts]
-        (l11, l12), (l21, l22) = linear
-        h11, c, h22 = tri
-        mirror = _triangular_basis((l11 - 1, l21), (l12, l22 - 1), (h11, 0), (c, h22))
+        mirror = _mirror(tri, linear)
     lengths: dict = {}  # cycle length in steps -> number of cycles
 
     def add(length: int, points: int, per_cycle: int) -> None:

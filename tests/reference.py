@@ -28,8 +28,15 @@ routes live here, and the tests compare the package against them:
 * ``HalfVec``, ``sigma_half`` and ``canonical_vertex``: half-lattice
   points as doubled coordinates, the glide on them, and a canonical form
   of each orbit (the lexicographically lower of the box points of x and
-  of sigma x), which names an orbit whichever point the quotient keeps
-  as its representative.
+  of sigma x).
+* ``residues``, ``half_residues``, ``vertex_reps`` and
+  ``half_orbit_reps``: the residue box of Gamma0 and of its double, listed
+  point by point from the triangular basis, and the box points that are
+  their own canonical form, one per orbit.  The package lists no box
+  point: its census sums over the box by arithmetic.
+* ``glide_is_free_involution``: a scan of the doubled box for a point the
+  glide fixes or does not return to, the reference of the quotient's
+  arithmetic check.
 * ``carrying_linear`` and ``transporter``: the group element carrying one
   point to another, found by membership of y - x (and, for a Klein
   bottle, of y - sigma x) in the translation subgroup Gamma0.
@@ -43,7 +50,8 @@ routes live here, and the tests compare the package against them:
   of the closed-form ``*_count_table`` functions in ``weylzeta.census``
   and share no code with them beyond Gamma0 membership and the glide.
   ``irrational_half`` filters the half-lattice representatives off the
-  rational lines point by point, the reference of the census's slices.
+  rational lines point by point, the reference of the census's
+  off-rational parity blocks.
 * ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
   one integer recurrence step per count, over a window of the counts;
   production builds P from its Moebius exponents, and runs Newton's
@@ -550,6 +558,54 @@ def canonical_vertex(q: QuotientGroup, x):
     return r
 
 
+def residues(q: QuotientGroup) -> list:
+    """The residue box [0, h11) x [0, h22) of the triangular basis of
+    Gamma0, row by row: the class of (i, j) at position i + h11 * j."""
+    h11, _, h22 = q._triangle
+    return [(i, j) for j in range(h22) for i in range(h11)]
+
+
+def half_residues(q: QuotientGroup) -> list:
+    """The residue box of 2 Gamma0 in doubled coordinates, as four parity
+    cosets: mu_b + 2 residues(q)[x] at position b * len(residues(q)) + x,
+    mu_b = (b & 1, b >> 1)."""
+    box = residues(q)
+    return [((b & 1) + 2 * i, (b >> 1) + 2 * j) for b in range(4) for i, j in box]
+
+
+# the representatives by triangular basis and glide, all they depend on:
+# the per-length loops read them once per length
+_REPS: dict = {}
+
+
+def vertex_reps(q: QuotientGroup) -> tuple:
+    """One box point per vertex orbit: those that are their own canonical
+    form, in residues(q) order."""
+    key = ("vertex", q._triangle, q.sigma)
+    if key not in _REPS:
+        _REPS[key] = tuple(p for p in residues(q) if canonical_vertex(q, p) == p)
+    return _REPS[key]
+
+
+def half_orbit_reps(q: QuotientGroup) -> tuple:
+    """One doubled box point per half-lattice orbit: those that are their
+    own canonical form, in half_residues(q) order."""
+    key = ("half", q._triangle, q.sigma)
+    if key not in _REPS:
+        _REPS[key] = tuple(h for h in half_residues(q) if canonical_vertex(q, HalfVec(*h)) == h)
+    return _REPS[key]
+
+
+def glide_is_free_involution(q: QuotientGroup) -> bool:
+    """Whether the glide of a Klein bottle, on the doubled box, moves every
+    point and returns each one in two steps."""
+    for h in half_residues(q):
+        image = q.reduce_half(sigma_half(q, h))
+        if image == h or q.reduce_half(sigma_half(q, image)) != h:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Transporters
 # ---------------------------------------------------------------------------
@@ -657,10 +713,10 @@ def count_closed_walks(q: QuotientGroup, rep: str, n: int) -> int:
     whose endpoint is carried back by some group element."""
     if n < 1:
         raise ValueError("walk length must be positive")
-    total = 0
+    total, reps = 0, vertex_reps(q)
     for lam in q.rs.weights(rep):
         step = vec_scale(n, lam)
-        for x in q.vertex_reps:
+        for x in reps:
             if carrying_linear(q, x, vec_add(x, step)) is not None:
                 total += 1
     return total
@@ -671,10 +727,10 @@ def count_geodesic_walks(q: QuotientGroup, rep: str, n: int) -> int:
     element's linear part must fix the direction (no corner at closing)."""
     if n < 1:
         raise ValueError("walk length must be positive")
-    total = 0
+    total, reps = 0, vertex_reps(q)
     for lam in q.rs.weights(rep):
         step = vec_scale(n, lam)
-        for x in q.vertex_reps:
+        for x in reps:
             g = carrying_linear(q, x, vec_add(x, step))
             if g is not None and mat_vec(g, lam) == lam:
                 total += 1
@@ -691,8 +747,8 @@ def _line_is_rational(x2: Vec, lam: Vec) -> bool:
 def irrational_half(q: QuotientGroup, lam: Vec) -> tuple:
     """The half-lattice representatives whose line in direction lam misses
     the vertex lattice, by one rationality test per representative: the
-    reference of the census's parity-class slices."""
-    return tuple(x2 for x2 in q.half_orbit_reps() if not _line_is_rational(x2, lam))
+    reference of the census's off-rational parity blocks."""
+    return tuple(x2 for x2 in half_orbit_reps(q) if not _line_is_rational(x2, lam))
 
 
 def count_semi_closings(
@@ -706,9 +762,9 @@ def count_semi_closings(
     if j < 1:
         raise ValueError("half-step count must be positive")
     wts = tuple(weights) if weights is not None else q.rs.weights(rep)
-    total = 0
+    total, reps = 0, half_orbit_reps(q)
     for lam in wts:
-        for h in map(HalfVec._make, q.half_orbit_reps()):
+        for h in map(HalfVec._make, reps):
             if _line_is_rational(h, lam):
                 continue
             y = HalfVec(h.x2 + j * lam[0], h.y2 + j * lam[1])
@@ -730,7 +786,7 @@ def count_closed_galleries(q: QuotientGroup, rep: str, n: int) -> int:
         raise ValueError("gallery length must be positive")
     pairs = q.rs.gallery_pairs(rep)
     total = 0
-    for v in q.vertex_reps:
+    for v in vertex_reps(q):
         for lam, mu in pairs:
             pos, a, b = v, lam, mu
             for _ in range(n):
@@ -990,8 +1046,8 @@ def hecke_determinant(q: QuotientGroup, rep: str) -> Poly:
     exp(-sum_n N_n u**n / n) = P.
     """
     # rows are found by the canonical form of each class, so the lookup does
-    # not depend on which point of a class the quotient keeps
-    reps = q.vertex_reps
+    # not depend on which point represents a class
+    reps = vertex_reps(q)
     index = {canonical_vertex(q, v): i for i, v in enumerate(reps)}
     wts = q.rs.weights(rep)
     n, k = len(reps), len(wts)
@@ -1089,7 +1145,7 @@ def build_walk_system(q: QuotientGroup, rep: str) -> PermutationSystem:
         b = (q.reduce(q.sigma.apply(x)), perm[i])
         return a if a <= b else b
 
-    states = sorted({canon(x, i) for x in q.residues() for i in range(len(wts))})
+    states = sorted({canon(x, i) for x in residues(q) for i in range(len(wts))})
     index = {s: j for j, s in enumerate(states)}
     succ = tuple(
         index[canon(vec_add(x, wts[i]), i)] for (x, i) in states
@@ -1111,7 +1167,7 @@ def build_semi_system(q: QuotientGroup, rep: str) -> PermutationSystem:
     states = sorted(
         {
             canon(x2, i)
-            for x2 in q.half_residues()
+            for x2 in half_residues(q)
             for i in range(len(wts))
             if not _line_is_rational(x2, wts[i])
         }
@@ -1140,7 +1196,7 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> PermutationSystem:
         {(wts.index(lam), wts.index(mu)) for lam, mu in pairs}
     )
     states = sorted(
-        {canon(v, i, j) for v in q.residues() for (i, j) in pair_indices}
+        {canon(v, i, j) for v in residues(q) for (i, j) in pair_indices}
     )
     index = {s: k for k, s in enumerate(states)}
     succ = tuple(

@@ -20,9 +20,9 @@ from reference import (
 )
 from weylzeta.census import (
     _closings,
-    _irrational_count,
-    _irrational_half,
+    _glide_shifts,
     _irrational_shifts,
+    _off_rational_blocks,
     _period,
     _tally,
     _vertex_shifts,
@@ -161,11 +161,27 @@ def _corpus_and_samples():
     return qs
 
 
+def _off_rational_points(q, lam):
+    """The doubled box points of the census's off-rational parity blocks."""
+    half, n = reference.half_residues(q), q._det
+    return [h for b in _off_rational_blocks(lam) for h in half[b * n : b * n + n]]
+
+
 def test_irrational_half_points_match_the_per_point_filter():
+    # the census counts the half-lattice points off the rational lines as
+    # whole parity blocks of the doubled box; the per-point filter keeps
+    # the same points, and over all weights its orbit representatives are
+    # those points divided by |G / Gamma0|
     for q in _corpus_and_samples():
+        half = reference.half_residues(q)
         for rep in q.rs.rep_names:
+            box_points = reps = 0
             for lam in q.rs.weights(rep):
-                assert _irrational_half(q, lam) == irrational_half(q, lam), (q, lam)
+                points = _off_rational_points(q, lam)
+                assert points == [h for h in half if not reference._line_is_rational(h, lam)]
+                box_points += len(points)
+                reps += len(irrational_half(q, lam))
+            assert box_points == reps * (q._det // q.N), (q, rep)
 
 
 def test_semi_inert_axis_cycle_on_a2_klein():
@@ -444,42 +460,64 @@ def _raw_shifts(q, points, half):
     return [vec_sub(x, q.sigma.apply(x)) for x in points]
 
 
+def _multiset(classes):
+    """(class, multiplicity) pairs as a Counter, repeated classes summed."""
+    out = Counter()
+    for shift, count in classes:
+        out[shift] += count
+    return out
+
+
 def test_shift_classes_count_every_point_once():
+    # the arithmetic classes are those of x - sigma(x) over the reference
+    # box, and of h - sigma(h) over each off-rational parity block of the
+    # doubled box, with det points per block
     for q in _corpus_and_samples():
         vertex = _vertex_shifts(q)
         if q.kind == "torus":
-            assert vertex == ()
-        else:
-            raw = _raw_shifts(q, q.vertex_reps, False)
-            assert Counter(dict(vertex)) == Counter(map(q.reduce, raw))
-            assert sum(count for _, count in vertex) == q.N
+            assert vertex == () and _glide_shifts(q, (1, 0)) == ()
+            assert all(_irrational_shifts(q, lam) == () for lam in q.rs.weights(q.rs.rep_names[0]))
+            continue
+        raw = _raw_shifts(q, reference.residues(q), False)
+        assert _multiset(vertex) == Counter(map(q.reduce, raw))
+        assert sum(count for _, count in vertex) == q._det
+        for b in range(4):
+            block = _glide_shifts(q, (b & 1, b >> 1))
+            assert sum(count for _, count in block) == q._det, (q, b)
         for rep in q.rs.rep_names:
             for lam in q.rs.weights(rep):
-                points = _irrational_half(q, lam)
-                assert _irrational_count(q, lam) == len(points), (q, lam)
+                raw = _raw_shifts(q, _off_rational_points(q, lam), True)
                 half = _irrational_shifts(q, lam)
-                if q.kind == "torus":
-                    assert half == ()
-                    continue
-                raw = _raw_shifts(q, points, True)
-                assert Counter(dict(half)) == Counter(map(q.reduce_half, raw))
-                assert sum(count for _, count in half) == len(points), (q, lam)
+                assert _multiset(half) == Counter(map(q.reduce_half, raw)), (q, lam)
 
 
 def test_the_solver_reads_a_shift_only_through_its_class():
     for q in _corpus_and_samples():
         if q.kind == "torus":
             continue
+        box = reference.residues(q)
         for rep in q.rs.rep_names:
             for lam in q.rs.weights(rep):
                 solve = _closings(q, lam, q._det)
-                for shift in _raw_shifts(q, q.vertex_reps, False):
+                for shift in _raw_shifts(q, box, False):
                     assert solve(shift) == solve(q.reduce(shift))
                     odd = vec_add(shift, lam)
                     assert solve(odd) == solve(vec_add(q.reduce(shift), lam))
                 solve = _closings(q, lam, 2 * q._det)
-                for shift in _raw_shifts(q, _irrational_half(q, lam), True):
+                for shift in _raw_shifts(q, _off_rational_points(q, lam), True):
                     assert solve(shift) == solve(q.reduce_half(shift))
+
+
+def test_an_odd_box_multiplicity_raises():
+    # over the box every progression of a Klein bottle is counted twice,
+    # once per point of each glide pair.  A lone shift class of multiplicity
+    # 1 that closes along alpha, the one weight whose geodesics the glide
+    # closes, breaks that, and the census raises instead of flooring
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    assert all(count % 2 == 0 for _, count in _vertex_shifts(q))
+    q._census_tables["vertex shifts"] = ((q.reduce(vec_scale(-1, q.alpha)), 1),)
+    with pytest.raises(AssertionError, match="not a multiple of 2"):
+        geodesic_count_table(q, q.type_rep, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +538,6 @@ def test_a_torus_verify_builds_no_solver(monkeypatch):
     ):
         q = build(rs, TorusSpec(v1, v2))
         assert verify(q).all_hold
-        # the census read only the half-lattice block sizes
-        assert q._half_residues is None and q._half_reps is None
 
 
 def test_a_klein_verify_solves_once_per_shift_class(monkeypatch):
@@ -511,23 +547,29 @@ def test_a_klein_verify_solves_once_per_shift_class(monkeypatch):
     calls = Counter()
 
     def counting(q_, step, modulus):
-        calls["solvers"] += 1
+        half = modulus == 2 * q_._det
+        calls["solvers", half] += 1
         solve = _closings(q_, step, modulus)
 
         def counted(shift):
-            calls["solves"] += 1
+            calls["solves", half] += 1
             return solve(shift)
 
         return counted
 
     monkeypatch.setattr(weylzeta.census, "_closings", counting)
     assert verify(q).all_hold
-    lams = [lam for rep in q.rs.rep_names for lam in q.rs.weights(rep)]
-    classes = max(len(_vertex_shifts(q)), *(len(_irrational_shifts(q, lam)) for lam in lams))
-    assert calls["solvers"] > 0
-    # one solve per class and glide-branch step; a solve per point would be
-    # N per step (2N for the half-lattice points)
-    assert calls["solves"] <= classes * calls["solvers"] < q.N * calls["solvers"]
+    # x - sigma(x) runs over ord(w) classes, w = beta - L beta
+    w = vec_sub(q.beta, mat_vec(q.sigma.linear, q.beta))
+    classes = next(j for j in range(1, q._det + 1) if reference.in_gamma0(q, vec_scale(j, w), q._det))
+    assert calls["solvers", False] > 0 and calls["solvers", True] > 0
+    assert classes == 6
+    # one solve per class and glide-branch step: ord(w) per vertex step, and
+    # per step of the half-lattice points ord(w) for each of the two
+    # off-rational blocks; a solve per box point would be 2N per step (4N)
+    for half, per_step, per_point in ((False, classes, 2 * q.N), (True, 2 * classes, 4 * q.N)):
+        solvers = calls["solvers", half]
+        assert calls["solves", half] <= per_step * solvers < per_point * solvers
 
 
 def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
@@ -591,7 +633,9 @@ def test_a_klein_verify_leaves_its_cover_box_unbuilt(monkeypatch):
     assert len(covers) == 3
     for cover in covers:
         assert cover.kind == "torus"
-        assert cover._half_residues is None and cover._half_reps is None
+        # no list of box points: nothing longer than the triangular basis
+        kept = [v for v in vars(cover).values() if isinstance(v, (list, tuple))]
+        assert kept and max(map(len, kept)) <= 3
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ REFERENCE_NAMES = (
 UNCALLED_ALLOWED = {
     # the checked entry that the tests call and bench/tracer.py wraps
     "census.lambda_set_size",
-    # the residue box the README documents
-    "QuotientGroup.residues",
 }
 
 
@@ -69,6 +67,31 @@ def test_the_half_lattice_api_and_the_aliases_are_gone():
     for name in ("coroot_index", "a2", "c2"):
         assert not hasattr(weylzeta.RootSystem, name)
     assert not hasattr(weylzeta.CycleProduct, "is_one")
+
+
+def test_a_quotient_lists_no_box_points():
+    # a quotient is Gamma0 and its glide: the census sums over the whole
+    # residue box by arithmetic, and the box, its double and the orbit
+    # representatives live only in tests/reference.py
+    names = (
+        "_residues",
+        "residues",
+        "half_residues",
+        "half_orbit_reps",
+        "vertex_reps",
+        "_half_reps",
+        "_half_residues",
+        "_half_blocks",
+    )
+    a2, c2 = weylzeta.RootSystem.make("A2"), weylzeta.RootSystem.make("C2")
+    torus = weylzeta.build(c2, weylzeta.TorusSpec((6, 0), (0, 12)))
+    klein = weylzeta.build(a2, weylzeta.KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    for q in (torus, klein):
+        weylzeta.verify(q)
+        for name in names:
+            assert not hasattr(q, name), (q, name)
+    for name in ("_irrational_half", "_irrational_count"):
+        assert not hasattr(weylzeta.census, name)
 
 
 def test_algebra_keeps_no_prime_sieve():

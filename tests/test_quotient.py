@@ -143,14 +143,14 @@ def test_vertex_classes_in_window():
             canonical_vertex(q, (x, y)) for x in range(-10, 10) for y in range(-10, 10)
         }
         assert len(classes) == q.N
-        # the quotient's representatives name each class once
-        assert {canonical_vertex(q, v) for v in q.vertex_reps} == classes
+        # the reference representatives name each class once
+        assert {canonical_vertex(q, v) for v in reference.vertex_reps(q)} == classes
 
 
 def test_klein_index_is_twice_n():
     for q in (a2_klein(), c2_spin_klein(), c2_st_klein()):
-        assert len(q.residues()) == 2 * q.N
-        assert len(q.vertex_reps) == q.N
+        assert q._det == len(reference.residues(q)) == 2 * q.N
+        assert len(reference.vertex_reps(q)) == q.N
 
 
 def test_canonical_vertex_half():
@@ -194,54 +194,38 @@ def test_torus_representatives_do_not_depend_on_the_basis(
     if swap:
         w1, w2 = w2, w1
     q, other = build(rs, TorusSpec(v1, v2)), build(rs, TorusSpec(w1, w2))
-    assert other.residues() == q.residues()
-    assert other.half_residues() == q.half_residues()
-    assert other.vertex_reps == q.vertex_reps == tuple(q.residues())
-    assert other.half_orbit_reps() == q.half_orbit_reps() == tuple(q.half_residues())
+    box, half = reference.residues(q), reference.half_residues(q)
+    assert reference.residues(other) == box
+    assert reference.half_residues(other) == half
+    assert reference.vertex_reps(other) == reference.vertex_reps(q) == tuple(box)
+    assert reference.half_orbit_reps(other) == reference.half_orbit_reps(q) == tuple(half)
     # the canonical vertex is the reduced box point of x
     h = HalfVec(*x)
     for g in (q, other):
-        assert canonical_vertex(g, x) == g.reduce(x) in g.residues()
+        assert canonical_vertex(g, x) == g.reduce(x) in box
         assert canonical_vertex(g, h) == HalfVec(*g.reduce_half(x))
-        assert g.reduce_half(x) in g.half_residues()
+        assert g.reduce_half(x) in half
     assert canonical_vertex(other, x) == canonical_vertex(q, x)
     assert canonical_vertex(other, h) == canonical_vertex(q, h)
 
 
-def test_a_torus_makes_its_doubled_box_on_first_read():
-    for rs, v1, v2 in ((A2, (2, -1), (-1, 2)), (C2, (3, 3), (3, -3)), (C2, (6, 0), (0, 4))):
-        q = build(rs, TorusSpec(v1, v2))
-        assert q._half_residues is None and q._half_reps is None
-        # mu_b + 2 residues()[x] at position b * n + x, mu_b = (b & 1, b >> 1)
-        cosets = [
-            (2 * i + (b & 1), 2 * j + (b >> 1)) for b in range(4) for i, j in q.residues()
-        ]
-        assert q.half_residues() == cosets
-        assert q.half_orbit_reps() == tuple(cosets)
-        assert q.half_residues() is q.half_residues()
-        assert q._half_blocks == tuple(range(0, 5 * q.N, q.N))
-
-
 def test_klein_representatives_are_the_lower_positions():
-    # the glide pairs the positions of residues() and of half_residues(),
-    # and the point at the lower position of each pair represents its
-    # orbit, in the order of those lists
+    # the glide pairs the points of the box and of the doubled box, and
+    # the reference keeps the lexicographically lower point of each pair
+    # as its orbit's representative, in the order of those lists
     for q in (a2_klein(), c2_spin_klein(), c2_st_klein()):
-        box, half = q.residues(), q.half_residues()
-        at = {p: k for k, p in enumerate(box)}
-        image = [at[q.reduce(q.sigma.apply(p))] for p in box]
-        assert all(image[image[k]] == k != image[k] for k in range(len(box)))
-        assert q.vertex_reps == tuple(p for k, p in enumerate(box) if k < image[k])
-        assert len(q.vertex_reps) == q.N
-        at = {p: k for k, p in enumerate(half)}
-        image = [at[q.reduce_half(sigma_half(q, p))] for p in half]
-        assert all(image[image[k]] == k != image[k] for k in range(len(half)))
-        reps = tuple(p for k, p in enumerate(half) if k < image[k])
-        assert q.half_orbit_reps() == reps
+        box, half = reference.residues(q), reference.half_residues(q)
+        image = {p: q.reduce(q.sigma.apply(p)) for p in box}
+        assert all(image[image[p]] == p != image[p] for p in box)
+        assert reference.vertex_reps(q) == tuple(p for p in box if p < image[p])
+        image = {p: q.reduce_half(sigma_half(q, p)) for p in half}
+        assert all(image[image[p]] == p != image[p] for p in half)
+        reps = tuple(p for p in half if p < image[p])
+        assert reference.half_orbit_reps(q) == reps and len(reps) == 2 * q._det
         assert all(type(p) is tuple for p in reps)
-        # the parity classes are blocks of len(box) positions
-        lower = [k < image[k] for k in range(len(half))]
-        assert q._half_blocks == tuple(sum(lower[: b * len(box)]) for b in range(5))
+        # the glide keeps parity block 0, the doubled vertices, which come
+        # first: their representatives, halved, are the vertex ones
+        assert tuple((x >> 1, y >> 1) for x, y in reps[: q.N]) == reference.vertex_reps(q)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +415,7 @@ def test_normalize_generators_rejections():
 _OPTIMIZED_SCRIPT = """
 import sys
 from weylzeta.census import lambda_set_size
-from weylzeta.quotient import AffineMap, KleinSpec, build
+from weylzeta.quotient import AffineMap, KleinSpec, QuotientGroup, build
 from weylzeta.rootgeom import RootSystem
 
 print("optimize", sys.flags.optimize)
@@ -448,6 +432,19 @@ try:
     q.alpha_beta_coords((1, 1))
 except AssertionError as exc:
     print("rejected", exc)
+init = QuotientGroup._init_klein
+
+
+def planted(q, spec):
+    init(q, spec)
+    q.sigma = q.sigma._replace(translation=(0, 0))  # L alone fixes the origin
+
+
+QuotientGroup._init_klein = planted
+try:
+    build(RootSystem.make("A2"), KleinSpec((1, 0), (0, 1), 1, 1, 1))
+except AssertionError as exc:
+    print("involution rejected", exc)
 """
 
 
@@ -465,3 +462,4 @@ def test_invariant_checks_survive_optimized_mode():
     assert out[1] == "built 6 6 (2, 1)"
     assert out[2] == "glide rejected the glide's linear part does not fix alpha"
     assert out[3].startswith("rejected alpha, beta do not form a lattice basis")
+    assert out[4] == "involution rejected the glide is not a fixed-point-free involution of the classes"

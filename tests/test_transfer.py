@@ -208,7 +208,7 @@ def _check_index_map(q, x):
     # a vertex class sits at the position of its box point, and the
     # half-lattice class of mu_b + 2 p (doubled coordinates) at b * n + that
     n = q._det
-    box, half = q.residues(), q.half_residues()
+    box, half = reference.residues(q), reference.half_residues(q)
     assert n == len(box) == q._triangle[0] * q._triangle[2]
     assert half == [((b & 1) + 2 * i, (b >> 1) + 2 * j) for b in range(4) for i, j in box]
     where = {p: k for k, p in enumerate(box)}
@@ -282,8 +282,9 @@ def test_orders_match_the_least_multiple_in_gamma0():
     # every box point of every quotient of the corpus and its double covers
     cyclic = Counter()
     for q in _reference_quotients():
-        orders = [_order(q._triangle, v) for v in q.residues()]
-        assert orders == [_brute_order(q, v) for v in q.residues()], q
+        box = reference.residues(q)
+        orders = [_order(q._triangle, v) for v in box]
+        assert orders == [_brute_order(q, v) for v in box], q
         assert _order(q._triangle, q.gamma0_basis[1]) == orders[0] == 1
         cyclic[max(orders) == q._det] += 1
     # both cyclic and non-cyclic groups Z^2 / Gamma0
@@ -296,7 +297,7 @@ def test_fixed_points_match_a_count_over_the_residue_box():
     assert len(kleins) == 15
     counts = Counter()
     for q in kleins:
-        box, mirror, linear = q.residues(), _mirror(q), q.sigma.linear
+        box, mirror, linear = reference.residues(q), _mirror(q), q.sigma.linear
         for u in box:
             got = _fixed_points(mirror, u)
             want = sum(q.reduce(AffineMap(linear, u).apply(x)) == x for x in box)
@@ -351,6 +352,31 @@ def test_a_glide_that_is_not_an_involution_raises(monkeypatch):
     _with_glide_translation(monkeypatch, (1, 0))
     with pytest.raises(AssertionError, match="fixed-point-free involution"):
         build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+
+
+def test_the_involution_check_matches_a_scan_of_the_doubled_box():
+    # planted glide translations t + s on the corpus Klein bottles: the
+    # arithmetic check raises exactly when a scan of the doubled box finds
+    # a point that the glide fixes or does not return to
+    kleins = [member.build() for member in generate_corpus(7) if isinstance(member.spec, KleinSpec)]
+    outcomes = Counter()
+    for q, s in product(kleins, product(range(-2, 3), repeat=2)):
+        linear, t = q.sigma.linear, vec_add(q.sigma.translation, s)
+        planted = build(q.rs, q.spec)
+        planted.sigma = AffineMap(linear, t)
+        free = reference.glide_is_free_involution(planted)
+        try:
+            planted._check_glide()
+        except AssertionError as exc:
+            assert "fixed-point-free involution" in str(exc)
+            assert not free, (q.spec, s)
+        else:
+            assert free, (q.spec, s)
+        involution = reference.in_gamma0(planted, vec_add(mat_vec(linear, t), t), q._det)
+        outcomes[involution, free] += 1
+    # free glides, glides with a fixed point, and glides whose square is no
+    # translation of Gamma0
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +839,7 @@ def _affine_cases(q):
     a fixed segment meets its glide partner after m / 2 returns, all read
     by brute force over the residue box."""
     linear = None if q.kind == "torus" else q.sigma.linear
-    box, cases = q.residues(), Counter()
+    box, cases = reference.residues(q), Counter()
     for rep in q.rs.rep_names:
         for kind in ("walks", "semi", "galleries"):
             for b, fixed, _, ops in q.rs.label_table(rep, kind).plan(linear).cycles:

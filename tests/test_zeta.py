@@ -341,8 +341,9 @@ def regular_representation_l_poly(q, rep):
     out = Poly.one()
     for lam in q.rs.weights(rep):
         perm = []
-        idx = {v: i for i, v in enumerate(q.vertex_reps)}
-        for v in q.vertex_reps:
+        reps = reference.vertex_reps(q)
+        idx = {v: i for i, v in enumerate(reps)}
+        for v in reps:
             perm.append(idx[q.reduce((v[0] + lam[0], v[1] + lam[1]))])
         seen = [False] * len(perm)
         for s in range(len(perm)):
