@@ -8,7 +8,7 @@ integer coefficients, in exact integer arithmetic, and verifies the structural i
 as exact equalities of cycle products.
 """
 
-from .algebra import CycleProduct, NotCycleProduct, NotPolynomialWithinBound
+from .algebra import CycleProduct, NotPolynomialWithinBound
 from .census import lambda_set_size
 from .corpus import CorpusMember, generate_corpus
 from .identities import VerificationReport, VerifyRecord, verify
@@ -45,7 +45,6 @@ __all__ = [
     "CycleProduct",
     "KleinSpec",
     "LPolynomial",
-    "NotCycleProduct",
     "NotPolynomialWithinBound",
     "OrderInsufficientError",
     "ParsedSpec",

@@ -46,10 +46,6 @@ class NotPolynomialWithinBound(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class NotCycleProduct(ValueError):
-    """A trace sequence is not the logarithm of a finite cycle product."""
-
-
 def _divisors(n: int) -> list:
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]

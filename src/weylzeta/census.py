@@ -8,6 +8,9 @@ adj * v = 0 (mod det Gamma0), so each branch is a pair of linear
 congruences in n and its solutions form one arithmetic progression
 n = r (mod m).  The ``*_count_table`` functions group the pairs by
 progression and add each group's multiplicity at r, r + m, ... (_tally).
+So every table is periodic in n, with the lcm of its moduli as a period;
+walk_period gives that of the walk table, M, and one period of it is all
+that the L-polynomial is read from.
 
 Every table is summed over the whole box Z^2 / Gamma0 (the doubled box
 for semi-closings), and each progression's multiplicity is then divided,
@@ -69,7 +72,7 @@ zeta engine.  No point of the box is listed.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .quotient import QuotientGroup, SpecValidationError
@@ -352,6 +355,12 @@ def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
         return _per_orbit(q, walks), _per_orbit(q, geodesics)
 
     return _once(q, ("walks", rep), make)
+
+
+def walk_period(q: QuotientGroup, rep: str) -> int:
+    """The lcm M of the moduli of the walk progressions of rep: N_{n+M} =
+    N_n for every n.  Each modulus divides det Gamma0, and so does M."""
+    return lcm(*(m for _, m in _walk_progressions(q, rep)[0]))
 
 
 def walk_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:

@@ -1,20 +1,19 @@
 """The identity battery: every relation the package promises, checked exactly.
 
-The zetas of walks, half-steps and galleries, the closed-walk counts,
-P and the correction factors come from zeta_bundle, the one producer of
-a quotient's zeta data, which the `zeta` command prints too.  verify
-adds only its own work: the census tables the zeta logs are compared
-with, P's cycle product, the double cover of a Klein bottle, and the
-records.
+The zetas of walks, half-steps and galleries, P and the correction
+factors come from zeta_bundle, the one producer of a quotient's zeta
+data, which the `zeta` command prints too.  verify adds only its own
+work: the census tables the zeta logs and the corner check are compared
+with, the double cover of a Klein bottle, and the records.
 
 Each record compares two independently computed objects.  Every zeta
 function, correction factor and L-polynomial is a CycleProduct, so a
 rational-function identity is an equality of exponent dicts, decided by
 integer arithmetic: never numerically, never by truncation and without
-dense polynomials.  The L-polynomial enters once: l_poly_from_counts
-hands on the Moebius product of the closed-walk counts as P's
-CycleProduct when a cyclotomic degree check shows it is P itself, and
-expands it only to find the failing order when it is not.  So a
+dense polynomials.  The L-polynomial enters once, as a CycleProduct:
+l_poly_from_counts reads it off one period of the closed-walk counts,
+or records why there is none, and every record that needs P fails with
+the reason "l-reconstruction failed" when there is none.  So a
 successful run expands no polynomial: coefficient lists are expanded
 only for the detail of a failed record, each cross product there as
 one merged factor dict.  Count-versus-log identities compare closed-form
@@ -31,12 +30,13 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import NamedTuple, Optional
 
-from .algebra import CycleProduct, NotCycleProduct, _expand, spread
+from .algebra import CycleProduct, _expand, spread
 from .census import (
     gallery_count_table,
     geodesic_count_table,
     glide_line_counter,
     semi_count_table,
+    walk_count_table,
 )
 from .quotient import QuotientGroup, TorusSpec, build
 from .zeta import axis_factor, build_walk_system, torus_closed_form, zeta_bundle
@@ -214,17 +214,13 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     bundle = zeta_bundle(q, order)
     order, rs = bundle.order, q.rs
     walks, corr = bundle.zeta, bundle.correction
-    geo, semi, gal, l_product, l_reason = {}, {}, {}, {}, {}
+    geo, semi, gal, l_product = {}, {}, {}, {}
     for rep in rs.rep_names:
         geo[rep] = geodesic_count_table(q, rep, min(WALK_LOG_DEPTH, order))
         semi[rep] = semi_count_table(q, rep, min(SEMI_LOG_DEPTH, 2 * order))
         gal[rep] = gallery_count_table(q, rep, min(GALLERY_LOG_DEPTH, order))
-        l_product[rep], l_reason[rep] = None, "l-reconstruction failed"
-        if bundle.l_poly[rep] is not None:
-            try:
-                l_product[rep] = bundle.l_poly[rep].cycle_product()
-            except NotCycleProduct as exc:
-                l_reason[rep] = f"l-polynomial is not a cycle product: {exc}"
+        p = bundle.l_poly[rep]
+        l_product[rep] = None if p is None else p.cycle_product()
     cover = None
     if q.kind == "klein":
         cover = build(rs, TorusSpec(*q.gamma0_basis))
@@ -237,7 +233,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     def l_missing(rep: str, identity_id: str, statement: str) -> bool:
         """Record a failure and return True when P is not available."""
         if l_product[rep] is None:
-            add(VerifyRecord(identity_id, statement, False, {"reason": l_reason[rep]}))
+            add(VerifyRecord(identity_id, statement, False, {"reason": "l-reconstruction failed"}))
         return l_product[rep] is None
 
     # the three zeta logs versus the census counts
@@ -295,8 +291,9 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
 
         # every torus walk closes without a corner
         for rep in rs.rep_names:
-            counts, counts_geo = bundle.walk_counts[rep], geo[rep]
+            counts_geo = geo[rep]
             depth = min(CORNER_DEPTH, len(counts_geo))
+            counts = walk_count_table(q, rep, depth)
             pairs = [(n, counts[n - 1], counts_geo[n - 1]) for n in range(1, depth + 1)]
             record(
                 f"walks-close-without-corners[{rep}]",

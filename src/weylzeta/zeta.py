@@ -67,17 +67,21 @@ keeps only that product and its size; the tests check it against the
 explicit successor walk and det(I - wT) of its permutation matrix
 (tests/reference.py).
 
-The L-polynomial P has one path (l_poly_from_counts): one Moebius
-inversion of the closed-walk counts gives P's factorization
-prod (1 - u**d)**a_d, and a cyclotomic degree check, which expands
-nothing, decides whether that product is P itself.  A truncated
-expansion of its reduced numerator in u runs only for P's coefficients
-where they are printed; when the check fails, Newton's identities over
-the nonzero coefficients find P or the failing order.  The inversion
-peels the exponents in increasing d and pays only for the nonzero
-ones, the few cycle lengths of the walk system; the degree check reads
-a same-sign product's degree off its exponents and factors each Phi_m
-by the primes of m otherwise.
+The L-polynomial P has one path (l_poly_from_counts), and P is always
+a cycle product.  The closed-walk counts are a sum of census
+progressions, so N_{n+M} = N_n for M = census.walk_period(q, rep), which
+divides det Gamma0, and the bundle tallies one period N_1..N_M and no
+more.  One Moebius inversion of that period gives P's factorization
+prod (1 - u**d)**a_d.  It is P when every a_d is an integer, every
+nonzero one has d | M, and a cyclotomic degree check, which expands
+nothing, finds a polynomial within the bound; otherwise no P exists, and
+Newton's identities over the periodic extension find the failing order
+for the failure's detail.  P's coefficients are expanded from its
+product in u only where they are printed.  The inversion peels the
+exponents in increasing d and pays only for the nonzero ones, the few
+cycle lengths of the walk system; the degree check reads a same-sign
+product's degree off its exponents and factors each Phi_m by the primes
+of m otherwise.
 
 zeta_bundle is the one producer of a quotient's zeta data at one
 order: the `zeta` command prints its ZetaBundle and identities.verify
@@ -90,13 +94,8 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import (
-    CycleProduct,
-    NotCycleProduct,
-    NotPolynomialWithinBound,
-    _moebius_exponents,
-)
-from .census import walk_count_table
+from .algebra import CycleProduct, NotPolynomialWithinBound, _moebius_exponents
+from .census import walk_count_table, walk_period
 from .quotient import (
     MAX_CLASSES,
     AffineMap,
@@ -241,93 +240,74 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
 
 
 class LPolynomial:
-    """The L-polynomial P, held by its int u-coefficients (two are equal
-    when those are), with its cycle product when the Moebius product of
-    the counts it came from is exactly P.  It is built from P's
-    u-coefficients, without trailing zeros, or (u_coeffs None) from that
-    product alone, whose reduced numerator is expanded in u on first read.
-    """
+    """The L-polynomial P, held by its cycle product.  Two are equal when
+    their products are: equal exponent dicts are equal functions, and
+    distinct ones distinct functions."""
 
-    __slots__ = ("_product", "_u")
+    __slots__ = ("_product",)
 
-    def __init__(self, u_coeffs: Optional[Sequence[int]], product: Optional[CycleProduct]):
+    def __init__(self, product: CycleProduct):
         self._product = product
-        self._u = u_coeffs
 
     def u_coeffs(self, memo: Optional[dict] = None) -> Sequence[int]:
-        """P's coefficients in u; an expansion is looked up in memo as
+        """P's coefficients in u: its product's reduced numerator (the
+        denominator is 1), expanded in u through memo as
         CycleProduct.expanded does."""
-        if self._u is None:
-            # the product is P: its reduced form is P over 1
-            self._u = self._product.expanded(memo)[1]
-        return self._u
+        return self._product.expanded(memo)[1]
 
     @property
     def degree(self) -> int:
-        """P's degree in w, read off the product while P is unexpanded."""
-        if self._u is None:
-            return self._product.degrees()[0]
-        return 2 * len(self._u) - 2
+        """P's degree in w, read off the product without expanding it."""
+        return self._product.degrees()[0]
 
     def __eq__(self, other) -> bool:
-        key = tuple(self.u_coeffs())
-        return isinstance(other, LPolynomial) and key == tuple(other.u_coeffs())
+        return isinstance(other, LPolynomial) and self._product == other._product
 
     def __hash__(self):
-        return hash(tuple(self.u_coeffs()))
+        return hash(self._product)
 
     def cycle_product(self) -> CycleProduct:
-        """P as a CycleProduct; NotCycleProduct when the counts' product is not P."""
-        if self._product is None:
-            raise NotCycleProduct(
-                "the Moebius product of the counts is not a polynomial within the bound"
-            )
         return self._product
 
 
 def l_poly_from_counts(counts, bound: int) -> LPolynomial:
-    """Reconstruct the L-polynomial P from the closed-walk counts N_1, N_2, ...
+    """The L-polynomial P of the closed-walk counts, from one period
+    N_1, ..., N_M of them (N_{n+M} = N_n for every n).
 
     P is the polynomial with P * exp(sum_n N_n u**n / n) = 1, of degree at
     most bound = N * (number of nontrivial weights); the full L-function
-    is (1-u)**(-eps*N) / P.  At least 2 * bound + 8 counts are required so
-    the vanishing tail is actually witnessed.
+    is (1-u)**(-eps*N) / P.
 
     Construction.  Every series 1 + O(u) is a product prod_d (1 - u**d)**a_d,
-    here with d * a_d = sum_{d' | d} mu(d / d') N_d' (Moebius inversion).
-    The exponents are taken up to the first that is not an integer.  If
-    every one is, and a cyclotomic degree check that expands nothing
-    (CycleProduct.is_polynomial_within) finds the product a polynomial of
-    degree at most bound, the product is P, returned unexpanded.
-    Otherwise Newton's identities n p_n = -sum_{i<=n} N_i p_{n-i} run in
-    integers, summed over the nonzero p_j found so far, and stop at the
-    first n that fails: p_n nonzero with n > bound raises
-    NotPolynomialWithinBound(2n), p_n not an integer with n <= bound
-    AssertionError.  If none fails, P is p_0, ..., p_bound, cut after its
-    last nonzero coefficient.
+    here with d * a_d = sum_{d' | d} mu(d / d') N_d' (Moebius inversion),
+    taken over the period up to the first a_d that is not an integer.  The
+    product is P when every a_d is an integer; every nonzero a_d has d | M,
+    which holds exactly when N_n = N_gcd(n, M) for every n, so that the
+    product's log series has the counts at every order; and a cyclotomic
+    degree check that expands nothing (CycleProduct.is_polynomial_within)
+    finds a polynomial of degree at most bound.  P is returned unexpanded.
 
-    Why the degree check may run first.  The u**n coefficient of
-    prod (1 - u**d)**a_d is -a_n plus an integer polynomial in a_1, ...,
-    a_{n-1} (the Witt, or necklace, factorization).  So below the first
-    non-integer exponent the expansion's coefficients are Newton's p_n, and
-    at it p_n is not an integer, hence not zero either.  If the product is
-    a polynomial of degree at most bound, its series through
-    u**len(counts) is itself, so every p_n is an integer and vanishes
-    past the bound: no n fails, and the product is P.  For N_n = 2**n,
-    P = 1 - 2u, but no exponent vanishes, the check fails, Newton's
-    identities return P, and cycle_product() raises NotCycleProduct.
+    Why no other P exists.  The power sums of P's inverse roots are the
+    N_n.  If they have period M, every inverse root z has z**M = 1, and an
+    integer P is then a product of cyclotomic polynomials Phi_d with d | M,
+    whose exponents a_e vanish off the divisors of M.  So when a check
+    fails there is no P, and Newton's identities n p_n = -sum_{i<=n} N_i
+    p_{n-i} over the periodic extension give the first failing n: p_n
+    nonzero with n > bound raises NotPolynomialWithinBound(2n), p_n not an
+    integer with n <= bound AssertionError.  That n is at most M + bound:
+    a P of degree at most bound whose power sums match a sequence of
+    period M through M + bound terms matches it everywhere, as the two
+    are sums of at most M + bound distinct geometric sequences.
     """
-    required = 2 * bound + 8
-    if len(counts) < required:
-        raise OrderInsufficientError(len(counts), required)
+    period = len(counts)
     exponents, bad = _moebius_exponents(counts)
-    if bad is None:
+    if bad is None and all(period % d == 0 for d in exponents):
         product = CycleProduct({2 * d: a for d, a in exponents.items()})
         if product.is_polynomial_within(2 * bound):
-            return LPolynomial(None, product)
+            return LPolynomial(product)
     p, support = [1] + [0] * bound, [0]  # support: the j with p_j != 0
-    for n in range(1, len(counts) + 1):
-        s = -sum(p[j] * counts[n - j - 1] for j in support)
+    for n in range(1, period + bound + 1):
+        s = -sum(p[j] * counts[(n - j - 1) % period] for j in support)
         if s and n > bound:
             raise NotPolynomialWithinBound(2 * n)
         pn, r = divmod(s, n)
@@ -336,7 +316,7 @@ def l_poly_from_counts(counts, bound: int) -> LPolynomial:
         if pn:
             p[n] = pn
             support.append(n)
-    return LPolynomial(p[: support[-1] + 1], None)
+    raise AssertionError("Newton's identities found a P that the period check refused")
 
 
 def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:
@@ -380,8 +360,7 @@ def correction_factor(q: QuotientGroup, rep: str) -> CycleProduct:
 class ZetaBundle(NamedTuple):
     """One quotient's zeta data at one order, by representation: the cycle
     products zeta, zeta_semi, zeta2 and correction and the L-polynomials
-    l_poly, which the `zeta` command prints, and the closed-walk counts
-    walk_counts that P is reconstructed from.  l_failure[rep] is {} when P
+    l_poly, which the `zeta` command prints.  l_failure[rep] is {} when P
     was found; otherwise l_poly[rep] is None and l_failure[rep] holds why:
     {"nonzero_tail_exponent": e} when P has no degree within the bound,
     {"reason": message} when a coefficient is not an integer."""
@@ -392,7 +371,6 @@ class ZetaBundle(NamedTuple):
     zeta2: dict
     l_poly: dict
     l_failure: dict
-    walk_counts: dict
     correction: dict
 
     @property
@@ -406,14 +384,25 @@ MAX_ORDER = 2 * 4 * MAX_CLASSES + 8
 
 
 def required_order(q: QuotientGroup) -> int:
-    """Smallest u-order at which every reconstruction in the bundle succeeds."""
+    """The smallest admissible u-order, 2 * bound + 8 for the largest
+    degree bound of P.
+
+    The order does not size a count table of P, which is read off one
+    period M of the counts (l_poly_from_counts); it caps the census log
+    tables that verify compares and is reported in the JSON.  A witness of
+    P over 2 * bound + 8 counts agrees with the period test: every
+    quotient has M | det Gamma0 <= 2N <= bound, so M <= bound + 8, and a
+    sequence of period M and the power sums of a P of degree at most bound
+    that agree on M + bound <= 2 * bound + 8 terms agree at every n."""
     return max(2 * q.N * len(q.rs.weights(r)) + 8 for r in q.rs.rep_names)
 
 
 def resolve_order(q: QuotientGroup, order: Optional[int] = None) -> int:
     """order, or max(required_order(q), 48) when None, checked before any
     count table is allocated: SpecValidationError above MAX_ORDER,
-    OrderInsufficientError below required_order(q)."""
+    OrderInsufficientError below required_order(q).  The order caps the
+    census log tables and is the JSON's order, not the length of P's
+    count table (required_order)."""
     if order is not None and order > MAX_ORDER:
         raise SpecValidationError(
             f"series order {order} exceeds the supported maximum {MAX_ORDER}"
@@ -430,18 +419,18 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
     """The zeta data of q at order (resolve_order), the one producer of it:
     the `zeta` command prints it and verify compares it."""
     order = resolve_order(q, order)
-    zeta, semi, gal, lpoly, failure, counts, corr = {}, {}, {}, {}, {}, {}, {}
+    zeta, semi, gal, lpoly, failure, corr = {}, {}, {}, {}, {}, {}
     for rep in q.rs.rep_names:
         zeta[rep] = build_walk_system(q, rep).zeta()
         semi[rep] = build_semi_system(q, rep).zeta()
         gal[rep] = build_gallery_system(q, rep).zeta()
-        ns = counts[rep] = walk_count_table(q, rep, order)
+        period = walk_count_table(q, rep, walk_period(q, rep))
         lpoly[rep], failure[rep] = None, {}
         try:
-            lpoly[rep] = l_poly_from_counts(ns, q.N * len(q.rs.weights(rep)))
+            lpoly[rep] = l_poly_from_counts(period, q.N * len(q.rs.weights(rep)))
         except NotPolynomialWithinBound as exc:
             failure[rep] = {"nonzero_tail_exponent": exc.exponent}
         except AssertionError as exc:
             failure[rep] = {"reason": str(exc)}
         corr[rep] = correction_factor(q, rep)
-    return ZetaBundle(order, zeta, semi, gal, lpoly, failure, counts, corr)
+    return ZetaBundle(order, zeta, semi, gal, lpoly, failure, corr)

@@ -19,7 +19,8 @@ routes live here, and the tests compare the package against them:
   integer matrix by the Berkowitz recursion, the determinant form of a
   transfer system's zeta function.
 * ``cycle_product_from_traces``: the cycle product whose logarithm has
-  given traces, by Moebius inversion.
+  given traces, by Moebius inversion, or ``NotCycleProduct`` when an
+  exponent is not an integer.
 * ``moebius_exponents_by_primes`` and ``reduced_by_mobius_table``: the
   sieve-based Moebius kernels, one slice pass per prime up to n and a mu
   table up to the largest cyclotomic index.  They are the reference of
@@ -53,11 +54,12 @@ routes live here, and the tests compare the package against them:
   rational lines point by point, the reference of the census's
   off-rational parity blocks.
 * ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
-  one integer recurrence step per count, over a window of the counts;
-  production builds P from its Moebius exponents, and runs Newton's
-  identities over the nonzero p_j only when their product is not P.
-  ``l_poly_by_expansion`` expands that product in full instead, which
-  fails at the same first order.
+  one integer recurrence step per count, over a window of at least
+  2 * bound + 8 counts; production reads P off one period of the counts
+  as the Moebius product of that period, and runs Newton's identities
+  over the periodic extension only to find the failing order when there
+  is no P.  ``l_poly_by_expansion`` expands the Moebius product of the
+  window in full instead, which fails at the same first order.
 * ``ratfunc_to_json``, ``poly_to_json`` and ``zeta_output``: the
   ``zeta`` report built in w, every reduced form by the mu table and
   expanded on its own, then halved to u where only even powers occur.
@@ -100,7 +102,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from weylzeta.algebra import (
     CycleProduct,
-    NotCycleProduct,
     NotPolynomialWithinBound,
     _divisors,
     _expand,
@@ -442,6 +443,10 @@ def det_identity_minus_wT(T: IntMatrix) -> Poly:
 # ---------------------------------------------------------------------------
 # Cycle products from traces
 # ---------------------------------------------------------------------------
+
+
+class NotCycleProduct(ValueError):
+    """A trace sequence is not the logarithm of a finite cycle product."""
 
 
 def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProduct:
@@ -954,13 +959,9 @@ def ratfunc_to_json(f: CycleProduct) -> tuple:
 
 def poly_to_json(p) -> tuple:
     """(json, w-coefficients) of the L-polynomial: its cycle product's
-    reduced numerator expanded in w (the denominator is 1), or its own
-    coefficients when the counts' product is not P."""
-    try:
-        num, den = w_expansions(p.cycle_product())
-        assert den == [1]
-    except NotCycleProduct:
-        num = spread(p.u_coeffs(), 2)
+    reduced numerator expanded in w (the denominator is 1)."""
+    num, den = w_expansions(p.cycle_product())
+    assert den == [1]
     if any(num[1::2]):
         return {"coeffs": num, "var": "w"}, num
     return {"coeffs": num[::2], "var": "u"}, num

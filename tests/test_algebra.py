@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import (
     IntMatrix,
+    NotCycleProduct,
     Poly,
     Series,
     _mobius_table,
@@ -29,7 +31,6 @@ from reference import (
 from weylzeta import algebra
 from weylzeta.algebra import (
     CycleProduct,
-    NotCycleProduct,
     NotPolynomialWithinBound,
     _divisors,
     _expand,
@@ -37,7 +38,7 @@ from weylzeta.algebra import (
     _moebius_exponents,
 )
 from weylzeta.cli import poly_to_json
-from weylzeta.zeta import LPolynomial, OrderInsufficientError, l_poly_from_counts
+from weylzeta.zeta import LPolynomial, l_poly_from_counts
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -234,13 +235,13 @@ def counts_of(p: Poly, order: int) -> list:
 
 
 def test_reconstruct_geometric():
-    # 1/(1 - u) = exp(sum_n u**n / n)
-    assert l_poly_in_w(l_poly_from_counts([1] * 12, 1)) == spread(Poly([1, -1]))
+    # 1/(1 - u) = exp(sum_n u**n / n): N_n = 1, of period 1
+    assert l_poly_in_w(l_poly_from_counts([1], 1)) == spread(Poly([1, -1]))
 
 
 def test_reconstruct_inverse_cube():
     # (1 - u**3)**(-3) = exp(3 * sum_k u**(3k) / k): N_n = 9 when 3 | n
-    counts = [9 if n % 3 == 0 else 0 for n in range(1, 27)]
+    counts = [0, 0, 9]
     expected = (Poly.one() - Poly.monomial(3)) ** 3
     assert l_poly_in_w(l_poly_from_counts(counts, 9)) == spread(expected)
 
@@ -249,20 +250,22 @@ def test_reconstruct_rejects_exp():
     # P = exp(sum_n u**n / n) = 1/(1 - u) has integer coefficients but no
     # bounded degree: the first one past u**2 sits at w**6
     with pytest.raises(NotPolynomialWithinBound) as exc:
-        l_poly_from_counts([-1] * 16, 2)
+        l_poly_from_counts([-1], 2)
     assert exc.value.exponent == 6
 
 
 def test_reconstruct_checks_every_count():
-    # N_n = 1 gives 1 - u; a wrong last count must still be caught
+    # N_n = 1 gives 1 - u; a wrong last count of a period of 30 must still
+    # be caught
     with pytest.raises(NotPolynomialWithinBound) as exc:
         l_poly_from_counts([1] * 29 + [31], 1)
     assert exc.value.exponent == 60
 
 
 def test_reconstruct_first_failure_wins():
-    # P = exp(-u) = 1 - u + u**2/2 - ...: at n = 2 the coefficient is both
-    # nonzero past a bound of 1 and not an integer; the tail is reported
+    # a period of 16 that starts 1, 0, as P = exp(-u) = 1 - u + u**2/2 - ...
+    # does: at n = 2 the coefficient is both nonzero past a bound of 1 and
+    # not an integer; the tail is reported
     with pytest.raises(NotPolynomialWithinBound) as exc:
         l_poly_from_counts([1] + [0] * 15, 1)
     assert exc.value.exponent == 4
@@ -271,31 +274,50 @@ def test_reconstruct_first_failure_wins():
 
 
 def test_reconstruct_requires_slack():
-    with pytest.raises(OrderInsufficientError) as exc:
-        l_poly_from_counts([1] * 9, 1)
-    assert exc.value.required == 10
+    # the failing order of a period M lies within M + bound, not always
+    # within 2 * bound + 8: this period of 20 is (1 - u)(1 - u**20), and a
+    # witness over 10 counts would take it for 1 - u
+    with pytest.raises(NotPolynomialWithinBound) as exc:
+        l_poly_from_counts([1] * 19 + [21], 1)
+    assert exc.value.exponent == 40
+    assert reference.l_poly_from_counts([1] * 10, 1) == spread(Poly([1, -1]))
 
 
 def test_reconstruct_round_trips_random_integer_polys():
+    # an integer P whose counts are periodic is a product of cyclotomic
+    # polynomials: random ones, P built densely from their (1 - u**e)**k_e
+    # factors, mixed in sign, and its counts from series_log; one period,
+    # the lcm of the indices, gives P back
     rng = random.Random(7)
     for _ in range(50):
-        deg = rng.randint(0, 12)
-        coeffs = [1] + [rng.randint(-4, 4) for _ in range(deg)]
-        p = Poly(coeffs)
-        counts = counts_of(p, 2 * p.degree + 8)
+        phis = {d: rng.randint(1, 2) for d in rng.sample(range(1, 9), rng.randint(0, 2))}
+        k: dict = {}
+        for d, c in phis.items():
+            for s, mu in _mobius_divisors(d):
+                k[d // s] = k.get(d // s, 0) + mu * c
+        degree = sum(e * x for e, x in k.items())
+        series = Series.one(degree + 1)
+        for e, x in k.items():
+            factor = Series.from_poly(one_minus(e), degree + 1)
+            for _ in range(abs(x)):
+                series = series * (factor if x > 0 else factor.reciprocal())
+        p = Poly(series.coeffs)
+        assert p.degree == degree
+        counts = counts_of(p, math.lcm(*phis))
         assert all(c.denominator == 1 for c in counts)
-        got = l_poly_from_counts([int(c) for c in counts], p.degree)
+        got = l_poly_from_counts([int(c) for c in counts], degree)
         assert l_poly_in_w(got) == spread(p)
 
 
 @given(st.dictionaries(st.integers(1, 8), st.integers(0, 3), max_size=4))
 @settings(deadline=None, max_examples=80)
 def test_reconstruct_cycle_products(exponents):
-    # P = prod (1 - u**e)**k_e has N_n = sum_{e | n} e * k_e
+    # P = prod (1 - u**e)**k_e has N_n = sum_{e | n} e * k_e, of period the
+    # lcm of the e
     bound = sum(e * k for e, k in exponents.items())
     counts = [
         sum(e * k for e, k in exponents.items() if n % e == 0)
-        for n in range(1, 2 * bound + 9)
+        for n in range(1, math.lcm(*exponents) + 1)
     ]
     p = CycleProduct({2 * e: k for e, k in exponents.items()})
     assert l_poly_in_w(l_poly_from_counts(counts, bound)) == num_den(p)[0]
@@ -543,8 +565,8 @@ def test_poly_int_and_fraction_coefficients_agree():
     # the reference Poly is the tests' only dense class: it equals no
     # coefficient list and no L-polynomial of the package
     c = Poly([Fraction(1), 0, Fraction(-6, 2)])
-    assert c != [1, 0, -3] and c != LPolynomial([1, -3], None)
-    assert LPolynomial([1, -3], None) != c
+    p = LPolynomial(CycleProduct({2: 1}))  # 1 - u
+    assert c != [1, 0, -3] and Poly([1, 0, -1]) != p and p != Poly([1, 0, -1])
 
 
 @given(
@@ -566,12 +588,9 @@ def test_package_poly_is_int_only(f):
     assert g.expanded() == (2, *in_w)
     # the JSON edge prints P's list as it is
     if den == [1]:
-        p = LPolynomial(None, g)
+        p = LPolynomial(g)
         assert json.dumps(poly_to_json(p)) == f'{{"coeffs": {json.dumps(in_w[0])}, "var": "u"}}'
-        assert p == LPolynomial(in_w[0], None) and p.degree == 2 * len(in_w[0]) - 2
-    assert json.dumps(poly_to_json(LPolynomial([1, -3, 2], None))) == (
-        '{"coeffs": [1, -3, 2], "var": "u"}'
-    )
+        assert p.degree == 2 * len(in_w[0]) - 2
 
 
 def traces_of(f: CycleProduct, n: int) -> list:

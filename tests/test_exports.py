@@ -21,6 +21,7 @@ REFERENCE_NAMES = (
     "IntMatrix",
     "det_identity_minus_wT",
     "cycle_product_from_traces",
+    "NotCycleProduct",
     "count_closed_walks",
     "count_geodesic_walks",
     "count_semi_closings",
@@ -146,6 +147,8 @@ def test_the_package_keeps_no_dense_polynomial_class():
     assert weylzeta.LPolynomial.__mro__ == (weylzeta.LPolynomial, object)
     for name in ("coeffs", "coefficient"):
         assert not hasattr(weylzeta.LPolynomial, name)
+    # P is always its cycle product: no coefficient-only form
+    assert weylzeta.LPolynomial.__slots__ == ("_product",)
 
 
 def test_every_function_has_a_caller_in_the_package():
@@ -178,7 +181,8 @@ def test_every_function_has_a_caller_in_the_package():
 
 def test_zeta_bundle_is_the_one_producer_of_zeta_data():
     # verify reads the bundle that the zeta command prints; nothing else
-    # builds a quotient's systems, counts, P or correction factors
+    # builds a quotient's systems, P or correction factors, and the bundle
+    # keeps no walk count table
     assert weylzeta.ZetaBundle._fields == (
         "order",
         "zeta",
@@ -186,7 +190,6 @@ def test_zeta_bundle_is_the_one_producer_of_zeta_data():
         "zeta2",
         "l_poly",
         "l_failure",
-        "walk_counts",
         "correction",
     )
     for name in ("_collect", "_RepData"):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
+import weylzeta.zeta as zeta_mod
 from reference import (
     IntMatrix,
     Poly,
@@ -26,13 +27,8 @@ from reference import (
     series_exp,
     series_log,
 )
-from weylzeta import algebra
-from weylzeta.algebra import (
-    CycleProduct,
-    NotCycleProduct,
-    NotPolynomialWithinBound,
-)
-from weylzeta.census import walk_count_table
+from weylzeta.algebra import CycleProduct, NotPolynomialWithinBound
+from weylzeta.census import walk_count_table, walk_period
 from weylzeta.cli import poly_to_json
 from weylzeta.corpus import generate_corpus
 from weylzeta.identities import _closed_path_table, _cycles
@@ -87,9 +83,9 @@ def exp_series(counts) -> Series:
     return series_exp(Series(coeffs, 2 * len(counts)))
 
 
-def l_poly(q, rep, order):
-    """The L-polynomial reconstructed from the walk counts up to order."""
-    counts = walk_count_table(q, rep, order)
+def l_poly(q, rep):
+    """The L-polynomial read off one period of the walk counts."""
+    counts = walk_count_table(q, rep, walk_period(q, rep))
     return l_poly_from_counts(counts, q.N * len(q.rs.weights(rep)))
 
 
@@ -141,21 +137,23 @@ def test_l_polynomials_on_coroot_tori():
         (A2_TORUS, "pi1", 6, 3),
         (C2_TORUS, "spin", 4, 4),
     ):
-        p = l_poly(q, rep, 48)
+        p = l_poly(q, rep)
         assert l_poly_in_w(p) == (Poly.one() - Poly.monomial(w_exp)) ** e
         assert p.cycle_product() == CycleProduct({w_exp: e})
 
 
 def test_l_function_series_is_reciprocal_of_p():
-    counts = walk_count_table(A2_TORUS, "pi2", 40)
-    s = exp_series(counts)
-    p = l_poly_from_counts(counts, 3 * 3)
+    # P from a period of 3 counts, the series through 40 of them
+    s = exp_series(walk_count_table(A2_TORUS, "pi2", 40))
+    p = l_poly(A2_TORUS, "pi2")
+    assert walk_period(A2_TORUS, "pi2") == 3
     assert s == Series.from_poly(l_poly_in_w(p), s.order).reciprocal()
 
 
 def test_l_poly_matches_the_series_exp_reciprocal_route():
-    # the dense reference: exp of the count series, its reciprocal, and a
-    # zero tail past the degree bound
+    # the dense reference: exp of the count series through the order, its
+    # reciprocal, and a zero tail past the degree bound; P is read off one
+    # period of the counts
     for member in generate_corpus(7, 20, 12):
         q = member.build()
         order = resolve_order(q)
@@ -164,44 +162,42 @@ def test_l_poly_matches_the_series_exp_reciprocal_route():
             bound = 2 * q.N * len(q.rs.weights(rep))
             r = exp_series(counts).reciprocal()
             assert not any(r.coeffs[bound + 1 :])
-            p = l_poly_from_counts(counts, bound // 2)
-            assert l_poly_in_w(p) == Poly(r.coeffs[: bound + 1])
+            assert l_poly_in_w(l_poly(q, rep)) == Poly(r.coeffs[: bound + 1])
 
 
 def test_l_function_order_pre_condition():
+    # the order is checked by the bundle, and P is read off a period of 3
+    # counts at any admissible order
     with pytest.raises(OrderInsufficientError) as exc:
-        l_poly(A2_TORUS, "pi1", 10)
+        zeta_bundle(A2_TORUS, 10)
     assert exc.value.required == 2 * 3 * 3 + 8
+    p = l_poly(A2_TORUS, "pi1")
+    assert all(zeta_bundle(A2_TORUS, order).l_poly["pi1"] == p for order in (26, 48, 99))
 
 
 def test_l_product_checks_the_dense_polynomial():
-    # counts that no cycle product has: 2 * a_2 = N_2 - N_1 = -1, so P
+    # a period that no cycle product has: 2 * a_2 = N_2 - N_1 = -1, so P
     # itself fails at u**2
     with pytest.raises(AssertionError, match="non-integer coefficients"):
         l_poly_from_counts((1, 0) + (0,) * 24, 2)
-    # N_n = 2**n belongs to P = 1 - 2u, whose exponents a_d grow like
-    # 2**d / d: P is found, but the degree check refuses the product
-    # without expanding it
-    p = l_poly_from_counts(tuple(2**n for n in range(1, 41)), 1)
-    assert l_poly_in_w(p) == Poly([1, 0, -2])
-    with pytest.raises(NotCycleProduct):
-        p.cycle_product()
+    # N_n = 9 when 3 | n is (1 - u**3)**3 from a period of 3, and from any
+    # multiple of it, but not from a window of 26: N_27 = 9 is not 0
+    for period in ((0, 0, 9), (0, 0, 9) * 4):
+        assert l_poly_from_counts(period, 9).cycle_product() == CycleProduct({6: 3})
+    with pytest.raises(NotPolynomialWithinBound) as exc:
+        l_poly_from_counts([9 if n % 3 == 0 else 0 for n in range(1, 27)], 9)
+    assert exc.value.exponent == 2 * 27
 
 
 def test_l_polynomial_degree_is_read_off_its_product():
-    # a P found by the degree check is expanded on first read of its
-    # coefficients; its degree before that is the one they give
+    # P holds only its product, whose coefficients are expanded where they
+    # are read; its degree, read off the product, is the one they give
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
-            p = l_poly(q, rep, resolve_order(q))
-            degree = p.degree
-            assert p._u is None
+            p = l_poly(q, rep)
             coeffs = p.u_coeffs()
-            assert p.degree == degree == 2 * len(coeffs) - 2 > 0
+            assert p.degree == 2 * len(coeffs) - 2 == 2 * q.N * len(q.rs.weights(rep))
             assert [type(c) for c in coeffs] == [int] * len(coeffs)
-    # a P whose product is not P holds its coefficients from the start
-    p = l_poly_from_counts(tuple(2**n for n in range(1, 41)), 1)
-    assert p._u is not None and p.degree == 2 * len(p.u_coeffs()) - 2 == 2
 
 
 def test_l_product_expands_back_past_the_degree_check():
@@ -211,7 +207,7 @@ def test_l_product_expands_back_past_the_degree_check():
     # product that is not a plain product of (1 - u**d) factors.
     klein = build(A2, KleinSpec((-1, 0), (0, -1), 0, -3, 2))
     for q, rep in ((A2_TORUS, "pi1"), (klein, "pi1")):
-        p = l_poly(q, rep, resolve_order(q))
+        p = l_poly(q, rep)
         prod = p.cycle_product()
         if q is klein:
             assert any(x < 0 for x in reduced_in_w(prod)[0].values())
@@ -228,111 +224,124 @@ def l_outcome(fn, counts, bound):
     return p if isinstance(p, Poly) else l_poly_in_w(p)
 
 
-def perturbations(counts, bound):
-    """counts with one entry N_n changed by -1, +1, +n or +bound+1, at n
-    below, at and past the bound and at the end."""
-    top = len(counts)
-    for n in sorted({1, 2, 3, bound // 2, bound, bound + 1, bound + 2, 2 * bound, top}):
-        if not 1 <= n <= top:
-            continue
-        for delta in (-1, 1, n, bound + 1):
-            changed = list(counts)
+def extension(period, length):
+    """N_1, ..., N_length of the sequence with the given period."""
+    return [period[n % len(period)] for n in range(length)]
+
+
+def perturbations(period):
+    """period with one entry N_n changed by -1, +1 or +n, at each n."""
+    for n in range(1, len(period) + 1):
+        for delta in (-1, 1, n):
+            changed = list(period)
             changed[n - 1] += delta
             yield changed
 
 
+def assert_matches_the_references(period, bound):
+    """P of the period, or its failure, is that of both references over the
+    periodic extension through 2 * bound + 8 counts; returns the outcome."""
+    assert len(period) <= bound + 8
+    got = l_outcome(l_poly_from_counts, period, bound)
+    counts = extension(period, 2 * bound + 8)
+    assert got == l_outcome(reference.l_poly_from_counts, counts, bound), (period, bound)
+    assert got == l_outcome(reference.l_poly_by_expansion, counts, bound), (period, bound)
+    return got
+
+
 def test_l_poly_matches_the_newton_recurrence():
     # the value, or the failure and its exponent, of the Newton recurrence
+    # over the periodic extension: on one period of the corpus's walk
+    # counts, each with one entry perturbed, and on random short periods
     cases = []
     for member in generate_corpus(7, 20, 12):
         q = member.build()
-        order = resolve_order(q)
         for rep in q.rs.rep_names:
-            counts = walk_count_table(q, rep, order)
+            period = walk_count_table(q, rep, walk_period(q, rep))
             bound = q.N * len(q.rs.weights(rep))
-            cases.append((counts, bound))
-            cases += [(c, bound) for c in perturbations(counts, bound)]
+            cases.append((period, bound))
+            cases += [(c, bound) for c in perturbations(period)]
     rng = random.Random(11)
     for _ in range(300):
         bound = rng.randint(0, 5)
-        cases.append(([rng.randint(-3, 3) for _ in range(2 * bound + 8)], bound))
-    cases += [([2**n for n in range(1, 2 * b + 9)], b) for b in range(6)]
-    outcomes = []
-    for counts, bound in cases:
-        got = l_outcome(l_poly_from_counts, counts, bound)
-        assert got == l_outcome(reference.l_poly_from_counts, counts, bound)
-        outcomes.append(got if isinstance(got, tuple) else None)
+        cases.append(([rng.randint(-3, 3) for _ in range(rng.randint(1, bound + 8))], bound))
+    outcomes = [assert_matches_the_references(period, bound) for period, bound in cases]
     # every branch is exercised: P, the tail, and a non-integer coefficient
-    assert None in outcomes
-    assert any(o and o[0] is NotPolynomialWithinBound for o in outcomes)
-    assert any(o and o[0] is AssertionError for o in outcomes)
+    kinds = Counter(o[0] if isinstance(o, tuple) else Poly for o in outcomes)
+    assert all(kinds[k] > 20 for k in (Poly, NotPolynomialWithinBound, AssertionError))
 
 
-def counts_of(p: list, length: int) -> list:
-    """N_1, ..., N_length with P * exp(sum_n N_n u**n / n) = 1 for P = p,
-    by Newton's identities solved for N_n."""
-    p = p + [0] * (length + 1 - len(p))
-    counts = []
-    for n in range(1, length + 1):
-        counts.append(-n * p[n] - sum(counts[i - 1] * p[n - i] for i in range(1, n)))
-    return counts
+@st.composite
+def planted_periods(draw):
+    """(period, bound, outcome): one period M <= bound + 8 of a sum of
+    planted census progressions (r, m), m | M, and the outcome it was
+    planted for.  Progressions (0, m) of multiplicity m k make a P =
+    prod (1 - u**m)**k within the bound; adding the same count to every n
+    multiplies it by a power of 1 - u, up to degree bound + 1 (a tail),
+    and adding 1 at n = 2 makes 2 a_2 odd (a non-integer p_2).  Any other
+    residues r give "any": whatever the references find."""
+    outcome = draw(st.sampled_from(("P", "tail", "non-integer", "any")))
+    bound = draw(st.integers(2, 10))
+    size = draw(st.integers(2, bound + 8))
+    moduli = [m for m in range(1, size + 1) if size % m == 0]
+    period = [0] * size
+    planted = st.tuples(st.sampled_from(moduli), st.integers(0, size - 1), st.integers(-3, 3))
+    for m, r, k in draw(st.lists(planted, max_size=4)):
+        if outcome != "any":
+            r, k = 0, m * abs(k)
+        for n in range(1, size + 1):
+            if n % m == r % m:
+                period[n - 1] += k
+    if outcome == "any":
+        return period, bound, outcome
+    bound = max(bound, period[-1])  # N_M is the degree of the planted P
+    if outcome == "tail":
+        period = [c + bound + 1 - period[-1] for c in period]
+    elif outcome == "non-integer":
+        period[1] += 1
+    return period, bound, outcome
 
 
-def test_l_poly_fallback_matches_the_expansion_oracle():
-    # random P, some finite cycle products (the degree check returns them)
-    # and most not (Newton's identities do), with one count perturbed in
-    # half the cases; the value or the failure is that of the full
-    # expansion of the Moebius product
-    rng = random.Random(29)
-    outcomes = []
-    for _ in range(1500):
-        bound = rng.randint(0, 6)
-        length = 2 * bound + 8 + rng.randint(0, 6)
-        if rng.random() < 0.3:
-            factors = {d: rng.randint(-1, 2) for d in rng.sample(range(1, 5), 2)}
-            p = algebra._expand(factors, length)
-        else:
-            p = [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, bound + 1))]
-        counts = counts_of(p, length)
-        if rng.random() < 0.5:
-            counts[rng.randrange(length)] += rng.choice((-1, 1, 2, bound + 1))
-        got = l_outcome(l_poly_from_counts, counts, bound)
-        assert got == l_outcome(reference.l_poly_by_expansion, counts, bound), (counts, bound)
-        if isinstance(got, tuple):
-            outcomes.append(got[0])
-        else:
-            outcomes.append(l_poly_from_counts(counts, bound)._product is not None)
-    kinds = Counter(outcomes)
-    # P with and without its product, a tail failure and a non-integer p_n
-    assert all(kinds[k] > 50 for k in (True, False, NotPolynomialWithinBound, AssertionError))
+@given(planted_periods())
+@settings(deadline=None, max_examples=400)
+def test_l_poly_fallback_matches_the_expansion_oracle(planted):
+    # the value or the failure of one period is that of the Newton
+    # recurrence and of the full expansion of the Moebius product over the
+    # periodic extension through 2 * bound + 8
+    period, bound, outcome = planted
+    got = assert_matches_the_references(period, bound)
+    if outcome == "P":
+        assert isinstance(got, Poly)
+    elif outcome == "tail":
+        assert got == (NotPolynomialWithinBound, 2 * (bound + 1))
+    elif outcome == "non-integer":
+        assert got == (AssertionError, None)
 
 
 def test_l_poly_of_dense_counts_is_quick():
-    # N_n = 2**n: every Moebius exponent is nonzero, the product is not
-    # P = 1 - 2u, and Newton's identities find P over two nonzero p_j
+    # N_n = 2**n for n <= 2312 taken as a period: every Moebius exponent is
+    # nonzero and the product is not P; the failing order, n = 2313 where
+    # the period repeats N_1 = 2, is found over two nonzero p_j
     counts = [2**n for n in range(1, 2313)]
     start = time.perf_counter()
-    p = l_poly_from_counts(counts, 1152)
+    with pytest.raises(NotPolynomialWithinBound) as exc:
+        l_poly_from_counts(counts, 1152)
     assert time.perf_counter() - start < 1.0
-    assert list(p.u_coeffs()) == [1, -2] and p.degree == 2
-    assert l_poly_in_w(p) == reference.l_poly_from_counts(counts, 1152)
-    with pytest.raises(NotCycleProduct):
-        p.cycle_product()
+    assert exc.value.exponent == 2 * 2313
 
 
 def test_l_polynomial_holds_the_poly_coefficients():
-    # P is held by its int u-coefficients; one expanded from its product
-    # equals the one given them, with the same hash and JSON bytes
-    given = LPolynomial([1, -3, 3, -1], None)
-    p = LPolynomial(None, CycleProduct({2: 3}))  # (1 - u)**3
-    assert p == given and hash(p) == hash(given) and p != LPolynomial([1, -3, 3], None)
-    assert [type(c) for c in p.u_coeffs()] == [int] * 4 and p.degree == 6
-    assert json.dumps(poly_to_json(p)) == json.dumps(poly_to_json(given)) == (
-        '{"coeffs": [1, -3, 3, -1], "var": "u"}'
-    )
-    # Newton's identities cut P = 1 - 2u after its last nonzero coefficient
-    p = l_poly_from_counts(tuple(2**n for n in range(1, 41)), 3)
-    assert list(p.u_coeffs()) == [1, -2] and p == LPolynomial([1, -2], None)
+    # P is held by its product and compared by it; its int u-coefficients
+    # are expanded from it, with the same JSON bytes as the list
+    p = LPolynomial(CycleProduct({2: 3}))  # (1 - u)**3
+    same = LPolynomial(CycleProduct({2: 3}))
+    assert p == same and hash(p) == hash(same) and p != LPolynomial(CycleProduct({2: 2}))
+    assert list(p.u_coeffs()) == [1, -3, 3, -1] and p.degree == 6
+    assert [type(c) for c in p.u_coeffs()] == [int] * 4
+    assert json.dumps(poly_to_json(p)) == '{"coeffs": [1, -3, 3, -1], "var": "u"}'
+    # one period of N_n = 1 gives P = 1 - u
+    p = l_poly_from_counts((1,), 3)
+    assert list(p.u_coeffs()) == [1, -1] and p == LPolynomial(CycleProduct({2: 1}))
 
 
 def regular_representation_l_poly(q, rep):
@@ -366,8 +375,7 @@ def test_l_matches_regular_representation_product_on_tori():
         build(C2, TorusSpec((2, 0), (1, 3))),
     ):
         for rep in q.rs.rep_names:
-            p = l_poly(q, rep, 2 * q.N * len(q.rs.weights(rep)) + 8)
-            assert l_poly_in_w(p) == regular_representation_l_poly(q, rep)
+            assert l_poly_in_w(l_poly(q, rep)) == regular_representation_l_poly(q, rep)
 
 
 def test_l_poly_is_the_q1_hecke_determinant():
@@ -386,8 +394,7 @@ def test_l_poly_is_the_q1_hecke_determinant():
         kinds[q.kind] += 1
         for rep in q.rs.rep_names:
             h = reference.hecke_determinant(q, rep)
-            p = l_poly(q, rep, 2 * q.N * len(q.rs.weights(rep)) + 8)
-            assert l_poly_in_w(p) == Poly([x for c in h.coeffs for x in (c, 0)])
+            assert l_poly_in_w(l_poly(q, rep)) == Poly([x for c in h.coeffs for x in (c, 0)])
     assert kinds["torus"] >= 10 and kinds["klein"] >= 10
 
 
@@ -555,7 +562,42 @@ def test_zeta_bundle_contents():
     # eps = 0 for both A2 representations: L = 1/P
     assert l_function(b, A2_TORUS, "pi1") == inverse_power(6, 3)
     assert b.correction["pi1"] == CycleProduct()
-    assert b.walk_counts["pi1"][2] == 9  # n = 3
+
+
+def _samples():
+    for name in ("a2_klein", "a2_torus", "c2_klein_spin", "c2_torus"):
+        parsed = load_spec_file(str(ROOT / "samples" / f"{name}.spec"))
+        yield build(RootSystem.make(parsed.root_system), parsed.spec)
+
+
+def test_the_walk_period_divides_the_translation_index():
+    # M is the lcm of the walk progressions' moduli, each of which divides
+    # det Gamma0; the corpus, the benchmark ladder and the samples
+    from test_zeta_report import _ladder
+
+    specs = [(m.root_system, m.spec) for m in generate_corpus(7)] + _ladder()
+    quotients = [build(RootSystem.make(rs), spec) for rs, spec in specs] + list(_samples())
+    for q in quotients:
+        for rep in q.rs.rep_names:
+            period = walk_period(q, rep)
+            assert q._det % period == 0 and period <= q.N * len(q.rs.weights(rep))
+
+
+def test_the_bundle_tallies_one_period_of_walk_counts(monkeypatch):
+    # P is read off one period M | det Gamma0 of the walk counts, at every
+    # order: the bundle asks the census for no order-length table
+    asked = []
+
+    def recording(q, rep, max_n):
+        asked.append((q, max_n))
+        return walk_count_table(q, rep, max_n)
+
+    monkeypatch.setattr(zeta_mod, "walk_count_table", recording)
+    quotients = list(_samples()) + [m.build() for m in generate_corpus(7)]
+    for q in quotients:
+        assert zeta_bundle(q).l_failure == {rep: {} for rep in q.rs.rep_names}
+    assert {q for q, _ in asked} == set(quotients)
+    assert all(max_n <= q._det < resolve_order(q) for q, max_n in asked)
 
 
 def test_zeta_bundle_l_func_includes_trivial_weight_factor():
