@@ -27,20 +27,21 @@ does its image) and its off-rational blocks, and keeps every period.  So
 and keeps each one's progression, while orbit representatives count one
 of each: every box multiplicity is exactly twice the orbit multiplicity.
 
-The progressions are found once per congruence class, not once per pair:
+Each branch of a step is one congruence solve, not one per pair:
 * the translation branch does not depend on x: n*lam lies in Gamma0
   exactly when m | n, m = det // gcd(adj * lam, det), one gcd per weight
   (_period);
-* the glide branch reads x only through the class of its glide shift
-  x - sigma(x) = (I - L) x - t modulo Gamma0.  I - L has rank 1 with
-  image Z w, w = beta - L beta, so over the box the shift runs over
-  -t + j w for 0 <= j < ord(w), det // ord(w) times each (_glide_shifts).
-  Each class is solved once per step (_closings, a Chinese-remainder
-  solver built once per step) and counted with its multiplicity.
-A table therefore costs O(ord(w)) per step plus one slice update per
-progression.  ord(w) divides det and can be close to N (12288 classes
-for 36864 orbits on the A2 Klein bottle of m = 12288); a torus has no
-glide branch and builds no solver.
+* the glide branch reads x only through its glide shift x - sigma(x) =
+  (I - L) x - t.  I - L has rank 1 with image Z w, w = beta - L beta, so
+  over the box the shift runs over -t + j w for 0 <= j < ord(w),
+  det // ord(w) times each.  Two such classes that close at the same n
+  differ by a multiple of w in Gamma0, so at most one closes at each n,
+  and the n at which some class closes are those with n*lam - t in
+  Gamma0 + Z w: one progression, found by one solve per step (_closings)
+  and counted det // ord(w) times (_glide_branch).
+A table therefore costs one solve per step plus one slice update per
+progression, whatever ord(w), which divides det and can be close to N;
+a torus has no glide branch and builds no solver.
 
 Semi-closings use the same congruences in doubled coordinates modulo
 2 det; on the off-rational parity block of mu the shift runs over
@@ -53,20 +54,17 @@ one row can be moved by a given v.  The tests hold the references of
 these tables: literal per-length loops over every pair, and a
 point-by-point window scan for lambda_set_size.
 
-Work that depends only on the quotient is done once per quotient and
-kept on it (_once): the glide shift classes of the vertex classes, per
-parity class of the weight those of the half-lattice classes off the
-rational lines, and per rep the progressions of the walk and geodesic
-tables, which one pass fills together.  glide_line_counter computes a
-glide power once for a whole scan, and the vector of each beta-row once,
-on its first read (GlideLines); it is never kept on the quotient, so it
-always reads the current sigma.
+The progressions of the walk and geodesic tables of a rep, which one
+pass fills together, are kept on the quotient (_census_tables): the
+tables and walk_period of every rep read them there.  glide_line_counter
+computes a glide power once for a whole scan, and the vector of each
+beta-row once, on its first read (GlideLines); it is never kept on the
+quotient, so it always reads the current sigma.
 
 Nothing here touches the transfer systems: the census uses only
-membership in Gamma0 (its adjugate and determinant, and reduce and
-reduce_half to name a class), the glide sigma and beta, with tables of
-its own, so it remains an independent check of the cycle-decomposition
-zeta engine.  No point of the box is listed.
+membership in Gamma0 (its adjugate and determinant), the glide sigma and
+beta, with tables of its own, so it remains an independent check of the
+cycle-decomposition zeta engine.  No point of the box is listed.
 """
 
 from __future__ import annotations
@@ -168,7 +166,8 @@ class GlideLines:
 
 def _period(q: QuotientGroup, step: Vec, modulus: int) -> int:
     """The m with n*step in Gamma0 exactly when m divides n: the
-    translation branch of every table, the progression (0, m).
+    translation branch of every table, the progression (0, m), and the
+    order of step modulo Gamma0.
 
     n*step lies in Gamma0 when modulus divides n*a_1 and n*a_2, (a_1, a_2)
     = adj * step, that is when modulus // gcd(a_1, a_2, modulus) divides n.
@@ -179,105 +178,86 @@ def _period(q: QuotientGroup, step: Vec, modulus: int) -> int:
     return modulus // gcd(a1, a2, modulus)
 
 
-def _closings(q: QuotientGroup, step: Vec, modulus: int):
-    """The function shift -> the n >= 0 with n*step + shift in Gamma0, as
-    (r, m) meaning n = r (mod m), or None when no n solves it.
+def _bezout(a: int, b: int) -> tuple:
+    """(x, y, g) with x*a + y*b = g = gcd(a, b), by the extended Euclid."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
+    return (x0, y0, a) if a >= 0 else (-x0, -y0, -a)
+
+
+def _closings(q: QuotientGroup, step: Vec, start: Vec, w: Vec, modulus: int) -> Optional[tuple]:
+    """The n >= 0 with n*step + start + j*w in Gamma0 for some integer j,
+    as (r, m) meaning n = r (mod m), or None when no n solves it.
 
     Membership is adj * v = 0 (mod modulus) in both coordinates; modulus
-    is det Gamma0, or 2 det Gamma0 for doubled coordinates.  Row i of adj
-    asks a_i n = b_i (mod modulus), a_i its product with step and b_i that
-    with -shift; with g_i = gcd(a_i, modulus) it is solvable when g_i
-    divides b_i, by n = (b_i / g_i) * inv_i (mod m_i = modulus / g_i).
-    The g_i, m_i, inv_i and the data that combine the two rows by the
-    Chinese remainder theorem depend on step alone and are computed here,
-    once for every shift.  The shift is read only through adj * shift mod
-    modulus, so the answer depends only on its class modulo Gamma0 (2
-    Gamma0 in doubled coordinates).
+    is det Gamma0, or 2 det Gamma0 for doubled coordinates.  With (a_1,
+    a_2) = adj * w and x a_1 + y a_2 = g = gcd(a_1, a_2), the unimodular U
+    with rows (x, y) and (-a_2 / g, a_1 / g) (the identity when w = 0)
+    sends adj * w to (g, 0).  So the condition is U adj (n*step + start) =
+    -j (g, 0) (mod modulus) for some j: row 1 = 0 modulo gcd(g, modulus),
+    and row 2 = 0 modulo modulus.  Each row asks a n = b (mod M), which,
+    with h = gcd(a, M), is solvable when h divides b, by n = (b / h) *
+    (a / h)^-1 (mod M / h); the two rows combine by the Chinese remainder
+    theorem.  w = 0 is the plain solve of n*step + start in Gamma0.
     """
     (p1, p2), (p3, p4) = q._adj
-
-    def row(a: int) -> tuple:
-        a %= modulus
-        g = gcd(a, modulus)
-        m = modulus // g
-        return g, m, pow(a // g, -1, m)
-
-    g1, m1, inv1 = row(p1 * step[0] + p2 * step[1])
-    g2, m2, inv2 = row(p3 * step[0] + p4 * step[1])
+    a1, a2 = p1 * w[0] + p2 * w[1], p3 * w[0] + p4 * w[1]
+    x, y, g = _bezout(a1, a2)
+    rows = ((x, y), (-a2 // g, a1 // g)) if g else ((1, 0), (0, 1))
+    solved = []
+    for (u1, u2), mod in zip(rows, (gcd(g, modulus), modulus)):
+        c1, c2 = u1 * p1 + u2 * p3, u1 * p2 + u2 * p4  # row u of U times adj
+        a = (c1 * step[0] + c2 * step[1]) % mod
+        b = -(c1 * start[0] + c2 * start[1]) % mod
+        h = gcd(a, mod)
+        if b % h:
+            return None
+        m = mod // h
+        solved.append((b // h * pow(a // h, -1, m) % m, m))
+    (x1, m1), (x2, m2) = solved
     g = gcd(m1, m2)
-    lift = m2 // g  # n = x1 + m1 t solves row 2 for t = (x2 - x1) / g * inv (mod lift)
-    inv = pow(m1 // g, -1, lift)
-    lcm = m1 * lift
-
-    def solve(shift: Vec) -> Optional[tuple]:
-        b1 = -(p1 * shift[0] + p2 * shift[1]) % modulus
-        b2 = -(p3 * shift[0] + p4 * shift[1]) % modulus
-        if b1 % g1 or b2 % g2:
-            return None
-        x1 = b1 // g1 * inv1 % m1
-        x2 = b2 // g2 * inv2 % m2
-        if (x2 - x1) % g:
-            return None
-        t = (x2 - x1) // g * inv % lift
-        return ((x1 + m1 * t) % lcm, lcm)
-
-    return solve
+    if (x2 - x1) % g:
+        return None
+    lift = m2 // g  # n = x1 + m1 t solves row 2 for t = (x2 - x1) / g * (m1 / g)^-1 (mod lift)
+    t = (x2 - x1) // g * pow(m1 // g, -1, lift) % lift
+    return (x1 + m1 * t) % (m1 * lift), m1 * lift
 
 
 def _glide_branch(
-    q: QuotientGroup, step: Vec, modulus: int, classes: tuple, offset: Vec = (0, 0)
+    q: QuotientGroup, step: Vec, mu: Optional[Vec] = None, offset: Vec = (0, 0)
 ) -> Counter:
-    """The progressions of the glide branch: for each (shift class,
-    multiplicity) the solution of n*step + shift + offset in Gamma0, with
-    its multiplicity.  One solve per class; no solver for no classes."""
-    progs: Counter = Counter()
-    if classes:
-        solve = _closings(q, step, modulus)
-        for shift, count in classes:
-            p = solve(vec_add(shift, offset))
-            if p is not None:
-                progs[p] += count
-    return progs
+    """The glide branch of step: the n at which sigma carries some box
+    point x to x + n*step + offset, that is n*step + offset + x - sigma(x)
+    in Gamma0, as one progression with the number of x that close at each
+    of its n; empty for a torus, which builds no solver.  With mu the x
+    are the half-lattice classes mu + 2x of the parity block of mu, in
+    doubled coordinates modulo 2 Gamma0.
 
-
-def _glide_shifts(q: QuotientGroup, mu: Optional[Vec] = None) -> tuple:
-    """x - sigma(x) over the whole box of vertex classes x, or (doubled
-    coordinates) over the half-lattice classes mu + 2x of the parity block
-    of mu, by class modulo Gamma0 (2 Gamma0 when doubled), as (class,
-    multiplicity) pairs; empty for a torus.
-
-    sigma carries x to y exactly when y - x + (x - sigma(x)) lies in
-    Gamma0, so this is the offset of the glide branch's congruence, and
-    that congruence reads it only through its class.  (I - L) Z^2 = Z w
-    because L fixes alpha and (alpha, beta) is a basis, and x -> (I - L) x
-    maps Z^2 / Gamma0 onto the ord(w) multiples of w, det // ord(w) points
-    onto each: so the classes are -t + j w, or (I - L) mu - 2t + 2 j w.
+    (I - L) Z^2 = Z w, w = beta - L beta, because L fixes alpha and
+    (alpha, beta) is a basis, and x -> (I - L) x maps Z^2 / Gamma0 onto
+    the ord(w) multiples of w, det // ord(w) points onto each: so x -
+    sigma(x) runs over the classes -t + j w, or (I - L) mu - 2t + 2 j w.
+    Two classes that close at the same n differ by a multiple of w in
+    Gamma0, so they are one class: at most one class closes at each n.
+    The n at which some class closes are one progression (_closings), and
+    det // ord(w) points close at each.
     """
+    progs: Counter = Counter()
     if q.kind == "torus":
-        return ()
+        return progs
     linear, t = q.sigma
-    w = vec_sub(q.beta, mat_vec(linear, q.beta))
-    period, reduce = _period(q, w, q._det), q.reduce
+    w, modulus = vec_sub(q.beta, mat_vec(linear, q.beta)), q._det
     start = vec_scale(-1, t)
     if mu is not None:
         start = vec_add(vec_sub(mu, mat_vec(linear, mu)), vec_scale(2, start))
-        w, reduce = vec_scale(2, w), q.reduce_half
-    count = q._det // period
-    return tuple((reduce(vec_add(start, vec_scale(j, w))), count) for j in range(period))
-
-
-def _once(q: QuotientGroup, key, make):
-    """The census table key of q: made on first use and kept on q, so that
-    the tables of every rep share it and it lives and dies with q."""
-    tables = q._census_tables
-    if key not in tables:
-        tables[key] = make()
-    return tables[key]
-
-
-def _vertex_shifts(q: QuotientGroup) -> tuple:
-    """The glide shift classes of the vertex classes."""
-    return _once(q, "vertex shifts", lambda: _glide_shifts(q))
+        w, modulus = vec_scale(2, w), 2 * modulus
+    p = _closings(q, step, vec_add(start, offset), w, modulus)
+    if p is not None:
+        progs[p] = q._det // _period(q, w, modulus)
+    return progs
 
 
 def _off_rational_blocks(lam: Vec) -> tuple:
@@ -290,17 +270,6 @@ def _off_rational_blocks(lam: Vec) -> tuple:
     """
     parity = (lam[0] & 1) + 2 * (lam[1] & 1)
     return tuple(b for b in (1, 2, 3) if b != parity)
-
-
-def _irrational_shifts(q: QuotientGroup, lam: Vec) -> tuple:
-    """The glide shift classes of the half-lattice classes whose line in
-    direction lam misses the vertex lattice, per parity class of lam."""
-    blocks = _off_rational_blocks(lam)
-    return _once(
-        q,
-        ("irrational shifts", blocks),
-        lambda: sum((_glide_shifts(q, (b & 1, b >> 1)) for b in blocks), ()),
-    )
 
 
 def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
@@ -336,25 +305,26 @@ def _tally(progressions: Counter, max_n: int) -> tuple:
 
 def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
     """(walks, geodesics): the progressions of the closing lengths of the
-    pairs (vertex class, weight) of rep, in one pass kept on q.  A closing
-    is geodesic when the carrying element's linear part fixes the weight:
-    always for a translation, for the glide only when it fixes lam."""
-
-    def make() -> tuple:
-        d, shifts = q._det, _vertex_shifts(q)
+    pairs (vertex class, weight) of rep, in one pass kept on q, so that
+    the tables of rep and its walk period share it and it lives and dies
+    with q.  A closing is geodesic when the carrying element's linear part
+    fixes the weight: always for a translation, for the glide only when it
+    fixes lam."""
+    tables = q._census_tables
+    if rep not in tables:
+        d = q._det
         walks: Counter = Counter()
         geodesics: Counter = Counter()
         for lam in q.rs.weights(rep):
             p = (0, _period(q, lam, d))
             walks[p] += d
             geodesics[p] += d
-            glides = _glide_branch(q, lam, d, shifts)
+            glides = _glide_branch(q, lam)
             walks.update(glides)
             if _glide_maps(q, lam, lam):
                 geodesics.update(glides)
-        return _per_orbit(q, walks), _per_orbit(q, geodesics)
-
-    return _once(q, ("walks", rep), make)
+        tables[rep] = _per_orbit(q, walks), _per_orbit(q, geodesics)
+    return tables[rep]
 
 
 def walk_period(q: QuotientGroup, rep: str) -> int:
@@ -384,9 +354,11 @@ def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> tuple:
     d = q._det
     progs: Counter = Counter()
     for lam in q.rs.weights(rep):
-        progs[(0, _period(q, lam, 2 * d))] += len(_off_rational_blocks(lam)) * d
+        blocks = _off_rational_blocks(lam)
+        progs[(0, _period(q, lam, 2 * d))] += len(blocks) * d
         if _glide_maps(q, lam, lam):
-            progs.update(_glide_branch(q, lam, 2 * d, _irrational_shifts(q, lam)))
+            for b in blocks:
+                progs.update(_glide_branch(q, lam, (b & 1, b >> 1)))
     return _tally(_per_orbit(q, progs), max_j)
 
 
@@ -401,10 +373,9 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
     labels swapped.  Each parity gives one progression in k, which is
     mapped to n = 2k or n = 2k + 1.  A translation keeps the labels, and
     lam != mu in every gallery pair, so it closes at even lengths only.
-    The odd branch's offset shift + lam has a class that depends only on
-    the class of shift.
+    The odd branch solves the glide branch of lam + mu with the offset lam.
     """
-    d, shifts = q._det, _vertex_shifts(q)
+    d = q._det
     progs: Counter = Counter()
     for lam, mu in q.rs.gallery_pairs(rep):
         step = vec_add(lam, mu)
@@ -413,7 +384,7 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
         odd = _glide_maps(q, lam, mu) and _glide_maps(q, mu, lam)
         if not (even or odd):
             continue
-        glides = _glide_branch(q, step, d, shifts, (0, 0) if even else lam)
+        glides = _glide_branch(q, step, offset=(0, 0) if even else lam)
         for (r, m), count in glides.items():
             progs[(2 * r + odd, 2 * m)] += count
     return _tally(_per_orbit(q, progs), max_n)

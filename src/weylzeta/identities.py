@@ -289,12 +289,12 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
                     detail = _ratfunc_compare(walks[rep], torus_closed_form(q, rep))
                 record(identity_id, statement, detail)
 
-        # every torus walk closes without a corner
+        # every torus walk closes without a corner: the census's closed
+        # walks against the walk zeta, whose closings keep the weight
         for rep in rs.rep_names:
-            counts_geo = geo[rep]
-            depth = min(CORNER_DEPTH, len(counts_geo))
+            depth = min(CORNER_DEPTH, len(geo[rep]))
             counts = walk_count_table(q, rep, depth)
-            pairs = [(n, counts[n - 1], counts_geo[n - 1]) for n in range(1, depth + 1)]
+            pairs = zip(range(1, depth + 1), counts, _closed_path_table(walks[rep], 2, depth))
             record(
                 f"walks-close-without-corners[{rep}]",
                 "closed walk and geodesic walk counts agree on a torus",

@@ -9,12 +9,12 @@ partner representation, integers a, b with a*alpha + b*beta the glide
 translation, and a multiplier m for the perpendicular translation t.
 
 Everything here is exact integer arithmetic; the coordinate solves test
-divisibility with divmod.  Every class is named by a point of the
-residue box [0, h11) x [0, h22) of the triangular basis (h11, 0), (c, h22)
-of Gamma0 (of its double, in doubled coordinates): reduce takes a point
-there by index arithmetic.  No point of the box is listed: a quotient is
-Gamma0 and, for a Klein bottle, its glide, and both the transfer systems
-and the census count over the whole box by arithmetic.
+divisibility with divmod.  Gamma0 is held as its triangular basis
+(h11, 0), (c, h22), which the transfer systems read, and as its adjugate
+and determinant, which the census reads.  No point of the residue box is
+listed or named: a quotient is Gamma0 and, for a Klein bottle, its
+glide, and both the transfer systems and the census count over the
+whole box by arithmetic.
 
 A build checks, by arithmetic too, that the glide sigma x = L x + t is a
 fixed-point-free involution of the half-lattice classes, and so of the
@@ -26,7 +26,7 @@ t + (L mu_b - mu_b) / 2 lies in Lambda = (L - I) Z**2 + Gamma0.
 _triangular_basis takes any number of generators, so it also gives
 Lambda (_mirror), and _in_lattice tests membership on a triangular basis;
 the transfer systems count the fixed points of a glide with the same
-two.  A quotient also carries the census's per-quotient tables
+two.  A quotient also carries the census's walk progressions per rep
 (_census_tables), which the census fills on first use, so they live and
 die with the quotient.
 """
@@ -292,7 +292,7 @@ class QuotientGroup:
         self._triangle = _triangular_basis(u, v)
         if self.kind == "klein":
             self._check_glide()
-        # the census's tables, filled and read only by the census
+        # the census's walk progressions per rep, filled and read only by the census
         self._census_tables: dict = {}
 
     def _check_glide(self):
@@ -310,21 +310,6 @@ class QuotientGroup:
                 free = False
         if not free:
             raise AssertionError("the glide is not a fixed-point-free involution of the classes")
-
-    # -- lattice reduction ------------------------------------------------
-
-    def reduce(self, x: Vec) -> Vec:
-        """The residue box point of x's class modulo the translation subgroup:
-        x - r (c, h22) - s (h11, 0) for the r and s that put it in the box."""
-        h11, c, h22 = self._triangle
-        r, j = divmod(x[1], h22)
-        return ((x[0] - r * c) % h11, j)
-
-    def reduce_half(self, h2: Vec) -> Vec:
-        """Same as reduce, on doubled coordinates modulo the doubled subgroup."""
-        h11, c, h22 = self._triangle
-        r, j = divmod(h2[1], 2 * h22)
-        return ((h2[0] - 2 * r * c) % (2 * h11), j)
 
     # -- derived constants ---------------------------------------------------
 

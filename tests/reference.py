@@ -30,6 +30,9 @@ routes live here, and the tests compare the package against them:
   points as doubled coordinates, the glide on them, and a canonical form
   of each orbit (the lexicographically lower of the box points of x and
   of sigma x).
+* ``reduce`` and ``reduce_half``: the box point of a class modulo Gamma0,
+  and modulo 2 Gamma0 in doubled coordinates, by index arithmetic on the
+  triangular basis.  The package names no class by a box point.
 * ``residues``, ``half_residues``, ``vertex_reps`` and
   ``half_orbit_reps``: the residue box of Gamma0 and of its double, listed
   point by point from the triangular basis, and the box points that are
@@ -553,14 +556,30 @@ def canonical_vertex(q: QuotientGroup, x):
     quotient keeps as its representative.
     """
     if isinstance(x, HalfVec):
-        r = q.reduce_half(x)
+        r = reduce_half(q, x)
         if q.kind == "klein":
-            r = min(r, q.reduce_half(sigma_half(q, x)))
+            r = min(r, reduce_half(q, sigma_half(q, x)))
         return HalfVec(*r)
-    r = q.reduce(x)
+    r = reduce(q, x)
     if q.kind == "klein":
-        r = min(r, q.reduce(q.sigma.apply(x)))
+        r = min(r, reduce(q, q.sigma.apply(x)))
     return r
+
+
+def reduce(q: QuotientGroup, x: Vec) -> Vec:
+    """The residue box point of x's class modulo Gamma0: x - r (c, h22) -
+    s (h11, 0) for the r and s that put it in the box of residues(q)."""
+    h11, c, h22 = q._triangle
+    r, j = divmod(x[1], h22)
+    return ((x[0] - r * c) % h11, j)
+
+
+def reduce_half(q: QuotientGroup, h2: Vec) -> Vec:
+    """Same as reduce, on doubled coordinates modulo 2 Gamma0: the point
+    of half_residues(q) of h2's class."""
+    h11, c, h22 = q._triangle
+    r, j = divmod(h2[1], 2 * h22)
+    return ((h2[0] - 2 * r * c) % (2 * h11), j)
 
 
 def residues(q: QuotientGroup) -> list:
@@ -605,8 +624,8 @@ def glide_is_free_involution(q: QuotientGroup) -> bool:
     """Whether the glide of a Klein bottle, on the doubled box, moves every
     point and returns each one in two steps."""
     for h in half_residues(q):
-        image = q.reduce_half(sigma_half(q, h))
-        if image == h or q.reduce_half(sigma_half(q, image)) != h:
+        image = reduce_half(q, sigma_half(q, h))
+        if image == h or reduce_half(q, sigma_half(q, image)) != h:
             return False
     return True
 
@@ -1140,10 +1159,10 @@ def build_walk_system(q: QuotientGroup, rep: str) -> PermutationSystem:
     perm = _weight_perm(q, wts)
 
     def canon(x: Vec, i: int):
-        a = (q.reduce(x), i)
+        a = (reduce(q, x), i)
         if q.kind == "torus":
             return a
-        b = (q.reduce(q.sigma.apply(x)), perm[i])
+        b = (reduce(q, q.sigma.apply(x)), perm[i])
         return a if a <= b else b
 
     states = sorted({canon(x, i) for x in residues(q) for i in range(len(wts))})
@@ -1159,10 +1178,10 @@ def build_semi_system(q: QuotientGroup, rep: str) -> PermutationSystem:
     perm = _weight_perm(q, wts)
 
     def canon(x2: Vec, i: int):
-        a = (q.reduce_half(x2), i)
+        a = (reduce_half(q, x2), i)
         if q.kind == "torus":
             return a
-        b = (q.reduce_half(sigma_half(q, x2)), perm[i])
+        b = (reduce_half(q, sigma_half(q, x2)), perm[i])
         return a if a <= b else b
 
     states = sorted(
@@ -1187,10 +1206,10 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> PermutationSystem:
     perm = _weight_perm(q, tuple(wts))
 
     def canon(v: Vec, i: int, j: int):
-        a = (q.reduce(v), i, j)
+        a = (reduce(q, v), i, j)
         if q.kind == "torus":
             return a
-        b = (q.reduce(q.sigma.apply(v)), perm[i], perm[j])
+        b = (reduce(q, q.sigma.apply(v)), perm[i], perm[j])
         return a if a <= b else b
 
     pair_indices = sorted(

@@ -3,6 +3,7 @@
 import ast
 import sys
 from collections import Counter
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -20,12 +21,10 @@ from reference import (
 )
 from weylzeta.census import (
     _closings,
-    _glide_shifts,
-    _irrational_shifts,
+    _glide_branch,
     _off_rational_blocks,
     _period,
     _tally,
-    _vertex_shifts,
     gallery_count_table,
     geodesic_count_table,
     lambda_set_size,
@@ -441,81 +440,78 @@ def test_semi_and_gallery_tables_match_loops_on_corpus():
 
 def test_period_is_the_translation_branch_of_the_solver():
     # n * step in Gamma0 (2 Gamma0 in doubled coordinates) exactly when
-    # _period divides n, for walk, semi and gallery steps
+    # _period divides n, for walk, semi and gallery steps: the solve with
+    # no start and no glide direction w
     for q in _corpus_and_samples():
         for rep in q.rs.rep_names:
             steps = list(q.rs.weights(rep))
             steps += [vec_add(lam, mu) for lam, mu in q.rs.gallery_pairs(rep)]
             for step in steps:
                 for modulus in (q._det, 2 * q._det):
-                    assert (0, _period(q, step, modulus)) == _closings(q, step, modulus)(
-                        (0, 0)
+                    assert (0, _period(q, step, modulus)) == _closings(
+                        q, step, (0, 0), (0, 0), modulus
                     ), (q, step, modulus)
 
 
-def _raw_shifts(q, points, half):
-    """x - sigma(x) for each point, by the glide's apply (doubled when half)."""
-    if half:
-        return [vec_sub(x, reference.sigma_half(q, x)) for x in points]
-    return [vec_sub(x, q.sigma.apply(x)) for x in points]
+def _glide_steps(q):
+    """Every glide step of the census of q, as (step, mu, offset, points):
+    the walk weights over the box, each weight over each of its
+    off-rational parity blocks mu of the doubled box, and each gallery
+    pair's lam + mu with the even and the odd offset."""
+    d = q._det
+    box, half = reference.residues(q), reference.half_residues(q)
+    for rep in q.rs.rep_names:
+        for lam in q.rs.weights(rep):
+            yield lam, None, (0, 0), box
+            for b in _off_rational_blocks(lam):
+                yield lam, (b & 1, b >> 1), (0, 0), half[b * d : b * d + d]
+        for lam, mu in q.rs.gallery_pairs(rep):
+            for offset in ((0, 0), lam):
+                yield vec_add(lam, mu), None, offset, box
 
 
-def _multiset(classes):
-    """(class, multiplicity) pairs as a Counter, repeated classes summed."""
-    out = Counter()
-    for shift, count in classes:
-        out[shift] += count
-    return out
-
-
-def test_shift_classes_count_every_point_once():
-    # the arithmetic classes are those of x - sigma(x) over the reference
-    # box, and of h - sigma(h) over each off-rational parity block of the
-    # doubled box, with det points per block
-    for q in _corpus_and_samples():
-        vertex = _vertex_shifts(q)
-        if q.kind == "torus":
-            assert vertex == () and _glide_shifts(q, (1, 0)) == ()
-            assert all(_irrational_shifts(q, lam) == () for lam in q.rs.weights(q.rs.rep_names[0]))
-            continue
-        raw = _raw_shifts(q, reference.residues(q), False)
-        assert _multiset(vertex) == Counter(map(q.reduce, raw))
-        assert sum(count for _, count in vertex) == q._det
-        for b in range(4):
-            block = _glide_shifts(q, (b & 1, b >> 1))
-            assert sum(count for _, count in block) == q._det, (q, b)
-        for rep in q.rs.rep_names:
-            for lam in q.rs.weights(rep):
-                raw = _raw_shifts(q, _off_rational_points(q, lam), True)
-                half = _irrational_shifts(q, lam)
-                assert _multiset(half) == Counter(map(q.reduce_half, raw)), (q, lam)
-
-
-def test_the_solver_reads_a_shift_only_through_its_class():
+def test_the_glide_branch_counts_the_points_that_close():
+    # one solve per glide step, its progression counted det // ord(w)
+    # times, against the box points x (the doubled-box points of one parity
+    # block) with n*step + offset + x - sigma(x) in Gamma0 (2 Gamma0), one
+    # membership test per point and n <= 2 det
+    steps = 0
     for q in _corpus_and_samples():
         if q.kind == "torus":
+            assert _glide_branch(q, (1, 0)) == _glide_branch(q, (1, 0), (1, 0)) == Counter()
             continue
-        box = reference.residues(q)
-        for rep in q.rs.rep_names:
-            for lam in q.rs.weights(rep):
-                solve = _closings(q, lam, q._det)
-                for shift in _raw_shifts(q, box, False):
-                    assert solve(shift) == solve(q.reduce(shift))
-                    odd = vec_add(shift, lam)
-                    assert solve(odd) == solve(vec_add(q.reduce(shift), lam))
-                solve = _closings(q, lam, 2 * q._det)
-                for shift in _raw_shifts(q, _off_rational_points(q, lam), True):
-                    assert solve(shift) == solve(q.reduce_half(shift))
+        d = q._det
+        for step, mu, offset, points in _glide_steps(q):
+            doubled = mu is not None
+            glide = partial(reference.sigma_half, q) if doubled else q.sigma.apply
+            shifts = [vec_add(offset, vec_sub(x, glide(x))) for x in points]
+            modulus = 2 * d if doubled else d
+            progression = _glide_branch(q, step, mu, offset)
+            assert len(progression) <= 1
+            for n in range(1, 2 * d + 1):
+                got = sum(c for (r, m), c in progression.items() if n % m == r)
+                move = vec_scale(n, step)
+                want = sum(reference.in_gamma0(q, vec_add(move, s), modulus) for s in shifts)
+                assert got == want, (q, step, mu, offset, n)
+            steps += 1
+    assert steps > 500
 
 
-def test_an_odd_box_multiplicity_raises():
+def test_an_odd_box_multiplicity_raises(monkeypatch):
     # over the box every progression of a Klein bottle is counted twice,
-    # once per point of each glide pair.  A lone shift class of multiplicity
-    # 1 that closes along alpha, the one weight whose geodesics the glide
-    # closes, breaks that, and the census raises instead of flooring
-    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    assert all(count % 2 == 0 for _, count in _vertex_shifts(q))
-    q._census_tables["vertex shifts"] = ((q.reduce(vec_scale(-1, q.alpha)), 1),)
+    # once per point of each glide pair.  A glide branch counted once, here
+    # by an order of w = beta - L beta planted as det, breaks that along
+    # alpha, the one weight whose geodesics the glide closes, and the
+    # census raises instead of flooring
+    q = build(A2, KleinSpec((1, 0), (0, 1), 2, 2, 1))
+    w = vec_sub(q.beta, mat_vec(q.sigma.linear, q.beta))
+    assert _glide_branch(q, q.alpha) == Counter({(3, 6): 12}) and _period(q, w, q._det) == 1
+    period = weylzeta.census._period
+
+    def planted(q_, step, modulus):
+        return modulus if step == w else period(q_, step, modulus)
+
+    monkeypatch.setattr(weylzeta.census, "_period", planted)
     with pytest.raises(AssertionError, match="not a multiple of 2"):
         geodesic_count_table(q, q.type_rep, 12)
 
@@ -540,36 +536,32 @@ def test_a_torus_verify_builds_no_solver(monkeypatch):
         assert verify(q).all_hold
 
 
-def test_a_klein_verify_solves_once_per_shift_class(monkeypatch):
-    # the N = 96 C2 spin Klein rung of the ladder benchmark
-    q = build(C2, KleinSpec((1, 0), (1, 1), -4, -4, 6))
-    assert q.N == 96
-    calls = Counter()
+def test_a_klein_verify_solves_once_per_glide_step(monkeypatch):
+    # the A2 Klein bottles (1,0),(0,1),1,1,m: x - sigma(x) runs over ord(w)
+    # classes, w = beta - L beta, and the census solves each glide step
+    # once whatever ord(w): at most once per weight, per off-rational
+    # parity block of a weight and per gallery pair
+    calls, orders = [], []
+    for m in (2, 8):
+        q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, m))
+        w = vec_sub(q.beta, mat_vec(q.sigma.linear, q.beta))
+        orders.append(next(j for j in range(1, q._det + 1) if reference.in_gamma0(q, vec_scale(j, w), q._det)))
+        solves = Counter()
 
-    def counting(q_, step, modulus):
-        half = modulus == 2 * q_._det
-        calls["solvers", half] += 1
-        solve = _closings(q_, step, modulus)
+        def counting(q_, step, start, w_, modulus):
+            solves[modulus == 2 * q_._det] += 1
+            return _closings(q_, step, start, w_, modulus)
 
-        def counted(shift):
-            calls["solves", half] += 1
-            return solve(shift)
-
-        return counted
-
-    monkeypatch.setattr(weylzeta.census, "_closings", counting)
-    assert verify(q).all_hold
-    # x - sigma(x) runs over ord(w) classes, w = beta - L beta
-    w = vec_sub(q.beta, mat_vec(q.sigma.linear, q.beta))
-    classes = next(j for j in range(1, q._det + 1) if reference.in_gamma0(q, vec_scale(j, w), q._det))
-    assert calls["solvers", False] > 0 and calls["solvers", True] > 0
-    assert classes == 6
-    # one solve per class and glide-branch step: ord(w) per vertex step, and
-    # per step of the half-lattice points ord(w) for each of the two
-    # off-rational blocks; a solve per box point would be 2N per step (4N)
-    for half, per_step, per_point in ((False, classes, 2 * q.N), (True, 2 * classes, 4 * q.N)):
-        solvers = calls["solvers", half]
-        assert calls["solves", half] <= per_step * solvers < per_point * solvers
+        with monkeypatch.context() as patch:
+            patch.setattr(weylzeta.census, "_closings", counting)
+            assert verify(q).all_hold
+        reps = q.rs.rep_names
+        weights = sum(len(q.rs.weights(rep)) for rep in reps)
+        pairs = sum(len(q.rs.gallery_pairs(rep)) for rep in reps)
+        blocks = sum(len(_off_rational_blocks(lam)) for rep in reps for lam in q.rs.weights(rep))
+        assert 0 < solves[False] <= weights + pairs and 0 < solves[True] <= blocks
+        calls.append(solves)
+    assert orders == [2, 8] and calls[0] == calls[1]
 
 
 def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):

@@ -72,8 +72,9 @@ def test_the_half_lattice_api_and_the_aliases_are_gone():
 
 def test_a_quotient_lists_no_box_points():
     # a quotient is Gamma0 and its glide: the census sums over the whole
-    # residue box by arithmetic, and the box, its double and the orbit
-    # representatives live only in tests/reference.py
+    # residue box by arithmetic, one solve per glide step, and the box, its
+    # double, the orbit representatives and the box point of a class
+    # (reduce, reduce_half) live only in tests/reference.py
     names = (
         "_residues",
         "residues",
@@ -91,8 +92,14 @@ def test_a_quotient_lists_no_box_points():
         weylzeta.verify(q)
         for name in names:
             assert not hasattr(q, name), (q, name)
+        # the census keeps the walk progressions of each rep, nothing else
+        assert set(q._census_tables) == set(q.rs.rep_names)
     for name in ("_irrational_half", "_irrational_count"):
         assert not hasattr(weylzeta.census, name)
+    for name in ("_glide_shifts", "_vertex_shifts", "_irrational_shifts", "_once"):
+        assert not hasattr(weylzeta.census, name)
+    for name in ("reduce", "reduce_half"):
+        assert not hasattr(weylzeta.QuotientGroup, name)
 
 
 def test_algebra_keeps_no_prime_sieve():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 import weylzeta.algebra as algebra_mod
+import weylzeta.census as census_mod
 import weylzeta.identities as identities_mod
 import weylzeta.zeta as zeta_mod
 from weylzeta.algebra import CycleProduct
@@ -78,6 +79,28 @@ def test_torus_records_present():
     assert "torus-three-way[pi1]" in ids
     assert "walks-close-without-corners[pi2]" in ids
     assert "axis-parity" not in ids
+
+
+def test_the_torus_corner_record_reads_the_walk_zeta(monkeypatch):
+    # a wrong translation period for one weight of a freshly built torus
+    # (the census keeps its walk progressions on the quotient) changes the
+    # census's walk table but not the engine's walk zeta, so the record
+    # that compares them fails
+    q = build(A2, TorusSpec((2, -1), (-1, 2)))
+    lam = q.rs.weights("pi1")[0]
+    period = census_mod._period
+
+    def wrong(q_, step, modulus):
+        return 2 * period(q_, step, modulus) if step == lam else period(q_, step, modulus)
+
+    monkeypatch.setattr(census_mod, "_period", wrong)
+    failed = {r.identity_id: r.detail for r in verify(q).failures()}
+    assert failed["walks-close-without-corners[pi1]"] == {
+        "first_mismatch_n": 3,
+        "lhs": 6,
+        "rhs": 9,
+    }
+    assert "walks-close-without-corners[pi2]" not in failed
 
 
 def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():

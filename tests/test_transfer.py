@@ -216,10 +216,10 @@ def _check_index_map(q, x):
     assert len(where) == n and len(half_where) == 4 * n
 
     def pos(p):
-        return where[q.reduce(p)]
+        return where[reference.reduce(q, p)]
 
     def half_pos(p2):
-        return half_where[q.reduce_half(p2)]
+        return half_where[reference.reduce_half(q, p2)]
 
     u, v = q.gamma0_basis
     i = pos(x)
@@ -300,7 +300,7 @@ def test_fixed_points_match_a_count_over_the_residue_box():
         box, mirror, linear = reference.residues(q), _mirror(q), q.sigma.linear
         for u in box:
             got = _fixed_points(mirror, u)
-            want = sum(q.reduce(AffineMap(linear, u).apply(x)) == x for x in box)
+            want = sum(reference.reduce(q, AffineMap(linear, u).apply(x)) == x for x in box)
             assert got == want, (q, u)
             # the count depends on u modulo Gamma0 alone
             assert _fixed_points(mirror, vec_sub(u, q.gamma0_basis[0])) == got, (q, u)
@@ -859,7 +859,8 @@ def _affine_cases(q):
                     cases["fixed translation, m odd"] += 1
                 else:
                     half, g = f ** (m // 2), _block_map(q, b)
-                    short = any(q.reduce(half.apply(x)) == q.reduce(g.apply(x)) for x in box)
+                    reduce = reference.reduce
+                    short = any(reduce(q, half.apply(x)) == reduce(q, g.apply(x)) for x in box)
                     cases[f"fixed translation, m even, {'short' if short else 'no short'} pairs"] += 1
     return cases
 

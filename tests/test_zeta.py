@@ -353,7 +353,7 @@ def regular_representation_l_poly(q, rep):
         reps = reference.vertex_reps(q)
         idx = {v: i for i, v in enumerate(reps)}
         for v in reps:
-            perm.append(idx[q.reduce((v[0] + lam[0], v[1] + lam[1]))])
+            perm.append(idx[reference.reduce(q, (v[0] + lam[0], v[1] + lam[1]))])
         seen = [False] * len(perm)
         for s in range(len(perm)):
             if seen[s]:
