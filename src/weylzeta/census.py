@@ -56,10 +56,10 @@ point-by-point window scan for lambda_set_size.
 
 The progressions of the walk and geodesic tables of a rep, which one
 pass fills together, are kept on the quotient (_census_tables): the
-tables and walk_period of every rep read them there.  glide_line_counter
-computes a glide power once for a whole scan, and the vector of each
-beta-row once, on its first read (GlideLines); it is never kept on the
-quotient, so it always reads the current sigma.
+tables and walk_period of every rep read them there.  glide_rows forms
+a glide power once per call and returns the vector of each asked
+beta-row as a dict; nothing of it is kept on the quotient, so it always
+reads the current sigma.
 
 Nothing here touches the transfer systems: the census uses only
 membership in Gamma0 (its adjugate and determinant), the glide sigma and
@@ -104,19 +104,22 @@ def lambda_set_size(
         raise ValueError("glide power must be odd")
     if not q.rs.in_coroot_lattice(v):
         raise ValueError(f"{v} is not in the coroot lattice")
-    if q.alpha_beta_coords(v)[1] == 0:
+    _, d = q.alpha_beta_coords(v)
+    if d == 0:
         raise ValueError("v must have nonzero beta-component")
-    return glide_line_counter(q, m_odd, glide)(v)
+    return q.k_gamma if glide_rows(q, m_odd, (d,), glide).get(d) == (v[0], v[1]) else 0
 
 
-def glide_line_counter(q: QuotientGroup, m_odd: int, glide: str = "sigma") -> "GlideLines":
-    """lambda_set_size(q, m_odd, ., glide) as a function of v alone.
+def glide_rows(q: QuotientGroup, m_odd: int, ds, glide: str = "sigma") -> dict:
+    """The vector gm(x) - x by which the m_odd-th glide power gm moves the
+    beta-row x = ((b - d) / 2) beta of the fundamental domain, for each d
+    of ds with d >= 0 and b - d even: the one v = c*alpha + d*beta that
+    can count k (lambda_set_size).  A vector of any other beta-coordinate
+    moves no row of the domain.
 
-    The glide, the beta-coordinate of its translation and its m-th power
-    are computed once, here, from q as it is now, and each beta-row's
-    vector once, on its first read, so a scan over many v pays for them
-    once.  The caller checks v (and the Klein kind and the odd power) as
-    lambda_set_size does.
+    The glide and its power are formed once per call, from q as it is now,
+    so a scan reads each of its rows by a dict lookup.  The caller checks
+    the Klein kind and the odd power as lambda_set_size does.
     """
     if glide == "sigma":
         g = q.sigma
@@ -127,36 +130,13 @@ def glide_line_counter(q: QuotientGroup, m_odd: int, glide: str = "sigma") -> "G
     gm = g ** m_odd
     if mat_vec(gm.linear, q.alpha) != q.alpha:
         raise AssertionError("the glide's linear part does not fix alpha")
-    return GlideLines(q, gm, q.alpha_beta_coords(g.translation)[1])
-
-
-class GlideLines:
-    """The glide line counts of one glide power gm: a call with v gives
-    lambda_set_size, and row(d) the vector gm(x) - x by which gm moves
-    the beta-row of the fundamental domain that only v = c*alpha + d*beta
-    can match.  count(v) is k exactly when v is row(d), d its
-    beta-coordinate, so every other v of that beta-row counts 0."""
-
-    def __init__(self, q: QuotientGroup, gm, b_used: int):
-        self._q, self._gm, self._b = q, gm, b_used
-        self._rows: dict = {}
-
-    def row(self, d: int) -> Optional[Vec]:
-        """gm(x) - x for x = ((b - d) / 2) beta, or None when no row can
-        be moved by a vector of beta-coordinate d: d < 0, or b - d odd."""
-        b = self._b
-        if d < 0 or (b - d) % 2:
-            return None
-        out = self._rows.get(d)
-        if out is None:
-            x = vec_scale((b - d) // 2, self._q.beta)
-            out = self._rows[d] = vec_sub(self._gm.apply(x), x)
-        return out
-
-    def __call__(self, v: Vec) -> int:
-        q = self._q
-        _, d = q.alpha_beta_coords(v)
-        return q.k_gamma if self.row(d) == (v[0], v[1]) else 0
+    b = q.alpha_beta_coords(g.translation)[1]
+    rows = {}
+    for d in ds:
+        if d >= 0 and (b - d) % 2 == 0:
+            x = vec_scale((b - d) // 2, q.beta)
+            rows[d] = vec_sub(gm.apply(x), x)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .quotient import GroupSpec, KleinSpec, QuotientGroup, SpecValidationError, TorusSpec, build
 from .rootgeom import RootSystem
 
-MAX_CLASSES = 60
+MAX_MEMBER_N = 60  # the largest N of a member (quotient.MAX_CLASSES bounds det Gamma0)
 # Largest tori_per_system and kleins_min that the corpus command accepts:
 # generate_corpus lists every member before it verifies any, so the sizes
 # are bounded before anything is allocated.  At the bound, corpus --seed 7
@@ -59,7 +59,7 @@ def _draw_torus(rng: random.Random, rs: RootSystem):
             q = build(rs, TorusSpec(v1, v2))
         except SpecValidationError:
             continue
-        if q.N <= MAX_CLASSES:
+        if q.N <= MAX_MEMBER_N:
             return TorusSpec(v1, v2)
 
 
@@ -85,7 +85,7 @@ def _draw_klein(rng: random.Random, rs: RootSystem, type_kind, b_parity: int):
             continue
         # the draw targets the type of alpha before sign normalization;
         # normalization may flip both, which preserves the C2 cell
-        if q.N <= MAX_CLASSES and q.b % 2 == b_parity:
+        if q.N <= MAX_MEMBER_N and q.b % 2 == b_parity:
             return spec
 
 

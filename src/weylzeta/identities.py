@@ -34,7 +34,7 @@ from .algebra import CycleProduct, _expand, spread
 from .census import (
     gallery_count_table,
     geodesic_count_table,
-    glide_line_counter,
+    glide_rows,
     semi_count_table,
     walk_count_table,
 )
@@ -163,26 +163,24 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
     over the window v = c*alpha + d*beta, |c|, |d| <= GLIDE_WINDOW, d != 0,
     v in the coroot lattice, in the order m, c, d; empty when none.
 
-    A count is k exactly when v is the vector of its beta-row (row(d),
+    A count is k exactly when v is the vector of its beta-row (glide_rows,
     never for d < 0) and 0 otherwise.  The prediction is k only at the one
     c, if any, with 2 (c alpha + d beta, alpha) = k m (alpha, alpha) and
     d > 0, and 0 otherwise.  So off the rows d > 0 both are 0, and on one
     such row only three vectors can mismatch: the two glides' row
-    vectors and the predicted one.  Only those are evaluated, each row
-    vector computed once per glide power.
+    vectors and the predicted one.  Only those are evaluated, by a lookup
+    in the rows of each glide power.
     """
     rs, alpha, beta = q.rs, q.alpha, q.beta
     aa, ab = rs.pairing(alpha, alpha), rs.pairing(alpha, beta)
+    window = range(1, GLIDE_WINDOW + 1)
     for m in (1, 3):
-        count_s = glide_line_counter(q, m)
-        count_t = glide_line_counter(q, m, glide="tsigma")
+        rows_s, rows_t = glide_rows(q, m, window), glide_rows(q, m, window, "tsigma")
         target = q.k_gamma * m * aa
         candidates = set()
-        for d in range(1, GLIDE_WINDOW + 1):
-            for count in (count_s, count_t):
-                row = count.row(d)
-                if row is not None:
-                    candidates.add((q.alpha_beta_coords(row)[0], d))
+        for rows in (rows_s, rows_t):
+            candidates.update((q.alpha_beta_coords(row)[0], d) for d, row in rows.items())
+        for d in window:
             c, r = divmod(target - 2 * d * ab, 2 * aa)
             if not r:
                 candidates.add((c, d))
@@ -191,7 +189,7 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
             if abs(c) > GLIDE_WINDOW or not rs.in_coroot_lattice(v):
                 continue
             expected = q.k_gamma if 2 * rs.pairing(v, alpha) == target else 0
-            got_s, got_t = count_s(v), count_t(v)
+            got_s, got_t = (q.k_gamma if rows.get(d) == v else 0 for rows in (rows_s, rows_t))
             if got_s != expected or got_t != got_s:
                 return {
                     "m": m,
@@ -206,19 +204,25 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
 def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     """Run the full battery of exact identities for one quotient.
 
-    order is the u-order used for L-polynomial reconstructions; when
-    omitted it is derived from the degree bounds.  An explicitly passed
-    insufficient order raises OrderInsufficientError naming the bound,
-    and one above MAX_ORDER raises SpecValidationError (resolve_order).
+    order is the u-order reported in the report; when omitted it is
+    derived from the degree bounds.  An explicitly passed insufficient
+    order raises OrderInsufficientError naming the bound, and one above
+    MAX_ORDER raises SpecValidationError (resolve_order).  It sizes no
+    table: P is read off one period of the walk counts, and the census
+    tables compared here have the fixed depths *_DEPTH.
     """
     bundle = zeta_bundle(q, order)
     order, rs = bundle.order, q.rs
     walks, corr = bundle.zeta, bundle.correction
     geo, semi, gal, l_product = {}, {}, {}, {}
+    # no depth needs clamping to the order: order >= required_order(q) =
+    # 2 N (weights) + 8, and Gamma0 lies in the coroot lattice, of index 3
+    # in A2 and 2 in C2 (a C2 Klein bottle's index is a multiple of 4), so
+    # N >= 3 and order >= 26 on A2, and N >= 2 and order >= 24 on C2
     for rep in rs.rep_names:
-        geo[rep] = geodesic_count_table(q, rep, min(WALK_LOG_DEPTH, order))
-        semi[rep] = semi_count_table(q, rep, min(SEMI_LOG_DEPTH, 2 * order))
-        gal[rep] = gallery_count_table(q, rep, min(GALLERY_LOG_DEPTH, order))
+        geo[rep] = geodesic_count_table(q, rep, WALK_LOG_DEPTH)
+        semi[rep] = semi_count_table(q, rep, SEMI_LOG_DEPTH)
+        gal[rep] = gallery_count_table(q, rep, GALLERY_LOG_DEPTH)
         p = bundle.l_poly[rep]
         l_product[rep] = None if p is None else p.cycle_product()
     cover = None
@@ -292,9 +296,9 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         # every torus walk closes without a corner: the census's closed
         # walks against the walk zeta, whose closings keep the weight
         for rep in rs.rep_names:
-            depth = min(CORNER_DEPTH, len(geo[rep]))
-            counts = walk_count_table(q, rep, depth)
-            pairs = zip(range(1, depth + 1), counts, _closed_path_table(walks[rep], 2, depth))
+            counts = walk_count_table(q, rep, CORNER_DEPTH)
+            paths = _closed_path_table(walks[rep], 2, CORNER_DEPTH)
+            pairs = zip(range(1, CORNER_DEPTH + 1), counts, paths)
             record(
                 f"walks-close-without-corners[{rep}]",
                 "closed walk and geodesic walk counts agree on a torus",

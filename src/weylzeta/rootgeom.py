@@ -21,10 +21,10 @@ and kept on it, so every quotient of the process shares them: the
 gallery pairs of each representation, and per representation and
 transfer-system kind the LabelTable (the labels of the states, each
 label's successor, the parity blocks its states occupy, and, made on
-its first use, the SegmentPlan of each glide).  Nothing in them depends
-on a quotient: a table keeps one plan for every torus and one per
-linear part of the Klein bottles' glides it has met, and dies with its
-root system.
+its first use, the segment plan of each glide, a plain tuple of its
+cycles).  Nothing in them depends on a quotient: a table keeps one plan
+for every torus and one per linear part of the Klein bottles' glides it
+has met, and dies with its root system.
 """
 
 from __future__ import annotations
@@ -79,29 +79,6 @@ def block_images(m: Mat) -> tuple:
     return tuple((x & 1) + 2 * (y & 1) for x, y in images)
 
 
-class SegmentPlan:
-    """The part of a LabelTable's transfer systems that does not depend on
-    the quotient, for one glide.
-
-    cycles has one entry per cycle of the segment permutation pi, walked
-    from its first segment; on a Klein bottle the walk stays on the
-    earlier segment of each glide pair.  An entry is (b, fixed, length,
-    ops): the block of the first segment, whether the glide maps that
-    segment onto itself, the number L of steps around the cycle, and the
-    first-return map as ops, pairs (shift, block) applied in order: the
-    translation of the residue box by shift, the summed vector of a run
-    of steps, then, unless block is None, the glide's block map of block,
-    which carries a step onto the later segment of a pair back to the
-    earlier one.  A torus cycle is one translation.  A plan can be weakly
-    referenced, so that it can be seen to die with its table.
-    """
-
-    __slots__ = ("cycles", "__weakref__")
-
-    def __init__(self, cycles: tuple):
-        self.cycles = cycles
-
-
 class LabelTable:
     """The labels of one transfer-system kind of one representation.
 
@@ -113,7 +90,7 @@ class LabelTable:
     pairs that hold states, in the order the states are numbered: block
     0 (the vertex classes) for walks and galleries, and for semi the two
     blocks of half-lattice points whose line in the weight's direction
-    misses the vertex lattice.  plan(linear) is the SegmentPlan of a
+    misses the vertex lattice.  plan(linear) is the segment plan of a
     glide of linear part linear, made on its first use and kept.
     """
 
@@ -139,15 +116,28 @@ class LabelTable:
         x, y = (b & 1) + self.scale * lam[0], (b >> 1) + self.scale * lam[1]
         return (x & 1) + 2 * (y & 1), (x >> 1, y >> 1)
 
-    def plan(self, linear) -> SegmentPlan:
-        """The SegmentPlan of a torus (linear None) or of a Klein bottle
-        whose glide has linear part linear."""
+    def plan(self, linear) -> tuple:
+        """The segment plan of a torus (linear None) or of a Klein bottle
+        whose glide has linear part linear: the part of the table's
+        transfer systems that does not depend on the quotient.
+
+        It has one entry per cycle of the segment permutation pi, walked
+        from its first segment; on a Klein bottle the walk stays on the
+        earlier segment of each glide pair.  An entry is (b, fixed, length,
+        ops): the block of the first segment, whether the glide maps that
+        segment onto itself, the number L of steps around the cycle, and
+        the first-return map as ops, pairs (shift, block) applied in
+        order: the translation of the residue box by shift, the summed
+        vector of a run of steps, then, unless block is None, the glide's
+        block map of block, which carries a step onto the later segment of
+        a pair back to the earlier one.  A torus cycle is one translation.
+        """
         out = self._plans.get(linear)
         if out is None:
             out = self._plans[linear] = self._derive_plan(linear)
         return out
 
-    def _derive_plan(self, linear) -> SegmentPlan:
+    def _derive_plan(self, linear) -> tuple:
         """Each segment steps as a whole onto one segment: pi is a
         permutation of the segments, or the transition is not a bijection.
         The glide pairs segment (k, b) with (flip[k], image[b]), flip[k] the
@@ -192,7 +182,7 @@ class LabelTable:
                 ops.append((run, None))
             fixed = linear is not None and mirror[first] == first
             cycles.append((b, fixed, steps, tuple(ops)))
-        return SegmentPlan(tuple(cycles))
+        return tuple(cycles)
 
 
 class ReprData(NamedTuple):

@@ -30,12 +30,12 @@ itself holds the n / 2 glide pairs of its n points.
 
 None of this depends on q but the first-return maps.  The segment
 permutation, its cycles and the ops of each cycle's first-return map
-form the SegmentPlan of the LabelTable of the rep and kind, made on
-first use per glide (None for a torus, else the glide's linear part) and
-kept on the table, which the root system keeps.  Translations compose as
-their vectors add, so each run of steps between two glide block maps is
-one op, of the run's summed vector, and a torus cycle is one
-translation.
+form the segment plan, a tuple of cycles, of the LabelTable of the rep
+and kind (LabelTable.plan), made on first use per glide (None for a
+torus, else the glide's linear part) and kept on the table, which the
+root system keeps.  Translations compose as their vectors add, so each
+run of steps between two glide block maps is one op, of the run's summed
+vector, and a torus cycle is one translation.
 
 A first-return map is read by its affine part.  A build composes each
 cycle's ops as an AffineMap f of Z**2 / Gamma0 and counts its cycles by
@@ -53,7 +53,8 @@ both read off the triangular basis (h11, 0), (c, h22) of Gamma0:
 x -> L x + u has det(Lambda) fixed points when u lies in Lambda =
 (L - I) Z**2 + Gamma0, and none otherwise.  So no table is made, no
 point is visited, and the engine never reads the adjugate of Gamma0's
-basis, by which the census and torus_closed_form encode it.
+basis, by which the census encodes it; torus_closed_form reads the
+weights' orders through the census's _period.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
@@ -95,7 +96,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import CycleProduct, NotPolynomialWithinBound, _moebius_exponents
-from .census import walk_count_table, walk_period
+from .census import _period, walk_count_table, walk_period
 from .quotient import (
     MAX_CLASSES,
     AffineMap,
@@ -187,7 +188,7 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
             lengths[length] = lengths.get(length, 0) + cycles
 
     size = 0
-    for b, fixed, steps, ops in table.plan(linear).cycles:
+    for b, fixed, steps, ops in table.plan(linear):
         f = AffineMap.identity()
         for shift, block in ops:
             f = AffineMap(f.linear, vec_add(f.translation, shift))
@@ -324,12 +325,9 @@ def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:
     weight in the vertex-class group.  Torus quotients only."""
     if q.kind != "torus":
         raise SpecValidationError("closed form applies to torus quotients only")
-    (a11, a12), (a21, a22) = q._adj
-    d = q._det
     exponents: dict = {}
-    for x, y in q.rs.weights(rep):
-        # n * lam is in Gamma0 exactly when d divides n * adj(lam)
-        deg = d // gcd(a11 * x + a12 * y, a21 * x + a22 * y, d)
+    for lam in q.rs.weights(rep):
+        deg = _period(q, lam, q._det)  # the order of lam modulo Gamma0
         exponents[2 * deg] = exponents.get(2 * deg, 0) - q.N // deg
     return CycleProduct(exponents)
 
@@ -387,22 +385,22 @@ def required_order(q: QuotientGroup) -> int:
     """The smallest admissible u-order, 2 * bound + 8 for the largest
     degree bound of P.
 
-    The order does not size a count table of P, which is read off one
-    period M of the counts (l_poly_from_counts); it caps the census log
-    tables that verify compares and is reported in the JSON.  A witness of
-    P over 2 * bound + 8 counts agrees with the period test: every
-    quotient has M | det Gamma0 <= 2N <= bound, so M <= bound + 8, and a
-    sequence of period M and the power sums of a P of degree at most bound
-    that agree on M + bound <= 2 * bound + 8 terms agree at every n."""
+    The order sizes no count table: P is read off one period M of the
+    counts (l_poly_from_counts), and the census tables that verify
+    compares have fixed depths, none above this order; it is reported in
+    the JSON.  A witness of P over 2 * bound + 8 counts agrees with the
+    period test: every quotient has M | det Gamma0 <= 2N <= bound, so M <=
+    bound + 8, and a sequence of period M and the power sums of a P of
+    degree at most bound that agree on M + bound <= 2 * bound + 8 terms
+    agree at every n."""
     return max(2 * q.N * len(q.rs.weights(r)) + 8 for r in q.rs.rep_names)
 
 
 def resolve_order(q: QuotientGroup, order: Optional[int] = None) -> int:
     """order, or max(required_order(q), 48) when None, checked before any
     count table is allocated: SpecValidationError above MAX_ORDER,
-    OrderInsufficientError below required_order(q).  The order caps the
-    census log tables and is the JSON's order, not the length of P's
-    count table (required_order)."""
+    OrderInsufficientError below required_order(q).  The order is the
+    JSON's order and sizes no count table (required_order)."""
     if order is not None and order > MAX_ORDER:
         raise SpecValidationError(
             f"series order {order} exceeds the supported maximum {MAX_ORDER}"

@@ -87,8 +87,9 @@ routes live here, and the tests compare the package against them:
   the glide's label permutation), derived afresh on every call.  They are
   the reference of the tables each ``RootSystem`` keeps.
 * ``glide_line_scan``: the first glide line count mismatch, found by
-  calling the counter at every vector of the window.  It is the reference
-  of ``identities._glide_line_scan``, which evaluates only the vectors of
+  evaluating every vector of the window against both glides' rows over
+  the whole window d in [-W, W].  It is the reference of
+  ``identities._glide_line_scan``, which evaluates only the vectors of
   each beta-row that can mismatch.
 """
 
@@ -111,7 +112,7 @@ from weylzeta.algebra import (
     _moebius_exponents,
     spread,
 )
-from weylzeta.census import glide_line_counter
+from weylzeta.census import glide_rows
 from weylzeta.identities import GLIDE_WINDOW
 from weylzeta.quotient import AffineMap, QuotientGroup, _primitive
 from weylzeta.rootgeom import (
@@ -1268,15 +1269,16 @@ def label_layout(rs: RootSystem, rep: str, kind: str, reflection: Mat) -> tuple:
 
 def glide_line_scan(q: QuotientGroup) -> dict:
     """First mismatch between glide line counts and the predicted value,
-    by calling both glides' counters at every coroot-lattice vector
-    v = c*alpha + d*beta of the window, d != 0, in the order m, c, d."""
+    by evaluating both glides' counts at every coroot-lattice vector
+    v = c*alpha + d*beta of the window, d != 0, in the order m, c, d: k
+    when v is the row vector of its beta-coordinate, else 0."""
     rs = q.rs
     aa = rs.pairing(q.alpha, q.alpha)
+    window = range(-GLIDE_WINDOW, GLIDE_WINDOW + 1)
     for m in (1, 3):
-        count_s = glide_line_counter(q, m)
-        count_t = glide_line_counter(q, m, glide="tsigma")
-        for c in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
-            for dcoef in range(-GLIDE_WINDOW, GLIDE_WINDOW + 1):
+        rows_s, rows_t = glide_rows(q, m, window), glide_rows(q, m, window, "tsigma")
+        for c in window:
+            for dcoef in window:
                 if dcoef == 0:
                     continue
                 v = (
@@ -1289,7 +1291,7 @@ def glide_line_scan(q: QuotientGroup) -> dict:
                     dcoef > 0 and 2 * rs.pairing(v, q.alpha) == q.k_gamma * m * aa
                 )
                 expected = q.k_gamma if admissible else 0
-                got_s, got_t = count_s(v), count_t(v)
+                got_s, got_t = (q.k_gamma if rows.get(dcoef) == v else 0 for rows in (rows_s, rows_t))
                 if got_s != expected or got_t != got_s:
                     return {
                         "m": m,

@@ -420,10 +420,7 @@ def test_semi_and_gallery_tables_match_loops_on_corpus():
     # the depths verify uses on every member, every n <= order when N <= 12
     for q in CORPUS:
         order = _order(q)
-        sdepth = min(SEMI_LOG_DEPTH, 2 * order)
-        gdepth = min(GALLERY_LOG_DEPTH, order)
-        if q.N <= 12:
-            sdepth, gdepth = max(sdepth, order), order
+        sdepth, gdepth = (order, order) if q.N <= 12 else (SEMI_LOG_DEPTH, GALLERY_LOG_DEPTH)
         for rep in q.rs.rep_names:
             assert semi_count_table(q, rep, sdepth) == tuple(
                 count_semi_closings(q, rep, j) for j in range(1, sdepth + 1)
@@ -567,21 +564,22 @@ def test_a_klein_verify_solves_once_per_glide_step(monkeypatch):
 def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
     # the N = 96 C2 spin Klein rung of the ladder benchmark
     q = build(C2, KleinSpec((1, 0), (1, 1), -4, -4, 6))
-    counters, evaluated, powers, applied = Counter(), {}, Counter(), Counter()
-    make, power, apply = weylzeta.census.glide_line_counter, AffineMap.__pow__, AffineMap.apply
+    calls, looked_up, powers, applied = Counter(), Counter(), Counter(), Counter()
+    rows_of, power, apply = weylzeta.census.glide_rows, AffineMap.__pow__, AffineMap.apply
+    window = range(1, GLIDE_WINDOW + 1)
 
-    def recording(q_, m, glide="sigma"):
-        counters[m, glide] += 1
-        count = make(q_, m, glide)
+    class Rows(dict):
+        """One glide power's rows, counting the lookups of each row."""
 
-        class Recorded:
-            row = count.row
+        def get(self, d, default=None):
+            looked_up[self.m, self.glide, d] += 1
+            return dict.get(self, d, default)
 
-            def __call__(self, v):
-                evaluated.setdefault((m, q.alpha_beta_coords(v)[1]), set()).add(v)
-                return count(v)
-
-        return Recorded()
+    def recording(q_, m, ds, glide="sigma"):
+        calls[m, glide] += 1
+        rows = Rows(rows_of(q_, m, ds, glide))
+        rows.m, rows.glide = m, glide
+        return rows
 
     def counting_power(g, n):
         powers[n] += 1
@@ -591,25 +589,25 @@ def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
         applied["calls"] += 1
         return apply(g, v)
 
-    # the beta-rows d > 0 of the window that a glide power can move
-    rows = sum(
-        make(q, m, g).row(d) is not None
-        for m in (1, 3)
-        for g in ("sigma", "tsigma")
-        for d in range(1, GLIDE_WINDOW + 1)
-    )
-    monkeypatch.setattr(weylzeta.identities, "glide_line_counter", recording)
+    # the beta-rows d > 0 of the window that a glide power can move: those
+    # with b - d even, b the beta-coordinate of the glide's translation
+    glides = (q.sigma, q.t.compose(q.sigma))
+    bs = [q.alpha_beta_coords(g.translation)[1] for g in glides]
+    rows = 2 * sum((b - d) % 2 == 0 for b in bs for d in window)
+    monkeypatch.setattr(weylzeta.identities, "glide_rows", recording)
     monkeypatch.setattr(AffineMap, "__pow__", counting_power)
     monkeypatch.setattr(AffineMap, "apply", counting_apply)
     assert _glide_line_scan(q) == {}
-    # one glide power per (power, glide) and one row vector per (power,
-    # glide, row); at most three vectors evaluated per (power, d > 0),
-    # where the full-window scan evaluated every vector of the window
-    assert counters == {(m, g): 1 for m in (1, 3) for g in ("sigma", "tsigma")}
+    # one glide_rows call and one glide power per (power, glide), one
+    # apply per row; each evaluated vector looks up the row of its d in
+    # both glides' rows, at most three vectors per (power, d > 0), where
+    # the full-window scan evaluated every vector of the window
+    assert calls == {(m, g): 1 for m in (1, 3) for g in ("sigma", "tsigma")}
     assert powers == {1: 2, 3: 2}
     assert 0 < applied["calls"] == rows <= 4 * GLIDE_WINDOW
-    assert evaluated and all(d > 0 and len(vs) <= 3 for (_, d), vs in evaluated.items())
-    assert sum(map(len, evaluated.values())) <= 3 * 2 * GLIDE_WINDOW == 24
+    assert looked_up and all(d > 0 and n <= 3 for (_, _, d), n in looked_up.items())
+    assert all(looked_up[m, "tsigma", d] == n for (m, g, d), n in looked_up.items())
+    assert sum(looked_up.values()) <= 2 * 3 * 2 * GLIDE_WINDOW == 48
 
 
 def test_a_klein_verify_leaves_its_cover_box_unbuilt(monkeypatch):

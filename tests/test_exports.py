@@ -223,7 +223,7 @@ def test_zeta_bundle_is_the_one_producer_of_zeta_data():
 def test_the_klein_generator_api_is_gone():
     # the package builds (t, sigma) in normal form from the spec, and
     # normalize_generators is pinned with the references above; the glide
-    # powers are formed by census.glide_line_counter
+    # powers are formed by census.glide_rows
     for module in (weylzeta, weylzeta.quotient):
         assert not hasattr(module, "glide_conjugacy_representative")
     assert not hasattr(weylzeta.AffineMap, "is_translation")
@@ -250,6 +250,20 @@ def test_count_tables_are_plain_tuples():
     rs = weylzeta.RootSystem.make("C2")
     q = weylzeta.build(rs, weylzeta.TorusSpec((1, 1), (1, -1)))
     assert type(weylzeta.census.walk_count_table(q, "st", 4)) is tuple
+
+
+def test_glide_rows_and_segment_plans_are_plain_values():
+    # the scan reads its glide rows from one dict per glide power, and the
+    # engine iterates a plan's cycles; no wrapper class is left around either
+    for name in ("glide_line_counter", "GlideLines"):
+        assert not hasattr(weylzeta.census, name)
+    assert not hasattr(weylzeta.rootgeom, "SegmentPlan")
+    for rs in (weylzeta.RootSystem.make("A2"), weylzeta.RootSystem.make("C2")):
+        reflections = [m for m in rs.weyl if weylzeta.rootgeom.mat_det(m) == -1]
+        for rep in rs.rep_names:
+            for kind in ("walks", "semi", "galleries"):
+                table = rs.label_table(rep, kind)
+                assert all(type(table.plan(m)) is tuple for m in [None] + reflections)
 
 
 def test_the_cli_imports_no_rationals():

@@ -15,6 +15,10 @@ from weylzeta.algebra import CycleProduct
 from weylzeta.census import walk_count_table, walk_period
 from weylzeta.corpus import generate_corpus
 from weylzeta.identities import (
+    CORNER_DEPTH,
+    GALLERY_LOG_DEPTH,
+    SEMI_LOG_DEPTH,
+    WALK_LOG_DEPTH,
     VerificationReport,
     _count_compare,
     _poly_compare,
@@ -199,6 +203,29 @@ def test_explicit_order_too_small_raises():
     assert exc.value.required == required_order(q) == 24
     # automatic order selection never fails
     assert verify(q).order >= 24
+
+
+def test_no_verify_depth_exceeds_the_required_order():
+    # verify reads its census tables at fixed depths, clamped by nothing:
+    # Gamma0 lies in the coroot lattice, so N >= 3 on A2 and N >= 2 on C2,
+    # and required_order(q) = 2 N (weights) + 8 >= 26 and 24 respectively.
+    # Corpus seeds 0..11, the samples and every benchmark ladder spec.
+    from test_zeta_report import _rungs
+
+    rungs = _rungs()
+    specs = [(m.root_system, m.spec) for seed in range(12) for m in generate_corpus(seed)]
+    specs += [(rs, TorusSpec(v1, v2)) for rs, v1, v2 in rungs["TORUS_RUNGS"]]
+    specs += [(rs, KleinSpec(*s)) for _, rs, _, _, kleins in rungs["KLEIN_RUNGS"] for s in kleins]
+    root = Path(__file__).resolve().parent.parent / "samples"
+    for path in sorted(root.glob("*.spec")):
+        parsed = load_spec_file(str(path))
+        specs.append((parsed.root_system, parsed.spec))
+    lowest = {"A2": [], "C2": []}
+    for rs, spec in specs:
+        lowest[rs].append(required_order(build(RootSystem.make(rs), spec)))
+    assert {rs: min(orders) for rs, orders in lowest.items()} == {"A2": 26, "C2": 24}
+    depths = (WALK_LOG_DEPTH, SEMI_LOG_DEPTH, GALLERY_LOG_DEPTH, CORNER_DEPTH)
+    assert min(map(min, lowest.values())) >= max(depths)
 
 
 def test_report_json_shape():

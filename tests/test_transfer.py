@@ -508,15 +508,31 @@ def test_a_label_table_keeps_at_most_one_plan_per_glide_reflection():
 
 
 def test_a_plan_dies_with_its_table():
-    rs = RootSystem("C2")
-    q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
-    for flat, _ in BUILDERS:
-        flat(q, "spin")
-    plans = [weakref.ref(plan) for table in rs._labels.values() for plan in table._plans.values()]
-    assert len(plans) == 3
+    # a plan is a tuple, which cannot be weakly referenced: its table's
+    # plan dict is its only referrer, the table's is its root system's
+    # table dict, and the root system dies.  The collector stays off until
+    # then, since a full collection may untrack a dict of untracked values.
+    gc.disable()
+    try:
+        rs = RootSystem("C2")
+        q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
+        for flat, _ in BUILDERS:
+            flat(q, "spin")
+        tables = list(rs._labels.values())
+        assert sum(len(table._plans) for table in tables) == 3
+        for table in tables:
+            for plan in table._plans.values():
+                assert gc.get_referrers(plan) == [table._plans]
+        del tables, table
+        for table in rs._labels.values():
+            assert gc.get_referrers(table) == [rs._labels]
+        del table
+    finally:
+        gc.enable()
+    root = weakref.ref(rs)
     del rs, q
     gc.collect()
-    assert [ref() for ref in plans] == [None] * 3
+    assert root() is None
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +615,10 @@ def a_glide_fixed_segment_returning_through_the_glide():
     # through the glide's map of block 0, which the glide maps onto itself
     class Glided(LabelTable):
         def _derive_plan(self, linear):
-            plan = LabelTable._derive_plan(self, linear)
-            plan.cycles = tuple(
+            return tuple(
                 (b, fixed, steps, ops + (((0, 0), b),) if fixed else ops)
-                for b, fixed, steps, ops in plan.cycles
+                for b, fixed, steps, ops in LabelTable._derive_plan(self, linear)
             )
-            return plan
 
     _transfer_system(klein(), "pi1", Glided(PI1, "walks"))
 
@@ -719,7 +733,7 @@ def test_each_build_takes_one_order_per_plan_cycle(monkeypatch):
                 tally.clear()
                 system = flat(q, rep)
                 where = (q.spec, rep, system.kind)
-                cycles = q.rs.label_table(rep, system.kind).plan(linear).cycles
+                cycles = q.rs.label_table(rep, system.kind).plan(linear)
                 # a second build of the same table and glide derives no plan
                 assert tally["plans"] == 0, where
                 assert tally["orders"] == len(cycles), where
@@ -754,9 +768,10 @@ def _names_in(name):
 
 
 def test_the_engine_reads_gamma0_only_through_its_triangular_basis():
-    # the census and torus_closed_form read Gamma0 by its adjugate and
-    # determinant, so the closed-form leg of torus-three-way and the census
-    # stay a second encoding of Gamma0; the engine reads no box either
+    # the census reads Gamma0 by its adjugate and determinant, and
+    # torus_closed_form through the census's _period, never naming _adj, so
+    # the closed-form leg of torus-three-way and the census stay a second
+    # encoding of Gamma0; the engine reads no box either
     forbidden = {
         "_adj", "_det", "_glide", "_lower",
         "residues", "half_residues", "vertex_reps", "half_orbit_reps",
@@ -764,7 +779,8 @@ def test_the_engine_reads_gamma0_only_through_its_triangular_basis():
     for name in ENGINE:
         assert not _names_in(name) & forbidden, name
     assert "_triangle" in _names_in("_transfer_system")
-    assert {"_adj", "_det"} <= _names_in("torus_closed_form")
+    assert {"_period", "_det"} <= _names_in("torus_closed_form")
+    assert "_adj" not in _names_in("torus_closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +858,7 @@ def _affine_cases(q):
     box, cases = reference.residues(q), Counter()
     for rep in q.rs.rep_names:
         for kind in ("walks", "semi", "galleries"):
-            for b, fixed, _, ops in q.rs.label_table(rep, kind).plan(linear).cycles:
+            for b, fixed, _, ops in q.rs.label_table(rep, kind).plan(linear):
                 f = AffineMap.identity()
                 for shift, block in ops:
                     f = AffineMap.from_translation(shift).compose(f)
