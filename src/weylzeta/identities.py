@@ -20,9 +20,9 @@ one merged factor dict.  Count-versus-log identities compare closed-form
 census values against the zeta logarithm's exact coefficients, one
 table per system built from its cycle lengths.
 
-The verification order is derived from the degree bounds of the
-L-polynomial reconstructions and failures to meet it are reported
-loudly, never silently truncated.
+The order is the u-order the JSON reports, max(required_order(q), 48)
+when omitted; an explicit one is checked against required_order and
+MAX_ORDER (resolve_order).  It sizes no table.
 """
 
 from __future__ import annotations
@@ -141,6 +141,14 @@ def _count_compare(pairs) -> dict:
     return {}
 
 
+def _log_compare(z: CycleProduct, step_in_w: int, table) -> dict:
+    """First n at which a census table of closed paths of n = 1..len(table)
+    steps differs from the system with zeta z (_closed_path_table); empty
+    when none."""
+    n = len(table)
+    return _count_compare(zip(range(1, n + 1), table, _closed_path_table(z, step_in_w, n)))
+
+
 def _cycles(z: CycleProduct, step_in_w: int) -> list:
     """The (ell, c_ell) pairs of a transfer system's zeta
     z = prod (1 - w**(step_in_w * ell))**-c_ell, by increasing ell."""
@@ -210,179 +218,147 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     MAX_ORDER raises SpecValidationError (resolve_order).  It sizes no
     table: P is read off one period of the walk counts, and the census
     tables compared here have the fixed depths *_DEPTH.
+
+    Every record is built by one constructor and holds exactly when its
+    detail is empty.  A per-rep identity is one check per rep, run by
+    one driver, which records the reason "l-reconstruction failed" in
+    place of every check that needs P when the rep has none.
     """
-    bundle = zeta_bundle(q, order)
-    order, rs = bundle.order, q.rs
-    walks, corr = bundle.zeta, bundle.correction
-    geo, semi, gal, l_product = {}, {}, {}, {}
+    rs = q.rs
+    order, walks, zeta_semi, zeta2, l_poly, l_failure, corr = zeta_bundle(q, order)
     # no depth needs clamping to the order: order >= required_order(q) =
     # 2 N (weights) + 8, and Gamma0 lies in the coroot lattice, of index 3
     # in A2 and 2 in C2 (a C2 Klein bottle's index is a multiple of 4), so
     # N >= 3 and order >= 26 on A2, and N >= 2 and order >= 24 on C2
-    for rep in rs.rep_names:
-        geo[rep] = geodesic_count_table(q, rep, WALK_LOG_DEPTH)
-        semi[rep] = semi_count_table(q, rep, SEMI_LOG_DEPTH)
-        gal[rep] = gallery_count_table(q, rep, GALLERY_LOG_DEPTH)
-        p = bundle.l_poly[rep]
-        l_product[rep] = None if p is None else p.cycle_product()
-    cover = None
-    if q.kind == "klein":
-        cover = build(rs, TorusSpec(*q.gamma0_basis))
     records: list = []
-    add = records.append
 
     def record(identity_id: str, statement: str, detail: dict) -> None:
-        add(VerifyRecord(identity_id, statement, not detail, detail))
+        records.append(VerifyRecord(identity_id, statement, not detail, detail))
 
-    def l_missing(rep: str, identity_id: str, statement: str) -> bool:
-        """Record a failure and return True when P is not available."""
-        if l_product[rep] is None:
-            add(VerifyRecord(identity_id, statement, False, {"reason": "l-reconstruction failed"}))
-        return l_product[rep] is None
+    def each(identity_id: str, statement: str, check, needs_l: bool = False) -> None:
+        """Record identity_id[rep] for every rep with check(rep)'s detail;
+        no record where it returns None."""
+        for rep in rs.rep_names:
+            if needs_l and l_poly[rep] is None:
+                detail = {"reason": "l-reconstruction failed"}
+            else:
+                detail = check(rep)
+            if detail is not None:
+                record(f"{identity_id}[{rep}]", statement, detail)
+
+    def l_product(rep: str) -> CycleProduct:
+        return l_poly[rep].cycle_product()
 
     # the three zeta logs versus the census counts
-    for key, statement, zetas, step_in_w, tables in (
-        (
-            "walk-log-counts",
-            "log of the walk zeta matches corner-free closed walk counts",
-            walks,
-            2,
-            geo,
-        ),
-        (
-            "half-step-log-counts",
-            "log of the half-step zeta matches semi-rational closing counts",
-            bundle.zeta_semi,
-            1,
-            semi,
-        ),
-        (
-            "gallery-log-counts",
-            "log of the gallery zeta matches closed gallery counts",
-            bundle.zeta2,
-            2,
-            gal,
-        ),
-    ):
-        for rep in rs.rep_names:
-            table = tables[rep]
-            paths = _closed_path_table(zetas[rep], step_in_w, len(table))
-            pairs = zip(range(1, len(table) + 1), table, paths)
-            record(f"{key}[{rep}]", statement, _count_compare(pairs))
+    each(
+        "walk-log-counts",
+        "log of the walk zeta matches corner-free closed walk counts",
+        lambda rep: _log_compare(walks[rep], 2, geodesic_count_table(q, rep, WALK_LOG_DEPTH)),
+    )
+    each(
+        "half-step-log-counts",
+        "log of the half-step zeta matches semi-rational closing counts",
+        lambda rep: _log_compare(zeta_semi[rep], 1, semi_count_table(q, rep, SEMI_LOG_DEPTH)),
+    )
+    each(
+        "gallery-log-counts",
+        "log of the gallery zeta matches closed gallery counts",
+        lambda rep: _log_compare(zeta2[rep], 2, gallery_count_table(q, rep, GALLERY_LOG_DEPTH)),
+    )
 
-    # L-polynomial reconstruction from the closed-walk trace series
-    for rep in rs.rep_names:
-        add(
-            VerifyRecord(
-                f"l-reconstruction[{rep}]",
-                "exp of the closed-walk count series has a bounded-degree "
-                "integer reciprocal polynomial",
-                bundle.l_poly[rep] is not None,
-                dict(bundle.l_failure[rep]),
-            )
-        )
+    # L-polynomial reconstruction from the closed-walk trace series:
+    # l_failure[rep] is empty exactly when P was found
+    each(
+        "l-reconstruction",
+        "exp of the closed-walk count series has a bounded-degree integer reciprocal polynomial",
+        lambda rep: dict(l_failure[rep]),
+    )
 
     if q.kind == "torus":
         # three-way equality: walk zeta = trivial-weight-cleared L = closed form
-        for rep in rs.rep_names:
-            identity_id = f"torus-three-way[{rep}]"
-            statement = "walk zeta equals reciprocal L-polynomial and closed form"
-            if not l_missing(rep, identity_id, statement):
-                detail = _ratfunc_compare(walks[rep], l_product[rep].inverse())
-                if not detail:
-                    detail = _ratfunc_compare(walks[rep], torus_closed_form(q, rep))
-                record(identity_id, statement, detail)
-
+        each(
+            "torus-three-way",
+            "walk zeta equals reciprocal L-polynomial and closed form",
+            lambda rep: _ratfunc_compare(walks[rep], l_product(rep).inverse())
+            or _ratfunc_compare(walks[rep], torus_closed_form(q, rep)),
+            needs_l=True,
+        )
         # every torus walk closes without a corner: the census's closed
         # walks against the walk zeta, whose closings keep the weight
-        for rep in rs.rep_names:
-            counts = walk_count_table(q, rep, CORNER_DEPTH)
-            paths = _closed_path_table(walks[rep], 2, CORNER_DEPTH)
-            pairs = zip(range(1, CORNER_DEPTH + 1), counts, paths)
-            record(
-                f"walks-close-without-corners[{rep}]",
-                "closed walk and geodesic walk counts agree on a torus",
-                _count_compare(pairs),
-            )
+        each(
+            "walks-close-without-corners",
+            "closed walk and geodesic walk counts agree on a torus",
+            lambda rep: _log_compare(walks[rep], 2, walk_count_table(q, rep, CORNER_DEPTH)),
+        )
     else:
         # L versus walk zeta with the glide-axis correction factor
-        for rep in rs.rep_names:
-            identity_id = f"l-zeta-axis-correction[{rep}]"
-            statement = "reciprocal L-polynomial equals walk zeta times axis factor"
-            if not l_missing(rep, identity_id, statement):
-                detail = _ratfunc_compare(l_product[rep].inverse(), walks[rep] * corr[rep])
-                record(identity_id, statement, detail)
-
-        # squared comparison against the independently built double cover
-        for rep in rs.rep_names:
-            z0 = build_walk_system(cover, rep).zeta()
-            factor = axis_factor(q.k_gamma, q.m_axes * (2 - q.delta(rep)))
-            record(
-                f"double-cover-square[{rep}]",
-                "squared walk zeta equals the double cover zeta times the "
-                "rational-axis factor",
-                _ratfunc_compare(walks[rep] ** 2, z0 * factor),
-            )
-
-    # half-step zeta against walk zeta
-    for rep in rs.rep_names:
-        if q.kind == "torus":
-            rhs = walks[rep]
-        else:
-            e = (2 - q.delta(rep)) * (1 - q.m_axes)
-            rhs = walks[rep] * axis_factor(q.k_gamma, e)
-        record(
-            f"half-step-vs-walk[{rep}]",
-            "half-step zeta equals walk zeta up to the semi-rational axis factor",
-            _ratfunc_compare(bundle.zeta_semi[rep], rhs),
+        each(
+            "l-zeta-axis-correction",
+            "reciprocal L-polynomial equals walk zeta times axis factor",
+            lambda rep: _ratfunc_compare(l_product(rep).inverse(), walks[rep] * corr[rep]),
+            needs_l=True,
         )
+        # squared comparison against the independently built double cover
+        cover = build(rs, TorusSpec(*q.gamma0_basis))
+        each(
+            "double-cover-square",
+            "squared walk zeta equals the double cover zeta times the rational-axis factor",
+            lambda rep: _ratfunc_compare(
+                walks[rep] ** 2,
+                build_walk_system(cover, rep).zeta()
+                * axis_factor(q.k_gamma, q.m_axes * (2 - q.delta(rep))),
+            ),
+        )
+
+    # half-step zeta against walk zeta, times the semi-rational axis
+    # factor on a Klein bottle
+    each(
+        "half-step-vs-walk",
+        "half-step zeta equals walk zeta up to the semi-rational axis factor",
+        lambda rep: _ratfunc_compare(
+            zeta_semi[rep],
+            walks[rep]
+            if q.kind == "torus"
+            else walks[rep] * axis_factor(q.k_gamma, (2 - q.delta(rep)) * (1 - q.m_axes)),
+        ),
+    )
 
     # the partner's zetas after the length reparametrization (u -> u**2
-    # when the partner's n-value is 1), to the power n; the gallery zeta at -u
-    partner_walks, partner_semi, gallery_neg = {}, {}, {}
-    for rep in rs.rep_names:
-        partner = rs.complement(rep)
-        n_p = rs.rep(partner).n_value
-        m = 2 if n_p == 1 else 1
-        partner_walks[rep] = walks[partner].substitute(m) ** n_p
-        partner_semi[rep] = bundle.zeta_semi[partner].substitute(m) ** n_p
-        gallery_neg[rep] = bundle.zeta2[rep].negate_u()
+    # when the partner's n-value is 1), to the power n; the gallery zeta
+    # at -u.  Two records read each of these.
+    def partner_zeta(zetas: dict, rep: str) -> CycleProduct:
+        n_p = rs.rep(rs.complement(rep)).n_value
+        return zetas[rs.complement(rep)].substitute(2 if n_p == 1 else 1) ** n_p
 
-    # gallery zeta against the partner's half-step zeta
-    for rep in rs.rep_names:
-        record(
-            f"gallery-vs-half-step[{rep}]",
-            "gallery zeta equals the partner half-step zeta after the "
-            "length reparametrization",
-            _ratfunc_compare(bundle.zeta2[rep], partner_semi[rep]),
-        )
+    partner_walks = {rep: partner_zeta(walks, rep) for rep in rs.rep_names}
+    gallery_neg = {rep: zeta2[rep].negate_u() for rep in rs.rep_names}
 
+    each(
+        "gallery-vs-half-step",
+        "gallery zeta equals the partner half-step zeta after the length reparametrization",
+        lambda rep: _ratfunc_compare(zeta2[rep], partner_zeta(zeta_semi, rep)),
+    )
     # the main identity: L from the two walk zetas and the gallery zeta at -u
-    for rep in rs.rep_names:
-        identity_id = f"main-identity[{rep}]"
-        statement = (
-            "trivial-weight-cleared L equals walk zetas over gallery zeta at -u"
-        )
-        if not l_missing(rep, identity_id, statement):
-            lhs = (walks[rep] * partner_walks[rep]).inverse()
-            rhs = l_product[rep] / gallery_neg[rep]
-            record(identity_id, statement, _product_poly_compare(lhs, rhs))
-
+    each(
+        "main-identity",
+        "trivial-weight-cleared L equals walk zetas over gallery zeta at -u",
+        lambda rep: _product_poly_compare(
+            (walks[rep] * partner_walks[rep]).inverse(), l_product(rep) / gallery_neg[rep]
+        ),
+        needs_l=True,
+    )
     # quotient of partner walk zeta by gallery zeta at -u is the axis factor
-    for rep in rs.rep_names:
-        record(
-            f"gallery-walk-quotient[{rep}]",
-            "partner walk zeta over gallery zeta at -u equals the axis "
-            "correction factor",
-            _product_poly_compare(partner_walks[rep] / gallery_neg[rep], corr[rep]),
-        )
+    each(
+        "gallery-walk-quotient",
+        "partner walk zeta over gallery zeta at -u equals the axis correction factor",
+        lambda rep: _product_poly_compare(partner_walks[rep] / gallery_neg[rep], corr[rep]),
+    )
 
     if q.kind == "klein":
         # parity of the axis offset versus the glide step ratio
-        ratio = q.k_gamma // q.n_gamma
         ok = (
             q.k_gamma % q.n_gamma == 0
-            and ratio % 2 == q.b % 2
+            and (q.k_gamma // q.n_gamma) % 2 == q.b % 2
             and q.m_axes == (2 if q.b % 2 == 0 else 0)
             and not (rs.kind == "C2" and q.n_gamma == 1 and q.b % 2 == 1)
         )
@@ -391,7 +367,6 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             "axis offset parity matches the glide step ratio parity",
             {} if ok else {"b": q.b, "k": q.k_gamma, "n": q.n_gamma, "m_axes": q.m_axes},
         )
-
         # glide line counts over a window match the predicted cardinality
         record(
             "glide-line-count",
@@ -401,27 +376,21 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         )
 
     # parity of cycle lengths where the type structure forces evenness
-    for rep in rs.rep_names:
+    def odd_cycle(rep: str) -> Optional[dict]:
         checks = []
         if rs.kind == "C2" and rep == "spin":
             checks.append(("spin walks", walks[rep]))
         # gallery labels only return after an even number of steps, except
         # on A2 Klein bottles where the glide swaps the off-axis directions
         if q.kind == "torus" or (rs.kind == "C2" and rep == q.type_rep):
-            checks.append(("galleries", bundle.zeta2[rep]))
-        if not checks:
-            continue
-        detail = {}
+            checks.append(("galleries", zeta2[rep]))
         for label, z in checks:
             # both systems step by u = w**2
             bad = [ell for ell, _ in _cycles(z, 2) if ell % 2 != 0]
             if bad:
-                detail = {"which": label, "odd_cycle_length": bad[0]}
-                break
-        record(
-            f"parity-evenness[{rep}]",
-            "cycle lengths are even where type alternation forces it",
-            detail,
-        )
+                return {"which": label, "odd_cycle_length": bad[0]}
+        return {} if checks else None
+
+    each("parity-evenness", "cycle lengths are even where type alternation forces it", odd_cycle)
 
     return VerificationReport(rs.kind, q.kind, order, tuple(records))

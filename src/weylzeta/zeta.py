@@ -109,7 +109,9 @@ from .rootgeom import IDENTITY, LabelTable, Vec, mat_det, mat_mul, mat_vec, vec_
 
 
 class OrderInsufficientError(ValueError):
-    """A series order is too small for a requested reconstruction."""
+    """An explicit series order below required_order(q), raised by
+    resolve_order.  The order sizes no table: it is checked against
+    required_order and MAX_ORDER and reported in the JSON."""
 
     def __init__(self, got, required: int):
         super().__init__(

@@ -86,9 +86,14 @@ routes live here, and the tests compare the package against them:
   layout of a transfer system (successor labels, kept parity blocks and
   the glide's label permutation), derived afresh on every call.  They are
   the reference of the tables each ``RootSystem`` keeps.
+* ``glide_moves``: the points of a glide's fundamental domain, moved one
+  by one by the glide applied m times and tallied by how far they moved.
+  It is the reference of ``census.lambda_set_size`` and of the rows of
+  ``census.glide_rows``, which solve for the one beta-row a vector can
+  move.
 * ``glide_line_scan``: the first glide line count mismatch, found by
-  evaluating every vector of the window against both glides' rows over
-  the whole window d in [-W, W].  It is the reference of
+  evaluating every vector of the window against both glides' point
+  tallies over the whole window d in [-W, W].  It is the reference of
   ``identities._glide_line_scan``, which evaluates only the vectors of
   each beta-row that can mismatch.
 """
@@ -112,7 +117,6 @@ from weylzeta.algebra import (
     _moebius_exponents,
     spread,
 )
-from weylzeta.census import glide_rows
 from weylzeta.identities import GLIDE_WINDOW
 from weylzeta.quotient import AffineMap, QuotientGroup, _primitive
 from weylzeta.rootgeom import (
@@ -1267,16 +1271,39 @@ def label_layout(rs: RootSystem, rep: str, kind: str, reflection: Mat) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def glide_moves(q: QuotientGroup, m_odd: int, glide: str) -> Counter:
+    """How many points of the glide's fundamental domain its m_odd-th power
+    moves by each vector, in one pass over the domain points
+    x = p*alpha + qq*beta: 0 <= p < k and 2*qq < b, plus 2*p < k on the
+    boundary row 2*qq = b (b the beta-coordinate of the glide's
+    translation), with qq >= -(|b| + W + 4).  The glide is applied m_odd
+    times to each point.  Every vector of beta-coordinate at most
+    W = GLIDE_WINDOW in absolute value is counted in full."""
+    g = q.sigma if glide == "sigma" else q.t.compose(q.sigma)
+    _, b = q.alpha_beta_coords(g.translation)
+    k = q.k_gamma
+    moves = Counter()
+    for qq in range(-(abs(b) + GLIDE_WINDOW + 4), b // 2 + 1):
+        for p in range(k if 2 * qq < b else (k + 1) // 2):
+            x = vec_add(vec_scale(p, q.alpha), vec_scale(qq, q.beta))
+            y = x
+            for _ in range(m_odd):
+                y = g.apply(y)
+            moves[vec_sub(y, x)] += 1
+    return moves
+
+
 def glide_line_scan(q: QuotientGroup) -> dict:
     """First mismatch between glide line counts and the predicted value,
-    by evaluating both glides' counts at every coroot-lattice vector
-    v = c*alpha + d*beta of the window, d != 0, in the order m, c, d: k
-    when v is the row vector of its beta-coordinate, else 0."""
+    by evaluating both glides' counts (glide_moves) at every coroot-lattice
+    vector v = c*alpha + d*beta of the window, d != 0, in the order m, c,
+    d: the prediction is k when d > 0 and 2 (v, alpha) = k m (alpha,
+    alpha), else 0."""
     rs = q.rs
     aa = rs.pairing(q.alpha, q.alpha)
     window = range(-GLIDE_WINDOW, GLIDE_WINDOW + 1)
     for m in (1, 3):
-        rows_s, rows_t = glide_rows(q, m, window), glide_rows(q, m, window, "tsigma")
+        moves_s, moves_t = glide_moves(q, m, "sigma"), glide_moves(q, m, "tsigma")
         for c in window:
             for dcoef in window:
                 if dcoef == 0:
@@ -1291,7 +1318,7 @@ def glide_line_scan(q: QuotientGroup) -> dict:
                     dcoef > 0 and 2 * rs.pairing(v, q.alpha) == q.k_gamma * m * aa
                 )
                 expected = q.k_gamma if admissible else 0
-                got_s, got_t = (q.k_gamma if rows.get(dcoef) == v else 0 for rows in (rows_s, rows_t))
+                got_s, got_t = moves_s[v], moves_t[v]
                 if got_s != expected or got_t != got_s:
                     return {
                         "m": m,

@@ -27,6 +27,7 @@ from weylzeta.census import (
     _tally,
     gallery_count_table,
     geodesic_count_table,
+    glide_rows,
     lambda_set_size,
     semi_count_table,
     walk_count_table,
@@ -233,26 +234,6 @@ def test_lambda_set_size_window_scan_matches_prediction():
                     assert lambda_set_size(q, m, v, glide="tsigma") == expected
 
 
-def window_scan_lambda_set_size(q, m_odd, v, glide):
-    """Reference: every point of the k x (2W + 1) window, moved by the glide
-    power and tested against x + v one at a time."""
-    g = q.sigma if glide == "sigma" else q.t.compose(q.sigma)
-    _, b_used = q.alpha_beta_coords(g.translation)
-    _, d = q.alpha_beta_coords(v)
-    gm = g ** m_odd
-    k = q.k_gamma
-    window = abs(b_used) + abs(d) + 4
-    count = 0
-    for p in range(k):
-        for qq in range(-window, window + 1):
-            x = vec_add(vec_scale(p, q.alpha), vec_scale(qq, q.beta))
-            if gm.apply(x) != vec_add(x, v):
-                continue
-            if 2 * qq < b_used or (2 * qq == b_used and 2 * p < k):
-                count += 1
-    return count
-
-
 def test_lambda_set_size_matches_window_scan_on_corpus():
     members = generate_corpus(7, 20, 12)
     kleins = [m.build() for m in members if isinstance(m.spec, KleinSpec)]
@@ -261,13 +242,15 @@ def test_lambda_set_size_matches_window_scan_on_corpus():
     for q in kleins:
         aa = q.rs.pairing(q.alpha, q.alpha)
         seen = set()
-        for m, glide, c, d in product((1, 3), ("sigma", "tsigma"), box, box):
-            v = vec_add(vec_scale(c, q.alpha), vec_scale(d, q.beta))
-            if d == 0 or not q.rs.in_coroot_lattice(v):
-                continue
-            got = lambda_set_size(q, m, v, glide)
-            assert got == window_scan_lambda_set_size(q, m, v, glide), (q, m, v, glide)
-            seen.add((d > 0, 2 * q.rs.pairing(v, q.alpha) == q.k_gamma * m * aa))
+        for m, glide in product((1, 3), ("sigma", "tsigma")):
+            # one pass over the domain points per glide power
+            moves = reference.glide_moves(q, m, glide)
+            for c, d in product(box, box):
+                v = vec_add(vec_scale(c, q.alpha), vec_scale(d, q.beta))
+                if d == 0 or not q.rs.in_coroot_lattice(v):
+                    continue
+                assert lambda_set_size(q, m, v, glide) == moves[v], (q, m, v, glide)
+                seen.add((d > 0, 2 * q.rs.pairing(v, q.alpha) == q.k_gamma * m * aa))
         # admissible v (d > 0, right pairing) and inadmissible ones: the
         # wrong pairing, and d < 0
         assert {(True, True), (True, False), (False, False)} <= seen
@@ -297,6 +280,7 @@ def test_glide_line_scan_matches_the_window_reference(monkeypatch):
     # 19 glides whose translation is moved by i alpha + j beta, and 8
     # translations t so moved, which change t sigma alone
     reports = Counter()
+    window = range(1, GLIDE_WINDOW + 1)
     for q in _corpus_and_samples():
         if q.kind != "klein":
             continue
@@ -312,6 +296,17 @@ def test_glide_line_scan_matches_the_window_reference(monkeypatch):
                 patch.setattr(q, name, g)
                 got = _glide_line_scan(q)
                 assert got == reference.glide_line_scan(q), (q, name, g)
+                # each row d > 0 of the window against the domain points
+                # that the glide power moves, one by one
+                for m, glide in product((1, 3), ("sigma", "tsigma")):
+                    moves = reference.glide_moves(q, m, glide)
+                    rows = {
+                        q.alpha_beta_coords(v)[1]: v
+                        for v in moves
+                        if q.alpha_beta_coords(v)[1] in window
+                    }
+                    assert glide_rows(q, m, window, glide) == rows, (q, name, g, m, glide)
+                    assert all(moves[v] == q.k_gamma for v in rows.values())
             if not got:
                 reports["none"] += 1
             elif got["sigma_count"] == got["tsigma_count"]:

@@ -220,6 +220,23 @@ def test_zeta_bundle_is_the_one_producer_of_zeta_data():
     assert {name: calls[name] for name in producers} == producers
 
 
+def test_verify_builds_every_record_in_one_place():
+    # a record holds exactly when its detail is empty, and every per-rep
+    # record goes through one driver, which gives a record that needs P
+    # the missing-P reason: no second constructor can bypass either
+    tree = ast.parse(Path(weylzeta.identities.__file__).read_text())
+    constructed = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "VerifyRecord" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(constructed) == 1
+    verify = next(node for node in tree.body if getattr(node, "name", None) == "verify")
+    defined = {node.name for node in ast.walk(verify) if isinstance(node, ast.FunctionDef)}
+    assert "l_missing" not in defined
+
+
 def test_the_klein_generator_api_is_gone():
     # the package builds (t, sigma) in normal form from the spec, and
     # normalize_generators is pinned with the references above; the glide

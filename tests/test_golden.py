@@ -16,9 +16,12 @@ unchanged.  The `verify` and `zeta --format json` outputs, every
 outputs are also compared from a `python -O` subprocess, so the
 glide-line-count record, the transfer systems, the reduced forms, the
 census and the explicit checks they rely on are shown to run without
-asserts.  The corpus builds 55 quotients of both kinds in one process,
-so it also covers what the root systems keep from one quotient to the
-next.
+asserts.  So is a verify whose L-reconstruction fails by a planted walk
+count fault: its missing-P records and its Newton failure detail, as
+test_identities.py writes and compares them (report_bytes under
+planted_walk_counts, verify_failed_p_<rs>_<kind>_<fault>.json).  The
+corpus builds 55 quotients of both kinds in one process, so it also
+covers what the root systems keep from one quotient to the next.
 """
 
 import os
@@ -134,3 +137,33 @@ def test_corpus_seed7_bytes_match_golden_under_python_O(fmt):
     done = _run_under_python_O(None, "corpus", fmt)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / CORPUS_GOLDEN[fmt]).read_text()
+
+
+def test_failed_p_verify_bytes_match_golden_under_python_O():
+    # the missing-P records and the Newton failure details of the planted
+    # faults of test_identities.py must run unchanged when asserts are
+    # stripped
+    script = (
+        "import sys\n"
+        "import weylzeta.zeta as zeta_mod\n"
+        "from weylzeta.identities import verify\n"
+        "from test_identities import REFERENCE, planted_walk_counts, report_bytes\n"
+        "for q in (REFERENCE[0], REFERENCE[2]):\n"
+        "    for fault in ('tail', 'non-integer'):\n"
+        "        zeta_mod.walk_count_table = planted_walk_counts(fault)\n"
+        "        sys.stdout.write(report_bytes(verify(q)))\n"
+    )
+    path = os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests")))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(
+        (GOLDEN / f"verify_failed_p_a2_{kind}_{fault}.json").read_text()
+        for kind in ("torus", "klein")
+        for fault in ("tail", "non-integer")
+    )

@@ -1,5 +1,6 @@
 """The exact identity battery."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -117,25 +118,54 @@ def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
     assert lhs == rhs
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def planted_walk_counts(fault: str):
+    """walk_count_table with a planted fault, for the bundle to read P
+    from: "tail" adds 1 to every count, so the counts are those of
+    P (1 - u), one degree past the bound; "non-integer" adds 1 to the
+    second count, so 2 p_2 becomes odd."""
+
+    def perturbed(q, rep, max_n):
+        values = list(walk_count_table(q, rep, max_n))
+        if fault == "tail":
+            values = [v + 1 for v in values]
+        else:
+            values[1] += 1
+        return tuple(values)
+
+    return perturbed
+
+
+def failed_p_golden(q, fault: str) -> Path:
+    """tests/golden/verify_failed_p_<root system>_<kind>_<fault>.json"""
+    return GOLDEN / f"verify_failed_p_{q.rs.kind.lower()}_{q.kind}_{fault}.json"
+
+
+def report_bytes(report: VerificationReport) -> str:
+    """The whole report, records in order and detail keys as built."""
+    return json.dumps(report.to_json_dict(), indent=1) + "\n"
+
+
 @pytest.mark.parametrize("q", (REFERENCE[0], REFERENCE[2]), ids=repr)
 @pytest.mark.parametrize("fault", ("tail", "non-integer"))
 def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
     def bound(rep):
         return q.N * len(q.rs.weights(rep))
 
+    planted = planted_walk_counts(fault)
+
     def perturbed(q_, rep, max_n):
         # one period of the walk counts: P has degree N_M = bound
-        values = list(walk_count_table(q_, rep, max_n))
-        assert max_n == walk_period(q_, rep) >= 2 and values[-1] == bound(rep)
-        if fault == "tail":
-            values = [v + 1 for v in values]  # P (1 - u), of degree bound + 1
-        else:
-            values[1] += 1  # 2 * p_2 becomes odd
-        return tuple(values)
+        assert max_n == walk_period(q_, rep) >= 2
+        assert walk_count_table(q_, rep, max_n)[-1] == bound(rep)
+        return planted(q_, rep, max_n)
 
     # the bundle that verify reads tallies one period of the walk counts
     monkeypatch.setattr(zeta_mod, "walk_count_table", perturbed)
-    failed = {r.identity_id: r.detail for r in verify(q).failures()}
+    report = verify(q)
+    failed = {r.identity_id: r.detail for r in report.failures()}
     dependent = ("torus-three-way", "main-identity") if q.kind == "torus" else (
         "l-zeta-axis-correction",
         "main-identity",
@@ -148,6 +178,9 @@ def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
         )
         for identity in dependent:
             assert failed[f"{identity}[{rep}]"] == {"reason": "l-reconstruction failed"}
+    # every record, in order, with its holds and detail: the records that
+    # need no P still hold, each compared with its own census table
+    assert report_bytes(report) == failed_p_golden(q, fault).read_text()
 
 
 def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
