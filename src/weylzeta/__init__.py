@@ -33,7 +33,6 @@ from .zeta import (
     correction_factor,
     l_poly_from_counts,
     required_order,
-    torus_closed_form,
     zeta_bundle,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "load_spec_file",
     "parse_spec_text",
     "required_order",
-    "torus_closed_form",
     "verify",
     "zeta_bundle",
 ]

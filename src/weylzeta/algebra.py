@@ -14,14 +14,13 @@ the reduced num and den as int coefficient lists through it, in u for a
 function of u, and spread carries a list to w.  Those lists are the only
 dense polynomials in the package: it has no polynomial class, and a
 product of two polynomials is the expansion of their merged factor
-dicts.  The Moebius exponents are peeled from the traces in increasing
-d, at a cost that follows the nonzero ones (_moebius_exponents).  A
-product whose k_e have one sign is its own reduced form; other reduced
-forms write each Phi_m through the squarefree divisors of m, found from
-its primes by trial division: nothing here sieves primes or tabulates
-mu.  The rational polynomials and power series and det(I - wT) that the
-tests compare these integer paths against live in the tests' reference
-module.  Nothing in this package uses rationals or floating point.
+dicts.  A product whose k_e have one sign is its own reduced form;
+other reduced forms write each Phi_m through the squarefree divisors of
+m, found from its primes by trial division: nothing here sieves primes,
+tabulates mu or Moebius-inverts a count table.  The rational
+polynomials and power series and det(I - wT) that the tests compare
+these integer paths against live in the tests' reference module.
+Nothing in this package uses rationals or floating point.
 """
 
 from __future__ import annotations
@@ -266,27 +265,3 @@ class CycleProduct:
     def __repr__(self):
         return f"CycleProduct({dict(self.items())})"
 
-
-def _moebius_exponents(traces: Sequence[int]) -> tuple:
-    """({d: a_d}, bad) with traces[n-1] = N_n = sum_{d | n} d * a_d.
-
-    The exponents are peeled off in increasing d: once the terms of every
-    d' < d are subtracted, s[d] is d * a_d, and a nonzero one is
-    subtracted from every proper multiple of d with one slice.  The cost
-    is O(n + sum of n / d over the d with a_d != 0), so sparse counts,
-    such as those of a product over a few cycle lengths, cost one pass.
-    The dict holds the nonzero a_d up to the first d whose a_d is not an
-    integer; bad is that d, or None when every a_d is an integer.
-    """
-    n = len(traces)
-    s = [0, *traces]
-    exponents = {}
-    for d in range(1, n + 1):
-        t = s[d]
-        if t:
-            a, r = divmod(t, d)
-            if r:
-                return exponents, d
-            exponents[d] = a
-            s[2 * d :: d] = [x - t for x in s[2 * d :: d]]
-    return exponents, None

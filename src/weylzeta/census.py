@@ -8,9 +8,9 @@ adj * v = 0 (mod det Gamma0), so each branch is a pair of linear
 congruences in n and its solutions form one arithmetic progression
 n = r (mod m).  The ``*_count_table`` functions group the pairs by
 progression and add each group's multiplicity at r, r + m, ... (_tally).
-So every table is periodic in n, with the lcm of its moduli as a period;
-walk_period gives that of the walk table, M, and one period of it is all
-that the L-polynomial is read from.
+So every table is periodic in n, with the lcm of its moduli as a period.
+The L-polynomial is read off the walk progressions themselves, in closed
+form (zeta.l_poly_from_counts), by the lemma below.
 
 Every table is summed over the whole box Z^2 / Gamma0 (the doubled box
 for semi-closings), and each progression's multiplicity is then divided,
@@ -43,6 +43,21 @@ A table therefore costs one solve per step plus one slice update per
 progression, whatever ord(w), which divides det and can be close to N;
 a torus has no glide branch and builds no solver.
 
+Lemma.  Every walk progression (r, m) has r = 0 or r = m / 2, and m
+divides det Gamma0.  Proof.  The translation branch of lam is (0, m),
+m the order of lam in Z^2 / Gamma0, a group of det elements, so m |
+det.  The glide branch closes at the n with n*lam - t + j w in Gamma0
+for some j, that is n*lam in t + Lambda, Lambda = Gamma0 + Z w.
+sigma**2 is the translation by L t + t, which lies in Gamma0 (the
+quotient checks it), and (I - L) t lies in (I - L) Z^2 = Z w; so 2 t =
+(L t + t) + (I - L) t lies in Lambda.  Hence n*lam in t + Lambda gives
+-n*lam in -t + Lambda = t - 2 t + Lambda = t + Lambda: the glide
+closings are symmetric under n -> -n.  They are one progression r + m
+Z, m the order of lam modulo Lambda, which divides det because Lambda
+contains Gamma0; so -r = r (mod m), 2 r = 0 (mod m), and r, taken in
+[0, m), is 0 or m / 2.  Merging equal progressions and dividing their
+counts by det // N (_per_orbit) keeps every (r, m).
+
 Semi-closings use the same congruences in doubled coordinates modulo
 2 det; on the off-rational parity block of mu the shift runs over
 (I - L) mu - 2t + 2 j w.  Galleries move by lam + mu every two steps, so
@@ -56,8 +71,8 @@ point-by-point window scan for lambda_set_size.
 
 The progressions of the walk and geodesic tables of a rep, which one
 pass fills together, are kept on the quotient (_census_tables): the
-tables and walk_period of every rep read them there.  glide_rows forms
-a glide power once per call and returns the vector of each asked
+tables and the L-polynomial of every rep read them there.  glide_rows
+forms a glide power once per call and returns the vector of each asked
 beta-row as a dict; nothing of it is kept on the quotient, so it always
 reads the current sigma.
 
@@ -70,7 +85,7 @@ cycle-decomposition zeta engine.  No point of the box is listed.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .quotient import QuotientGroup, SpecValidationError
@@ -286,10 +301,11 @@ def _tally(progressions: Counter, max_n: int) -> tuple:
 def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
     """(walks, geodesics): the progressions of the closing lengths of the
     pairs (vertex class, weight) of rep, in one pass kept on q, so that
-    the tables of rep and its walk period share it and it lives and dies
-    with q.  A closing is geodesic when the carrying element's linear part
-    fixes the weight: always for a translation, for the glide only when it
-    fixes lam."""
+    the tables of rep and its L-polynomial share it and it lives and dies
+    with q; each is a Counter {(r, m): c}, with r = 0 or m / 2 (the
+    lemma of the module docstring).  A closing is geodesic when the
+    carrying element's linear part fixes the weight: always for a
+    translation, for the glide only when it fixes lam."""
     tables = q._census_tables
     if rep not in tables:
         d = q._det
@@ -305,12 +321,6 @@ def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
                 geodesics.update(glides)
         tables[rep] = _per_orbit(q, walks), _per_orbit(q, geodesics)
     return tables[rep]
-
-
-def walk_period(q: QuotientGroup, rep: str) -> int:
-    """The lcm M of the moduli of the walk progressions of rep: N_{n+M} =
-    N_n for every n.  Each modulus divides det Gamma0, and so does M."""
-    return lcm(*(m for _, m in _walk_progressions(q, rep)[0]))
 
 
 def walk_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:

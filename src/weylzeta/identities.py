@@ -11,14 +11,14 @@ function, correction factor and L-polynomial is a CycleProduct, so a
 rational-function identity is an equality of exponent dicts, decided by
 integer arithmetic: never numerically, never by truncation and without
 dense polynomials.  The L-polynomial enters once, as a CycleProduct:
-l_poly_from_counts reads it off one period of the closed-walk counts,
-or records why there is none, and every record that needs P fails with
-the reason "l-reconstruction failed" when there is none.  So a
-successful run expands no polynomial: coefficient lists are expanded
-only for the detail of a failed record, each cross product there as
-one merged factor dict.  Count-versus-log identities compare closed-form
-census values against the zeta logarithm's exact coefficients, one
-table per system built from its cycle lengths.
+l_poly_from_counts reads it off the census's walk progressions in
+closed form, or the bundle records why there is none, and every record
+that needs P fails with the reason "l-reconstruction failed" when there
+is none.  So a successful run expands no polynomial: coefficient lists
+are expanded only for the detail of a failed record, each cross product
+there as one merged factor dict.  Count-versus-log identities compare
+closed-form census values against the zeta logarithm's exact
+coefficients, one table per system built from its cycle lengths.
 
 The order is the u-order the JSON reports, max(required_order(q), 48)
 when omitted; an explicit one is checked against required_order and
@@ -39,7 +39,7 @@ from .census import (
     walk_count_table,
 )
 from .quotient import QuotientGroup, TorusSpec, build
-from .zeta import axis_factor, build_walk_system, torus_closed_form, zeta_bundle
+from .zeta import axis_factor, build_walk_system, zeta_bundle
 
 WALK_LOG_DEPTH = 24
 SEMI_LOG_DEPTH = 24
@@ -216,8 +216,8 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     derived from the degree bounds.  An explicitly passed insufficient
     order raises OrderInsufficientError naming the bound, and one above
     MAX_ORDER raises SpecValidationError (resolve_order).  It sizes no
-    table: P is read off one period of the walk counts, and the census
-    tables compared here have the fixed depths *_DEPTH.
+    table: P is read off the walk progressions in closed form, and the
+    census tables compared here have the fixed depths *_DEPTH.
 
     Every record is built by one constructor and holds exactly when its
     detail is empty.  A per-rep identity is one check per rep, run by
@@ -275,12 +275,13 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     )
 
     if q.kind == "torus":
-        # three-way equality: walk zeta = trivial-weight-cleared L = closed form
+        # walk zeta = trivial-weight-cleared L: the engine against P, which
+        # on a torus is the census's closed form prod over weights of
+        # (1 - u**ord)**(N / ord)
         each(
             "torus-three-way",
             "walk zeta equals reciprocal L-polynomial and closed form",
-            lambda rep: _ratfunc_compare(walks[rep], l_product(rep).inverse())
-            or _ratfunc_compare(walks[rep], torus_closed_form(q, rep)),
+            lambda rep: _ratfunc_compare(walks[rep], l_product(rep).inverse()),
             needs_l=True,
         )
         # every torus walk closes without a corner: the census's closed

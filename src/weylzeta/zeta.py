@@ -53,8 +53,7 @@ both read off the triangular basis (h11, 0), (c, h22) of Gamma0:
 x -> L x + u has det(Lambda) fixed points when u lies in Lambda =
 (L - I) Z**2 + Gamma0, and none otherwise.  So no table is made, no
 point is visited, and the engine never reads the adjugate of Gamma0's
-basis, by which the census encodes it; torus_closed_form reads the
-weights' orders through the census's _period.
+basis, by which the census encodes it.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
@@ -70,19 +69,17 @@ explicit successor walk and det(I - wT) of its permutation matrix
 
 The L-polynomial P has one path (l_poly_from_counts), and P is always
 a cycle product.  The closed-walk counts are a sum of census
-progressions, so N_{n+M} = N_n for M = census.walk_period(q, rep), which
-divides det Gamma0, and the bundle tallies one period N_1..N_M and no
-more.  One Moebius inversion of that period gives P's factorization
-prod (1 - u**d)**a_d.  It is P when every a_d is an integer, every
-nonzero one has d | M, and a cyclotomic degree check, which expands
-nothing, finds a polynomial within the bound; otherwise no P exists, and
-Newton's identities over the periodic extension find the failing order
-for the failure's detail.  P's coefficients are expanded from its
-product in u only where they are printed.  The inversion peels the
-exponents in increasing d and pays only for the nonzero ones, the few
-cycle lengths of the walk system; the degree check reads a same-sign
-product's degree off its exponents and factors each Phi_m by the primes
-of m otherwise.
+progressions (r, m, c), each with r = 0 or m / 2 (the census module
+docstring proves it), and each such progression gives P at most two
+factors (1 - u**d)**a_d.  So P's factorization prod
+(1 - u**d)**a_d is read off the progressions in closed form, with no
+count table; it is P when every a_d is an integer and a cyclotomic
+degree check, which expands nothing, finds a polynomial within the
+bound.  Otherwise no P exists, and Newton's identities over one period
+of the counts find the failing order for the failure's detail.  P's
+coefficients are expanded from its product in u only where they are
+printed.  The degree check reads a same-sign product's degree off its
+exponents and factors each Phi_m by the primes of m otherwise.
 
 zeta_bundle is the one producer of a quotient's zeta data at one
 order: the `zeta` command prints its ZetaBundle and identities.verify
@@ -92,11 +89,11 @@ the failure's detail in l_failure and holds None for P.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import CycleProduct, NotPolynomialWithinBound, _moebius_exponents
-from .census import _period, walk_count_table, walk_period
+from .algebra import CycleProduct, NotPolynomialWithinBound
+from .census import _walk_progressions
 from .quotient import (
     MAX_CLASSES,
     AffineMap,
@@ -273,65 +270,70 @@ class LPolynomial:
         return self._product
 
 
-def l_poly_from_counts(counts, bound: int) -> LPolynomial:
-    """The L-polynomial P of the closed-walk counts, from one period
-    N_1, ..., N_M of them (N_{n+M} = N_n for every n).
+def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
+    """The L-polynomial P of the closed-walk counts, given as their census
+    progressions {(r, m): c}: N_n is the sum of the c with n = r (mod m),
+    and every r is 0 or m / 2 (census module docstring).
 
     P is the polynomial with P * exp(sum_n N_n u**n / n) = 1, of degree at
     most bound = N * (number of nontrivial weights); the full L-function
     is (1-u)**(-eps*N) / P.
 
-    Construction.  Every series 1 + O(u) is a product prod_d (1 - u**d)**a_d,
-    here with d * a_d = sum_{d' | d} mu(d / d') N_d' (Moebius inversion),
-    taken over the period up to the first a_d that is not an integer.  The
-    product is P when every a_d is an integer; every nonzero a_d has d | M,
-    which holds exactly when N_n = N_gcd(n, M) for every n, so that the
-    product's log series has the counts at every order; and a cyclotomic
+    Construction.  exp(sum_n c [m | n] u**n / n) = (1 - u**m)**(-c/m), and
+    [n = m/2 (mod m)] = [m/2 | n] - [m | n].  So with s[d] = d * a_d, a
+    progression (0, m, c) adds c to s[m], one (m/2, m, c) adds c to
+    s[m/2] and -c to s[m], and then N_n = sum_{d | n} s[d] at every n:
+    the log series of prod_d (1 - u**d)**a_d has the counts at every
+    order.  That product is P when d divides every s[d] and a cyclotomic
     degree check that expands nothing (CycleProduct.is_polynomial_within)
-    finds a polynomial of degree at most bound.  P is returned unexpanded.
+    finds a polynomial of degree at most bound.  It costs O(number of
+    progressions), whatever the moduli, and P is returned unexpanded.  A
+    progression with any other residue raises AssertionError naming it.
 
     Why no other P exists.  The power sums of P's inverse roots are the
-    N_n.  If they have period M, every inverse root z has z**M = 1, and an
-    integer P is then a product of cyclotomic polynomials Phi_d with d | M,
-    whose exponents a_e vanish off the divisors of M.  So when a check
+    N_n, which have period M, the lcm of the moduli.  Then every inverse
+    root z has z**M = 1, and an integer P is a product of cyclotomic
+    polynomials Phi_d with d | M, whose exponents a_e vanish off the
+    divisors of M; the a_d above are those exponents.  So when a check
     fails there is no P, and Newton's identities n p_n = -sum_{i<=n} N_i
-    p_{n-i} over the periodic extension give the first failing n: p_n
+    p_{n-i} over one period N_1..N_M give the first failing n: p_n
     nonzero with n > bound raises NotPolynomialWithinBound(2n), p_n not an
     integer with n <= bound AssertionError.  That n is at most M + bound:
     a P of degree at most bound whose power sums match a sequence of
     period M through M + bound terms matches it everywhere, as the two
-    are sums of at most M + bound distinct geometric sequences.
+    are sums of at most M + bound distinct geometric sequences.  Only a
+    planted progression reaches this, at a cost of O(M + bound).
     """
-    period = len(counts)
-    exponents, bad = _moebius_exponents(counts)
-    if bad is None and all(period % d == 0 for d in exponents):
-        product = CycleProduct({2 * d: a for d, a in exponents.items()})
+    s: dict = {}
+    for (r, m), c in progressions.items():
+        if r == 0:
+            s[m] = s.get(m, 0) + c
+        elif 2 * r == m:
+            s[r] = s.get(r, 0) + c
+            s[m] = s.get(m, 0) - c
+        else:
+            raise AssertionError(f"walk progression {(r, m)} has a residue neither 0 nor m/2")
+    if all(x % d == 0 for d, x in s.items()):
+        product = CycleProduct({2 * d: x // d for d, x in s.items()})
         if product.is_polynomial_within(2 * bound):
             return LPolynomial(product)
+    period = lcm(*(m for _, m in progressions))
+    counts = [0] * period  # counts[n - 1] = N_n
+    for (r, m), c in progressions.items():
+        start = (r or m) - 1
+        counts[start::m] = [x + c for x in counts[start::m]]
     p, support = [1] + [0] * bound, [0]  # support: the j with p_j != 0
     for n in range(1, period + bound + 1):
-        s = -sum(p[j] * counts[(n - j - 1) % period] for j in support)
-        if s and n > bound:
+        t = -sum(p[j] * counts[(n - j - 1) % period] for j in support)
+        if t and n > bound:
             raise NotPolynomialWithinBound(2 * n)
-        pn, r = divmod(s, n)
+        pn, r = divmod(t, n)
         if r:
             raise AssertionError("L-polynomial has non-integer coefficients")
         if pn:
             p[n] = pn
             support.append(n)
-    raise AssertionError("Newton's identities found a P that the period check refused")
-
-
-def torus_closed_form(q: QuotientGroup, rep: str) -> CycleProduct:
-    """prod over weights of (1 - u**deg)**(-N/deg), deg the order of the
-    weight in the vertex-class group.  Torus quotients only."""
-    if q.kind != "torus":
-        raise SpecValidationError("closed form applies to torus quotients only")
-    exponents: dict = {}
-    for lam in q.rs.weights(rep):
-        deg = _period(q, lam, q._det)  # the order of lam modulo Gamma0
-        exponents[2 * deg] = exponents.get(2 * deg, 0) - q.N // deg
-    return CycleProduct(exponents)
+    raise AssertionError("Newton's identities found a P that the closed form refused")
 
 
 def axis_factor(w_exponent: int, power: int) -> CycleProduct:
@@ -387,14 +389,15 @@ def required_order(q: QuotientGroup) -> int:
     """The smallest admissible u-order, 2 * bound + 8 for the largest
     degree bound of P.
 
-    The order sizes no count table: P is read off one period M of the
-    counts (l_poly_from_counts), and the census tables that verify
-    compares have fixed depths, none above this order; it is reported in
-    the JSON.  A witness of P over 2 * bound + 8 counts agrees with the
-    period test: every quotient has M | det Gamma0 <= 2N <= bound, so M <=
-    bound + 8, and a sequence of period M and the power sums of a P of
-    degree at most bound that agree on M + bound <= 2 * bound + 8 terms
-    agree at every n."""
+    The order sizes no count table: P is read off the walk progressions
+    in closed form (l_poly_from_counts), and the census tables that
+    verify compares have fixed depths, none above this order; it is
+    reported in the JSON.  A witness of P over 2 * bound + 8 counts agrees
+    with the closed form: the counts have period M, the lcm of the
+    progressions' moduli, and every quotient has M | det Gamma0 <= 2N <=
+    bound, so M <= bound + 8, and a sequence of period M and the power
+    sums of a P of degree at most bound that agree on M + bound <= 2 *
+    bound + 8 terms agree at every n."""
     return max(2 * q.N * len(q.rs.weights(r)) + 8 for r in q.rs.rep_names)
 
 
@@ -424,10 +427,10 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
         zeta[rep] = build_walk_system(q, rep).zeta()
         semi[rep] = build_semi_system(q, rep).zeta()
         gal[rep] = build_gallery_system(q, rep).zeta()
-        period = walk_count_table(q, rep, walk_period(q, rep))
+        walks = _walk_progressions(q, rep)[0]
         lpoly[rep], failure[rep] = None, {}
         try:
-            lpoly[rep] = l_poly_from_counts(period, q.N * len(q.rs.weights(rep)))
+            lpoly[rep] = l_poly_from_counts(walks, q.N * len(q.rs.weights(rep)))
         except NotPolynomialWithinBound as exc:
             failure[rep] = {"nonzero_tail_exponent": exc.exponent}
         except AssertionError as exc:

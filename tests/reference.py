@@ -1,7 +1,7 @@
 """Reference implementations that production does not run.
 
 The package proves every identity in integers: cycle products, the
-closed-form census and one Moebius L-path.  The older and more literal
+closed-form census and one closed-form L-path.  The older and more literal
 routes live here, and the tests compare the package against them:
 
 * ``Poly``: dense polynomials in w over the rationals, with Fraction
@@ -23,9 +23,11 @@ routes live here, and the tests compare the package against them:
   exponent is not an integer.
 * ``moebius_exponents_by_primes`` and ``reduced_by_mobius_table``: the
   sieve-based Moebius kernels, one slice pass per prime up to n and a mu
-  table up to the largest cyclotomic index.  They are the reference of
-  the peeling ``_moebius_exponents`` and of ``CycleProduct._reduced_form``,
-  which factors each Phi_m by the distinct primes of m.
+  table up to the largest cyclotomic index.  The first inverts a count
+  table, which the package never does: it reads P's exponents off the
+  walk progressions.  The second is the reference of
+  ``CycleProduct._reduced_form``, which factors each Phi_m by the
+  distinct primes of m.
 * ``HalfVec``, ``sigma_half`` and ``canonical_vertex``: half-lattice
   points as doubled coordinates, the glide on them, and a canonical form
   of each orbit (the lexicographically lower of the box points of x and
@@ -58,11 +60,14 @@ routes live here, and the tests compare the package against them:
   off-rational parity blocks.
 * ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
   one integer recurrence step per count, over a window of at least
-  2 * bound + 8 counts; production reads P off one period of the counts
-  as the Moebius product of that period, and runs Newton's identities
-  over the periodic extension only to find the failing order when there
-  is no P.  ``l_poly_by_expansion`` expands the Moebius product of the
-  window in full instead, which fails at the same first order.
+  2 * bound + 8 counts; production reads P off the walk progressions in
+  closed form, and runs Newton's identities over one period of the
+  counts only to find the failing order when there is no P.
+  ``l_poly_by_expansion`` expands the Moebius product of the window in
+  full instead, which fails at the same first order.
+* ``progression_counts``: N_1..N_n of a progression set {(r, m): c}, one
+  membership test per n and progression, the dense view of what
+  production reads P from.
 * ``ratfunc_to_json``, ``poly_to_json`` and ``zeta_output``: the
   ``zeta`` report built in w, every reduced form by the mu table and
   expanded on its own, then halved to u where only even powers occur.
@@ -114,7 +119,6 @@ from weylzeta.algebra import (
     NotPolynomialWithinBound,
     _divisors,
     _expand,
-    _moebius_exponents,
     spread,
 )
 from weylzeta.identities import GLIDE_WINDOW
@@ -465,7 +469,7 @@ def cycle_product_from_traces(traces: Sequence[int], step: int = 1) -> CycleProd
     d*a_d, and Moebius inversion gives d*a_d = sum_{d' | d} mu(d/d') N_{d'}.
     Raises NotCycleProduct when some a_d is not an integer.
     """
-    exponents, bad = _moebius_exponents(traces)
+    exponents, bad = moebius_exponents_by_primes(traces)
     if bad is not None:
         raise NotCycleProduct(f"exponent of (1 - w^{step * bad}) is not an integer")
     return CycleProduct({step * d: a for d, a in exponents.items()})
@@ -498,9 +502,11 @@ def _mobius_table(n: int) -> list:
 
 
 def moebius_exponents_by_primes(traces: Sequence[int]) -> tuple:
-    """({d: a_d}, bad) as ``_moebius_exponents`` returns it, by dividing
-    out the Dirichlet series of 1 prime by prime: multiplying by 1 - p**-z
-    is s[j] -= s[j / p] at every multiple j of p, one slice per prime <= n."""
+    """({d: a_d}, bad) with traces[n-1] = N_n = sum_{d | n} d * a_d: the
+    nonzero a_d up to the first d whose a_d is not an integer, and bad
+    that d, or None when every a_d is an integer.  The Dirichlet series
+    of 1 is divided out prime by prime: multiplying by 1 - p**-z is
+    s[j] -= s[j / p] at every multiple j of p, one slice per prime <= n."""
     n = len(traces)
     s = [0, *traces]
     for p in _primes(n):
@@ -879,7 +885,7 @@ def l_poly_by_expansion(counts, bound: int) -> Poly:
     required = 2 * bound + 8
     if len(counts) < required:
         raise OrderInsufficientError(len(counts), required)
-    exponents, bad = _moebius_exponents(counts)
+    exponents, bad = moebius_exponents_by_primes(counts)
     top = len(counts) if bad is None else bad - 1
     c = _expand(exponents, top)
     for n in range(bound + 1, top + 1):
@@ -890,6 +896,15 @@ def l_poly_by_expansion(counts, bound: int) -> Poly:
             raise NotPolynomialWithinBound(2 * bad)
         raise AssertionError("L-polynomial has non-integer coefficients")
     return Poly(spread(c[: bound + 1], 2))
+
+
+def progression_counts(progressions, n: int) -> list:
+    """N_1..N_n of the progressions {(r, m): c}: N_k is the sum of the c
+    with k = r (mod m)."""
+    return [
+        sum(c for (r, m), c in progressions.items() if (k - r) % m == 0)
+        for k in range(1, n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,8 +20,8 @@ from reference import (
     cycle_product_from_traces,
     det_identity_minus_wT,
     l_poly_in_w,
-    moebius_exponents_by_primes,
     num_den,
+    progression_counts,
     reduced_by_mobius_table,
     reduced_in_w,
     series_exp,
@@ -35,7 +34,6 @@ from weylzeta.algebra import (
     _divisors,
     _expand,
     _mobius_divisors,
-    _moebius_exponents,
 )
 from weylzeta.cli import poly_to_json
 from weylzeta.zeta import LPolynomial, l_poly_from_counts
@@ -235,59 +233,62 @@ def counts_of(p: Poly, order: int) -> list:
 
 
 def test_reconstruct_geometric():
-    # 1/(1 - u) = exp(sum_n u**n / n): N_n = 1, of period 1
-    assert l_poly_in_w(l_poly_from_counts([1], 1)) == spread(Poly([1, -1]))
+    # 1/(1 - u) = exp(sum_n u**n / n): N_n = 1, the progression (0, 1)
+    assert l_poly_in_w(l_poly_from_counts({(0, 1): 1}, 1)) == spread(Poly([1, -1]))
 
 
 def test_reconstruct_inverse_cube():
     # (1 - u**3)**(-3) = exp(3 * sum_k u**(3k) / k): N_n = 9 when 3 | n
-    counts = [0, 0, 9]
     expected = (Poly.one() - Poly.monomial(3)) ** 3
-    assert l_poly_in_w(l_poly_from_counts(counts, 9)) == spread(expected)
+    assert l_poly_in_w(l_poly_from_counts({(0, 3): 9}, 9)) == spread(expected)
 
 
 def test_reconstruct_rejects_exp():
     # P = exp(sum_n u**n / n) = 1/(1 - u) has integer coefficients but no
     # bounded degree: the first one past u**2 sits at w**6
     with pytest.raises(NotPolynomialWithinBound) as exc:
-        l_poly_from_counts([-1], 2)
+        l_poly_from_counts({(0, 1): -1}, 2)
     assert exc.value.exponent == 6
 
 
 def test_reconstruct_checks_every_count():
-    # N_n = 1 gives 1 - u; a wrong last count of a period of 30 must still
-    # be caught
+    # N_n = 1 gives 1 - u; 30 more at every 30th count must still be
+    # caught
     with pytest.raises(NotPolynomialWithinBound) as exc:
-        l_poly_from_counts([1] * 29 + [31], 1)
+        l_poly_from_counts({(0, 1): 1, (0, 30): 30}, 1)
     assert exc.value.exponent == 60
 
 
 def test_reconstruct_first_failure_wins():
-    # a period of 16 that starts 1, 0, as P = exp(-u) = 1 - u + u**2/2 - ...
+    # N_n = 1 at odd n starts 1, 0, as P = exp(-u) = 1 - u + u**2/2 - ...
     # does: at n = 2 the coefficient is both nonzero past a bound of 1 and
     # not an integer; the tail is reported
     with pytest.raises(NotPolynomialWithinBound) as exc:
-        l_poly_from_counts([1] + [0] * 15, 1)
+        l_poly_from_counts({(1, 2): 1}, 1)
     assert exc.value.exponent == 4
     with pytest.raises(AssertionError, match="non-integer coefficients"):
-        l_poly_from_counts([1] + [0] * 15, 2)
+        l_poly_from_counts({(1, 2): 1}, 2)
 
 
 def test_reconstruct_requires_slack():
     # the failing order of a period M lies within M + bound, not always
-    # within 2 * bound + 8: this period of 20 is (1 - u)(1 - u**20), and a
-    # witness over 10 counts would take it for 1 - u
+    # within 2 * bound + 8: these counts of period 20 are those of
+    # (1 - u)(1 - u**20), and a witness over 10 counts would take them for
+    # 1 - u
+    progressions = {(0, 1): 1, (0, 20): 20}
     with pytest.raises(NotPolynomialWithinBound) as exc:
-        l_poly_from_counts([1] * 19 + [21], 1)
+        l_poly_from_counts(progressions, 1)
     assert exc.value.exponent == 40
-    assert reference.l_poly_from_counts([1] * 10, 1) == spread(Poly([1, -1]))
+    counts = progression_counts(progressions, 10)
+    assert reference.l_poly_from_counts(counts, 1) == spread(Poly([1, -1]))
 
 
 def test_reconstruct_round_trips_random_integer_polys():
     # an integer P whose counts are periodic is a product of cyclotomic
     # polynomials: random ones, P built densely from their (1 - u**e)**k_e
-    # factors, mixed in sign, and its counts from series_log; one period,
-    # the lcm of the indices, gives P back
+    # factors, mixed in sign, and its counts from series_log over one
+    # period, the lcm of the indices; they are those of the progressions
+    # (0, e) of count e k_e, which give P back
     rng = random.Random(7)
     for _ in range(50):
         phis = {d: rng.randint(1, 2) for d in rng.sample(range(1, 9), rng.randint(0, 2))}
@@ -303,24 +304,21 @@ def test_reconstruct_round_trips_random_integer_polys():
                 series = series * (factor if x > 0 else factor.reciprocal())
         p = Poly(series.coeffs)
         assert p.degree == degree
+        progressions = {(0, e): e * x for e, x in k.items()}
         counts = counts_of(p, math.lcm(*phis))
-        assert all(c.denominator == 1 for c in counts)
-        got = l_poly_from_counts([int(c) for c in counts], degree)
-        assert l_poly_in_w(got) == spread(p)
+        assert counts == progression_counts(progressions, len(counts))
+        assert l_poly_in_w(l_poly_from_counts(progressions, degree)) == spread(p)
 
 
 @given(st.dictionaries(st.integers(1, 8), st.integers(0, 3), max_size=4))
 @settings(deadline=None, max_examples=80)
 def test_reconstruct_cycle_products(exponents):
-    # P = prod (1 - u**e)**k_e has N_n = sum_{e | n} e * k_e, of period the
-    # lcm of the e
+    # P = prod (1 - u**e)**k_e has N_n = sum_{e | n} e * k_e, the
+    # progressions (0, e) of count e * k_e
     bound = sum(e * k for e, k in exponents.items())
-    counts = [
-        sum(e * k for e, k in exponents.items() if n % e == 0)
-        for n in range(1, math.lcm(*exponents) + 1)
-    ]
+    progressions = {(0, e): e * k for e, k in exponents.items()}
     p = CycleProduct({2 * e: k for e, k in exponents.items()})
-    assert l_poly_in_w(l_poly_from_counts(counts, bound)) == num_den(p)[0]
+    assert l_poly_in_w(l_poly_from_counts(progressions, bound)) == num_den(p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -639,65 +637,8 @@ def test_cycle_product_dense_edge_matches_sympy():
 
 
 # ---------------------------------------------------------------------------
-# the Moebius kernels against their sieve-based references
+# the Moebius kernel against its sieve-based reference
 # ---------------------------------------------------------------------------
-
-progressions = st.lists(
-    st.tuples(st.integers(1, 60), st.integers(0, 59), st.integers(-20, 60)),
-    min_size=1,
-    max_size=6,
-)
-
-
-@given(progressions, st.integers(1, 400))
-@settings(deadline=None, max_examples=150)
-def test_moebius_peel_matches_the_prime_sieve_on_progression_counts(progs, n):
-    # sums of c * m * [m | k], the counts of c cycles of length m, and of
-    # shifted progressions k = r (mod m), the shape of the census count
-    # tables; shifted ones usually stop at a non-integer exponent, which
-    # must be the same first d
-    divisible = [0] * n
-    shifted = [0] * n
-    for m, r, c in progs:
-        for k in range(m, n + 1, m):
-            divisible[k - 1] += c * m
-        for k in range(r % m or m, n + 1, m):
-            shifted[k - 1] += c
-    for traces in (divisible, shifted):
-        assert _moebius_exponents(traces) == moebius_exponents_by_primes(traces)
-    cycles = Counter()
-    for m, _, c in progs:
-        cycles[m] += c if m <= n else 0
-    assert _moebius_exponents(divisible) == (dict(CycleProduct(cycles).items()), None)
-
-
-def test_moebius_peel_matches_the_prime_sieve_on_necklace_counts():
-    # N_n = b**n: every exponent is a positive necklace count
-    for b in (2, 3):
-        traces = [b**n for n in range(1, 401)]
-        exponents, bad = _moebius_exponents(traces)
-        assert (exponents, bad) == moebius_exponents_by_primes(traces)
-        assert bad is None and sorted(exponents) == list(range(1, 401))
-        assert exponents[6] == (b**6 - b**3 - b**2 + b) // 6
-
-
-@given(
-    st.dictionaries(st.integers(1, 400), st.integers(-5, 5), max_size=8).map(
-        CycleProduct
-    ),
-    st.integers(100, 400),
-    st.data(),
-)
-@settings(deadline=None, max_examples=100)
-def test_moebius_peel_stops_at_a_late_planted_non_integer(f, n, data):
-    # integer exponents up to d, then N_d moved by an amount d does not divide
-    traces = traces_of(f, n)
-    d = data.draw(st.integers(n // 2, n))
-    k = data.draw(st.integers(1, d - 1))
-    traces[d - 1] += data.draw(st.sampled_from((k, -k, k + 7 * d)))
-    exponents, bad = _moebius_exponents(traces)
-    assert (exponents, bad) == moebius_exponents_by_primes(traces)
-    assert bad == d and exponents == {e: x for e, x in f.items() if e < d}
 
 
 def test_mobius_divisors_match_the_mobius_table():

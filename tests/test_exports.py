@@ -103,10 +103,20 @@ def test_a_quotient_lists_no_box_points():
 
 
 def test_algebra_keeps_no_prime_sieve():
-    # the Moebius exponents are peeled and each Phi_m is factored by the
-    # primes of m; the sieve and the mu table live only in tests/reference.py
+    # each Phi_m is factored by the primes of m; the sieve and the mu table
+    # live only in tests/reference.py
     for name in ("_primes", "_mobius_table"):
         assert not hasattr(weylzeta.algebra, name)
+
+
+def test_the_period_tally_and_the_torus_closed_form_are_gone():
+    # P is read off the walk progressions in closed form: no walk period,
+    # Moebius peel of a count table or second torus closed form is left
+    assert not hasattr(weylzeta.census, "walk_period")
+    assert not hasattr(weylzeta.algebra, "_moebius_exponents")
+    for module in (weylzeta, weylzeta.zeta):
+        assert not hasattr(module, "torus_closed_form")
+    assert "torus_closed_form" not in weylzeta.__all__
 
 
 def test_transfer_systems_keep_one_record_of_their_cycles():

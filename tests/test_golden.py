@@ -17,7 +17,7 @@ outputs are also compared from a `python -O` subprocess, so the
 glide-line-count record, the transfer systems, the reduced forms, the
 census and the explicit checks they rely on are shown to run without
 asserts.  So is a verify whose L-reconstruction fails by a planted walk
-count fault: its missing-P records and its Newton failure detail, as
+progression: its missing-P records and its Newton failure detail, as
 test_identities.py writes and compares them (report_bytes under
 planted_walk_counts, verify_failed_p_<rs>_<kind>_<fault>.json).  The
 corpus builds 55 quotients of both kinds in one process, so it also
@@ -150,7 +150,7 @@ def test_failed_p_verify_bytes_match_golden_under_python_O():
         "from test_identities import REFERENCE, planted_walk_counts, report_bytes\n"
         "for q in (REFERENCE[0], REFERENCE[2]):\n"
         "    for fault in ('tail', 'non-integer'):\n"
-        "        zeta_mod.walk_count_table = planted_walk_counts(fault)\n"
+        "        zeta_mod._walk_progressions = planted_walk_counts(fault)\n"
         "        sys.stdout.write(report_bytes(verify(q)))\n"
     )
     path = os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests")))

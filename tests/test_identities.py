@@ -1,6 +1,7 @@
 """The exact identity battery."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ import weylzeta.census as census_mod
 import weylzeta.identities as identities_mod
 import weylzeta.zeta as zeta_mod
 from weylzeta.algebra import CycleProduct
-from weylzeta.census import walk_count_table, walk_period
 from weylzeta.corpus import generate_corpus
 from weylzeta.identities import (
     CORNER_DEPTH,
@@ -111,8 +111,7 @@ def test_the_torus_corner_record_reads_the_walk_zeta(monkeypatch):
 def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
     # the smallest Klein bottle: k = 3, a single positive off-axis weight
     q = REFERENCE[2]
-    counts = walk_count_table(q, "pi1", walk_period(q, "pi1"))
-    p = l_poly_from_counts(counts, q.N * 3)
+    p = l_poly_from_counts(census_mod._walk_progressions(q, "pi1")[0], q.N * 3)
     lhs = p.cycle_product().inverse()
     rhs = build_walk_system(q, "pi1").zeta() * axis_factor(6, 1)
     assert lhs == rhs
@@ -121,19 +120,21 @@ def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def planted_walk_counts(fault: str):
-    """walk_count_table with a planted fault, for the bundle to read P
-    from: "tail" adds 1 to every count, so the counts are those of
-    P (1 - u), one degree past the bound; "non-integer" adds 1 to the
-    second count, so 2 p_2 becomes odd."""
+PLANTED_PROGRESSIONS = {"tail": (0, 1), "non-integer": (0, 2)}
 
-    def perturbed(q, rep, max_n):
-        values = list(walk_count_table(q, rep, max_n))
-        if fault == "tail":
-            values = [v + 1 for v in values]
-        else:
-            values[1] += 1
-        return tuple(values)
+
+def planted_walk_counts(fault: str):
+    """census._walk_progressions with one more walk progression of count
+    1, for the bundle to read P from: "tail" adds (0, 1), one more closed
+    walk at every n, so the counts are those of P (1 - u), one degree past
+    the bound; "non-integer" adds (0, 2), so 2 p_2 becomes odd.  The
+    progressions are a copy: those the quotient keeps are not changed."""
+
+    def perturbed(q, rep):
+        walks, geodesics = census_mod._walk_progressions(q, rep)
+        walks = Counter(walks)
+        walks[PLANTED_PROGRESSIONS[fault]] += 1
+        return walks, geodesics
 
     return perturbed
 
@@ -155,16 +156,18 @@ def test_failed_l_reconstruction_reports_its_detail(q, fault, monkeypatch):
         return q.N * len(q.rs.weights(rep))
 
     planted = planted_walk_counts(fault)
+    kept = {rep: census_mod._walk_progressions(q, rep)[0].copy() for rep in q.rs.rep_names}
 
-    def perturbed(q_, rep, max_n):
-        # one period of the walk counts: P has degree N_M = bound
-        assert max_n == walk_period(q_, rep) >= 2
-        assert walk_count_table(q_, rep, max_n)[-1] == bound(rep)
-        return planted(q_, rep, max_n)
+    def perturbed(q_, rep):
+        # P of the real progressions has the degree bound
+        real = census_mod._walk_progressions(q_, rep)[0]
+        assert l_poly_from_counts(real, bound(rep)).degree == 2 * bound(rep)
+        return planted(q_, rep)
 
-    # the bundle that verify reads tallies one period of the walk counts
-    monkeypatch.setattr(zeta_mod, "walk_count_table", perturbed)
+    # the bundle that verify reads takes P from the walk progressions
+    monkeypatch.setattr(zeta_mod, "_walk_progressions", perturbed)
     report = verify(q)
+    assert {rep: census_mod._walk_progressions(q, rep)[0] for rep in q.rs.rep_names} == kept
     failed = {r.identity_id: r.detail for r in report.failures()}
     dependent = ("torus-three-way", "main-identity") if q.kind == "torus" else (
         "l-zeta-axis-correction",

@@ -316,33 +316,37 @@ def test_cli_identity_failure_exit_one(torus_file, capsys, monkeypatch):
     assert "identity failures" in capsys.readouterr().out
 
 
-# The zeta command on one planted period of the walk counts: the tail case
-# has no P within the bound, the non-integer case a P with a fractional
-# coefficient.
+# The zeta command on one planted walk progression of count 1: the tail
+# case has no P within the bound, the non-integer case a P with a
+# fractional coefficient, and the off-form case a residue that is neither
+# 0 nor m/2, which the census never makes.
 _PLANTED_ZETA = """
 import sys
+from collections import Counter
 
 import weylzeta.zeta as zeta_mod
 from weylzeta.cli import main
 
-real = zeta_mod.walk_count_table
+real = zeta_mod._walk_progressions
+PLANTED = {
+    "tail": (0, 1),  # P of degree bound becomes P (1 - u), of degree bound + 1
+    "non_integer": (0, 2),  # 2 * p_2 becomes odd
+    "off_form": (1, 3),
+}
 
 
 def planted(fault):
-    def counts(q, rep, max_n):
-        values = list(real(q, rep, max_n))
-        if fault == "tail":
-            # P of degree N_M = bound becomes P (1 - u), of degree bound + 1
-            values = [v + 1 for v in values]
-        else:
-            values[1] += 1  # 2 * p_2 becomes odd
-        return tuple(values)
+    def progressions(q, rep):
+        walks, geodesics = real(q, rep)
+        walks = Counter(walks)  # a copy: the quotient keeps the real ones
+        walks[PLANTED[fault]] += 1
+        return walks, geodesics
 
-    return counts
+    return progressions
 
 
 if __name__ == "__main__":
-    zeta_mod.walk_count_table = planted(sys.argv[1])
+    zeta_mod._walk_progressions = planted(sys.argv[1])
     sys.exit(main(["zeta", "--input", sys.argv[2], "--format", "json"]))
 """
 
@@ -350,6 +354,7 @@ if __name__ == "__main__":
 PLANTED_ZETA_ERRORS = {
     "tail": "{'nonzero_tail_exponent': 20}",
     "non_integer": "{'reason': 'L-polynomial has non-integer coefficients'}",
+    "off_form": "{'reason': 'walk progression (1, 3) has a residue neither 0 nor m/2'}",
 }
 
 
@@ -360,18 +365,18 @@ def _check_planted_zeta(fault, code, out, err):
     assert err == "".join(f"error: l-reconstruction[{rep}] failed: {detail}\n" for rep in ("pi1", "pi2"))
 
 
-@pytest.mark.parametrize("fault", ("tail", "non_integer"))
+@pytest.mark.parametrize("fault", ("tail", "non_integer", "off_form"))
 def test_cli_zeta_on_planted_walk_counts(torus_file, capsys, monkeypatch, fault):
     import weylzeta.zeta as zeta_mod
 
     scope = {"__name__": "planted_zeta"}
     exec(compile(_PLANTED_ZETA, "planted_zeta", "exec"), scope)
-    monkeypatch.setattr(zeta_mod, "walk_count_table", scope["planted"](fault))
+    monkeypatch.setattr(zeta_mod, "_walk_progressions", scope["planted"](fault))
     code = main(["zeta", "--input", torus_file, "--format", "json"])
     _check_planted_zeta(fault, code, *capsys.readouterr())
 
 
-@pytest.mark.parametrize("fault", ("tail", "non_integer"))
+@pytest.mark.parametrize("fault", ("tail", "non_integer", "off_form"))
 def test_cli_zeta_on_planted_walk_counts_under_python_o(torus_file, fault):
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(

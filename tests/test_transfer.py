@@ -768,10 +768,8 @@ def _names_in(name):
 
 
 def test_the_engine_reads_gamma0_only_through_its_triangular_basis():
-    # the census reads Gamma0 by its adjugate and determinant, and
-    # torus_closed_form through the census's _period, never naming _adj, so
-    # the closed-form leg of torus-three-way and the census stay a second
-    # encoding of Gamma0; the engine reads no box either
+    # the census reads Gamma0 by its adjugate and determinant, so it stays
+    # a second encoding of Gamma0; the engine reads no box either
     forbidden = {
         "_adj", "_det", "_glide", "_lower",
         "residues", "half_residues", "vertex_reps", "half_orbit_reps",
@@ -779,8 +777,6 @@ def test_the_engine_reads_gamma0_only_through_its_triangular_basis():
     for name in ENGINE:
         assert not _names_in(name) & forbidden, name
     assert "_triangle" in _names_in("_transfer_system")
-    assert {"_period", "_det"} <= _names_in("torus_closed_form")
-    assert "_adj" not in _names_in("torus_closed_form")
 
 
 # ---------------------------------------------------------------------------

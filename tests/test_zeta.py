@@ -5,6 +5,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
+import weylzeta.census as census_mod
 import weylzeta.zeta as zeta_mod
 from reference import (
     IntMatrix,
@@ -23,12 +25,13 @@ from reference import (
     det_identity_minus_wT,
     l_poly_in_w,
     num_den,
+    progression_counts,
     reduced_in_w,
     series_exp,
     series_log,
 )
 from weylzeta.algebra import CycleProduct, NotPolynomialWithinBound
-from weylzeta.census import walk_count_table, walk_period
+from weylzeta.census import _walk_progressions, walk_count_table
 from weylzeta.cli import poly_to_json
 from weylzeta.corpus import generate_corpus
 from weylzeta.identities import _closed_path_table, _cycles
@@ -47,7 +50,6 @@ from weylzeta.zeta import (
     l_poly_from_counts,
     required_order,
     resolve_order,
-    torus_closed_form,
     zeta_bundle,
 )
 
@@ -84,9 +86,8 @@ def exp_series(counts) -> Series:
 
 
 def l_poly(q, rep):
-    """The L-polynomial read off one period of the walk counts."""
-    counts = walk_count_table(q, rep, walk_period(q, rep))
-    return l_poly_from_counts(counts, q.N * len(q.rs.weights(rep)))
+    """The L-polynomial read off the walk progressions."""
+    return l_poly_from_counts(_walk_progressions(q, rep)[0], q.N * len(q.rs.weights(rep)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +144,17 @@ def test_l_polynomials_on_coroot_tori():
 
 
 def test_l_function_series_is_reciprocal_of_p():
-    # P from a period of 3 counts, the series through 40 of them
+    # P from one progression of modulus 3, the series through 40 counts
     s = exp_series(walk_count_table(A2_TORUS, "pi2", 40))
     p = l_poly(A2_TORUS, "pi2")
-    assert walk_period(A2_TORUS, "pi2") == 3
+    assert set(_walk_progressions(A2_TORUS, "pi2")[0]) == {(0, 3)}
     assert s == Series.from_poly(l_poly_in_w(p), s.order).reciprocal()
 
 
 def test_l_poly_matches_the_series_exp_reciprocal_route():
     # the dense reference: exp of the count series through the order, its
-    # reciprocal, and a zero tail past the degree bound; P is read off one
-    # period of the counts
+    # reciprocal, and a zero tail past the degree bound; P is read off the
+    # walk progressions
     for member in generate_corpus(7, 20, 12):
         q = member.build()
         order = resolve_order(q)
@@ -166,8 +167,8 @@ def test_l_poly_matches_the_series_exp_reciprocal_route():
 
 
 def test_l_function_order_pre_condition():
-    # the order is checked by the bundle, and P is read off a period of 3
-    # counts at any admissible order
+    # the order is checked by the bundle, and P is read off the walk
+    # progressions at any admissible order
     with pytest.raises(OrderInsufficientError) as exc:
         zeta_bundle(A2_TORUS, 10)
     assert exc.value.required == 2 * 3 * 3 + 8
@@ -176,16 +177,17 @@ def test_l_function_order_pre_condition():
 
 
 def test_l_product_checks_the_dense_polynomial():
-    # a period that no cycle product has: 2 * a_2 = N_2 - N_1 = -1, so P
+    # counts that no cycle product has: 2 * a_2 = N_2 - N_1 = -1, so P
     # itself fails at u**2
     with pytest.raises(AssertionError, match="non-integer coefficients"):
-        l_poly_from_counts((1, 0) + (0,) * 24, 2)
-    # N_n = 9 when 3 | n is (1 - u**3)**3 from a period of 3, and from any
-    # multiple of it, but not from a window of 26: N_27 = 9 is not 0
-    for period in ((0, 0, 9), (0, 0, 9) * 4):
-        assert l_poly_from_counts(period, 9).cycle_product() == CycleProduct({6: 3})
+        l_poly_from_counts({(1, 2): 1}, 2)
+    # N_n = 9 when 3 | n is (1 - u**3)**3, from one progression or split
+    # over the residues 0 and 3 of 6, but not with 27 more walks at every
+    # 27th n: P would then be (1 - u**3)**3 (1 - u**27), past the bound
+    for progressions in ({(0, 3): 9}, {(0, 6): 9, (3, 6): 9}):
+        assert l_poly_from_counts(progressions, 9).cycle_product() == CycleProduct({6: 3})
     with pytest.raises(NotPolynomialWithinBound) as exc:
-        l_poly_from_counts([9 if n % 3 == 0 else 0 for n in range(1, 27)], 9)
+        l_poly_from_counts({(0, 3): 9, (0, 27): 27}, 9)
     assert exc.value.exponent == 2 * 27
 
 
@@ -224,92 +226,99 @@ def l_outcome(fn, counts, bound):
     return p if isinstance(p, Poly) else l_poly_in_w(p)
 
 
-def extension(period, length):
-    """N_1, ..., N_length of the sequence with the given period."""
-    return [period[n % len(period)] for n in range(length)]
+def on_form(moduli):
+    """The progressions (0, m) and, for m even, (m/2, m) of the given
+    moduli: the residues the census makes."""
+    return [(r, m) for m in moduli for r in ((0, m // 2) if m % 2 == 0 else (0,))]
 
 
-def perturbations(period):
-    """period with one entry N_n changed by -1, +1 or +n, at each n."""
-    for n in range(1, len(period) + 1):
-        for delta in (-1, 1, n):
-            changed = list(period)
-            changed[n - 1] += delta
-            yield changed
+def perturbations(progressions, period):
+    """progressions with the count of one of them changed by -1, +1 or
+    +m, or with one progression of a modulus dividing period added."""
+    for (r, m), c in progressions.items():
+        for delta in (-1, 1, m):
+            yield {**progressions, (r, m): c + delta}
+    for p in on_form(m for m in range(1, period + 1) if period % m == 0):
+        if p not in progressions:
+            yield {**progressions, p: 1}
 
 
-def assert_matches_the_references(period, bound):
-    """P of the period, or its failure, is that of both references over the
-    periodic extension through 2 * bound + 8 counts; returns the outcome."""
-    assert len(period) <= bound + 8
-    got = l_outcome(l_poly_from_counts, period, bound)
-    counts = extension(period, 2 * bound + 8)
-    assert got == l_outcome(reference.l_poly_from_counts, counts, bound), (period, bound)
-    assert got == l_outcome(reference.l_poly_by_expansion, counts, bound), (period, bound)
+def assert_matches_the_references(progressions, bound):
+    """P of the progressions, or its failure, is that of both references
+    over their counts through 2 * bound + 8; returns the outcome."""
+    assert lcm(*(m for _, m in progressions)) <= bound + 8
+    got = l_outcome(l_poly_from_counts, progressions, bound)
+    counts = progression_counts(progressions, 2 * bound + 8)
+    assert got == l_outcome(reference.l_poly_from_counts, counts, bound), (progressions, bound)
+    assert got == l_outcome(reference.l_poly_by_expansion, counts, bound), (progressions, bound)
     return got
 
 
 def test_l_poly_matches_the_newton_recurrence():
     # the value, or the failure and its exponent, of the Newton recurrence
-    # over the periodic extension: on one period of the corpus's walk
-    # counts, each with one entry perturbed, and on random short periods
+    # over the counts: on the corpus's walk progressions, each perturbed
+    # once, and on random progression sets of short period
     cases = []
     for member in generate_corpus(7, 20, 12):
         q = member.build()
         for rep in q.rs.rep_names:
-            period = walk_count_table(q, rep, walk_period(q, rep))
+            progressions = dict(_walk_progressions(q, rep)[0])
+            period = lcm(*(m for _, m in progressions))
             bound = q.N * len(q.rs.weights(rep))
-            cases.append((period, bound))
-            cases += [(c, bound) for c in perturbations(period)]
+            cases.append((progressions, bound))
+            cases += [(c, bound) for c in perturbations(progressions, period)]
     rng = random.Random(11)
     for _ in range(300):
         bound = rng.randint(0, 5)
-        cases.append(([rng.randint(-3, 3) for _ in range(rng.randint(1, bound + 8))], bound))
-    outcomes = [assert_matches_the_references(period, bound) for period, bound in cases]
+        period = rng.randint(1, bound + 8)
+        moduli = [m for m in range(1, period + 1) if period % m == 0]
+        forms = on_form(moduli)
+        picked = rng.sample(forms, min(3, len(forms)))
+        cases.append(({p: rng.randint(-3, 3) for p in picked}, bound))
+    outcomes = [assert_matches_the_references(progressions, bound) for progressions, bound in cases]
     # every branch is exercised: P, the tail, and a non-integer coefficient
     kinds = Counter(o[0] if isinstance(o, tuple) else Poly for o in outcomes)
     assert all(kinds[k] > 20 for k in (Poly, NotPolynomialWithinBound, AssertionError))
 
 
 @st.composite
-def planted_periods(draw):
-    """(period, bound, outcome): one period M <= bound + 8 of a sum of
-    planted census progressions (r, m), m | M, and the outcome it was
-    planted for.  Progressions (0, m) of multiplicity m k make a P =
-    prod (1 - u**m)**k within the bound; adding the same count to every n
-    multiplies it by a power of 1 - u, up to degree bound + 1 (a tail),
-    and adding 1 at n = 2 makes 2 a_2 odd (a non-integer p_2).  Any other
-    residues r give "any": whatever the references find."""
+def planted_progressions(draw):
+    """(progressions, bound, outcome): planted census progressions (r, m)
+    of period M <= bound + 8, and the outcome they were planted for.
+    Progressions (0, m) of count m k make a P = prod (1 - u**m)**k within
+    the bound; adding (0, 1), the same count at every n, multiplies it by
+    a power of 1 - u, up to degree bound + 1 (a tail), and adding (0, 2)
+    of count 1 makes 2 a_2 odd (a non-integer p_2).  Residues 0 or m/2
+    with any counts give "any": whatever the references find."""
     outcome = draw(st.sampled_from(("P", "tail", "non-integer", "any")))
     bound = draw(st.integers(2, 10))
-    size = draw(st.integers(2, bound + 8))
+    size = draw(st.integers(1, (bound + 8) // 2)) * 2  # (0, 2) keeps the period
     moduli = [m for m in range(1, size + 1) if size % m == 0]
-    period = [0] * size
-    planted = st.tuples(st.sampled_from(moduli), st.integers(0, size - 1), st.integers(-3, 3))
-    for m, r, k in draw(st.lists(planted, max_size=4)):
+    progressions: Counter = Counter()
+    planted = st.tuples(st.sampled_from(on_form(moduli)), st.integers(-3, 3))
+    for (r, m), k in draw(st.lists(planted, max_size=4)):
         if outcome != "any":
             r, k = 0, m * abs(k)
-        for n in range(1, size + 1):
-            if n % m == r % m:
-                period[n - 1] += k
+        progressions[(r, m)] += k
     if outcome == "any":
-        return period, bound, outcome
-    bound = max(bound, period[-1])  # N_M is the degree of the planted P
+        return dict(progressions), bound, outcome
+    degree = sum(progressions.values())  # N_M, the degree of the planted P
+    bound = max(bound, degree)
     if outcome == "tail":
-        period = [c + bound + 1 - period[-1] for c in period]
+        progressions[(0, 1)] += bound + 1 - degree
     elif outcome == "non-integer":
-        period[1] += 1
-    return period, bound, outcome
+        progressions[(0, 2)] += 1
+    return dict(progressions), bound, outcome
 
 
-@given(planted_periods())
+@given(planted_progressions())
 @settings(deadline=None, max_examples=400)
 def test_l_poly_fallback_matches_the_expansion_oracle(planted):
-    # the value or the failure of one period is that of the Newton
-    # recurrence and of the full expansion of the Moebius product over the
-    # periodic extension through 2 * bound + 8
-    period, bound, outcome = planted
-    got = assert_matches_the_references(period, bound)
+    # the value or the failure of the progressions is that of the Newton
+    # recurrence and of the full expansion of the Moebius product over
+    # their counts through 2 * bound + 8
+    progressions, bound, outcome = planted
+    got = assert_matches_the_references(progressions, bound)
     if outcome == "P":
         assert isinstance(got, Poly)
     elif outcome == "tail":
@@ -318,16 +327,17 @@ def test_l_poly_fallback_matches_the_expansion_oracle(planted):
         assert got == (AssertionError, None)
 
 
-def test_l_poly_of_dense_counts_is_quick():
-    # N_n = 2**n for n <= 2312 taken as a period: every Moebius exponent is
-    # nonzero and the product is not P; the failing order, n = 2313 where
-    # the period repeats N_1 = 2, is found over two nonzero p_j
-    counts = [2**n for n in range(1, 2313)]
+def test_l_poly_of_a_huge_modulus_is_quick():
+    # P is read off the progressions, not off a period of 10**12 counts:
+    # N_n = 10**12 when 10**12 | n is 1 - u**(10**12), and with the residue
+    # 10**12 / 2 added it is (1 - u**(10**12 / 2))**2
+    m = 10**12
     start = time.perf_counter()
-    with pytest.raises(NotPolynomialWithinBound) as exc:
-        l_poly_from_counts(counts, 1152)
+    p = l_poly_from_counts({(0, m): m}, m)
+    assert p.cycle_product() == CycleProduct({2 * m: 1})
+    p = l_poly_from_counts({(0, m): m, (m // 2, m): m}, m)
+    assert p.cycle_product() == CycleProduct({m: 2})
     assert time.perf_counter() - start < 1.0
-    assert exc.value.exponent == 2 * 2313
 
 
 def test_l_polynomial_holds_the_poly_coefficients():
@@ -339,8 +349,8 @@ def test_l_polynomial_holds_the_poly_coefficients():
     assert list(p.u_coeffs()) == [1, -3, 3, -1] and p.degree == 6
     assert [type(c) for c in p.u_coeffs()] == [int] * 4
     assert json.dumps(poly_to_json(p)) == '{"coeffs": [1, -3, 3, -1], "var": "u"}'
-    # one period of N_n = 1 gives P = 1 - u
-    p = l_poly_from_counts((1,), 3)
+    # N_n = 1, the progression (0, 1), gives P = 1 - u
+    p = l_poly_from_counts({(0, 1): 1}, 3)
     assert list(p.u_coeffs()) == [1, -1] and p == LPolynomial(CycleProduct({2: 1}))
 
 
@@ -404,10 +414,12 @@ def test_l_poly_is_the_q1_hecke_determinant():
 
 
 def test_torus_closed_form_examples():
-    assert torus_closed_form(A2_TORUS, "pi1") == inverse_power(6, 3)
+    # 1/P of a torus is its closed form, prod over weights of
+    # (1 - u**deg)**(-N/deg), deg the weight's order modulo Gamma0
+    assert l_poly(A2_TORUS, "pi1").cycle_product().inverse() == inverse_power(6, 3)
     big = build(A2, TorusSpec((3, 0), (0, 3)))
-    assert torus_closed_form(big, "pi1") == inverse_power(6, 9)
-    assert torus_closed_form(C2_TORUS, "st") == inverse_power(2, 8)
+    assert l_poly(big, "pi1").cycle_product().inverse() == inverse_power(6, 9)
+    assert l_poly(C2_TORUS, "st").cycle_product().inverse() == inverse_power(2, 8)
 
 
 def test_torus_closed_form_orders_match_a_stepped_order():
@@ -427,12 +439,7 @@ def test_torus_closed_form_orders_match_a_stepped_order():
                     n += 1
                 assert q.N % n == 0
                 exponents[2 * n] -= q.N // n
-            assert torus_closed_form(q, rep) == CycleProduct(exponents), (q, rep)
-
-
-def test_torus_closed_form_rejects_klein():
-    with pytest.raises(Exception):
-        torus_closed_form(A2_KLEIN, "pi1")
+            assert l_poly(q, rep).cycle_product().inverse() == CycleProduct(exponents), (q, rep)
 
 
 def test_correction_factors():
@@ -571,33 +578,41 @@ def _samples():
 
 
 def test_the_walk_period_divides_the_translation_index():
-    # M is the lcm of the walk progressions' moduli, each of which divides
-    # det Gamma0; the corpus, the benchmark ladder and the samples
+    # the lemma of the census docstring: every walk progression (r, m) has
+    # r = 0 or m / 2 and m | det Gamma0, so the walk period M, the lcm of
+    # the moduli, divides det Gamma0; and P read off the progressions is
+    # the Moebius product of one period of the walk counts.  Corpus seeds
+    # 0..11, the benchmark ladder and the samples
     from test_zeta_report import _ladder
 
-    specs = [(m.root_system, m.spec) for m in generate_corpus(7)] + _ladder()
+    specs = [(m.root_system, m.spec) for seed in range(12) for m in generate_corpus(seed)]
+    specs += _ladder()
     quotients = [build(RootSystem.make(rs), spec) for rs, spec in specs] + list(_samples())
+    pairs = 0
     for q in quotients:
         for rep in q.rs.rep_names:
-            period = walk_period(q, rep)
-            assert q._det % period == 0 and period <= q.N * len(q.rs.weights(rep))
+            progressions = _walk_progressions(q, rep)[0]
+            assert all(2 * r in (0, m) and q._det % m == 0 for r, m in progressions), (q, rep)
+            period = lcm(*(m for _, m in progressions))
+            assert period <= q.N * len(q.rs.weights(rep)), (q, rep)
+            traces = walk_count_table(q, rep, period)
+            expected = reference.cycle_product_from_traces(traces, 2)
+            assert l_poly(q, rep).cycle_product() == expected, (q, rep)
+            pairs += 1
+    assert pairs > 1300
 
 
-def test_the_bundle_tallies_one_period_of_walk_counts(monkeypatch):
-    # P is read off one period M | det Gamma0 of the walk counts, at every
-    # order: the bundle asks the census for no order-length table
-    asked = []
+def test_the_bundle_tallies_no_walk_counts(monkeypatch):
+    # P is read off the walk progressions in closed form, at every order:
+    # the bundle asks the census for no count table and tallies nothing
+    def refuse(*args):
+        raise RuntimeError("the bundle tallied walk counts")
 
-    def recording(q, rep, max_n):
-        asked.append((q, max_n))
-        return walk_count_table(q, rep, max_n)
-
-    monkeypatch.setattr(zeta_mod, "walk_count_table", recording)
-    quotients = list(_samples()) + [m.build() for m in generate_corpus(7)]
-    for q in quotients:
+    monkeypatch.setattr(census_mod, "walk_count_table", refuse)
+    monkeypatch.setattr(census_mod, "_tally", refuse)
+    assert not hasattr(zeta_mod, "walk_count_table") and not hasattr(zeta_mod, "_tally")
+    for q in list(_samples()) + [m.build() for m in generate_corpus(7)]:
         assert zeta_bundle(q).l_failure == {rep: {} for rep in q.rs.rep_names}
-    assert {q for q, _ in asked} == set(quotients)
-    assert all(max_n <= q._det < resolve_order(q) for q, max_n in asked)
 
 
 def test_zeta_bundle_l_func_includes_trivial_weight_factor():
