@@ -263,5 +263,5 @@ class CycleProduct:
         return tuple(out)
 
     def __repr__(self):
-        return f"CycleProduct({dict(self.items())})"
+        return f"{type(self).__name__}({dict(self.items())})"
 

@@ -12,13 +12,15 @@ Exit codes: 0 success, 1 at least one identity failed (verify, corpus)
 or no L-polynomial was found (zeta, which then prints nothing), 2 parse or
 validation error (including a series order below the required one or
 above MAX_ORDER, a --max-n outside 1..MAX_ORDER, and a corpus --tori or
---kleins outside 0..MAX_MEMBERS).
+--kleins outside 0..MAX_MEMBERS), 141 (128 + SIGPIPE) when the reader of
+stdout closed it before the output was written, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -38,9 +40,9 @@ from .zeta import MAX_ORDER, LPolynomial, OrderInsufficientError, zeta_bundle
 
 
 def poly_to_json(p: LPolynomial, memo: Optional[dict] = None) -> dict:
-    """P's u-coefficient list, its expansion shared through memo as in
-    ratfunc_to_json."""
-    return {"coeffs": p.u_coeffs(memo), "var": "u"}
+    """P's u-coefficient list: its reduced numerator (the denominator is
+    1), its expansion shared through memo as in ratfunc_to_json."""
+    return {"coeffs": p.expanded(memo)[1], "var": "u"}
 
 
 def ratfunc_to_json(f: CycleProduct, memo: Optional[dict] = None) -> dict:
@@ -138,7 +140,7 @@ def _cmd_zeta(args) -> int:
     }
     lines = [f"{q.rs.kind} {q.kind}: zeta data at order {bundle.order}"]
     memo: dict = {}  # the expansions of this call, by reduced factor dict
-    for rep in bundle.rep_names:
+    for rep in q.rs.rep_names:
         for key in ("zeta", "zeta_semi", "zeta2", "correction"):
             payload[key][rep] = ratfunc_to_json(getattr(bundle, key)[rep], memo)
         payload["l_poly"][rep] = poly_to_json(bundle.l_poly[rep], memo)
@@ -258,7 +260,14 @@ def main(argv=None) -> int:
         _PARSER = make_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: exit as a SIGPIPE'd process does,
+        # silently, with stdout on devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SpecFileError, SpecValidationError, OrderInsufficientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -246,9 +246,6 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             if detail is not None:
                 record(f"{identity_id}[{rep}]", statement, detail)
 
-    def l_product(rep: str) -> CycleProduct:
-        return l_poly[rep].cycle_product()
-
     # the three zeta logs versus the census counts
     each(
         "walk-log-counts",
@@ -281,7 +278,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         each(
             "torus-three-way",
             "walk zeta equals reciprocal L-polynomial and closed form",
-            lambda rep: _ratfunc_compare(walks[rep], l_product(rep).inverse()),
+            lambda rep: _ratfunc_compare(walks[rep], l_poly[rep].inverse()),
             needs_l=True,
         )
         # every torus walk closes without a corner: the census's closed
@@ -296,7 +293,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         each(
             "l-zeta-axis-correction",
             "reciprocal L-polynomial equals walk zeta times axis factor",
-            lambda rep: _ratfunc_compare(l_product(rep).inverse(), walks[rep] * corr[rep]),
+            lambda rep: _ratfunc_compare(l_poly[rep].inverse(), walks[rep] * corr[rep]),
             needs_l=True,
         )
         # squared comparison against the independently built double cover
@@ -306,7 +303,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             "squared walk zeta equals the double cover zeta times the rational-axis factor",
             lambda rep: _ratfunc_compare(
                 walks[rep] ** 2,
-                build_walk_system(cover, rep).zeta()
+                build_walk_system(cover, rep).product
                 * axis_factor(q.k_gamma, q.m_axes * (2 - q.delta(rep))),
             ),
         )
@@ -344,7 +341,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         "main-identity",
         "trivial-weight-cleared L equals walk zetas over gallery zeta at -u",
         lambda rep: _product_poly_compare(
-            (walks[rep] * partner_walks[rep]).inverse(), l_product(rep) / gallery_neg[rep]
+            (walks[rep] * partner_walks[rep]).inverse(), l_poly[rep] / gallery_neg[rep]
         ),
         needs_l=True,
     )

@@ -126,7 +126,9 @@ def load_spec_file(path: str) -> ParsedSpec:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SpecFileError(None, f"spec file is not UTF-8: bad byte at offset {exc.start}")
-    return parse_spec_text(text)
+    # a leading byte-order mark is dropped after decoding, not by utf-8-sig,
+    # so that the offset of a bad byte stays an offset in the file
+    return parse_spec_text(text.removeprefix("\ufeff"))
 
 
 def spec_to_json_dict(root_system: str, spec: GroupSpec) -> dict:

@@ -90,7 +90,7 @@ the failure's detail in l_failure and holds None for P.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .algebra import CycleProduct, NotPolynomialWithinBound
 from .census import _walk_progressions
@@ -125,7 +125,8 @@ class OrderInsufficientError(ValueError):
 class TransferSystem(NamedTuple):
     """The cycle record of a labeled permutation dynamic: its kind and
     representation, its number of states, the power of w of one step,
-    and zeta() = prod (1 - w**(step_in_w * length))**-1 over its cycles.
+    and its zeta, product = prod (1 - w**(step_in_w * length))**-1 over
+    its cycles.
     """
 
     kind: str  # walks | semi | galleries
@@ -133,9 +134,6 @@ class TransferSystem(NamedTuple):
     step_in_w: int
     size: int
     product: CycleProduct
-
-    def zeta(self) -> CycleProduct:
-        return self.product
 
 
 def _order(tri: tuple, v: Vec) -> int:
@@ -239,35 +237,16 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> TransferSystem:
 # ---------------------------------------------------------------------------
 
 
-class LPolynomial:
-    """The L-polynomial P, held by its cycle product.  Two are equal when
-    their products are: equal exponent dicts are equal functions, and
-    distinct ones distinct functions."""
+class LPolynomial(CycleProduct):
+    """The L-polynomial P: a cycle product that l_poly_from_counts found
+    to be a polynomial within its degree bound."""
 
-    __slots__ = ("_product",)
-
-    def __init__(self, product: CycleProduct):
-        self._product = product
-
-    def u_coeffs(self, memo: Optional[dict] = None) -> Sequence[int]:
-        """P's coefficients in u: its product's reduced numerator (the
-        denominator is 1), expanded in u through memo as
-        CycleProduct.expanded does."""
-        return self._product.expanded(memo)[1]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         """P's degree in w, read off the product without expanding it."""
-        return self._product.degrees()[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LPolynomial) and self._product == other._product
-
-    def __hash__(self):
-        return hash(self._product)
-
-    def cycle_product(self) -> CycleProduct:
-        return self._product
+        return self.degrees()[0]
 
 
 def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
@@ -314,9 +293,9 @@ def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
         else:
             raise AssertionError(f"walk progression {(r, m)} has a residue neither 0 nor m/2")
     if all(x % d == 0 for d, x in s.items()):
-        product = CycleProduct({2 * d: x // d for d, x in s.items()})
+        product = LPolynomial({2 * d: x // d for d, x in s.items()})
         if product.is_polynomial_within(2 * bound):
-            return LPolynomial(product)
+            return product
     period = lcm(*(m for _, m in progressions))
     counts = [0] * period  # counts[n - 1] = N_n
     for (r, m), c in progressions.items():
@@ -361,8 +340,8 @@ def correction_factor(q: QuotientGroup, rep: str) -> CycleProduct:
 
 class ZetaBundle(NamedTuple):
     """One quotient's zeta data at one order, by representation: the cycle
-    products zeta, zeta_semi, zeta2 and correction and the L-polynomials
-    l_poly, which the `zeta` command prints.  l_failure[rep] is {} when P
+    products zeta, zeta_semi, zeta2, correction and l_poly (the
+    L-polynomials, each an LPolynomial), which the `zeta` command prints.  l_failure[rep] is {} when P
     was found; otherwise l_poly[rep] is None and l_failure[rep] holds why:
     {"nonzero_tail_exponent": e} when P has no degree within the bound,
     {"reason": message} when a coefficient is not an integer."""
@@ -374,10 +353,6 @@ class ZetaBundle(NamedTuple):
     l_poly: dict
     l_failure: dict
     correction: dict
-
-    @property
-    def rep_names(self):
-        return tuple(self.zeta)
 
 
 # The largest order any supported quotient requires: that of a C2 torus
@@ -424,9 +399,9 @@ def zeta_bundle(q: QuotientGroup, order: Optional[int] = None) -> ZetaBundle:
     order = resolve_order(q, order)
     zeta, semi, gal, lpoly, failure, corr = {}, {}, {}, {}, {}, {}
     for rep in q.rs.rep_names:
-        zeta[rep] = build_walk_system(q, rep).zeta()
-        semi[rep] = build_semi_system(q, rep).zeta()
-        gal[rep] = build_gallery_system(q, rep).zeta()
+        zeta[rep] = build_walk_system(q, rep).product
+        semi[rep] = build_semi_system(q, rep).product
+        gal[rep] = build_gallery_system(q, rep).product
         walks = _walk_progressions(q, rep)[0]
         lpoly[rep], failure[rep] = None, {}
         try:

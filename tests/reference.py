@@ -928,7 +928,7 @@ def reduced_in_w(f: CycleProduct) -> tuple:
 
 def l_poly_in_w(p) -> Poly:
     """The L-polynomial p (a ``weylzeta.zeta.LPolynomial``) as a Poly in w."""
-    return Poly(spread(p.u_coeffs(), 2))
+    return Poly(spread(p.expanded()[1], 2))
 
 
 def _poly_compare(lhs: Poly, rhs: Poly) -> dict:
@@ -997,9 +997,9 @@ def ratfunc_to_json(f: CycleProduct) -> tuple:
 
 
 def poly_to_json(p) -> tuple:
-    """(json, w-coefficients) of the L-polynomial: its cycle product's
-    reduced numerator expanded in w (the denominator is 1)."""
-    num, den = w_expansions(p.cycle_product())
+    """(json, w-coefficients) of the L-polynomial: its reduced numerator
+    expanded in w (the denominator is 1)."""
+    num, den = w_expansions(p)
     assert den == [1]
     if any(num[1::2]):
         return {"coeffs": num, "var": "w"}, num
@@ -1012,7 +1012,7 @@ def zeta_output(q: QuotientGroup, bundle, fmt: str) -> str:
     keys = ("zeta", "zeta_semi", "zeta2", "correction")
     payload: dict = {"order": bundle.order, "l_poly": {}, **{key: {} for key in keys}}
     lines = [f"{q.rs.kind} {q.kind}: zeta data at order {bundle.order}"]
-    for rep in bundle.rep_names:
+    for rep in q.rs.rep_names:
         den = {}
         for key in keys:
             payload[key][rep], den[key] = ratfunc_to_json(getattr(bundle, key)[rep])
@@ -1157,14 +1157,15 @@ class PermutationSystem:
                 raise AssertionError(f"{self.kind} transition is not a bijection")
             lengths[n] += 1
         zeta = CycleProduct({self.step_in_w * n: -c for n, c in lengths.items()})
-        object.__setattr__(self, "_zeta", zeta)
+        object.__setattr__(self, "_product", zeta)
 
     @property
     def size(self) -> int:
         return len(self.successor)
 
-    def zeta(self) -> CycleProduct:
-        return self._zeta
+    @property
+    def product(self) -> CycleProduct:
+        return self._product
 
 
 def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:

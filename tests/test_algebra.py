@@ -563,7 +563,7 @@ def test_poly_int_and_fraction_coefficients_agree():
     # the reference Poly is the tests' only dense class: it equals no
     # coefficient list and no L-polynomial of the package
     c = Poly([Fraction(1), 0, Fraction(-6, 2)])
-    p = LPolynomial(CycleProduct({2: 1}))  # 1 - u
+    p = LPolynomial({2: 1})  # 1 - u
     assert c != [1, 0, -3] and Poly([1, 0, -1]) != p and p != Poly([1, 0, -1])
 
 
@@ -586,7 +586,7 @@ def test_package_poly_is_int_only(f):
     assert g.expanded() == (2, *in_w)
     # the JSON edge prints P's list as it is
     if den == [1]:
-        p = LPolynomial(g)
+        p = LPolynomial(g.items())
         assert json.dumps(poly_to_json(p)) == f'{{"coeffs": {json.dumps(in_w[0])}, "var": "u"}}'
         assert p.degree == 2 * len(in_w[0]) - 2
 

@@ -121,7 +121,7 @@ def test_the_period_tally_and_the_torus_closed_form_are_gone():
 
 def test_transfer_systems_keep_one_record_of_their_cycles():
     # the zeta is the only record of a system's cycles, read through
-    # build_*_system(q, rep).zeta() and CycleProduct.items()
+    # build_*_system(q, rep).product and CycleProduct.items()
     for name in ("zeta_walks", "zeta_semi", "zeta_galleries"):
         assert not hasattr(weylzeta, name)
     assert not hasattr(weylzeta.TransferSystem, "cycle_lengths")
@@ -161,11 +161,23 @@ def test_the_package_keeps_no_dense_polynomial_class():
     assert not hasattr(weylzeta, "Poly") and not hasattr(weylzeta.algebra, "Poly")
     for name in ("num_den", "_reduced"):
         assert not hasattr(weylzeta.CycleProduct, name)
-    assert weylzeta.LPolynomial.__mro__ == (weylzeta.LPolynomial, object)
     for name in ("coeffs", "coefficient"):
         assert not hasattr(weylzeta.LPolynomial, name)
-    # P is always its cycle product: no coefficient-only form
-    assert weylzeta.LPolynomial.__slots__ == ("_product",)
+
+
+def test_p_is_a_cycle_product_with_no_accessor_around_it():
+    # P is a CycleProduct that adds only its degree: no slot, wrapper or
+    # accessor stands between a caller and the product, and a system's or
+    # a bundle's products are read as they are
+    LPolynomial = weylzeta.LPolynomial
+    assert LPolynomial.__mro__ == (LPolynomial, weylzeta.CycleProduct, object)
+    assert LPolynomial.__slots__ == ()
+    members = [k for k, v in vars(LPolynomial).items() if callable(v) or isinstance(v, property)]
+    assert members == ["degree"]
+    for name in ("cycle_product", "u_coeffs", "_product"):
+        assert not hasattr(LPolynomial, name)
+    assert not hasattr(weylzeta.TransferSystem, "zeta")
+    assert not hasattr(weylzeta.ZetaBundle, "rep_names")
 
 
 def test_every_function_has_a_caller_in_the_package():

@@ -112,8 +112,8 @@ def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
     # the smallest Klein bottle: k = 3, a single positive off-axis weight
     q = REFERENCE[2]
     p = l_poly_from_counts(census_mod._walk_progressions(q, "pi1")[0], q.N * 3)
-    lhs = p.cycle_product().inverse()
-    rhs = build_walk_system(q, "pi1").zeta() * axis_factor(6, 1)
+    lhs = p.inverse()
+    rhs = build_walk_system(q, "pi1").product * axis_factor(6, 1)
     assert lhs == rhs
 
 
@@ -199,7 +199,7 @@ def test_cycle_records_report_a_planted_odd_cycle(monkeypatch):
         if rep != "spin":
             return system
         successor = (1, 2, 0) + tuple(range(3, system.size))
-        planted = reference.PermutationSystem("walks", rep, successor, 2).zeta()
+        planted = reference.PermutationSystem("walks", rep, successor, 2).product
         assert system.size == 8 and planted == CycleProduct({2: -5, 6: -1})
         return system._replace(product=planted)
 
@@ -344,7 +344,7 @@ def test_failure_details_match_on_the_corpus_walk_zetas():
     for member in generate_corpus(7):
         q = member.build()
         for rep in q.rs.rep_names:
-            for lhs, rhs in perturbed_pairs(build_walk_system(q, rep).zeta()):
+            for lhs, rhs in perturbed_pairs(build_walk_system(q, rep).product):
                 assert_details_match(lhs, rhs)
 
 
@@ -360,6 +360,6 @@ def test_failure_details_match_on_the_corpus_walk_zetas():
 def test_failure_details_match_on_index_288_tori(q):
     assert q.N == 288
     for rep in q.rs.rep_names:
-        z = build_walk_system(q, rep).zeta()
+        z = build_walk_system(q, rep).product
         for lhs, rhs in perturbed_pairs(z):
             assert_details_match(lhs, rhs)

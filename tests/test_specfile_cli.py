@@ -18,6 +18,8 @@ from weylzeta.quotient import MAX_CLASSES, KleinSpec, TorusSpec
 from weylzeta.specfile import MAX_SPEC_BYTES, SpecFileError, parse_spec_text
 from weylzeta.zeta import MAX_ORDER
 
+ROOT = Path(__file__).resolve().parent.parent
+
 A2_TORUS_TEXT = """\
 # coroot lattice torus
 root_system = A2
@@ -229,6 +231,26 @@ def test_cli_unreadable_spec_file_exits_two(tmp_path, capsys, command, data, fra
     assert fragment in captured.err
 
 
+@pytest.mark.parametrize("command", ("describe", "verify", "zeta"))
+def test_cli_spec_file_with_a_byte_order_mark_loads(tmp_path, capsys, command):
+    # a UTF-8 BOM would hide the leading comment line from the parser
+    sample = ROOT / "samples" / "a2_torus.spec"
+    path = tmp_path / "bom.spec"
+    path.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())
+    assert main([command, "--input", str(sample), "--format", "json"]) == 0
+    plain = capsys.readouterr()
+    assert main([command, "--input", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr() == plain
+    # only one mark is dropped, and a bad byte's offset counts the mark
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + sample.read_bytes())
+    assert main([command, "--input", str(path)]) == 2
+    assert "line 1: expected 'key = value'" in capsys.readouterr().err
+    path.write_bytes(b"\xef\xbb\xbf" + TORUS_TEXT.encode() + b"\xff")
+    assert main([command, "--input", str(path)]) == 2
+    offset = 3 + len(TORUS_TEXT.encode())
+    assert f"bad byte at offset {offset}" in capsys.readouterr().err
+
+
 def test_cli_spec_file_of_exactly_the_byte_bound_loads(tmp_path, capsys):
     path = tmp_path / "full.spec"
     padding = "#" * (MAX_SPEC_BYTES - len(TORUS_TEXT) - 1) + "\n"
@@ -386,6 +408,39 @@ def test_cli_zeta_on_planted_walk_counts_under_python_o(torus_file, fault):
         env={**os.environ, "PYTHONPATH": src},
     )
     _check_planted_zeta(fault, done.returncode, done.stdout, done.stderr)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    (
+        (["counts", "--input", "samples/a2_torus.spec", "--max-n", "2312"], 141),
+        (["describe", "--input", "samples/a2_torus.spec"], 141),
+        (["describe", "--input", "samples/missing.spec"], 2),
+    ),
+    ids=("counts", "describe", "missing-input"),
+)
+def test_cli_exits_141_quietly_when_the_reader_has_gone(args, code):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # block-buffered as it is by default, so short output fails at a flush
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "weylzeta", *args],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=ROOT,
+            env={**env, "PYTHONPATH": str(ROOT / "src")},
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    if code == 141:
+        assert done.stderr == ""
+    else:
+        assert done.stderr.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_cli_corpus_small(capsys):

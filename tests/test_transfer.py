@@ -97,7 +97,7 @@ def test_builders_match_tuple_reference():
                 where = (q, rep, got.kind)
                 assert got.size == want.size, where
                 # with a fixed step, equal zetas are equal multisets of cycle lengths
-                assert got.zeta() == want.zeta(), where
+                assert got.product == want.product, where
             if q.kind == "torus":
                 # the semi system keeps two of the four parity blocks per weight
                 assert build_semi_system(q, rep).size == 2 * q.N * len(q.rs.weights(rep))
@@ -153,13 +153,13 @@ def test_transfer_system_accepts_exactly_the_bijections_of_four_states():
 def test_cycles_are_read_off_the_zeta():
     system = reference.PermutationSystem("walks", "pi1", (1, 0, 2, 3), 2)
     assert system.size == 4
-    assert system.zeta() == CycleProduct({2: -2, 4: -1})
-    cycles = _cycles(system.zeta(), system.step_in_w)
+    assert system.product == CycleProduct({2: -2, 4: -1})
+    cycles = _cycles(system.product, system.step_in_w)
     assert cycles == [(1, 2), (2, 1)]
     # n = 1, 2, 3, 4: the two fixed points, and the 2-cycle at even n
-    assert _closed_path_table(system.zeta(), system.step_in_w, 4) == [2, 4, 2, 4]
+    assert _closed_path_table(system.product, system.step_in_w, 4) == [2, 4, 2, 4]
     # the package's record of the same cycles
-    assert TransferSystem("walks", "pi1", 2, 4, system.zeta()).zeta() == system.zeta()
+    assert TransferSystem("walks", "pi1", 2, 4, system.product).product == system.product
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,7 @@ def _systems(q, calls):
     out = {}
     for flat, rep in calls:
         system = flat(q, rep)
-        out[flat.__name__, rep] = (system.size, system.zeta())
+        out[flat.__name__, rep] = (system.size, system.product)
     return out
 
 
@@ -433,7 +433,7 @@ def test_systems_agree_in_any_build_order():
         for flat, ref in BUILDERS:
             for rep in q.rs.rep_names:
                 system = ref(q, rep)
-                want[flat.__name__, rep] = (system.size, system.zeta())
+                want[flat.__name__, rep] = (system.size, system.product)
         assert forward[member.name] == want, member.name
 
 
@@ -896,7 +896,7 @@ def test_klein_systems_match_the_explicit_walk_under_conjugation_and_scaling(ite
     for rep in q.rs.rep_names:
         for flat, ref in BUILDERS:
             got, want = flat(q, rep), ref(q, rep)
-            assert (got.size, got.zeta()) == (want.size, want.zeta()), (q.spec, rep, got.kind)
+            assert (got.size, got.product) == (want.size, want.product), (q.spec, rep, got.kind)
 
 
 def test_the_agreement_examples_meet_every_segment_case():

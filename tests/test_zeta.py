@@ -96,34 +96,34 @@ def l_poly(q, rep):
 
 
 def test_walk_zetas_on_coroot_tori():
-    assert build_walk_system(A2_TORUS, "pi1").zeta() == inverse_power(6, 3)
-    assert build_walk_system(A2_TORUS, "pi2").zeta() == inverse_power(6, 3)
-    assert build_walk_system(C2_TORUS, "spin").zeta() == inverse_power(4, 4)
-    assert build_walk_system(C2_TORUS, "st").zeta() == inverse_power(2, 8)
+    assert build_walk_system(A2_TORUS, "pi1").product == inverse_power(6, 3)
+    assert build_walk_system(A2_TORUS, "pi2").product == inverse_power(6, 3)
+    assert build_walk_system(C2_TORUS, "spin").product == inverse_power(4, 4)
+    assert build_walk_system(C2_TORUS, "st").product == inverse_power(2, 8)
 
 
 def test_gallery_zetas_on_coroot_tori():
-    assert build_gallery_system(A2_TORUS, "pi1").zeta() == inverse_power(12, 3)
-    assert build_gallery_system(A2_TORUS, "pi2").zeta() == inverse_power(12, 3)
-    assert build_gallery_system(C2_TORUS, "spin").zeta() == inverse_power(4, 8)
-    assert build_gallery_system(C2_TORUS, "st").zeta() == inverse_power(4, 8)
+    assert build_gallery_system(A2_TORUS, "pi1").product == inverse_power(12, 3)
+    assert build_gallery_system(A2_TORUS, "pi2").product == inverse_power(12, 3)
+    assert build_gallery_system(C2_TORUS, "spin").product == inverse_power(4, 8)
+    assert build_gallery_system(C2_TORUS, "st").product == inverse_power(4, 8)
 
 
 def test_semi_zetas_equal_walk_zetas_on_tori():
     for q in (A2_TORUS, C2_TORUS):
         for rep in q.rs.rep_names:
-            assert build_semi_system(q, rep).zeta() == build_walk_system(q, rep).zeta()
+            assert build_semi_system(q, rep).product == build_walk_system(q, rep).product
 
 
 def test_semi_cycles_even_on_tori():
     for q, rep in ((C2_TORUS, "spin"), (A2_TORUS, "pi2")):
         sys = build_semi_system(q, rep)
-        assert all(ell % 2 == 0 for ell, _ in _cycles(sys.zeta(), sys.step_in_w))
+        assert all(ell % 2 == 0 for ell, _ in _cycles(sys.product, sys.step_in_w))
 
 
 def test_a2_klein_semi_to_walk_ratio():
     # inert axis geodesics contribute the odd-w factor (1+w^3)/(1-w^3)
-    ratio = build_semi_system(A2_KLEIN, "pi1").zeta() / build_walk_system(A2_KLEIN, "pi1").zeta()
+    ratio = build_semi_system(A2_KLEIN, "pi1").product / build_walk_system(A2_KLEIN, "pi1").product
     assert ratio == axis_factor(3, 1)
 
 
@@ -140,7 +140,7 @@ def test_l_polynomials_on_coroot_tori():
     ):
         p = l_poly(q, rep)
         assert l_poly_in_w(p) == (Poly.one() - Poly.monomial(w_exp)) ** e
-        assert p.cycle_product() == CycleProduct({w_exp: e})
+        assert p == CycleProduct({w_exp: e})
 
 
 def test_l_function_series_is_reciprocal_of_p():
@@ -185,7 +185,7 @@ def test_l_product_checks_the_dense_polynomial():
     # over the residues 0 and 3 of 6, but not with 27 more walks at every
     # 27th n: P would then be (1 - u**3)**3 (1 - u**27), past the bound
     for progressions in ({(0, 3): 9}, {(0, 6): 9, (3, 6): 9}):
-        assert l_poly_from_counts(progressions, 9).cycle_product() == CycleProduct({6: 3})
+        assert l_poly_from_counts(progressions, 9) == CycleProduct({6: 3})
     with pytest.raises(NotPolynomialWithinBound) as exc:
         l_poly_from_counts({(0, 3): 9, (0, 27): 27}, 9)
     assert exc.value.exponent == 2 * 27
@@ -197,7 +197,7 @@ def test_l_polynomial_degree_is_read_off_its_product():
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
             p = l_poly(q, rep)
-            coeffs = p.u_coeffs()
+            coeffs = p.expanded()[1]
             assert p.degree == 2 * len(coeffs) - 2 == 2 * q.N * len(q.rs.weights(rep))
             assert [type(c) for c in coeffs] == [int] * len(coeffs)
 
@@ -210,7 +210,7 @@ def test_l_product_expands_back_past_the_degree_check():
     klein = build(A2, KleinSpec((-1, 0), (0, -1), 0, -3, 2))
     for q, rep in ((A2_TORUS, "pi1"), (klein, "pi1")):
         p = l_poly(q, rep)
-        prod = p.cycle_product()
+        prod = p
         if q is klein:
             assert any(x < 0 for x in reduced_in_w(prod)[0].values())
         assert num_den(prod) == (l_poly_in_w(p), Poly.one())
@@ -334,24 +334,25 @@ def test_l_poly_of_a_huge_modulus_is_quick():
     m = 10**12
     start = time.perf_counter()
     p = l_poly_from_counts({(0, m): m}, m)
-    assert p.cycle_product() == CycleProduct({2 * m: 1})
+    assert p == CycleProduct({2 * m: 1})
     p = l_poly_from_counts({(0, m): m, (m // 2, m): m}, m)
-    assert p.cycle_product() == CycleProduct({m: 2})
+    assert p == CycleProduct({m: 2})
     assert time.perf_counter() - start < 1.0
 
 
 def test_l_polynomial_holds_the_poly_coefficients():
-    # P is held by its product and compared by it; its int u-coefficients
+    # P is a cycle product and compares as one; its int u-coefficients
     # are expanded from it, with the same JSON bytes as the list
-    p = LPolynomial(CycleProduct({2: 3}))  # (1 - u)**3
-    same = LPolynomial(CycleProduct({2: 3}))
-    assert p == same and hash(p) == hash(same) and p != LPolynomial(CycleProduct({2: 2}))
-    assert list(p.u_coeffs()) == [1, -3, 3, -1] and p.degree == 6
-    assert [type(c) for c in p.u_coeffs()] == [int] * 4
+    p = LPolynomial({2: 3})  # (1 - u)**3
+    same = CycleProduct({2: 3})
+    assert p == same and hash(p) == hash(same) and p != LPolynomial({2: 2})
+    assert repr(p) == "LPolynomial({2: 3})" and repr(same) == "CycleProduct({2: 3})"
+    assert list(p.expanded()[1]) == [1, -3, 3, -1] and p.degree == 6
+    assert [type(c) for c in p.expanded()[1]] == [int] * 4
     assert json.dumps(poly_to_json(p)) == '{"coeffs": [1, -3, 3, -1], "var": "u"}'
     # N_n = 1, the progression (0, 1), gives P = 1 - u
     p = l_poly_from_counts({(0, 1): 1}, 3)
-    assert list(p.u_coeffs()) == [1, -1] and p == LPolynomial(CycleProduct({2: 1}))
+    assert list(p.expanded()[1]) == [1, -1] and p == LPolynomial({2: 1})
 
 
 def regular_representation_l_poly(q, rep):
@@ -416,10 +417,10 @@ def test_l_poly_is_the_q1_hecke_determinant():
 def test_torus_closed_form_examples():
     # 1/P of a torus is its closed form, prod over weights of
     # (1 - u**deg)**(-N/deg), deg the weight's order modulo Gamma0
-    assert l_poly(A2_TORUS, "pi1").cycle_product().inverse() == inverse_power(6, 3)
+    assert l_poly(A2_TORUS, "pi1").inverse() == inverse_power(6, 3)
     big = build(A2, TorusSpec((3, 0), (0, 3)))
-    assert l_poly(big, "pi1").cycle_product().inverse() == inverse_power(6, 9)
-    assert l_poly(C2_TORUS, "st").cycle_product().inverse() == inverse_power(2, 8)
+    assert l_poly(big, "pi1").inverse() == inverse_power(6, 9)
+    assert l_poly(C2_TORUS, "st").inverse() == inverse_power(2, 8)
 
 
 def test_torus_closed_form_orders_match_a_stepped_order():
@@ -439,7 +440,7 @@ def test_torus_closed_form_orders_match_a_stepped_order():
                     n += 1
                 assert q.N % n == 0
                 exponents[2 * n] -= q.N // n
-            assert l_poly(q, rep).cycle_product().inverse() == CycleProduct(exponents), (q, rep)
+            assert l_poly(q, rep).inverse() == CycleProduct(exponents), (q, rep)
 
 
 def test_correction_factors():
@@ -467,7 +468,7 @@ def test_transfer_maps_are_bijections_and_sized():
 def test_walk_log_matches_geodesic_counts():
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
-            z = build_walk_system(q, rep).zeta()
+            z = build_walk_system(q, rep).product
             logz = series_log(product_series(z, 32))
             for n in range(1, 17):
                 expected = Fraction(count_geodesic_walks(q, rep, n), n)
@@ -478,7 +479,7 @@ def test_walk_log_matches_geodesic_counts():
 def test_semi_log_matches_semi_counts():
     for q in (A2_TORUS, A2_KLEIN, C2_SPIN_KLEIN):
         for rep in q.rs.rep_names:
-            z = build_semi_system(q, rep).zeta()
+            z = build_semi_system(q, rep).product
             logz = series_log(product_series(z, 24))
             for j in range(1, 25):
                 assert logz.coefficient(j) == Fraction(
@@ -489,7 +490,7 @@ def test_semi_log_matches_semi_counts():
 def test_gallery_log_matches_gallery_counts():
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
-            z = build_gallery_system(q, rep).zeta()
+            z = build_gallery_system(q, rep).product
             logz = series_log(product_series(z, 24))
             for n in range(1, 13):
                 assert logz.coefficient(2 * n) == Fraction(
@@ -500,11 +501,11 @@ def test_gallery_log_matches_gallery_counts():
 def test_closed_paths_equal_census():
     for q in (A2_KLEIN, C2_ST_KLEIN):
         for rep in q.rs.rep_names:
-            walks = _closed_path_table(build_walk_system(q, rep).zeta(), 2, 12)
+            walks = _closed_path_table(build_walk_system(q, rep).product, 2, 12)
             assert walks == [count_geodesic_walks(q, rep, n) for n in range(1, 13)]
-            gal = _closed_path_table(build_gallery_system(q, rep).zeta(), 2, 8)
+            gal = _closed_path_table(build_gallery_system(q, rep).product, 2, 8)
             assert gal == [count_closed_galleries(q, rep, n) for n in range(1, 9)]
-            semi = _closed_path_table(build_semi_system(q, rep).zeta(), 1, 12)
+            semi = _closed_path_table(build_semi_system(q, rep).product, 1, 12)
             assert semi == [count_semi_closings(q, rep, j) for j in range(1, 13)]
 
 
@@ -525,25 +526,25 @@ def test_cycle_zeta_agrees_with_determinant_path():
                 det = det_identity_minus_wT(IntMatrix.from_permutation(explicit.successor))
                 spread = [0] * (det.degree * sys.step_in_w + 1)
                 spread[:: sys.step_in_w] = det.coeffs
-                assert num_den(sys.zeta()) == (Poly.one(), Poly(spread))
+                assert num_den(sys.product) == (Poly.one(), Poly(spread))
 
 
 def test_spin_walk_zeta_is_even_in_u():
     for q in (C2_TORUS, C2_SPIN_KLEIN, C2_ST_KLEIN):
-        den = num_den(build_walk_system(q, "spin").zeta())[1]
+        den = num_den(build_walk_system(q, "spin").product)[1]
         assert all(i % 4 == 0 for i, c in enumerate(den.coeffs) if c != 0)
 
 
 def test_type_rep_gallery_zeta_is_even_in_u():
     for q in (C2_SPIN_KLEIN, C2_ST_KLEIN):
-        den = num_den(build_gallery_system(q, q.type_rep).zeta())[1]
+        den = num_den(build_gallery_system(q, q.type_rep).product)[1]
         assert all(i % 4 == 0 for i, c in enumerate(den.coeffs) if c != 0)
 
 
 def test_reciprocal_zetas_are_integer_with_unit_constant():
     for q in ALL_QUOTIENTS:
         for rep in q.rs.rep_names:
-            for z in (build_walk_system(q, rep).zeta(), build_semi_system(q, rep).zeta(), build_gallery_system(q, rep).zeta()):
+            for z in (build_walk_system(q, rep).product, build_semi_system(q, rep).product, build_gallery_system(q, rep).product):
                 num, den = num_den(z)
                 assert num == Poly.one()
                 assert den.coefficient(0) == 1
@@ -557,7 +558,7 @@ def test_reciprocal_zetas_are_integer_with_unit_constant():
 def l_function(b, q, rep):
     """L = (1 - u)**(-eps * N) / P of the bundle b of q."""
     trivial = CycleProduct({2: q.rs.rep(rep).epsilon * q.N})
-    return (trivial * b.l_poly[rep].cycle_product()).inverse()
+    return (trivial * b.l_poly[rep]).inverse()
 
 
 def test_zeta_bundle_contents():
@@ -575,6 +576,19 @@ def _samples():
     for name in ("a2_klein", "a2_torus", "c2_klein_spin", "c2_torus"):
         parsed = load_spec_file(str(ROOT / "samples" / f"{name}.spec"))
         yield build(RootSystem.make(parsed.root_system), parsed.spec)
+
+
+def test_a_bundle_holds_only_cycle_products():
+    # P is a CycleProduct like every zeta and correction factor: a bundle
+    # holds no wrapper to unwrap, and its P equals the product of its factors
+    quotients = list(_samples()) + [m.build() for m in generate_corpus(7)]
+    for q in quotients:
+        b = zeta_bundle(q)
+        for field in (b.zeta, b.zeta_semi, b.zeta2, b.l_poly, b.correction):
+            assert set(field) == set(q.rs.rep_names)
+            assert all(isinstance(f, CycleProduct) for f in field.values()), q
+        for p in b.l_poly.values():
+            assert type(p) is LPolynomial and p == CycleProduct(p.items())
 
 
 def test_the_walk_period_divides_the_translation_index():
@@ -597,7 +611,7 @@ def test_the_walk_period_divides_the_translation_index():
             assert period <= q.N * len(q.rs.weights(rep)), (q, rep)
             traces = walk_count_table(q, rep, period)
             expected = reference.cycle_product_from_traces(traces, 2)
-            assert l_poly(q, rep).cycle_product() == expected, (q, rep)
+            assert l_poly(q, rep) == expected, (q, rep)
             pairs += 1
     assert pairs > 1300
 
