@@ -55,6 +55,14 @@ class SpecValidationError(ValueError):
     """A quotient specification violates one of its invariants."""
 
 
+def _shown(x) -> str:
+    """str(x) of an int or int vector; an int past the int-string limit shows its bit length."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>" if isinstance(x, int) else f"({', '.join(map(_shown, x))})"
+
+
 # Largest index of the translation subgroup Gamma0 that build accepts: the
 # number of vertex classes of a torus, and of the double cover torus of a
 # Klein bottle (2N), which verify builds.  It admits the C2 torus
@@ -202,7 +210,7 @@ class QuotientGroup:
         for name, v in (("v1", spec.v1), ("v2", spec.v2)):
             if not rs.in_coroot_lattice(v):
                 raise SpecValidationError(
-                    f"{name} translation part not in coroot lattice: {v}"
+                    f"{name} translation part not in coroot lattice: {_shown(v)}"
                 )
         det = spec.v1[0] * spec.v2[1] - spec.v2[0] * spec.v1[1]
         if det == 0:
@@ -230,7 +238,7 @@ class QuotientGroup:
         trans = vec_add(vec_scale(a, alpha), vec_scale(b, beta))
         if not rs.in_coroot_lattice(trans):
             raise SpecValidationError(
-                f"translation part not in coroot lattice: {trans}"
+                f"translation part not in coroot lattice: {_shown(trans)}"
             )
         n, r = divmod(2 * rs.pairing(alpha, beta), rs.pairing(alpha, alpha))
         if r:
@@ -284,7 +292,7 @@ class QuotientGroup:
             adj = tuple(tuple(-x for x in row) for row in adj)
         if det > MAX_CLASSES:
             raise SpecValidationError(
-                f"translation subgroup index {det} exceeds the supported "
+                f"translation subgroup index {_shown(det)} exceeds the supported "
                 f"maximum {MAX_CLASSES}"
             )
         self._det = det

@@ -67,19 +67,18 @@ keeps only that product and its size; the tests check it against the
 explicit successor walk and det(I - wT) of its permutation matrix
 (tests/reference.py).
 
-The L-polynomial P has one path (l_poly_from_counts), and P is always
-a cycle product.  The closed-walk counts are a sum of census
-progressions (r, m, c), each with r = 0 or m / 2 (the census module
-docstring proves it), and each such progression gives P at most two
-factors (1 - u**d)**a_d.  So P's factorization prod
-(1 - u**d)**a_d is read off the progressions in closed form, with no
-count table; it is P when every a_d is an integer and a cyclotomic
-degree check, which expands nothing, finds a polynomial within the
-bound.  Otherwise no P exists, and Newton's identities over one period
-of the counts find the failing order for the failure's detail.  P's
-coefficients are expanded from its product in u only where they are
-printed.  The degree check reads a same-sign product's degree off its
-exponents and factors each Phi_m by the primes of m otherwise.
+The L-polynomial P has one path (l_poly_from_counts), and P is always a
+cycle product.  The closed-walk counts are a sum of census progressions
+(r, m, c), each with r = 0 or m / 2 (the census module docstring proves
+it), and each such progression gives P at most two factors
+(1 - u**d)**a_d.  So P's factorization prod (1 - u**d)**a_d is read off
+the progressions in closed form, with no count table; it is P when every
+a_d is an integer and a cyclotomic degree check, which expands nothing,
+finds a polynomial within the bound.  Otherwise no P exists, and the
+same product's expansion names the failing order for the failure's
+detail.  P's coefficients are expanded from its product in u only where
+they are printed.  The degree check reads a same-sign product's degree
+off its exponents and factors each Phi_m by the primes of m otherwise.
 
 zeta_bundle is the one producer of a quotient's zeta data at one
 order: the `zeta` command prints its ZetaBundle and identities.verify
@@ -92,7 +91,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .algebra import CycleProduct, NotPolynomialWithinBound
+from .algebra import CycleProduct, NotPolynomialWithinBound, _expand
 from .census import _walk_progressions
 from .quotient import (
     MAX_CLASSES,
@@ -274,14 +273,17 @@ def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
     root z has z**M = 1, and an integer P is a product of cyclotomic
     polynomials Phi_d with d | M, whose exponents a_e vanish off the
     divisors of M; the a_d above are those exponents.  So when a check
-    fails there is no P, and Newton's identities n p_n = -sum_{i<=n} N_i
-    p_{n-i} over one period N_1..N_M give the first failing n: p_n
-    nonzero with n > bound raises NotPolynomialWithinBound(2n), p_n not an
-    integer with n <= bound AssertionError.  That n is at most M + bound:
-    a P of degree at most bound whose power sums match a sequence of
-    period M through M + bound terms matches it everywhere, as the two
-    are sums of at most M + bound distinct geometric sequences.  Only a
-    planted progression reaches this, at a cost of O(M + bound).
+    fails there is no P, and the first n at which p_n, the u**n
+    coefficient of prod_d (1 - u**d)**(s[d] / d), is nonzero past the
+    bound or not an integer raises NotPolynomialWithinBound(2n) when
+    n > bound and AssertionError otherwise.  For d0 the least d not
+    dividing s[d], the factors with d >= d0 do not reach u**n for n < d0,
+    so those p_n are the integers _expand gives from the s[d] // d, and
+    p_d0 is an integer less s[d0] / d0.  With no d0, n <= M + bound: a P
+    of degree at most bound whose power sums match a sequence of period
+    M through M + bound terms matches it everywhere, as the two are sums
+    of at most M + bound distinct geometric sequences.  Only a planted
+    progression reaches this, at a cost of O(d0) or O(M + bound).
     """
     s: dict = {}
     for (r, m), c in progressions.items():
@@ -296,23 +298,17 @@ def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
         product = LPolynomial({2 * d: x // d for d, x in s.items()})
         if product.is_polynomial_within(2 * bound):
             return product
-    period = lcm(*(m for _, m in progressions))
-    counts = [0] * period  # counts[n - 1] = N_n
-    for (r, m), c in progressions.items():
-        start = (r or m) - 1
-        counts[start::m] = [x + c for x in counts[start::m]]
-    p, support = [1] + [0] * bound, [0]  # support: the j with p_j != 0
-    for n in range(1, period + bound + 1):
-        t = -sum(p[j] * counts[(n - j - 1) % period] for j in support)
-        if t and n > bound:
+    d0 = min((d for d, x in s.items() if x % d), default=None)
+    top = bound + lcm(*(m for _, m in progressions)) if d0 is None else d0 - 1
+    p = _expand({d: x // d for d, x in s.items()}, top)
+    for n in range(bound + 1, top + 1):
+        if p[n]:
             raise NotPolynomialWithinBound(2 * n)
-        pn, r = divmod(t, n)
-        if r:
-            raise AssertionError("L-polynomial has non-integer coefficients")
-        if pn:
-            p[n] = pn
-            support.append(n)
-    raise AssertionError("Newton's identities found a P that the closed form refused")
+    if d0 is None:
+        raise AssertionError("the expansion found a P that the closed form refused")
+    if d0 > bound:
+        raise NotPolynomialWithinBound(2 * d0)
+    raise AssertionError("L-polynomial has non-integer coefficients")
 
 
 def axis_factor(w_exponent: int, power: int) -> CycleProduct:
@@ -367,12 +363,7 @@ def required_order(q: QuotientGroup) -> int:
     The order sizes no count table: P is read off the walk progressions
     in closed form (l_poly_from_counts), and the census tables that
     verify compares have fixed depths, none above this order; it is
-    reported in the JSON.  A witness of P over 2 * bound + 8 counts agrees
-    with the closed form: the counts have period M, the lcm of the
-    progressions' moduli, and every quotient has M | det Gamma0 <= 2N <=
-    bound, so M <= bound + 8, and a sequence of period M and the power
-    sums of a P of degree at most bound that agree on M + bound <= 2 *
-    bound + 8 terms agree at every n."""
+    reported in the JSON."""
     return max(2 * q.N * len(q.rs.weights(r)) + 8 for r in q.rs.rep_names)
 
 

@@ -61,8 +61,8 @@ routes live here, and the tests compare the package against them:
 * ``l_poly_from_counts``: the L-polynomial by Newton's identities in u,
   one integer recurrence step per count, over a window of at least
   2 * bound + 8 counts; production reads P off the walk progressions in
-  closed form, and runs Newton's identities over one period of the
-  counts only to find the failing order when there is no P.
+  closed form, and the failing order, when there is no P, off the
+  expansion of the same product.
   ``l_poly_by_expansion`` expands the Moebius product of the window in
   full instead, which fails at the same first order.
 * ``progression_counts``: N_1..N_n of a progression set {(r, m): c}, one

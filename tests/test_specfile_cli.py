@@ -481,6 +481,34 @@ def test_cli_oversized_quotient_exits_two_at_once(tmp_path, capsys, text):
         assert f"exceeds the supported maximum {MAX_CLASSES}" in capsys.readouterr().err
 
 
+HUGE, NINES = 10**4000, int("9" * 4300)  # each within the int-string limit
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (
+            f"root_system = C2\nkind = torus\nv1 = {HUGE},0\nv2 = 0,{HUGE}\n",
+            f"translation subgroup index <{(HUGE * HUGE).bit_length()}-bit integer> exceeds",
+        ),
+        (
+            f"root_system = C2\nkind = klein\nalpha = 1,1\nbeta = 1,0\na = {NINES}\nb = {NINES}\nm = 1\n",
+            f"not in coroot lattice: (<{(2 * NINES).bit_length()}-bit integer>, {NINES})",
+        ),
+    ],
+    ids=("torus-index", "klein-translation"),
+)
+def test_cli_integers_past_the_decimal_limit_exit_two(tmp_path, capsys, text, fragment):
+    # the messages show an integer past the int-string limit by its size
+    path = tmp_path / "huge.spec"
+    path.write_text(text)
+    assert main(["describe", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
 def test_cli_size_bound_admits_the_largest_supported_torus(tmp_path, capsys):
     # (12,0),(0,24) is a C2 torus with exactly MAX_CLASSES vertex classes;
     # (1,1),(145,-145) has two more

@@ -340,6 +340,22 @@ def test_l_poly_of_a_huge_modulus_is_quick():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "bound, outcome",
+    ((1, (NotPolynomialWithinBound, 4)), (5, (AssertionError, None))),
+    ids=("tail", "non_integer"),
+)
+def test_a_non_integer_plant_fails_without_tallying_a_period(bound, outcome):
+    # 2 * a_2 is odd, so p_2 is not an integer: the failure is that of
+    # (0, 2) alone, named before the modulus 10**12 is reached, with no
+    # table of 10**12 counts
+    m = 10**12
+    start = time.perf_counter()
+    assert l_outcome(l_poly_from_counts, {(0, m): m, (0, 2): 1}, bound) == outcome
+    assert l_outcome(l_poly_from_counts, {(0, 2): 1}, bound) == outcome
+    assert time.perf_counter() - start < 1.0
+
+
 def test_l_polynomial_holds_the_poly_coefficients():
     # P is a cycle product and compares as one; its int u-coefficients
     # are expanded from it, with the same JSON bytes as the list
