@@ -6,11 +6,15 @@ lies in the group orbit of x, i.e. when n*lam or x + n*lam - sigma(x)
 lies in the translation subgroup Gamma0.  Membership in Gamma0 is
 adj * v = 0 (mod det Gamma0), so each branch is a pair of linear
 congruences in n and its solutions form one arithmetic progression
-n = r (mod m).  The ``*_count_table`` functions group the pairs by
-progression and add each group's multiplicity at r, r + m, ... (_tally).
-So every table is periodic in n, with the lcm of its moduli as a period.
-The L-polynomial is read off the walk progressions themselves, in closed
-form (zeta.l_poly_from_counts), by the lemma below.
+n = r (mod m).  The census groups the pairs by progression: the
+``_*_progressions`` functions give each table as its progressions {(r,
+m): c}, c closings at every n = r (mod m).  Every r is 0 or m / 2 (the
+lemmas below), so a table is the divisor sum N_n = sum_{d | n} s[d] of
+the dict s of _divisor_sums, exact at every n: the L-polynomial is read
+off the walk progressions in closed form (zeta.l_poly_from_counts), and
+identities.verify compares each table with its transfer system as two
+such dicts.  Only the ``*_count_table`` functions, which the `counts`
+command prints, add each multiplicity at r, r + m, ... (_tally).
 
 Every table is summed over the whole box Z^2 / Gamma0 (the doubled box
 for semi-closings), and each progression's multiplicity is then divided,
@@ -61,7 +65,24 @@ counts by det // N (_per_orbit) keeps every (r, m).
 Semi-closings use the same congruences in doubled coordinates modulo
 2 det; on the off-rational parity block of mu the shift runs over
 (I - L) mu - 2t + 2 j w.  Galleries move by lam + mu every two steps, so
-even and odd lengths are solved separately.  Glide line counts
+even and odd lengths are solved separately.  The lemma's residues, r =
+0 or m / 2, hold for both.  Semi: the translation branch is (0, m).  The glide branch closes
+at the n with n*lam in -s + 2 Lambda, s = (I - L) mu - 2t, in doubled
+coordinates, where 2 Gamma0 + Z 2w = 2 Lambda; and 2 s = 2 ((I - L) mu
+- 2t) lies in 2 Lambda, because (I - L) mu lies in Z w and 2t in
+Lambda.  So -n*lam lies in s + 2 Lambda = -s + 2 Lambda too, the
+closings are symmetric under n -> -n, and r is 0 or m / 2 as above.
+Galleries: the translation branch is (0, 2m).  The even branch closes
+at n = 2k for the k with k (lam + mu) in t + Lambda, symmetric under k
+-> -k as the walk's glide branch, so k = 0 or m / 2 (mod m) and n = 0
+or m (mod 2m).  The odd branch closes at n = 2k + 1 for the k with
+k (lam + mu) + lam in t + Lambda, where L lam = mu; then lam - mu =
+(I - L) lam lies in Z w, so (-1 - k)(lam + mu) + lam = -(k (lam + mu)
++ lam) + (lam - mu) lies in -t + Lambda = t + Lambda too: the closings
+are symmetric under k -> -1 - k.  Their progression r + m Z then has
+2 r + 1 = 0 (mod m), so m is odd, 2 r + 1 = m, and n = 2k + 1 runs over
+m + 2m Z: the progression (m, 2m).  So every table's (r, m) has r = 0
+or m / 2, and _divisor_sums raises on any other.  Glide line counts
 (lambda_set_size) are decided by one solve: the glide's linear part
 fixes alpha, the direction along a beta-row of the fundamental domain,
 so a glide power moves every point of a row by the same vector, and only
@@ -288,7 +309,8 @@ def _per_orbit(q: QuotientGroup, progressions: Counter) -> Counter:
 def _tally(progressions: Counter, max_n: int) -> tuple:
     """Counts at n = 1..max_n from multiplicities of progressions (r, m):
     each adds its count at n = r, r + m, ... (from m when r is 0) with one
-    slice update.  A negative count raises ValueError."""
+    slice update, for the tables the `counts` command prints.  A negative
+    count raises ValueError."""
     values = [0] * max_n
     for (r, m), count in progressions.items():
         start = (r or m) - 1
@@ -296,6 +318,27 @@ def _tally(progressions: Counter, max_n: int) -> tuple:
     if min(values, default=0) < 0:
         raise ValueError("counts must be nonnegative")
     return tuple(values)
+
+
+def _divisor_sums(progressions, kind: str) -> dict:
+    """The s with N_n = sum_{d | n} s[d] at every n >= 1, N_n the sum of
+    the c of the progressions {(r, m): c} of a kind of closing with n = r
+    (mod m): (0, m, c) adds c to s[m], and (m / 2, m, c) adds c to s[m / 2]
+    and -c to s[m], as [n = m/2 (mod m)] = [m/2 | n] - [m | n].  Zero sums
+    are dropped, so that two tables agree at every n exactly when their
+    dicts are equal: a divisor sum determines its s.  A residue neither 0
+    nor m / 2, which the lemmas of the module docstring exclude, raises
+    AssertionError naming the progression."""
+    s: dict = {}
+    for (r, m), c in progressions.items():
+        if r == 0:
+            s[m] = s.get(m, 0) + c
+        elif 2 * r == m:
+            s[r] = s.get(r, 0) + c
+            s[m] = s.get(m, 0) - c
+        else:
+            raise AssertionError(f"{kind} progression {(r, m)} has a residue neither 0 nor m/2")
+    return {d: x for d, x in s.items() if x}
 
 
 def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
@@ -337,10 +380,10 @@ def geodesic_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
     return _tally(_walk_progressions(q, rep)[1], max_n)
 
 
-def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> tuple:
-    """Half-step closings of non-rational lines through half-lattice points
-    at j = 1..max_j, in closed form: the pairs (x, lam) that some group
-    element whose linear part fixes lam carries from x to x + (j/2) lam."""
+def _semi_progressions(q: QuotientGroup, rep: str) -> Counter:
+    """The progressions of the half-step closings of non-rational lines
+    through half-lattice points: the pairs (x, lam) that some group element
+    whose linear part fixes lam carries from x to x + (j/2) lam."""
     d = q._det
     progs: Counter = Counter()
     for lam in q.rs.weights(rep):
@@ -349,14 +392,19 @@ def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> tuple:
         if _glide_maps(q, lam, lam):
             for b in blocks:
                 progs.update(_glide_branch(q, lam, (b & 1, b >> 1)))
-    return _tally(_per_orbit(q, progs), max_j)
+    return _per_orbit(q, progs)
 
 
-def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
-    """Closed length-n paths of the alternating gallery dynamics at
-    n = 1..max_n, in closed form.  A state is a vertex class with an
-    ordered admissible direction pair; one step moves the vertex by the
-    first direction and swaps the pair.
+def semi_count_table(q: QuotientGroup, rep: str, max_j: int) -> tuple:
+    """Half-step closings at j = 1..max_j, in closed form (_semi_progressions)."""
+    return _tally(_semi_progressions(q, rep), max_j)
+
+
+def _gallery_progressions(q: QuotientGroup, rep: str) -> Counter:
+    """The progressions of the closed length-n paths of the alternating
+    gallery dynamics.  A state is a vertex class with an ordered
+    admissible direction pair; one step moves the vertex by the first
+    direction and swaps the pair.
 
     After 2k steps a gallery has moved by k(lam + mu) with its labels
     back in place; after 2k + 1 steps by k(lam + mu) + lam with its
@@ -377,4 +425,9 @@ def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
         glides = _glide_branch(q, step, offset=(0, 0) if even else lam)
         for (r, m), count in glides.items():
             progs[(2 * r + odd, 2 * m)] += count
-    return _tally(_per_orbit(q, progs), max_n)
+    return _per_orbit(q, progs)
+
+
+def gallery_count_table(q: QuotientGroup, rep: str, max_n: int) -> tuple:
+    """Closed gallery paths at n = 1..max_n, in closed form (_gallery_progressions)."""
+    return _tally(_gallery_progressions(q, rep), max_n)

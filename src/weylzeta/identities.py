@@ -3,8 +3,8 @@
 The zetas of walks, half-steps and galleries, P and the correction
 factors come from zeta_bundle, the one producer of a quotient's zeta
 data, which the `zeta` command prints too.  verify adds only its own
-work: the census tables the zeta logs and the corner check are compared
-with, the double cover of a Klein bottle, and the records.
+work: the census progressions the zeta logs and the corner check are
+compared with, the double cover of a Klein bottle, and the records.
 
 Each record compares two independently computed objects.  Every zeta
 function, correction factor and L-polynomial is a CycleProduct, so a
@@ -16,9 +16,10 @@ closed form, or the bundle records why there is none, and every record
 that needs P fails with the reason "l-reconstruction failed" when there
 is none.  So a successful run expands no polynomial: coefficient lists
 are expanded only for the detail of a failed record, each cross product
-there as one merged factor dict.  Count-versus-log identities compare
-closed-form census values against the zeta logarithm's exact
-coefficients, one table per system built from its cycle lengths.
+there as one merged factor dict.  Each count record compares the
+census's counts with the zeta logarithm's exact coefficients, exactly at
+every length, as two divisor-sum dicts (_log_compare): no count table is
+built and no length is sampled.
 
 The order is the u-order the JSON reports, max(required_order(q), 48)
 when omitted; an explicit one is checked against required_order and
@@ -31,20 +32,10 @@ from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from .algebra import CycleProduct, _expand, spread
-from .census import (
-    gallery_count_table,
-    geodesic_count_table,
-    glide_rows,
-    semi_count_table,
-    walk_count_table,
-)
+from . import census
 from .quotient import QuotientGroup, TorusSpec, build
 from .zeta import axis_factor, build_walk_system, zeta_bundle
 
-WALK_LOG_DEPTH = 24
-SEMI_LOG_DEPTH = 24
-GALLERY_LOG_DEPTH = 10
-CORNER_DEPTH = 12
 GLIDE_WINDOW = 4
 
 
@@ -134,36 +125,32 @@ def _product_poly_compare(lhs: CycleProduct, rhs: CycleProduct) -> dict:
     return {} if lhs == rhs else _poly_compare(*_cross(lhs, rhs))
 
 
-def _count_compare(pairs) -> dict:
-    for n, lhs, rhs in pairs:
-        if lhs != rhs:
-            return {"first_mismatch_n": n, "lhs": lhs, "rhs": rhs}
-    return {}
-
-
-def _log_compare(z: CycleProduct, step_in_w: int, table) -> dict:
-    """First n at which a census table of closed paths of n = 1..len(table)
-    steps differs from the system with zeta z (_closed_path_table); empty
-    when none."""
-    n = len(table)
-    return _count_compare(zip(range(1, n + 1), table, _closed_path_table(z, step_in_w, n)))
-
-
 def _cycles(z: CycleProduct, step_in_w: int) -> list:
     """The (ell, c_ell) pairs of a transfer system's zeta
     z = prod (1 - w**(step_in_w * ell))**-c_ell, by increasing ell."""
     return [(e // step_in_w, -k) for e, k in z.items()]
 
 
-def _closed_path_table(z: CycleProduct, step_in_w: int, max_n: int) -> list:
-    """Closed paths of n = 1..max_n steps of the system with zeta z: the sum
-    of ell * c_ell over the (ell, c_ell) of _cycles(z, step_in_w) with ell
-    | n, n times the coefficient of w**(step_in_w * n) in log z.  Each ell
-    adds its term at ell, 2 ell, ... with one slice update."""
-    table = [0] * max_n
-    for ell, c in _cycles(z, step_in_w):
-        table[ell - 1 :: ell] = [t + ell * c for t in table[ell - 1 :: ell]]
-    return table
+def _log_compare(z: CycleProduct, step_in_w: int, progressions, kind: str) -> dict:
+    """The first n at which the census's closings of n steps, the counts
+    of its progressions of kind, differ from the closed paths of n steps
+    of the system with zeta z, with both counts; empty when they agree at
+    every n.
+
+    Both are divisor sums: the census's N_n = sum_{d | n} s[d]
+    (census._divisor_sums), and the system's, with c_ell cycles of length
+    ell, sum_{ell | n} ell * c_ell.  A divisor sum determines its dict, so
+    the two agree at every n exactly when the dicts are equal.  Otherwise
+    they first differ at d0, the least key at which the dicts differ: the
+    terms of every divisor below d0 agree.  Each count at d0 is the sum
+    of its dict over the divisors of d0."""
+    lhs = census._divisor_sums(progressions, kind)
+    rhs = {ell: ell * c for ell, c in _cycles(z, step_in_w)}
+    if lhs == rhs:
+        return {}
+    n = min(d for d in lhs.keys() | rhs.keys() if lhs.get(d) != rhs.get(d))
+    at_n = [sum(x for d, x in s.items() if n % d == 0) for s in (lhs, rhs)]
+    return {"first_mismatch_n": n, "lhs": at_n[0], "rhs": at_n[1]}
 
 
 def _glide_line_scan(q: QuotientGroup) -> dict:
@@ -183,7 +170,7 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
     aa, ab = rs.pairing(alpha, alpha), rs.pairing(alpha, beta)
     window = range(1, GLIDE_WINDOW + 1)
     for m in (1, 3):
-        rows_s, rows_t = glide_rows(q, m, window), glide_rows(q, m, window, "tsigma")
+        rows_s, rows_t = (census.glide_rows(q, m, window, g) for g in ("sigma", "tsigma"))
         target = q.k_gamma * m * aa
         candidates = set()
         for rows in (rows_s, rows_t):
@@ -216,8 +203,9 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     derived from the degree bounds.  An explicitly passed insufficient
     order raises OrderInsufficientError naming the bound, and one above
     MAX_ORDER raises SpecValidationError (resolve_order).  It sizes no
-    table: P is read off the walk progressions in closed form, and the
-    census tables compared here have the fixed depths *_DEPTH.
+    table: P is read off the walk progressions in closed form, and each
+    count record compares the census with its system at every length, as
+    two divisor-sum dicts (_log_compare).
 
     Every record is built by one constructor and holds exactly when its
     detail is empty.  A per-rep identity is one check per rep, run by
@@ -226,10 +214,6 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     """
     rs = q.rs
     order, walks, zeta_semi, zeta2, l_poly, l_failure, corr = zeta_bundle(q, order)
-    # no depth needs clamping to the order: order >= required_order(q) =
-    # 2 N (weights) + 8, and Gamma0 lies in the coroot lattice, of index 3
-    # in A2 and 2 in C2 (a C2 Klein bottle's index is a multiple of 4), so
-    # N >= 3 and order >= 26 on A2, and N >= 2 and order >= 24 on C2
     records: list = []
 
     def record(identity_id: str, statement: str, detail: dict) -> None:
@@ -250,17 +234,17 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     each(
         "walk-log-counts",
         "log of the walk zeta matches corner-free closed walk counts",
-        lambda rep: _log_compare(walks[rep], 2, geodesic_count_table(q, rep, WALK_LOG_DEPTH)),
+        lambda rep: _log_compare(walks[rep], 2, census._walk_progressions(q, rep)[1], "geodesic"),
     )
     each(
         "half-step-log-counts",
         "log of the half-step zeta matches semi-rational closing counts",
-        lambda rep: _log_compare(zeta_semi[rep], 1, semi_count_table(q, rep, SEMI_LOG_DEPTH)),
+        lambda rep: _log_compare(zeta_semi[rep], 1, census._semi_progressions(q, rep), "semi"),
     )
     each(
         "gallery-log-counts",
         "log of the gallery zeta matches closed gallery counts",
-        lambda rep: _log_compare(zeta2[rep], 2, gallery_count_table(q, rep, GALLERY_LOG_DEPTH)),
+        lambda rep: _log_compare(zeta2[rep], 2, census._gallery_progressions(q, rep), "gallery"),
     )
 
     # L-polynomial reconstruction from the closed-walk trace series:
@@ -286,7 +270,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
         each(
             "walks-close-without-corners",
             "closed walk and geodesic walk counts agree on a torus",
-            lambda rep: _log_compare(walks[rep], 2, walk_count_table(q, rep, CORNER_DEPTH)),
+            lambda rep: _log_compare(walks[rep], 2, census._walk_progressions(q, rep)[0], "walk"),
         )
     else:
         # L versus walk zeta with the glide-axis correction factor

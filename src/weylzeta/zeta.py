@@ -72,13 +72,16 @@ cycle product.  The closed-walk counts are a sum of census progressions
 (r, m, c), each with r = 0 or m / 2 (the census module docstring proves
 it), and each such progression gives P at most two factors
 (1 - u**d)**a_d.  So P's factorization prod (1 - u**d)**a_d is read off
-the progressions in closed form, with no count table; it is P when every
-a_d is an integer and a cyclotomic degree check, which expands nothing,
-finds a polynomial within the bound.  Otherwise no P exists, and the
-same product's expansion names the failing order for the failure's
-detail.  P's coefficients are expanded from its product in u only where
-they are printed.  The degree check reads a same-sign product's degree
-off its exponents and factors each Phi_m by the primes of m otherwise.
+the progressions in closed form (census._divisor_sums, which also gives
+verify's count records their exact counts at every length), with no
+count table; it is P when every a_d is an integer and a cyclotomic
+degree check, which expands nothing, finds a polynomial within the
+bound.  Otherwise no P exists, and the same product's expansion names
+the failing order for the failure's detail, unless that order lies past
+MAX_ORDER, which only a plant reaches.  P's coefficients are expanded
+from its product in u only where they are printed.  The degree check
+reads a same-sign product's degree off its exponents and factors each
+Phi_m by the primes of m otherwise.
 
 zeta_bundle is the one producer of a quotient's zeta data at one
 order: the `zeta` command prints its ZetaBundle and identities.verify
@@ -92,7 +95,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .algebra import CycleProduct, NotPolynomialWithinBound, _expand
-from .census import _walk_progressions
+from .census import _divisor_sums, _walk_progressions
 from .quotient import (
     MAX_CLASSES,
     AffineMap,
@@ -257,16 +260,16 @@ def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
     most bound = N * (number of nontrivial weights); the full L-function
     is (1-u)**(-eps*N) / P.
 
-    Construction.  exp(sum_n c [m | n] u**n / n) = (1 - u**m)**(-c/m), and
-    [n = m/2 (mod m)] = [m/2 | n] - [m | n].  So with s[d] = d * a_d, a
-    progression (0, m, c) adds c to s[m], one (m/2, m, c) adds c to
-    s[m/2] and -c to s[m], and then N_n = sum_{d | n} s[d] at every n:
-    the log series of prod_d (1 - u**d)**a_d has the counts at every
-    order.  That product is P when d divides every s[d] and a cyclotomic
-    degree check that expands nothing (CycleProduct.is_polynomial_within)
-    finds a polynomial of degree at most bound.  It costs O(number of
+    Construction.  exp(sum_n c [m | n] u**n / n) = (1 - u**m)**(-c/m).
+    The census's _divisor_sums gives the s with N_n = sum_{d | n} s[d] at
+    every n, so with a_d = s[d] / d the log series of
+    prod_d (1 - u**d)**a_d has the counts at every order.  That product
+    is P when d divides every s[d] and a cyclotomic degree check that
+    expands nothing (CycleProduct.is_polynomial_within) finds a
+    polynomial of degree at most bound.  It costs O(number of
     progressions), whatever the moduli, and P is returned unexpanded.  A
-    progression with any other residue raises AssertionError naming it.
+    progression with a residue neither 0 nor m / 2 raises AssertionError
+    naming it (_divisor_sums).
 
     Why no other P exists.  The power sums of P's inverse roots are the
     N_n, which have period M, the lcm of the moduli.  Then every inverse
@@ -283,23 +286,21 @@ def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
     of degree at most bound whose power sums match a sequence of period
     M through M + bound terms matches it everywhere, as the two are sums
     of at most M + bound distinct geometric sequences.  Only a planted
-    progression reaches this, at a cost of O(d0) or O(M + bound).
+    progression reaches this, at a cost of O(d0) or O(M + bound), which
+    is checked against MAX_ORDER before anything is expanded: past it an
+    AssertionError names the order the expansion would need.  Census
+    progressions never reach that check, as M divides det Gamma0 and
+    bound + M <= 5 MAX_CLASSES, well below MAX_ORDER.
     """
-    s: dict = {}
-    for (r, m), c in progressions.items():
-        if r == 0:
-            s[m] = s.get(m, 0) + c
-        elif 2 * r == m:
-            s[r] = s.get(r, 0) + c
-            s[m] = s.get(m, 0) - c
-        else:
-            raise AssertionError(f"walk progression {(r, m)} has a residue neither 0 nor m/2")
+    s = _divisor_sums(progressions, "walk")
     if all(x % d == 0 for d, x in s.items()):
         product = LPolynomial({2 * d: x // d for d, x in s.items()})
         if product.is_polynomial_within(2 * bound):
             return product
     d0 = min((d for d, x in s.items() if x % d), default=None)
     top = bound + lcm(*(m for _, m in progressions)) if d0 is None else d0 - 1
+    if top > MAX_ORDER:
+        raise AssertionError(f"naming P's failure needs an expansion to order {top}, above {MAX_ORDER}")
     p = _expand({d: x // d for d, x in s.items()}, top)
     for n in range(bound + 1, top + 1):
         if p[n]:
@@ -337,10 +338,13 @@ def correction_factor(q: QuotientGroup, rep: str) -> CycleProduct:
 class ZetaBundle(NamedTuple):
     """One quotient's zeta data at one order, by representation: the cycle
     products zeta, zeta_semi, zeta2, correction and l_poly (the
-    L-polynomials, each an LPolynomial), which the `zeta` command prints.  l_failure[rep] is {} when P
-    was found; otherwise l_poly[rep] is None and l_failure[rep] holds why:
-    {"nonzero_tail_exponent": e} when P has no degree within the bound,
-    {"reason": message} when a coefficient is not an integer."""
+    L-polynomials, each an LPolynomial), which the `zeta` command prints.
+    l_failure[rep] is {} when P was found; otherwise l_poly[rep] is None
+    and l_failure[rep] holds why: {"nonzero_tail_exponent": e} when P has
+    no degree within the bound, {"reason": message} when a coefficient is
+    not an integer, a walk progression is off the closed form, or naming
+    the failing order would expand past MAX_ORDER (the last two only for
+    a plant)."""
 
     order: int
     zeta: dict
@@ -361,9 +365,9 @@ def required_order(q: QuotientGroup) -> int:
     degree bound of P.
 
     The order sizes no count table: P is read off the walk progressions
-    in closed form (l_poly_from_counts), and the census tables that
-    verify compares have fixed depths, none above this order; it is
-    reported in the JSON."""
+    in closed form (l_poly_from_counts), and verify's count records
+    compare the census with the engine exactly at every length, as
+    divisor-sum dicts; it is reported in the JSON."""
     return max(2 * q.N * len(q.rs.weights(r)) + 8 for r in q.rs.rep_names)
 
 

@@ -67,7 +67,13 @@ routes live here, and the tests compare the package against them:
   full instead, which fails at the same first order.
 * ``progression_counts``: N_1..N_n of a progression set {(r, m): c}, one
   membership test per n and progression, the dense view of what
-  production reads P from.
+  production reads P and the count records from.
+* ``closed_path_table`` and ``log_compare``: the closed paths of n = 1..n
+  steps of a transfer system, tabulated from its zeta's cycles, and the
+  first n at which a census table differs from it, compared count by
+  count to a fixed depth.  They are the reference of
+  ``identities._log_compare``, which compares the two as divisor-sum
+  dicts at every length.
 * ``ratfunc_to_json``, ``poly_to_json`` and ``zeta_output``: the
   ``zeta`` report built in w, every reduced form by the mu table and
   expanded on its own, then halved to u where only even powers occur.
@@ -905,6 +911,30 @@ def progression_counts(progressions, n: int) -> list:
         sum(c for (r, m), c in progressions.items() if (k - r) % m == 0)
         for k in range(1, n + 1)
     ]
+
+
+def closed_path_table(z: CycleProduct, step_in_w: int, max_n: int) -> list:
+    """Closed paths of n = 1..max_n steps of the system with zeta
+    z = prod (1 - w**(step_in_w * ell))**-c_ell: the sum of ell * c_ell
+    over the ell dividing n, n times the coefficient of w**(step_in_w * n)
+    in log z.  Each ell adds its term at ell, 2 ell, ... with one slice
+    update."""
+    table = [0] * max_n
+    for e, k in z.items():
+        ell = e // step_in_w
+        table[ell - 1 :: ell] = [t - ell * k for t in table[ell - 1 :: ell]]
+    return table
+
+
+def log_compare(z: CycleProduct, step_in_w: int, progressions, depth: int) -> dict:
+    """The first n <= depth at which the counts of the census progressions
+    differ from the closed paths of the system with zeta z, with both
+    counts; empty when none does."""
+    census = progression_counts(progressions, depth)
+    for n, lhs, rhs in zip(range(1, depth + 1), census, closed_path_table(z, step_in_w, depth)):
+        if lhs != rhs:
+            return {"first_mismatch_n": n, "lhs": lhs, "rhs": rhs}
+    return {}
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,7 @@ from weylzeta.census import (
 from weylzeta.corpus import generate_corpus
 import weylzeta.census
 import weylzeta.identities
-from weylzeta.identities import (
-    GALLERY_LOG_DEPTH,
-    GLIDE_WINDOW,
-    SEMI_LOG_DEPTH,
-    _glide_line_scan,
-    verify,
-)
+from weylzeta.identities import GLIDE_WINDOW, _glide_line_scan, verify
 from weylzeta.quotient import AffineMap, KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, mat_vec, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
@@ -361,6 +355,13 @@ def _order(q):
     return max(required_order(q), 48)
 
 
+# the lengths to which the semi and gallery tables of the corpus members
+# with N > 12 are checked against the per-length loops, which scan every
+# pair at every length
+SEMI_LOOP_DEPTH = 24
+GALLERY_LOOP_DEPTH = 10
+
+
 def tally_by_n(progressions: Counter, max_n: int) -> tuple:
     """Counts at n = 1..max_n: one test of n = r (mod m), n >= max(r, 1)
     per progression and n."""
@@ -412,10 +413,10 @@ def test_walk_tables_match_loops_on_corpus():
 
 
 def test_semi_and_gallery_tables_match_loops_on_corpus():
-    # the depths verify uses on every member, every n <= order when N <= 12
+    # every n <= order when N <= 12, the loop depths above otherwise
     for q in CORPUS:
         order = _order(q)
-        sdepth, gdepth = (order, order) if q.N <= 12 else (SEMI_LOG_DEPTH, GALLERY_LOG_DEPTH)
+        sdepth, gdepth = (order, order) if q.N <= 12 else (SEMI_LOOP_DEPTH, GALLERY_LOOP_DEPTH)
         for rep in q.rs.rep_names:
             assert semi_count_table(q, rep, sdepth) == tuple(
                 count_semi_closings(q, rep, j) for j in range(1, sdepth + 1)
@@ -589,7 +590,7 @@ def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
     glides = (q.sigma, q.t.compose(q.sigma))
     bs = [q.alpha_beta_coords(g.translation)[1] for g in glides]
     rows = 2 * sum((b - d) % 2 == 0 for b in bs for d in window)
-    monkeypatch.setattr(weylzeta.identities, "glide_rows", recording)
+    monkeypatch.setattr(weylzeta.census, "glide_rows", recording)
     monkeypatch.setattr(AffineMap, "__pow__", counting_power)
     monkeypatch.setattr(AffineMap, "apply", counting_apply)
     assert _glide_line_scan(q) == {}

@@ -27,6 +27,8 @@ REFERENCE_NAMES = (
     "count_semi_closings",
     "count_closed_galleries",
     "normalize_generators",
+    "closed_path_table",
+    "log_compare",
 )
 
 # functions and methods that no package module calls, each kept for a reason
@@ -117,6 +119,32 @@ def test_the_period_tally_and_the_torus_closed_form_are_gone():
     for module in (weylzeta, weylzeta.zeta):
         assert not hasattr(module, "torus_closed_form")
     assert "torus_closed_form" not in weylzeta.__all__
+
+
+def test_count_records_build_no_dense_table():
+    # every count record compares the census with its system as two
+    # divisor-sum dicts at every length: no fixed depth, dense closed-path
+    # table or count-by-count comparison is left, and one function of the
+    # census (_divisor_sums) reads the progressions for P and the records
+    for name in (
+        "_closed_path_table",
+        "_count_compare",
+        "WALK_LOG_DEPTH",
+        "SEMI_LOG_DEPTH",
+        "GALLERY_LOG_DEPTH",
+        "CORNER_DEPTH",
+    ):
+        assert not hasattr(weylzeta.identities, name)
+    package = Path(weylzeta.__file__).resolve().parent
+    callers = Counter()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "_divisor_sums":
+                    callers[path.stem] += 1
+    assert callers == {"zeta": 1, "identities": 1}
+    assert "has a residue neither" not in (package / "zeta.py").read_text()
 
 
 def test_transfer_systems_keep_one_record_of_their_cycles():

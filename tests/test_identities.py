@@ -1,6 +1,9 @@
 """The exact identity battery."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,18 +19,14 @@ import weylzeta.zeta as zeta_mod
 from weylzeta.algebra import CycleProduct
 from weylzeta.corpus import generate_corpus
 from weylzeta.identities import (
-    CORNER_DEPTH,
-    GALLERY_LOG_DEPTH,
-    SEMI_LOG_DEPTH,
-    WALK_LOG_DEPTH,
     VerificationReport,
-    _count_compare,
+    _log_compare,
     _poly_compare,
     _product_poly_compare,
     _ratfunc_compare,
     verify,
 )
-from weylzeta.quotient import KleinSpec, TorusSpec, build
+from weylzeta.quotient import KleinSpec, QuotientGroup, TorusSpec, build
 from weylzeta.rootgeom import RootSystem
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
@@ -106,6 +105,155 @@ def test_the_torus_corner_record_reads_the_walk_zeta(monkeypatch):
         "rhs": 9,
     }
     assert "walks-close-without-corners[pi2]" not in failed
+
+
+def planted_census(monkeypatch, name: str, progression: tuple, which=None) -> None:
+    """census.<name> with one more progression of count 1 (in the part
+    which of a pair), as verify's count records read it.  P reads zeta's
+    own binding of _walk_progressions, which the plant leaves alone."""
+    real = getattr(census_mod, name)
+
+    def plant(progressions):
+        out = Counter(progressions)
+        out[progression] += 1
+        return out
+
+    def planted(q, rep):
+        got = real(q, rep)
+        if which is None:
+            return plant(got)
+        return tuple(plant(p) if i == which else p for i, p in enumerate(got))
+
+    monkeypatch.setattr(census_mod, name, planted)
+
+
+# (census function, part of its pair, record, system, step in w, n) of
+# each count record, planted at an n past the depth its dense table had
+PLANTED_RECORDS = (
+    ("_gallery_progressions", None, "gallery-log-counts", zeta_mod.build_gallery_system, 2, 11),
+    ("_walk_progressions", 1, "walk-log-counts", zeta_mod.build_walk_system, 2, 25),
+    ("_semi_progressions", None, "half-step-log-counts", zeta_mod.build_semi_system, 1, 49),
+    ("_walk_progressions", 0, "walks-close-without-corners", zeta_mod.build_walk_system, 2, 97),
+)
+
+
+@pytest.mark.parametrize(
+    "q, planted",
+    [(q, p) for q in (REFERENCE[0], REFERENCE[3]) for p in PLANTED_RECORDS
+     if q.kind == "torus" or p[2] != "walks-close-without-corners"],
+    ids=lambda x: repr(x) if isinstance(x, QuotientGroup) else f"{x[2]}-{x[5]}",
+)
+def test_a_count_record_sees_a_plant_at_any_length(q, planted, monkeypatch):
+    # one more census closing at every multiple of n: the record fails at
+    # n, past every depth a dense table was read to, with the census count
+    # one above the system's
+    name, which, identity, system, step, n = planted
+    planted_census(monkeypatch, name, (0, n), which)
+    failed = {r.identity_id: r.detail for r in verify(q).failures()}
+    for rep in q.rs.rep_names:
+        rhs = reference.closed_path_table(system(q, rep).product, step, n)[-1]
+        assert failed[f"{identity}[{rep}]"] == {"first_mismatch_n": n, "lhs": rhs + 1, "rhs": rhs}
+    assert {i.split("[")[0] for i in failed} == {identity}
+
+
+def test_an_off_form_count_progression_raises():
+    # a residue neither 0 nor m/2 in a count record's census progressions
+    # is a broken lemma, not a failed identity: verify raises, also with
+    # asserts stripped
+    script = (
+        "import collections, weylzeta.census as c\n"
+        "from weylzeta import KleinSpec, RootSystem, build, verify\n"
+        "real = c._semi_progressions\n"
+        "c._semi_progressions = lambda q, rep: real(q, rep) + collections.Counter({(1, 3): 1})\n"
+        "q = build(RootSystem.make('A2'), KleinSpec((1, 0), (0, 1), 1, 1, 1))\n"
+        "try:\n"
+        "    verify(q)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(census_mod.__file__).resolve().parents[1])
+    for flags in ((), ("-O",)):
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert done.stdout == "semi progression (1, 3) has a residue neither 0 nor m/2\n"
+
+
+def test_verify_tallies_nothing(monkeypatch):
+    # every count record compares divisor-sum dicts: no census table is
+    # tallied, on the samples, the seed-7 corpus and every benchmark rung
+    from test_zeta_report import _rungs
+
+    def refuse(*args):
+        raise RuntimeError("verify tallied a count table")
+
+    monkeypatch.setattr(census_mod, "_tally", refuse)
+    rungs = _rungs()
+    specs = [(m.root_system, m.spec) for m in generate_corpus(7)]
+    specs += [(rs, TorusSpec(v1, v2)) for rs, v1, v2 in rungs["TORUS_RUNGS"]]
+    specs += [(rs, KleinSpec(*s)) for _, rs, _, _, kleins in rungs["KLEIN_RUNGS"] for s in kleins]
+    root = Path(__file__).resolve().parent.parent / "samples"
+    for path in sorted(root.glob("*.spec")):
+        parsed = load_spec_file(str(path))
+        specs.append((parsed.root_system, parsed.spec))
+    for rs, spec in specs:
+        report = verify(build(RootSystem.make(rs), spec))
+        assert report.all_hold, (rs, spec, [r.identity_id for r in report.failures()])
+
+
+# (census progressions, transfer system, step in w, kind, the depth the
+# record's dense table was read to) of each count record
+COUNT_RECORDS = (
+    (lambda q, rep: census_mod._walk_progressions(q, rep)[1], zeta_mod.build_walk_system, 2, "geodesic", 24),
+    (census_mod._semi_progressions, zeta_mod.build_semi_system, 1, "semi", 24),
+    (census_mod._gallery_progressions, zeta_mod.build_gallery_system, 2, "gallery", 10),
+    (lambda q, rep: census_mod._walk_progressions(q, rep)[0], zeta_mod.build_walk_system, 2, "walk", 12),
+)
+RECORD_QUOTIENTS = [m.build() for m in generate_corpus(7)][:12] + list(REFERENCE)
+
+
+@st.composite
+def planted_records(draw):
+    """A count record of a quotient and rep, with a few on-form
+    progressions (r in {0, m/2}) planted in its census progressions and a
+    few cycles planted in its system's zeta."""
+    q = draw(st.sampled_from(RECORD_QUOTIENTS))
+    rep = draw(st.sampled_from(q.rs.rep_names))
+    # the corner record, last, is a torus record
+    records = COUNT_RECORDS if q.kind == "torus" else COUNT_RECORDS[:-1]
+    progressions_of, system, step, kind, depth = draw(st.sampled_from(records))
+    progressions = Counter(progressions_of(q, rep))
+    z = system(q, rep).product
+    on_form = st.integers(1, 30).flatmap(
+        lambda m: st.sampled_from(((0, m), (m // 2, m)) if m % 2 == 0 else ((0, m),))
+    )
+    for p, c in draw(st.lists(st.tuples(on_form, st.integers(-3, 3)), max_size=3)):
+        progressions[p] += c
+    for ell, c in draw(st.lists(st.tuples(st.integers(1, 30), st.integers(-2, 2)), max_size=2)):
+        z = z * CycleProduct({step * ell: -c})
+    return z, step, dict(progressions), kind, depth
+
+
+@given(planted_records())
+@settings(deadline=None, max_examples=200)
+def test_count_records_match_the_dense_reference_within_its_depth(planted):
+    # wherever the dense tables differ within the depth a record used to
+    # read them to, the divisor-sum comparison names the same n and counts;
+    # where they agree there, it finds no mismatch or one past that depth
+    z, step, progressions, kind, depth = planted
+    got = _log_compare(z, step, progressions, kind)
+    dense = reference.log_compare(z, step, progressions, depth)
+    if dense:
+        assert got == dense
+    else:
+        assert got == {} or got["first_mismatch_n"] > depth
+    # the unplanted tables agree, and no planted key exceeds 30: read that
+    # far, the dense tables give the same detail
+    assert got == reference.log_compare(z, step, progressions, 30)
 
 
 def test_a2_klein_l_equals_zeta_times_axis_factor_concretely():
@@ -241,29 +389,6 @@ def test_explicit_order_too_small_raises():
     assert verify(q).order >= 24
 
 
-def test_no_verify_depth_exceeds_the_required_order():
-    # verify reads its census tables at fixed depths, clamped by nothing:
-    # Gamma0 lies in the coroot lattice, so N >= 3 on A2 and N >= 2 on C2,
-    # and required_order(q) = 2 N (weights) + 8 >= 26 and 24 respectively.
-    # Corpus seeds 0..11, the samples and every benchmark ladder spec.
-    from test_zeta_report import _rungs
-
-    rungs = _rungs()
-    specs = [(m.root_system, m.spec) for seed in range(12) for m in generate_corpus(seed)]
-    specs += [(rs, TorusSpec(v1, v2)) for rs, v1, v2 in rungs["TORUS_RUNGS"]]
-    specs += [(rs, KleinSpec(*s)) for _, rs, _, _, kleins in rungs["KLEIN_RUNGS"] for s in kleins]
-    root = Path(__file__).resolve().parent.parent / "samples"
-    for path in sorted(root.glob("*.spec")):
-        parsed = load_spec_file(str(path))
-        specs.append((parsed.root_system, parsed.spec))
-    lowest = {"A2": [], "C2": []}
-    for rs, spec in specs:
-        lowest[rs].append(required_order(build(RootSystem.make(rs), spec)))
-    assert {rs: min(orders) for rs, orders in lowest.items()} == {"A2": 26, "C2": 24}
-    depths = (WALK_LOG_DEPTH, SEMI_LOG_DEPTH, GALLERY_LOG_DEPTH, CORNER_DEPTH)
-    assert min(map(min, lowest.values())) >= max(depths)
-
-
 def test_report_json_shape():
     report = verify(REFERENCE[0])
     payload = report.to_json_dict()
@@ -299,9 +424,21 @@ def test_ratfunc_compare_reports_forms():
 
 
 def test_count_compare_reports_first_mismatch():
-    detail = _count_compare([(1, 0, 0), (2, 5, 7)])
-    assert detail == {"first_mismatch_n": 2, "lhs": 5, "rhs": 7}
-    assert _count_compare([(1, 3, 3)]) == {}
+    # a system of one fixed point and one 2-cycle closes 1, 3, 1, 3, ...
+    # paths; census counts 1, 5, 1, 5, ... first differ at n = 2
+    z = CycleProduct({2: -1, 4: -1})
+    detail = _log_compare(z, 2, {(0, 1): 1, (0, 2): 4}, "walk")
+    assert detail == {"first_mismatch_n": 2, "lhs": 5, "rhs": 3}
+    assert _log_compare(z, 2, {(0, 1): 1, (0, 2): 2}, "walk") == {}
+    # the same counts as a progression at the odd n and one at the even n
+    assert _log_compare(z, 2, {(1, 2): 1, (0, 2): 3}, "walk") == {}
+    # a step of one power of w halves the cycle lengths read off z
+    assert _log_compare(CycleProduct({1: -1, 2: -1}), 1, {(0, 1): 1, (0, 2): 2}, "semi") == {}
+    assert _log_compare(z, 1, {(0, 1): 1, (0, 2): 2}, "semi") == {
+        "first_mismatch_n": 1,
+        "lhs": 1,
+        "rhs": 0,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from weylzeta.algebra import CycleProduct, NotPolynomialWithinBound
 from weylzeta.census import _walk_progressions, walk_count_table
 from weylzeta.cli import poly_to_json
 from weylzeta.corpus import generate_corpus
-from weylzeta.identities import _closed_path_table, _cycles
-from weylzeta.quotient import KleinSpec, SpecValidationError, TorusSpec, build
+from weylzeta.identities import _cycles, verify
+from weylzeta.quotient import MAX_CLASSES, KleinSpec, SpecValidationError, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, mat_vec, vec_scale
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import (
@@ -356,6 +356,36 @@ def test_a_non_integer_plant_fails_without_tallying_a_period(bound, outcome):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "progressions, top",
+    (({(0, 10**12): 1}, 10**12 - 1), ({(0, 10**12): 10**12, (0, 1): 1}, 10**12 + 5)),
+    ids=("non_integer", "tail"),
+)
+def test_a_failure_past_max_order_is_named_without_expanding(progressions, top, monkeypatch):
+    # naming the failing order would expand to u**(d0 - 1) for d0 = 10**12,
+    # the least d not dividing s[d], or to u**(bound + M) with M = 10**12:
+    # the order is checked against MAX_ORDER before anything is allocated,
+    # and the reason names it
+    def refuse(factors, top):
+        raise RuntimeError("expanded past MAX_ORDER")
+
+    monkeypatch.setattr(zeta_mod, "_expand", refuse)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError) as exc:
+        l_poly_from_counts(progressions, 5)
+    assert str(exc.value) == f"naming P's failure needs an expansion to order {top}, above {MAX_ORDER}"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_failure_up_to_max_order_is_still_named():
+    # P = (1 - u)(1 - u**m) at bound 5 fails at u**m, found by expanding to
+    # bound + m: that runs for bound + m = MAX_ORDER, and one more is refused
+    m = MAX_ORDER - 5
+    assert l_outcome(l_poly_from_counts, {(0, m): m, (0, 1): 1}, 5) == (NotPolynomialWithinBound, 2 * m)
+    with pytest.raises(AssertionError, match=f"to order {MAX_ORDER + 1}, above"):
+        l_poly_from_counts({(0, m + 1): m + 1, (0, 1): 1}, 5)
+
+
 def test_l_polynomial_holds_the_poly_coefficients():
     # P is a cycle product and compares as one; its int u-coefficients
     # are expanded from it, with the same JSON bytes as the list
@@ -517,11 +547,11 @@ def test_gallery_log_matches_gallery_counts():
 def test_closed_paths_equal_census():
     for q in (A2_KLEIN, C2_ST_KLEIN):
         for rep in q.rs.rep_names:
-            walks = _closed_path_table(build_walk_system(q, rep).product, 2, 12)
+            walks = reference.closed_path_table(build_walk_system(q, rep).product, 2, 12)
             assert walks == [count_geodesic_walks(q, rep, n) for n in range(1, 13)]
-            gal = _closed_path_table(build_gallery_system(q, rep).product, 2, 8)
+            gal = reference.closed_path_table(build_gallery_system(q, rep).product, 2, 8)
             assert gal == [count_closed_galleries(q, rep, n) for n in range(1, 9)]
-            semi = _closed_path_table(build_semi_system(q, rep).product, 1, 12)
+            semi = reference.closed_path_table(build_semi_system(q, rep).product, 1, 12)
             assert semi == [count_semi_closings(q, rep, j) for j in range(1, 13)]
 
 
@@ -745,3 +775,91 @@ def test_klein_zeta_data_invariant_under_weyl_conjugation(item, g):
         mat_vec(w, spec.alpha), mat_vec(w, spec.beta), spec.a, spec.b, spec.m
     )
     assert zeta_bundle(build(rs, conjugate)) == zeta_bundle(build(rs, spec))
+
+
+# ---------------------------------------------------------------------------
+# random quotients up to MAX_CLASSES through the battery and the invariances
+# ---------------------------------------------------------------------------
+
+
+def exponent_dicts(b) -> tuple:
+    """The bundle b as its order, l_failure and the exponent pairs of each
+    of its cycle products, by rep: nothing is expanded."""
+    fields = (b.zeta, b.zeta_semi, b.zeta2, b.l_poly, b.correction)
+    return (b.order, b.l_failure, *({rep: f.items() for rep, f in field.items()} for field in fields))
+
+
+# the index of the coroot lattice in Z^2: (x, y) lies in it when x = y
+# (mod 3) on A2 and x = y (mod 2) on C2, so (h11, 0) and (c, h22) do when
+# the index divides h11 and c = h22 modulo it
+COROOT_INDEX = {"A2": 3, "C2": 2}
+
+
+@st.composite
+def large_tori(draw):
+    """(root system, triangular basis (h11, 0), (c, h22) of a sublattice of
+    the coroot lattice) with det up to MAX_CLASSES."""
+    rs_name = draw(st.sampled_from(("A2", "C2")))
+    index = COROOT_INDEX[rs_name]
+    h11 = index * draw(st.integers(1, MAX_CLASSES // index))
+    h22 = draw(st.integers(1, MAX_CLASSES // h11))
+    c = h22 % index + index * draw(st.integers(0, (h11 - 1) // index))
+    return rs_name, (h11, 0), (c, h22)
+
+
+@st.composite
+def large_kleins(draw):
+    """(root system, KleinSpec) drawn as the corpus draws them, with a, b
+    and m wide enough to reach det Gamma0 = MAX_CLASSES; build decides."""
+    rs_name = draw(st.sampled_from(("A2", "C2")))
+    rs = RootSystem.make(rs_name)
+    alpha = draw(st.sampled_from(rs.weights(draw(st.sampled_from(rs.rep_names)))))
+    comp = rs.weights(rs.complement(rs.rep_of_weight(alpha).name))
+    best = max(rs.pairing(alpha, w) for w in comp)
+    beta = draw(st.sampled_from([w for w in comp if rs.pairing(alpha, w) == best]))
+    a, b = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+    m = draw(st.integers(-12, 12).filter(bool))
+    spec = KleinSpec(alpha, beta, a, b, m)
+    try:
+        build(rs, spec)
+    except SpecValidationError:
+        assume(False)
+    return rs_name, spec
+
+
+@given(large_tori(), st.integers(-3, 3), st.integers(-3, 3), st.booleans(), st.integers(0, 7))
+@settings(deadline=None, max_examples=50, derandomize=True)
+def test_random_tori_up_to_max_classes_verify_and_keep_their_zetas(torus, k1, k2, swap, g):
+    rs_name, v1, v2 = torus
+    rs = RootSystem.make(rs_name)
+    q = build(rs, TorusSpec(v1, v2))
+    assert q.N <= MAX_CLASSES and verify(q).all_hold
+    base = exponent_dicts(zeta_bundle(q))
+    # a unimodular change of basis: (v1 + k1 v2, v2 + k2 (v1 + k1 v2)), swapped
+    w1 = (v1[0] + k1 * v2[0], v1[1] + k1 * v2[1])
+    w2 = (v2[0] + k2 * w1[0], v2[1] + k2 * w1[1])
+    changed = TorusSpec(w2, w1) if swap else TorusSpec(w1, w2)
+    assert exponent_dicts(zeta_bundle(build(rs, changed))) == base
+    # a Weyl conjugation of both generators
+    w = rs.weyl[g % len(rs.weyl)]
+    conjugate = TorusSpec(mat_vec(w, v1), mat_vec(w, v2))
+    assert exponent_dicts(zeta_bundle(build(rs, conjugate))) == base
+
+
+@given(large_kleins(), st.integers(0, 7))
+@settings(deadline=None, max_examples=50, derandomize=True)
+def test_random_kleins_up_to_max_classes_verify_and_keep_their_zetas(klein, g):
+    rs_name, spec = klein
+    rs = RootSystem.make(rs_name)
+    q = build(rs, spec)
+    assert q._det <= MAX_CLASSES and verify(q).all_hold
+    base = exponent_dicts(zeta_bundle(q))
+    (x1, y1), (x2, y2) = spec.alpha, spec.beta
+    w = rs.weyl[g % len(rs.weyl)]
+    for other in (
+        # the relabeling (-alpha, -beta, -a, -b), t -> t**-1, and a Weyl conjugation
+        KleinSpec((-x1, -y1), (-x2, -y2), -spec.a, -spec.b, spec.m),
+        spec._replace(m=-spec.m),
+        spec._replace(alpha=mat_vec(w, spec.alpha), beta=mat_vec(w, spec.beta)),
+    ):
+        assert exponent_dicts(zeta_bundle(build(rs, other))) == base
