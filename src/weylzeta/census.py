@@ -244,13 +244,13 @@ def _closings(q: QuotientGroup, step: Vec, start: Vec, w: Vec, modulus: int) -> 
 
 def _glide_branch(
     q: QuotientGroup, step: Vec, mu: Optional[Vec] = None, offset: Vec = (0, 0)
-) -> Counter:
+) -> dict:
     """The glide branch of step: the n at which sigma carries some box
     point x to x + n*step + offset, that is n*step + offset + x - sigma(x)
-    in Gamma0, as one progression with the number of x that close at each
-    of its n; empty for a torus, which builds no solver.  With mu the x
-    are the half-lattice classes mu + 2x of the parity block of mu, in
-    doubled coordinates modulo 2 Gamma0.
+    in Gamma0, as a dict {(r, m): c} of at most one progression with the
+    number c of x that close at each of its n; empty for a torus, which
+    builds no solver.  With mu the x are the half-lattice classes mu + 2x
+    of the parity block of mu, in doubled coordinates modulo 2 Gamma0.
 
     (I - L) Z^2 = Z w, w = beta - L beta, because L fixes alpha and
     (alpha, beta) is a basis, and x -> (I - L) x maps Z^2 / Gamma0 onto
@@ -261,9 +261,8 @@ def _glide_branch(
     The n at which some class closes are one progression (_closings), and
     det // ord(w) points close at each.
     """
-    progs: Counter = Counter()
     if q.kind == "torus":
-        return progs
+        return {}
     linear, t = q.sigma
     w, modulus = vec_sub(q.beta, mat_vec(linear, q.beta)), q._det
     start = vec_scale(-1, t)
@@ -271,9 +270,7 @@ def _glide_branch(
         start = vec_add(vec_sub(mu, mat_vec(linear, mu)), vec_scale(2, start))
         w, modulus = vec_scale(2, w), 2 * modulus
     p = _closings(q, step, vec_add(start, offset), w, modulus)
-    if p is not None:
-        progs[p] = q._det // _period(q, w, modulus)
-    return progs
+    return {} if p is None else {p: q._det // _period(q, w, modulus)}
 
 
 def _off_rational_blocks(lam: Vec) -> tuple:
@@ -293,9 +290,10 @@ def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
     return q.kind == "klein" and mat_vec(q.sigma.linear, lam) == target
 
 
-def _per_orbit(q: QuotientGroup, progressions: Counter) -> Counter:
+def _per_orbit(q: QuotientGroup, progressions: dict) -> Counter:
     """Multiplicities summed over the whole box, divided by |G / Gamma0| =
-    det // N to count orbits (see the module docstring).  A remainder
+    det // N to count orbits (see the module docstring), as a Counter,
+    the type of every table; the box sums are plain dicts.  A remainder
     raises AssertionError."""
     index = q._det // q.N
     out: Counter = Counter()
@@ -346,22 +344,25 @@ def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
     pairs (vertex class, weight) of rep, in one pass kept on q, so that
     the tables of rep and its L-polynomial share it and it lives and dies
     with q; each is a Counter {(r, m): c}, with r = 0 or m / 2 (the
-    lemma of the module docstring).  A closing is geodesic when the
-    carrying element's linear part fixes the weight: always for a
-    translation, for the glide only when it fixes lam."""
+    lemma of the module docstring), summed over the box in plain dicts.
+    A closing is geodesic when the carrying element's linear part fixes
+    the weight: always for a translation, for the glide only when it
+    fixes lam."""
     tables = q._census_tables
     if rep not in tables:
         d = q._det
-        walks: Counter = Counter()
-        geodesics: Counter = Counter()
+        walks: dict = {}
+        geodesics: dict = {}
         for lam in q.rs.weights(rep):
             p = (0, _period(q, lam, d))
-            walks[p] += d
-            geodesics[p] += d
+            walks[p] = walks.get(p, 0) + d
+            geodesics[p] = geodesics.get(p, 0) + d
             glides = _glide_branch(q, lam)
-            walks.update(glides)
-            if _glide_maps(q, lam, lam):
-                geodesics.update(glides)
+            geodesic = _glide_maps(q, lam, lam)
+            for p, c in glides.items():
+                walks[p] = walks.get(p, 0) + c
+                if geodesic:
+                    geodesics[p] = geodesics.get(p, 0) + c
         tables[rep] = _per_orbit(q, walks), _per_orbit(q, geodesics)
     return tables[rep]
 
@@ -385,13 +386,15 @@ def _semi_progressions(q: QuotientGroup, rep: str) -> Counter:
     through half-lattice points: the pairs (x, lam) that some group element
     whose linear part fixes lam carries from x to x + (j/2) lam."""
     d = q._det
-    progs: Counter = Counter()
+    progs: dict = {}
     for lam in q.rs.weights(rep):
         blocks = _off_rational_blocks(lam)
-        progs[(0, _period(q, lam, 2 * d))] += len(blocks) * d
+        p = (0, _period(q, lam, 2 * d))
+        progs[p] = progs.get(p, 0) + len(blocks) * d
         if _glide_maps(q, lam, lam):
             for b in blocks:
-                progs.update(_glide_branch(q, lam, (b & 1, b >> 1)))
+                for p, c in _glide_branch(q, lam, (b & 1, b >> 1)).items():
+                    progs[p] = progs.get(p, 0) + c
     return _per_orbit(q, progs)
 
 
@@ -414,17 +417,19 @@ def _gallery_progressions(q: QuotientGroup, rep: str) -> Counter:
     The odd branch solves the glide branch of lam + mu with the offset lam.
     """
     d = q._det
-    progs: Counter = Counter()
+    progs: dict = {}
     for lam, mu in q.rs.gallery_pairs(rep):
         step = vec_add(lam, mu)
-        progs[(0, 2 * _period(q, step, d))] += d
+        p = (0, 2 * _period(q, step, d))
+        progs[p] = progs.get(p, 0) + d
         even = _glide_maps(q, lam, lam) and _glide_maps(q, mu, mu)
         odd = _glide_maps(q, lam, mu) and _glide_maps(q, mu, lam)
         if not (even or odd):
             continue
         glides = _glide_branch(q, step, offset=(0, 0) if even else lam)
         for (r, m), count in glides.items():
-            progs[(2 * r + odd, 2 * m)] += count
+            p = (2 * r + odd, 2 * m)
+            progs[p] = progs.get(p, 0) + count
     return _per_orbit(q, progs)
 
 

@@ -145,7 +145,7 @@ def _log_compare(z: CycleProduct, step_in_w: int, progressions, kind: str) -> di
     terms of every divisor below d0 agree.  Each count at d0 is the sum
     of its dict over the divisors of d0."""
     lhs = census._divisor_sums(progressions, kind)
-    rhs = {ell: ell * c for ell, c in _cycles(z, step_in_w)}
+    rhs = {e // step_in_w: -k * (e // step_in_w) for e, k in z._k.items()}
     if lhs == rhs:
         return {}
     n = min(d for d in lhs.keys() | rhs.keys() if lhs.get(d) != rhs.get(d))

@@ -38,9 +38,11 @@ run of steps between two glide block maps is one op, of the run's summed
 vector, and a torus cycle is one translation.
 
 A first-return map is read by its affine part.  A build composes each
-cycle's ops as an AffineMap f of Z**2 / Gamma0 and counts its cycles by
-one order (_order) and at most one fixed-point count (_fixed_points),
-both read off the triangular basis (h11, 0), (c, h22) of Gamma0:
+cycle's ops into the map f x = L x + v of Z**2 / Gamma0 as a pair of
+tuples, (linear part, translation), not as an AffineMap, and counts its
+cycles by one order (_order) and at most one fixed-point count
+(_fixed_points), both read off the triangular basis (h11, 0), (c, h22)
+of Gamma0:
 
 * a translation of order m has n / m cycles, each of length m;
 * f x = L x + v squares to the translation by w = L v + v, of order m;
@@ -98,7 +100,6 @@ from .algebra import CycleProduct, NotPolynomialWithinBound, _expand
 from .census import _divisor_sums, _walk_progressions
 from .quotient import (
     MAX_CLASSES,
-    AffineMap,
     QuotientGroup,
     SpecValidationError,
     _in_lattice,
@@ -162,9 +163,11 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
     by 2 l[0] in doubled coordinates, a step of w a half-lattice point by
     l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which it swaps.
     The segment cycles and the ops of each one's first-return map come
-    from table.plan of q's glide; each first-return map is composed as an
-    affine map of Z^2 / Gamma0, and its cycles are read off its affine
-    part (see the module docstring)."""
+    from table.plan of q's glide; each first-return map x -> f_lin x + v
+    of Z^2 / Gamma0 is composed as a (linear, translation) pair of tuples,
+    (f_lin, v), not as an AffineMap, with mat_mul, mat_vec and vec_add,
+    and its cycles are read off that affine part (see the module
+    docstring)."""
     tri, kind = q._triangle, table.kind
     n = tri[0] * tri[2]
     linear, glides = None, ()
@@ -173,9 +176,9 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
         if mat_det(linear) != -1 or mat_mul(linear, linear) != IDENTITY:
             raise AssertionError("the glide's linear part is not a reflection")
         # sigma takes mu_b + 2x to L mu_b + 2 (L x + t): block b's map
-        # adds the carry of L mu_b past its parity block
+        # x -> L x + glides[b] adds the carry of L mu_b past its parity block
         lifts = (mat_vec(linear, (b & 1, b >> 1)) for b in range(4))
-        glides = [AffineMap(linear, (t1 + (x >> 1), t2 + (y >> 1))) for x, y in lifts]
+        glides = [(t1 + (x >> 1), t2 + (y >> 1)) for x, y in lifts]
         mirror = _mirror(tri, linear)
     lengths: dict = {}  # cycle length in steps -> number of cycles
 
@@ -188,19 +191,18 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
 
     size = 0
     for b, fixed, steps, ops in table.plan(linear):
-        f = AffineMap.identity()
+        f_lin, v = IDENTITY, (0, 0)
         for shift, block in ops:
-            f = AffineMap(f.linear, vec_add(f.translation, shift))
+            v = vec_add(v, shift)
             if block is not None:
-                f = glides[block].compose(f)
-        v = f.translation
-        if f.linear != IDENTITY:
+                f_lin, v = mat_mul(linear, f_lin), vec_add(mat_vec(linear, v), glides[block])
+        if f_lin != IDENTITY:
             if fixed:
                 raise AssertionError(f"a glide-fixed {kind} segment does not return by a translation")
             # f x = L x + v: f**2 is the translation by w = L v + v, fixed
             # by L, and f**m x = L x + (m - 1) / 2 w + v for m = ord(w)
             # odd; every point not fixed by f**m has a cycle of 2m
-            w = vec_add(mat_vec(f.linear, v), v)
+            w = vec_add(mat_vec(f_lin, v), v)
             m = _order(tri, w)
             short = _fixed_points(mirror, vec_add(vec_scale(m // 2, w), v)) if m % 2 else 0
             add(steps * m, short, m)
@@ -212,9 +214,12 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
         else:
             # the n / 2 glide pairs {x, g x}, g the block map of b, which
             # f commutes with: a pair closes after m steps, or after m / 2
-            # when f**(m/2) x = g x, at the fixed points of g f**(m/2)
+            # when f**(m/2) x = g x, at the fixed points of g f**(m/2),
+            # x -> L x + L (m / 2) v + glides[b]
             m = _order(tri, v)
-            short = 0 if m % 2 else _fixed_points(mirror, glides[b].apply(vec_scale(m // 2, v)))
+            short = 0
+            if m % 2 == 0:
+                short = _fixed_points(mirror, vec_add(mat_vec(linear, vec_scale(m // 2, v)), glides[b]))
             add(steps * (m // 2), short, m)
             add(steps * m, n - short, 2 * m)
         size += steps * (n // 2 if fixed else n)
@@ -282,7 +287,9 @@ def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
     n > bound and AssertionError otherwise.  For d0 the least d not
     dividing s[d], the factors with d >= d0 do not reach u**n for n < d0,
     so those p_n are the integers _expand gives from the s[d] // d, and
-    p_d0 is an integer less s[d0] / d0.  With no d0, n <= M + bound: a P
+    p_d0 is an integer less s[d0] / d0; when no key of s lies below d0,
+    the expansion to u**(d0 - 1) is 1, and the failure is named at d0
+    without expanding anything.  With no d0, n <= M + bound: a P
     of degree at most bound whose power sums match a sequence of period
     M through M + bound terms matches it everywhere, as the two are sums
     of at most M + bound distinct geometric sequences.  Only a planted
@@ -298,15 +305,18 @@ def l_poly_from_counts(progressions, bound: int) -> LPolynomial:
         if product.is_polynomial_within(2 * bound):
             return product
     d0 = min((d for d, x in s.items() if x % d), default=None)
-    top = bound + lcm(*(m for _, m in progressions)) if d0 is None else d0 - 1
-    if top > MAX_ORDER:
-        raise AssertionError(f"naming P's failure needs an expansion to order {top}, above {MAX_ORDER}")
-    p = _expand({d: x // d for d, x in s.items()}, top)
-    for n in range(bound + 1, top + 1):
-        if p[n]:
-            raise NotPolynomialWithinBound(2 * n)
-    if d0 is None:
-        raise AssertionError("the expansion found a P that the closed form refused")
+    if d0 is None or d0 > min(s):
+        # a factor below d0 (or every factor, with no d0) can reach the
+        # orders past the bound: expand them
+        top = bound + lcm(*(m for _, m in progressions)) if d0 is None else d0 - 1
+        if top > MAX_ORDER:
+            raise AssertionError(f"naming P's failure needs an expansion to order {top}, above {MAX_ORDER}")
+        p = _expand({d: x // d for d, x in s.items()}, top)
+        for n in range(bound + 1, top + 1):
+            if p[n]:
+                raise NotPolynomialWithinBound(2 * n)
+        if d0 is None:
+            raise AssertionError("the expansion found a P that the closed form refused")
     if d0 > bound:
         raise NotPolynomialWithinBound(2 * d0)
     raise AssertionError("L-polynomial has non-integer coefficients")

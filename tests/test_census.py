@@ -557,6 +557,30 @@ def test_a_klein_verify_solves_once_per_glide_step(monkeypatch):
     assert orders == [2, 8] and calls[0] == calls[1]
 
 
+def test_a_klein_verify_makes_one_counter_per_table(monkeypatch):
+    # each census table is summed over the box in plain dicts and made a
+    # Counter once, by _per_orbit: no Counter per weight, glide branch or
+    # gallery pair
+    made = []
+
+    class Counting(Counter):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(weylzeta.census, "Counter", Counting)
+    for rs, spec in (
+        (A2, KleinSpec((1, 0), (0, 1), 1, 1, 8)),
+        (C2, KleinSpec((1, 0), (1, 1), 2, 1, 1)),
+        (C2, KleinSpec((1, 1), (1, 0), 1, 2, 1)),
+    ):
+        q = build(rs, spec)
+        made.clear()
+        assert verify(q).all_hold
+        # walks, geodesics, semi-closings and galleries of each rep
+        assert 0 < len(made) <= 4 * len(q.rs.rep_names), (spec, len(made))
+
+
 def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
     # the N = 96 C2 spin Klein rung of the ladder benchmark
     q = build(C2, KleinSpec((1, 0), (1, 1), -4, -4, 6))

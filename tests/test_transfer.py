@@ -56,6 +56,7 @@ from weylzeta.zeta import (
     build_gallery_system,
     build_semi_system,
     build_walk_system,
+    zeta_bundle,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -742,6 +743,26 @@ def test_each_build_takes_one_order_per_plan_cycle(monkeypatch):
                     assert tally["fixed points"] == 0, where
                 counted += tally["fixed points"] > 0
     assert counted
+
+
+def test_first_return_maps_are_composed_without_affine_maps(monkeypatch):
+    # each first-return map is composed as a (linear, translation) pair of
+    # tuples, with no AffineMap per op: with AffineMap's composition and
+    # identity refused, every ladder rung and corpus member gets the same
+    # zeta data, from fresh root systems that hold no plan yet
+    from test_zeta_report import _ladder
+
+    def refuse(*args):
+        raise AssertionError("a first-return map was composed as an AffineMap")
+
+    specs = _ladder() + [(m.root_system, m.spec) for m in generate_corpus(7)]
+    assert len(specs) == 12 + 55
+    expected = [zeta_bundle(build(RootSystem.make(rs), spec)) for rs, spec in specs]
+    fresh = {"A2": RootSystem("A2"), "C2": RootSystem("C2")}
+    quotients = [build(fresh[rs], spec) for rs, spec in specs]
+    monkeypatch.setattr(AffineMap, "compose", refuse)
+    monkeypatch.setattr(AffineMap, "identity", refuse)
+    assert [zeta_bundle(q) for q in quotients] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -356,24 +356,38 @@ def test_a_non_integer_plant_fails_without_tallying_a_period(bound, outcome):
     assert time.perf_counter() - start < 1.0
 
 
+def refused(top):
+    return f"naming P's failure needs an expansion to order {top}, above {MAX_ORDER}"
+
+
 @pytest.mark.parametrize(
-    "progressions, top",
-    (({(0, 10**12): 1}, 10**12 - 1), ({(0, 10**12): 10**12, (0, 1): 1}, 10**12 + 5)),
-    ids=("non_integer", "tail"),
+    "progressions, failure",
+    (
+        ({(0, 10**12): 1}, {"nonzero_tail_exponent": 2 * 10**12}),
+        ({(0, 1): 1, (0, 10**12): 1}, {"reason": refused(10**12 - 1)}),
+        ({(0, 10**12): 10**12, (0, 1): 1}, {"reason": refused(10**12 + 5)}),
+    ),
+    ids=("non_integer", "non_integer_above_a_factor", "tail"),
 )
-def test_a_failure_past_max_order_is_named_without_expanding(progressions, top, monkeypatch):
-    # naming the failing order would expand to u**(d0 - 1) for d0 = 10**12,
-    # the least d not dividing s[d], or to u**(bound + M) with M = 10**12:
-    # the order is checked against MAX_ORDER before anything is allocated,
-    # and the reason names it
+def test_a_failure_past_max_order_is_named_without_expanding(progressions, failure, monkeypatch):
+    # with no factor below d0 = 10**12, the least d not dividing s[d], the
+    # expansion to u**(d0 - 1) is 1 and P fails at u**d0, past the bound,
+    # with nothing expanded.  Naming the failing order otherwise expands to
+    # u**(d0 - 1), or to u**(bound + M) with M = 10**12: the order is
+    # checked against MAX_ORDER before anything is allocated, and the
+    # reason names it
     def refuse(factors, top):
         raise RuntimeError("expanded past MAX_ORDER")
 
     monkeypatch.setattr(zeta_mod, "_expand", refuse)
     start = time.perf_counter()
-    with pytest.raises(AssertionError) as exc:
+    try:
         l_poly_from_counts(progressions, 5)
-    assert str(exc.value) == f"naming P's failure needs an expansion to order {top}, above {MAX_ORDER}"
+    except NotPolynomialWithinBound as exc:
+        got = {"nonzero_tail_exponent": exc.exponent}
+    except AssertionError as exc:
+        got = {"reason": str(exc)}
+    assert got == failure
     assert time.perf_counter() - start < 1.0
 
 
