@@ -13,7 +13,6 @@ from .census import lambda_set_size
 from .corpus import CorpusMember, generate_corpus
 from .identities import VerificationReport, VerifyRecord, verify
 from .quotient import (
-    AffineMap,
     KleinSpec,
     QuotientGroup,
     SpecValidationError,
@@ -39,7 +38,6 @@ from .zeta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "CorpusMember",
     "CycleProduct",
     "KleinSpec",

@@ -93,9 +93,10 @@ point-by-point window scan for lambda_set_size.
 The progressions of the walk and geodesic tables of a rep, which one
 pass fills together, are kept on the quotient (_census_tables): the
 tables and the L-polynomial of every rep read them there.  glide_rows
-forms a glide power once per call and returns the vector of each asked
-beta-row as a dict; nothing of it is kept on the quotient, so it always
-reads the current sigma.
+reads the glide power off its closed form, L x + s + (m - 1) / 2 (L s +
+s) for the glide x -> L x + s, L**2 = I and m odd, and returns the
+vector of each asked beta-row as a dict; nothing of it is kept on the
+quotient, so it always reads the current sigma.
 
 Nothing here touches the transfer systems: the census uses only
 membership in Gamma0 (its adjugate and determinant), the glide sigma and
@@ -110,7 +111,7 @@ from math import gcd
 from typing import Optional
 
 from .quotient import QuotientGroup, SpecValidationError
-from .rootgeom import Vec, mat_vec, vec_add, vec_scale, vec_sub
+from .rootgeom import IDENTITY, Vec, mat_mul, mat_vec, vec_add, vec_scale, vec_sub
 
 
 def lambda_set_size(
@@ -127,8 +128,8 @@ def lambda_set_size(
     only the row qq = (b - d) / 2 can be moved by v = c*alpha + d*beta,
     and only when b - d is even; it lies below the boundary exactly when
     d > 0, and one exact evaluation at x = qq*beta then decides whether
-    its k points count.  A linear part that does not fix alpha raises
-    AssertionError.
+    its k points count.  A linear part that does not fix alpha, or does
+    not square to the identity, raises AssertionError (glide_rows).
 
     v must be a coroot-lattice vector with nonzero beta-component in the
     (alpha, beta) basis.  ``glide`` selects sigma or t*sigma together with
@@ -153,25 +154,32 @@ def glide_rows(q: QuotientGroup, m_odd: int, ds, glide: str = "sigma") -> dict:
     can count k (lambda_set_size).  A vector of any other beta-coordinate
     moves no row of the domain.
 
-    The glide and its power are formed once per call, from q as it is now,
-    so a scan reads each of its rows by a dict lookup.  The caller checks
-    the Klein kind and the odd power as lambda_set_size does.
+    The glide g x = L x + s is read from q as it is now: sigma = q.sigma,
+    or t*sigma = (L, s + t).  As L**2 = I, g**2 is the translation by
+    L s + s, so the odd power is gm x = L x + s + (m_odd - 1) / 2 (L s + s),
+    in closed form, and a scan reads each row by a dict lookup.  An even
+    power raises ValueError, and a linear part with L**2 != I, or one that
+    does not fix alpha, AssertionError.  The caller checks the Klein kind
+    as lambda_set_size does.
     """
-    if glide == "sigma":
-        g = q.sigma
-    elif glide == "tsigma":
-        g = q.t.compose(q.sigma)
-    else:
+    if m_odd % 2 == 0:
+        raise ValueError("glide power must be odd")
+    linear, s = q.sigma
+    if glide == "tsigma":
+        s = vec_add(s, q.t)
+    elif glide != "sigma":
         raise ValueError("glide must be 'sigma' or 'tsigma'")
-    gm = g ** m_odd
-    if mat_vec(gm.linear, q.alpha) != q.alpha:
+    if mat_mul(linear, linear) != IDENTITY:
+        raise AssertionError("the glide's linear part does not square to the identity")
+    if mat_vec(linear, q.alpha) != q.alpha:
         raise AssertionError("the glide's linear part does not fix alpha")
-    b = q.alpha_beta_coords(g.translation)[1]
+    shift = vec_add(s, vec_scale((m_odd - 1) // 2, vec_add(mat_vec(linear, s), s)))
+    b = q.alpha_beta_coords(s)[1]
     rows = {}
     for d in ds:
         if d >= 0 and (b - d) % 2 == 0:
             x = vec_scale((b - d) // 2, q.beta)
-            rows[d] = vec_sub(gm.apply(x), x)
+            rows[d] = vec_sub(vec_add(mat_vec(linear, x), shift), x)
     return rows
 
 
@@ -287,7 +295,7 @@ def _off_rational_blocks(lam: Vec) -> tuple:
 
 def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
     """Whether the glide's linear part sends lam to target (never for a torus)."""
-    return q.kind == "klein" and mat_vec(q.sigma.linear, lam) == target
+    return q.kind == "klein" and mat_vec(q.sigma[0], lam) == target
 
 
 def _per_orbit(q: QuotientGroup, progressions: dict) -> Counter:

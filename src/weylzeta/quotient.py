@@ -7,6 +7,8 @@ glide reflection sigma and a translation t with t*sigma = sigma*t**-1
 alpha (the glide axis direction), a best-paired weight beta of the
 partner representation, integers a, b with a*alpha + b*beta the glide
 translation, and a multiplier m for the perpendicular translation t.
+A Klein bottle holds its glide as the plain pair q.sigma = (L, s) of
+tuples, linear part and translation, and t as its vector q.t.
 
 Everything here is exact integer arithmetic; the coordinate solves test
 divisibility with divmod.  Gamma0 is held as its triangular basis
@@ -38,7 +40,6 @@ from typing import NamedTuple, Optional, Union
 
 from .rootgeom import (
     IDENTITY,
-    Mat,
     RootSystem,
     Vec,
     block_images,
@@ -71,55 +72,6 @@ def _shown(x) -> str:
 # (1,1),(144,-144) and the box (12,0),(0,24) alike, so the bound is well
 # below what the exact path affords.
 MAX_CLASSES = 288
-
-
-class AffineMap(NamedTuple):
-    """x -> linear*x + translation with integer linear part and translation."""
-
-    linear: Mat
-    translation: Vec
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(IDENTITY, (0, 0))
-
-    @classmethod
-    def from_translation(cls, v: Vec) -> "AffineMap":
-        return cls(IDENTITY, (v[0], v[1]))
-
-    def apply(self, v: Vec) -> Vec:
-        return vec_add(mat_vec(self.linear, v), self.translation)
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        return AffineMap(
-            mat_mul(self.linear, other.linear),
-            vec_add(mat_vec(self.linear, other.translation), self.translation),
-        )
-
-    def inverse(self) -> "AffineMap":
-        det = mat_det(self.linear)
-        if det not in (1, -1):
-            raise ValueError("linear part is not invertible over the integers")
-        m = self.linear
-        inv: Mat = (
-            (m[1][1] * det, -m[0][1] * det),
-            (-m[1][0] * det, m[0][0] * det),
-        )
-        t = mat_vec(inv, self.translation)
-        return AffineMap(inv, (-t[0], -t[1]))
-
-    def __pow__(self, n: int) -> "AffineMap":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = AffineMap.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out.compose(base)
-            base = base.compose(base) if n > 1 else base
-            n >>= 1
-        return out
 
 
 class TorusSpec(NamedTuple):
@@ -189,8 +141,8 @@ class QuotientGroup:
         self.rs = rs
         self.spec = spec
         self.kind = "torus" if isinstance(spec, TorusSpec) else "klein"
-        self.sigma: Optional[AffineMap] = None
-        self.t: Optional[AffineMap] = None
+        self.sigma: Optional[tuple] = None
+        self.t: Optional[Vec] = None
         self.alpha: Optional[Vec] = None
         self.beta: Optional[Vec] = None
         self.a = self.b = self.m = None
@@ -254,16 +206,15 @@ class QuotientGroup:
             a, b = -a, -b
             k = -k
             rep = rs.rep_of_weight(alpha)
-        sigma0 = rs.reflection_fixing(alpha)
-        self.sigma = AffineMap(sigma0, trans)
+        linear = rs.reflection_fixing(alpha)
+        self.sigma = (linear, trans)
         # t runs perpendicular to the axis: the primitive coroot-lattice
         # vector in the direction 2*beta - n*alpha, scaled by m
         raw = vec_sub(vec_scale(2, beta), vec_scale(n, alpha))
         direction = _primitive(raw)
         if not rs.in_coroot_lattice(direction):
             direction = vec_scale(2, direction)
-        t_vec = vec_scale(m, direction)
-        self.t = AffineMap.from_translation(t_vec)
+        self.t = t_vec = vec_scale(m, direction)
         self.alpha, self.beta = alpha, beta
         self.a, self.b, self.m = a, b, m
         self.k_gamma, self.n_gamma = k, n
@@ -274,11 +225,12 @@ class QuotientGroup:
         if index % 2 != 0:
             raise SpecValidationError("translation subgroup index must be even")
         self.N = index // 2
-        # structural identities of the presentation
-        sq = self.sigma.compose(self.sigma)
-        if sq != AffineMap.from_translation(vec_scale(k, alpha)):
+        # structural identities of the presentation: sigma**2 x = L L x +
+        # L s + s is the translation by k*alpha (L is a reflection), and
+        # t*sigma x = L x + s + t equals sigma*t**-1 x = L x - L t + s
+        if vec_add(mat_vec(linear, trans), trans) != vec_scale(k, alpha):
             raise AssertionError("sigma squared is not the axis translation k*alpha")
-        if self.t.compose(self.sigma) != self.sigma.compose(self.t.inverse()):
+        if mat_vec(linear, t_vec) != vec_scale(-1, t_vec):
             raise AssertionError("t*sigma != sigma*t**-1")
         # axis parity: b odd exactly when k/n is odd, and n | k always
         if k % n != 0 or (k // n) % 2 != b % 2:

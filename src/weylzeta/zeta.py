@@ -39,10 +39,9 @@ vector, and a torus cycle is one translation.
 
 A first-return map is read by its affine part.  A build composes each
 cycle's ops into the map f x = L x + v of Z**2 / Gamma0 as a pair of
-tuples, (linear part, translation), not as an AffineMap, and counts its
-cycles by one order (_order) and at most one fixed-point count
-(_fixed_points), both read off the triangular basis (h11, 0), (c, h22)
-of Gamma0:
+tuples, (linear part, translation), and counts its cycles by one order
+(_order) and at most one fixed-point count (_fixed_points), both read
+off the triangular basis (h11, 0), (c, h22) of Gamma0:
 
 * a translation of order m has n / m cycles, each of length m;
 * f x = L x + v squares to the translation by w = L v + v, of order m;
@@ -165,9 +164,8 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
     The segment cycles and the ops of each one's first-return map come
     from table.plan of q's glide; each first-return map x -> f_lin x + v
     of Z^2 / Gamma0 is composed as a (linear, translation) pair of tuples,
-    (f_lin, v), not as an AffineMap, with mat_mul, mat_vec and vec_add,
-    and its cycles are read off that affine part (see the module
-    docstring)."""
+    (f_lin, v), with mat_mul, mat_vec and vec_add, and its cycles are
+    read off that affine part (see the module docstring)."""
     tri, kind = q._triangle, table.kind
     n = tri[0] * tri[2]
     linear, glides = None, ()

@@ -28,6 +28,12 @@ routes live here, and the tests compare the package against them:
   walk progressions.  The second is the reference of
   ``CycleProduct._reduced_form``, which factors each Phi_m by the
   distinct primes of m.
+* ``Affine`` and ``glide_map``: affine maps x -> L x + v of the plane
+  with composition, inverse and powers, and a quotient's glide sigma or
+  t*sigma as one.  The package holds every affine map as a plain
+  (linear, translation) pair of tuples and composes none of them this
+  way; ``Affine(*q.sigma)`` views q's glide as one, and compares equal
+  to the pair.
 * ``HalfVec``, ``sigma_half`` and ``canonical_vertex``: half-lattice
   points as doubled coordinates, the glide on them, and a canonical form
   of each orbit (the lexicographically lower of the box points of x and
@@ -128,13 +134,14 @@ from weylzeta.algebra import (
     spread,
 )
 from weylzeta.identities import GLIDE_WINDOW
-from weylzeta.quotient import AffineMap, QuotientGroup, _primitive
+from weylzeta.quotient import QuotientGroup, _primitive
 from weylzeta.rootgeom import (
     IDENTITY,
     Mat,
     RootSystem,
     Vec,
     mat_det,
+    mat_mul,
     mat_vec,
     vec_add,
     vec_scale,
@@ -549,6 +556,52 @@ def reduced_by_mobius_table(f: CycleProduct) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+class Affine(NamedTuple):
+    """x -> linear*x + translation with integer linear part and translation."""
+
+    linear: Mat
+    translation: Vec
+
+    @classmethod
+    def identity(cls) -> "Affine":
+        return cls(IDENTITY, (0, 0))
+
+    @classmethod
+    def from_translation(cls, v: Vec) -> "Affine":
+        return cls(IDENTITY, (v[0], v[1]))
+
+    def apply(self, v: Vec) -> Vec:
+        return vec_add(mat_vec(self.linear, v), self.translation)
+
+    def compose(self, other: "Affine") -> "Affine":
+        """self after other: (self.compose(other))(x) = self(other(x))."""
+        return Affine(
+            mat_mul(self.linear, other.linear),
+            vec_add(mat_vec(self.linear, other.translation), self.translation),
+        )
+
+    def inverse(self) -> "Affine":
+        det = mat_det(self.linear)
+        if det not in (1, -1):
+            raise ValueError("linear part is not invertible over the integers")
+        (a, b), (c, d) = self.linear
+        inv = ((d * det, -b * det), (-c * det, a * det))
+        return Affine(inv, vec_scale(-1, mat_vec(inv, self.translation)))
+
+    def __pow__(self, n: int) -> "Affine":
+        """The |n|-fold composition of self, or of its inverse for n < 0."""
+        base, out = self if n >= 0 else self.inverse(), Affine.identity()
+        for _ in range(abs(n)):
+            out = out.compose(base)
+        return out
+
+
+def glide_map(q: QuotientGroup, glide: str) -> Affine:
+    """The glide sigma of a Klein bottle q, or t*sigma, as an Affine."""
+    sigma = Affine(*q.sigma)
+    return sigma if glide == "sigma" else Affine.from_translation(q.t).compose(sigma)
+
+
 class HalfVec(NamedTuple):
     """Point of the half lattice, stored as doubled integer coordinates."""
 
@@ -558,9 +611,9 @@ class HalfVec(NamedTuple):
 
 def sigma_half(q: QuotientGroup, h2: Vec) -> Vec:
     """The glide sigma of q on doubled coordinates: L h2 + 2 t."""
-    s = q.sigma
-    img = mat_vec(s.linear, h2)
-    return (img[0] + 2 * s.translation[0], img[1] + 2 * s.translation[1])
+    linear, s = q.sigma
+    img = mat_vec(linear, h2)
+    return (img[0] + 2 * s[0], img[1] + 2 * s[1])
 
 
 def canonical_vertex(q: QuotientGroup, x):
@@ -579,7 +632,7 @@ def canonical_vertex(q: QuotientGroup, x):
         return HalfVec(*r)
     r = reduce(q, x)
     if q.kind == "klein":
-        r = min(r, reduce(q, q.sigma.apply(x)))
+        r = min(r, reduce(q, Affine(*q.sigma).apply(x)))
     return r
 
 
@@ -674,13 +727,13 @@ def carrying_linear(q: QuotientGroup, x, y) -> Optional[Mat]:
     if in_gamma0(q, (y[0] - x[0], y[1] - x[1]), modulus):
         return IDENTITY
     if q.kind == "klein":
-        sx = sigma_half(q, x) if half else q.sigma.apply(x)
+        sx = sigma_half(q, x) if half else Affine(*q.sigma).apply(x)
         if in_gamma0(q, (y[0] - sx[0], y[1] - sx[1]), modulus):
-            return q.sigma.linear
+            return q.sigma[0]
     return None
 
 
-def transporter(q: QuotientGroup, x, y) -> Optional[AffineMap]:
+def transporter(q: QuotientGroup, x, y) -> Optional[Affine]:
     """The unique group element sending x to y, or None.
 
     Uniqueness holds because the group acts freely.  Its linear part L
@@ -693,7 +746,7 @@ def transporter(q: QuotientGroup, x, y) -> Optional[AffineMap]:
     t = vec_sub(y, mat_vec(linear, x))
     if isinstance(x, HalfVec):
         t = (t[0] // 2, t[1] // 2)
-    return AffineMap(linear, t)
+    return Affine(linear, t)
 
 
 # ---------------------------------------------------------------------------
@@ -701,29 +754,30 @@ def transporter(q: QuotientGroup, x, y) -> Optional[AffineMap]:
 # ---------------------------------------------------------------------------
 
 
-def normalize_generators(rs: RootSystem, g_t: AffineMap, g_sigma: AffineMap) -> tuple:
+def normalize_generators(rs: RootSystem, g_t: tuple, g_sigma: tuple) -> tuple:
     """Bring Klein-bottle generators to the normal form t*sigma = sigma*t**-1.
 
-    The returned translation is perpendicular to the glide axis; sigma is
-    returned unchanged.  Inputs that commute, contain torsion, or leave
-    the coroot lattice are rejected.
+    Each generator is an affine map, a (linear, translation) pair such as
+    q.sigma or an Affine.  The returned translation, an Affine, is
+    perpendicular to the glide axis; sigma is returned unchanged.  Inputs
+    that commute, contain torsion, or leave the coroot lattice are
+    rejected.
     """
-    if g_t.linear != IDENTITY or g_t.translation == (0, 0):
+    (t_linear, t_vec), (m, s_vec) = g_t, g_sigma
+    if t_linear != IDENTITY or t_vec == (0, 0):
         raise ValueError("t is not a nonzero translation")
-    if not rs.in_coroot_lattice(g_t.translation):
+    if not rs.in_coroot_lattice(t_vec):
         raise ValueError("translation part not in coroot lattice")
-    m = g_sigma.linear
     if m not in rs.weyl or mat_det(m) != -1 or m[0][0] + m[1][1] != 0:
         raise ValueError("sigma's linear part is not a Weyl reflection")
-    if not rs.in_coroot_lattice(g_sigma.translation):
+    if not rs.in_coroot_lattice(s_vec):
         raise ValueError("translation part not in coroot lattice")
-    s = vec_add(mat_vec(m, g_sigma.translation), g_sigma.translation)
+    s = vec_add(mat_vec(m, s_vec), s_vec)
     if s == (0, 0):
         raise ValueError("sigma has order two (torsion)")
     axis = _primitive(s)
     if rs.rep_of_weight(axis) is None and rs.rep_of_weight((-axis[0], -axis[1])) is None:
         raise ValueError("glide axis is not a weight direction")
-    t_vec = g_t.translation
     mt = mat_vec(m, t_vec)
     if mt == t_vec:
         raise ValueError("generators commute")
@@ -741,7 +795,7 @@ def normalize_generators(rs: RootSystem, g_t: AffineMap, g_sigma: AffineMap) -> 
     t_new = vec_sub(t_vec, vec_scale(p // 2, s))
     if mat_vec(m, t_new) != (-t_new[0], -t_new[1]):
         raise AssertionError("normalized translation is not reversed by sigma")
-    return (AffineMap.from_translation(t_new), g_sigma)
+    return (Affine.from_translation(t_new), g_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -1202,7 +1256,7 @@ def _weight_perm(q: QuotientGroup, wts: tuple) -> tuple:
     """Index permutation of the weight list under the glide's linear part."""
     if q.kind == "torus":
         return tuple(range(len(wts)))
-    return tuple(wts.index(mat_vec(q.sigma.linear, w)) for w in wts)
+    return tuple(wts.index(mat_vec(q.sigma[0], w)) for w in wts)
 
 
 def build_walk_system(q: QuotientGroup, rep: str) -> PermutationSystem:
@@ -1213,7 +1267,7 @@ def build_walk_system(q: QuotientGroup, rep: str) -> PermutationSystem:
         a = (reduce(q, x), i)
         if q.kind == "torus":
             return a
-        b = (reduce(q, q.sigma.apply(x)), perm[i])
+        b = (reduce(q, Affine(*q.sigma).apply(x)), perm[i])
         return a if a <= b else b
 
     states = sorted({canon(x, i) for x in residues(q) for i in range(len(wts))})
@@ -1260,7 +1314,7 @@ def build_gallery_system(q: QuotientGroup, rep: str) -> PermutationSystem:
         a = (reduce(q, v), i, j)
         if q.kind == "torus":
             return a
-        b = (reduce(q, q.sigma.apply(v)), perm[i], perm[j])
+        b = (reduce(q, Affine(*q.sigma).apply(v)), perm[i], perm[j])
         return a if a <= b else b
 
     pair_indices = sorted(
@@ -1325,7 +1379,7 @@ def glide_moves(q: QuotientGroup, m_odd: int, glide: str) -> Counter:
     translation), with qq >= -(|b| + W + 4).  The glide is applied m_odd
     times to each point.  Every vector of beta-coordinate at most
     W = GLIDE_WINDOW in absolute value is counted in full."""
-    g = q.sigma if glide == "sigma" else q.t.compose(q.sigma)
+    g = glide_map(q, glide)
     _, b = q.alpha_beta_coords(g.translation)
     k = q.k_gamma
     moves = Counter()

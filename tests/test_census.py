@@ -36,7 +36,7 @@ from weylzeta.corpus import generate_corpus
 import weylzeta.census
 import weylzeta.identities
 from weylzeta.identities import GLIDE_WINDOW, _glide_line_scan, verify
-from weylzeta.quotient import AffineMap, KleinSpec, TorusSpec, build
+from weylzeta.quotient import KleinSpec, TorusSpec, build
 from weylzeta.rootgeom import RootSystem, mat_vec, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import required_order
@@ -236,7 +236,7 @@ def test_lambda_set_size_matches_window_scan_on_corpus():
     for q in kleins:
         aa = q.rs.pairing(q.alpha, q.alpha)
         seen = set()
-        for m, glide in product((1, 3), ("sigma", "tsigma")):
+        for m, glide in product((1, 3, 5, 7), ("sigma", "tsigma")):
             # one pass over the domain points per glide power
             moves = reference.glide_moves(q, m, glide)
             for c, d in product(box, box):
@@ -252,10 +252,30 @@ def test_lambda_set_size_matches_window_scan_on_corpus():
 
 def test_lambda_set_size_rejects_a_linear_part_not_fixing_alpha(monkeypatch):
     q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    monkeypatch.setattr(q, "sigma", AffineMap(((-1, 0), (0, -1)), q.sigma.translation))
+    monkeypatch.setattr(q, "sigma", (((-1, 0), (0, -1)), q.sigma[1]))
     for glide in ("sigma", "tsigma"):
         with pytest.raises(AssertionError, match="does not fix alpha"):
             lambda_set_size(q, 1, (0, 3), glide)
+
+
+def test_glide_rows_refuse_what_the_closed_form_does_not_power(monkeypatch):
+    # the closed form L x + s + (m - 1) / 2 (L s + s) holds for odd m and
+    # L**2 = I.  An even power is refused; and the shear ((1, 1), (0, 1))
+    # fixes alpha = (1, 0), so it passes the axis check, but its odd powers
+    # are not of that form: without the checks the rows would be wrong
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    window = range(1, GLIDE_WINDOW + 1)
+    for m in (0, 2, -4):
+        with pytest.raises(ValueError, match="glide power must be odd"):
+            glide_rows(q, m, window)
+    shear = ((1, 1), (0, 1))
+    assert mat_vec(shear, q.alpha) == q.alpha
+    monkeypatch.setattr(q, "sigma", (shear, q.sigma[1]))
+    for m, glide in product((1, 3), ("sigma", "tsigma")):
+        with pytest.raises(AssertionError, match="does not square to the identity"):
+            glide_rows(q, m, window, glide)
+        with pytest.raises(AssertionError, match="does not square to the identity"):
+            lambda_set_size(q, m, (0, 3), glide)
 
 
 def test_glide_line_counts_read_the_current_sigma(monkeypatch):
@@ -263,7 +283,7 @@ def test_glide_line_counts_read_the_current_sigma(monkeypatch):
     q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
     assert verify(q).all_hold
     assert lambda_set_size(q, 1, (0, 3)) in (0, q.k_gamma)
-    monkeypatch.setattr(q, "sigma", AffineMap(((-1, 0), (0, -1)), q.sigma.translation))
+    monkeypatch.setattr(q, "sigma", (((-1, 0), (0, -1)), q.sigma[1]))
     for glide in ("sigma", "tsigma"):
         with pytest.raises(AssertionError, match="does not fix alpha"):
             lambda_set_size(q, 1, (0, 3), glide)
@@ -282,9 +302,9 @@ def test_glide_line_scan_matches_the_window_reference(monkeypatch):
         moved = []
         for i, j in product(range(-2, 3), range(-2, 2)):
             shift = vec_add(vec_scale(i, q.alpha), vec_scale(j, q.beta))
-            moved.append(("sigma", AffineMap(sigma.linear, vec_add(sigma.translation, shift))))
+            moved.append(("sigma", (sigma[0], vec_add(sigma[1], shift))))
             if (i, j) != (0, 0) and abs(i) < 2 and j > -2:
-                moved.append(("t", AffineMap.from_translation(vec_add(t.translation, shift))))
+                moved.append(("t", vec_add(t, shift)))
         for name, g in moved:
             with monkeypatch.context() as patch:
                 patch.setattr(q, name, g)
@@ -476,7 +496,7 @@ def test_the_glide_branch_counts_the_points_that_close():
         d = q._det
         for step, mu, offset, points in _glide_steps(q):
             doubled = mu is not None
-            glide = partial(reference.sigma_half, q) if doubled else q.sigma.apply
+            glide = partial(reference.sigma_half, q) if doubled else reference.Affine(*q.sigma).apply
             shifts = [vec_add(offset, vec_sub(x, glide(x))) for x in points]
             modulus = 2 * d if doubled else d
             progression = _glide_branch(q, step, mu, offset)
@@ -497,7 +517,7 @@ def test_an_odd_box_multiplicity_raises(monkeypatch):
     # alpha, the one weight whose geodesics the glide closes, and the
     # census raises instead of flooring
     q = build(A2, KleinSpec((1, 0), (0, 1), 2, 2, 1))
-    w = vec_sub(q.beta, mat_vec(q.sigma.linear, q.beta))
+    w = vec_sub(q.beta, mat_vec(q.sigma[0], q.beta))
     assert _glide_branch(q, q.alpha) == Counter({(3, 6): 12}) and _period(q, w, q._det) == 1
     period = weylzeta.census._period
 
@@ -537,7 +557,7 @@ def test_a_klein_verify_solves_once_per_glide_step(monkeypatch):
     calls, orders = [], []
     for m in (2, 8):
         q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, m))
-        w = vec_sub(q.beta, mat_vec(q.sigma.linear, q.beta))
+        w = vec_sub(q.beta, mat_vec(q.sigma[0], q.beta))
         orders.append(next(j for j in range(1, q._det + 1) if reference.in_gamma0(q, vec_scale(j, w), q._det)))
         solves = Counter()
 
@@ -584,8 +604,8 @@ def test_a_klein_verify_makes_one_counter_per_table(monkeypatch):
 def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
     # the N = 96 C2 spin Klein rung of the ladder benchmark
     q = build(C2, KleinSpec((1, 0), (1, 1), -4, -4, 6))
-    calls, looked_up, powers, applied = Counter(), Counter(), Counter(), Counter()
-    rows_of, power, apply = weylzeta.census.glide_rows, AffineMap.__pow__, AffineMap.apply
+    calls, looked_up, returned = Counter(), Counter(), Counter()
+    rows_of = weylzeta.census.glide_rows
     window = range(1, GLIDE_WINDOW + 1)
 
     class Rows(dict):
@@ -599,32 +619,21 @@ def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
         calls[m, glide] += 1
         rows = Rows(rows_of(q_, m, ds, glide))
         rows.m, rows.glide = m, glide
+        returned["rows"] += len(rows)
         return rows
-
-    def counting_power(g, n):
-        powers[n] += 1
-        return power(g, n)
-
-    def counting_apply(g, v):
-        applied["calls"] += 1
-        return apply(g, v)
 
     # the beta-rows d > 0 of the window that a glide power can move: those
     # with b - d even, b the beta-coordinate of the glide's translation
-    glides = (q.sigma, q.t.compose(q.sigma))
-    bs = [q.alpha_beta_coords(g.translation)[1] for g in glides]
+    bs = [q.alpha_beta_coords(s)[1] for s in (q.sigma[1], vec_add(q.sigma[1], q.t))]
     rows = 2 * sum((b - d) % 2 == 0 for b in bs for d in window)
     monkeypatch.setattr(weylzeta.census, "glide_rows", recording)
-    monkeypatch.setattr(AffineMap, "__pow__", counting_power)
-    monkeypatch.setattr(AffineMap, "apply", counting_apply)
     assert _glide_line_scan(q) == {}
-    # one glide_rows call and one glide power per (power, glide), one
-    # apply per row; each evaluated vector looks up the row of its d in
+    # one glide_rows call per (power, glide), returning one vector per
+    # movable row; each evaluated vector looks up the row of its d in
     # both glides' rows, at most three vectors per (power, d > 0), where
     # the full-window scan evaluated every vector of the window
     assert calls == {(m, g): 1 for m in (1, 3) for g in ("sigma", "tsigma")}
-    assert powers == {1: 2, 3: 2}
-    assert 0 < applied["calls"] == rows <= 4 * GLIDE_WINDOW
+    assert 0 < returned["rows"] == rows <= 4 * GLIDE_WINDOW
     assert looked_up and all(d > 0 and n <= 3 for (_, _, d), n in looked_up.items())
     assert all(looked_up[m, "tsigma", d] == n for (m, g, d), n in looked_up.items())
     assert sum(looked_up.values()) <= 2 * 3 * 2 * GLIDE_WINDOW == 48

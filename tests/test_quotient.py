@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 import reference
 import weylzeta
-from reference import HalfVec, canonical_vertex, normalize_generators, sigma_half
+from reference import Affine, HalfVec, canonical_vertex, normalize_generators, sigma_half
 from weylzeta.quotient import (
     MAX_CLASSES,
-    AffineMap,
     KleinSpec,
     SpecValidationError,
     TorusSpec,
@@ -88,11 +87,27 @@ def test_negative_k_normalization():
 
 def test_sigma_squared_is_axis_translation():
     for q in (a2_klein(), c2_spin_klein(), c2_st_klein()):
-        sq = q.sigma.compose(q.sigma)
+        sigma = Affine(*q.sigma)
+        sq = sigma.compose(sigma)
         k, al = q.k_gamma, q.alpha
-        assert sq == AffineMap.from_translation((k * al[0], k * al[1]))
-        tsig = q.t.compose(q.sigma)
+        assert sq == Affine.from_translation((k * al[0], k * al[1]))
+        tsig = reference.glide_map(q, "tsigma")
         assert tsig.compose(tsig) == sq
+
+
+def test_the_presentation_checks_raise_on_a_planted_linear_part(monkeypatch):
+    # sigma**2 = k alpha reads L s + s = k alpha, and t sigma = sigma t**-1
+    # reads L t = -t: with -I in place of the reflection the first fails,
+    # and with I (on a spec with b = 0, so 2 s = k alpha) the second
+    for name, linear, spec, message in (
+        ("A2", ((-1, 0), (0, -1)), KleinSpec((1, 0), (0, 1), 1, 1, 1), "sigma squared"),
+        ("C2", ((1, 0), (0, 1)), KleinSpec((1, 1), (1, 0), 1, 0, 1), r"t\*sigma != sigma\*t\*\*-1"),
+    ):
+        rs = RootSystem(name)
+        build(rs, spec)
+        monkeypatch.setattr(rs, "reflection_fixing", lambda alpha: linear)
+        with pytest.raises(AssertionError, match=message):
+            build(rs, spec)
 
 
 def test_validation_errors():
@@ -128,12 +143,12 @@ def test_canonical_vertex_idempotent_and_orbit_constant():
             assert canonical_vertex(q, (x[0] + u[0], x[1] + u[1])) == c
             assert canonical_vertex(q, (x[0] + v[0], x[1] + v[1])) == c
             if q.kind == "klein":
-                assert canonical_vertex(q, q.sigma.apply(x)) == c
+                assert canonical_vertex(q, Affine(*q.sigma).apply(x)) == c
 
 
 def test_canonical_vertex_sheet_fusion_example():
     q = a2_klein()
-    assert q.sigma.apply((0, 0)) == (1, 1)
+    assert Affine(*q.sigma).apply((0, 0)) == (1, 1)
     assert canonical_vertex(q, (1, 1)) == canonical_vertex(q, (0, 0))
 
 
@@ -215,7 +230,7 @@ def test_klein_representatives_are_the_lower_positions():
     # as its orbit's representative, in the order of those lists
     for q in (a2_klein(), c2_spin_klein(), c2_st_klein()):
         box, half = reference.residues(q), reference.half_residues(q)
-        image = {p: reference.reduce(q, q.sigma.apply(p)) for p in box}
+        image = {p: reference.reduce(q, Affine(*q.sigma).apply(p)) for p in box}
         assert all(image[image[p]] == p != image[p] for p in box)
         assert reference.vertex_reps(q) == tuple(p for p in box if p < image[p])
         image = {p: reference.reduce_half(q, sigma_half(q, p)) for p in half}
@@ -236,10 +251,10 @@ def test_klein_representatives_are_the_lower_positions():
 def test_transporter_identity_and_translation():
     q = a2_coroot_torus()
     x = (4, -2)
-    assert reference.transporter(q, x, x) == AffineMap.identity()
+    assert reference.transporter(q, x, x) == Affine.identity()
     v1 = q.gamma0_basis[0]
     got = reference.transporter(q, x, (x[0] + v1[0], x[1] + v1[1]))
-    assert got == AffineMap.from_translation(v1)
+    assert got == Affine.from_translation(v1)
 
 
 def test_transporter_glide_example():
@@ -269,11 +284,12 @@ def test_transporter_consistency_random():
 def test_group_acts_freely():
     rng = random.Random(29)
     for q in (a2_klein(), c2_spin_klein()):
+        t, sigma = _generators(q)
         checked = 0
         while checked < 200:
             i, j = rng.randint(-3, 3), rng.randint(-3, 3)
-            g = (q.t ** i).compose(q.sigma ** j)
-            if g == AffineMap.identity():
+            g = (t ** i).compose(sigma ** j)
+            if g == Affine.identity():
                 continue
             x = (rng.randint(-20, 20), rng.randint(-20, 20))
             assert g.apply(x) != x
@@ -285,7 +301,7 @@ def test_transporter_half_lattice():
     x = HalfVec(1, 0)  # the point (1/2, 0)
     u = q.gamma0_basis[0]
     y = HalfVec(x.x2 + 2 * u[0], x.y2 + 2 * u[1])
-    assert reference.transporter(q, x, y) == AffineMap.from_translation(u)
+    assert reference.transporter(q, x, y) == Affine.from_translation(u)
     sx = HalfVec(*sigma_half(q, x))
     assert reference.transporter(q, x, sx) == q.sigma
     with pytest.raises(TypeError):
@@ -349,27 +365,34 @@ def test_invariants_report_shape():
 # ---------------------------------------------------------------------------
 
 
+def _generators(q):
+    """The Klein generators t and sigma of q as Affines."""
+    return Affine.from_translation(q.t), Affine(*q.sigma)
+
+
 def test_normalize_generators_fixed_point():
     q = a2_klein()
-    t, s = normalize_generators(A2, q.t, q.sigma)
-    assert t == q.t and s == q.sigma
+    t, s = normalize_generators(A2, *_generators(q))
+    assert t == _generators(q)[0] and s == q.sigma
 
 
 def test_normalize_generators_reduces_t_sigma_squared():
     q = a2_klein()
-    messy = q.t.compose(q.sigma.compose(q.sigma))
+    q_t, sigma = _generators(q)
+    messy = q_t.compose(sigma.compose(sigma))
     t, s = normalize_generators(A2, messy, q.sigma)
-    assert t == q.t and s == q.sigma
+    assert t == q_t and s == q.sigma
 
 
 def test_normalize_generators_two_step_reduction():
     # conjugation exponent 4 on sigma: t gets multiplied by sigma**-2
     q = a2_klein()
-    messy = q.t.compose(q.sigma ** 4)
+    q_t, sigma = _generators(q)
+    messy = q_t.compose(sigma ** 4)
     t, s = normalize_generators(A2, messy, q.sigma)
     assert s == q.sigma
-    expected = messy.compose(q.sigma ** -4)  # == q.t composed with nothing
-    assert t == expected == q.t
+    expected = messy.compose(sigma ** -4)  # == t composed with nothing
+    assert t == expected == q_t
 
 
 def test_normalize_generators_round_trip_on_all_references():
@@ -381,31 +404,26 @@ def test_normalize_generators_round_trip_on_all_references():
             kleins.append(member.build())
     assert len(kleins) > 3
     for q in kleins:
+        q_t, sigma = _generators(q)
         for j in (-2, -1, 1, 2, 3):
-            messy = q.t.compose(q.sigma ** (2 * j))
+            messy = q_t.compose(sigma ** (2 * j))
             t, s = normalize_generators(q.rs, messy, q.sigma)
-            assert t == q.t and s == q.sigma, (q, j)
+            assert t == q_t and s == q.sigma, (q, j)
 
 
 def test_normalize_generators_rejections():
     q = a2_klein()
     with pytest.raises(ValueError, match="commute"):
-        normalize_generators(
-            A2, AffineMap.from_translation((3, 0)), q.sigma
-        )
+        normalize_generators(A2, Affine.from_translation((3, 0)), q.sigma)
     with pytest.raises(ValueError, match="torsion"):
-        normalize_generators(
-            A2, q.t, AffineMap(q.sigma.linear, (0, 0))
-        )
+        normalize_generators(A2, _generators(q)[0], (q.sigma[0], (0, 0)))
     with pytest.raises(ValueError, match="not a nonzero translation"):
         normalize_generators(A2, q.sigma, q.sigma)
     with pytest.raises(ValueError, match="coroot"):
-        normalize_generators(A2, AffineMap.from_translation((1, 0)), q.sigma)
+        normalize_generators(A2, Affine.from_translation((1, 0)), q.sigma)
     # m t = p s + qq t with s = sigma**2: qq = -1, but p = -5/3
     with pytest.raises(ValueError, match="conjugated translation leaves the generated group"):
-        normalize_generators(
-            C2, AffineMap.from_translation((-5, -5)), c2_spin_klein().sigma
-        )
+        normalize_generators(C2, Affine.from_translation((-5, -5)), c2_spin_klein().sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +434,14 @@ _OPTIMIZED_SCRIPT = """
 import sys
 from weylzeta import census
 from weylzeta.census import lambda_set_size
-from weylzeta.quotient import AffineMap, KleinSpec, QuotientGroup, build
+from weylzeta.quotient import KleinSpec, QuotientGroup, build
 from weylzeta.rootgeom import RootSystem, mat_vec, vec_sub
 
 print("optimize", sys.flags.optimize)
 rs = RootSystem.make("C2")
 q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
-print("built", q.N, q.k_gamma, q.alpha_beta_coords(q.sigma.translation))
-q.sigma = AffineMap(((-1, 0), (0, -1)), q.sigma.translation)  # fixes no axis
+print("built", q.N, q.k_gamma, q.alpha_beta_coords(q.sigma[1]))
+q.sigma = (((-1, 0), (0, -1)), q.sigma[1])  # fixes no axis
 try:
     lambda_set_size(q, 1, (0, 2))
 except AssertionError as exc:
@@ -438,7 +456,7 @@ init = QuotientGroup._init_klein
 
 def planted(q, spec):
     init(q, spec)
-    q.sigma = q.sigma._replace(translation=(0, 0))  # L alone fixes the origin
+    q.sigma = (q.sigma[0], (0, 0))  # L alone fixes the origin
 
 
 QuotientGroup._init_klein = planted
@@ -448,7 +466,7 @@ except AssertionError as exc:
     print("involution rejected", exc)
 QuotientGroup._init_klein = init
 q = build(RootSystem.make("A2"), KleinSpec((1, 0), (0, 1), 2, 2, 1))
-w = vec_sub(q.beta, mat_vec(q.sigma.linear, q.beta))
+w = vec_sub(q.beta, mat_vec(q.sigma[0], q.beta))
 period = census._period
 # the glide branch along alpha counted once, not det // ord(w) = 12 times
 census._period = lambda q, step, modulus: modulus if step == w else period(q, step, modulus)

@@ -30,6 +30,7 @@ from reference import (
     series_exp,
     series_log,
 )
+from torus_sweep import exponent_dicts
 from weylzeta.algebra import CycleProduct, NotPolynomialWithinBound
 from weylzeta.census import _walk_progressions, walk_count_table
 from weylzeta.cli import poly_to_json
@@ -794,13 +795,6 @@ def test_klein_zeta_data_invariant_under_weyl_conjugation(item, g):
 # ---------------------------------------------------------------------------
 # random quotients up to MAX_CLASSES through the battery and the invariances
 # ---------------------------------------------------------------------------
-
-
-def exponent_dicts(b) -> tuple:
-    """The bundle b as its order, l_failure and the exponent pairs of each
-    of its cycle products, by rep: nothing is expanded."""
-    fields = (b.zeta, b.zeta_semi, b.zeta2, b.l_poly, b.correction)
-    return (b.order, b.l_failure, *({rep: f.items() for rep, f in field.items()} for field in fields))
 
 
 # the index of the coroot lattice in Z^2: (x, y) lies in it when x = y
