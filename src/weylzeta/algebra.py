@@ -186,10 +186,10 @@ class CycleProduct:
         k = dict(self._k)
         for e, x in other._k.items():
             k[e] = k.get(e, 0) + x
-        return CycleProduct(k)
+        return _trusted(k)
 
     def __pow__(self, p: int) -> "CycleProduct":
-        return CycleProduct({e: p * x for e, x in self._k.items()})
+        return _trusted({e: p * x for e, x in self._k.items()})
 
     def inverse(self) -> "CycleProduct":
         return self ** -1
@@ -201,7 +201,7 @@ class CycleProduct:
         """Replace w by w**m (u by u**m on functions of u)."""
         if m < 1:
             raise ValueError("exponent multiplier must be positive")
-        return CycleProduct({m * e: x for e, x in self._k.items()})
+        return _trusted({m * e: x for e, x in self._k.items()})
 
     def negate_u(self) -> "CycleProduct":
         """Replace u by -u on a function of u.
@@ -217,7 +217,7 @@ class CycleProduct:
                 k[2 * e] = k.get(2 * e, 0) + x
                 x = -x
             k[e] = k.get(e, 0) + x
-        return CycleProduct(k)
+        return _trusted(k)
 
     def _reduced_form(self) -> tuple:
         """(v, num, den): the reduced num and den as factor dicts in
@@ -265,3 +265,15 @@ class CycleProduct:
     def __repr__(self):
         return f"{type(self).__name__}({dict(self.items())})"
 
+
+def _trusted(k: dict) -> CycleProduct:
+    """The CycleProduct of k, a dict that the arithmetic above has just
+    made from valid products and hands over: its keys are at least 1, so
+    it is neither copied nor checked, and only its zero exponents, which
+    a product or u-negation can leave, are dropped.  The public
+    constructor keeps validating what it is given."""
+    if 0 in k.values():
+        k = {e: x for e, x in k.items() if x}
+    out = object.__new__(CycleProduct)
+    out._k = k
+    return out

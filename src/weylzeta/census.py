@@ -281,6 +281,10 @@ def _glide_branch(
     return {} if p is None else {p: q._det // _period(q, w, modulus)}
 
 
+# the blocks b in (1, 2, 3) other than the parity block p, by p
+_OFF_RATIONAL = tuple(tuple(b for b in (1, 2, 3) if b != p) for p in range(4))
+
+
 def _off_rational_blocks(lam: Vec) -> tuple:
     """The parity classes b of the half-lattice points mu_b + 2x whose line
     in direction lam misses the vertex lattice.
@@ -289,13 +293,13 @@ def _off_rational_blocks(lam: Vec) -> tuple:
     to 0 or lam/2 modulo the lattice (lam primitive), that is when mu_b is
     0 or lam mod 2.
     """
-    parity = (lam[0] & 1) + 2 * (lam[1] & 1)
-    return tuple(b for b in (1, 2, 3) if b != parity)
+    return _OFF_RATIONAL[(lam[0] & 1) + 2 * (lam[1] & 1)]
 
 
-def _glide_maps(q: QuotientGroup, lam: Vec, target: Vec) -> bool:
-    """Whether the glide's linear part sends lam to target (never for a torus)."""
-    return q.kind == "klein" and mat_vec(q.sigma[0], lam) == target
+def _glide_linear(q: QuotientGroup):
+    """The linear part of q's glide as it is now, or None for a torus: a
+    table reads it once, and a torus solves no glide branch."""
+    return q.sigma[0] if q.kind == "klein" else None
 
 
 def _per_orbit(q: QuotientGroup, progressions: dict) -> Counter:
@@ -358,16 +362,17 @@ def _walk_progressions(q: QuotientGroup, rep: str) -> tuple:
     fixes lam."""
     tables = q._census_tables
     if rep not in tables:
-        d = q._det
+        d, linear = q._det, _glide_linear(q)
         walks: dict = {}
         geodesics: dict = {}
         for lam in q.rs.weights(rep):
             p = (0, _period(q, lam, d))
             walks[p] = walks.get(p, 0) + d
             geodesics[p] = geodesics.get(p, 0) + d
-            glides = _glide_branch(q, lam)
-            geodesic = _glide_maps(q, lam, lam)
-            for p, c in glides.items():
+            if linear is None:
+                continue
+            geodesic = mat_vec(linear, lam) == lam
+            for p, c in _glide_branch(q, lam).items():
                 walks[p] = walks.get(p, 0) + c
                 if geodesic:
                     geodesics[p] = geodesics.get(p, 0) + c
@@ -393,13 +398,13 @@ def _semi_progressions(q: QuotientGroup, rep: str) -> Counter:
     """The progressions of the half-step closings of non-rational lines
     through half-lattice points: the pairs (x, lam) that some group element
     whose linear part fixes lam carries from x to x + (j/2) lam."""
-    d = q._det
+    d, linear = q._det, _glide_linear(q)
     progs: dict = {}
     for lam in q.rs.weights(rep):
         blocks = _off_rational_blocks(lam)
         p = (0, _period(q, lam, 2 * d))
         progs[p] = progs.get(p, 0) + len(blocks) * d
-        if _glide_maps(q, lam, lam):
+        if linear is not None and mat_vec(linear, lam) == lam:
             for b in blocks:
                 for p, c in _glide_branch(q, lam, (b & 1, b >> 1)).items():
                     progs[p] = progs.get(p, 0) + c
@@ -424,14 +429,16 @@ def _gallery_progressions(q: QuotientGroup, rep: str) -> Counter:
     lam != mu in every gallery pair, so it closes at even lengths only.
     The odd branch solves the glide branch of lam + mu with the offset lam.
     """
-    d = q._det
+    d, linear = q._det, _glide_linear(q)
     progs: dict = {}
     for lam, mu in q.rs.gallery_pairs(rep):
         step = vec_add(lam, mu)
         p = (0, 2 * _period(q, step, d))
         progs[p] = progs.get(p, 0) + d
-        even = _glide_maps(q, lam, lam) and _glide_maps(q, mu, mu)
-        odd = _glide_maps(q, lam, mu) and _glide_maps(q, mu, lam)
+        if linear is None:
+            continue
+        images = mat_vec(linear, lam), mat_vec(linear, mu)
+        even, odd = images == (lam, mu), images == (mu, lam)
         if not (even or odd):
             continue
         glides = _glide_branch(q, step, offset=(0, 0) if even else lam)

@@ -83,19 +83,21 @@ def _resolve_order(args, parsed: ParsedSpec) -> Optional[int]:
 def _cmd_describe(args) -> int:
     q, _ = _load(args.input)
     report = q.invariants_report()
-    lines = [f"{q.rs.kind} {q.kind}: N = {q.N}"]
-    if q.kind == "klein":
-        lines.append(
-            f"  k = {q.k_gamma}, n = {q.n_gamma}, type = {q.type_rep}, "
-            f"rational axes = {q.m_axes}"
-        )
-    lines.append(f"  translation subgroup basis: {report['gamma0_basis']}")
-    for rep, entry in report["reps"].items():
-        lines.append(
-            f"  {rep}: epsilon = {entry['epsilon']}, n = {entry['n_value']}, "
-            f"delta = {entry['delta']}"
-            + (f", wt_plus = {entry['wt_plus']}" if "wt_plus" in entry else "")
-        )
+    lines = []
+    if args.format == "text":
+        lines.append(f"{q.rs.kind} {q.kind}: N = {q.N}")
+        if q.kind == "klein":
+            lines.append(
+                f"  k = {q.k_gamma}, n = {q.n_gamma}, type = {q.type_rep}, "
+                f"rational axes = {q.m_axes}"
+            )
+        lines.append(f"  translation subgroup basis: {report['gamma0_basis']}")
+        for rep, entry in report["reps"].items():
+            lines.append(
+                f"  {rep}: epsilon = {entry['epsilon']}, n = {entry['n_value']}, "
+                f"delta = {entry['delta']}"
+                + (f", wt_plus = {entry['wt_plus']}" if "wt_plus" in entry else "")
+            )
     _emit({"invariants": report}, args.format, lines)
     return 0
 
@@ -106,7 +108,8 @@ def _cmd_counts(args) -> int:
         raise SpecValidationError(f"--max-n must be between 1 and {MAX_ORDER}, got {max_n}")
     q, _ = _load(args.input)
     payload: dict = {"max_n": max_n, "counts": {}}
-    lines = [f"{q.rs.kind} {q.kind}: counts up to n = {max_n} (semi up to {2 * max_n})"]
+    text = args.format == "text"
+    lines = [f"{q.rs.kind} {q.kind}: counts up to n = {max_n} (semi up to {2 * max_n})"] if text else []
     for rep in q.rs.rep_names:
         tables = {
             "N": list(walk_count_table(q, rep, max_n)),
@@ -115,9 +118,9 @@ def _cmd_counts(args) -> int:
             "gallery": list(gallery_count_table(q, rep, max_n)),
         }
         payload["counts"][rep] = tables
-        lines.append(f"  {rep}:")
-        for key, vals in tables.items():
-            lines.append(f"    {key:8s} {vals}")
+        if text:
+            lines.append(f"  {rep}:")
+            lines += [f"    {key:8s} {vals}" for key, vals in tables.items()]
     _emit(payload, args.format, lines)
     return 0
 
@@ -160,15 +163,15 @@ def _cmd_verify(args) -> int:
     q, parsed = _load(args.input)
     report = verify(q, _resolve_order(args, parsed))
     payload = report.to_json_dict()
-    lines = [
-        f"{q.rs.kind} {q.kind}: verification at order {report.order}",
-    ]
-    for rec in report.records:
-        mark = "ok  " if rec.holds else "FAIL"
-        lines.append(f"  [{mark}] {rec.identity_id}")
-        if not rec.holds and rec.detail:
-            lines.append(f"         {rec.detail}")
-    lines.append("all identities hold" if report.all_hold else "identity failures")
+    lines = []
+    if args.format == "text":
+        lines.append(f"{q.rs.kind} {q.kind}: verification at order {report.order}")
+        for rec in report.records:
+            mark = "ok  " if rec.holds else "FAIL"
+            lines.append(f"  [{mark}] {rec.identity_id}")
+            if not rec.holds and rec.detail:
+                lines.append(f"         {rec.detail}")
+        lines.append("all identities hold" if report.all_hold else "identity failures")
     _emit(payload, args.format, lines)
     return 0 if report.all_hold else 1
 
@@ -181,26 +184,30 @@ def _cmd_corpus(args) -> int:
             raise SpecValidationError(f"{flag} must be at most {MAX_MEMBERS}, got {n}")
     members = generate_corpus(args.seed, args.tori, args.kleins)
     payload: dict = {"seed": args.seed, "members": []}
-    lines = [f"corpus seed {args.seed}: {len(members)} members"]
+    text = args.format == "text"
+    lines = [f"corpus seed {args.seed}: {len(members)} members"] if text else []
     all_hold = True
     for member in members:
         q = member.build()
         report = verify(q)
-        all_hold = all_hold and report.all_hold
+        holds = report.all_hold
+        all_hold = all_hold and holds
         payload["members"].append(
             {
                 "name": member.name,
                 "spec": spec_to_json_dict(member.root_system, member.spec),
                 "N": q.N,
                 "order": report.order,
-                "all_hold": report.all_hold,
+                "all_hold": holds,
                 "failures": [r.identity_id for r in report.failures()],
             }
         )
-        mark = "ok  " if report.all_hold else "FAIL"
-        lines.append(f"  [{mark}] {member.name:26s} N = {q.N}")
+        if text:
+            mark = "ok  " if holds else "FAIL"
+            lines.append(f"  [{mark}] {member.name:26s} N = {q.N}")
     payload["all_hold"] = all_hold
-    lines.append("all members verified" if all_hold else "corpus failures")
+    if text:
+        lines.append("all members verified" if all_hold else "corpus failures")
     _emit(payload, args.format, lines)
     return 0 if all_hold else 1
 

@@ -19,8 +19,8 @@ MAX_MEMBER_N = 60  # the largest N of a member (quotient.MAX_CLASSES bounds det 
 # Largest tori_per_system and kleins_min that the corpus command accepts:
 # generate_corpus lists every member before it verifies any, so the sizes
 # are bounded before anything is allocated.  At the bound, corpus --seed 7
-# verifies its 3000 members in process in 1.4-1.8 s and 23 MB peak RSS on
-# a 2-core x86-64 host under Python 3.11.7.
+# verifies its 3000 members in process in 0.82-0.83 s and 22 MB peak RSS
+# on a 2-core x86-64 host under Python 3.11.7.
 MAX_MEMBERS = 1000
 TORUS_ENTRY_BOUND = 6
 KLEIN_AB_BOUND = 4

@@ -7,19 +7,26 @@ work: the census progressions the zeta logs and the corner check are
 compared with, the double cover of a Klein bottle, and the records.
 
 Each record compares two independently computed objects.  Every zeta
-function, correction factor and L-polynomial is a CycleProduct, so a
-rational-function identity is an equality of exponent dicts, decided by
+function, correction factor and L-polynomial is a CycleProduct, whose
+exponent dict is its rational function, so every identity is decided by
 integer arithmetic: never numerically, never by truncation and without
-dense polynomials.  The L-polynomial enters once, as a CycleProduct:
+dense polynomials.  A product record is an exponent balance, a row of
+the one table _BALANCES, which one driver reads: it holds when sum
+p * k_e over its lhs terms (product, power), less that over its rhs
+terms, is zero at every e, which is exactly lhs == rhs (_balances).
+The products the rows name, the
+partner zetas, the gallery zeta at -u and the axis factors among them,
+are made once per rep (_rep_products), so a record that holds builds no
+product.  The L-polynomial enters once, as a CycleProduct:
 l_poly_from_counts reads it off the census's walk progressions in
 closed form, or the bundle records why there is none, and every record
 that needs P fails with the reason "l-reconstruction failed" when there
-is none.  So a successful run expands no polynomial: coefficient lists
-are expanded only for the detail of a failed record, each cross product
-there as one merged factor dict.  Each count record compares the
-census's counts with the zeta logarithm's exact coefficients, exactly at
-every length, as two divisor-sum dicts (_log_compare): no count table is
-built and no length is sampled.
+is none.  So a successful run expands no polynomial: only a failing
+record builds its two sides, and its compare expands coefficient lists
+for the detail, each cross product as one merged factor dict.  Each
+count record compares the census's counts with the zeta logarithm's
+exact coefficients, exactly at every length, as two divisor-sum dicts
+(_log_compare): no count table is built and no length is sampled.
 
 The order is the u-order the JSON reports, max(required_order(q), 48)
 when omitted; an explicit one is checked against required_order and
@@ -196,6 +203,103 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
     return {}
 
 
+_ONE = CycleProduct()
+
+# The product records, as rows (applies to, id, statement, lhs, rhs,
+# detail kind): a row applies to a "torus", a "klein" bottle or "both".  A
+# side is a tuple of terms (name, p), the product of the named products of
+# a rep (_rep_products) to the powers p.  A row that names l_poly needs P.
+# Only a failing record builds its sides, for the compare its detail kind
+# names: "ratfunc" for _ratfunc_compare, "poly" for _product_poly_compare.
+_BALANCES = (
+    # on a torus P is the census's closed form, prod over weights of
+    # (1 - u**ord)**(N / ord): the engine against the census
+    ("torus", "torus-three-way", "walk zeta equals reciprocal L-polynomial and closed form",
+     (("zeta", 1),), (("l_poly", -1),), "ratfunc"),
+    ("klein", "l-zeta-axis-correction", "reciprocal L-polynomial equals walk zeta times axis factor",
+     (("l_poly", -1),), (("zeta", 1), ("corr", 1)), "ratfunc"),
+    # against the independently built double cover
+    ("klein", "double-cover-square",
+     "squared walk zeta equals the double cover zeta times the rational-axis factor",
+     (("zeta", 2),), (("cover", 1), ("cover_axis", 1)), "ratfunc"),
+    ("both", "half-step-vs-walk", "half-step zeta equals walk zeta up to the semi-rational axis factor",
+     (("semi", 1),), (("zeta", 1), ("semi_axis", 1)), "ratfunc"),
+    ("both", "gallery-vs-half-step",
+     "gallery zeta equals the partner half-step zeta after the length reparametrization",
+     (("zeta2", 1),), (("partner_semi", 1),), "ratfunc"),
+    ("both", "main-identity", "trivial-weight-cleared L equals walk zetas over gallery zeta at -u",
+     (("zeta", -1), ("partner_walks", -1)), (("l_poly", 1), ("gallery_neg", -1)), "poly"),
+    ("both", "gallery-walk-quotient",
+     "partner walk zeta over gallery zeta at -u equals the axis correction factor",
+     (("partner_walks", 1), ("gallery_neg", -1)), (("corr", 1),), "poly"),
+)
+
+
+def _balances(products: dict, lhs: tuple, rhs: tuple) -> bool:
+    """Whether sum p * k_e over the lhs terms (name, p), each the named
+    product to the power p, less that over the rhs terms, is zero at every
+    e: whether lhs == rhs, as a product's exponent dict is its rational
+    function.  No product is built."""
+    total: dict = {}
+    for name, p in lhs:
+        for e, x in products[name]._k.items():
+            total[e] = total.get(e, 0) + p * x
+    for name, p in rhs:
+        for e, x in products[name]._k.items():
+            total[e] = total.get(e, 0) - p * x
+    return not any(total.values())
+
+
+def _side(products: dict, terms: tuple) -> CycleProduct:
+    """The product of the terms (name, p) of a failing record's side."""
+    out = _ONE
+    for name, p in terms:
+        out = out * products[name] ** p
+    return out
+
+
+def _rep_products(q: QuotientGroup, bundle) -> dict:
+    """{rep: {name: product}}, the products the balance rows name, made
+    once per rep: the bundle's zeta (walks), semi, zeta2, l_poly (None
+    when the rep has no P) and corr; each rep's partner zetas, its
+    partner's walk and half-step zetas after the length reparametrization
+    (u -> u**2 when the partner's n-value is 1), to the power n; its
+    gallery zeta at -u; and its semi-rational axis factor, 1 on a torus.
+    A Klein bottle adds its double cover's walk zeta and rational-axis
+    factor."""
+    rs = q.rs
+    _, walks, semi, zeta2, l_poly, _, corr = bundle
+    lifted = {}
+    for rep in rs.rep_names:
+        n = rs.rep(rep).n_value
+        if n == 1:
+            lifted[rep] = walks[rep].substitute(2), semi[rep].substitute(2)
+        else:
+            lifted[rep] = walks[rep] ** n, semi[rep] ** n
+    cover = build(rs, TorusSpec(*q.gamma0_basis)) if q.kind == "klein" else None
+    out = {}
+    for rep in rs.rep_names:
+        partner_walks, partner_semi = lifted[rs.complement(rep)]
+        products = {
+            "zeta": walks[rep],
+            "semi": semi[rep],
+            "zeta2": zeta2[rep],
+            "l_poly": l_poly[rep],
+            "corr": corr[rep],
+            "partner_walks": partner_walks,
+            "partner_semi": partner_semi,
+            "gallery_neg": zeta2[rep].negate_u(),
+            "semi_axis": _ONE,
+        }
+        if cover is not None:
+            delta = q.delta(rep)
+            products["semi_axis"] = axis_factor(q.k_gamma, (2 - delta) * (1 - q.m_axes))
+            products["cover"] = build_walk_system(cover, rep).product
+            products["cover_axis"] = axis_factor(q.k_gamma, q.m_axes * (2 - delta))
+        out[rep] = products
+    return out
+
+
 def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     """Run the full battery of exact identities for one quotient.
 
@@ -209,25 +313,43 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
 
     Every record is built by one constructor and holds exactly when its
     detail is empty.  A per-rep identity is one check per rep, run by
-    one driver, which records the reason "l-reconstruction failed" in
-    place of every check that needs P when the rep has none.
+    one driver: each for the count and parity records, balanced for the
+    product records, which records the reason "l-reconstruction failed"
+    in place of every row that needs P when the rep has none.
     """
     rs = q.rs
-    order, walks, zeta_semi, zeta2, l_poly, l_failure, corr = zeta_bundle(q, order)
+    bundle = zeta_bundle(q, order)
+    order, walks, zeta_semi, zeta2, l_poly, l_failure, corr = bundle
+    products = _rep_products(q, bundle)
     records: list = []
 
     def record(identity_id: str, statement: str, detail: dict) -> None:
         records.append(VerifyRecord(identity_id, statement, not detail, detail))
 
-    def each(identity_id: str, statement: str, check, needs_l: bool = False) -> None:
+    def each(identity_id: str, statement: str, check) -> None:
         """Record identity_id[rep] for every rep with check(rep)'s detail;
         no record where it returns None."""
         for rep in rs.rep_names:
-            if needs_l and l_poly[rep] is None:
-                detail = {"reason": "l-reconstruction failed"}
-            else:
-                detail = check(rep)
+            detail = check(rep)
             if detail is not None:
+                record(f"{identity_id}[{rep}]", statement, detail)
+
+    def balanced(applies: str) -> None:
+        """Record, for every rep, each row of _BALANCES that applies to
+        `applies`: empty when its terms balance, else the detail that its
+        compare gives on its two sides, which only then are built."""
+        for row_applies, identity_id, statement, lhs, rhs, kind in _BALANCES:
+            if row_applies != applies:
+                continue
+            for rep in rs.rep_names:
+                named = products[rep]
+                if l_poly[rep] is None and any(name == "l_poly" for name, _ in lhs + rhs):
+                    detail = {"reason": "l-reconstruction failed"}
+                elif _balances(named, lhs, rhs):
+                    detail = {}
+                else:
+                    compare = _ratfunc_compare if kind == "ratfunc" else _product_poly_compare
+                    detail = compare(_side(named, lhs), _side(named, rhs))
                 record(f"{identity_id}[{rep}]", statement, detail)
 
     # the three zeta logs versus the census counts
@@ -256,15 +378,7 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
     )
 
     if q.kind == "torus":
-        # walk zeta = trivial-weight-cleared L: the engine against P, which
-        # on a torus is the census's closed form prod over weights of
-        # (1 - u**ord)**(N / ord)
-        each(
-            "torus-three-way",
-            "walk zeta equals reciprocal L-polynomial and closed form",
-            lambda rep: _ratfunc_compare(walks[rep], l_poly[rep].inverse()),
-            needs_l=True,
-        )
+        balanced("torus")
         # every torus walk closes without a corner: the census's closed
         # walks against the walk zeta, whose closings keep the weight
         each(
@@ -273,68 +387,8 @@ def verify(q: QuotientGroup, order: Optional[int] = None) -> VerificationReport:
             lambda rep: _log_compare(walks[rep], 2, census._walk_progressions(q, rep)[0], "walk"),
         )
     else:
-        # L versus walk zeta with the glide-axis correction factor
-        each(
-            "l-zeta-axis-correction",
-            "reciprocal L-polynomial equals walk zeta times axis factor",
-            lambda rep: _ratfunc_compare(l_poly[rep].inverse(), walks[rep] * corr[rep]),
-            needs_l=True,
-        )
-        # squared comparison against the independently built double cover
-        cover = build(rs, TorusSpec(*q.gamma0_basis))
-        each(
-            "double-cover-square",
-            "squared walk zeta equals the double cover zeta times the rational-axis factor",
-            lambda rep: _ratfunc_compare(
-                walks[rep] ** 2,
-                build_walk_system(cover, rep).product
-                * axis_factor(q.k_gamma, q.m_axes * (2 - q.delta(rep))),
-            ),
-        )
-
-    # half-step zeta against walk zeta, times the semi-rational axis
-    # factor on a Klein bottle
-    each(
-        "half-step-vs-walk",
-        "half-step zeta equals walk zeta up to the semi-rational axis factor",
-        lambda rep: _ratfunc_compare(
-            zeta_semi[rep],
-            walks[rep]
-            if q.kind == "torus"
-            else walks[rep] * axis_factor(q.k_gamma, (2 - q.delta(rep)) * (1 - q.m_axes)),
-        ),
-    )
-
-    # the partner's zetas after the length reparametrization (u -> u**2
-    # when the partner's n-value is 1), to the power n; the gallery zeta
-    # at -u.  Two records read each of these.
-    def partner_zeta(zetas: dict, rep: str) -> CycleProduct:
-        n_p = rs.rep(rs.complement(rep)).n_value
-        return zetas[rs.complement(rep)].substitute(2 if n_p == 1 else 1) ** n_p
-
-    partner_walks = {rep: partner_zeta(walks, rep) for rep in rs.rep_names}
-    gallery_neg = {rep: zeta2[rep].negate_u() for rep in rs.rep_names}
-
-    each(
-        "gallery-vs-half-step",
-        "gallery zeta equals the partner half-step zeta after the length reparametrization",
-        lambda rep: _ratfunc_compare(zeta2[rep], partner_zeta(zeta_semi, rep)),
-    )
-    # the main identity: L from the two walk zetas and the gallery zeta at -u
-    each(
-        "main-identity",
-        "trivial-weight-cleared L equals walk zetas over gallery zeta at -u",
-        lambda rep: _product_poly_compare(
-            (walks[rep] * partner_walks[rep]).inverse(), l_poly[rep] / gallery_neg[rep]
-        ),
-        needs_l=True,
-    )
-    # quotient of partner walk zeta by gallery zeta at -u is the axis factor
-    each(
-        "gallery-walk-quotient",
-        "partner walk zeta over gallery zeta at -u equals the axis correction factor",
-        lambda rep: _product_poly_compare(partner_walks[rep] / gallery_neg[rep], corr[rep]),
-    )
+        balanced("klein")
+    balanced("both")
 
     if q.kind == "klein":
         # parity of the axis offset versus the glide step ratio

@@ -67,10 +67,10 @@ def _shown(x) -> str:
 # Largest index of the translation subgroup Gamma0 that build accepts: the
 # number of vertex classes of a torus, and of the double cover torus of a
 # Klein bottle (2N), which verify builds.  It admits the C2 torus
-# (12,0),(0,24).  At this size a verify takes 0.2-0.4 ms in process on a
-# 2-core x86-64 host under Python 3.11.7, the diagonal C2 torus
-# (1,1),(144,-144) and the box (12,0),(0,24) alike, so the bound is well
-# below what the exact path affords.
+# (12,0),(0,24).  At this size a verify takes 0.15 ms in process (median
+# of 300 verifies of fresh quotients) on a 2-core x86-64 host under Python
+# 3.11.7, the diagonal C2 torus (1,1),(144,-144) and the box (12,0),(0,24)
+# alike, so the bound is well below what the exact path affords.
 MAX_CLASSES = 288
 
 

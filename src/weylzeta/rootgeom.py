@@ -223,6 +223,9 @@ class RootSystem:
             raise ValueError(f"unsupported root system kind: {kind!r}")
         self.kind = kind
         self.reps = {r.name: r for r in reps}
+        self.rep_names: tuple = tuple(self.reps)
+        a, b = self.rep_names
+        self._complements = {a: b, b: a}
         self.weyl: tuple = self._generate_weyl(gens)
         self._pairs: dict = {}  # rep -> gallery_pairs(rep)
         self._labels: dict = {}  # (rep, kind) -> label_table(rep, kind)
@@ -250,26 +253,28 @@ class RootSystem:
 
     # -- representations ------------------------------------------------
 
-    @property
-    def rep_names(self) -> tuple:
-        return tuple(self.reps)
+    def _unknown(self, name: str) -> ValueError:
+        return ValueError(f"representation {name!r} is not defined for {self.kind}")
 
     def rep(self, name: str) -> ReprData:
-        if name not in self.reps:
-            raise ValueError(
-                f"representation {name!r} is not defined for {self.kind}"
-            )
-        return self.reps[name]
+        try:
+            return self.reps[name]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def weights(self, name: str) -> tuple:
         """Nontrivial weights of the named representation."""
-        return self.rep(name).weights
+        try:
+            return self.reps[name].weights
+        except KeyError:
+            raise self._unknown(name) from None
 
     def complement(self, name: str) -> str:
         """The partner representation (the other one of the pair)."""
-        self.rep(name)
-        a, b = self.rep_names
-        return b if name == a else a
+        try:
+            return self._complements[name]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def rep_of_weight(self, v: Vec):
         for r in self.reps.values():

@@ -455,6 +455,38 @@ def test_ratfunc_product_cancels_shared_cyclotomic(i, j, e):
     assert num_den(prod) == (Poly.one(), one_minus(j))
 
 
+def assert_as_validated(r: CycleProduct) -> None:
+    """r, made by the arithmetic's trusted constructor, is what the public
+    constructor makes of its items: no zero exponent and no key below 1."""
+    validated = CycleProduct(dict(r.items()))
+    assert type(r) is CycleProduct
+    assert r == validated and r._k == validated._k
+    assert hash(r) == hash(validated)
+    assert 0 not in r._k.values() and min(r._k, default=1) >= 1
+
+
+@given(small_products, small_products, st.integers(-3, 3), st.integers(1, 4))
+@settings(deadline=None, max_examples=200)
+def test_trusted_arithmetic_matches_the_validating_constructor(a, b, p, m):
+    # mixed signs, so products and u-negation cancel exponents to zero
+    doubled = a.substitute(2) * b.substitute(2) ** -1
+    for r in (
+        a * b,
+        a * a.inverse(),
+        a ** p,
+        a ** 0,
+        a / b,
+        a / a,
+        a.inverse(),
+        a.substitute(m),
+        doubled.negate_u(),
+        doubled.negate_u() * doubled,
+    ):
+        assert_as_validated(r)
+    # an LPolynomial operand still gives a plain product
+    assert_as_validated(LPolynomial({2: 1}) * a)
+
+
 @given(small_products, small_products, st.integers(0, 2))
 @settings(deadline=None, max_examples=150)
 def test_cycle_product_equality_is_cross_multiplied_equality(a, b, mode):

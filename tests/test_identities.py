@@ -500,3 +500,109 @@ def test_failure_details_match_on_index_288_tori(q):
         z = build_walk_system(q, rep).product
         for lhs, rhs in perturbed_pairs(z):
             assert_details_match(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the product records as exponent balances
+# ---------------------------------------------------------------------------
+
+
+def sample_quotients() -> list:
+    root = Path(__file__).resolve().parent.parent / "samples"
+    out = []
+    for name in ("a2_klein", "a2_torus", "c2_klein_spin", "c2_torus"):
+        parsed = load_spec_file(str(root / f"{name}.spec"))
+        out.append(build(RootSystem.make(parsed.root_system), parsed.spec))
+    return out
+
+
+def explicit_sides(q: QuotientGroup, bundle) -> dict:
+    """{record id: (compare, lhs, rhs)} of every product record, each side
+    multiplied out from the bundle as the identity states it."""
+    _, walks, semi, zeta2, l_poly, _, corr = bundle
+    rs = q.rs
+
+    def partner(zetas: dict, rep: str) -> CycleProduct:
+        n = rs.rep(rs.complement(rep)).n_value
+        return zetas[rs.complement(rep)].substitute(2 if n == 1 else 1) ** n
+
+    out = {}
+    for rep in rs.rep_names:
+        sides = {}
+        if q.kind == "torus":
+            sides["torus-three-way"] = (_ratfunc_compare, walks[rep], l_poly[rep].inverse())
+            semi_rhs = walks[rep]
+        else:
+            cover = build(rs, TorusSpec(*q.gamma0_basis))
+            delta = q.delta(rep)
+            sides["l-zeta-axis-correction"] = (
+                _ratfunc_compare,
+                l_poly[rep].inverse(),
+                walks[rep] * corr[rep],
+            )
+            sides["double-cover-square"] = (
+                _ratfunc_compare,
+                walks[rep] ** 2,
+                build_walk_system(cover, rep).product
+                * axis_factor(q.k_gamma, q.m_axes * (2 - delta)),
+            )
+            semi_rhs = walks[rep] * axis_factor(q.k_gamma, (2 - delta) * (1 - q.m_axes))
+        pw, gallery_neg = partner(walks, rep), zeta2[rep].negate_u()
+        sides["half-step-vs-walk"] = (_ratfunc_compare, semi[rep], semi_rhs)
+        sides["gallery-vs-half-step"] = (_ratfunc_compare, zeta2[rep], partner(semi, rep))
+        sides["main-identity"] = (
+            _product_poly_compare,
+            (walks[rep] * pw).inverse(),
+            l_poly[rep] / gallery_neg,
+        )
+        sides["gallery-walk-quotient"] = (_product_poly_compare, pw / gallery_neg, corr[rep])
+        out.update({f"{identity}[{rep}]": entry for identity, entry in sides.items()})
+    return out
+
+
+# a bundle field and one record of the planted rep that reads it
+READERS = {
+    "zeta": "half-step-vs-walk",
+    "zeta_semi": "half-step-vs-walk",
+    "zeta2": "gallery-vs-half-step",
+    "l_poly": "main-identity",
+    "correction": "gallery-walk-quotient",
+}
+
+
+@pytest.mark.parametrize("field", sorted(READERS))
+def test_a_failing_balance_record_reports_its_compare_detail(field, monkeypatch):
+    # one bundle input of one rep times (1 - w**2): every product record
+    # reports exactly what its compare gives on its two explicit sides, so
+    # the records that read the input fail and the others hold
+    real = zeta_mod.zeta_bundle
+    for q in sample_quotients():
+        for rep in q.rs.rep_names:
+            bundle = real(q)
+            inputs = dict(getattr(bundle, field))
+            inputs[rep] = inputs[rep] * CycleProduct({2: 1})
+            planted = bundle._replace(**{field: inputs})
+            with monkeypatch.context() as patch:
+                patch.setattr(identities_mod, "zeta_bundle", lambda q_, order=None: planted)
+                details = {r.identity_id: r.detail for r in verify(q).records}
+            expected = explicit_sides(q, planted)
+            for identity, (compare, lhs, rhs) in expected.items():
+                assert details[identity] == compare(lhs, rhs), (q, field, identity)
+            assert details[f"{READERS[field]}[{rep}]"], (q, field, rep)
+            # unplanted, every product record holds
+            assert all(not compare(lhs, rhs) for compare, lhs, rhs in explicit_sides(q, bundle).values())
+
+
+def test_a_successful_verify_builds_no_record_side(monkeypatch):
+    # the balances decide every record that holds: with both compares
+    # refused, every sample and every member of corpus --seed 7 verifies
+    def refuse(lhs, rhs):
+        raise AssertionError("a record that holds built its sides")
+
+    monkeypatch.setattr(identities_mod, "_ratfunc_compare", refuse)
+    monkeypatch.setattr(identities_mod, "_product_poly_compare", refuse)
+    quotients = sample_quotients() + [m.build() for m in generate_corpus(7)]
+    assert {q.kind for q in quotients} == {"torus", "klein"}
+    for q in quotients:
+        report = verify(q)
+        assert report.all_hold, (q, [r.identity_id for r in report.failures()])
