@@ -9,7 +9,6 @@ as exact equalities of cycle products.
 """
 
 from .algebra import CycleProduct, NotPolynomialWithinBound
-from .census import lambda_set_size
 from .corpus import CorpusMember, generate_corpus
 from .identities import VerificationReport, VerifyRecord, verify
 from .quotient import (
@@ -62,7 +61,6 @@ __all__ = [
     "correction_factor",
     "generate_corpus",
     "l_poly_from_counts",
-    "lambda_set_size",
     "load_spec_file",
     "parse_spec_text",
     "required_order",

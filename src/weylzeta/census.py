@@ -83,20 +83,21 @@ are symmetric under k -> -1 - k.  Their progression r + m Z then has
 2 r + 1 = 0 (mod m), so m is odd, 2 r + 1 = m, and n = 2k + 1 runs over
 m + 2m Z: the progression (m, 2m).  So every table's (r, m) has r = 0
 or m / 2, and _divisor_sums raises on any other.  Glide line counts
-(lambda_set_size) are decided by one solve: the glide's linear part
-fixes alpha, the direction along a beta-row of the fundamental domain,
-so a glide power moves every point of a row by the same vector, and only
-one row can be moved by a given v.  The tests hold the references of
+are decided by one solve: the glide's linear part fixes alpha, the
+direction along a beta-row of the fundamental domain, so a glide power
+moves every point of a row by the same vector, and only one row can be
+moved by a given v (glide_rows).  The tests hold the references of
 these tables: literal per-length loops over every pair, and a
-point-by-point window scan for lambda_set_size.
+point-by-point window scan for the glide line counts.
 
 The progressions of the walk and geodesic tables of a rep, which one
 pass fills together, are kept on the quotient (_census_tables): the
 tables and the L-polynomial of every rep read them there.  glide_rows
-reads the glide power off its closed form, L x + s + (m - 1) / 2 (L s +
+reads a glide power off its closed form, L x + s + (m - 1) / 2 (L s +
 s) for the glide x -> L x + s, L**2 = I and m odd, and returns the
-vector of each asked beta-row as a dict; nothing of it is kept on the
-quotient, so it always reads the current sigma.
+vector of each asked beta-row of sigma and of t*sigma, one dict each,
+from one call; nothing of it is kept on the quotient, so it always
+reads the current sigma.
 
 Nothing here touches the transfer systems: the census uses only
 membership in Gamma0 (its adjugate and determinant), the glide sigma and
@@ -110,77 +111,50 @@ from collections import Counter
 from math import gcd
 from typing import Optional
 
-from .quotient import QuotientGroup, SpecValidationError
+from .quotient import QuotientGroup
 from .rootgeom import IDENTITY, Vec, mat_mul, mat_vec, vec_add, vec_scale, vec_sub
 
 
-def lambda_set_size(
-    q: QuotientGroup, m_odd: int, v: Vec, glide: str = "sigma"
-) -> int:
-    """Lattice points in the glide fundamental domain moved by v under the
-    m-th glide power.
+def glide_rows(q: QuotientGroup, m_odd: int, ds) -> tuple:
+    """(rows of sigma, rows of t*sigma), one dict {d: v} per glide g.
 
-    The domain holds the points x = p*alpha + qq*beta with 0 <= p < k and
-    2*qq < b (b the beta-coordinate of the glide's translation), plus half
-    of the boundary row 2*qq = b.  The glide's linear part fixes alpha and
-    sends beta to n*alpha - beta, so gm(x) - x does not depend on p and
-    has beta-coordinate b - 2*qq.  One solve therefore decides the count:
-    only the row qq = (b - d) / 2 can be moved by v = c*alpha + d*beta,
-    and only when b - d is even; it lies below the boundary exactly when
-    d > 0, and one exact evaluation at x = qq*beta then decides whether
-    its k points count.  A linear part that does not fix alpha, or does
-    not square to the identity, raises AssertionError (glide_rows).
+    g's fundamental domain holds the points x = p*alpha + qq*beta with
+    0 <= p < k and 2*qq < b, b the beta-coordinate of g's translation,
+    plus half of the boundary row 2*qq = b.  g's linear part L fixes alpha
+    and sends beta to n*alpha - beta, so the m_odd-th power gm moves every
+    point of the beta-row qq by one vector v = gm(x) - x, of
+    beta-coordinate d = b - 2*qq.  The dict holds that v at each d of ds
+    with d >= 0 and b - d even.  So a glide line count, the number of
+    domain points that gm moves by c*alpha + d*beta with d > 0, is k
+    exactly when the dict of g gives that vector at d, and 0 otherwise; it
+    is 0 for every d < 0.
 
-    v must be a coroot-lattice vector with nonzero beta-component in the
-    (alpha, beta) basis.  ``glide`` selects sigma or t*sigma together with
-    its matching fundamental domain.
-    """
-    if q.kind != "klein":
-        raise SpecValidationError("glide line counts require a Klein quotient")
-    if m_odd % 2 == 0:
-        raise ValueError("glide power must be odd")
-    if not q.rs.in_coroot_lattice(v):
-        raise ValueError(f"{v} is not in the coroot lattice")
-    _, d = q.alpha_beta_coords(v)
-    if d == 0:
-        raise ValueError("v must have nonzero beta-component")
-    return q.k_gamma if glide_rows(q, m_odd, (d,), glide).get(d) == (v[0], v[1]) else 0
-
-
-def glide_rows(q: QuotientGroup, m_odd: int, ds, glide: str = "sigma") -> dict:
-    """The vector gm(x) - x by which the m_odd-th glide power gm moves the
-    beta-row x = ((b - d) / 2) beta of the fundamental domain, for each d
-    of ds with d >= 0 and b - d even: the one v = c*alpha + d*beta that
-    can count k (lambda_set_size).  A vector of any other beta-coordinate
-    moves no row of the domain.
-
-    The glide g x = L x + s is read from q as it is now: sigma = q.sigma,
-    or t*sigma = (L, s + t).  As L**2 = I, g**2 is the translation by
+    The glides g x = L x + s are read from q as it is now: sigma = q.sigma,
+    and t*sigma = (L, s + t).  As L**2 = I, g**2 is the translation by
     L s + s, so the odd power is gm x = L x + s + (m_odd - 1) / 2 (L s + s),
     in closed form, and a scan reads each row by a dict lookup.  An even
     power raises ValueError, and a linear part with L**2 != I, or one that
-    does not fix alpha, AssertionError.  The caller checks the Klein kind
-    as lambda_set_size does.
+    does not fix alpha, AssertionError, each checked once for both glides.
+    The caller checks that q is a Klein bottle.
     """
     if m_odd % 2 == 0:
         raise ValueError("glide power must be odd")
-    linear, s = q.sigma
-    if glide == "tsigma":
-        s = vec_add(s, q.t)
-    elif glide != "sigma":
-        raise ValueError("glide must be 'sigma' or 'tsigma'")
+    linear, sigma_s = q.sigma
     if mat_mul(linear, linear) != IDENTITY:
         raise AssertionError("the glide's linear part does not square to the identity")
     if mat_vec(linear, q.alpha) != q.alpha:
         raise AssertionError("the glide's linear part does not fix alpha")
-    shift = vec_add(s, vec_scale((m_odd - 1) // 2, vec_add(mat_vec(linear, s), s)))
-    b = q.alpha_beta_coords(s)[1]
-    rows = {}
-    for d in ds:
-        if d >= 0 and (b - d) % 2 == 0:
-            x = vec_scale((b - d) // 2, q.beta)
-            rows[d] = vec_sub(vec_add(mat_vec(linear, x), shift), x)
-    return rows
+    both = []
+    for s in (sigma_s, vec_add(sigma_s, q.t)):
+        shift = vec_add(s, vec_scale((m_odd - 1) // 2, vec_add(mat_vec(linear, s), s)))
+        b = q.alpha_beta_coords(s)[1]
+        rows = {}
+        for d in ds:
+            if d >= 0 and (b - d) % 2 == 0:
+                x = vec_scale((b - d) // 2, q.beta)
+                rows[d] = vec_sub(vec_add(mat_vec(linear, x), shift), x)
+        both.append(rows)
+    return tuple(both)
 
 
 # ---------------------------------------------------------------------------

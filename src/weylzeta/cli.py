@@ -75,7 +75,7 @@ def _load(path: str) -> tuple:
 
 def _resolve_order(args, parsed: ParsedSpec) -> Optional[int]:
     """--order, else the spec file's order, else None for the library default."""
-    if getattr(args, "order", None) is not None:
+    if args.order is not None:
         return args.order
     return parsed.order
 

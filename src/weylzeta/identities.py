@@ -171,13 +171,13 @@ def _glide_line_scan(q: QuotientGroup) -> dict:
     d > 0, and 0 otherwise.  So off the rows d > 0 both are 0, and on one
     such row only three vectors can mismatch: the two glides' row
     vectors and the predicted one.  Only those are evaluated, by a lookup
-    in the rows of each glide power.
+    in the rows of each glide, which one glide_rows call per power gives.
     """
     rs, alpha, beta = q.rs, q.alpha, q.beta
     aa, ab = rs.pairing(alpha, alpha), rs.pairing(alpha, beta)
     window = range(1, GLIDE_WINDOW + 1)
     for m in (1, 3):
-        rows_s, rows_t = (census.glide_rows(q, m, window, g) for g in ("sigma", "tsigma"))
+        rows_s, rows_t = census.glide_rows(q, m, window)
         target = q.k_gamma * m * aa
         candidates = set()
         for rows in (rows_s, rows_t):

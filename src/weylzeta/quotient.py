@@ -21,10 +21,11 @@ whole box by arithmetic.
 A build checks, by arithmetic too, that the glide sigma x = L x + t is a
 fixed-point-free involution of the half-lattice classes, and so of the
 vertex classes, the half-lattice points of parity block 0.  L**2 = I and
-L t + t in Gamma0 make it an involution.  It takes mu_b + 2x (doubled
-coordinates, mu_b = (b & 1, b >> 1)) to L mu_b + 2 (L x + t), so it fixes
-a point of block b exactly when it maps the block onto itself and
-t + (L mu_b - mu_b) / 2 lies in Lambda = (L - I) Z**2 + Gamma0.
+L t + t in Gamma0 make it an involution.  It maps block b, the points
+mu_b + 2x in doubled coordinates (mu_b = (b & 1, b >> 1)), onto block
+image by x -> L x + t + carry, where L mu_b = mu_image + 2 carry
+(rootgeom.block_maps), so it fixes a point of block b exactly when
+image = b and t + carry lies in Lambda = (L - I) Z**2 + Gamma0.
 _triangular_basis takes any number of generators, so it also gives
 Lambda (_mirror), and _in_lattice tests membership on a triangular basis;
 the transfer systems count the fixed points of a glide with the same
@@ -42,7 +43,7 @@ from .rootgeom import (
     IDENTITY,
     RootSystem,
     Vec,
-    block_images,
+    block_maps,
     mat_det,
     mat_mul,
     mat_vec,
@@ -264,10 +265,8 @@ class QuotientGroup:
             self._triangle, vec_add(mat_vec(linear, t), t)
         )
         mirror = _mirror(self._triangle, linear)
-        for b, image in enumerate(block_images(linear)):
-            mu = (b & 1, b >> 1)
-            x, y = vec_sub(mat_vec(linear, mu), mu)
-            if image == b and _in_lattice(mirror, (t[0] + x // 2, t[1] + y // 2)):
+        for b, (image, carry) in enumerate(block_maps(linear)):
+            if image == b and _in_lattice(mirror, vec_add(t, carry)):
                 free = False
         if not free:
             raise AssertionError("the glide is not a fixed-point-free involution of the classes")

@@ -70,13 +70,17 @@ def vec_scale(k: int, v: Vec) -> Vec:
     return (k * v[0], k * v[1])
 
 
-def block_images(m: Mat) -> tuple:
-    """image[b], the parity block of m * mu_b, mu_b = (b & 1, b >> 1): the
-    block onto which a glide of linear part m maps block b of the
-    half-lattice points, its translation being even in doubled
-    coordinates."""
-    images = (mat_vec(m, (b & 1, b >> 1)) for b in range(4))
-    return tuple((x & 1) + 2 * (y & 1) for x, y in images)
+def block_maps(m: Mat) -> tuple:
+    """(image, carry) of each parity block b, mu_b = (b & 1, b >> 1), with
+    m mu_b = mu_image + 2 carry.  A glide x -> m x + t takes the
+    half-lattice point mu_b + 2x (doubled coordinates) to mu_image +
+    2 (m x + t + carry): it maps block b onto block image by x -> m x + t
+    + carry."""
+    maps = []
+    for b in range(4):
+        x, y = mat_vec(m, (b & 1, b >> 1))
+        maps.append(((x & 1) + 2 * (y & 1), (x >> 1, y >> 1)))
+    return tuple(maps)
 
 
 class LabelTable:
@@ -138,13 +142,17 @@ class LabelTable:
         return out
 
     def _derive_plan(self, linear) -> tuple:
-        """Each segment steps as a whole onto one segment: pi is a
-        permutation of the segments, or the transition is not a bijection.
-        The glide pairs segment (k, b) with (flip[k], image[b]), flip[k] the
-        index of the label linear * labels[k] and image = block_images(linear),
+        """A glide's linear part must be a reflection, checked here so that
+        it runs once per linear part a table keeps a plan for.  Each segment
+        steps as a whole onto one segment: pi is a permutation of the
+        segments, or the transition is not a bijection.  The glide pairs
+        segment (k, b) with (flip[k], image of b), flip[k] the index of the
+        label linear * labels[k] and the image read off block_maps(linear),
         which must be a segment too; a cycle is walked from the earlier
         segment of its pair, and a step onto the later one of a pair
         continues from the earlier."""
+        if linear is not None and (mat_det(linear) != -1 or mat_mul(linear, linear) != IDENTITY):
+            raise AssertionError("the glide's linear part is not a reflection")
         segments, kind = self.segments, self.kind
         at = {s: i for i, s in enumerate(segments)}
         to, shifts = [], []  # the segment each one steps onto, by which shift
@@ -157,9 +165,9 @@ class LabelTable:
         if linear is None:
             mirror = range(len(segments))
         else:
-            image, label_at = block_images(linear), self._at
+            maps, label_at = block_maps(linear), self._at
             flip = [label_at[tuple(mat_vec(linear, w) for w in label)] for label in self.labels]
-            mirror = [at.get((flip[k], image[b]), -1) for k, b in segments]
+            mirror = [at.get((flip[k], maps[b][0]), -1) for k, b in segments]
             if -1 in mirror:
                 raise AssertionError(f"the glide sends a kept {kind} segment off the kept ones")
         cycles, seen = [], [False] * len(segments)

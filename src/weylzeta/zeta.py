@@ -22,11 +22,11 @@ of its cycles compose to the first-return map of the cycle's first
 segment, whose cycles of length m are the system's cycles of length
 L * m on a segment cycle of length L.  For a Klein bottle the glide
 takes mu_b + 2x to L mu_b + 2 (L x + t), so it maps block b onto the
-block of L mu_b by x -> L x + t + (L mu_b - mu_image[b]) / 2 (its block
-map).  It pairs the segments: a pair of distinct segments holds one
-orbit per point of the earlier one, a step onto the later one is
-followed by the glide's block map, and a segment the glide maps onto
-itself holds the n / 2 glide pairs of its n points.
+block image of L mu_b = mu_image + 2 carry by x -> L x + t + carry (its
+block map, rootgeom.block_maps).  It pairs the segments: a pair of
+distinct segments holds one orbit per point of the earlier one, a step
+onto the later one is followed by the glide's block map, and a segment
+the glide maps onto itself holds the n / 2 glide pairs of its n points.
 
 None of this depends on q but the first-return maps.  The segment
 permutation, its cycles and the ops of each cycle's first-return map
@@ -60,9 +60,9 @@ Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
 its reciprocal is an integer polynomial.  The cycles are counted once
 per system, when it is built, and the bijection is checked: the plan
-checks that the segment permutation is one and that the glide maps the
-kept segments onto kept segments, and the build that the glide's linear
-part is a reflection, that a glide-fixed segment returns by a
+checks that the glide's linear part is a reflection, that the segment
+permutation is one and that the glide maps the kept segments onto kept
+segments, and the build that a glide-fixed segment returns by a
 translation, and that every number of cycles is an integer.  The system
 keeps only that product and its size; the tests check it against the
 explicit successor walk and det(I - wT) of its permutation matrix
@@ -104,7 +104,7 @@ from .quotient import (
     _in_lattice,
     _mirror,
 )
-from .rootgeom import IDENTITY, LabelTable, Vec, mat_det, mat_mul, mat_vec, vec_add, vec_scale
+from .rootgeom import IDENTITY, LabelTable, Vec, block_maps, mat_mul, mat_vec, vec_add, vec_scale
 
 
 class OrderInsufficientError(ValueError):
@@ -162,21 +162,18 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
     by 2 l[0] in doubled coordinates, a step of w a half-lattice point by
     l[0] within the two blocks mu_b not in {0, l[0] mod 2}, which it swaps.
     The segment cycles and the ops of each one's first-return map come
-    from table.plan of q's glide; each first-return map x -> f_lin x + v
-    of Z^2 / Gamma0 is composed as a (linear, translation) pair of tuples,
-    (f_lin, v), with mat_mul, mat_vec and vec_add, and its cycles are
-    read off that affine part (see the module docstring)."""
+    from table.plan of q's glide, which checks that its linear part is a
+    reflection; each first-return map x -> f_lin x + v of Z^2 / Gamma0 is
+    composed as a (linear, translation) pair of tuples, (f_lin, v), with
+    mat_mul, mat_vec and vec_add, and its cycles are read off that affine
+    part (see the module docstring)."""
     tri, kind = q._triangle, table.kind
     n = tri[0] * tri[2]
-    linear, glides = None, ()
-    if q.kind == "klein":
-        linear, (t1, t2) = q.sigma
-        if mat_det(linear) != -1 or mat_mul(linear, linear) != IDENTITY:
-            raise AssertionError("the glide's linear part is not a reflection")
-        # sigma takes mu_b + 2x to L mu_b + 2 (L x + t): block b's map
-        # x -> L x + glides[b] adds the carry of L mu_b past its parity block
-        lifts = (mat_vec(linear, (b & 1, b >> 1)) for b in range(4))
-        glides = [(t1 + (x >> 1), t2 + (y >> 1)) for x, y in lifts]
+    linear = q.sigma[0] if q.kind == "klein" else None
+    plan = table.plan(linear)
+    if linear is not None:
+        # block b's map x -> L x + glides[b]
+        glides = [vec_add(q.sigma[1], carry) for _, carry in block_maps(linear)]
         mirror = _mirror(tri, linear)
     lengths: dict = {}  # cycle length in steps -> number of cycles
 
@@ -188,7 +185,7 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
             lengths[length] = lengths.get(length, 0) + cycles
 
     size = 0
-    for b, fixed, steps, ops in table.plan(linear):
+    for b, fixed, steps, ops in plan:
         f_lin, v = IDENTITY, (0, 0)
         for shift, block in ops:
             v = vec_add(v, shift)

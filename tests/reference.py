@@ -105,9 +105,9 @@ routes live here, and the tests compare the package against them:
   the reference of the tables each ``RootSystem`` keeps.
 * ``glide_moves``: the points of a glide's fundamental domain, moved one
   by one by the glide applied m times and tallied by how far they moved.
-  It is the reference of ``census.lambda_set_size`` and of the rows of
-  ``census.glide_rows``, which solve for the one beta-row a vector can
-  move.
+  It is the reference of the rows of ``census.glide_rows``, which solve
+  for the one beta-row a vector can move, and so of the glide line
+  counts read off them.
 * ``glide_line_scan``: the first glide line count mismatch, found by
   evaluating every vector of the window against both glides' point
   tallies over the whole window d in [-W, W].  It is the reference of

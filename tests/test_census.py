@@ -28,7 +28,6 @@ from weylzeta.census import (
     gallery_count_table,
     geodesic_count_table,
     glide_rows,
-    lambda_set_size,
     semi_count_table,
     walk_count_table,
 )
@@ -189,25 +188,23 @@ def test_semi_inert_axis_cycle_on_a2_klein():
 # ---------------------------------------------------------------------------
 
 
-def test_lambda_set_size_examples():
+def _line_count(q, m, v, g):
+    """The glide line count of v under the m-th power of glide g (0 for
+    sigma, 1 for t sigma): k exactly when v is the vector of its beta-row."""
+    d = q.alpha_beta_coords(v)[1]
+    return q.k_gamma if glide_rows(q, m, (d,))[g].get(d) == v else 0
+
+
+def test_glide_line_count_examples():
     q = A2_KLEIN
     # admissible: positive beta-part and pairing (v, alpha) = (k m / 2)(alpha, alpha)
-    assert lambda_set_size(q, 1, (0, 3)) == 3  # v = 3*beta
-    assert lambda_set_size(q, 1, (1, 1)) == 3  # v = alpha + beta
-    assert lambda_set_size(q, 1, (3, -3)) == 0  # right pairing, d < 0
-    assert lambda_set_size(q, 1, (1, 4)) == 0  # wrong pairing value
+    assert _line_count(q, 1, (0, 3), 0) == 3  # v = 3*beta
+    assert _line_count(q, 1, (1, 1), 0) == 3  # v = alpha + beta
+    assert _line_count(q, 1, (3, -3), 0) == 0  # right pairing, d < 0
+    assert _line_count(q, 1, (1, 4), 0) == 0  # wrong pairing value
 
 
-def test_lambda_set_size_rejects_zero_beta_component():
-    with pytest.raises(ValueError):
-        lambda_set_size(A2_KLEIN, 1, (3, 0))
-    with pytest.raises(ValueError):
-        lambda_set_size(A2_KLEIN, 2, (0, 3))
-    with pytest.raises(ValueError):
-        lambda_set_size(A2_KLEIN, 1, (1, 0))  # not even in the coroot lattice
-
-
-def test_lambda_set_size_window_scan_matches_prediction():
+def test_glide_line_count_window_scan_matches_prediction():
     for q in (A2_KLEIN, C2_SPIN_KLEIN, C2_ST_KLEIN):
         k = q.k_gamma
         aa = q.rs.pairing(q.alpha, q.alpha)
@@ -224,11 +221,11 @@ def test_lambda_set_size_window_scan_matches_prediction():
                         continue
                     admissible = d > 0 and 2 * q.rs.pairing(v, q.alpha) == k * m * aa
                     expected = k if admissible else 0
-                    assert lambda_set_size(q, m, v) == expected
-                    assert lambda_set_size(q, m, v, glide="tsigma") == expected
+                    assert _line_count(q, m, v, 0) == expected
+                    assert _line_count(q, m, v, 1) == expected
 
 
-def test_lambda_set_size_matches_window_scan_on_corpus():
+def test_glide_line_counts_match_the_window_scan_on_corpus():
     members = generate_corpus(7, 20, 12)
     kleins = [m.build() for m in members if isinstance(m.spec, KleinSpec)]
     assert kleins
@@ -236,26 +233,18 @@ def test_lambda_set_size_matches_window_scan_on_corpus():
     for q in kleins:
         aa = q.rs.pairing(q.alpha, q.alpha)
         seen = set()
-        for m, glide in product((1, 3, 5, 7), ("sigma", "tsigma")):
+        for m, (g, glide) in product((1, 3, 5, 7), enumerate(("sigma", "tsigma"))):
             # one pass over the domain points per glide power
             moves = reference.glide_moves(q, m, glide)
             for c, d in product(box, box):
                 v = vec_add(vec_scale(c, q.alpha), vec_scale(d, q.beta))
                 if d == 0 or not q.rs.in_coroot_lattice(v):
                     continue
-                assert lambda_set_size(q, m, v, glide) == moves[v], (q, m, v, glide)
+                assert _line_count(q, m, v, g) == moves[v], (q, m, v, glide)
                 seen.add((d > 0, 2 * q.rs.pairing(v, q.alpha) == q.k_gamma * m * aa))
         # admissible v (d > 0, right pairing) and inadmissible ones: the
         # wrong pairing, and d < 0
         assert {(True, True), (True, False), (False, False)} <= seen
-
-
-def test_lambda_set_size_rejects_a_linear_part_not_fixing_alpha(monkeypatch):
-    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
-    monkeypatch.setattr(q, "sigma", (((-1, 0), (0, -1)), q.sigma[1]))
-    for glide in ("sigma", "tsigma"):
-        with pytest.raises(AssertionError, match="does not fix alpha"):
-            lambda_set_size(q, 1, (0, 3), glide)
 
 
 def test_glide_rows_refuse_what_the_closed_form_does_not_power(monkeypatch):
@@ -271,22 +260,20 @@ def test_glide_rows_refuse_what_the_closed_form_does_not_power(monkeypatch):
     shear = ((1, 1), (0, 1))
     assert mat_vec(shear, q.alpha) == q.alpha
     monkeypatch.setattr(q, "sigma", (shear, q.sigma[1]))
-    for m, glide in product((1, 3), ("sigma", "tsigma")):
+    for m, ds in product((1, 3), (window, (3,))):
         with pytest.raises(AssertionError, match="does not square to the identity"):
-            glide_rows(q, m, window, glide)
-        with pytest.raises(AssertionError, match="does not square to the identity"):
-            lambda_set_size(q, m, (0, 3), glide)
+            glide_rows(q, m, ds)
 
 
 def test_glide_line_counts_read_the_current_sigma(monkeypatch):
-    # a glide power computed for an earlier call must not outlive q.sigma
+    # a glide power computed for an earlier call must not outlive q.sigma;
+    # a linear part that does not fix alpha is refused for both glides
     q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
     assert verify(q).all_hold
-    assert lambda_set_size(q, 1, (0, 3)) in (0, q.k_gamma)
+    assert all(_line_count(q, 1, (0, 3), g) in (0, q.k_gamma) for g in (0, 1))
     monkeypatch.setattr(q, "sigma", (((-1, 0), (0, -1)), q.sigma[1]))
-    for glide in ("sigma", "tsigma"):
-        with pytest.raises(AssertionError, match="does not fix alpha"):
-            lambda_set_size(q, 1, (0, 3), glide)
+    with pytest.raises(AssertionError, match="does not fix alpha"):
+        glide_rows(q, 1, (3,))
 
 
 def test_glide_line_scan_matches_the_window_reference(monkeypatch):
@@ -312,15 +299,17 @@ def test_glide_line_scan_matches_the_window_reference(monkeypatch):
                 assert got == reference.glide_line_scan(q), (q, name, g)
                 # each row d > 0 of the window against the domain points
                 # that the glide power moves, one by one
-                for m, glide in product((1, 3), ("sigma", "tsigma")):
-                    moves = reference.glide_moves(q, m, glide)
-                    rows = {
-                        q.alpha_beta_coords(v)[1]: v
-                        for v in moves
-                        if q.alpha_beta_coords(v)[1] in window
-                    }
-                    assert glide_rows(q, m, window, glide) == rows, (q, name, g, m, glide)
-                    assert all(moves[v] == q.k_gamma for v in rows.values())
+                for m in (1, 3):
+                    both = glide_rows(q, m, window)
+                    for glide, got_rows in zip(("sigma", "tsigma"), both, strict=True):
+                        moves = reference.glide_moves(q, m, glide)
+                        rows = {
+                            q.alpha_beta_coords(v)[1]: v
+                            for v in moves
+                            if q.alpha_beta_coords(v)[1] in window
+                        }
+                        assert got_rows == rows, (q, name, g, m, glide)
+                        assert all(moves[v] == q.k_gamma for v in rows.values())
             if not got:
                 reports["none"] += 1
             elif got["sigma_count"] == got["tsigma_count"]:
@@ -615,12 +604,13 @@ def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
             looked_up[self.m, self.glide, d] += 1
             return dict.get(self, d, default)
 
-    def recording(q_, m, ds, glide="sigma"):
-        calls[m, glide] += 1
-        rows = Rows(rows_of(q_, m, ds, glide))
-        rows.m, rows.glide = m, glide
-        returned["rows"] += len(rows)
-        return rows
+    def recording(q_, m, ds):
+        calls[m] += 1
+        both = tuple(Rows(rows) for rows in rows_of(q_, m, ds))
+        for rows, glide in zip(both, ("sigma", "tsigma"), strict=True):
+            rows.m, rows.glide = m, glide
+            returned["rows"] += len(rows)
+        return both
 
     # the beta-rows d > 0 of the window that a glide power can move: those
     # with b - d even, b the beta-coordinate of the glide's translation
@@ -628,11 +618,11 @@ def test_the_glide_line_scan_evaluates_three_vectors_per_row(monkeypatch):
     rows = 2 * sum((b - d) % 2 == 0 for b in bs for d in window)
     monkeypatch.setattr(weylzeta.census, "glide_rows", recording)
     assert _glide_line_scan(q) == {}
-    # one glide_rows call per (power, glide), returning one vector per
-    # movable row; each evaluated vector looks up the row of its d in
+    # one glide_rows call per power, returning one vector per movable row
+    # of each glide; each evaluated vector looks up the row of its d in
     # both glides' rows, at most three vectors per (power, d > 0), where
     # the full-window scan evaluated every vector of the window
-    assert calls == {(m, g): 1 for m in (1, 3) for g in ("sigma", "tsigma")}
+    assert calls == {1: 1, 3: 1}
     assert 0 < returned["rows"] == rows <= 4 * GLIDE_WINDOW
     assert looked_up and all(d > 0 and n <= 3 for (_, _, d), n in looked_up.items())
     assert all(looked_up[m, "tsigma", d] == n for (m, g, d), n in looked_up.items())

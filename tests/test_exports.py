@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -32,10 +33,7 @@ REFERENCE_NAMES = (
 )
 
 # functions and methods that no package module calls, each kept for a reason
-UNCALLED_ALLOWED = {
-    # the checked entry that the tests call and bench/tracer.py wraps
-    "census.lambda_set_size",
-}
+UNCALLED_ALLOWED: set = set()
 
 
 def test_exports_resolve_and_exclude_the_references():
@@ -294,6 +292,18 @@ def test_the_klein_generator_api_is_gone():
     for module in (weylzeta, weylzeta.quotient):
         assert not hasattr(module, "glide_conjugacy_representative")
         assert not hasattr(module, "AffineMap")
+
+
+def test_each_glide_fact_has_one_route():
+    # the glide line counts are read off glide_rows, which gives both
+    # glides' rows from one call, and each block map comes from block_maps
+    for module in (weylzeta, weylzeta.census):
+        assert not hasattr(module, "lambda_set_size")
+    assert "lambda_set_size" not in weylzeta.__all__
+    assert not hasattr(weylzeta.rootgeom, "block_images")
+    params = inspect.signature(weylzeta.census.glide_rows).parameters
+    assert list(params) == ["q", "m_odd", "ds"]
+    assert UNCALLED_ALLOWED == set()
 
 
 def test_records_are_immutable_values():

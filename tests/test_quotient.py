@@ -433,7 +433,6 @@ def test_normalize_generators_rejections():
 _OPTIMIZED_SCRIPT = """
 import sys
 from weylzeta import census
-from weylzeta.census import lambda_set_size
 from weylzeta.quotient import KleinSpec, QuotientGroup, build
 from weylzeta.rootgeom import RootSystem, mat_vec, vec_sub
 
@@ -443,7 +442,7 @@ q = build(rs, KleinSpec((1, 0), (1, 1), 2, 1, 1))
 print("built", q.N, q.k_gamma, q.alpha_beta_coords(q.sigma[1]))
 q.sigma = (((-1, 0), (0, -1)), q.sigma[1])  # fixes no axis
 try:
-    lambda_set_size(q, 1, (0, 2))
+    census.glide_rows(q, 1, (2,))  # the row of v = (0, 2) = -2 alpha + 2 beta
 except AssertionError as exc:
     print("glide rejected", exc)
 q.beta = (2 * q.beta[0], 2 * q.beta[1])  # no longer a basis with alpha

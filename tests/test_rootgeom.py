@@ -8,7 +8,9 @@ import pytest
 import reference
 from weylzeta.rootgeom import (
     IDENTITY,
+    LabelTable,
     RootSystem,
+    block_maps,
     mat_det,
     mat_mul,
     mat_vec,
@@ -272,6 +274,36 @@ def test_gallery_pairs_never_backtrack():
 def _parity(v):
     """The parity block of a point in doubled coordinates."""
     return (v[0] & 1) + 2 * (v[1] & 1)
+
+
+def test_block_maps_split_each_image_into_its_block_and_carry():
+    # m mu_b = mu_image + 2 carry for every Weyl element and parity block b
+    for rs in (A2, C2):
+        for m in rs.weyl:
+            maps = block_maps(m)
+            assert len(maps) == 4
+            for b, (image, carry) in enumerate(maps):
+                assert image in range(4)
+                mu_image = (image & 1, image >> 1)
+                expected = mat_vec(m, (b & 1, b >> 1))
+                assert (mu_image[0] + 2 * carry[0], mu_image[1] + 2 * carry[1]) == expected, (m, b)
+
+
+def test_a_plan_refuses_a_linear_part_that_is_not_a_reflection():
+    # the rotations of each Weyl group, the identity among them, and a
+    # matrix of determinant -1 that does not square to the identity: each
+    # raises on every call and leaves no plan on the table
+    for rs in (A2, C2):
+        rotations = [m for m in rs.weyl if mat_det(m) == 1]
+        assert IDENTITY in rotations
+        for rep in rs.rep_names:
+            for kind in ("walks", "semi", "galleries"):
+                table = LabelTable(rs.label_table(rep, kind).labels, kind)
+                for m in rotations + [((0, 1), (1, 1))]:
+                    for _ in range(2):
+                        with pytest.raises(AssertionError, match="^the glide's linear part is not a reflection$"):
+                            table.plan(m)
+                assert table._plans == {}
 
 
 def test_label_tables_match_the_per_call_derivation():

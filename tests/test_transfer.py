@@ -40,7 +40,7 @@ from weylzeta.rootgeom import (
     IDENTITY,
     LabelTable,
     RootSystem,
-    block_images,
+    block_maps,
     mat_det,
     mat_vec,
     vec_add,
@@ -190,12 +190,10 @@ def _brute_order(q, v):
 
 
 def _block_map(q, b):
-    """The glide's map of block b, x -> L x + t + (L mu_b - mu_image[b]) / 2,
-    mu_b = (b & 1, b >> 1) and image = block_images(L)."""
+    """The glide's map of block b, x -> L x + t + carry, with L mu_b =
+    mu_image + 2 carry, mu_b = (b & 1, b >> 1) (block_maps(L)[b])."""
     linear, t = q.sigma
-    image = block_images(linear)[b]
-    x, y = vec_sub(mat_vec(linear, (b & 1, b >> 1)), (image & 1, image >> 1))
-    return reference.Affine(linear, vec_add(t, (x // 2, y // 2)))
+    return reference.Affine(linear, vec_add(t, block_maps(linear)[b][1]))
 
 
 def _mirror(q):
@@ -245,7 +243,7 @@ def _check_index_map(q, x):
     # each block b onto block image[b] by its block map
     sigma = [half_pos(reference.sigma_half(q, p)) for p in half]
     assert all(sigma[k] != k and sigma[sigma[k]] == k for k in range(4 * n))
-    for b, image in enumerate(block_images(q.sigma[0])):
+    for b, (image, _) in enumerate(block_maps(q.sigma[0])):
         g = _block_map(q, b)
         assert [image * n + pos(g.apply(p)) for p in box] == sigma[b * n : b * n + n]
 
@@ -838,8 +836,8 @@ def _reference_segments(q, rep, kind, scale):
     labels, nexts, segments, flip = reference.label_layout(q.rs, rep, kind, linear)
     at = {s: i for i, s in enumerate(segments)}
     to = [at[nexts[k], _block_after(b, labels[k][0], scale)] for k, b in segments]
-    image = block_images(linear)
-    return to, [at[flip[k], image[b]] for k, b in segments]
+    maps = block_maps(linear)
+    return to, [at[flip[k], maps[b][0]] for k, b in segments]
 
 
 def _segment_cases(q):
