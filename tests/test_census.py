@@ -36,7 +36,7 @@ import weylzeta.census
 import weylzeta.identities
 from weylzeta.identities import GLIDE_WINDOW, _glide_line_scan, verify
 from weylzeta.quotient import KleinSpec, TorusSpec, build
-from weylzeta.rootgeom import RootSystem, mat_vec, vec_add, vec_scale, vec_sub
+from weylzeta.rootgeom import RootSystem, mat_mul, mat_vec, vec_add, vec_scale, vec_sub
 from weylzeta.specfile import load_spec_file
 from weylzeta.zeta import required_order
 
@@ -245,6 +245,21 @@ def test_glide_line_counts_match_the_window_scan_on_corpus():
         # admissible v (d > 0, right pairing) and inadmissible ones: the
         # wrong pairing, and d < 0
         assert {(True, True), (True, False), (False, False)} <= seen
+
+
+def test_lambda_set_size_rejects_a_linear_part_not_fixing_alpha(monkeypatch):
+    # the glide line counts, once read by lambda_set_size, are read off
+    # glide_rows: a linear part that squares to the identity but does not
+    # fix alpha is refused at every odd power and every set of rows, for
+    # the rows of sigma and of t*sigma alike
+    q = build(A2, KleinSpec((1, 0), (0, 1), 1, 1, 1))
+    minus = ((-1, 0), (0, -1))
+    assert mat_mul(minus, minus) == ((1, 0), (0, 1))
+    assert mat_vec(minus, q.alpha) != q.alpha
+    monkeypatch.setattr(q, "sigma", (minus, q.sigma[1]))
+    for m, ds in product((1, 3, -1), (range(1, GLIDE_WINDOW + 1), (3,), ())):
+        with pytest.raises(AssertionError, match="does not fix alpha"):
+            glide_rows(q, m, ds)
 
 
 def test_glide_rows_refuse_what_the_closed_form_does_not_power(monkeypatch):
