@@ -24,11 +24,14 @@ label's successor, the parity blocks its states occupy, and, made on
 its first use, the segment plan of each glide, a plain tuple of its
 cycles).  Nothing in them depends on a quotient: a table keeps one plan
 for every torus and one per linear part of the Klein bottles' glides it
-has met, and dies with its root system.
+has met, and dies with its root system.  The block maps of a glide's
+linear part (block_maps) depend on the matrix alone and are memoized
+per matrix.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 Vec = tuple  # (int, int) lattice point in coweight coordinates
@@ -70,12 +73,21 @@ def vec_scale(k: int, v: Vec) -> Vec:
     return (k * v[0], k * v[1])
 
 
+# Every glide a build admits has a Weyl reflection as its linear part (at
+# most 3 for A2 and 4 for C2); the bound only stops planted matrices from
+# growing the memo.
+@lru_cache(maxsize=64)
 def block_maps(m: Mat) -> tuple:
     """(image, carry) of each parity block b, mu_b = (b & 1, b >> 1), with
     m mu_b = mu_image + 2 carry.  A glide x -> m x + t takes the
     half-lattice point mu_b + 2x (doubled coordinates) to mu_image +
     2 (m x + t + carry): it maps block b onto block image by x -> m x + t
-    + carry."""
+    + carry.
+
+    The maps depend on m alone, like the plans a LabelTable keeps, so
+    they are derived once per matrix and memoized: the quotient's glide
+    check, each plan and each Klein transfer-system build read the same
+    tuple."""
     maps = []
     for b in range(4):
         x, y = mat_vec(m, (b & 1, b >> 1))
@@ -143,7 +155,8 @@ class LabelTable:
 
     def _derive_plan(self, linear) -> tuple:
         """A glide's linear part must be a reflection, checked here so that
-        it runs once per linear part a table keeps a plan for.  Each segment
+        it runs once per linear part a table keeps a plan for, and must map
+        the table's labels onto labels.  Each segment
         steps as a whole onto one segment: pi is a permutation of the
         segments, or the transition is not a bijection.  The glide pairs
         segment (k, b) with (flip[k], image of b), flip[k] the index of the
@@ -166,7 +179,9 @@ class LabelTable:
             mirror = range(len(segments))
         else:
             maps, label_at = block_maps(linear), self._at
-            flip = [label_at[tuple(mat_vec(linear, w) for w in label)] for label in self.labels]
+            flip = [label_at.get(tuple(mat_vec(linear, w) for w in label), -1) for label in self.labels]
+            if -1 in flip:
+                raise AssertionError(f"the glide's linear part sends a {kind} label off the labels")
             mirror = [at.get((flip[k], maps[b][0]), -1) for k, b in segments]
             if -1 in mirror:
                 raise AssertionError(f"the glide sends a kept {kind} segment off the kept ones")

@@ -54,7 +54,11 @@ off the triangular basis (h11, 0), (c, h22) of Gamma0:
 x -> L x + u has det(Lambda) fixed points when u lies in Lambda =
 (L - I) Z**2 + Gamma0, and none otherwise.  So no table is made, no
 point is visited, and the engine never reads the adjugate of Gamma0's
-basis, by which the census encodes it.
+basis, by which the census encodes it.  Lambda's triangular basis
+(quotient._mirror) is derived by a build's first fixed-point count, so
+a build that counts none derives none, and the glide's block maps are
+the memoized rootgeom.block_maps of its linear part: a Klein build's
+own set-up is the four translations t + carry.
 
 Each step map is a bijection, so every zeta function is the cycle
 product prod (1 - w**(step * length))**-1, held as a CycleProduct, and
@@ -166,7 +170,8 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
     reflection; each first-return map x -> f_lin x + v of Z^2 / Gamma0 is
     composed as a (linear, translation) pair of tuples, (f_lin, v), with
     mat_mul, mat_vec and vec_add, and its cycles are read off that affine
-    part (see the module docstring)."""
+    part (see the module docstring); Lambda's basis is derived by the
+    first fixed-point count, at most once per build."""
     tri, kind = q._triangle, table.kind
     n = tri[0] * tri[2]
     linear = q.sigma[0] if q.kind == "klein" else None
@@ -174,8 +179,14 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
     if linear is not None:
         # block b's map x -> L x + glides[b]
         glides = [vec_add(q.sigma[1], carry) for _, carry in block_maps(linear)]
-        mirror = _mirror(tri, linear)
+    mirror = None  # Lambda's basis, derived by the first fixed-point count
     lengths: dict = {}  # cycle length in steps -> number of cycles
+
+    def fixed_points(u: Vec) -> int:
+        nonlocal mirror
+        if mirror is None:
+            mirror = _mirror(tri, linear)
+        return _fixed_points(mirror, u)
 
     def add(length: int, points: int, per_cycle: int) -> None:
         cycles, r = divmod(points, per_cycle)
@@ -199,7 +210,7 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
             # odd; every point not fixed by f**m has a cycle of 2m
             w = vec_add(mat_vec(f_lin, v), v)
             m = _order(tri, w)
-            short = _fixed_points(mirror, vec_add(vec_scale(m // 2, w), v)) if m % 2 else 0
+            short = fixed_points(vec_add(vec_scale(m // 2, w), v)) if m % 2 else 0
             add(steps * m, short, m)
             add(2 * steps * m, n - short, 2 * m)
         elif not fixed:
@@ -214,7 +225,7 @@ def _transfer_system(q: QuotientGroup, rep: str, table: LabelTable) -> TransferS
             m = _order(tri, v)
             short = 0
             if m % 2 == 0:
-                short = _fixed_points(mirror, vec_add(mat_vec(linear, vec_scale(m // 2, v)), glides[b]))
+                short = fixed_points(vec_add(mat_vec(linear, vec_scale(m // 2, v)), glides[b]))
             add(steps * (m // 2), short, m)
             add(steps * m, n - short, 2 * m)
         size += steps * (n // 2 if fixed else n)

@@ -1,11 +1,14 @@
 """Spec file parsing, CLI subcommands, JSON schema, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from weylzeta.cli import main
 from weylzeta.corpus import MAX_MEMBERS
-from weylzeta.quotient import MAX_CLASSES, KleinSpec, TorusSpec
+from weylzeta.quotient import MAX_CLASSES, KleinSpec, QuotientGroup, TorusSpec
 from weylzeta.specfile import MAX_SPEC_BYTES, SpecFileError, parse_spec_text
 from weylzeta.zeta import MAX_ORDER
 
@@ -450,6 +453,50 @@ def test_cli_corpus_small(capsys):
     names = [m["name"] for m in payload["members"]]
     assert len(names) == 2 * 2 + 5
     assert any("bodd" in n for n in names) and any("beven" in n for n in names)
+
+
+def test_cli_corpus_verifies_each_member_on_the_quotient_it_drew(capsys, monkeypatch):
+    # corpus --seed 7 builds each member once, in generate_corpus, skips a
+    # torus off the coroot lattice before building it, verifies the
+    # member's own quotient, and drops it before the next verify starts;
+    # the only other builds are the Klein bottles' double covers in verify
+    import weylzeta.cli as cli_mod
+
+    built, off_lattice, covers, refs, verified = Counter(), [], Counter(), [], []
+    init, generate, verify = QuotientGroup.__init__, cli_mod.generate_corpus, cli_mod.verify
+
+    def counting_init(self, rs, spec):
+        built[rs.kind, spec] += 1
+        if isinstance(spec, TorusSpec) and not all(map(rs.in_coroot_lattice, spec)):
+            off_lattice.append(spec)
+        init(self, rs, spec)
+
+    def recording_generate(seed, tori, kleins):
+        members = generate(seed, tori, kleins)
+        refs.extend(weakref.ref(member.quotient) for member in members)
+        return members
+
+    def checking_verify(q, order=None):
+        i = len(verified)
+        verified.append(q is refs[i]() and (i == 0 or refs[i - 1]() is None))
+        if q.kind == "klein":
+            covers[q.rs.kind, TorusSpec(*q.gamma0_basis)] += 1
+        return verify(q, order)
+
+    monkeypatch.setattr(QuotientGroup, "__init__", counting_init)
+    monkeypatch.setattr(cli_mod, "generate_corpus", recording_generate)
+    monkeypatch.setattr(cli_mod, "verify", checking_verify)
+    # with the cyclic collector off, only reference counts can free a quotient
+    gc.disable()
+    try:
+        assert main(["corpus", "--seed", "7", "--format", "json"]) == 0
+    finally:
+        gc.enable()
+    assert json.loads(capsys.readouterr().out)["all_hold"] is True
+    assert len(verified) == 55 and all(verified)
+    assert sum(covers.values()) == 15
+    assert off_lattice == []
+    assert max((built - covers).values()) == 1
 
 
 def test_cli_file_order_used(klein_file, capsys):

@@ -631,6 +631,15 @@ def a_residue_box_the_glide_does_not_preserve():
     build_walk_system(q, "pi1")
 
 
+def a_glide_reflection_outside_the_weyl_group():
+    # diag(1, -1) is an involution of determinant -1, so it passes the
+    # reflection check, but it takes the pi1 weight (-1, 1) to (-1, -1),
+    # which is no weight of pi1
+    q = klein()
+    q.sigma = (((1, 0), (0, -1)), q.sigma[1])
+    build_walk_system(q, "pi1")
+
+
 CASES = (
     a_step_off_the_kept_segments,
     two_segments_stepping_into_one,
@@ -638,6 +647,7 @@ CASES = (
     a_glide_whose_blocks_disagree_with_its_linear_part,
     a_glide_fixed_segment_returning_through_the_glide,
     a_residue_box_the_glide_does_not_preserve,
+    a_glide_reflection_outside_the_weyl_group,
 )
 
 if __name__ == "__main__":
@@ -662,6 +672,9 @@ ENGINE_FAULT_MESSAGES = {
         "a glide-fixed walks segment does not return by a translation"
     ),
     "a_residue_box_the_glide_does_not_preserve": "walks transition is not a bijection",
+    "a_glide_reflection_outside_the_weyl_group": (
+        "the glide's linear part sends a walks label off the labels"
+    ),
 }
 
 
@@ -740,6 +753,40 @@ def test_each_build_takes_one_order_per_plan_cycle(monkeypatch):
                     assert tally["fixed points"] == 0, where
                 counted += tally["fixed points"] > 0
     assert counted
+
+
+def test_klein_builds_derive_lambda_and_block_maps_only_when_needed(monkeypatch):
+    # Lambda's basis is derived by a build's first fixed-point count, and
+    # only then; the block maps of a linear part are derived once, by
+    # whichever of the glide check, a plan or a build asks first
+    mirror, fixed_points = zeta_mod._mirror, zeta_mod._fixed_points
+    tally = Counter()
+
+    def counting_mirror(tri, linear):
+        tally["mirrors"] += 1
+        return mirror(tri, linear)
+
+    def counting_fixed_points(lattice, u):
+        tally["fixed points"] += 1
+        return fixed_points(lattice, u)
+
+    monkeypatch.setattr(zeta_mod, "_mirror", counting_mirror)
+    monkeypatch.setattr(zeta_mod, "_fixed_points", counting_fixed_points)
+    kleins = [member.quotient for member in generate_corpus(7) if member.quotient.kind == "klein"]
+    block_maps.cache_clear()
+    builds = reached = 0
+    for q in kleins:
+        for rep in q.rs.rep_names:
+            for flat, _ in BUILDERS:
+                tally.clear()
+                flat(q, rep)
+                builds += 1
+                assert tally["mirrors"] == (tally["fixed points"] > 0), (q.spec, rep, flat.__name__)
+                reached += tally["fixed points"] > 0
+    assert (len(kleins), builds, reached) == (15, 90, 36)
+    info = block_maps.cache_info()
+    assert info.misses == len({q.sigma[0] for q in kleins})
+    assert info.hits + info.misses >= builds
 
 
 def test_first_return_maps_are_composed_without_affine_maps():
